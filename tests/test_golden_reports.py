@@ -1,0 +1,91 @@
+"""Golden reports: the byte-identity contract of the verification engine.
+
+Each case builds one instance, runs ``run_suite`` on it with the hash of its
+canonical manifest, and compares ``emit(report, "json")`` byte for byte with
+``tests/golden/<instance>_<suite>.json``.  A refactor must leave every file
+unchanged; a change that alters a report on purpose regenerates the files
+and records why.
+
+The instances: the symbolic lambda family and the abelian 3-dimensional
+frame (the gated path) under every suite, the lambda = 0 and lambda = 1/2
+members, the Heisenberg group H^5 (``manifests/heisenberg5.json``) and one
+dense random dimension-5 frame whose Jacobi identity fails, so every derived
+section is gated (``manifests/random5.json``), each under ``all``.
+
+Regenerate every golden file from the current engine:
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from contactframe import (
+    SUITES,
+    dump_manifest,
+    emit,
+    load_manifest_file,
+    make_lambda_family,
+    manifest_hash,
+    run_suite,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
+
+
+def _lambda_member(value):
+    def build():
+        entry = make_lambda_family(value)
+        return entry.manifold, entry.structure
+
+    return build
+
+
+def _manifest_file(name: str):
+    return lambda: load_manifest_file(str(ROOT / "manifests" / name))
+
+
+INSTANCES = {
+    "lambda_symbolic": _lambda_member(None),
+    "lambda_0": _lambda_member(Fraction(0)),
+    "lambda_1_2": _lambda_member(Fraction(1, 2)),
+    "abelian3": _manifest_file("abelian3.json"),
+    "heisenberg5": _manifest_file("heisenberg5.json"),
+    "random5": _manifest_file("random5.json"),
+}
+
+CASES = (
+    [("lambda_symbolic", suite) for suite in SUITES]
+    + [("lambda_0", "all"), ("lambda_1_2", "all")]
+    + [("abelian3", suite) for suite in SUITES]
+    + [("heisenberg5", "all"), ("random5", "all")]
+)
+
+
+def render(instance: str, suite: str) -> str:
+    m, s = INSTANCES[instance]()
+    report = run_suite(m, s, suite, manifest_hash(dump_manifest(m, s)))
+    return emit(report, "json")
+
+
+def golden_path(instance: str, suite: str) -> Path:
+    return GOLDEN_DIR / f"{instance}_{suite}.json"
+
+
+@pytest.mark.parametrize(
+    ("instance", "suite"), CASES, ids=[f"{i}-{s}" for i, s in CASES]
+)
+def test_report_matches_golden(instance, suite):
+    expected = golden_path(instance, suite).read_bytes()
+    assert render(instance, suite).encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for instance, suite in CASES:
+        golden_path(instance, suite).write_bytes(render(instance, suite).encode("utf-8"))

@@ -13,6 +13,7 @@ import argparse
 from fractions import Fraction
 
 from contactframe import (
+    SUITES,
     dump_manifest,
     emit,
     manifest_hash,
@@ -30,11 +31,7 @@ def main() -> int:
         help="rational parameter value (omit for symbolic)",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument(
-        "--suite",
-        default="all",
-        choices=("all", "frame", "nkappa", "gtw", "concircular"),
-    )
+    parser.add_argument("--suite", default="all", choices=SUITES)
     args = parser.parse_args()
 
     lam = Fraction(args.value) if args.value is not None else None

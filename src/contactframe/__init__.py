@@ -9,8 +9,6 @@ enter any verdict.
 """
 
 from .concircular import (
-    DERIVATION_CONVENTION,
-    REFERENCE_CONVENTION,
     ConcircularTensor,
     concircular,
     tensor_dot_form,
@@ -88,8 +86,6 @@ __all__ = [
     "BoeckxInvariant",
     "Check",
     "ConcircularTensor",
-    "DERIVATION_CONVENTION",
-    "REFERENCE_CONVENTION",
     "Connection",
     "ConnectionConsistencyError",
     "Curvature4Tensor",

@@ -13,8 +13,7 @@ K = -2n/(2n+1).  This module builds Z, the two tensor-action operators
     (T1(X1,X2).w)(X3,X4)    = w(T1(X1,X2)X3, X4) + w(X3, T1(X1,X2)X4)
 
 (the form action is implemented in this sign convention as quoted; the
-standard derivation convention negates both terms and is available as a
-toggle for comparison), and grades:
+standard derivation convention negates both terms), and grades:
 
 - the xi-contraction identities of Z (the double-contraction is asserted
   in its definitional expansion K(X - eta(X) xi); the quoted K phi^2 X
@@ -35,56 +34,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .contact import AlmostContactData
 from .curvature import BilinearForm, Curvature4Tensor
-from .frames import FrameManifold, FrameVector, render_vector
-from .report import VerificationReport
+from .frames import FrameImages, FrameManifold, FrameVector, frame_images
+from .report import VerificationReport, first_witness
 from .scalars import Scalar
-
-REFERENCE_CONVENTION = "reference"
-DERIVATION_CONVENTION = "derivation"
 
 
 @dataclass(frozen=True)
-class ConcircularTensor:
-    """Concircular components (same layout as Curvature4Tensor) with K."""
+class ConcircularTensor(Curvature4Tensor):
+    """Concircular components (the Curvature4Tensor layout) with the constant K."""
 
-    components: tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]
     K: Scalar
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def vector(self, i: int, j: int, k: int) -> FrameVector:
-        return FrameVector(tuple(self.components[i][j][k]))
-
-    def lowered(self, i: int, j: int, k: int, l: int) -> Scalar:
-        return self.components[i][j][k][l]
-
-    def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
-        dim = self.dim
-        out = [Scalar.zero(x.params) for _ in range(dim)]
-        for i in range(dim):
-            xi = x.components[i]
-            if xi.is_zero():
-                continue
-            for j in range(dim):
-                yj = y.components[j]
-                if yj.is_zero():
-                    continue
-                xy = xi * yj
-                for k in range(dim):
-                    zk = z.components[k]
-                    if zk.is_zero():
-                        continue
-                    w = xy * zk
-                    for l in range(dim):
-                        comp = self.components[i][j][k][l]
-                        if not comp.is_zero():
-                            out[l] = out[l] + w * comp
-        return FrameVector(tuple(out))
 
 
 def concircular(m: FrameManifold, curv: Curvature4Tensor) -> ConcircularTensor:
@@ -112,8 +76,8 @@ def concircular(m: FrameManifold, curv: Curvature4Tensor) -> ConcircularTensor:
 
 def tensor_dot_tensor(
     m: FrameManifold,
-    t1: ConcircularTensor | Curvature4Tensor,
-    t2: ConcircularTensor | Curvature4Tensor,
+    t1: Curvature4Tensor,
+    t2: Curvature4Tensor,
     x1: FrameVector,
     x2: FrameVector,
     x3: FrameVector,
@@ -130,23 +94,15 @@ def tensor_dot_tensor(
 
 def tensor_dot_form(
     m: FrameManifold,
-    t1: ConcircularTensor | Curvature4Tensor,
+    t1: Curvature4Tensor,
     omega: BilinearForm,
     x1: FrameVector,
     x2: FrameVector,
     x3: FrameVector,
     x4: FrameVector,
-    convention: str = REFERENCE_CONVENTION,
 ) -> Scalar:
-    """(T1(X1,X2).w)(X3,X4); all-plus as quoted, or all-minus derivation signs."""
-    value = omega.apply(t1.apply(x1, x2, x3), x4) + omega.apply(
-        x3, t1.apply(x1, x2, x4)
-    )
-    if convention == DERIVATION_CONVENTION:
-        return -value
-    if convention != REFERENCE_CONVENTION:
-        raise ValueError(f"unknown convention {convention!r}")
-    return value
+    """(T1(X1,X2).w)(X3,X4) with both insertions positive, as quoted."""
+    return omega.apply(t1.apply(x1, x2, x3), x4) + omega.apply(x3, t1.apply(x1, x2, x4))
 
 
 _FORM_CONVENTION_NOTE = (
@@ -164,24 +120,19 @@ def verify_concircular_suite(
 ) -> VerificationReport:
     """Grade the xi-contraction identities and the theorem obstructions."""
     report = VerificationReport()
-    phi, xi = s.phi, s.xi
+    xi = s.xi
     K = z.K
-
-    def eta_of(x: FrameVector) -> Scalar:
-        return m.inner(s.eta, x)
+    img = frame_images(m, s)
+    e, eta = img.e, img.eta
+    idx = range(m.dim)
 
     # Z(X, xi)xi = K (X - eta(X) xi): definitional expansion
-    witness = None
-    for i in range(m.dim):
-        ei = m.basis(i)
-        residual = z.apply(ei, xi, xi) - (ei - xi.scale(eta_of(ei))).scale(K)
-        if not residual.is_zero():
-            witness = {"indices": [i + 1], "residual": render_vector(residual.components)}
-            break
     report.graded(
         "conc.xi_double_contraction",
-        witness is None,
-        witness,
+        first_witness(
+            product(idx, repeat=1),
+            lambda i: z.apply(e[i], xi, xi) - (e[i] - xi.scale(eta[i])).scale(K),
+        ),
         notes=(
             "asserted definitional expansion: Z(X, xi)xi = K(X - eta(X) xi) "
             "= -K phi^2 X under phi^2 = -I + eta (x) xi",
@@ -189,87 +140,45 @@ def verify_concircular_suite(
     )
 
     # quoted variant K phi^2 X, evaluated under the adopted phi^2 sign
-    ref_witness = None
-    for i in range(m.dim):
-        ei = m.basis(i)
-        residual = z.apply(ei, xi, xi) - phi.apply(phi.apply(ei)).scale(K)
-        if not residual.is_zero():
-            ref_witness = {
-                "indices": [i + 1],
-                "residual": render_vector(residual.components),
-            }
-            break
-    if ref_witness is None:
-        report.holds("conc.xi_double_contraction_phi_square_variant")
-    else:
-        report.not_applicable(
-            "conc.xi_double_contraction_phi_square_variant",
-            witness=ref_witness,
-            notes=(
-                "the K phi^2 X variant matches only under the opposite "
-                "phi^2 sign convention; recorded as data",
-            ),
-        )
+    phi2 = s.phi.compose(s.phi)
+    report.reference(
+        "conc.xi_double_contraction_phi_square_variant",
+        first_witness(
+            product(idx, repeat=1),
+            lambda i: z.apply(e[i], xi, xi) - phi2.column(i).scale(K),
+        ),
+        "the K phi^2 X variant matches only under the opposite "
+        "phi^2 sign convention; recorded as data",
+    )
 
     # Z(X1, X2)xi = K (eta(X2) X1 - eta(X1) X2)
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            ei, ej = m.basis(i), m.basis(j)
-            residual = z.apply(ei, ej, xi) - (
-                ei.scale(eta_of(ej)) - ej.scale(eta_of(ei))
-            ).scale(K)
-            if not residual.is_zero():
-                witness = {
-                    "indices": [i + 1, j + 1],
-                    "residual": render_vector(residual.components),
-                }
-                break
-        if witness:
-            break
-    report.graded("conc.xi_pair", witness is None, witness)
+    report.graded(
+        "conc.xi_pair",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: z.apply(e[i], e[j], xi)
+            - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(K),
+        ),
+    )
 
     # Z(X1, xi)X2 = K (eta(X2) X1 - g(X1, X2) xi)
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            ei, ej = m.basis(i), m.basis(j)
-            residual = z.apply(ei, xi, ej) - (
-                ei.scale(eta_of(ej)) - xi.scale(m.inner(ei, ej))
-            ).scale(K)
-            if not residual.is_zero():
-                witness = {
-                    "indices": [i + 1, j + 1],
-                    "residual": render_vector(residual.components),
-                }
-                break
-        if witness:
-            break
-    report.graded("conc.xi_argument", witness is None, witness)
+    report.graded(
+        "conc.xi_argument",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: z.apply(e[i], xi, e[j])
+            - (e[i].scale(eta[j]) - xi.scale(m.inner(e[i], e[j]))).scale(K),
+        ),
+    )
 
     # eta(Z(X1, X2)X3) = K (eta(X1) g(X2, X3) - eta(X2) g(X1, X3))
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-                residual = eta_of(z.vector(i, j, k)) - K * (
-                    eta_of(ei) * m.inner(ej, ek) - eta_of(ej) * m.inner(ei, ek)
-                )
-                if not residual.is_zero():
-                    witness = {
-                        "indices": [i + 1, j + 1, k + 1],
-                        "residual": str(residual),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
     report.graded(
         "conc.eta_contraction",
-        witness is None,
-        witness,
+        first_witness(
+            product(idx, repeat=3),
+            lambda i, j, k: s.eta_of(m, z.vector(i, j, k))
+            - K * (eta[i] * m.inner(e[j], e[k]) - eta[j] * m.inner(e[i], e[k])),
+        ),
         notes=(
             "asserted form: eta(Z(X1,X2)X3) = K[eta(X1) g(X2,X3) - "
             "eta(X2) g(X1,X3)], the expansion forced by the definition and the "
@@ -279,45 +188,26 @@ def verify_concircular_suite(
     )
 
     # reference slot order: K (eta(X3) g(X1, X2) - eta(X1) g(X3, X2))
-    ref_witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-                residual = eta_of(z.vector(i, j, k)) - K * (
-                    eta_of(ek) * m.inner(ei, ej) - eta_of(ei) * m.inner(ek, ej)
-                )
-                if not residual.is_zero():
-                    ref_witness = {
-                        "indices": [i + 1, j + 1, k + 1],
-                        "residual": str(residual),
-                    }
-                    break
-            if ref_witness:
-                break
-        if ref_witness:
-            break
-    if ref_witness is None:
-        report.holds("conc.eta_contraction_reference_form")
-    else:
-        report.not_applicable(
-            "conc.eta_contraction_reference_form",
-            witness=ref_witness,
-            notes=(
-                "reference variant K[eta(X3) g(X1,X2) - eta(X1) g(X3,X2)] "
-                "disagrees with the computed contraction; recorded as data",
-            ),
-        )
+    report.reference(
+        "conc.eta_contraction_reference_form",
+        first_witness(
+            product(idx, repeat=3),
+            lambda i, j, k: s.eta_of(m, z.vector(i, j, k))
+            - K * (eta[k] * m.inner(e[i], e[j]) - eta[i] * m.inner(e[k], e[j])),
+        ),
+        "reference variant K[eta(X3) g(X1,X2) - eta(X1) g(X3,X2)] "
+        "disagrees with the computed contraction; recorded as data",
+    )
 
-    report.extend(xi_flatness_check(m, s, z))
-    report.extend(phi_flatness_check(m, s, z, ricci_form))
-    report.extend(ricci_action_check(m, s, z, ricci_form))
-    report.extend(self_action_check(m, s, z))
+    report.extend(xi_flatness_check(m, s, z, img))
+    report.extend(phi_flatness_check(m, s, z, ricci_form, img))
+    report.extend(ricci_action_check(m, s, z, ricci_form, img))
+    report.extend(self_action_check(m, s, z, img))
     return report
 
 
 def xi_flatness_check(
-    m: FrameManifold, s: AlmostContactData, z: ConcircularTensor
+    m: FrameManifold, s: AlmostContactData, z: ConcircularTensor, img: FrameImages
 ) -> VerificationReport:
     """Obstruction: Z(X1, X2)xi cannot vanish identically.
 
@@ -326,32 +216,18 @@ def xi_flatness_check(
     non-flatness is structural, not accidental.
     """
     report = VerificationReport()
-    xi = s.xi
-    K = z.K
+    e, eta = img.e, img.eta
+    idx = range(m.dim)
+    values = [[z.apply(e[i], e[j], s.xi) for j in idx] for i in idx]
 
-    def eta_of(x: FrameVector) -> Scalar:
-        return m.inner(s.eta, x)
-
-    first_nonzero = None
-    closed_form_ok = True
-    bad = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            ei, ej = m.basis(i), m.basis(j)
-            value = z.apply(ei, ej, xi)
-            if first_nonzero is None and not value.is_zero():
-                first_nonzero = {
-                    "indices": [i + 1, j + 1],
-                    "value": render_vector(value.components),
-                }
-            residual = value - (ei.scale(eta_of(ej)) - ej.scale(eta_of(ei))).scale(K)
-            if closed_form_ok and not residual.is_zero():
-                closed_form_ok = False
-                bad = {
-                    "indices": [i + 1, j + 1],
-                    "residual": render_vector(residual.components),
-                }
-    if first_nonzero is not None and closed_form_ok:
+    first_nonzero = first_witness(
+        product(idx, repeat=2), lambda i, j: values[i][j], key="value"
+    )
+    bad = first_witness(
+        product(idx, repeat=2),
+        lambda i, j: values[i][j] - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(z.K),
+    )
+    if first_nonzero is not None and bad is None:
         report.holds(
             "conc.xi_flatness_obstruction",
             witness=first_nonzero,
@@ -380,6 +256,7 @@ def phi_flatness_check(
     s: AlmostContactData,
     z: ConcircularTensor,
     ricci_form: BilinearForm,
+    img: FrameImages,
 ) -> VerificationReport:
     """Test g(Z(phi X1, phi X2)phi X3, phi X4) = 0; on success fit eta-Einstein.
 
@@ -389,33 +266,17 @@ def phi_flatness_check(
     from .tanaka_webster import eta_einstein_fit
 
     report = VerificationReport()
-    phi = s.phi
-    survivors = [i for i in range(m.dim) if not phi.apply(m.basis(i)).is_zero()]
-    first_nonzero = None
-    for i in survivors:
-        for j in survivors:
-            for k in survivors:
-                for l in survivors:
-                    value = m.inner(
-                        z.apply(
-                            phi.apply(m.basis(i)),
-                            phi.apply(m.basis(j)),
-                            phi.apply(m.basis(k)),
-                        ),
-                        phi.apply(m.basis(l)),
-                    )
-                    if not value.is_zero():
-                        first_nonzero = {
-                            "indices": [i + 1, j + 1, k + 1, l + 1],
-                            "residual": str(value),
-                        }
-                        break
-                if first_nonzero:
-                    break
-            if first_nonzero:
-                break
-        if first_nonzero:
-            break
+    phi_e = img.phi
+    survivors = [i for i in range(m.dim) if not phi_e[i].is_zero()]
+
+    @lru_cache(maxsize=1)
+    def z_phi(i: int, j: int, k: int) -> FrameVector:
+        return z.apply(phi_e[i], phi_e[j], phi_e[k])
+
+    first_nonzero = first_witness(
+        product(survivors, repeat=4),
+        lambda i, j, k, l: m.inner(z_phi(i, j, k), phi_e[l]),
+    )
     if first_nonzero is not None:
         report.not_applicable(
             "conc.phi_flatness",
@@ -448,29 +309,20 @@ def ricci_action_check(
     s: AlmostContactData,
     z: ConcircularTensor,
     ricci_form: BilinearForm,
+    img: FrameImages,
 ) -> VerificationReport:
     """Obstruction: (Z(xi, X1).ricci)(X2, X3) cannot vanish identically."""
     report = VerificationReport()
     xi = s.xi
-    K = z.K
+    e = img.e
+    idx = range(m.dim)
 
-    first_nonzero = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                value = tensor_dot_form(
-                    m, z, ricci_form, xi, m.basis(i), m.basis(j), m.basis(k)
-                )
-                if not value.is_zero():
-                    first_nonzero = {
-                        "indices": [i + 1, j + 1, k + 1],
-                        "value": str(value),
-                    }
-                    break
-            if first_nonzero:
-                break
-        if first_nonzero:
-            break
+    def action(x3: FrameVector, i: int, j: int) -> Scalar:
+        return tensor_dot_form(m, z, ricci_form, xi, e[i], e[j], x3)
+
+    first_nonzero = first_witness(
+        product(idx, repeat=3), lambda i, j, k: action(e[k], i, j), key="value"
+    )
     if first_nonzero is not None:
         report.holds(
             "conc.ricci_action_obstruction",
@@ -488,46 +340,21 @@ def ricci_action_check(
             notes=("the stated obstruction is absent on this instance",),
         )
 
-    # slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2)
-    witness = None
+    # slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2); the
+    # opposite sign is tried before declaring failure
+    def slice_witness(sign: int) -> dict | None:
+        return first_witness(
+            product(idx, repeat=2),
+            lambda i, j: action(xi, i, j) + (z.K * ricci_form.components[i][j]).scale(sign),
+        )
+
     matched_sign = "-K"
-    for i in range(m.dim):
-        for j in range(m.dim):
-            value = tensor_dot_form(
-                m, z, ricci_form, xi, m.basis(i), m.basis(j), xi
-            )
-            target = K * ricci_form.apply(m.basis(i), m.basis(j))
-            if not (value + target).is_zero():
-                witness = {
-                    "indices": [i + 1, j + 1],
-                    "residual": str(value + target),
-                }
-                break
-        if witness:
-            break
-    if witness is not None:
-        # try the opposite sign before declaring failure
-        plus_witness = None
-        for i in range(m.dim):
-            for j in range(m.dim):
-                value = tensor_dot_form(
-                    m, z, ricci_form, xi, m.basis(i), m.basis(j), xi
-                )
-                target = K * ricci_form.apply(m.basis(i), m.basis(j))
-                if not (value - target).is_zero():
-                    plus_witness = {
-                        "indices": [i + 1, j + 1],
-                        "residual": str(value - target),
-                    }
-                    break
-            if plus_witness:
-                break
-        if plus_witness is None:
-            matched_sign = "+K"
-            witness = None
+    witness = slice_witness(1)
+    if witness is not None and slice_witness(-1) is None:
+        matched_sign = "+K"
+        witness = None
     report.graded(
         "conc.ricci_action_slice",
-        witness is None,
         witness,
         notes=(
             f"slice (Z(xi,X1).ricci)(X2,xi) equals {matched_sign} * ricci(X1,X2) "
@@ -541,38 +368,16 @@ def ricci_action_check(
 
 
 def self_action_check(
-    m: FrameManifold, s: AlmostContactData, z: ConcircularTensor
+    m: FrameManifold, s: AlmostContactData, z: ConcircularTensor, img: FrameImages
 ) -> VerificationReport:
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
     report = VerificationReport()
-    xi = s.xi
-    first_nonzero = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                for l in range(m.dim):
-                    value = tensor_dot_tensor(
-                        m,
-                        z,
-                        z,
-                        xi,
-                        m.basis(i),
-                        m.basis(j),
-                        m.basis(k),
-                        m.basis(l),
-                    )
-                    if not value.is_zero():
-                        first_nonzero = {
-                            "indices": [i + 1, j + 1, k + 1, l + 1],
-                            "value": render_vector(value.components),
-                        }
-                        break
-                if first_nonzero:
-                    break
-            if first_nonzero:
-                break
-        if first_nonzero:
-            break
+    e = img.e
+    first_nonzero = first_witness(
+        product(range(m.dim), repeat=4),
+        lambda i, j, k, l: tensor_dot_tensor(m, z, z, s.xi, e[i], e[j], e[k], e[l]),
+        key="value",
+    )
     if first_nonzero is not None:
         report.holds(
             "conc.self_action_obstruction",

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .curvature import Connection, Curvature4Tensor
-from .frames import Endomorphism, FrameManifold, FrameVector, render_vector
-from .report import VerificationReport
+from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
+from .report import VerificationReport, first_witness
 from .scalars import Scalar, exact_div
 
 
@@ -68,79 +69,53 @@ _PHI_SQUARE_NOTE = (
 def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     """Check the almost-contact axioms and the contact condition exactly."""
     report = VerificationReport()
-    phi, xi, eta = s.phi, s.xi, s.eta
-
-    def eta_of(x: FrameVector) -> Scalar:
-        return m.inner(eta, x)
+    phi, xi = s.phi, s.xi
+    img = frame_images(m, s)
+    idx = range(m.dim)
 
     vec = phi.apply(xi)
+    report.graded("acm.phi_kills_xi", None if vec.is_zero() else {"residual": str(vec)})
+
+    value = s.eta_of(m, xi) - m.one_scalar()
+    report.graded("acm.eta_of_xi", None if value.is_zero() else {"residual": str(value)})
+
     report.graded(
-        "acm.phi_kills_xi",
-        vec.is_zero(),
-        None if vec.is_zero() else {"residual": render_vector(vec.components)},
+        "acm.eta_after_phi",
+        first_witness(product(idx, repeat=1), lambda i: s.eta_of(m, img.phi[i])),
     )
 
-    value = eta_of(xi) - m.one_scalar()
+    phi2 = phi.compose(phi)
     report.graded(
-        "acm.eta_of_xi",
-        value.is_zero(),
-        None if value.is_zero() else {"residual": str(value)},
+        "acm.phi_square",
+        first_witness(
+            product(idx, repeat=1),
+            lambda j: phi2.column(j) + img.e[j] - xi.scale(img.eta[j]),
+        ),
+        notes=(_PHI_SQUARE_NOTE,),
     )
 
-    witness = None
-    for i in range(m.dim):
-        value = eta_of(phi.apply(m.basis(i)))
-        if not value.is_zero():
-            witness = {"indices": [i + 1], "residual": str(value)}
-            break
-    report.graded("acm.eta_after_phi", witness is None, witness)
-
-    witness = None
-    for j in range(m.dim):
-        ej = m.basis(j)
-        residual = phi.apply(phi.apply(ej)) + ej - xi.scale(eta_of(ej))
-        if not residual.is_zero():
-            witness = {"indices": [j + 1], "residual": render_vector(residual.components)}
-            break
-    report.graded("acm.phi_square", witness is None, witness, notes=(_PHI_SQUARE_NOTE,))
-
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            ei, ej = m.basis(i), m.basis(j)
-            residual = (
-                m.inner(phi.apply(ei), phi.apply(ej))
-                - m.inner(ei, ej)
-                + eta_of(ei) * eta_of(ej)
-            )
-            if not residual.is_zero():
-                witness = {"indices": [i + 1, j + 1], "residual": str(residual)}
-                break
-        if witness:
-            break
     report.graded(
-        "acm.phi_metric_compatibility", witness is None, witness, notes=(_PHI_SQUARE_NOTE,)
+        "acm.phi_metric_compatibility",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: m.inner(img.phi[i], img.phi[j])
+            - m.inner(img.e[i], img.e[j])
+            + img.eta[i] * img.eta[j],
+        ),
+        notes=(_PHI_SQUARE_NOTE,),
     )
 
     # d eta(E_i, E_j) = -1/2 eta([E_i, E_j]) on constant frames (half-convention)
     half = Fraction(1, 2)
 
     def d_eta(i: int, j: int) -> Scalar:
-        return (-eta_of(m.bracket_basis(i, j))).scale(half)
+        return (-s.eta_of(m, m.bracket_basis(i, j))).scale(half)
 
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            residual = d_eta(i, j) - m.inner(m.basis(i), phi.apply(m.basis(j)))
-            if not residual.is_zero():
-                witness = {"indices": [i + 1, j + 1], "residual": str(residual)}
-                break
-        if witness:
-            break
     report.graded(
         "acm.contact_condition",
-        witness is None,
-        witness,
+        first_witness(
+            product(idx, repeat=2), lambda i, j: d_eta(i, j) - img.phi[j].components[i]
+        ),
         notes=(
             "adopted convention: d eta(X, Y) = 1/2 (X eta(Y) - Y eta(X) - eta([X, Y])) "
             "and contact condition d eta(X, Y) = g(X, phi Y)",
@@ -148,26 +123,14 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     )
 
     # reference variant with phi in the first slot: d eta(X, Y) = g(phi X, Y)
-    ref_witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            residual = d_eta(i, j) - m.inner(phi.apply(m.basis(i)), m.basis(j))
-            if not residual.is_zero():
-                ref_witness = {"indices": [i + 1, j + 1], "residual": str(residual)}
-                break
-        if ref_witness:
-            break
-    if ref_witness is None:
-        report.holds("acm.contact_condition_reference_form")
-    else:
-        report.not_applicable(
-            "acm.contact_condition_reference_form",
-            witness=ref_witness,
-            notes=(
-                "reference variant d eta(X, Y) = g(phi X, Y) disagrees with the "
-                "computed exterior derivative; recorded as data",
-            ),
-        )
+    report.reference(
+        "acm.contact_condition_reference_form",
+        first_witness(
+            product(idx, repeat=2), lambda i, j: d_eta(i, j) - img.phi[i].components[j]
+        ),
+        "reference variant d eta(X, Y) = g(phi X, Y) disagrees with the "
+        "computed exterior derivative; recorded as data",
+    )
 
     return report
 
@@ -188,45 +151,26 @@ def h_property_checks(
 ) -> VerificationReport:
     """The classical properties of h as report entries."""
     report = VerificationReport()
+    # matrix witnesses scan column by column
+    columns = [(i, j) for j in range(m.dim) for i in range(m.dim)]
 
     report.graded(
         "acm.h_symmetric",
-        h.is_symmetric(),
-        None
-        if h.is_symmetric()
-        else _endo_witness(h - Endomorphism(tuple(zip(*h.matrix)))),
+        first_witness(columns, lambda i, j: h.matrix[i][j] - h.matrix[j][i]),
     )
 
     anti = h.compose(s.phi) + s.phi.compose(h)
     report.graded(
-        "acm.h_phi_anticommute",
-        anti.is_zero(),
-        None if anti.is_zero() else _endo_witness(anti),
+        "acm.h_phi_anticommute", first_witness(columns, lambda i, j: anti.matrix[i][j])
     )
 
     trace = h.trace()
-    report.graded(
-        "acm.h_trace_free",
-        trace.is_zero(),
-        None if trace.is_zero() else {"residual": str(trace)},
-    )
+    report.graded("acm.h_trace_free", None if trace.is_zero() else {"residual": str(trace)})
 
     vec = h.apply(s.xi)
-    report.graded(
-        "acm.h_kills_xi",
-        vec.is_zero(),
-        None if vec.is_zero() else {"residual": render_vector(vec.components)},
-    )
+    report.graded("acm.h_kills_xi", None if vec.is_zero() else {"residual": str(vec)})
 
     return report
-
-
-def _endo_witness(a: Endomorphism) -> dict:
-    for j in range(a.dim):
-        for i in range(a.dim):
-            if not a.matrix[i][j].is_zero():
-                return {"indices": [i + 1, j + 1], "residual": str(a.matrix[i][j])}
-    return {"residual": "0"}
 
 
 def detect_kappa(
@@ -278,16 +222,17 @@ def classify(
 
     sasakian = acm_ok
     if acm_ok:
-        for i in range(m.dim):
-            if not sasakian:
-                break
-            for j in range(m.dim):
-                ei, ej = m.basis(i), m.basis(j)
-                lhs = conn.derivative_endo(m, i, s.phi).column(j)
-                rhs = s.xi.scale(m.inner(ei, ej)) - ei.scale(s.eta_of(m, ej))
-                if not (lhs - rhs).is_zero():
-                    sasakian = False
-                    break
+        dphi = [conn.derivative_endo(m, i, s.phi) for i in range(m.dim)]
+        img = frame_images(m, s)
+        sasakian = (
+            first_witness(
+                product(range(m.dim), repeat=2),
+                lambda i, j: dphi[i].column(j)
+                - s.xi.scale(m.inner(img.e[i], img.e[j]))
+                + img.e[i].scale(img.eta[j]),
+            )
+            is None
+        )
 
     return StructureClass(
         is_contact_metric=acm_ok,

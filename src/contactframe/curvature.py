@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import TYPE_CHECKING
 
-from .frames import Endomorphism, FrameManifold, FrameVector, render_vector
-from .report import VerificationReport
+from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
+from .report import VerificationReport, first_witness
 from .scalars import Scalar
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
@@ -260,43 +261,9 @@ def metric_form(m: FrameManifold) -> BilinearForm:
     )
 
 
-def form_from_endo(m: FrameManifold, a: Endomorphism) -> BilinearForm:
-    """The form (X, Y) -> g(A X, Y); on the orthonormal frame, A's matrix transposed."""
-    return BilinearForm(
-        tuple(tuple(a.matrix[j][i] for j in range(m.dim)) for i in range(m.dim))
-    )
-
-
 # ---------------------------------------------------------------------------
 # N(kappa) identity suite
 # ---------------------------------------------------------------------------
-
-
-def _first_bad_pair(m: FrameManifold, residual_fn) -> dict | None:
-    """Scan basis pairs (i, j); return a witness for the first nonzero residual."""
-    for i in range(m.dim):
-        for j in range(m.dim):
-            vec = residual_fn(i, j)
-            if not vec.is_zero():
-                return {
-                    "indices": [i + 1, j + 1],
-                    "residual": render_vector(vec.components),
-                }
-    return None
-
-
-def _first_bad_single(m: FrameManifold, residual_fn) -> dict | None:
-    """Scan single basis indexes; return a witness for the first nonzero residual."""
-    for i in range(m.dim):
-        vec = residual_fn(i)
-        if not vec.is_zero():
-            return {"indices": [i + 1], "residual": render_vector(vec.components)}
-    return None
-
-
-def _grade_pairs(report: VerificationReport, m: FrameManifold, name: str, residual_fn, notes=()):
-    witness = _first_bad_pair(m, residual_fn)
-    report.graded(name, witness is None, witness, notes=notes)
 
 
 def verify_nkappa_suite(
@@ -315,11 +282,11 @@ def verify_nkappa_suite(
     informational entries rather than failures.
     """
     report = VerificationReport()
-    phi, xi, eta = structure.phi, structure.xi, structure.eta
+    phi, xi = structure.phi, structure.xi
+    img = frame_images(m, structure, h)
+    e, eta = img.e, img.eta
+    idx = range(m.dim)
     one = m.one_scalar()
-
-    def eta_of(x: FrameVector) -> Scalar:
-        return m.inner(eta, x)
 
     report.holds(
         "nkappa.nullity_constant",
@@ -327,168 +294,134 @@ def verify_nkappa_suite(
     )
 
     # covariant derivative of the characteristic field: nabla_X xi = -phi X - phi h X
-    witness = _first_bad_single(
-        m,
-        lambda i: conn.derivative(i, xi)
-        + phi.apply(m.basis(i))
-        + phi.apply(h.apply(m.basis(i))),
-    )
     report.graded(
         "nkappa.xi_covariant_derivative",
-        witness is None,
-        witness,
+        first_witness(
+            product(idx, repeat=1),
+            lambda i: conn.derivative(i, xi) + img.phi[i] + img.phi_h[i],
+        ),
         notes=(
             "asserted form: nabla_X xi = -phi X - phi h X; the variant with a bare "
             "h-term is checked separately as a reference form",
         ),
     )
     # reference variant: nabla_X xi = -phi X - h X
-    ref_witness = _first_bad_single(
-        m,
-        lambda i: conn.derivative(i, xi) + phi.apply(m.basis(i)) + h.apply(m.basis(i)),
+    report.reference(
+        "nkappa.xi_covariant_derivative_reference_form",
+        first_witness(
+            product(idx, repeat=1),
+            lambda i: conn.derivative(i, xi) + img.phi[i] + img.h[i],
+        ),
+        "reference variant -phi X - h X disagrees with the computed "
+        "derivative; recorded as data",
     )
-    if ref_witness is None:
-        report.holds("nkappa.xi_covariant_derivative_reference_form")
-    else:
-        report.not_applicable(
-            "nkappa.xi_covariant_derivative_reference_form",
-            witness=ref_witness,
-            notes=(
-                "reference variant -phi X - h X disagrees with the computed "
-                "derivative; recorded as data",
-            ),
-        )
 
     # (nabla_X phi)Y = g(X + hX, Y) xi - eta(Y)(X + hX)
-    def phi_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        xh = ei + h.apply(ei)
-        lhs = conn.derivative_endo(m, i, phi).column(j)
-        rhs = xi.scale(m.inner(xh, ej)) - xh.scale(eta_of(ej))
-        return lhs - rhs
+    dphi = [conn.derivative_endo(m, i, phi) for i in idx]
+    x_plus_hx = [e[i] + img.h[i] for i in idx]
+    report.graded(
+        "nkappa.phi_covariant_derivative",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: dphi[i].column(j)
+            - xi.scale(x_plus_hx[i].components[j])
+            + x_plus_hx[i].scale(eta[j]),
+        ),
+    )
 
-    _grade_pairs(report, m, "nkappa.phi_covariant_derivative", phi_residual)
-
-    # h^2 = (kappa - 1) phi^2
-    h2 = h.compose(h)
-    phi2 = phi.compose(phi)
-    target = phi2.scale(kappa - one)
-    diff = h2 - target
-    if diff.is_zero():
-        report.holds("nkappa.h_square")
-    else:
-        col = next(
-            (i + 1, j + 1)
-            for j in range(m.dim)
-            for i in range(m.dim)
-            if not diff.matrix[i][j].is_zero()
-        )
-        report.fails(
-            "nkappa.h_square",
-            witness={"indices": list(col), "residual": str(diff.matrix[col[0] - 1][col[1] - 1])},
-        )
+    # h^2 = (kappa - 1) phi^2, scanned column by column
+    diff = h.compose(h) - phi.compose(phi).scale(kappa - one)
+    report.graded(
+        "nkappa.h_square",
+        first_witness(((i, j) for j in idx for i in idx), lambda i, j: diff.matrix[i][j]),
+    )
 
     # (nabla_X h)Y = [(1-kappa) g(X, phi Y) + g(X, h phi Y)] xi + eta(Y) h(phi X + phi h X)
-    def h_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        lhs = conn.derivative_endo(m, i, h).column(j)
-        coeff = (one - kappa) * m.inner(ei, phi.apply(ej)) + m.inner(
-            ei, h.apply(phi.apply(ej))
-        )
-        tail = h.apply(phi.apply(ei) + phi.apply(h.apply(ei))).scale(eta_of(ej))
-        return lhs - xi.scale(coeff) - tail
-
-    _grade_pairs(report, m, "nkappa.h_covariant_derivative", h_residual)
+    dh = [conn.derivative_endo(m, i, h) for i in idx]
+    h_phi = [h.apply(img.phi[j]) for j in idx]
+    tails = [h.apply(img.phi[i] + img.phi_h[i]) for i in idx]
+    report.graded(
+        "nkappa.h_covariant_derivative",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: dh[i].column(j)
+            - xi.scale((one - kappa) * img.phi[j].components[i] + h_phi[j].components[i])
+            - tails[i].scale(eta[j]),
+        ),
+    )
 
     # (nabla_X eta)Y = g(X + hX, phi Y)
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            ei, ej = m.basis(i), m.basis(j)
-            value = conn.derivative_covector(m, i, eta, j) - m.inner(
-                ei + h.apply(ei), phi.apply(ej)
-            )
-            if not value.is_zero():
-                witness = {"indices": [i + 1, j + 1], "residual": str(value)}
-                break
-        if witness:
-            break
-    report.graded("nkappa.eta_covariant_derivative", witness is None, witness)
+    report.graded(
+        "nkappa.eta_covariant_derivative",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: conn.derivative_covector(m, i, structure.eta, j)
+            - m.inner(x_plus_hx[i], img.phi[j]),
+        ),
+    )
 
     # R(X, xi)xi = kappa (X - eta(X) xi)
-    def xi_xi_residual(i: int) -> FrameVector:
-        ei = m.basis(i)
-        lhs = r.apply(ei, xi, xi)
-        rhs = (ei - xi.scale(eta_of(ei))).scale(kappa)
-        return lhs - rhs
+    report.graded(
+        "nkappa.curvature_xi_xi",
+        first_witness(
+            product(idx, repeat=1),
+            lambda i: r.apply(e[i], xi, xi) - (e[i] - xi.scale(eta[i])).scale(kappa),
+        ),
+    )
 
-    witness = _first_bad_single(m, xi_xi_residual)
-    report.graded("nkappa.curvature_xi_xi", witness is None, witness)
+    # R(X, Y)xi = c (eta(Y) X - eta(X) Y), with c = kappa here and c = +-1 below
+    def pair_xi_witness(c: Scalar) -> dict | None:
+        return first_witness(
+            product(idx, repeat=2),
+            lambda i, j: r.apply(e[i], e[j], xi)
+            - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(c),
+        )
 
-    # R(X, Y)xi = kappa (eta(Y) X - eta(X) Y)
-    def pair_xi_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        lhs = r.apply(ei, ej, xi)
-        rhs = (ei.scale(eta_of(ej)) - ej.scale(eta_of(ei))).scale(kappa)
-        return lhs - rhs
-
-    _grade_pairs(report, m, "nkappa.curvature_pair_xi", pair_xi_residual)
+    report.graded("nkappa.curvature_pair_xi", pair_xi_witness(kappa))
 
     # R(X, xi)Y = -kappa (g(X, Y) xi - eta(Y) X)
-    def xi_argument_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        lhs = r.apply(ei, xi, ej)
-        rhs = (xi.scale(m.inner(ei, ej)) - ei.scale(eta_of(ej))).scale(-kappa)
-        return lhs - rhs
-
-    _grade_pairs(report, m, "nkappa.curvature_xi_argument", xi_argument_residual)
+    report.graded(
+        "nkappa.curvature_xi_argument",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: r.apply(e[i], xi, e[j])
+            - (xi.scale(m.inner(e[i], e[j])) - e[i].scale(eta[j])).scale(-kappa),
+        ),
+    )
 
     # Ricci closed form:
     # S = 2(n-1) g + 2(n-1) g(h., .) + [2n kappa - 2(n-1)] eta (x) eta
     s_computed = ricci(m, r)
     two_n_minus_2 = m.constant(2 * (m.n - 1))
     eta_coeff = m.constant(2 * m.n) * kappa - two_n_minus_2
-
-    def ricci_closed(i: int, j: int) -> Scalar:
-        ei, ej = m.basis(i), m.basis(j)
-        return (
-            two_n_minus_2 * m.inner(ei, ej)
-            + two_n_minus_2 * m.inner(h.apply(ei), ej)
-            + eta_coeff * eta_of(ei) * eta_of(ej)
-        )
-
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            residual = s_computed.components[i][j] - ricci_closed(i, j)
-            if not residual.is_zero():
-                witness = {"indices": [i + 1, j + 1], "residual": str(residual)}
-                break
-        if witness:
-            break
-    report.graded("nkappa.ricci_closed_form", witness is None, witness)
+    report.graded(
+        "nkappa.ricci_closed_form",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: s_computed.components[i][j]
+            - (
+                two_n_minus_2 * m.inner(e[i], e[j])
+                + two_n_minus_2 * img.h[i].components[j]
+                + eta_coeff * eta[i] * eta[j]
+            ),
+        ),
+    )
 
     # S(X, xi) = 2 n kappa eta(X); S(xi, xi) = 2 n kappa
     two_n_kappa = m.constant(2 * m.n) * kappa
-    witness = None
-    for i in range(m.dim):
-        value = s_computed.apply(m.basis(i), xi) - two_n_kappa * eta_of(m.basis(i))
-        if not value.is_zero():
-            witness = {"indices": [i + 1], "residual": str(value)}
-            break
-    if witness is None:
-        value = s_computed.apply(xi, xi) - two_n_kappa
-        if not value.is_zero():
-            witness = {"indices": [], "residual": str(value)}
-    report.graded("nkappa.ricci_xi_values", witness is None, witness)
+    report.graded(
+        "nkappa.ricci_xi_values",
+        first_witness(
+            product(idx, repeat=1), lambda i: s_computed.apply(e[i], xi) - two_n_kappa * eta[i]
+        )
+        or first_witness([()], lambda: s_computed.apply(xi, xi) - two_n_kappa),
+    )
 
     # tau = 2n(2n - 2 + kappa)
     tau = scalar_curvature(m, s_computed)
-    expected_tau = m.constant(2 * m.n) * (m.constant(2 * m.n - 2) + kappa)
-    residual = tau - expected_tau
+    residual = tau - m.constant(2 * m.n) * (m.constant(2 * m.n - 2) + kappa)
     report.graded(
         "nkappa.scalar_curvature_value",
-        residual.is_zero(),
         None if residual.is_zero() else {"residual": str(residual)},
         notes=(f"computed scalar curvature: {tau}",),
     )
@@ -496,35 +429,15 @@ def verify_nkappa_suite(
     # orientation of the Sasakian curvature condition R(X, Y)xi at kappa = 1:
     # computed against both sign conventions; reported, never guessed
     if (kappa - one).is_zero():
-        plus_ok = (
-            _first_bad_pair(
-                m,
-                lambda i, j: r.apply(m.basis(i), m.basis(j), xi)
-                - (
-                    m.basis(i).scale(eta_of(m.basis(j)))
-                    - m.basis(j).scale(eta_of(m.basis(i)))
-                ),
-            )
-            is None
-        )
-        minus_ok = (
-            _first_bad_pair(
-                m,
-                lambda i, j: r.apply(m.basis(i), m.basis(j), xi)
-                - (
-                    m.basis(j).scale(eta_of(m.basis(i)))
-                    - m.basis(i).scale(eta_of(m.basis(j)))
-                ),
-            )
-            is None
-        )
-        orientation = (
-            "eta(Y)X - eta(X)Y" if plus_ok else ("eta(X)Y - eta(Y)X" if minus_ok else "neither")
-        )
+        if pair_xi_witness(one) is None:
+            orientation = "eta(Y)X - eta(X)Y"
+        elif pair_xi_witness(-one) is None:
+            orientation = "eta(X)Y - eta(Y)X"
+        else:
+            orientation = "neither"
         report.graded(
             "nkappa.sasakian_curvature_xi_orientation",
-            plus_ok or minus_ok,
-            None if (plus_ok or minus_ok) else {"residual": "neither orientation matches"},
+            {"residual": "neither orientation matches"} if orientation == "neither" else None,
             notes=(f"computed orientation: R(X,Y)xi = {orientation}",),
         )
     else:

@@ -18,10 +18,15 @@ indices at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from itertools import combinations, product
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .report import VerificationReport
+from .report import VerificationReport, first_witness
 from .scalars import RationalLike, Scalar
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
+    from .contact import AlmostContactData
 
 
 class FrameError(Exception):
@@ -291,57 +296,59 @@ class FrameManifold:
     def validate_frame(self) -> VerificationReport:
         """Check antisymmetry of the structure constants and the Jacobi identity."""
         report = VerificationReport()
+        idx = range(self.dim)
+        c = self.c
 
-        witness = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    residual = self.c[i][j][k] + self.c[j][i][k]
-                    if not residual.is_zero():
-                        witness = {
-                            "indices": [i + 1, j + 1, k + 1],
-                            "residual": str(residual),
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report.graded("frame.bracket_antisymmetry", witness is None, witness)
+        report.graded(
+            "frame.bracket_antisymmetry",
+            first_witness(product(idx, repeat=3), lambda i, j, k: c[i][j][k] + c[j][i][k]),
+        )
 
-        witness = None
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    ei, ej, ek = self.basis(i), self.basis(j), self.basis(k)
-                    cyclic = (
-                        self.bracket(self.bracket(ei, ej), ek)
-                        + self.bracket(self.bracket(ej, ek), ei)
-                        + self.bracket(self.bracket(ek, ei), ej)
-                    )
-                    for l in range(self.dim):
-                        if not cyclic.components[l].is_zero():
-                            witness = {
-                                "indices": [i + 1, j + 1, k + 1, l + 1],
-                                "residual": str(cyclic.components[l]),
-                            }
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report.graded("frame.jacobi_identity", witness is None, witness)
+        @lru_cache(maxsize=1)
+        def cyclic(i: int, j: int, k: int) -> FrameVector:
+            ei, ej, ek = self.basis(i), self.basis(j), self.basis(k)
+            return (
+                self.bracket(self.bracket(ei, ej), ek)
+                + self.bracket(self.bracket(ej, ek), ei)
+                + self.bracket(self.bracket(ek, ei), ej)
+            )
+
+        report.graded(
+            "frame.jacobi_identity",
+            first_witness(
+                ((i, j, k, l) for i, j, k in combinations(idx, 3) for l in idx),
+                lambda i, j, k, l: cyclic(i, j, k).components[l],
+            ),
+        )
 
         return report
 
 
-def outer_product(x: FrameVector, y: FrameVector) -> Endomorphism:
-    """The endomorphism Z -> g(y, Z) x, as the frame matrix x_i * y_j."""
-    return Endomorphism(
-        tuple(
-            tuple(x.components[i] * y.components[j] for j in range(x.dim))
-            for i in range(x.dim)
-        )
+@dataclass(frozen=True)
+class FrameImages:
+    """The frame and its images under the structure, computed once per suite.
+
+    ``e[i]`` is E_i, ``phi[i]`` is phi E_i, ``h[i]`` is h E_i, ``phi_h[i]``
+    is phi h E_i and ``eta[i]`` is eta(E_i).  ``h`` and ``phi_h`` are empty
+    when no h was given.
+    """
+
+    e: tuple[FrameVector, ...]
+    phi: tuple[FrameVector, ...]
+    h: tuple[FrameVector, ...]
+    phi_h: tuple[FrameVector, ...]
+    eta: tuple[Scalar, ...]
+
+
+def frame_images(
+    m: FrameManifold, s: "AlmostContactData", h: Endomorphism | None = None
+) -> FrameImages:
+    e = tuple(m.basis(i) for i in range(m.dim))
+    h_images = () if h is None else tuple(h.column(i) for i in range(m.dim))
+    return FrameImages(
+        e=e,
+        phi=tuple(s.phi.column(i) for i in range(m.dim)),
+        h=h_images,
+        phi_h=tuple(s.phi.apply(v) for v in h_images),
+        eta=tuple(s.eta_of(m, v) for v in e),
     )

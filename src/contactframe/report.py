@@ -11,7 +11,9 @@ A report is an ordered list of checks.  Each check has one of three statuses:
 
 Witnesses are plain JSON-ready dictionaries: indices are 1-based frame
 indices, scalar values are rendered through the canonical expression
-grammar, vectors through the frame-vector rendering ("-2/3*E2").
+grammar, vectors through the frame-vector rendering ("-2/3*E2").  Every
+scan for a witness goes through ``first_witness``: the first index tuple,
+in the caller's order, whose residual is nonzero.
 
 Serialization is deterministic: no timestamps, stable key order, check
 order fixed by construction order.  Two runs over the same input must
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -32,6 +35,22 @@ _STATUSES = (HOLDS, FAILS, NOT_APPLICABLE)
 
 class ReportError(Exception):
     """Raised on malformed check construction (e.g. failure without witness)."""
+
+
+def first_witness(
+    tuples: Iterable[tuple[int, ...]], residual: Callable, key: str = "residual"
+) -> dict | None:
+    """Witness of the first 0-based index tuple whose residual is nonzero.
+
+    ``residual(*indices)`` returns a Scalar or a FrameVector; the witness is
+    ``{"indices": [1-based ...], key: str(value)}``.  None when every
+    residual vanishes.
+    """
+    for indices in tuples:
+        value = residual(*indices)
+        if not value.is_zero():
+            return {"indices": [i + 1 for i in indices], key: str(value)}
+    return None
 
 
 @dataclass(frozen=True)
@@ -82,11 +101,47 @@ class VerificationReport:
     def not_applicable(self, name: str, witness: dict | None = None, notes=()) -> Check:
         return self.add(name, NOT_APPLICABLE, witness, notes)
 
-    def graded(self, name: str, ok: bool, witness: dict | None = None, notes=()) -> Check:
-        """holds when ok, fails (with the witness) otherwise."""
-        if ok:
+    def graded(self, name: str, witness: dict | None, notes=()) -> Check:
+        """holds when there is no witness, fails with the witness otherwise."""
+        if witness is None:
             return self.holds(name, notes=notes)
-        return self.fails(name, witness if witness is not None else {}, notes=notes)
+        return self.fails(name, witness, notes=notes)
+
+    def reference(self, name: str, witness: dict | None, note: str) -> Check:
+        """A quoted variant: holds when it has no witness, else its
+        disagreement is recorded as data (not_applicable with the note)."""
+        if witness is None:
+            return self.holds(name)
+        return self.not_applicable(name, witness=witness, notes=(note,))
+
+    def crosscheck(
+        self, name: str, tuples: Iterable[tuple[int, ...]], residual: Callable, notes
+    ) -> Check:
+        """Record per index tuple whether ``residual`` vanishes.
+
+        The witness maps each 1-based tuple ("1,2,3") to "agrees" or
+        "differs", plus the first nonzero residual and where it occurred.
+        The check holds when every tuple agrees and is not_applicable
+        otherwise: the verdict is data, not a pass condition.
+        """
+        witness: dict = {}
+        first: dict | None = None
+        for indices in tuples:
+            value = residual(*indices)
+            key = ",".join(str(i + 1) for i in indices)
+            if value.is_zero():
+                witness[key] = "agrees"
+                continue
+            witness[key] = "differs"
+            if first is None:
+                first = {
+                    "first_residual_at": [i + 1 for i in indices],
+                    "first_residual": str(value),
+                }
+        if first is None:
+            return self.holds(name, witness=witness, notes=notes)
+        witness.update(first)
+        return self.not_applicable(name, witness=witness, notes=notes)
 
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)

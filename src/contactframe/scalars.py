@@ -196,21 +196,6 @@ class Scalar:
             total += value
         return total
 
-    def map_params(self, params: tuple[str, ...]) -> "Scalar":
-        """Re-declare over a superset parameter tuple (order-preserving embed)."""
-        positions = []
-        for p in self.params:
-            if p not in params:
-                raise ParameterMismatchError(f"target list {params} lacks {p!r}")
-            positions.append(params.index(p))
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms:
-            new = [0] * len(params)
-            for idx, e in enumerate(mono):
-                new[positions[idx]] = e
-            acc[tuple(new)] = coeff
-        return Scalar.from_terms(params, acc)
-
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:

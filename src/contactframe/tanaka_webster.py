@@ -38,6 +38,7 @@ variant is still evaluated and reported):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .contact import AlmostContactData, compute_h
 from .curvature import (
@@ -46,17 +47,13 @@ from .curvature import (
     ConnectionConsistencyError,
     Curvature4Tensor,
     TANAKA_WEBSTER,
-    _first_bad_pair,
-    _first_bad_single,
-    form_from_endo,
-    metric_form,
     ricci,
     riemann,
     scalar_curvature,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector, render_vector
+from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
 from .linear import solve_linear
-from .report import VerificationReport
+from .report import VerificationReport, first_witness
 from .scalars import Scalar
 
 
@@ -85,51 +82,36 @@ class GssfCoefficients:
     free: tuple[str, ...] = ()
 
 
-def displacement(
-    m: FrameManifold,
-    s: AlmostContactData,
-    h: Endomorphism,
-    x: FrameVector,
-    y: FrameVector,
-) -> FrameVector:
-    """A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X)."""
-    phi = s.phi
-    x_plus_hx = x + h.apply(x)
-    return (
-        s.xi.scale(m.inner(x_plus_hx, phi.apply(y)))
-        + phi.apply(y).scale(s.eta_of(m, x))
-        + phi.apply(x_plus_hx).scale(s.eta_of(m, y))
-    )
-
-
 def gtw_connection(
     m: FrameManifold,
     s: AlmostContactData,
     lc: Connection,
     h: Endomorphism | None = None,
 ) -> Connection:
-    """The displaced connection; verifies metric parallelism on construction."""
+    """The Levi-Civita connection displaced by
+    A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X);
+    verifies metric parallelism on construction."""
     if h is None:
         h = compute_h(m, s)
-    gamma = tuple(
-        tuple(
-            tuple(
-                (lc.derivative_basis(i, j) + displacement(m, s, h, m.basis(i), m.basis(j)))
-                .components
-            )
-            for j in range(m.dim)
+    img = frame_images(m, s, h)
+    idx = range(m.dim)
+
+    def displaced(i: int, j: int) -> FrameVector:
+        return (
+            lc.derivative_basis(i, j)
+            + s.xi.scale(m.inner(img.e[i] + img.h[i], img.phi[j]))
+            + img.phi[j].scale(img.eta[i])
+            + (img.phi_h[i] + img.phi[i]).scale(img.eta[j])
         )
-        for i in range(m.dim)
-    )
+
+    gamma = tuple(tuple(displaced(i, j).components for j in idx) for i in idx)
     conn = Connection(kind=TANAKA_WEBSTER, gamma=gamma)
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                value = conn.metric_derivative(i, j, k)
-                if not value.is_zero():
-                    raise ConnectionConsistencyError(
-                        f"metric parallelism violated at ({i + 1},{j + 1},{k + 1}): {value}"
-                    )
+    witness = first_witness(product(idx, repeat=3), conn.metric_derivative)
+    if witness is not None:
+        at = ",".join(str(i) for i in witness["indices"])
+        raise ConnectionConsistencyError(
+            f"metric parallelism violated at ({at}): {witness['residual']}"
+        )
     return conn
 
 
@@ -166,10 +148,6 @@ def build_gtw_package(
     )
 
 
-def _triple_key(indices: tuple[int, ...]) -> str:
-    return ",".join(str(i + 1) for i in indices)
-
-
 def verify_gtw_suite(
     m: FrameManifold,
     s: AlmostContactData,
@@ -185,64 +163,45 @@ def verify_gtw_suite(
     conn = pkg.conn
     curv = pkg.curv
     n = m.n
-
-    def eta_of(x: FrameVector) -> Scalar:
-        return m.inner(s.eta, x)
-
-    def phi_h(x: FrameVector) -> FrameVector:
-        return phi.apply(h.apply(x))
+    img = frame_images(m, s, h)
+    e, eta, phi_e, h_e, phi_h = img.e, img.eta, img.phi, img.h, img.phi_h
+    idx = range(m.dim)
+    x_plus_hx = [e[i] + h_e[i] for i in idx]
 
     # -- parallelism ---------------------------------------------------------
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                value = conn.metric_derivative(i, j, k)
-                if not value.is_zero():
-                    witness = {"indices": [i + 1, j + 1, k + 1], "residual": str(value)}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.graded("gtw.metric_parallel", witness is None, witness)
-
-    witness = _first_bad_single(m, lambda i: conn.derivative(i, xi))
-    report.graded("gtw.xi_parallel", witness is None, witness)
-
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            value = conn.derivative_covector(m, i, s.eta, j)
-            if not value.is_zero():
-                witness = {"indices": [i + 1, j + 1], "residual": str(value)}
-                break
-        if witness:
-            break
-    report.graded("gtw.eta_parallel", witness is None, witness)
+    report.graded(
+        "gtw.metric_parallel", first_witness(product(idx, repeat=3), conn.metric_derivative)
+    )
+    report.graded(
+        "gtw.xi_parallel",
+        first_witness(product(idx, repeat=1), lambda i: conn.derivative(i, xi)),
+    )
+    report.graded(
+        "gtw.eta_parallel",
+        first_witness(
+            product(idx, repeat=2), lambda i, j: conn.derivative_covector(m, i, s.eta, j)
+        ),
+    )
 
     # phi-derivative relation: the displaced derivative of phi equals the
     # structural derivative minus g(X+hX, Y) xi + eta(Y)(hX + X)
-    def phi_relation_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        lhs = conn.derivative_endo(m, i, phi).column(j)
-        rhs = (
-            lc.derivative_endo(m, i, phi).column(j)
-            - xi.scale(m.inner(ei + h.apply(ei), ej))
-            + (h.apply(ei) + ei).scale(eta_of(ej))
-        )
-        return lhs - rhs
-
-    witness = _first_bad_pair(m, phi_relation_residual)
-    report.graded("gtw.phi_derivative_relation", witness is None, witness)
-
-    witness = _first_bad_pair(
-        m, lambda i, j: conn.derivative_endo(m, i, phi).column(j)
+    dphi = [conn.derivative_endo(m, i, phi) for i in idx]
+    dphi_lc = [lc.derivative_endo(m, i, phi) for i in idx]
+    report.graded(
+        "gtw.phi_derivative_relation",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: dphi[i].column(j)
+            - (
+                dphi_lc[i].column(j)
+                - xi.scale(x_plus_hx[i].components[j])
+                + x_plus_hx[i].scale(eta[j])
+            ),
+        ),
     )
     report.graded(
         "gtw.phi_parallel",
-        witness is None,
-        witness,
+        first_witness(product(idx, repeat=2), lambda i, j: dphi[i].column(j)),
         notes=(
             "phi is parallel on every validated nullity-class instance, not only "
             "in the Sasakian subcase: the derivative relation cancels exactly "
@@ -251,15 +210,13 @@ def verify_gtw_suite(
     )
 
     # h-derivative relation, corrected form: (del_X h)Y = 2 eta(X) phi h Y
-    def h_relation_residual(i: int, j: int) -> FrameVector:
-        lhs = conn.derivative_endo(m, i, h).column(j)
-        return lhs - phi_h(m.basis(j)).scale(eta_of(m.basis(i))).scale(2)
-
-    witness = _first_bad_pair(m, h_relation_residual)
+    dh = [conn.derivative_endo(m, i, h) for i in idx]
     report.graded(
         "gtw.h_derivative_relation",
-        witness is None,
-        witness,
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: dh[i].column(j) - phi_h[j].scale(eta[i]).scale(2),
+        ),
         notes=(
             "asserted form: (del_X h)Y = 2 eta(X) phi h Y; "
             "the reference variant is checked separately",
@@ -267,43 +224,28 @@ def verify_gtw_suite(
     )
 
     # reference variant: [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi + eta(X) phi(Y + hY)
-    def h_reference_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        lhs = conn.derivative_endo(m, i, h).column(j)
-        coeff = (kappa - m.one_scalar()) * m.inner(phi.apply(ei), ej) + m.inner(
-            h.apply(ei), phi.apply(ej)
-        )
-        rhs = xi.scale(coeff) + phi.apply(ej + h.apply(ej)).scale(eta_of(ei))
-        return lhs - rhs
-
-    ref_witness = _first_bad_pair(m, h_reference_residual)
-    if ref_witness is None:
-        report.holds("gtw.h_derivative_relation_reference_form")
-    else:
-        report.not_applicable(
-            "gtw.h_derivative_relation_reference_form",
-            witness=ref_witness,
-            notes=(
-                "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
-                "+ eta(X) phi(Y + hY) disagrees with the computed derivative; "
-                "recorded as data",
-            ),
-        )
+    report.reference(
+        "gtw.h_derivative_relation_reference_form",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: dh[i].column(j)
+            - xi.scale(
+                (kappa - m.one_scalar()) * phi_e[i].components[j]
+                + m.inner(h_e[i], phi_e[j])
+            )
+            - (phi_e[j] + phi_h[j]).scale(eta[i]),
+        ),
+        "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
+        "+ eta(X) phi(Y + hY) disagrees with the computed derivative; "
+        "recorded as data",
+    )
 
     # -- torsion ---------------------------------------------------------------
-    first_nonzero = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            if not pkg.torsion[i][j].is_zero():
-                first_nonzero = {
-                    "indices": [i + 1, j + 1],
-                    "value": render_vector(pkg.torsion[i][j].components),
-                }
-                break
-        if first_nonzero:
-            break
     torsion_notes = (
         "a contact metric instance must make this connection non-symmetric",
+    )
+    first_nonzero = first_witness(
+        product(idx, repeat=2), lambda i, j: pkg.torsion[i][j], key="value"
     )
     if first_nonzero is not None:
         report.holds("gtw.torsion_nonzero", witness=first_nonzero, notes=torsion_notes)
@@ -314,344 +256,175 @@ def verify_gtw_suite(
             notes=torsion_notes,
         )
 
-    def torsion_closed_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        closed = (
-            xi.scale(
-                m.inner(ei + h.apply(ei), phi.apply(ej))
-                - m.inner(ej + h.apply(ej), phi.apply(ei))
-            )
-            + phi_h(ei).scale(eta_of(ej))
-            - phi_h(ej).scale(eta_of(ei))
+    # T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
+    def torsion_residual(v: tuple[FrameVector, ...]):
+        return lambda i, j: pkg.torsion[i][j] - (
+            xi.scale(m.inner(x_plus_hx[i], phi_e[j]) - m.inner(x_plus_hx[j], phi_e[i]))
+            + v[i].scale(eta[j])
+            - v[j].scale(eta[i])
         )
-        return pkg.torsion[i][j] - closed
 
-    witness = _first_bad_pair(m, torsion_closed_residual)
     report.graded(
         "gtw.torsion_closed_form",
-        witness is None,
-        witness,
+        first_witness(product(idx, repeat=2), torsion_residual(phi_h)),
         notes=(
             "asserted form: T(X, Y) = [g(X+hX, phi Y) - g(Y+hY, phi X)] xi "
             "+ eta(Y) phi h X - eta(X) phi h Y",
         ),
     )
-
-    def torsion_reference_residual(i: int, j: int) -> FrameVector:
-        ei, ej = m.basis(i), m.basis(j)
-        closed = (
-            xi.scale(
-                m.inner(ei + h.apply(ei), phi.apply(ej))
-                - m.inner(ej + h.apply(ej), phi.apply(ei))
-            )
-            + (phi.apply(ei) + phi_h(ei)).scale(eta_of(ej))
-            - (phi.apply(ej) + phi_h(ej)).scale(eta_of(ei))
-        )
-        return pkg.torsion[i][j] - closed
-
-    ref_witness = _first_bad_pair(m, torsion_reference_residual)
-    if ref_witness is None:
-        report.holds("gtw.torsion_closed_form_reference_form")
-    else:
-        report.not_applicable(
-            "gtw.torsion_closed_form_reference_form",
-            witness=ref_witness,
-            notes=(
-                "reference variant with the extra eta(Y) phi X - eta(X) phi Y "
-                "terms disagrees with the computed torsion; recorded as data",
-            ),
-        )
+    report.reference(
+        "gtw.torsion_closed_form_reference_form",
+        first_witness(
+            product(idx, repeat=2),
+            torsion_residual(tuple(phi_e[i] + phi_h[i] for i in idx)),
+        ),
+        "reference variant with the extra eta(Y) phi X - eta(X) phi Y "
+        "terms disagrees with the computed torsion; recorded as data",
+    )
 
     # -- curvature antisymmetries and xi-degeneracies ---------------------------
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                for l in range(m.dim):
-                    value = curv.lowered(i, j, k, l) + curv.lowered(j, i, k, l)
-                    if not value.is_zero():
-                        witness = {
-                            "indices": [i + 1, j + 1, k + 1, l + 1],
-                            "residual": str(value),
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.graded("gtw.curvature_first_pair_antisymmetry", witness is None, witness)
-
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                for l in range(m.dim):
-                    value = curv.lowered(i, j, k, l) + curv.lowered(i, j, l, k)
-                    if not value.is_zero():
-                        witness = {
-                            "indices": [i + 1, j + 1, k + 1, l + 1],
-                            "residual": str(value),
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    report.graded("gtw.curvature_last_pair_antisymmetry", witness is None, witness)
-
-    witness = _first_bad_pair(m, lambda i, j: curv.apply(m.basis(i), m.basis(j), xi))
-    report.graded("gtw.curvature_xi_pair", witness is None, witness)
-
-    witness = _first_bad_pair(m, lambda i, j: curv.apply(xi, m.basis(i), m.basis(j)))
-    report.graded("gtw.curvature_xi_first", witness is None, witness)
-
-    witness = _first_bad_single(m, lambda i: curv.apply(m.basis(i), xi, xi))
-    report.graded("gtw.curvature_xi_double", witness is None, witness)
+    low = curv.lowered
+    report.graded(
+        "gtw.curvature_first_pair_antisymmetry",
+        first_witness(
+            product(idx, repeat=4), lambda i, j, k, l: low(i, j, k, l) + low(j, i, k, l)
+        ),
+    )
+    report.graded(
+        "gtw.curvature_last_pair_antisymmetry",
+        first_witness(
+            product(idx, repeat=4), lambda i, j, k, l: low(i, j, k, l) + low(i, j, l, k)
+        ),
+    )
+    report.graded(
+        "gtw.curvature_xi_pair",
+        first_witness(product(idx, repeat=2), lambda i, j: curv.apply(e[i], e[j], xi)),
+    )
+    report.graded(
+        "gtw.curvature_xi_first",
+        first_witness(product(idx, repeat=2), lambda i, j: curv.apply(xi, e[i], e[j])),
+    )
+    report.graded(
+        "gtw.curvature_xi_double",
+        first_witness(product(idx, repeat=1), lambda i: curv.apply(e[i], xi, xi)),
+    )
 
     # -- closed form for the curvature ------------------------------------------
-    def closed_form_vector(i: int, j: int, k: int, last_sign: int) -> FrameVector:
-        ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-        e_i, e_j = eta_of(ei), eta_of(ej)
-        nullity = (
-            xi.scale(e_j * m.inner(ei, ek) - e_i * m.inner(ej, ek))
-            - ei.scale(e_j * eta_of(ek))
-            + ej.scale(e_i * eta_of(ek))
-        ).scale(kappa)
-        mixed = (phi.apply(ei) + phi_h(ei)).scale(
-            -m.inner(ej + h.apply(ej), phi.apply(ek))
-        ) + (phi.apply(ej) + phi_h(ej)).scale(m.inner(ei + h.apply(ei), phi.apply(ek)))
-        bracket = m.inner(ei, phi.apply(ej) + phi_h(ej)) + m.inner(
-            ej, phi.apply(ei) + phi_h(ei)
-        ).scale(last_sign)
-        return r_lc.vector(i, j, k) + nullity + mixed + phi.apply(ek).scale(bracket)
+    # R(X1, X2)X3 minus the closed form whose final bracket has sign last_sign
+    def closed_form_residual(last_sign: int):
+        def residual(i: int, j: int, k: int) -> FrameVector:
+            nullity = (
+                xi.scale(eta[j] * m.inner(e[i], e[k]) - eta[i] * m.inner(e[j], e[k]))
+                - e[i].scale(eta[j] * eta[k])
+                + e[j].scale(eta[i] * eta[k])
+            ).scale(kappa)
+            mixed = (phi_e[i] + phi_h[i]).scale(
+                -m.inner(x_plus_hx[j], phi_e[k])
+            ) + (phi_e[j] + phi_h[j]).scale(m.inner(x_plus_hx[i], phi_e[k]))
+            bracket = m.inner(e[i], phi_e[j] + phi_h[j]) + m.inner(
+                e[j], phi_e[i] + phi_h[i]
+            ).scale(last_sign)
+            closed = r_lc.vector(i, j, k) + nullity + mixed + phi_e[k].scale(bracket)
+            return curv.vector(i, j, k) - closed
 
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                residual = curv.vector(i, j, k) - closed_form_vector(i, j, k, -1)
-                if not residual.is_zero():
-                    witness = {
-                        "indices": [i + 1, j + 1, k + 1],
-                        "residual": render_vector(residual.components),
-                    }
-                    break
-            if witness:
-                break
-        if witness:
-            break
+        return residual
+
     report.graded(
         "gtw.curvature_closed_form",
-        witness is None,
-        witness,
+        first_witness(product(idx, repeat=3), closed_form_residual(-1)),
         notes=(
             "asserted form carries [g(X1, phi X2 + phi h X2) - g(X2, phi X1 + "
             "phi h X1)] phi X3 as its final bracket (a difference; equals "
             "2 g(X1, phi X2) phi X3 because phi h is symmetric)",
         ),
     )
-
-    per_triple: dict[str, str] = {}
-    first_residual = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                residual = curv.vector(i, j, k) - closed_form_vector(i, j, k, +1)
-                key = _triple_key((i, j, k))
-                if residual.is_zero():
-                    per_triple[key] = "agrees"
-                else:
-                    per_triple[key] = "differs"
-                    if first_residual is None:
-                        first_residual = {
-                            "first_residual_at": [i + 1, j + 1, k + 1],
-                            "first_residual": render_vector(residual.components),
-                        }
-    crosscheck_witness = dict(per_triple)
-    if first_residual:
-        crosscheck_witness.update(first_residual)
-    crosscheck_notes = (
-        "reference variant with a sum in the final bracket, re-evaluated per "
-        "basis triple; the verdict is data, not a pass condition",
+    report.crosscheck(
+        "gtw.curvature_closed_form_crosscheck",
+        product(idx, repeat=3),
+        closed_form_residual(+1),
+        notes=(
+            "reference variant with a sum in the final bracket, re-evaluated per "
+            "basis triple; the verdict is data, not a pass condition",
+        ),
     )
-    if first_residual is None:
-        report.holds(
-            "gtw.curvature_closed_form_crosscheck",
-            witness=crosscheck_witness,
-            notes=crosscheck_notes,
-        )
-    else:
-        report.not_applicable(
-            "gtw.curvature_closed_form_crosscheck",
-            witness=crosscheck_witness,
-            notes=crosscheck_notes,
-        )
 
     # -- pair-interchange cross-check -------------------------------------------
-    def interchange_rhs(i: int, j: int, k: int, l: int) -> Scalar:
-        ei, ej, ek, el = m.basis(i), m.basis(j), m.basis(k), m.basis(l)
-        return (
-            m.inner(phi.apply(ei), el) * m.inner(h.apply(ej), phi.apply(ek))
-            - m.inner(ej, phi.apply(ek)) * m.inner(phi_h(ei), el)
-            - m.inner(h.apply(ei), phi.apply(ek)) * m.inner(ej, phi.apply(el))
-            + m.inner(ei, phi.apply(ek)) * m.inner(phi_h(ej), el)
-            - m.inner(ek, phi_h(el)) * m.inner(phi.apply(ei), ej)
+    def interchange_residual(i: int, j: int, k: int, l: int) -> Scalar:
+        rhs = (
+            phi_e[i].components[l] * m.inner(h_e[j], phi_e[k])
+            - phi_e[k].components[j] * phi_h[i].components[l]
+            - m.inner(h_e[i], phi_e[k]) * phi_e[l].components[j]
+            + phi_e[k].components[i] * phi_h[j].components[l]
+            - phi_h[l].components[k] * phi_e[i].components[j]
         ).scale(-2)
+        return low(i, j, k, l) + low(k, l, i, j) - rhs
 
-    per_tuple: dict[str, str] = {}
-    first_residual = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                for l in range(m.dim):
-                    lhs = curv.lowered(i, j, k, l) + curv.lowered(k, l, i, j)
-                    residual = lhs - interchange_rhs(i, j, k, l)
-                    key = _triple_key((i, j, k, l))
-                    if residual.is_zero():
-                        per_tuple[key] = "agrees"
-                    else:
-                        per_tuple[key] = "differs"
-                        if first_residual is None:
-                            first_residual = {
-                                "first_residual_at": [i + 1, j + 1, k + 1, l + 1],
-                                "first_residual": str(residual),
-                            }
-    interchange_witness = dict(per_tuple)
-    if first_residual:
-        interchange_witness.update(first_residual)
-    interchange_notes = (
-        "defect of interchanging the argument pairs, compared against the "
-        "quoted five-term h-expression per basis tuple; the verdict is data",
+    report.crosscheck(
+        "gtw.pair_interchange_crosscheck",
+        product(idx, repeat=4),
+        interchange_residual,
+        notes=(
+            "defect of interchanging the argument pairs, compared against the "
+            "quoted five-term h-expression per basis tuple; the verdict is data",
+        ),
     )
-    if first_residual is None:
-        report.holds(
-            "gtw.pair_interchange_crosscheck",
-            witness=interchange_witness,
-            notes=interchange_notes,
-        )
-    else:
-        report.not_applicable(
-            "gtw.pair_interchange_crosscheck",
-            witness=interchange_witness,
-            notes=interchange_notes,
-        )
 
     # -- first-Bianchi cross-check ----------------------------------------------
-    per_triple = {}
-    first_residual = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-                lhs = curv.vector(i, j, k) + curv.vector(j, k, i) + curv.vector(k, i, j)
-                rhs = (
-                    phi_h(ek).scale(m.inner(phi.apply(ei), ej))
-                    - phi_h(ej).scale(m.inner(phi.apply(ei), ek))
-                    + phi_h(ei).scale(m.inner(phi.apply(ej), ek))
-                ).scale(2)
-                residual = lhs - rhs
-                key = _triple_key((i, j, k))
-                if residual.is_zero():
-                    per_triple[key] = "agrees"
-                else:
-                    per_triple[key] = "differs"
-                    if first_residual is None:
-                        first_residual = {
-                            "first_residual_at": [i + 1, j + 1, k + 1],
-                            "first_residual": render_vector(residual.components),
-                        }
-    cyclic_witness = dict(per_triple)
-    if first_residual:
-        cyclic_witness.update(first_residual)
-    cyclic_notes = (
-        "cyclic sum of the curvature against the quoted h-expression; on this "
-        "family both sides may vanish identically even though xi is not Killing",
+    def cyclic_residual(i: int, j: int, k: int) -> FrameVector:
+        lhs = curv.vector(i, j, k) + curv.vector(j, k, i) + curv.vector(k, i, j)
+        rhs = (
+            phi_h[k].scale(phi_e[i].components[j])
+            - phi_h[j].scale(phi_e[i].components[k])
+            + phi_h[i].scale(phi_e[j].components[k])
+        ).scale(2)
+        return lhs - rhs
+
+    report.crosscheck(
+        "gtw.cyclic_sum_crosscheck",
+        product(idx, repeat=3),
+        cyclic_residual,
+        notes=(
+            "cyclic sum of the curvature against the quoted h-expression; on this "
+            "family both sides may vanish identically even though xi is not Killing",
+        ),
     )
-    if first_residual is None:
-        report.holds("gtw.cyclic_sum_crosscheck", witness=cyclic_witness, notes=cyclic_notes)
-    else:
-        report.not_applicable(
-            "gtw.cyclic_sum_crosscheck", witness=cyclic_witness, notes=cyclic_notes
-        )
 
     # -- Ricci and scalar curvature ----------------------------------------------
-    g_form = metric_form(m)
+    ric = pkg.ricci.components
     s_lc = ricci(m, r_lc)
     two_nk_plus_2 = kappa.scale(2 * n) + m.constant(2)
-
-    def ricci_closed_residual(i: int, j: int) -> Scalar:
-        ei, ej = m.basis(i), m.basis(j)
-        rhs = (
-            s_lc.apply(ei, ej)
-            + m.inner(ei, ej).scale(2)
-            - two_nk_plus_2 * eta_of(ei) * eta_of(ej)
-        )
-        return pkg.ricci.apply(ei, ej) - rhs
-
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            value = ricci_closed_residual(i, j)
-            if not value.is_zero():
-                witness = {"indices": [i + 1, j + 1], "residual": str(value)}
-                break
-        if witness:
-            break
-    report.graded("gtw.ricci_closed_form", witness is None, witness)
-
-    h_form = form_from_endo(m, h)
-
-    def ricci_alternative_residual(i: int, j: int) -> Scalar:
-        ei, ej = m.basis(i), m.basis(j)
-        rhs = (
-            m.inner(ei, ej).scale(2 * n)
-            + h_form.apply(ei, ej).scale(2 * (n - 1))
-            - (eta_of(ei) * eta_of(ej)).scale(2 * n)
-        )
-        return pkg.ricci.apply(ei, ej) - rhs
-
-    witness = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            value = ricci_alternative_residual(i, j)
-            if not value.is_zero():
-                witness = {"indices": [i + 1, j + 1], "residual": str(value)}
-                break
-        if witness:
-            break
-    report.graded("gtw.ricci_alternative_form", witness is None, witness)
-
-    witness = None
-    for i in range(m.dim):
-        value = pkg.ricci.apply(m.basis(i), xi)
-        if not value.is_zero():
-            witness = {"indices": [i + 1], "residual": str(value)}
-            break
-    if witness is None:
-        value = pkg.ricci.apply(xi, xi)
-        if not value.is_zero():
-            witness = {"indices": [], "residual": str(value)}
-    report.graded("gtw.ricci_xi_degenerate", witness is None, witness)
-
-    symmetric = pkg.ricci.is_symmetric()
-    witness = None
-    if not symmetric:
-        for i in range(m.dim):
-            for j in range(m.dim):
-                value = pkg.ricci.components[i][j] - pkg.ricci.components[j][i]
-                if not value.is_zero():
-                    witness = {"indices": [i + 1, j + 1], "residual": str(value)}
-                    break
-            if witness:
-                break
+    report.graded(
+        "gtw.ricci_closed_form",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: ric[i][j]
+            - (
+                s_lc.components[i][j]
+                + m.inner(e[i], e[j]).scale(2)
+                - two_nk_plus_2 * eta[i] * eta[j]
+            ),
+        ),
+    )
+    report.graded(
+        "gtw.ricci_alternative_form",
+        first_witness(
+            product(idx, repeat=2),
+            lambda i, j: ric[i][j]
+            - (
+                m.inner(e[i], e[j]).scale(2 * n)
+                + h_e[i].components[j].scale(2 * (n - 1))
+                - (eta[i] * eta[j]).scale(2 * n)
+            ),
+        ),
+    )
+    report.graded(
+        "gtw.ricci_xi_degenerate",
+        first_witness(product(idx, repeat=1), lambda i: pkg.ricci.apply(e[i], xi))
+        or first_witness([()], lambda: pkg.ricci.apply(xi, xi)),
+    )
     report.graded(
         "gtw.ricci_symmetry",
-        symmetric,
-        witness,
+        first_witness(product(idx, repeat=2), lambda i, j: ric[i][j] - ric[j][i]),
         notes=(
             "symmetry is not assumed for a torsionful connection; it is checked "
             "per instance",
@@ -662,7 +435,6 @@ def verify_gtw_suite(
     value = pkg.tau - target
     report.graded(
         "gtw.scalar_curvature_value",
-        value.is_zero(),
         None if value.is_zero() else {"residual": str(value)},
         notes=(f"computed scalar curvature: {pkg.tau}; expected 4n^2 = {target}",),
     )
@@ -671,7 +443,6 @@ def verify_gtw_suite(
     relation = pkg.tau - (tau_lc + m.constant(4 * n) - kappa.scale(2 * n))
     report.graded(
         "gtw.scalar_curvature_relation",
-        relation.is_zero(),
         None if relation.is_zero() else {"residual": str(relation)},
         notes=("relation checked: tau(displaced) = tau + 4n - 2n kappa",),
     )
@@ -732,21 +503,20 @@ def gssf_template_terms(
     """
     phi, xi = s.phi, s.xi
     ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-
-    def eta_of(x: FrameVector) -> Scalar:
-        return m.inner(s.eta, x)
+    eta_i, eta_j, eta_k = s.eta_of(m, ei), s.eta_of(m, ej), s.eta_of(m, ek)
+    phi_i, phi_j, phi_k = phi.column(i), phi.column(j), phi.column(k)
 
     t1 = ei.scale(m.inner(ej, ek)) - ej.scale(m.inner(ei, ek))
     t2 = (
-        phi.apply(ej).scale(m.inner(ei, phi.apply(ek)))
-        - phi.apply(ei).scale(m.inner(ej, phi.apply(ek)))
-        + phi.apply(ek).scale(m.inner(ei, phi.apply(ej)).scale(2))
+        phi_j.scale(m.inner(ei, phi_k))
+        - phi_i.scale(m.inner(ej, phi_k))
+        + phi_k.scale(m.inner(ei, phi_j).scale(2))
     )
     t3 = (
-        ej.scale(eta_of(ei) * eta_of(ek))
-        - ei.scale(eta_of(ej) * eta_of(ek))
-        + xi.scale(m.inner(ei, ek) * eta_of(ej))
-        - xi.scale(m.inner(ej, ek) * eta_of(ei))
+        ej.scale(eta_i * eta_k)
+        - ei.scale(eta_j * eta_k)
+        + xi.scale(m.inner(ei, ek) * eta_j)
+        - xi.scale(m.inner(ej, ek) * eta_i)
     )
     return t1, t2, t3
 

@@ -2,10 +2,7 @@
 
 from fractions import Fraction
 
-import pytest
-
 from contactframe import (
-    DERIVATION_CONVENTION,
     concircular,
     tensor_dot_form,
     tensor_dot_tensor,
@@ -50,12 +47,6 @@ def test_ricci_action_values(fam):
     ric = fam.pkg.ricci
     val = tensor_dot_form(m, z, ric, s.xi, e(1), e(1), s.xi)
     assert val == m.constant(Fraction(4, 3))
-    flipped = tensor_dot_form(
-        m, z, ric, s.xi, e(1), e(1), s.xi, convention=DERIVATION_CONVENTION
-    )
-    assert flipped == m.constant(Fraction(-4, 3))
-    with pytest.raises(ValueError):
-        tensor_dot_form(m, z, ric, s.xi, e(1), e(1), s.xi, convention="bogus")
 
 
 def test_self_action_values(fam):

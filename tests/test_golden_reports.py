@@ -12,6 +12,13 @@ members, the Heisenberg group H^5 (``manifests/heisenberg5.json``) and one
 dense random dimension-5 frame whose Jacobi identity fails, so every derived
 section is gated (``manifests/random5.json``), each under ``all``.
 
+The ``curvature`` command's JSON tables are frozen too, because the gated
+random frames show their dense, many-term Levi-Civita and Riemann tensors
+nowhere else: ``--connection lc`` on ``manifests/random5.json`` and on
+``manifests/random5_t.json`` (the same generator, coefficients linear in
+t), and ``--connection gtw`` on the lambda family and H^5.  Those goldens
+are ``tests/golden/curvature_<manifest>_<connection>.json``.
+
 Regenerate every golden file from the current engine:
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -19,6 +26,8 @@ Regenerate every golden file from the current engine:
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +42,7 @@ from contactframe import (
     manifest_hash,
     run_suite,
 )
+from contactframe.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -67,14 +77,35 @@ CASES = (
 )
 
 
+CURVATURE_CASES = [
+    ("random5", "lc"),
+    ("random5_t", "lc"),
+    ("lambda_family", "gtw"),
+    ("heisenberg5", "gtw"),
+]
+
+
 def render(instance: str, suite: str) -> str:
     m, s = INSTANCES[instance]()
     report = run_suite(m, s, suite, manifest_hash(dump_manifest(m, s)))
     return emit(report, "json")
 
 
+def render_curvature(manifest: str, connection: str) -> str:
+    out = io.StringIO()
+    path = str(ROOT / "manifests" / f"{manifest}.json")
+    with redirect_stdout(out):
+        status = main(["curvature", path, "--connection", connection, "--format", "json"])
+    assert status == 0
+    return out.getvalue()
+
+
 def golden_path(instance: str, suite: str) -> Path:
     return GOLDEN_DIR / f"{instance}_{suite}.json"
+
+
+def curvature_golden_path(manifest: str, connection: str) -> Path:
+    return GOLDEN_DIR / f"curvature_{manifest}_{connection}.json"
 
 
 @pytest.mark.parametrize(
@@ -85,7 +116,21 @@ def test_report_matches_golden(instance, suite):
     assert render(instance, suite).encode("utf-8") == expected
 
 
+@pytest.mark.parametrize(
+    ("manifest", "connection"),
+    CURVATURE_CASES,
+    ids=[f"{m}-{c}" for m, c in CURVATURE_CASES],
+)
+def test_curvature_tables_match_golden(manifest, connection):
+    expected = curvature_golden_path(manifest, connection).read_bytes()
+    assert render_curvature(manifest, connection).encode("utf-8") == expected
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for instance, suite in CASES:
         golden_path(instance, suite).write_bytes(render(instance, suite).encode("utf-8"))
+    for manifest, connection in CURVATURE_CASES:
+        curvature_golden_path(manifest, connection).write_bytes(
+            render_curvature(manifest, connection).encode("utf-8")
+        )

@@ -39,7 +39,7 @@ from itertools import product
 
 from .contact import AlmostContactData
 from .curvature import BilinearForm, Curvature4Tensor
-from .frames import FrameImages, FrameManifold, FrameVector, frame_images
+from .frames import Endomorphism, FrameImages, FrameManifold, FrameVector, frame_images
 from .report import VerificationReport, first_witness
 from .scalars import Scalar
 
@@ -85,11 +85,19 @@ def tensor_dot_tensor(
     x5: FrameVector,
 ) -> FrameVector:
     """(T1(X1,X2).T2)(X3,X4)X5 with the leading term minus three insertions."""
-    action = t1.apply(x1, x2, t2.apply(x3, x4, x5))
-    slot3 = t2.apply(t1.apply(x1, x2, x3), x4, x5)
-    slot4 = t2.apply(x3, t1.apply(x1, x2, x4), x5)
-    slot5 = t2.apply(x3, x4, t1.apply(x1, x2, x5))
-    return action - slot3 - slot4 - slot5
+    return endomorphism_dot_tensor(t1.endomorphism(x1, x2), t2, x3, x4, x5)
+
+
+def endomorphism_dot_tensor(
+    a: Endomorphism, t2: Curvature4Tensor, x3: FrameVector, x4: FrameVector, x5: FrameVector
+) -> FrameVector:
+    """(A.T2)(X3,X4)X5 = A T2(X3,X4)X5 - T2(AX3,X4)X5 - T2(X3,AX4)X5 - T2(X3,X4)AX5."""
+    return (
+        a.apply(t2.apply(x3, x4, x5))
+        - t2.apply(a.apply(x3), x4, x5)
+        - t2.apply(x3, a.apply(x4), x5)
+        - t2.apply(x3, x4, a.apply(x5))
+    )
 
 
 def tensor_dot_form(
@@ -373,9 +381,10 @@ def self_action_check(
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
     report = VerificationReport()
     e = img.e
+    z_xi = [z.endomorphism(s.xi, e[i]) for i in range(m.dim)]
     first_nonzero = first_witness(
         product(range(m.dim), repeat=4),
-        lambda i, j, k, l: tensor_dot_tensor(m, z, z, s.xi, e[i], e[j], e[k], e[l]),
+        lambda i, j, k, l: endomorphism_dot_tensor(z_xi[i], z, e[j], e[k], e[l]),
         key="value",
     )
     if first_nonzero is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING
 
 from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
@@ -62,16 +62,15 @@ class Connection:
 
     def derivative(self, i: int, x: FrameVector) -> FrameVector:
         """nabla_{E_i} X for a constant-coefficient X."""
-        out = [Scalar.zero(x.params) for _ in range(self.dim)]
-        for j in range(self.dim):
-            xj = x.components[j]
-            if xj.is_zero():
-                continue
-            for k in range(self.dim):
-                g = self.gamma[i][j][k]
-                if not g.is_zero():
-                    out[k] = out[k] + xj * g
-        return FrameVector(tuple(out))
+        row = self.gamma[i]
+        return FrameVector(
+            tuple(
+                Scalar.sum_of_products(
+                    x.params, ((xj, row[j][k]) for j, xj in enumerate(x.components))
+                )
+                for k in range(self.dim)
+            )
+        )
 
     def derivative_endo(self, m: FrameManifold, i: int, a: Endomorphism) -> Endomorphism:
         """(nabla_{E_i} A) as an endomorphism, columnwise on the frame."""
@@ -142,52 +141,69 @@ class Curvature4Tensor:
 
     def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """Trilinear extension to constant-coefficient vectors."""
-        dim = self.dim
-        params = x.params
-        out = [Scalar.zero(params) for _ in range(dim)]
-        for i in range(dim):
-            xi = x.components[i]
-            if xi.is_zero():
-                continue
-            for j in range(dim):
-                yj = y.components[j]
-                if yj.is_zero():
-                    continue
-                xy = xi * yj
-                for k in range(dim):
-                    zk = z.components[k]
-                    if zk.is_zero():
-                        continue
-                    w = xy * zk
-                    for l in range(dim):
-                        comp = self.components[i][j][k][l]
-                        if not comp.is_zero():
-                            out[l] = out[l] + w * comp
-        return FrameVector(tuple(out))
+        weighted = [
+            (xi * yj * zk, self.components[i][j][k])
+            for i, xi in enumerate(x.components)
+            if xi.terms
+            for j, yj in enumerate(y.components)
+            if yj.terms
+            for k, zk in enumerate(z.components)
+            if zk.terms
+        ]
+        return FrameVector(
+            tuple(
+                Scalar.sum_of_products(x.params, ((w, row[l]) for w, row in weighted))
+                for l in range(self.dim)
+            )
+        )
+
+    def endomorphism(self, x: FrameVector, y: FrameVector) -> Endomorphism:
+        """R(X, Y) as an endomorphism: column k is R(X, Y)E_k."""
+        one, zero = Scalar.one(x.params), Scalar.zero(x.params)
+        return Endomorphism.from_columns(
+            [
+                self.apply(x, y, FrameVector(tuple(one if i == k else zero for i in range(self.dim))))
+                for k in range(self.dim)
+            ]
+        )
 
 
 def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
-    """Curvature of a frame connection by the definitional formula."""
-    dim = m.dim
-    comps = []
-    for i in range(dim):
-        plane_i = []
-        for j in range(dim):
-            plane_j = []
-            for k in range(dim):
-                # nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_{[E_i,E_j]} E_k
-                vec = conn.derivative(i, conn.derivative_basis(j, k)) - conn.derivative(
-                    j, conn.derivative_basis(i, k)
-                )
-                bracket = m.bracket_basis(i, j)
-                for mm in range(dim):
-                    coeff = bracket.components[mm]
-                    if not coeff.is_zero():
-                        vec = vec - conn.derivative_basis(mm, k).scale(coeff)
-                plane_j.append(tuple(vec.components))
-            plane_i.append(tuple(plane_j))
-        comps.append(tuple(plane_i))
-    return Curvature4Tensor(components=tuple(comps))
+    """Curvature of a frame connection as one sum of products per component.
+
+    R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k
+    - nabla_{[E_i, E_j]} E_k on constant frame coefficients gives
+
+        R_ijk^l = sum_m Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l
+                  - c_ij^m Gamma_mk^l .
+    """
+    dim, params = m.dim, m.params
+    idx = range(dim)
+    gamma = conn.gamma
+    neg_gamma = tuple(tuple(tuple(-g for g in row) for row in plane) for plane in gamma)
+    neg_c = tuple(tuple(tuple(-c for c in row) for row in plane) for plane in m.c)
+    # by_source[i][l][m] = Gamma_im^l and by_target[k][l][m] = Gamma_mk^l
+    by_source = tuple(tuple(tuple(gamma[i][n][l] for n in idx) for l in idx) for i in idx)
+    by_target = tuple(tuple(tuple(gamma[n][k][l] for n in idx) for l in idx) for k in idx)
+
+    def component(i: int, j: int, k: int, l: int) -> Scalar:
+        return Scalar.sum_of_products(
+            params,
+            chain(
+                zip(gamma[j][k], by_source[i][l]),
+                zip(neg_gamma[i][k], by_source[j][l]),
+                zip(neg_c[i][j], by_target[k][l]),
+            ),
+        )
+
+    return Curvature4Tensor(
+        components=tuple(
+            tuple(
+                tuple(tuple(component(i, j, k, l) for l in idx) for k in idx) for j in idx
+            )
+            for i in idx
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -201,17 +217,16 @@ class BilinearForm:
         return len(self.components)
 
     def apply(self, x: FrameVector, y: FrameVector) -> Scalar:
-        params = x.params
-        total = Scalar.zero(params)
-        for i in range(self.dim):
-            xi = x.components[i]
-            if xi.is_zero():
-                continue
-            for j in range(self.dim):
-                yj = y.components[j]
-                if not yj.is_zero() and not self.components[i][j].is_zero():
-                    total = total + xi * yj * self.components[i][j]
-        return total
+        return Scalar.sum_of_products(
+            x.params,
+            (
+                (xi * yj, self.components[i][j])
+                for i, xi in enumerate(x.components)
+                if xi.terms
+                for j, yj in enumerate(y.components)
+                if yj.terms
+            ),
+        )
 
     def __sub__(self, other: "BilinearForm") -> "BilinearForm":
         return BilinearForm(

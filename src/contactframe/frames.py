@@ -127,12 +127,10 @@ class Endomorphism:
         )
 
     def apply(self, x: FrameVector) -> FrameVector:
+        live = [(j, xj) for j, xj in enumerate(x.components) if xj.terms]
         return FrameVector(
             tuple(
-                sum(
-                    (row[j] * x.components[j] for j in range(self.dim)),
-                    Scalar.zero(x.params),
-                )
+                Scalar.sum_of_products(x.params, ((row[j], xj) for j, xj in live))
                 for row in self.matrix
             )
         )
@@ -260,28 +258,23 @@ class FrameManifold:
 
     def bracket(self, x: FrameVector, y: FrameVector) -> FrameVector:
         """Bilinear antisymmetric extension of the structure constants."""
-        out = [self.zero_scalar() for _ in range(self.dim)]
-        for i in range(self.dim):
-            xi = x.components[i]
-            if xi.is_zero():
-                continue
-            for j in range(self.dim):
-                yj = y.components[j]
-                if yj.is_zero():
-                    continue
-                coeff = xi * yj
-                for k in range(self.dim):
-                    cij = self.c[i][j][k]
-                    if not cij.is_zero():
-                        out[k] = out[k] + coeff * cij
-        return FrameVector(tuple(out))
+        weighted = [
+            (xi * yj, self.c[i][j])
+            for i, xi in enumerate(x.components)
+            if xi.terms
+            for j, yj in enumerate(y.components)
+            if yj.terms
+        ]
+        return FrameVector(
+            tuple(
+                Scalar.sum_of_products(self.params, ((w, cij[k]) for w, cij in weighted))
+                for k in range(self.dim)
+            )
+        )
 
     def inner(self, x: FrameVector, y: FrameVector) -> Scalar:
         """The orthonormal-frame metric: g(X, Y) = sum_i x_i y_i."""
-        return sum(
-            (a * b for a, b in zip(x.components, y.components)),
-            self.zero_scalar(),
-        )
+        return Scalar.sum_of_products(self.params, zip(x.components, y.components))
 
     def lie_derive_endo(self, xi: FrameVector, a: Endomorphism) -> Endomorphism:
         """(L_xi A)(X) = [xi, A X] - A [xi, X], columnwise on the frame."""

@@ -28,7 +28,9 @@ Conventions:
   "eta" is a component list; "phi" is the dim x dim matrix whose entry
   [r][c] is the r-th component of phi(E_{c+1}) (columns are images);
 - the dimension must be odd (the structures modeled here do not exist on
-  even-dimensional frames).
+  even-dimensional frames) and at most MAX_DIMENSION;
+- every expression stays within the parser's budgets (``scalars.MAX_EXPONENT``
+  and ``scalars.MAX_TERMS``).
 
 Loading either returns the constructed objects or raises ManifestError
 carrying every problem found, each tagged with the JSON path it refers to
@@ -47,6 +49,11 @@ from typing import Any
 from .contact import AlmostContactData
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .scalars import Scalar, ScalarError, parse_scalar
+
+# The checks scan up to dim^4 index tuples and Riemann costs dim^5 products,
+# so the dimension is bounded before any work starts.  H^11 and every
+# committed manifest fit.
+MAX_DIMENSION = 11
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,11 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
     dim = document.get("dimension")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         issues.append(ManifestIssue("dimension", "expected a positive integer"))
+        raise ManifestError(issues)
+    if dim > MAX_DIMENSION:
+        issues.append(
+            ManifestIssue("dimension", f"{dim} exceeds MAX_DIMENSION = {MAX_DIMENSION}")
+        )
         raise ManifestError(issues)
     if dim % 2 == 0:
         issues.append(

@@ -13,12 +13,32 @@ and ``is_zero`` needs no normalisation step.  Coefficients use
 denominator.
 
 All operations are pure; Scalars are immutable and hashable.
+
+Every operation returns a canonical Scalar, and the fast paths rely on that
+invariant of their operands:
+
+- the terms are sorted by strictly descending monomial, so two term tuples
+  never tie on a monomial and sort with no key, and a one-term tuple is
+  sorted by construction;
+- no coefficient is zero, so ``terms == ()`` is zero and a one-term Scalar
+  whose monomial is all zeros is a nonzero constant (every Scalar over no
+  parameters is zero or such a constant);
+- every coefficient is a ``Fraction``, and Fraction arithmetic returns
+  Fractions, so a product or sum of coefficients needs no re-wrapping.
+
+``+``, ``-`` and ``*`` check the parameter lists first, so a mismatch is
+raised even when an operand is zero, then short-circuit zero operands,
+constant factors and one-term products.  Contractions (sums of products)
+go through ``Scalar.sum_of_products``, which accumulates every product in
+one dict and canonicalises once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Monomial = tuple[int, ...]
@@ -62,10 +82,36 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_terms(params: tuple[str, ...], mapping: Mapping[Monomial, Fraction]) -> "Scalar":
-        nonzero = {m: Fraction(c) for m, c in mapping.items() if c != 0}
-        ordered = tuple(sorted(nonzero.items(), key=lambda kv: kv[0], reverse=True))
-        return Scalar(params, ordered)
+    def from_terms(
+        params: tuple[str, ...], mapping: Mapping[Monomial, RationalLike]
+    ) -> "Scalar":
+        # monomials are distinct dict keys, so the tuple sort never compares
+        # coefficients
+        ordered = sorted(
+            ((m, c if type(c) is Fraction else Fraction(c)) for m, c in mapping.items() if c),
+            reverse=True,
+        )
+        return Scalar(params, tuple(ordered))
+
+    @staticmethod
+    def sum_of_products(
+        params: tuple[str, ...], pairs: Iterable[tuple["Scalar", "Scalar"]]
+    ) -> "Scalar":
+        """The sum of a * b over the pairs, accumulated in one dict."""
+        live = []
+        for a, b in pairs:
+            if a.params != params or b.params != params:
+                raise ParameterMismatchError(
+                    f"parameter lists differ: {params} vs {a.params}, {b.params}"
+                )
+            if a.terms and b.terms:
+                live.append((a, b))
+        if not live:
+            return Scalar(params, ())
+        if len(live) == 1:
+            a, b = live[0]
+            return a * b
+        return _accumulate(params, live)
 
     @staticmethod
     def constant(params: tuple[str, ...], value: RationalLike) -> "Scalar":
@@ -101,18 +147,40 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check_params(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (m1, c1), (m2, c2) = self.terms[0], other.terms[0]
+            if m1 == m2:
+                c = c1 + c2
+                return Scalar(self.params, ((m1, c),) if c else ())
+            pair = ((m1, c1), (m2, c2)) if m1 > m2 else ((m2, c2), (m1, c1))
+            return Scalar(self.params, pair)
         acc = dict(self.terms)
+        get = acc.get
         for mono, coeff in other.terms:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+            c = get(mono)
+            acc[mono] = coeff if c is None else c + coeff
         return Scalar.from_terms(self.params, acc)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
+        self._check_params(other)
+        if not other.terms:
+            return self
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
         return Scalar(self.params, tuple((m, -c) for m, c in self.terms))
+
+    def _constant_factor(self) -> Fraction | None:
+        """The coefficient of a nonzero constant, else None."""
+        if len(self.terms) == 1 and not any(self.terms[0][0]):
+            return self.terms[0][1]
+        return None
 
     def __mul__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
         if isinstance(other, (int, Fraction)):
@@ -120,12 +188,18 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check_params(other)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return Scalar.from_terms(self.params, acc)
+        if not self.terms or not other.terms:
+            return Scalar(self.params, ())
+        factor = other._constant_factor()
+        if factor is not None:
+            return self._times(factor)
+        factor = self._constant_factor()
+        if factor is not None:
+            return other._times(factor)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (m1, c1), (m2, c2) = self.terms[0], other.terms[0]
+            return Scalar(self.params, ((tuple(map(add, m1, m2)), c1 * c2),))
+        return _accumulate(self.params, ((self, other),))
 
     def __rmul__(self, other: RationalLike) -> "Scalar":
         if isinstance(other, (int, Fraction)):
@@ -141,14 +215,20 @@ class Scalar:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, factor: RationalLike) -> "Scalar":
-        factor = Fraction(factor)
-        if factor == 0:
+        if not factor:
             return Scalar.zero(self.params)
+        return self._times(Fraction(factor))
+
+    def _times(self, factor: Fraction) -> "Scalar":
+        """Multiply by a nonzero Fraction; no term can vanish."""
+        if factor == 1:
+            return self
         return Scalar(self.params, tuple((m, c * factor) for m, c in self.terms))
 
     # -- predicates and views ----------------------------------------------
@@ -232,6 +312,31 @@ class Scalar:
         return f"Scalar({str(self)!r}, params={self.params})"
 
 
+def _accumulate(params: tuple[str, ...], pairs: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
+    """Sum the products of canonical Scalars over ``params`` and canonicalise once.
+
+    Each monomial's sum is kept as an unreduced (numerator, denominator) pair
+    of ints, so the loop does integer arithmetic only; ``Fraction`` reduces
+    every surviving coefficient once at the end.
+    """
+    acc: dict[Monomial, tuple[int, int]] = {}
+    get = acc.get
+    for a, b in pairs:
+        for m1, c1 in a.terms:
+            n1, d1 = c1.numerator, c1.denominator
+            for m2, c2 in b.terms:
+                mono = tuple(map(add, m1, m2)) if params else m1
+                n, d = n1 * c2.numerator, d1 * c2.denominator
+                prev = get(mono)
+                if prev is None:
+                    acc[mono] = (n, d)
+                elif prev[1] == d:
+                    acc[mono] = (prev[0] + n, d)
+                else:
+                    acc[mono] = (prev[0] * d + n * prev[1], prev[1] * d)
+    return Scalar.from_terms(params, {m: Fraction(n, d) for m, (n, d) in acc.items() if n})
+
+
 def _frac_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -272,6 +377,26 @@ def exact_div(numerator: Scalar, divisor: Scalar) -> Scalar | None:
 #   term   := factor ('*' factor)*
 #   factor := base ('^' uint)?
 #   base   := int | int '/' int | name | '(' expr ')' | '-' base
+#
+# Input budgets: an exponent above MAX_EXPONENT, a power that may have more
+# than MAX_TERMS terms (refused before it is computed), and any parsed
+# operation whose result has more than MAX_TERMS terms are parse errors, so
+# a hostile coefficient cannot burn CPU.  Both limits sit far above what a
+# structure constant needs.
+
+MAX_EXPONENT = 64
+MAX_TERMS = 256
+
+
+def _power_terms_bound(base: Scalar, exponent: int) -> int:
+    """An upper bound on the number of terms of base ** exponent."""
+    n = len(base.terms)
+    if exponent == 0 or n <= 1:
+        return 1
+    k = len(base.appearing_parameters())
+    # multinomial count of term choices, and the count of monomials of
+    # bounded total degree in the k parameters that occur
+    return min(comb(n + exponent - 1, exponent), comb(exponent * base.total_degree() + k, k))
 
 
 class _Parser:
@@ -303,16 +428,23 @@ class _Parser:
             raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
         return value
 
+    def bounded(self, value: Scalar) -> Scalar:
+        if len(value.terms) > MAX_TERMS:
+            raise self.error(
+                f"expression has {len(value.terms)} terms, more than MAX_TERMS = {MAX_TERMS}"
+            )
+        return value
+
     def expr(self) -> Scalar:
         value = self.term()
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                value = value + self.term()
+                value = self.bounded(value + self.term())
             elif ch == "-":
                 self.pos += 1
-                value = value - self.term()
+                value = self.bounded(value - self.term())
             else:
                 return value
 
@@ -320,20 +452,26 @@ class _Parser:
         value = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            value = value * self.factor()
+            value = self.bounded(value * self.factor())
         return value
 
     def factor(self) -> Scalar:
         value = self.base()
         if self.peek() == "^":
             self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
+            if not self.peek().isdigit():
                 raise self.error("expected an unsigned integer exponent after '^'")
-            value = value ** int(self.text[start:self.pos])
+            start = self.pos
+            exponent = self._integer()
+            if exponent > MAX_EXPONENT:
+                raise ScalarParseError(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}", start)
+            bound = _power_terms_bound(value, exponent)
+            if bound > MAX_TERMS:
+                raise ScalarParseError(
+                    f"power may have up to {bound} terms, more than MAX_TERMS = {MAX_TERMS}",
+                    start,
+                )
+            value = self.bounded(value**exponent)
         return value
 
     def base(self) -> Scalar:
@@ -376,7 +514,10 @@ class _Parser:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # a non-ASCII digit, or more digits than int() converts
+            raise ScalarParseError("invalid integer literal", start) from None
 
     def _name(self) -> str:
         self.skip_ws()

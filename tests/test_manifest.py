@@ -2,18 +2,27 @@
 
 import copy
 import json
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactframe import (
     ManifestError,
+    ManifestIssue,
     dump_manifest,
     load_manifest,
     load_manifest_file,
     make_abelian3,
     make_lambda_family,
+    make_sasakian3,
     manifest_hash,
 )
+from contactframe.manifest import MAX_DIMENSION
+from contactframe.scalars import MAX_EXPONENT, MAX_TERMS
 
 LAMBDA_PATH = "manifests/lambda_family.json"
 ABELIAN_PATH = "manifests/abelian3.json"
@@ -136,3 +145,109 @@ def test_hash_is_order_insensitive_via_canonical_dump():
     doc_a = dump_manifest(m, s)
     doc_b = dump_manifest(*load_manifest(doc_a))
     assert manifest_hash(doc_a) == manifest_hash(doc_b)
+
+
+# -- input budgets -------------------------------------------------------------------
+
+
+def _heisenberg_doc(n: int) -> dict:
+    """H^(2n+1): frame xi, X_a, Y_a with [X_a, Y_a] = 2 xi and phi X_a = Y_a."""
+    dim = 2 * n + 1
+    phi = [["0"] * dim for _ in range(dim)]
+    for a in range(1, n + 1):
+        phi[n + a][a], phi[a][n + a] = "1", "-1"
+    return {
+        "dimension": dim,
+        "parameters": [],
+        "structure_constants": [
+            {"i": 1 + a, "j": 1 + n + a, "k": 1, "coeff": "2"} for a in range(1, n + 1)
+        ],
+        "contact": {"xi": 1, "eta": ["1"] + ["0"] * (dim - 1), "phi": phi},
+    }
+
+
+def _coeff_doc(coeff: str) -> dict:
+    """The lambda family with one extra coefficient over parameters x and y."""
+    doc = copy.deepcopy(_base_doc())
+    doc["parameters"] = ["lambda", "x", "y"]
+    doc["structure_constants"].append({"i": 1, "j": 2, "k": 1, "coeff": coeff})
+    return doc
+
+
+def _budget_issue(doc: dict) -> ManifestIssue:
+    with pytest.raises(ManifestError) as excinfo:
+        load_manifest(doc)
+    (issue,) = excinfo.value.issues
+    return issue
+
+
+def test_budgets_admit_committed_manifests_zoo_entries_and_h9():
+    for path in sorted(Path("manifests").glob("*.json")):
+        load_manifest_file(str(path))
+    for entry in (
+        make_lambda_family(),
+        make_lambda_family(Fraction(1, 2)),
+        make_sasakian3(),
+        make_abelian3(),
+    ):
+        load_manifest(dump_manifest(entry.manifold, entry.structure))
+    assert load_manifest(_heisenberg_doc(4))[0].dim == 9
+    assert load_manifest(_heisenberg_doc((MAX_DIMENSION - 1) // 2))[0].dim == MAX_DIMENSION
+
+
+@pytest.mark.parametrize("dim", [MAX_DIMENSION + 1, MAX_DIMENSION + 2])
+def test_dimension_just_past_the_limit_is_refused(dim):
+    doc = _heisenberg_doc((MAX_DIMENSION - 1) // 2)
+    doc["dimension"] = dim
+    issue = _budget_issue(doc)
+    assert issue.path == "dimension"
+    assert "MAX_DIMENSION" in issue.message
+
+
+def test_exponent_just_past_the_limit_is_refused():
+    load_manifest(_coeff_doc(f"x^{MAX_EXPONENT}"))
+    issue = _budget_issue(_coeff_doc(f"x^{MAX_EXPONENT + 1}"))
+    assert issue.path.startswith("structure_constants[") and issue.path.endswith("].coeff")
+    assert "MAX_EXPONENT" in issue.message
+
+
+def _monomial_sum(count: int) -> str:
+    monomials = [f"x^{a}*y^{b}" for a in range(17) for b in range(17)]
+    return "+".join(monomials[:count])
+
+
+def test_sum_just_past_the_term_limit_is_refused():
+    m, _ = load_manifest(_coeff_doc(_monomial_sum(MAX_TERMS)))
+    assert len(m.c[0][1][0].terms) == MAX_TERMS
+    issue = _budget_issue(_coeff_doc(_monomial_sum(MAX_TERMS + 1)))
+    assert issue.path.endswith("].coeff")
+    assert "MAX_TERMS" in issue.message
+
+
+def test_product_past_the_term_limit_is_refused():
+    """Each factor is small; the product's 16 * 17 = 272 terms are not."""
+    xs = "+".join(f"x^{a}" for a in range(16))
+    ys = "+".join(f"y^{b}" for b in range(17))
+    issue = _budget_issue(_coeff_doc(f"({xs})*({ys})"))
+    assert "MAX_TERMS" in issue.message
+
+
+def test_large_power_is_refused_before_it_is_computed():
+    """(x+y+1)^40 has 861 terms; the bound refuses it without expanding it."""
+    start = time.perf_counter()
+    issue = _budget_issue(_coeff_doc("(x+y+1)^40"))
+    assert time.perf_counter() - start < 0.5
+    assert "MAX_TERMS" in issue.message
+    load_manifest(_coeff_doc("(x+y+1)^12"))  # 91 terms
+
+
+def test_budget_breach_exits_2_with_its_path(tmp_path):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(_coeff_doc("(x+y+1)^40")))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactframe", "verify", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "structure_constants[" in proc.stderr and "MAX_TERMS" in proc.stderr

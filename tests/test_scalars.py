@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactframe.scalars import (
     IncompleteAssignmentError,
+    ParameterMismatchError,
     Scalar,
     ScalarError,
     ScalarParseError,
@@ -145,3 +146,60 @@ def test_parameter_mismatch_is_rejected():
     b = Scalar.variable(("y",), "y")
     with pytest.raises(ScalarError):
         _ = a + b
+
+
+# -- kernel laws: canonical results and the fused sum of products ------------------
+
+
+def assert_canonical(s: Scalar) -> None:
+    """Strictly descending monomials, no zero coefficient, Fraction coefficients."""
+    monos = [mono for mono, _ in s.terms]
+    assert all(a > b for a, b in zip(monos, monos[1:])), s.terms
+    for mono, coeff in s.terms:
+        assert len(mono) == len(s.params)
+        assert type(coeff) is Fraction
+        assert coeff != 0
+
+
+raw_coeffs = st.one_of(st.integers(-5, 5), coeffs)
+
+
+@HUNDRED
+@given(st.lists(st.tuples(scalars(), scalars()), max_size=4))
+def test_sum_of_products_is_the_left_fold(pairs):
+    fold = Scalar.zero(PARAMS)
+    for a, b in pairs:
+        fold = fold + a * b
+    fused = Scalar.sum_of_products(PARAMS, pairs)
+    assert fused == fold
+    assert_canonical(fused)
+
+
+@HUNDRED
+@given(scalars(), scalars(), raw_coeffs)
+def test_operations_return_canonical_scalars(a, b, factor):
+    for result in (a + b, a - b, b - a, a * b, -a, a.scale(factor), a * factor, factor * a):
+        assert_canonical(result)
+
+
+@HUNDRED
+@given(st.dictionaries(monomials, raw_coeffs, max_size=6))
+def test_from_terms_canonicalises_int_and_fraction_inputs(mapping):
+    s = Scalar.from_terms(PARAMS, mapping)
+    assert_canonical(s)
+    assert dict(s.terms) == {m: Fraction(c) for m, c in mapping.items() if c != 0}
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "sum_of_products"])
+def test_parameter_mismatch_is_raised_with_a_zero_operand(op):
+    x = Scalar.variable(("x",), "x")
+    zero_y = Scalar.zero(("y",))
+    apply = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "sum_of_products": lambda a, b: Scalar.sum_of_products(("x",), [(a, b)]),
+    }[op]
+    for a, b in ((x, zero_y), (zero_y, x), (Scalar.zero(("x",)), zero_y)):
+        with pytest.raises(ParameterMismatchError):
+            apply(a, b)

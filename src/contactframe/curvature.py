@@ -11,10 +11,11 @@ definitional convention
 
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z ,
 
-applied verbatim to either connection kind; every closed-form identity is
-then *checked against* the computed tensor rather than assumed, so a sign
-slip in a quoted formula surfaces as report data instead of contaminating
-downstream tensors.
+applied to either connection kind; on constant frame coefficients it is
+one sum of products per component (see ``riemann``).  Every closed-form
+identity is then *checked against* the computed tensor rather than
+assumed, so a sign slip in a quoted formula surfaces as report data instead
+of contaminating downstream tensors.
 
 Ricci is the contraction S(X, Y) = sum_i R(X, E_i, E_i, Y) with lowered
 components R(X, Y, Z, W) = g(R(X, Y)Z, W); the scalar curvature is its
@@ -159,12 +160,9 @@ class Curvature4Tensor:
 
     def endomorphism(self, x: FrameVector, y: FrameVector) -> Endomorphism:
         """R(X, Y) as an endomorphism: column k is R(X, Y)E_k."""
-        one, zero = Scalar.one(x.params), Scalar.zero(x.params)
+        basis = Endomorphism.identity(self.dim, x.params)
         return Endomorphism.from_columns(
-            [
-                self.apply(x, y, FrameVector(tuple(one if i == k else zero for i in range(self.dim))))
-                for k in range(self.dim)
-            ]
+            [self.apply(x, y, basis.column(k)) for k in range(self.dim)]
         )
 
 
@@ -182,7 +180,7 @@ def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
     gamma = conn.gamma
     neg_gamma = tuple(tuple(tuple(-g for g in row) for row in plane) for plane in gamma)
     neg_c = tuple(tuple(tuple(-c for c in row) for row in plane) for plane in m.c)
-    # by_source[i][l][m] = Gamma_im^l and by_target[k][l][m] = Gamma_mk^l
+    # by_source[i][l][n] = Gamma_in^l and by_target[k][l][n] = Gamma_nk^l
     by_source = tuple(tuple(tuple(gamma[i][n][l] for n in idx) for l in idx) for i in idx)
     by_target = tuple(tuple(tuple(gamma[n][k][l] for n in idx) for l in idx) for k in idx)
 

@@ -10,7 +10,11 @@ The instances: the symbolic lambda family and the abelian 3-dimensional
 frame (the gated path) under every suite, the lambda = 0 and lambda = 1/2
 members, the Heisenberg group H^5 (``manifests/heisenberg5.json``) and one
 dense random dimension-5 frame whose Jacobi identity fails, so every derived
-section is gated (``manifests/random5.json``), each under ``all``.
+section is gated (``manifests/random5.json``), each under ``all``.  The
+contact metric (kappa, mu)-space with kappa = 3/4 and mu = -1
+(``manifests/kmu3.json``) passes the structural layer but has no single
+nullity constant, so it freezes the kappa-absent gate under ``all`` and
+``nkappa``.
 
 The ``curvature`` command's JSON tables are frozen too, because the gated
 random frames show their dense, many-term Levi-Civita and Riemann tensors
@@ -67,6 +71,7 @@ INSTANCES = {
     "abelian3": _manifest_file("abelian3.json"),
     "heisenberg5": _manifest_file("heisenberg5.json"),
     "random5": _manifest_file("random5.json"),
+    "kmu3": _manifest_file("kmu3.json"),
 }
 
 CASES = (
@@ -74,6 +79,7 @@ CASES = (
     + [("lambda_0", "all"), ("lambda_1_2", "all")]
     + [("abelian3", suite) for suite in SUITES]
     + [("heisenberg5", "all"), ("random5", "all")]
+    + [("kmu3", "all"), ("kmu3", "nkappa")]
 )
 
 

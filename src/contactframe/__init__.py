@@ -19,7 +19,6 @@ from .contact import (
     AlmostContactData,
     StructureClass,
     StructureInconsistencyError,
-    classify,
     compute_h,
     detect_kappa,
     h_property_checks,
@@ -31,7 +30,6 @@ from .curvature import (
     ConnectionConsistencyError,
     Curvature4Tensor,
     levi_civita,
-    metric_form,
     ricci,
     riemann,
     scalar_curvature,
@@ -49,7 +47,7 @@ from .manifest import (
 )
 from .report import Check, VerificationReport, emit
 from .scalars import Scalar, ScalarError, exact_div, parse_scalar
-from .suite import SUITES, run_suite
+from .suite import SUITES, Instance, classify, run_suite
 from .tanaka_webster import (
     GssfCoefficients,
     GtwPackage,
@@ -97,6 +95,7 @@ __all__ = [
     "FrameVector",
     "GssfCoefficients",
     "GtwPackage",
+    "Instance",
     "LinearSolution",
     "ManifestError",
     "ManifestIssue",
@@ -133,7 +132,6 @@ __all__ = [
     "make_lambda_family",
     "make_sasakian3",
     "manifest_hash",
-    "metric_form",
     "parse_scalar",
     "render_vector",
     "ricci",

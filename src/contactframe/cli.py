@@ -21,6 +21,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations, product
+from typing import Iterable
 
 from .contact import StructureInconsistencyError, compute_h, detect_kappa
 from .curvature import (
@@ -69,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", parents=[common], help="grade the structural layer of a manifest"
     )
     p.add_argument("manifest", help="path to a JSON manifest")
+    p.set_defaults(suite="frame")
 
     p = sub.add_parser(
         "curvature", parents=[common], help="print connection and curvature tables"
@@ -130,15 +133,8 @@ def _vector_strings(v: FrameVector) -> list[str]:
     return [str(c) for c in v.components]
 
 
-def _cmd_validate(args, fmt: str) -> int:
-    m, s = load_manifest_file(args.manifest)
-    digest = manifest_hash(dump_manifest(m, s))
-    report = run_suite(m, s, suite="frame", manifest_hash=digest)
-    print(emit(report, fmt))
-    return 1 if report.has_failures else 0
-
-
 def _cmd_verify(args, fmt: str) -> int:
+    """verify, and validate (which runs suite "frame")."""
     m, s = load_manifest_file(args.manifest)
     digest = manifest_hash(dump_manifest(m, s))
     report = run_suite(m, s, suite=args.suite, manifest_hash=digest)
@@ -146,72 +142,58 @@ def _cmd_verify(args, fmt: str) -> int:
     return 1 if report.has_failures else 0
 
 
+def _nonzero(labelled: Iterable[tuple[tuple[int, ...], FrameVector]]) -> list:
+    """The (1-based indices, vector) pairs whose vector is nonzero, in order."""
+    return [(tuple(i + 1 for i in at), v) for at, v in labelled if not v.is_zero()]
+
+
 def _cmd_curvature(args, fmt: str) -> int:
     m, s = load_manifest_file(args.manifest)
     digest = manifest_hash(dump_manifest(m, s))
+    idx = range(m.dim)
     lc = levi_civita(m)
     r_lc = riemann(m, lc)
     if args.connection == "gtw":
         try:
-            h = compute_h(m, s)
-            pkg = build_gtw_package(m, s, lc, h)
+            pkg = build_gtw_package(m, s, lc, compute_h(m, s))
         except (StructureInconsistencyError, ConnectionConsistencyError) as exc:
             return _fail(
                 "the torsionful connection needs a valid contact metric "
                 f"structure: {exc}"
             )
-        conn, curv = pkg.conn, pkg.curv
-        ricci_form, tau = pkg.ricci, pkg.tau
-        torsion = pkg.torsion
+        conn, curv, ricci_form, tau = pkg.conn, pkg.curv, pkg.ricci, pkg.tau
+        torsion = _nonzero(((i, j), pkg.torsion[i][j]) for i, j in combinations(idx, 2))
     else:
         conn, curv = lc, r_lc
         ricci_form = ricci(m, curv)
         tau = scalar_curvature(m, ricci_form)
         torsion = None
     kappa = detect_kappa(m, s, r_lc)
-
-    derivatives = []
-    for i in range(m.dim):
-        for j in range(m.dim):
-            v = conn.derivative_basis(i, j)
-            if not v.is_zero():
-                derivatives.append({"i": i + 1, "j": j + 1, "value": _vector_strings(v)})
-    torsion_entries = []
-    if torsion is not None:
-        for i in range(m.dim):
-            for j in range(i + 1, m.dim):
-                v = torsion[i][j]
-                if not v.is_zero():
-                    torsion_entries.append(
-                        {"i": i + 1, "j": j + 1, "value": _vector_strings(v)}
-                    )
-    curvature_entries = []
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            for k in range(m.dim):
-                v = curv.vector(i, j, k)
-                if not v.is_zero():
-                    curvature_entries.append(
-                        {"i": i + 1, "j": j + 1, "k": k + 1, "value": _vector_strings(v)}
-                    )
-    ricci_matrix = [
-        [str(ricci_form.components[i][j]) for j in range(m.dim)] for i in range(m.dim)
-    ]
+    derivatives = _nonzero(
+        ((i, j), conn.derivative_basis(i, j)) for i, j in product(idx, repeat=2)
+    )
+    curvature = _nonzero(
+        ((i, j, k), curv.vector(i, j, k)) for (i, j), k in product(combinations(idx, 2), idx)
+    )
 
     if fmt == "json":
+
+        def entries(pairs: list) -> list[dict]:
+            return [dict(zip("ijk", at), value=_vector_strings(v)) for at, v in pairs]
+
         payload = {
             "connection": args.connection,
             "dimension": m.dim,
             "parameters": list(m.params),
             "manifest_hash": digest,
-            "derivatives": derivatives,
-            "curvature": curvature_entries,
-            "ricci": ricci_matrix,
+            "derivatives": entries(derivatives),
+            "curvature": entries(curvature),
+            "ricci": [[str(c) for c in row] for row in ricci_form.components],
             "scalar_curvature": str(tau),
             "kappa": str(kappa) if kappa is not None else None,
         }
         if torsion is not None:
-            payload["torsion"] = torsion_entries
+            payload["torsion"] = entries(torsion)
         _emit_json(payload)
         return 0
 
@@ -220,45 +202,24 @@ def _cmd_curvature(args, fmt: str) -> int:
         f"dimension: {m.dim}" + (f"  parameters: {', '.join(m.params)}" if m.params else ""),
         "covariant derivatives (nonzero):",
     ]
-    if derivatives:
-        for entry in derivatives:
-            lines.append(
-                f"  D_E{entry['i']} E{entry['j']} = "
-                + render_vector(conn.derivative_basis(entry["i"] - 1, entry["j"] - 1).components)
-            )
-    else:
-        lines.append("  (all zero)")
+    lines += [
+        f"  D_E{i} E{j} = {render_vector(v.components)}" for (i, j), v in derivatives
+    ] or ["  (all zero)"]
     if torsion is not None:
         lines.append("torsion (nonzero, i<j):")
-        if torsion_entries:
-            for entry in torsion_entries:
-                lines.append(
-                    f"  T(E{entry['i']},E{entry['j']}) = "
-                    + render_vector(torsion[entry["i"] - 1][entry["j"] - 1].components)
-                )
-        else:
-            lines.append("  (all zero)")
+        lines += [
+            f"  T(E{i},E{j}) = {render_vector(v.components)}" for (i, j), v in torsion
+        ] or ["  (all zero)"]
     lines.append("curvature (nonzero, i<j):")
-    if curvature_entries:
-        for entry in curvature_entries:
-            lines.append(
-                f"  R(E{entry['i']},E{entry['j']})E{entry['k']} = "
-                + render_vector(
-                    curv.vector(entry["i"] - 1, entry["j"] - 1, entry["k"] - 1).components
-                )
-            )
-    else:
-        lines.append("  (all zero)")
+    lines += [
+        f"  R(E{i},E{j})E{k} = {render_vector(v.components)}" for (i, j, k), v in curvature
+    ] or ["  (all zero)"]
     lines.append("ricci (nonzero):")
-    any_ricci = False
-    for i in range(m.dim):
-        for j in range(m.dim):
-            value = ricci_form.components[i][j]
-            if not value.is_zero():
-                lines.append(f"  S(E{i + 1},E{j + 1}) = {value}")
-                any_ricci = True
-    if not any_ricci:
-        lines.append("  (all zero)")
+    lines += [
+        f"  S(E{i + 1},E{j + 1}) = {ricci_form.components[i][j]}"
+        for i, j in product(idx, repeat=2)
+        if not ricci_form.components[i][j].is_zero()
+    ] or ["  (all zero)"]
     lines.append(f"scalar curvature: {tau}")
     lines.append(f"kappa: {kappa if kappa is not None else 'none'}")
     print("\n".join(lines))
@@ -357,7 +318,7 @@ def _cmd_boeckx(args, fmt: str) -> int:
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
+    "validate": _cmd_verify,
     "verify": _cmd_verify,
     "curvature": _cmd_curvature,
     "zoo": _cmd_zoo,

@@ -36,12 +36,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
-from .contact import AlmostContactData
 from .curvature import BilinearForm, Curvature4Tensor
-from .frames import Endomorphism, FrameImages, FrameManifold, FrameVector, frame_images
-from .report import VerificationReport, first_witness
+from .frames import Endomorphism, FrameManifold, FrameVector
+from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
+from .tanaka_webster import eta_einstein_fit
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
+    from .suite import Instance
 
 
 @dataclass(frozen=True)
@@ -53,25 +57,18 @@ class ConcircularTensor(Curvature4Tensor):
 
 def concircular(m: FrameManifold, curv: Curvature4Tensor) -> ConcircularTensor:
     """Build Z from the curvature; K is computed from the instance's n."""
-    n = m.n
-    coeff = Fraction(2 * n, 2 * n + 1)
-    components = []
-    for i in range(m.dim):
-        plane = []
-        for j in range(m.dim):
-            row = []
-            for k in range(m.dim):
-                ei, ej, ek = m.basis(i), m.basis(j), m.basis(k)
-                correction = (
-                    ei.scale(m.inner(ej, ek)) - ej.scale(m.inner(ei, ek))
-                ).scale(coeff)
-                row.append(tuple((curv.vector(i, j, k) - correction).components))
-            plane.append(tuple(row))
-        components.append(tuple(plane))
-    return ConcircularTensor(
-        components=tuple(components),
-        K=m.constant(Fraction(-2 * n, 2 * n + 1)),
+    coeff = Fraction(2 * m.n, 2 * m.n + 1)
+    idx = range(m.dim)
+    e = [m.basis(i) for i in idx]
+
+    def component(i: int, j: int, k: int) -> tuple[Scalar, ...]:
+        correction = e[i].scale(m.inner(e[j], e[k])) - e[j].scale(m.inner(e[i], e[k]))
+        return (curv.vector(i, j, k) - correction.scale(coeff)).components
+
+    components = tuple(
+        tuple(tuple(component(i, j, k) for k in idx) for j in idx) for i in idx
     )
+    return ConcircularTensor(components=components, K=m.constant(-coeff))
 
 
 def tensor_dot_tensor(
@@ -120,72 +117,71 @@ _FORM_CONVENTION_NOTE = (
 )
 
 
-def verify_concircular_suite(
-    m: FrameManifold,
-    s: AlmostContactData,
-    z: ConcircularTensor,
-    ricci_form: BilinearForm,
-) -> VerificationReport:
-    """Grade the xi-contraction identities and the theorem obstructions."""
-    report = VerificationReport()
-    xi = s.xi
-    K = z.K
-    img = frame_images(m, s)
-    e, eta = img.e, img.eta
-    idx = range(m.dim)
+# -- the concircular suite ------------------------------------------------------
+# One row per check, graded from the instance x (``suite.Instance``), whose Z
+# is ``x.z`` and whose ricci form is the torsionful connection's.
 
-    # Z(X, xi)xi = K (X - eta(X) xi): definitional expansion
+
+# Z(X, xi)xi = K (X - eta(X) xi): definitional expansion
+def _xi_double_contraction(report, name, x):
+    z, xi, e, eta = x.z, x.s.xi, x.img.e, x.img.eta
     report.graded(
-        "conc.xi_double_contraction",
-        first_witness(
-            product(idx, repeat=1),
-            lambda i: z.apply(e[i], xi, xi) - (e[i] - xi.scale(eta[i])).scale(K),
-        ),
+        name,
+        x.scan(1, lambda i: z.apply(e[i], xi, xi) - (e[i] - xi.scale(eta[i])).scale(z.K)),
         notes=(
             "asserted definitional expansion: Z(X, xi)xi = K(X - eta(X) xi) "
             "= -K phi^2 X under phi^2 = -I + eta (x) xi",
         ),
     )
 
-    # quoted variant K phi^2 X, evaluated under the adopted phi^2 sign
-    phi2 = s.phi.compose(s.phi)
+
+# quoted variant K phi^2 X, evaluated under the adopted phi^2 sign
+def _xi_double_contraction_phi_square(report, name, x):
+    z, xi, e = x.z, x.s.xi, x.img.e
+    phi2 = x.s.phi.compose(x.s.phi)
     report.reference(
-        "conc.xi_double_contraction_phi_square_variant",
-        first_witness(
-            product(idx, repeat=1),
-            lambda i: z.apply(e[i], xi, xi) - phi2.column(i).scale(K),
-        ),
+        name,
+        x.scan(1, lambda i: z.apply(e[i], xi, xi) - phi2.column(i).scale(z.K)),
         "the K phi^2 X variant matches only under the opposite "
         "phi^2 sign convention; recorded as data",
     )
 
-    # Z(X1, X2)xi = K (eta(X2) X1 - eta(X1) X2)
+
+# Z(X1, X2)xi = K (eta(X2) X1 - eta(X1) X2)
+def _xi_pair(report, name, x):
+    z, e, eta = x.z, x.img.e, x.img.eta
     report.graded(
-        "conc.xi_pair",
-        first_witness(
-            product(idx, repeat=2),
-            lambda i, j: z.apply(e[i], e[j], xi)
-            - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(K),
+        name,
+        x.scan(
+            2,
+            lambda i, j: z.apply(e[i], e[j], x.s.xi)
+            - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(z.K),
         ),
     )
 
-    # Z(X1, xi)X2 = K (eta(X2) X1 - g(X1, X2) xi)
+
+# Z(X1, xi)X2 = K (eta(X2) X1 - g(X1, X2) xi)
+def _xi_argument(report, name, x):
+    m, z, xi, e, eta = x.m, x.z, x.s.xi, x.img.e, x.img.eta
     report.graded(
-        "conc.xi_argument",
-        first_witness(
-            product(idx, repeat=2),
+        name,
+        x.scan(
+            2,
             lambda i, j: z.apply(e[i], xi, e[j])
-            - (e[i].scale(eta[j]) - xi.scale(m.inner(e[i], e[j]))).scale(K),
+            - (e[i].scale(eta[j]) - xi.scale(m.inner(e[i], e[j]))).scale(z.K),
         ),
     )
 
-    # eta(Z(X1, X2)X3) = K (eta(X1) g(X2, X3) - eta(X2) g(X1, X3))
+
+# eta(Z(X1, X2)X3) = K (eta(X1) g(X2, X3) - eta(X2) g(X1, X3))
+def _eta_contraction(report, name, x):
+    m, z, e, eta = x.m, x.z, x.img.e, x.img.eta
     report.graded(
-        "conc.eta_contraction",
-        first_witness(
-            product(idx, repeat=3),
-            lambda i, j, k: s.eta_of(m, z.vector(i, j, k))
-            - K * (eta[i] * m.inner(e[j], e[k]) - eta[j] * m.inner(e[i], e[k])),
+        name,
+        x.scan(
+            3,
+            lambda i, j, k: x.s.eta_of(m, z.vector(i, j, k))
+            - z.K * (eta[i] * m.inner(e[j], e[k]) - eta[j] * m.inner(e[i], e[k])),
         ),
         notes=(
             "asserted form: eta(Z(X1,X2)X3) = K[eta(X1) g(X2,X3) - "
@@ -195,49 +191,43 @@ def verify_concircular_suite(
         ),
     )
 
-    # reference slot order: K (eta(X3) g(X1, X2) - eta(X1) g(X3, X2))
+
+# reference slot order: K (eta(X3) g(X1, X2) - eta(X1) g(X3, X2))
+def _eta_contraction_reference(report, name, x):
+    m, z, e, eta = x.m, x.z, x.img.e, x.img.eta
     report.reference(
-        "conc.eta_contraction_reference_form",
-        first_witness(
-            product(idx, repeat=3),
-            lambda i, j, k: s.eta_of(m, z.vector(i, j, k))
-            - K * (eta[k] * m.inner(e[i], e[j]) - eta[i] * m.inner(e[k], e[j])),
+        name,
+        x.scan(
+            3,
+            lambda i, j, k: x.s.eta_of(m, z.vector(i, j, k))
+            - z.K * (eta[k] * m.inner(e[i], e[j]) - eta[i] * m.inner(e[k], e[j])),
         ),
         "reference variant K[eta(X3) g(X1,X2) - eta(X1) g(X3,X2)] "
         "disagrees with the computed contraction; recorded as data",
     )
 
-    report.extend(xi_flatness_check(m, s, z, img))
-    report.extend(phi_flatness_check(m, s, z, ricci_form, img))
-    report.extend(ricci_action_check(m, s, z, ricci_form, img))
-    report.extend(self_action_check(m, s, z, img))
-    return report
 
-
-def xi_flatness_check(
-    m: FrameManifold, s: AlmostContactData, z: ConcircularTensor, img: FrameImages
-) -> VerificationReport:
+def _xi_flatness_obstruction(report, name, x):
     """Obstruction: Z(X1, X2)xi cannot vanish identically.
 
-    PASS (holds) means the obstruction is present: some Z(E_i, E_j)xi is
-    nonzero AND every component agrees with the K-closed form, so the
-    non-flatness is structural, not accidental.
+    holds means the obstruction is present: some Z(E_i, E_j)xi is nonzero
+    AND every component agrees with the K-closed form, so the non-flatness
+    is structural, not accidental.
     """
-    report = VerificationReport()
-    e, eta = img.e, img.eta
-    idx = range(m.dim)
-    values = [[z.apply(e[i], e[j], s.xi) for j in idx] for i in idx]
+    z, e, eta = x.z, x.img.e, x.img.eta
+    idx = range(x.m.dim)
+    values = [[z.apply(e[i], e[j], x.s.xi) for j in idx] for i in idx]
 
     first_nonzero = first_witness(
         product(idx, repeat=2), lambda i, j: values[i][j], key="value"
     )
-    bad = first_witness(
-        product(idx, repeat=2),
+    bad = x.scan(
+        2,
         lambda i, j: values[i][j] - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(z.K),
     )
     if first_nonzero is not None and bad is None:
         report.holds(
-            "conc.xi_flatness_obstruction",
+            name,
             witness=first_nonzero,
             notes=(
                 "the instance cannot be xi-flat for this tensor: the witness "
@@ -246,35 +236,23 @@ def xi_flatness_check(
         )
     elif first_nonzero is None:
         report.fails(
-            "conc.xi_flatness_obstruction",
+            name,
             witness={"residual": "Z(X1, X2)xi vanished identically"},
             notes=("flatness achieved, contradicting the stated obstruction",),
         )
     else:
         report.fails(
-            "conc.xi_flatness_obstruction",
-            witness=bad,
-            notes=("a component disagrees with the K-closed form",),
+            name, witness=bad, notes=("a component disagrees with the K-closed form",)
         )
-    return report
 
 
-def phi_flatness_check(
-    m: FrameManifold,
-    s: AlmostContactData,
-    z: ConcircularTensor,
-    ricci_form: BilinearForm,
-    img: FrameImages,
-) -> VerificationReport:
+def _phi_flatness(report, name, x):
     """Test g(Z(phi X1, phi X2)phi X3, phi X4) = 0; on success fit eta-Einstein.
 
     The scan covers only indices whose frame vector survives phi (phi xi = 0
     makes xi-slots vacuous).
     """
-    from .tanaka_webster import eta_einstein_fit
-
-    report = VerificationReport()
-    phi_e = img.phi
+    m, z, phi_e = x.m, x.z, x.img.phi
     survivors = [i for i in range(m.dim) if not phi_e[i].is_zero()]
 
     @lru_cache(maxsize=1)
@@ -287,53 +265,47 @@ def phi_flatness_check(
     )
     if first_nonzero is not None:
         report.not_applicable(
-            "conc.phi_flatness",
+            name,
             witness=first_nonzero,
             notes=(
                 "the phi-flatness hypothesis does not hold on this instance; "
                 "the implication's conclusion is therefore not tested",
             ),
         )
-        return report
-    fit = eta_einstein_fit(m, s, ricci_form)
+        return
+    fit = eta_einstein_fit(m, x.s, x.pkg.ricci)
     if fit is None:
         report.fails(
-            "conc.phi_flatness",
+            name,
             witness={"residual": "phi-flat but no eta-Einstein fit exists"},
             notes=("the implication's conclusion failed under its hypothesis",),
         )
     else:
         a_coeff, b_coeff = fit
         report.holds(
-            "conc.phi_flatness",
+            name,
             witness={"A": str(a_coeff), "B": str(b_coeff)},
             notes=("phi-flat instance; the ricci form fits A g + B eta (x) eta",),
         )
-    return report
 
 
-def ricci_action_check(
-    m: FrameManifold,
-    s: AlmostContactData,
-    z: ConcircularTensor,
-    ricci_form: BilinearForm,
-    img: FrameImages,
-) -> VerificationReport:
+# (Z(xi, E_i).ricci)(E_j, X3)
+def _ricci_action(x, x3: FrameVector, i: int, j: int) -> Scalar:
+    e = x.img.e
+    return tensor_dot_form(x.m, x.z, x.pkg.ricci, x.s.xi, e[i], e[j], x3)
+
+
+def _ricci_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X1).ricci)(X2, X3) cannot vanish identically."""
-    report = VerificationReport()
-    xi = s.xi
-    e = img.e
-    idx = range(m.dim)
-
-    def action(x3: FrameVector, i: int, j: int) -> Scalar:
-        return tensor_dot_form(m, z, ricci_form, xi, e[i], e[j], x3)
-
+    e = x.img.e
     first_nonzero = first_witness(
-        product(idx, repeat=3), lambda i, j, k: action(e[k], i, j), key="value"
+        product(range(x.m.dim), repeat=3),
+        lambda i, j, k: _ricci_action(x, e[k], i, j),
+        key="value",
     )
     if first_nonzero is not None:
         report.holds(
-            "conc.ricci_action_obstruction",
+            name,
             witness=first_nonzero,
             notes=(
                 "the action of Z(xi, .) on the ricci form is not identically "
@@ -343,17 +315,21 @@ def ricci_action_check(
         )
     else:
         report.fails(
-            "conc.ricci_action_obstruction",
+            name,
             witness={"residual": "Z(xi, X).ricci vanished identically"},
             notes=("the stated obstruction is absent on this instance",),
         )
 
-    # slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2); the
-    # opposite sign is tried before declaring failure
+
+# slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2); the
+# opposite sign is tried before declaring failure
+def _ricci_action_slice(report, name, x):
+    ric = x.pkg.ricci.components
+
     def slice_witness(sign: int) -> dict | None:
-        return first_witness(
-            product(idx, repeat=2),
-            lambda i, j: action(xi, i, j) + (z.K * ricci_form.components[i][j]).scale(sign),
+        return x.scan(
+            2,
+            lambda i, j: _ricci_action(x, x.s.xi, i, j) + (x.z.K * ric[i][j]).scale(sign),
         )
 
     matched_sign = "-K"
@@ -362,7 +338,7 @@ def ricci_action_check(
         matched_sign = "+K"
         witness = None
     report.graded(
-        "conc.ricci_action_slice",
+        name,
         witness,
         notes=(
             f"slice (Z(xi,X1).ricci)(X2,xi) equals {matched_sign} * ricci(X1,X2) "
@@ -372,24 +348,20 @@ def ricci_action_check(
             _FORM_CONVENTION_NOTE,
         ),
     )
-    return report
 
 
-def self_action_check(
-    m: FrameManifold, s: AlmostContactData, z: ConcircularTensor, img: FrameImages
-) -> VerificationReport:
+def _self_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
-    report = VerificationReport()
-    e = img.e
-    z_xi = [z.endomorphism(s.xi, e[i]) for i in range(m.dim)]
+    z, e = x.z, x.img.e
+    z_xi = [z.endomorphism(x.s.xi, e[i]) for i in range(x.m.dim)]
     first_nonzero = first_witness(
-        product(range(m.dim), repeat=4),
+        product(range(x.m.dim), repeat=4),
         lambda i, j, k, l: endomorphism_dot_tensor(z_xi[i], z, e[j], e[k], e[l]),
         key="value",
     )
     if first_nonzero is not None:
         report.holds(
-            "conc.self_action_obstruction",
+            name,
             witness=first_nonzero,
             notes=(
                 "the action of Z(xi, .) on Z itself is not identically zero; "
@@ -400,8 +372,27 @@ def self_action_check(
         )
     else:
         report.fails(
-            "conc.self_action_obstruction",
+            name,
             witness={"residual": "Z(xi, X).Z vanished identically"},
             notes=("the stated obstruction is absent on this instance",),
         )
-    return report
+
+
+CONC_ROWS: tuple[Row, ...] = (
+    ("conc.xi_double_contraction", _xi_double_contraction),
+    ("conc.xi_double_contraction_phi_square_variant", _xi_double_contraction_phi_square),
+    ("conc.xi_pair", _xi_pair),
+    ("conc.xi_argument", _xi_argument),
+    ("conc.eta_contraction", _eta_contraction),
+    ("conc.eta_contraction_reference_form", _eta_contraction_reference),
+    ("conc.xi_flatness_obstruction", _xi_flatness_obstruction),
+    ("conc.phi_flatness", _phi_flatness),
+    ("conc.ricci_action_obstruction", _ricci_action_obstruction),
+    ("conc.ricci_action_slice", _ricci_action_slice),
+    ("conc.self_action_obstruction", _self_action_obstruction),
+)
+
+
+def verify_concircular_suite(x: "Instance") -> VerificationReport:
+    """Grade the xi-contraction identities and the theorem obstructions of ``x.z``."""
+    return grade_rows(CONC_ROWS, x)

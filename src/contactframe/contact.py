@@ -20,8 +20,8 @@ phi in the second slot is the unique assignment validating the worked
 The operator h = 1/2 L_xi phi is computed from the Lie derivative and
 checked against its classical properties (symmetric, anticommutes with
 phi, trace-free, kills xi).  ``detect_kappa`` recovers the nullity
-constant of a curvature tensor when one exists, and ``classify`` sorts an
-instance into contact metric / K-contact / Sasakian.
+constant of a curvature tensor when one exists; ``suite.classify`` sorts an
+instance into contact metric / K-contact / Sasakian as a ``StructureClass``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .curvature import Connection, Curvature4Tensor
+from .curvature import Curvature4Tensor
 from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
 from .report import VerificationReport, first_witness
 from .scalars import Scalar, exact_div
@@ -185,58 +185,18 @@ def detect_kappa(
     """
     num: Scalar | None = None  # numerator of the first determining equation
     den: Scalar | None = None
-    for i in range(m.dim):
-        for j in range(m.dim):
-            lhs = r.apply(m.basis(i), m.basis(j), s.xi)
-            rhs = m.basis(i).scale(s.eta_of(m, m.basis(j))) - m.basis(j).scale(
-                s.eta_of(m, m.basis(i))
-            )
-            for k in range(m.dim):
-                a = lhs.components[k]
-                b = rhs.components[k]
-                if b.is_zero():
-                    if not a.is_zero():
-                        return None  # kappa * 0 = nonzero: inconsistent
-                    continue
-                if num is None:
-                    num, den = a, b
-                else:
-                    # consistency of a/b with num/den by cross-multiplication
-                    if not (a * den - num * b).is_zero():
-                        return None
+    e = [m.basis(i) for i in range(m.dim)]
+    for i, j in product(range(m.dim), repeat=2):
+        lhs = r.apply(e[i], e[j], s.xi)
+        rhs = e[i].scale(s.eta_of(m, e[j])) - e[j].scale(s.eta_of(m, e[i]))
+        for a, b in zip(lhs.components, rhs.components):
+            if b.is_zero():
+                if not a.is_zero():
+                    return None  # kappa * 0 = nonzero: inconsistent
+            elif num is None:
+                num, den = a, b
+            elif not (a * den - num * b).is_zero():
+                return None  # a/b disagrees with num/den (cross-multiplied)
     if num is None or den is None:
         return None
     return exact_div(num, den)
-
-
-def classify(
-    m: FrameManifold,
-    s: AlmostContactData,
-    conn: Connection,
-    r: Curvature4Tensor,
-) -> StructureClass:
-    """Sort an instance into contact metric / K-contact / Sasakian classes."""
-    acm_ok = not validate_acm(m, s).has_failures
-    h = m.lie_derive_endo(s.xi, s.phi).scale(Fraction(1, 2))
-    k_contact = acm_ok and h.is_zero()
-
-    sasakian = acm_ok
-    if acm_ok:
-        dphi = [conn.derivative_endo(m, i, s.phi) for i in range(m.dim)]
-        img = frame_images(m, s)
-        sasakian = (
-            first_witness(
-                product(range(m.dim), repeat=2),
-                lambda i, j: dphi[i].column(j)
-                - s.xi.scale(m.inner(img.e[i], img.e[j]))
-                + img.e[i].scale(img.eta[j]),
-            )
-            is None
-        )
-
-    return StructureClass(
-        is_contact_metric=acm_ok,
-        is_K_contact=k_contact,
-        is_Sasakian=sasakian,
-        kappa=detect_kappa(m, s, r) if acm_ok else None,
-    )

@@ -31,12 +31,12 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import TYPE_CHECKING
 
-from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
-from .report import VerificationReport, first_witness
+from .frames import Endomorphism, FrameManifold, FrameVector
+from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
-    from .contact import AlmostContactData
+    from .suite import Instance
 
 LEVI_CIVITA = "levi_civita"
 TANAKA_WEBSTER = "tanaka_webster"
@@ -75,12 +75,12 @@ class Connection:
 
     def derivative_endo(self, m: FrameManifold, i: int, a: Endomorphism) -> Endomorphism:
         """(nabla_{E_i} A) as an endomorphism, columnwise on the frame."""
-        columns = []
-        for j in range(m.dim):
-            columns.append(
+        return Endomorphism.from_columns(
+            [
                 self.derivative(i, a.column(j)) - a.apply(self.derivative_basis(i, j))
-            )
-        return Endomorphism.from_columns(columns)
+                for j in range(m.dim)
+            ]
+        )
 
     def derivative_covector(self, m: FrameManifold, i: int, eta: FrameVector, j: int) -> Scalar:
         """(nabla_{E_i} eta)(E_j) = -eta(nabla_{E_i} E_j) for constant eta."""
@@ -107,18 +107,12 @@ def levi_civita(m: FrameManifold) -> Connection:
     conn = Connection(kind=LEVI_CIVITA, gamma=gamma)
     # metric compatibility and torsion-freeness are structural for the Koszul
     # output on antisymmetric c, so a violation indicates malformed input
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                if not (conn.gamma[i][j][k] + conn.gamma[i][k][j]).is_zero():
-                    raise ConnectionConsistencyError(
-                        f"metric compatibility violated at ({i + 1},{j + 1},{k + 1})"
-                    )
-                torsion = conn.gamma[i][j][k] - conn.gamma[j][i][k] - m.c[i][j][k]
-                if not torsion.is_zero():
-                    raise ConnectionConsistencyError(
-                        f"torsion-freeness violated at ({i + 1},{j + 1},{k + 1})"
-                    )
+    for i, j, k in product(range(m.dim), repeat=3):
+        at = f"({i + 1},{j + 1},{k + 1})"
+        if not (gamma[i][j][k] + gamma[i][k][j]).is_zero():
+            raise ConnectionConsistencyError(f"metric compatibility violated at {at}")
+        if not (gamma[i][j][k] - gamma[j][i][k] - m.c[i][j][k]).is_zero():
+            raise ConnectionConsistencyError(f"torsion-freeness violated at {at}")
     return conn
 
 
@@ -226,38 +220,12 @@ class BilinearForm:
             ),
         )
 
-    def __sub__(self, other: "BilinearForm") -> "BilinearForm":
-        return BilinearForm(
-            tuple(
-                tuple(a - b for a, b in zip(row_a, row_b))
-                for row_a, row_b in zip(self.components, other.components)
-            )
-        )
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.components for a in row)
-
-    def is_symmetric(self) -> bool:
-        return all(
-            (self.components[i][j] - self.components[j][i]).is_zero()
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
-
 
 def ricci(m: FrameManifold, r: Curvature4Tensor) -> BilinearForm:
     """S(E_j, E_l) = sum_i R(E_j, E_i, E_i, E_l)."""
+    idx, zero = range(m.dim), m.zero_scalar()
     return BilinearForm(
-        tuple(
-            tuple(
-                sum(
-                    (r.lowered(j, i, i, l) for i in range(m.dim)),
-                    m.zero_scalar(),
-                )
-                for l in range(m.dim)
-            )
-            for j in range(m.dim)
-        )
+        tuple(tuple(sum((r.lowered(j, i, i, l) for i in idx), zero) for l in idx) for j in idx)
     )
 
 
@@ -265,198 +233,210 @@ def scalar_curvature(m: FrameManifold, s: BilinearForm) -> Scalar:
     return sum((s.components[i][i] for i in range(m.dim)), m.zero_scalar())
 
 
-def metric_form(m: FrameManifold) -> BilinearForm:
-    return BilinearForm(
-        tuple(
-            tuple(m.one_scalar() if i == j else m.zero_scalar() for j in range(m.dim))
-            for i in range(m.dim)
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
-# N(kappa) identity suite
+# N(kappa) identity suite: one row per check of the Levi-Civita curvature,
+# graded on every basis tuple from the instance x (``suite.Instance``).
+# Reference variants that disagree with the computed tensors are reported as
+# informational entries rather than failures.
 # ---------------------------------------------------------------------------
 
 
-def verify_nkappa_suite(
-    m: FrameManifold,
-    structure: "AlmostContactData",
-    h: Endomorphism,
-    conn: Connection,
-    r: Curvature4Tensor,
-    kappa: Scalar,
-) -> VerificationReport:
-    """Check the nullity-class identities on every basis tuple, exactly.
+def _nullity_constant(report, name, x):
+    report.holds(name, witness={"kappa": str(x.kappa)})
 
-    ``kappa`` must be the detected nullity constant of ``r`` (the Levi-Civita
-    curvature).  Each identity becomes one named report entry; reference
-    variants that disagree with the computed tensors are reported as
-    informational entries rather than failures.
-    """
-    report = VerificationReport()
-    phi, xi = structure.phi, structure.xi
-    img = frame_images(m, structure, h)
-    e, eta = img.e, img.eta
-    idx = range(m.dim)
-    one = m.one_scalar()
 
-    report.holds(
-        "nkappa.nullity_constant",
-        witness={"kappa": str(kappa)},
-    )
-
-    # covariant derivative of the characteristic field: nabla_X xi = -phi X - phi h X
+def _xi_covariant_derivative(report, name, x):
     report.graded(
-        "nkappa.xi_covariant_derivative",
-        first_witness(
-            product(idx, repeat=1),
-            lambda i: conn.derivative(i, xi) + img.phi[i] + img.phi_h[i],
-        ),
+        name,
+        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.img.phi[i] + x.img.phi_h[i]),
         notes=(
             "asserted form: nabla_X xi = -phi X - phi h X; the variant with a bare "
             "h-term is checked separately as a reference form",
         ),
     )
-    # reference variant: nabla_X xi = -phi X - h X
+
+
+def _xi_covariant_derivative_reference(report, name, x):
     report.reference(
-        "nkappa.xi_covariant_derivative_reference_form",
-        first_witness(
-            product(idx, repeat=1),
-            lambda i: conn.derivative(i, xi) + img.phi[i] + img.h[i],
-        ),
+        name,
+        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.img.phi[i] + x.img.h[i]),
         "reference variant -phi X - h X disagrees with the computed "
         "derivative; recorded as data",
     )
 
-    # (nabla_X phi)Y = g(X + hX, Y) xi - eta(Y)(X + hX)
-    dphi = [conn.derivative_endo(m, i, phi) for i in idx]
-    x_plus_hx = [e[i] + img.h[i] for i in idx]
+
+# (nabla_X phi)Y = g(X + hX, Y) xi - eta(Y)(X + hX)
+def _phi_covariant_derivative(report, name, x):
+    dphi, x_plus_hx, eta = x.dphi_lc, x.x_plus_hx, x.img.eta
     report.graded(
-        "nkappa.phi_covariant_derivative",
-        first_witness(
-            product(idx, repeat=2),
+        name,
+        x.scan(
+            2,
             lambda i, j: dphi[i].column(j)
-            - xi.scale(x_plus_hx[i].components[j])
+            - x.s.xi.scale(x_plus_hx[i].components[j])
             + x_plus_hx[i].scale(eta[j]),
         ),
     )
 
-    # h^2 = (kappa - 1) phi^2, scanned column by column
-    diff = h.compose(h) - phi.compose(phi).scale(kappa - one)
+
+# h^2 = (kappa - 1) phi^2, scanned column by column
+def _h_square(report, name, x):
+    idx, phi = range(x.m.dim), x.s.phi
+    diff = x.h.compose(x.h) - phi.compose(phi).scale(x.kappa - x.m.one_scalar())
     report.graded(
-        "nkappa.h_square",
+        name,
         first_witness(((i, j) for j in idx for i in idx), lambda i, j: diff.matrix[i][j]),
     )
 
-    # (nabla_X h)Y = [(1-kappa) g(X, phi Y) + g(X, h phi Y)] xi + eta(Y) h(phi X + phi h X)
-    dh = [conn.derivative_endo(m, i, h) for i in idx]
-    h_phi = [h.apply(img.phi[j]) for j in idx]
-    tails = [h.apply(img.phi[i] + img.phi_h[i]) for i in idx]
+
+# (nabla_X h)Y = [(1-kappa) g(X, phi Y) + g(X, h phi Y)] xi + eta(Y) h(phi X + phi h X)
+def _h_covariant_derivative(report, name, x):
+    m, h, img = x.m, x.h, x.img
+    one_minus_kappa = m.one_scalar() - x.kappa
+    dh = [x.lc.derivative_endo(m, i, h) for i in range(m.dim)]
+    h_phi = [h.apply(v) for v in img.phi]
+    tails = [h.apply(v + w) for v, w in zip(img.phi, img.phi_h)]
     report.graded(
-        "nkappa.h_covariant_derivative",
-        first_witness(
-            product(idx, repeat=2),
+        name,
+        x.scan(
+            2,
             lambda i, j: dh[i].column(j)
-            - xi.scale((one - kappa) * img.phi[j].components[i] + h_phi[j].components[i])
-            - tails[i].scale(eta[j]),
+            - x.s.xi.scale(
+                one_minus_kappa * img.phi[j].components[i] + h_phi[j].components[i]
+            )
+            - tails[i].scale(img.eta[j]),
         ),
     )
 
-    # (nabla_X eta)Y = g(X + hX, phi Y)
+
+# (nabla_X eta)Y = g(X + hX, phi Y)
+def _eta_covariant_derivative(report, name, x):
+    m = x.m
     report.graded(
-        "nkappa.eta_covariant_derivative",
-        first_witness(
-            product(idx, repeat=2),
-            lambda i, j: conn.derivative_covector(m, i, structure.eta, j)
-            - m.inner(x_plus_hx[i], img.phi[j]),
+        name,
+        x.scan(
+            2,
+            lambda i, j: x.lc.derivative_covector(m, i, x.s.eta, j)
+            - m.inner(x.x_plus_hx[i], x.img.phi[j]),
         ),
     )
 
-    # R(X, xi)xi = kappa (X - eta(X) xi)
+
+# R(X, xi)xi = kappa (X - eta(X) xi)
+def _curvature_xi_xi(report, name, x):
+    xi, e, eta = x.s.xi, x.img.e, x.img.eta
     report.graded(
-        "nkappa.curvature_xi_xi",
-        first_witness(
-            product(idx, repeat=1),
-            lambda i: r.apply(e[i], xi, xi) - (e[i] - xi.scale(eta[i])).scale(kappa),
-        ),
+        name,
+        x.scan(1, lambda i: x.r.apply(e[i], xi, xi) - (e[i] - xi.scale(eta[i])).scale(x.kappa)),
     )
 
-    # R(X, Y)xi = c (eta(Y) X - eta(X) Y), with c = kappa here and c = +-1 below
-    def pair_xi_witness(c: Scalar) -> dict | None:
-        return first_witness(
-            product(idx, repeat=2),
-            lambda i, j: r.apply(e[i], e[j], xi)
-            - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(c),
-        )
 
-    report.graded("nkappa.curvature_pair_xi", pair_xi_witness(kappa))
+# R(X, Y)xi = c (eta(Y) X - eta(X) Y), with c = kappa here and c = +-1 below
+def _pair_xi_witness(x, c: Scalar) -> dict | None:
+    e, eta = x.img.e, x.img.eta
+    return x.scan(
+        2,
+        lambda i, j: x.r.apply(e[i], e[j], x.s.xi)
+        - (e[i].scale(eta[j]) - e[j].scale(eta[i])).scale(c),
+    )
 
-    # R(X, xi)Y = -kappa (g(X, Y) xi - eta(Y) X)
+
+def _curvature_pair_xi(report, name, x):
+    report.graded(name, _pair_xi_witness(x, x.kappa))
+
+
+# R(X, xi)Y = -kappa (g(X, Y) xi - eta(Y) X)
+def _curvature_xi_argument(report, name, x):
+    m, xi, e, eta = x.m, x.s.xi, x.img.e, x.img.eta
     report.graded(
-        "nkappa.curvature_xi_argument",
-        first_witness(
-            product(idx, repeat=2),
-            lambda i, j: r.apply(e[i], xi, e[j])
-            - (xi.scale(m.inner(e[i], e[j])) - e[i].scale(eta[j])).scale(-kappa),
+        name,
+        x.scan(
+            2,
+            lambda i, j: x.r.apply(e[i], xi, e[j])
+            - (xi.scale(m.inner(e[i], e[j])) - e[i].scale(eta[j])).scale(-x.kappa),
         ),
     )
 
-    # Ricci closed form:
-    # S = 2(n-1) g + 2(n-1) g(h., .) + [2n kappa - 2(n-1)] eta (x) eta
-    s_computed = ricci(m, r)
+
+# S = 2(n-1) g + 2(n-1) g(h., .) + [2n kappa - 2(n-1)] eta (x) eta
+def _ricci_closed_form(report, name, x):
+    m, img = x.m, x.img
     two_n_minus_2 = m.constant(2 * (m.n - 1))
-    eta_coeff = m.constant(2 * m.n) * kappa - two_n_minus_2
+    eta_coeff = m.constant(2 * m.n) * x.kappa - two_n_minus_2
     report.graded(
-        "nkappa.ricci_closed_form",
-        first_witness(
-            product(idx, repeat=2),
-            lambda i, j: s_computed.components[i][j]
-            - (
-                two_n_minus_2 * m.inner(e[i], e[j])
-                + two_n_minus_2 * img.h[i].components[j]
-                + eta_coeff * eta[i] * eta[j]
-            ),
+        name,
+        x.scan(
+            2,
+            lambda i, j: x.ricci.components[i][j]
+            - two_n_minus_2 * m.inner(img.e[i], img.e[j])
+            - two_n_minus_2 * img.h[i].components[j]
+            - eta_coeff * img.eta[i] * img.eta[j],
         ),
     )
 
-    # S(X, xi) = 2 n kappa eta(X); S(xi, xi) = 2 n kappa
-    two_n_kappa = m.constant(2 * m.n) * kappa
+
+# S(X, xi) = 2 n kappa eta(X); S(xi, xi) = 2 n kappa
+def _ricci_xi_values(report, name, x):
+    xi, s_form = x.s.xi, x.ricci
+    two_n_kappa = x.m.constant(2 * x.m.n) * x.kappa
     report.graded(
-        "nkappa.ricci_xi_values",
-        first_witness(
-            product(idx, repeat=1), lambda i: s_computed.apply(e[i], xi) - two_n_kappa * eta[i]
-        )
-        or first_witness([()], lambda: s_computed.apply(xi, xi) - two_n_kappa),
+        name,
+        x.scan(1, lambda i: s_form.apply(x.img.e[i], xi) - two_n_kappa * x.img.eta[i])
+        or first_witness([()], lambda: s_form.apply(xi, xi) - two_n_kappa),
     )
 
-    # tau = 2n(2n - 2 + kappa)
-    tau = scalar_curvature(m, s_computed)
-    residual = tau - m.constant(2 * m.n) * (m.constant(2 * m.n - 2) + kappa)
+
+# tau = 2n(2n - 2 + kappa)
+def _scalar_curvature_value(report, name, x):
+    m = x.m
+    tau = scalar_curvature(m, x.ricci)
+    residual = tau - m.constant(2 * m.n) * (m.constant(2 * m.n - 2) + x.kappa)
     report.graded(
-        "nkappa.scalar_curvature_value",
+        name,
         None if residual.is_zero() else {"residual": str(residual)},
         notes=(f"computed scalar curvature: {tau}",),
     )
 
-    # orientation of the Sasakian curvature condition R(X, Y)xi at kappa = 1:
-    # computed against both sign conventions; reported, never guessed
-    if (kappa - one).is_zero():
-        if pair_xi_witness(one) is None:
-            orientation = "eta(Y)X - eta(X)Y"
-        elif pair_xi_witness(-one) is None:
-            orientation = "eta(X)Y - eta(Y)X"
-        else:
-            orientation = "neither"
-        report.graded(
-            "nkappa.sasakian_curvature_xi_orientation",
-            {"residual": "neither orientation matches"} if orientation == "neither" else None,
-            notes=(f"computed orientation: R(X,Y)xi = {orientation}",),
-        )
-    else:
-        report.not_applicable(
-            "nkappa.sasakian_curvature_xi_orientation",
-            notes=("instance is not Sasakian (kappa differs from 1)",),
-        )
 
-    return report
+# orientation of the Sasakian curvature condition R(X, Y)xi at kappa = 1:
+# computed against both sign conventions; reported, never guessed
+def _sasakian_orientation(report, name, x):
+    one = x.m.one_scalar()
+    if not (x.kappa - one).is_zero():
+        report.not_applicable(name, notes=("instance is not Sasakian (kappa differs from 1)",))
+        return
+    if _pair_xi_witness(x, one) is None:
+        orientation = "eta(Y)X - eta(X)Y"
+    elif _pair_xi_witness(x, -one) is None:
+        orientation = "eta(X)Y - eta(Y)X"
+    else:
+        orientation = "neither"
+    report.graded(
+        name,
+        {"residual": "neither orientation matches"} if orientation == "neither" else None,
+        notes=(f"computed orientation: R(X,Y)xi = {orientation}",),
+    )
+
+
+NKAPPA_ROWS: tuple[Row, ...] = (
+    ("nkappa.nullity_constant", _nullity_constant),
+    ("nkappa.xi_covariant_derivative", _xi_covariant_derivative),
+    ("nkappa.xi_covariant_derivative_reference_form", _xi_covariant_derivative_reference),
+    ("nkappa.phi_covariant_derivative", _phi_covariant_derivative),
+    ("nkappa.h_square", _h_square),
+    ("nkappa.h_covariant_derivative", _h_covariant_derivative),
+    ("nkappa.eta_covariant_derivative", _eta_covariant_derivative),
+    ("nkappa.curvature_xi_xi", _curvature_xi_xi),
+    ("nkappa.curvature_pair_xi", _curvature_pair_xi),
+    ("nkappa.curvature_xi_argument", _curvature_xi_argument),
+    ("nkappa.ricci_closed_form", _ricci_closed_form),
+    ("nkappa.ricci_xi_values", _ricci_xi_values),
+    ("nkappa.scalar_curvature_value", _scalar_curvature_value),
+    ("nkappa.sasakian_curvature_xi_orientation", _sasakian_orientation),
+)
+
+
+def verify_nkappa_suite(x: "Instance") -> VerificationReport:
+    """Grade the nullity-class identities of ``x``; ``x.kappa`` must be the
+    detected nullity constant of the Levi-Civita curvature ``x.r``."""
+    return grade_rows(NKAPPA_ROWS, x)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .report import VerificationReport, first_witness
 from .scalars import RationalLike, Scalar
@@ -115,11 +115,6 @@ class Endomorphism:
         )
 
     @staticmethod
-    def zero(dim: int, params: tuple[str, ...]) -> "Endomorphism":
-        z = Scalar.zero(params)
-        return Endomorphism(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
-
-    @staticmethod
     def identity(dim: int, params: tuple[str, ...]) -> "Endomorphism":
         z, o = Scalar.zero(params), Scalar.one(params)
         return Endomorphism(
@@ -175,13 +170,6 @@ class Endomorphism:
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.matrix for a in row)
 
-    def is_symmetric(self) -> bool:
-        return all(
-            (self.matrix[i][j] - self.matrix[j][i]).is_zero()
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
-
 
 @dataclass(frozen=True)
 class FrameManifold:
@@ -234,9 +222,6 @@ class FrameManifold:
     def constant(self, value: RationalLike) -> Scalar:
         return Scalar.constant(self.params, value)
 
-    def zero_vector(self) -> FrameVector:
-        return FrameVector(tuple(self.zero_scalar() for _ in range(self.dim)))
-
     def basis(self, i: int) -> FrameVector:
         return FrameVector(
             tuple(
@@ -244,14 +229,6 @@ class FrameManifold:
                 for k in range(self.dim)
             )
         )
-
-    def vector(self, components: Iterable[RationalLike | Scalar]) -> FrameVector:
-        comps = []
-        for value in components:
-            comps.append(value if isinstance(value, Scalar) else self.constant(value))
-        if len(comps) != self.dim:
-            raise FrameError(f"expected {self.dim} components, got {len(comps)}")
-        return FrameVector(tuple(comps))
 
     def bracket_basis(self, i: int, j: int) -> FrameVector:
         return FrameVector(tuple(self.c[i][j][k] for k in range(self.dim)))
@@ -319,7 +296,7 @@ class FrameManifold:
 
 @dataclass(frozen=True)
 class FrameImages:
-    """The frame and its images under the structure, computed once per suite.
+    """The frame and its images under the structure, computed once per run.
 
     ``e[i]`` is E_i, ``phi[i]`` is phi E_i, ``h[i]`` is h E_i, ``phi_h[i]``
     is phi h E_i and ``eta[i]`` is eta(E_i).  ``h`` and ``phi_h`` are empty

@@ -15,6 +15,11 @@ grammar, vectors through the frame-vector rendering ("-2/3*E2").  Every
 scan for a witness goes through ``first_witness``: the first index tuple,
 in the caller's order, whose residual is nonzero.
 
+A derived section is an ordered tuple of rows ``(name, build)``;
+``grade_rows`` calls ``build(report, name, x)`` for each, which grades the
+named check from the instance ``x`` through one verdict helper.  The rows
+are the only place a derived check's name is written down.
+
 Serialization is deterministic: no timestamps, stable key order, check
 order fixed by construction order.  Two runs over the same input must
 produce byte-identical JSON.
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -174,6 +179,17 @@ class VerificationReport:
                 "engine_version": self.engine_version,
             },
         }
+
+
+Row = tuple[str, Callable[[VerificationReport, str, Any], None]]
+
+
+def grade_rows(rows: Iterable[Row], x: Any) -> VerificationReport:
+    """One report holding each row's check, in row order."""
+    report = VerificationReport()
+    for name, build in rows:
+        build(report, name, x)
+    return report
 
 
 def emit(report: VerificationReport, format: str = "json") -> str:

@@ -20,97 +20,194 @@ absent.  Named suites ("nkappa", "gtw", "concircular") emit only their own
 section, gated the same way; "frame" emits only the structural layer; "all"
 emits everything in order.
 
+A run derives everything from one ``Instance``: the input, its Levi-Civita
+connection and curvature, and every other layer as a cached property, so
+each is computed at most once.  Each derived section is a table of rows
+(``NKAPPA_ROWS``, ``GTW_ROWS``, ``CONC_ROWS``); the check catalogues, the
+gated entries and the report order all come from those tables.
+
 run_suite never raises on mathematical grounds: every outcome, including a
 broken input structure, is a report entry.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
+from typing import Callable
 
-from .concircular import concircular, verify_concircular_suite
+from .concircular import CONC_ROWS, ConcircularTensor, concircular, verify_concircular_suite
 from .contact import (
     AlmostContactData,
-    classify,
+    StructureClass,
     detect_kappa,
     h_property_checks,
     validate_acm,
 )
-from .curvature import ConnectionConsistencyError, levi_civita, riemann, verify_nkappa_suite
-from .frames import FrameManifold
-from .report import VerificationReport
-from .tanaka_webster import build_gtw_package, verify_gtw_suite
+from .curvature import (
+    NKAPPA_ROWS,
+    BilinearForm,
+    Connection,
+    ConnectionConsistencyError,
+    Curvature4Tensor,
+    levi_civita,
+    ricci,
+    riemann,
+    verify_nkappa_suite,
+)
+from .frames import Endomorphism, FrameImages, FrameManifold, FrameVector, frame_images
+from .report import VerificationReport, first_witness
+from .scalars import Scalar
+from .tanaka_webster import GTW_ROWS, GtwPackage, build_gtw_package, verify_gtw_suite
 from .version import ENGINE_VERSION
 
 SUITES = ("all", "frame", "nkappa", "gtw", "concircular")
 
-NKAPPA_CHECK_NAMES = (
-    "nkappa.nullity_constant",
-    "nkappa.xi_covariant_derivative",
-    "nkappa.xi_covariant_derivative_reference_form",
-    "nkappa.phi_covariant_derivative",
-    "nkappa.h_square",
-    "nkappa.h_covariant_derivative",
-    "nkappa.eta_covariant_derivative",
-    "nkappa.curvature_xi_xi",
-    "nkappa.curvature_pair_xi",
-    "nkappa.curvature_xi_argument",
-    "nkappa.ricci_closed_form",
-    "nkappa.ricci_xi_values",
-    "nkappa.scalar_curvature_value",
-    "nkappa.sasakian_curvature_xi_orientation",
+NKAPPA_CHECK_NAMES = tuple(name for name, _ in NKAPPA_ROWS)
+GTW_CHECK_NAMES = tuple(name for name, _ in GTW_ROWS)
+CONC_CHECK_NAMES = tuple(name for name, _ in CONC_ROWS)
+
+_STRUCTURAL_GATE = (
+    "gated: the structural layer (frame.*/acm.*) fails on this input; "
+    "run suite=all or suite=frame for the failing entries"
+)
+_KAPPA_GATE = (
+    "gated: no single nullity constant reproduces R(X, Y)xi on this "
+    "instance, so the nullity-based identities have no hypothesis to test"
 )
 
-GTW_CHECK_NAMES = (
-    "gtw.metric_parallel",
-    "gtw.xi_parallel",
-    "gtw.eta_parallel",
-    "gtw.phi_derivative_relation",
-    "gtw.phi_parallel",
-    "gtw.h_derivative_relation",
-    "gtw.h_derivative_relation_reference_form",
-    "gtw.torsion_nonzero",
-    "gtw.torsion_closed_form",
-    "gtw.torsion_closed_form_reference_form",
-    "gtw.curvature_first_pair_antisymmetry",
-    "gtw.curvature_last_pair_antisymmetry",
-    "gtw.curvature_xi_pair",
-    "gtw.curvature_xi_first",
-    "gtw.curvature_xi_double",
-    "gtw.curvature_closed_form",
-    "gtw.curvature_closed_form_crosscheck",
-    "gtw.pair_interchange_crosscheck",
-    "gtw.cyclic_sum_crosscheck",
-    "gtw.ricci_closed_form",
-    "gtw.ricci_alternative_form",
-    "gtw.ricci_xi_degenerate",
-    "gtw.ricci_symmetry",
-    "gtw.scalar_curvature_value",
-    "gtw.scalar_curvature_relation",
-    "gtw.space_form_decomposition",
-    "gtw.eta_einstein_fit",
-)
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """One input and every layer derived from it, each computed at most once.
 
-CONC_CHECK_NAMES = (
-    "conc.xi_double_contraction",
-    "conc.xi_double_contraction_phi_square_variant",
-    "conc.xi_pair",
-    "conc.xi_argument",
-    "conc.eta_contraction",
-    "conc.eta_contraction_reference_form",
-    "conc.xi_flatness_obstruction",
-    "conc.phi_flatness",
-    "conc.ricci_action_obstruction",
-    "conc.ricci_action_slice",
-    "conc.self_action_obstruction",
-)
+    ``lc`` is a connection on ``m`` and ``r`` its curvature; run_suite passes
+    the Levi-Civita pair.  Every other layer is built on first use.
+    """
+
+    m: FrameManifold
+    s: AlmostContactData
+    lc: Connection
+    r: Curvature4Tensor
+
+    def scan(self, arity: int, residual: Callable) -> dict | None:
+        """``first_witness`` over every basis index tuple of ``arity``, row-major."""
+        return first_witness(product(range(self.m.dim), repeat=arity), residual)
+
+    # -- structural layer ----------------------------------------------------
+
+    @cached_property
+    def frame_report(self) -> VerificationReport:
+        return self.m.validate_frame()
+
+    @cached_property
+    def acm_report(self) -> VerificationReport:
+        return validate_acm(self.m, self.s)
+
+    @cached_property
+    def h(self) -> Endomorphism:
+        """h = 1/2 L_xi phi; ``h_report`` grades its laws."""
+        return self.m.lie_derive_endo(self.s.xi, self.s.phi).scale(Fraction(1, 2))
+
+    @cached_property
+    def h_report(self) -> VerificationReport:
+        return h_property_checks(self.m, self.s, self.h)
+
+    @cached_property
+    def img(self) -> FrameImages:
+        return frame_images(self.m, self.s, self.h)
+
+    @cached_property
+    def x_plus_hx(self) -> tuple[FrameVector, ...]:
+        """E_i + hE_i for every frame index."""
+        return tuple(e + he for e, he in zip(self.img.e, self.img.h))
+
+    # -- the connection lc -----------------------------------------------------
+
+    @cached_property
+    def ricci(self) -> BilinearForm:
+        return ricci(self.m, self.r)
+
+    @cached_property
+    def kappa(self) -> Scalar | None:
+        return detect_kappa(self.m, self.s, self.r)
+
+    @cached_property
+    def dphi_lc(self) -> tuple[Endomorphism, ...]:
+        """nabla_{E_i} phi for every frame index."""
+        return tuple(self.lc.derivative_endo(self.m, i, self.s.phi) for i in range(self.m.dim))
+
+    @cached_property
+    def classification(self) -> StructureClass:
+        """Contact metric / K-contact / Sasakian; kappa only on a valid structure."""
+        m, xi, img = self.m, self.s.xi, self.img
+        acm_ok = not self.acm_report.has_failures
+        # Sasakian: (nabla_X phi)Y = g(X, Y) xi - eta(Y) X
+        sasakian = acm_ok and (
+            self.scan(
+                2,
+                lambda i, j: self.dphi_lc[i].column(j)
+                - xi.scale(m.inner(img.e[i], img.e[j]))
+                + img.e[i].scale(img.eta[j]),
+            )
+            is None
+        )
+        return StructureClass(
+            is_contact_metric=acm_ok,
+            is_K_contact=acm_ok and self.h.is_zero(),
+            is_Sasakian=sasakian,
+            kappa=self.kappa if acm_ok else None,
+        )
+
+    # -- the torsionful connection ---------------------------------------------
+
+    @cached_property
+    def pkg(self) -> GtwPackage:
+        return build_gtw_package(self.m, self.s, self.lc, self.h)
+
+    @cached_property
+    def dphi_gtw(self) -> tuple[Endomorphism, ...]:
+        conn = self.pkg.conn
+        return tuple(conn.derivative_endo(self.m, i, self.s.phi) for i in range(self.m.dim))
+
+    @cached_property
+    def dh_gtw(self) -> tuple[Endomorphism, ...]:
+        conn = self.pkg.conn
+        return tuple(conn.derivative_endo(self.m, i, self.h) for i in range(self.m.dim))
+
+    @cached_property
+    def curvature_defect(self) -> tuple[tuple[tuple[FrameVector, ...], ...], ...]:
+        """R(E_i, E_j)E_k of the torsionful connection minus every term of its
+        closed form but the final bracket: the Levi-Civita curvature, the
+        kappa-nullity term and the mixed phi terms."""
+        m, xi, img, kappa = self.m, self.s.xi, self.img, self.kappa
+        e, eta, phi_e, phi_h = img.e, img.eta, img.phi, img.phi_h
+        idx = range(m.dim)
+
+        def defect(i: int, j: int, k: int) -> FrameVector:
+            nullity = (
+                xi.scale(eta[j] * m.inner(e[i], e[k]) - eta[i] * m.inner(e[j], e[k]))
+                - e[i].scale(eta[j] * eta[k])
+                + e[j].scale(eta[i] * eta[k])
+            ).scale(kappa)
+            mixed = (phi_e[i] + phi_h[i]).scale(
+                -m.inner(self.x_plus_hx[j], phi_e[k])
+            ) + (phi_e[j] + phi_h[j]).scale(m.inner(self.x_plus_hx[i], phi_e[k]))
+            return self.pkg.curv.vector(i, j, k) - self.r.vector(i, j, k) - nullity - mixed
+
+        return tuple(tuple(tuple(defect(i, j, k) for k in idx) for j in idx) for i in idx)
+
+    @cached_property
+    def z(self) -> ConcircularTensor:
+        return concircular(self.m, self.pkg.curv)
 
 
-def _gate_section(
-    report: VerificationReport, names: tuple[str, ...], note: str
-) -> None:
-    for name in names:
-        report.not_applicable(name, notes=(note,))
+def classify(
+    m: FrameManifold, s: AlmostContactData, conn: Connection, r: Curvature4Tensor
+) -> StructureClass:
+    """Sort an instance into contact metric / K-contact / Sasakian classes."""
+    return Instance(m, s, conn, r).classification
 
 
 def run_suite(
@@ -119,44 +216,31 @@ def run_suite(
     suite: str = "all",
     manifest_hash: str | None = None,
 ) -> VerificationReport:
-    """Run the requested section(s); see the module docstring for gating."""
+    """Run the requested section(s); see the module docstring for gating.
+
+    The layers a section reads (kappa, the torsionful package, Z) are built
+    here, before the section runs, so a section's own work excludes them.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     report = VerificationReport(
         manifest_hash=manifest_hash, engine_version=ENGINE_VERSION
     )
-
-    frame_rep = m.validate_frame()
-    acm_rep = validate_acm(m, s)
-    h = m.lie_derive_endo(s.xi, s.phi).scale(Fraction(1, 2))
-    h_rep = h_property_checks(m, s, h)
-    structural_ok = not (
-        frame_rep.has_failures or acm_rep.has_failures or h_rep.has_failures
-    )
-
     lc = levi_civita(m)
-    r_lc = riemann(m, lc)
-    kappa = detect_kappa(m, s, r_lc) if structural_ok else None
+    x = Instance(m, s, lc, riemann(m, lc))
 
-    if not structural_ok:
-        gate_note = (
-            "gated: the structural layer (frame.*/acm.*) fails on this input; "
-            "run suite=all or suite=frame for the failing entries"
-        )
-    elif kappa is None:
-        gate_note = (
-            "gated: no single nullity constant reproduces R(X, Y)xi on this "
-            "instance, so the nullity-based identities have no hypothesis to test"
-        )
+    structural = (x.frame_report, x.acm_report, x.h_report)
+    if any(rep.has_failures for rep in structural):
+        gate_note = _STRUCTURAL_GATE
+    elif x.kappa is None:
+        gate_note = _KAPPA_GATE
     else:
         gate_note = ""
-    gate_ok = gate_note == ""
 
     if suite in ("all", "frame"):
-        report.extend(frame_rep)
-        report.extend(acm_rep)
-        report.extend(h_rep)
-        cls = classify(m, s, lc, r_lc)
+        for rep in structural:
+            report.extend(rep)
+        cls = x.classification
         report.holds(
             "acm.classification",
             witness={
@@ -168,37 +252,30 @@ def run_suite(
             notes=("informational classification; the values are data",),
         )
 
-    if suite in ("all", "nkappa"):
-        if gate_ok:
-            report.extend(verify_nkappa_suite(m, s, h, lc, r_lc, kappa))
-        else:
-            _gate_section(report, NKAPPA_CHECK_NAMES, gate_note)
+    nkappa_rows = NKAPPA_ROWS if suite in ("all", "nkappa") else ()
+    gtw_rows = GTW_ROWS if suite in ("all", "gtw") else ()
+    conc_rows = CONC_ROWS if suite in ("all", "concircular") else ()
+    if gate_note:
+        for name, _ in nkappa_rows + gtw_rows + conc_rows:
+            report.not_applicable(name, notes=(gate_note,))
+        return report
 
-    needs_gtw = suite in ("all", "gtw")
-    needs_conc = suite in ("all", "concircular")
-    if needs_gtw or needs_conc:
-        if gate_ok:
-            try:
-                pkg = build_gtw_package(m, s, lc, h)
-            except ConnectionConsistencyError as exc:
-                for name in (GTW_CHECK_NAMES if needs_gtw else ()) + (
-                    CONC_CHECK_NAMES if needs_conc else ()
-                ):
-                    report.fails(
-                        name,
-                        witness={"residual": str(exc)},
-                        notes=("the torsionful connection could not be built",),
-                    )
-                return report
-            if needs_gtw:
-                report.extend(verify_gtw_suite(m, s, h, kappa, lc, r_lc, pkg))
-            if needs_conc:
-                z = concircular(m, pkg.curv)
-                report.extend(verify_concircular_suite(m, s, z, pkg.ricci))
-        else:
-            if needs_gtw:
-                _gate_section(report, GTW_CHECK_NAMES, gate_note)
-            if needs_conc:
-                _gate_section(report, CONC_CHECK_NAMES, gate_note)
-
+    if nkappa_rows:
+        report.extend(verify_nkappa_suite(x))
+    if gtw_rows or conc_rows:
+        try:
+            x.pkg
+        except ConnectionConsistencyError as exc:
+            for name, _ in gtw_rows + conc_rows:
+                report.fails(
+                    name,
+                    witness={"residual": str(exc)},
+                    notes=("the torsionful connection could not be built",),
+                )
+            return report
+    if gtw_rows:
+        report.extend(verify_gtw_suite(x))
+    if conc_rows:
+        x.z
+        report.extend(verify_concircular_suite(x))
     return report

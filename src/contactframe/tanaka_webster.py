@@ -39,8 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
-from .contact import AlmostContactData, compute_h
+from .contact import AlmostContactData
 from .curvature import (
     BilinearForm,
     Connection,
@@ -52,9 +53,12 @@ from .curvature import (
     scalar_curvature,
 )
 from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
-from .linear import solve_linear
-from .report import VerificationReport, first_witness
+from .linear import LinearSolution, solve_linear
+from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
+    from .suite import Instance
 
 
 @dataclass(frozen=True)
@@ -83,16 +87,11 @@ class GssfCoefficients:
 
 
 def gtw_connection(
-    m: FrameManifold,
-    s: AlmostContactData,
-    lc: Connection,
-    h: Endomorphism | None = None,
+    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism
 ) -> Connection:
     """The Levi-Civita connection displaced by
     A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X);
     verifies metric parallelism on construction."""
-    if h is None:
-        h = compute_h(m, s)
     img = frame_images(m, s, h)
     idx = range(m.dim)
 
@@ -129,13 +128,8 @@ def gtw_torsion(m: FrameManifold, conn: Connection) -> tuple[tuple[FrameVector, 
 
 
 def build_gtw_package(
-    m: FrameManifold,
-    s: AlmostContactData,
-    lc: Connection,
-    h: Endomorphism | None = None,
+    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism
 ) -> GtwPackage:
-    if h is None:
-        h = compute_h(m, s)
     conn = gtw_connection(m, s, lc, h)
     curv = riemann(m, conn)
     ric = ricci(m, curv)
@@ -148,60 +142,45 @@ def build_gtw_package(
     )
 
 
-def verify_gtw_suite(
-    m: FrameManifold,
-    s: AlmostContactData,
-    h: Endomorphism,
-    kappa: Scalar,
-    lc: Connection,
-    r_lc: Curvature4Tensor,
-    pkg: GtwPackage,
-) -> VerificationReport:
-    """Grade every identity of the torsionful connection, exactly."""
-    report = VerificationReport()
-    phi, xi = s.phi, s.xi
-    conn = pkg.conn
-    curv = pkg.curv
-    n = m.n
-    img = frame_images(m, s, h)
-    e, eta, phi_e, h_e, phi_h = img.e, img.eta, img.phi, img.h, img.phi_h
-    idx = range(m.dim)
-    x_plus_hx = [e[i] + h_e[i] for i in idx]
+# -- the identity suite of the torsionful connection -----------------------------
+# One row per check, graded exactly from the instance x (``suite.Instance``),
+# whose gTW package, its derivatives of phi and h, and X + hX are shared.
 
-    # -- parallelism ---------------------------------------------------------
+
+def _metric_parallel(report, name, x):
+    report.graded(name, x.scan(3, x.pkg.conn.metric_derivative))
+
+
+def _xi_parallel(report, name, x):
+    report.graded(name, x.scan(1, lambda i: x.pkg.conn.derivative(i, x.s.xi)))
+
+
+def _eta_parallel(report, name, x):
     report.graded(
-        "gtw.metric_parallel", first_witness(product(idx, repeat=3), conn.metric_derivative)
-    )
-    report.graded(
-        "gtw.xi_parallel",
-        first_witness(product(idx, repeat=1), lambda i: conn.derivative(i, xi)),
-    )
-    report.graded(
-        "gtw.eta_parallel",
-        first_witness(
-            product(idx, repeat=2), lambda i, j: conn.derivative_covector(m, i, s.eta, j)
-        ),
+        name, x.scan(2, lambda i, j: x.pkg.conn.derivative_covector(x.m, i, x.s.eta, j))
     )
 
-    # phi-derivative relation: the displaced derivative of phi equals the
-    # structural derivative minus g(X+hX, Y) xi + eta(Y)(hX + X)
-    dphi = [conn.derivative_endo(m, i, phi) for i in idx]
-    dphi_lc = [lc.derivative_endo(m, i, phi) for i in idx]
+
+# phi-derivative relation: the displaced derivative of phi equals the
+# structural derivative minus g(X+hX, Y) xi + eta(Y)(hX + X)
+def _phi_derivative_relation(report, name, x):
+    dphi, dphi_lc, x_plus_hx, eta = x.dphi_gtw, x.dphi_lc, x.x_plus_hx, x.img.eta
     report.graded(
-        "gtw.phi_derivative_relation",
-        first_witness(
-            product(idx, repeat=2),
+        name,
+        x.scan(
+            2,
             lambda i, j: dphi[i].column(j)
-            - (
-                dphi_lc[i].column(j)
-                - xi.scale(x_plus_hx[i].components[j])
-                + x_plus_hx[i].scale(eta[j])
-            ),
+            - dphi_lc[i].column(j)
+            + x.s.xi.scale(x_plus_hx[i].components[j])
+            - x_plus_hx[i].scale(eta[j]),
         ),
     )
+
+
+def _phi_parallel(report, name, x):
     report.graded(
-        "gtw.phi_parallel",
-        first_witness(product(idx, repeat=2), lambda i, j: dphi[i].column(j)),
+        name,
+        x.scan(2, lambda i, j: x.dphi_gtw[i].column(j)),
         notes=(
             "phi is parallel on every validated nullity-class instance, not only "
             "in the Sasakian subcase: the derivative relation cancels exactly "
@@ -209,147 +188,153 @@ def verify_gtw_suite(
         ),
     )
 
-    # h-derivative relation, corrected form: (del_X h)Y = 2 eta(X) phi h Y
-    dh = [conn.derivative_endo(m, i, h) for i in idx]
+
+# h-derivative relation, corrected form: (del_X h)Y = 2 eta(X) phi h Y
+def _h_derivative_relation(report, name, x):
+    img = x.img
     report.graded(
-        "gtw.h_derivative_relation",
-        first_witness(
-            product(idx, repeat=2),
-            lambda i, j: dh[i].column(j) - phi_h[j].scale(eta[i]).scale(2),
-        ),
+        name,
+        x.scan(2, lambda i, j: x.dh_gtw[i].column(j) - img.phi_h[j].scale(img.eta[i]).scale(2)),
         notes=(
             "asserted form: (del_X h)Y = 2 eta(X) phi h Y; "
             "the reference variant is checked separately",
         ),
     )
 
-    # reference variant: [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi + eta(X) phi(Y + hY)
+
+# reference variant: [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi + eta(X) phi(Y + hY)
+def _h_derivative_relation_reference(report, name, x):
+    m, img = x.m, x.img
+    kappa_minus_1 = x.kappa - m.one_scalar()
     report.reference(
-        "gtw.h_derivative_relation_reference_form",
-        first_witness(
-            product(idx, repeat=2),
-            lambda i, j: dh[i].column(j)
-            - xi.scale(
-                (kappa - m.one_scalar()) * phi_e[i].components[j]
-                + m.inner(h_e[i], phi_e[j])
+        name,
+        x.scan(
+            2,
+            lambda i, j: x.dh_gtw[i].column(j)
+            - x.s.xi.scale(
+                kappa_minus_1 * img.phi[i].components[j] + m.inner(img.h[i], img.phi[j])
             )
-            - (phi_e[j] + phi_h[j]).scale(eta[i]),
+            - (img.phi[j] + img.phi_h[j]).scale(img.eta[i]),
         ),
         "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
         "+ eta(X) phi(Y + hY) disagrees with the computed derivative; "
         "recorded as data",
     )
 
-    # -- torsion ---------------------------------------------------------------
-    torsion_notes = (
-        "a contact metric instance must make this connection non-symmetric",
-    )
+
+def _torsion_nonzero(report, name, x):
+    notes = ("a contact metric instance must make this connection non-symmetric",)
     first_nonzero = first_witness(
-        product(idx, repeat=2), lambda i, j: pkg.torsion[i][j], key="value"
+        product(range(x.m.dim), repeat=2), lambda i, j: x.pkg.torsion[i][j], key="value"
     )
     if first_nonzero is not None:
-        report.holds("gtw.torsion_nonzero", witness=first_nonzero, notes=torsion_notes)
+        report.holds(name, witness=first_nonzero, notes=notes)
     else:
-        report.fails(
-            "gtw.torsion_nonzero",
-            witness={"residual": "torsion vanished identically"},
-            notes=torsion_notes,
-        )
+        report.fails(name, witness={"residual": "torsion vanished identically"}, notes=notes)
 
-    # T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
-    def torsion_residual(v: tuple[FrameVector, ...]):
-        return lambda i, j: pkg.torsion[i][j] - (
-            xi.scale(m.inner(x_plus_hx[i], phi_e[j]) - m.inner(x_plus_hx[j], phi_e[i]))
-            + v[i].scale(eta[j])
-            - v[j].scale(eta[i])
-        )
 
+# T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
+def _torsion_witness(x, v: tuple[FrameVector, ...]) -> dict | None:
+    m, img, x_plus_hx = x.m, x.img, x.x_plus_hx
+    return x.scan(
+        2,
+        lambda i, j: x.pkg.torsion[i][j]
+        - x.s.xi.scale(m.inner(x_plus_hx[i], img.phi[j]) - m.inner(x_plus_hx[j], img.phi[i]))
+        - v[i].scale(img.eta[j])
+        + v[j].scale(img.eta[i]),
+    )
+
+
+def _torsion_closed_form(report, name, x):
     report.graded(
-        "gtw.torsion_closed_form",
-        first_witness(product(idx, repeat=2), torsion_residual(phi_h)),
+        name,
+        _torsion_witness(x, x.img.phi_h),
         notes=(
             "asserted form: T(X, Y) = [g(X+hX, phi Y) - g(Y+hY, phi X)] xi "
             "+ eta(Y) phi h X - eta(X) phi h Y",
         ),
     )
+
+
+def _torsion_closed_form_reference(report, name, x):
     report.reference(
-        "gtw.torsion_closed_form_reference_form",
-        first_witness(
-            product(idx, repeat=2),
-            torsion_residual(tuple(phi_e[i] + phi_h[i] for i in idx)),
-        ),
+        name,
+        _torsion_witness(x, tuple(p + ph for p, ph in zip(x.img.phi, x.img.phi_h))),
         "reference variant with the extra eta(Y) phi X - eta(X) phi Y "
         "terms disagrees with the computed torsion; recorded as data",
     )
 
-    # -- curvature antisymmetries and xi-degeneracies ---------------------------
-    low = curv.lowered
-    report.graded(
-        "gtw.curvature_first_pair_antisymmetry",
-        first_witness(
-            product(idx, repeat=4), lambda i, j, k, l: low(i, j, k, l) + low(j, i, k, l)
-        ),
-    )
-    report.graded(
-        "gtw.curvature_last_pair_antisymmetry",
-        first_witness(
-            product(idx, repeat=4), lambda i, j, k, l: low(i, j, k, l) + low(i, j, l, k)
-        ),
-    )
-    report.graded(
-        "gtw.curvature_xi_pair",
-        first_witness(product(idx, repeat=2), lambda i, j: curv.apply(e[i], e[j], xi)),
-    )
-    report.graded(
-        "gtw.curvature_xi_first",
-        first_witness(product(idx, repeat=2), lambda i, j: curv.apply(xi, e[i], e[j])),
-    )
-    report.graded(
-        "gtw.curvature_xi_double",
-        first_witness(product(idx, repeat=1), lambda i: curv.apply(e[i], xi, xi)),
-    )
 
-    # -- closed form for the curvature ------------------------------------------
-    # R(X1, X2)X3 minus the closed form whose final bracket has sign last_sign
-    def closed_form_residual(last_sign: int):
-        def residual(i: int, j: int, k: int) -> FrameVector:
-            nullity = (
-                xi.scale(eta[j] * m.inner(e[i], e[k]) - eta[i] * m.inner(e[j], e[k]))
-                - e[i].scale(eta[j] * eta[k])
-                + e[j].scale(eta[i] * eta[k])
-            ).scale(kappa)
-            mixed = (phi_e[i] + phi_h[i]).scale(
-                -m.inner(x_plus_hx[j], phi_e[k])
-            ) + (phi_e[j] + phi_h[j]).scale(m.inner(x_plus_hx[i], phi_e[k]))
-            bracket = m.inner(e[i], phi_e[j] + phi_h[j]) + m.inner(
-                e[j], phi_e[i] + phi_h[i]
-            ).scale(last_sign)
-            closed = r_lc.vector(i, j, k) + nullity + mixed + phi_e[k].scale(bracket)
-            return curv.vector(i, j, k) - closed
+# -- curvature antisymmetries and xi-degeneracies ------------------------------
+def _first_pair_antisymmetry(report, name, x):
+    low = x.pkg.curv.lowered
+    report.graded(name, x.scan(4, lambda i, j, k, l: low(i, j, k, l) + low(j, i, k, l)))
 
-        return residual
 
+def _last_pair_antisymmetry(report, name, x):
+    low = x.pkg.curv.lowered
+    report.graded(name, x.scan(4, lambda i, j, k, l: low(i, j, k, l) + low(i, j, l, k)))
+
+
+def _curvature_xi_pair(report, name, x):
+    e = x.img.e
+    report.graded(name, x.scan(2, lambda i, j: x.pkg.curv.apply(e[i], e[j], x.s.xi)))
+
+
+def _curvature_xi_first(report, name, x):
+    e = x.img.e
+    report.graded(name, x.scan(2, lambda i, j: x.pkg.curv.apply(x.s.xi, e[i], e[j])))
+
+
+def _curvature_xi_double(report, name, x):
+    xi = x.s.xi
+    report.graded(name, x.scan(1, lambda i: x.pkg.curv.apply(x.img.e[i], xi, xi)))
+
+
+# -- closed form for the curvature ---------------------------------------------
+# R(X1, X2)X3 minus the closed form whose final bracket has sign last_sign;
+# every other term of the closed form is in x.curvature_defect
+def _closed_form_residual(x, last_sign: int):
+    m, img = x.m, x.img
+
+    def residual(i: int, j: int, k: int) -> FrameVector:
+        bracket = m.inner(img.e[i], img.phi[j] + img.phi_h[j]) + m.inner(
+            img.e[j], img.phi[i] + img.phi_h[i]
+        ).scale(last_sign)
+        return x.curvature_defect[i][j][k] - img.phi[k].scale(bracket)
+
+    return residual
+
+
+def _curvature_closed_form(report, name, x):
     report.graded(
-        "gtw.curvature_closed_form",
-        first_witness(product(idx, repeat=3), closed_form_residual(-1)),
+        name,
+        x.scan(3, _closed_form_residual(x, -1)),
         notes=(
             "asserted form carries [g(X1, phi X2 + phi h X2) - g(X2, phi X1 + "
             "phi h X1)] phi X3 as its final bracket (a difference; equals "
             "2 g(X1, phi X2) phi X3 because phi h is symmetric)",
         ),
     )
+
+
+def _curvature_closed_form_crosscheck(report, name, x):
     report.crosscheck(
-        "gtw.curvature_closed_form_crosscheck",
-        product(idx, repeat=3),
-        closed_form_residual(+1),
+        name,
+        product(range(x.m.dim), repeat=3),
+        _closed_form_residual(x, +1),
         notes=(
             "reference variant with a sum in the final bracket, re-evaluated per "
             "basis triple; the verdict is data, not a pass condition",
         ),
     )
 
-    # -- pair-interchange cross-check -------------------------------------------
-    def interchange_residual(i: int, j: int, k: int, l: int) -> Scalar:
+
+def _pair_interchange_crosscheck(report, name, x):
+    m, low = x.m, x.pkg.curv.lowered
+    phi_e, h_e, phi_h = x.img.phi, x.img.h, x.img.phi_h
+
+    def residual(i: int, j: int, k: int, l: int) -> Scalar:
         rhs = (
             phi_e[i].components[l] * m.inner(h_e[j], phi_e[k])
             - phi_e[k].components[j] * phi_h[i].components[l]
@@ -360,17 +345,21 @@ def verify_gtw_suite(
         return low(i, j, k, l) + low(k, l, i, j) - rhs
 
     report.crosscheck(
-        "gtw.pair_interchange_crosscheck",
-        product(idx, repeat=4),
-        interchange_residual,
+        name,
+        product(range(m.dim), repeat=4),
+        residual,
         notes=(
             "defect of interchanging the argument pairs, compared against the "
             "quoted five-term h-expression per basis tuple; the verdict is data",
         ),
     )
 
-    # -- first-Bianchi cross-check ----------------------------------------------
-    def cyclic_residual(i: int, j: int, k: int) -> FrameVector:
+
+# first Bianchi identity against the quoted h-expression
+def _cyclic_sum_crosscheck(report, name, x):
+    curv, phi_e, phi_h = x.pkg.curv, x.img.phi, x.img.phi_h
+
+    def residual(i: int, j: int, k: int) -> FrameVector:
         lhs = curv.vector(i, j, k) + curv.vector(j, k, i) + curv.vector(k, i, j)
         rhs = (
             phi_h[k].scale(phi_e[i].components[j])
@@ -380,112 +369,155 @@ def verify_gtw_suite(
         return lhs - rhs
 
     report.crosscheck(
-        "gtw.cyclic_sum_crosscheck",
-        product(idx, repeat=3),
-        cyclic_residual,
+        name,
+        product(range(x.m.dim), repeat=3),
+        residual,
         notes=(
             "cyclic sum of the curvature against the quoted h-expression; on this "
             "family both sides may vanish identically even though xi is not Killing",
         ),
     )
 
-    # -- Ricci and scalar curvature ----------------------------------------------
-    ric = pkg.ricci.components
-    s_lc = ricci(m, r_lc)
-    two_nk_plus_2 = kappa.scale(2 * n) + m.constant(2)
+
+# -- Ricci and scalar curvature ---------------------------------------------------
+def _ricci_closed_form(report, name, x):
+    m, img, ric = x.m, x.img, x.pkg.ricci.components
+    two_nk_plus_2 = x.kappa.scale(2 * m.n) + m.constant(2)
     report.graded(
-        "gtw.ricci_closed_form",
-        first_witness(
-            product(idx, repeat=2),
+        name,
+        x.scan(
+            2,
             lambda i, j: ric[i][j]
-            - (
-                s_lc.components[i][j]
-                + m.inner(e[i], e[j]).scale(2)
-                - two_nk_plus_2 * eta[i] * eta[j]
-            ),
+            - x.ricci.components[i][j]
+            - m.inner(img.e[i], img.e[j]).scale(2)
+            + two_nk_plus_2 * img.eta[i] * img.eta[j],
         ),
     )
+
+
+def _ricci_alternative_form(report, name, x):
+    m, img, ric, n = x.m, x.img, x.pkg.ricci.components, x.m.n
     report.graded(
-        "gtw.ricci_alternative_form",
-        first_witness(
-            product(idx, repeat=2),
+        name,
+        x.scan(
+            2,
             lambda i, j: ric[i][j]
-            - (
-                m.inner(e[i], e[j]).scale(2 * n)
-                + h_e[i].components[j].scale(2 * (n - 1))
-                - (eta[i] * eta[j]).scale(2 * n)
-            ),
+            - m.inner(img.e[i], img.e[j]).scale(2 * n)
+            - img.h[i].components[j].scale(2 * (n - 1))
+            + (img.eta[i] * img.eta[j]).scale(2 * n),
         ),
     )
+
+
+def _ricci_xi_degenerate(report, name, x):
+    ric, xi = x.pkg.ricci, x.s.xi
     report.graded(
-        "gtw.ricci_xi_degenerate",
-        first_witness(product(idx, repeat=1), lambda i: pkg.ricci.apply(e[i], xi))
-        or first_witness([()], lambda: pkg.ricci.apply(xi, xi)),
+        name,
+        x.scan(1, lambda i: ric.apply(x.img.e[i], xi))
+        or first_witness([()], lambda: ric.apply(xi, xi)),
     )
+
+
+def _ricci_symmetry(report, name, x):
+    ric = x.pkg.ricci.components
     report.graded(
-        "gtw.ricci_symmetry",
-        first_witness(product(idx, repeat=2), lambda i, j: ric[i][j] - ric[j][i]),
+        name,
+        x.scan(2, lambda i, j: ric[i][j] - ric[j][i]),
         notes=(
             "symmetry is not assumed for a torsionful connection; it is checked "
             "per instance",
         ),
     )
 
-    target = m.constant(4 * n * n)
-    value = pkg.tau - target
+
+def _scalar_curvature_value(report, name, x):
+    tau, target = x.pkg.tau, x.m.constant(4 * x.m.n * x.m.n)
+    value = tau - target
     report.graded(
-        "gtw.scalar_curvature_value",
+        name,
         None if value.is_zero() else {"residual": str(value)},
-        notes=(f"computed scalar curvature: {pkg.tau}; expected 4n^2 = {target}",),
+        notes=(f"computed scalar curvature: {tau}; expected 4n^2 = {target}",),
     )
 
-    tau_lc = scalar_curvature(m, s_lc)
-    relation = pkg.tau - (tau_lc + m.constant(4 * n) - kappa.scale(2 * n))
+
+def _scalar_curvature_relation(report, name, x):
+    m, n = x.m, x.m.n
+    tau_lc = scalar_curvature(m, x.ricci)
+    relation = x.pkg.tau - (tau_lc + m.constant(4 * n) - x.kappa.scale(2 * n))
     report.graded(
-        "gtw.scalar_curvature_relation",
+        name,
         None if relation.is_zero() else {"residual": str(relation)},
         notes=("relation checked: tau(displaced) = tau + 4n - 2n kappa",),
     )
 
-    # -- space-form decomposition and eta-Einstein fit ----------------------------
-    gssf = gssf_decompose(m, s, curv)
+
+# -- space-form decomposition and eta-Einstein fit --------------------------------
+def _space_form_decomposition(report, name, x):
+    gssf = gssf_decompose(x.m, x.s, x.pkg.curv)
     if gssf is None:
         report.not_applicable(
-            "gtw.space_form_decomposition",
-            notes=("no constant (F1, F2, F3) reproduces the curvature exactly",),
+            name, notes=("no constant (F1, F2, F3) reproduces the curvature exactly",)
         )
-    else:
-        notes = [
-            "coefficients solve the space-form template exactly on every basis triple",
-        ]
-        if gssf.free:
-            verb = "carries" if len(gssf.free) == 1 else "carry"
-            notes.append(
-                "the system is underdetermined; "
-                + ", ".join(gssf.free)
-                + f" {verb} the solver default value 1 and the remaining "
-                "coefficients follow"
-            )
-        report.holds(
-            "gtw.space_form_decomposition",
-            witness={"F1": str(gssf.F1), "F2": str(gssf.F2), "F3": str(gssf.F3)},
-            notes=tuple(notes),
+        return
+    notes = ["coefficients solve the space-form template exactly on every basis triple"]
+    if gssf.free:
+        verb = "carries" if len(gssf.free) == 1 else "carry"
+        notes.append(
+            "the system is underdetermined; "
+            + ", ".join(gssf.free)
+            + f" {verb} the solver default value 1 and the remaining "
+            "coefficients follow"
         )
+    report.holds(
+        name,
+        witness={"F1": str(gssf.F1), "F2": str(gssf.F2), "F3": str(gssf.F3)},
+        notes=tuple(notes),
+    )
 
-    fit = eta_einstein_fit(m, s, pkg.ricci)
+
+def _eta_einstein_fit(report, name, x):
+    fit = eta_einstein_fit(x.m, x.s, x.pkg.ricci)
     if fit is None:
-        report.not_applicable(
-            "gtw.eta_einstein_fit",
-            notes=("no exact fit ricci = A g + B eta (x) eta exists",),
-        )
+        report.not_applicable(name, notes=("no exact fit ricci = A g + B eta (x) eta exists",))
     else:
         a_coeff, b_coeff = fit
-        report.holds(
-            "gtw.eta_einstein_fit",
-            witness={"A": str(a_coeff), "B": str(b_coeff)},
-        )
+        report.holds(name, witness={"A": str(a_coeff), "B": str(b_coeff)})
 
-    return report
+
+GTW_ROWS: tuple[Row, ...] = (
+    ("gtw.metric_parallel", _metric_parallel),
+    ("gtw.xi_parallel", _xi_parallel),
+    ("gtw.eta_parallel", _eta_parallel),
+    ("gtw.phi_derivative_relation", _phi_derivative_relation),
+    ("gtw.phi_parallel", _phi_parallel),
+    ("gtw.h_derivative_relation", _h_derivative_relation),
+    ("gtw.h_derivative_relation_reference_form", _h_derivative_relation_reference),
+    ("gtw.torsion_nonzero", _torsion_nonzero),
+    ("gtw.torsion_closed_form", _torsion_closed_form),
+    ("gtw.torsion_closed_form_reference_form", _torsion_closed_form_reference),
+    ("gtw.curvature_first_pair_antisymmetry", _first_pair_antisymmetry),
+    ("gtw.curvature_last_pair_antisymmetry", _last_pair_antisymmetry),
+    ("gtw.curvature_xi_pair", _curvature_xi_pair),
+    ("gtw.curvature_xi_first", _curvature_xi_first),
+    ("gtw.curvature_xi_double", _curvature_xi_double),
+    ("gtw.curvature_closed_form", _curvature_closed_form),
+    ("gtw.curvature_closed_form_crosscheck", _curvature_closed_form_crosscheck),
+    ("gtw.pair_interchange_crosscheck", _pair_interchange_crosscheck),
+    ("gtw.cyclic_sum_crosscheck", _cyclic_sum_crosscheck),
+    ("gtw.ricci_closed_form", _ricci_closed_form),
+    ("gtw.ricci_alternative_form", _ricci_alternative_form),
+    ("gtw.ricci_xi_degenerate", _ricci_xi_degenerate),
+    ("gtw.ricci_symmetry", _ricci_symmetry),
+    ("gtw.scalar_curvature_value", _scalar_curvature_value),
+    ("gtw.scalar_curvature_relation", _scalar_curvature_relation),
+    ("gtw.space_form_decomposition", _space_form_decomposition),
+    ("gtw.eta_einstein_fit", _eta_einstein_fit),
+)
+
+
+def verify_gtw_suite(x: "Instance") -> VerificationReport:
+    """Grade every identity of the torsionful connection ``x.pkg``, exactly."""
+    return grade_rows(GTW_ROWS, x)
 
 
 _GSSF_NAMES = ("F1", "F2", "F3")
@@ -524,29 +556,24 @@ def gssf_template_terms(
 def gssf_decompose(
     m: FrameManifold, s: AlmostContactData, curv: Curvature4Tensor
 ) -> GssfCoefficients | None:
-    """Solve for constant F1, F2, F3 reproducing ``curv`` exactly, if any."""
+    """Solve for constant F1, F2, F3 reproducing ``curv`` exactly, if any.
+
+    Component equations reading 0 = 0 are left out: the solver never pivots
+    on such a row nor eliminates against it, so the solution is unchanged.
+    """
     rows: list[list[Scalar]] = []
     rhs: list[Scalar] = []
-    for i in range(m.dim):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                t1, t2, t3 = gssf_template_terms(m, s, i, j, k)
-                value = curv.vector(i, j, k)
-                for l in range(m.dim):
-                    rows.append(
-                        [t1.components[l], t2.components[l], t3.components[l]]
-                    )
-                    rhs.append(value.components[l])
-    solution = solve_linear(rows, rhs, m.params)
+    for i, j, k in product(range(m.dim), repeat=3):
+        terms = gssf_template_terms(m, s, i, j, k)
+        for l, target in enumerate(curv.vector(i, j, k).components):
+            row = [t.components[l] for t in terms]
+            if not (target.is_zero() and all(c.is_zero() for c in row)):
+                rows.append(row)
+                rhs.append(target)
+    solution = _checked_solution(rows, rhs, m.params)
     if solution is None:
         return None
     f1, f2, f3 = solution.values
-    # defensive re-substitution: the default free value must still satisfy
-    # every equation exactly
-    for row, target in zip(rows, rhs):
-        residual = row[0] * f1 + row[1] * f2 + row[2] * f3 - target
-        if not residual.is_zero():
-            return None
     return GssfCoefficients(
         F1=f1,
         F2=f2,
@@ -561,19 +588,23 @@ def eta_einstein_fit(
     """Solve form = A g + B eta (x) eta exactly; None when inconsistent."""
     rows: list[list[Scalar]] = []
     rhs: list[Scalar] = []
-    for i in range(m.dim):
-        for j in range(m.dim):
-            ei, ej = m.basis(i), m.basis(j)
-            rows.append(
-                [m.inner(ei, ej), m.inner(s.eta, ei) * m.inner(s.eta, ej)]
-            )
-            rhs.append(form.apply(ei, ej))
-    solution = solve_linear(rows, rhs, m.params)
-    if solution is None:
+    for i, j in product(range(m.dim), repeat=2):
+        ei, ej = m.basis(i), m.basis(j)
+        rows.append([m.inner(ei, ej), m.inner(s.eta, ei) * m.inner(s.eta, ej)])
+        rhs.append(form.apply(ei, ej))
+    solution = _checked_solution(rows, rhs, m.params)
+    return None if solution is None else solution.values
+
+
+def _checked_solution(
+    rows: list[list[Scalar]], rhs: list[Scalar], params: tuple[str, ...]
+) -> LinearSolution | None:
+    """``solve_linear``, re-substituted: the default value of a free unknown
+    must still satisfy every equation exactly."""
+    solution = solve_linear(rows, rhs, params)
+    if solution is None or any(
+        not (Scalar.sum_of_products(params, zip(row, solution.values)) - target).is_zero()
+        for row, target in zip(rows, rhs)
+    ):
         return None
-    a_coeff, b_coeff = solution.values
-    for row, target in zip(rows, rhs):
-        residual = row[0] * a_coeff + row[1] * b_coeff - target
-        if not residual.is_zero():
-            return None
-    return a_coeff, b_coeff
+    return solution

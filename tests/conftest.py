@@ -1,52 +1,36 @@
-"""Shared fixtures: the one-parameter family and its derived tensors.
+"""Shared fixtures: the one-parameter family as suite instances.
 
 The symbolic builds are the expensive ones, so they are session-scoped;
-every golden-value test reads from the same instances.
+every golden-value test reads from the same instances, whose derived
+tensors (h, Ricci, kappa, the gTW package, Z, ...) are built once, on
+first use.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from contactframe import (
-    build_gtw_package,
-    compute_h,
-    concircular,
-    detect_kappa,
-    levi_civita,
-    make_lambda_family,
-    ricci,
-    riemann,
-)
+from contactframe import Instance, levi_civita, make_lambda_family, riemann
 
 
-class FamilyBundle:
-    """Everything derived from one family member, built once."""
-
-    def __init__(self, lam):
-        entry = make_lambda_family(lam)
-        self.entry = entry
-        self.m = entry.manifold
-        self.s = entry.structure
-        self.lc = levi_civita(self.m)
-        self.h = compute_h(self.m, self.s)
-        self.r = riemann(self.m, self.lc)
-        self.ricci = ricci(self.m, self.r)
-        self.kappa = detect_kappa(self.m, self.s, self.r)
-        self.pkg = build_gtw_package(self.m, self.s, self.lc, self.h)
-        self.z = concircular(self.m, self.pkg.curv)
+def family_instance(lam) -> Instance:
+    """The family member at ``lam`` (None keeps it symbolic)."""
+    entry = make_lambda_family(lam)
+    m = entry.manifold
+    lc = levi_civita(m)
+    return Instance(m, entry.structure, lc, riemann(m, lc))
 
 
 @pytest.fixture(scope="session")
 def fam():
     """The family with the parameter kept symbolic."""
-    return FamilyBundle(None)
+    return family_instance(None)
 
 
 @pytest.fixture(scope="session")
 def fam0():
     """The Sasakian member (parameter 0)."""
-    return FamilyBundle(0)
+    return family_instance(0)
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -112,9 +112,9 @@ def test_criterion_2_levi_civita_and_nullity_constant(fam):
 
 
 def test_criterion_3_identity_suites_hold_symbolically(fam):
-    nk = verify_nkappa_suite(fam.m, fam.s, fam.h, fam.lc, fam.r, fam.kappa)
-    gt = verify_gtw_suite(fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg)
-    cc = verify_concircular_suite(fam.m, fam.s, fam.z, fam.pkg.ricci)
+    nk = verify_nkappa_suite(fam)
+    gt = verify_gtw_suite(fam)
+    cc = verify_concircular_suite(fam)
     ok = not (nk.has_failures or gt.has_failures or cc.has_failures)
     must_hold = [
         (nk, (
@@ -262,8 +262,8 @@ def test_criterion_6_scalar_curvature_is_4n_squared(fam):
 
 
 def test_criterion_7_crosschecks_recorded_and_deterministic(fam):
-    first = verify_gtw_suite(fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg)
-    second = verify_gtw_suite(fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg)
+    first = verify_gtw_suite(fam)
+    second = verify_gtw_suite(fam)
     ok = True
     for name, entries in (
         ("gtw.curvature_closed_form_crosscheck", 27),

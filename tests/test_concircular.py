@@ -64,7 +64,7 @@ def test_self_action_values(fam):
 
 
 def test_suite_statuses_and_witnesses(fam):
-    report = verify_concircular_suite(fam.m, fam.s, fam.z, fam.pkg.ricci)
+    report = verify_concircular_suite(fam)
     assert not report.has_failures
     statuses = {c.name: c.status for c in report.checks}
     assert sum(1 for v in statuses.values() if v == "holds") == 8
@@ -108,8 +108,8 @@ def test_everything_is_parameter_free(fam, fam0):
 
     concircular layer coincides between the symbolic family and its
     parameter-0 member."""
-    rep0 = verify_concircular_suite(fam0.m, fam0.s, fam0.z, fam0.pkg.ricci)
-    rep = verify_concircular_suite(fam.m, fam.s, fam.z, fam.pkg.ricci)
+    rep0 = verify_concircular_suite(fam0)
+    rep = verify_concircular_suite(fam)
     assert [(c.name, c.status) for c in rep.checks] == [
         (c.name, c.status) for c in rep0.checks
     ]

@@ -116,7 +116,7 @@ def test_detect_kappa_matches_family_constant(fam):
 
 
 def test_nullity_suite_symbolic(fam):
-    report = verify_nkappa_suite(fam.m, fam.s, fam.h, fam.lc, fam.r, fam.kappa)
+    report = verify_nkappa_suite(fam)
     assert not report.has_failures
     statuses = {c.name: c.status for c in report.checks}
     holds = [n for n, st in statuses.items() if st == "holds"]
@@ -132,7 +132,7 @@ def test_nullity_suite_symbolic(fam):
 
 
 def test_nullity_suite_sasakian_member(fam0):
-    report = verify_nkappa_suite(fam0.m, fam0.s, fam0.h, fam0.lc, fam0.r, fam0.kappa)
+    report = verify_nkappa_suite(fam0)
     assert not report.has_failures
     statuses = {c.name: c.status for c in report.checks}
     # with h = 0 the two covariant-derivative presentations coincide, and

@@ -80,3 +80,28 @@ def test_shape_validation():
         solve_linear([[c(1)]], [c(1), c(2)], P)
     with pytest.raises(ValueError):
         solve_linear([[c(1), c(2)], [c(1)]], [c(1), c(2)], P)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_zero_rows_leave_the_solution_unchanged(stride):
+    """A 0 = 0 row is never a pivot and never eliminated against, so
+    interleaving such rows (or dropping them) leaves the solution equal."""
+    params = ("t",)
+    t = Scalar.variable(params, "t")
+    one, zero = Scalar.one(params), Scalar.zero(params)
+    # rank 2 in three unknowns, with equal-cost pivot candidates
+    rows = [[t, one, zero], [one, t, one], [t + one, t + one, one], [t + t, one + one, zero]]
+    rhs = [t + one, t * t + t + one, t * t + t + t + one + one, t + t + one + one]
+    baseline = solve_linear(rows, rhs, params)
+    assert baseline is not None and baseline.free_columns == (2,)
+
+    padded_rows, padded_rhs = [], []
+    for position, (row, target) in enumerate(zip(rows, rhs)):
+        if position % stride == 0:
+            padded_rows.append([zero, zero, zero])
+            padded_rhs.append(zero)
+        padded_rows.append(row)
+        padded_rhs.append(target)
+    padded_rows.append([zero, zero, zero])
+    padded_rhs.append(zero)
+    assert solve_linear(padded_rows, padded_rhs, params) == baseline

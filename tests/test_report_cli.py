@@ -1,8 +1,11 @@
 """Report serialization and the command-line interface, end to end."""
 
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -49,12 +52,21 @@ def test_emit_rejects_unknown_format():
 
 
 def test_catalogues_match_emitted_names(fam):
-    nk = verify_nkappa_suite(fam.m, fam.s, fam.h, fam.lc, fam.r, fam.kappa)
+    nk = verify_nkappa_suite(fam)
     assert tuple(c.name for c in nk.checks) == NKAPPA_CHECK_NAMES
-    gt = verify_gtw_suite(fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg)
+    gt = verify_gtw_suite(fam)
     assert tuple(c.name for c in gt.checks) == GTW_CHECK_NAMES
-    cc = verify_concircular_suite(fam.m, fam.s, fam.z, fam.pkg.ricci)
+    cc = verify_concircular_suite(fam)
     assert tuple(c.name for c in cc.checks) == CONC_CHECK_NAMES
+
+
+def test_each_derived_check_name_is_written_once():
+    """The section row tables are the only place a derived name is spelled."""
+    src = Path(__file__).resolve().parent.parent / "src" / "contactframe"
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py")))
+    literals = Counter(re.findall(r"[\"'](?:nkappa|gtw|conc)\.[a-z_0-9]+[\"']", text))
+    catalogue = NKAPPA_CHECK_NAMES + GTW_CHECK_NAMES + CONC_CHECK_NAMES
+    assert literals == Counter(f'"{name}"' for name in catalogue)
 
 
 # -- exit semantics ----------------------------------------------------------------

@@ -1,12 +1,28 @@
-"""The suite runner's control flow: gating and the connection-failure path."""
+"""The suite runner's control flow: the connection-failure path, and how
+often one run computes each layer."""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
+import contactframe.contact
+import contactframe.curvature
+import contactframe.frames
 import contactframe.suite as suite_mod
-from contactframe import ConnectionConsistencyError, make_lambda_family, run_suite
+from contactframe import (
+    Connection,
+    ConnectionConsistencyError,
+    FrameManifold,
+    load_manifest_file,
+    make_lambda_family,
+    run_suite,
+)
 from contactframe.suite import CONC_CHECK_NAMES, GTW_CHECK_NAMES, NKAPPA_CHECK_NAMES
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 BROKEN = "metric parallelism violated at (1,2,3): 7"
 
@@ -41,3 +57,60 @@ def test_connection_failure_fails_every_derived_check(monkeypatch, suite, derive
         assert report.by_name("nkappa.nullity_constant").status == "holds"
     else:
         assert head == []
+
+
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Count calls of the layers a run should compute once, wherever they
+    are called from: every engine module's reference to a counted function
+    and the counted methods are swapped for counting wrappers."""
+    counts: dict[str, int] = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (contactframe.contact, "validate_acm"),
+        (contactframe.contact, "detect_kappa"),
+        (contactframe.curvature, "ricci"),
+        (contactframe.frames, "frame_images"),
+    ):
+        original = getattr(owner, name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            engine = module_name.startswith("contactframe")
+            if engine and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    for cls, name in ((FrameManifold, "lie_derive_endo"), (Connection, "derivative_endo")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    return counts
+
+
+def test_heisenberg_run_computes_each_layer_once(monkeypatch):
+    m, s = load_manifest_file(str(MANIFESTS / "heisenberg5.json"))
+    counts = _count_calls(monkeypatch)
+    run_suite(m, s, "all")
+    assert counts == {
+        "validate_acm": 1,
+        "detect_kappa": 1,
+        "lie_derive_endo": 1,
+        # the Levi-Civita and the torsionful Ricci forms
+        "ricci": 2,
+        # validate_acm's own, the instance's, and the torsionful connection's
+        "frame_images": 3,
+        # nabla phi (Levi-Civita), nabla h (Levi-Civita), nabla phi and
+        # nabla h (torsionful), one per frame index each
+        "derivative_endo": 4 * m.dim,
+    }
+
+
+def test_gated_run_computes_each_layer_once(monkeypatch):
+    m, s = load_manifest_file(str(MANIFESTS / "random5.json"))
+    counts = _count_calls(monkeypatch)
+    run_suite(m, s, "all")
+    assert counts["validate_acm"] == 1
+    assert counts["lie_derive_endo"] == 1
+    assert "ricci" not in counts and "derivative_endo" not in counts

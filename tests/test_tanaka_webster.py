@@ -101,9 +101,7 @@ def test_ricci_and_scalar(fam):
 
 
 def test_suite_symbolic(fam):
-    report = verify_gtw_suite(
-        fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg
-    )
+    report = verify_gtw_suite(fam)
     assert not report.has_failures
     statuses = {c.name: c.status for c in report.checks}
     assert sum(1 for v in statuses.values() if v == "holds") == 23
@@ -122,9 +120,7 @@ def test_suite_symbolic(fam):
 
 
 def test_closed_form_crosscheck_records_every_triple(fam):
-    report = verify_gtw_suite(
-        fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg
-    )
+    report = verify_gtw_suite(fam)
     check = report.by_name("gtw.curvature_closed_form_crosscheck")
     assert check.status == "not_applicable"
     w = check.witness
@@ -138,9 +134,7 @@ def test_closed_form_crosscheck_records_every_triple(fam):
 
 
 def test_pair_interchange_crosscheck_records_every_tuple(fam):
-    report = verify_gtw_suite(
-        fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg
-    )
+    report = verify_gtw_suite(fam)
     check = report.by_name("gtw.pair_interchange_crosscheck")
     assert check.status == "not_applicable"
     w = check.witness
@@ -152,9 +146,7 @@ def test_pair_interchange_crosscheck_records_every_tuple(fam):
 
 
 def test_cyclic_sum_crosscheck_holds(fam):
-    report = verify_gtw_suite(
-        fam.m, fam.s, fam.h, fam.kappa, fam.lc, fam.r, fam.pkg
-    )
+    report = verify_gtw_suite(fam)
     check = report.by_name("gtw.cyclic_sum_crosscheck")
     assert check.status == "holds"
     assert all(v == "agrees" for v in check.witness.values())
@@ -162,9 +154,7 @@ def test_cyclic_sum_crosscheck_holds(fam):
 
 
 def test_suite_sasakian_member(fam0):
-    report = verify_gtw_suite(
-        fam0.m, fam0.s, fam0.h, fam0.kappa, fam0.lc, fam0.r, fam0.pkg
-    )
+    report = verify_gtw_suite(fam0)
     assert not report.has_failures
     statuses = {c.name: c.status for c in report.checks}
     assert sum(1 for v in statuses.values() if v == "holds") == 23

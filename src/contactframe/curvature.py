@@ -108,11 +108,13 @@ def levi_civita(m: FrameManifold) -> Connection:
     # metric compatibility and torsion-freeness are structural for the Koszul
     # output on antisymmetric c, so a violation indicates malformed input
     for i, j, k in product(range(m.dim), repeat=3):
-        at = f"({i + 1},{j + 1},{k + 1})"
         if not (gamma[i][j][k] + gamma[i][k][j]).is_zero():
-            raise ConnectionConsistencyError(f"metric compatibility violated at {at}")
-        if not (gamma[i][j][k] - gamma[j][i][k] - m.c[i][j][k]).is_zero():
-            raise ConnectionConsistencyError(f"torsion-freeness violated at {at}")
+            law = "metric compatibility"
+        elif not (gamma[i][j][k] - gamma[j][i][k] - m.c[i][j][k]).is_zero():
+            law = "torsion-freeness"
+        else:
+            continue
+        raise ConnectionConsistencyError(f"{law} violated at ({i + 1},{j + 1},{k + 1})")
     return conn
 
 
@@ -295,7 +297,7 @@ def _h_covariant_derivative(report, name, x):
     one_minus_kappa = m.one_scalar() - x.kappa
     dh = [x.lc.derivative_endo(m, i, h) for i in range(m.dim)]
     h_phi = [h.apply(v) for v in img.phi]
-    tails = [h.apply(v + w) for v, w in zip(img.phi, img.phi_h)]
+    tails = [h.apply(v) for v in x.phi_x_plus_hx]
     report.graded(
         name,
         x.scan(

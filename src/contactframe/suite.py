@@ -78,6 +78,7 @@ _KAPPA_GATE = (
     "instance, so the nullity-based identities have no hypothesis to test"
 )
 
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One input and every layer derived from it, each computed at most once.
@@ -122,6 +123,11 @@ class Instance:
     def x_plus_hx(self) -> tuple[FrameVector, ...]:
         """E_i + hE_i for every frame index."""
         return tuple(e + he for e, he in zip(self.img.e, self.img.h))
+
+    @cached_property
+    def phi_x_plus_hx(self) -> tuple[FrameVector, ...]:
+        """phi E_i + phi h E_i for every frame index."""
+        return tuple(p + ph for p, ph in zip(self.img.phi, self.img.phi_h))
 
     # -- the connection lc -----------------------------------------------------
 
@@ -182,7 +188,7 @@ class Instance:
         closed form but the final bracket: the Levi-Civita curvature, the
         kappa-nullity term and the mixed phi terms."""
         m, xi, img, kappa = self.m, self.s.xi, self.img, self.kappa
-        e, eta, phi_e, phi_h = img.e, img.eta, img.phi, img.phi_h
+        e, eta, phi_e, phi_x_plus_hx = img.e, img.eta, img.phi, self.phi_x_plus_hx
         idx = range(m.dim)
 
         def defect(i: int, j: int, k: int) -> FrameVector:
@@ -191,9 +197,9 @@ class Instance:
                 - e[i].scale(eta[j] * eta[k])
                 + e[j].scale(eta[i] * eta[k])
             ).scale(kappa)
-            mixed = (phi_e[i] + phi_h[i]).scale(
-                -m.inner(self.x_plus_hx[j], phi_e[k])
-            ) + (phi_e[j] + phi_h[j]).scale(m.inner(self.x_plus_hx[i], phi_e[k]))
+            mixed = phi_x_plus_hx[j].scale(
+                m.inner(self.x_plus_hx[i], phi_e[k])
+            ) - phi_x_plus_hx[i].scale(m.inner(self.x_plus_hx[j], phi_e[k]))
             return self.pkg.curv.vector(i, j, k) - self.r.vector(i, j, k) - nullity - mixed
 
         return tuple(tuple(tuple(defect(i, j, k) for k in idx) for j in idx) for i in idx)

@@ -214,7 +214,7 @@ def _h_derivative_relation_reference(report, name, x):
             - x.s.xi.scale(
                 kappa_minus_1 * img.phi[i].components[j] + m.inner(img.h[i], img.phi[j])
             )
-            - (img.phi[j] + img.phi_h[j]).scale(img.eta[i]),
+            - x.phi_x_plus_hx[j].scale(img.eta[i]),
         ),
         "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
         "+ eta(X) phi(Y + hY) disagrees with the computed derivative; "
@@ -259,7 +259,7 @@ def _torsion_closed_form(report, name, x):
 def _torsion_closed_form_reference(report, name, x):
     report.reference(
         name,
-        _torsion_witness(x, tuple(p + ph for p, ph in zip(x.img.phi, x.img.phi_h))),
+        _torsion_witness(x, x.phi_x_plus_hx),
         "reference variant with the extra eta(Y) phi X - eta(X) phi Y "
         "terms disagrees with the computed torsion; recorded as data",
     )
@@ -295,13 +295,12 @@ def _curvature_xi_double(report, name, x):
 # R(X1, X2)X3 minus the closed form whose final bracket has sign last_sign;
 # every other term of the closed form is in x.curvature_defect
 def _closed_form_residual(x, last_sign: int):
-    m, img = x.m, x.img
+    v = x.phi_x_plus_hx
 
+    # the bracket is g(X1, phi X2 + phi h X2) + last_sign g(X2, phi X1 + phi h X1)
     def residual(i: int, j: int, k: int) -> FrameVector:
-        bracket = m.inner(img.e[i], img.phi[j] + img.phi_h[j]) + m.inner(
-            img.e[j], img.phi[i] + img.phi_h[i]
-        ).scale(last_sign)
-        return x.curvature_defect[i][j][k] - img.phi[k].scale(bracket)
+        bracket = v[j].components[i] + v[i].components[j].scale(last_sign)
+        return x.curvature_defect[i][j][k] - x.img.phi[k].scale(bracket)
 
     return residual
 

@@ -146,7 +146,7 @@ class Instance:
 
     @cached_property
     def classification(self) -> StructureClass:
-        """Contact metric / K-contact / Sasakian; kappa only on a valid structure."""
+        """Contact metric / K-contact / Sasakian; kappa only when acm holds."""
         m, xi, img = self.m, self.s.xi, self.img
         acm_ok = not self.acm_report.has_failures
         # Sasakian: (nabla_X phi)Y = g(X, Y) xi - eta(Y) X

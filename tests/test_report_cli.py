@@ -120,6 +120,16 @@ def test_unknown_suite_exits_2():
     assert proc.returncode == 2
 
 
+def test_curvature_gtw_refuses_a_broken_structure():
+    proc = run_cli("curvature", "manifests/random5.json", "--connection", "gtw")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "the torsionful connection needs a valid contact metric structure: "
+        "acm.h_symmetric violated: {'indices': [2, 1], 'residual': '-1'}\n"
+    )
+
+
 # -- determinism --------------------------------------------------------------------
 
 

@@ -54,9 +54,9 @@ from .tanaka_webster import (
     build_gtw_package,
     eta_einstein_fit,
     gssf_decompose,
-    gssf_template_terms,
     gtw_connection,
     gtw_torsion,
+    space_form_templates,
     verify_gtw_suite,
 )
 from .version import ENGINE_VERSION
@@ -120,7 +120,6 @@ __all__ = [
     "exact_div",
     "example1_pipeline",
     "gssf_decompose",
-    "gssf_template_terms",
     "gtw_connection",
     "gtw_torsion",
     "h_property_checks",
@@ -139,6 +138,7 @@ __all__ = [
     "run_suite",
     "scalar_curvature",
     "solve_linear",
+    "space_form_templates",
     "tensor_dot_form",
     "tensor_dot_tensor",
     "validate_acm",

@@ -60,7 +60,13 @@ from .curvature import (
 from .frames import Endomorphism, FrameImages, FrameManifold, FrameVector, frame_images
 from .report import VerificationReport, first_witness
 from .scalars import Scalar
-from .tanaka_webster import GTW_ROWS, GtwPackage, build_gtw_package, verify_gtw_suite
+from .tanaka_webster import (
+    GTW_ROWS,
+    GtwPackage,
+    build_gtw_package,
+    space_form_templates,
+    verify_gtw_suite,
+)
 from .version import ENGINE_VERSION
 
 SUITES = ("all", "frame", "nkappa", "gtw", "concircular")
@@ -96,6 +102,22 @@ class Instance:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
         return first_witness(product(range(self.m.dim), repeat=arity), residual)
 
+    def xi_scan(self, xi_at: tuple[int, ...], residual: Callable) -> dict | None:
+        """``scan`` of ``residual(X, Y, Z)`` with xi in the argument slots
+        ``xi_at`` and frame vectors in the others: xi_at=(2,) runs (E_i, E_j, xi)."""
+        e, xi = self.img.e, self.s.xi
+
+        def at(*indices: int):
+            frame = iter(indices)
+            return residual(*[xi if slot in xi_at else e[next(frame)] for slot in range(3)])
+
+        return self.scan(3 - len(xi_at), at)
+
+    def r1_scan(self, t: Curvature4Tensor, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
+        """``xi_scan`` of T - c R1: T against the model c R1 at the same slots."""
+        r1 = self.templates[0]
+        return self.xi_scan(xi_at, lambda *args: t.apply(*args) - r1.apply(*args).scale(c))
+
     # -- structural layer ----------------------------------------------------
 
     @cached_property
@@ -118,6 +140,11 @@ class Instance:
     @cached_property
     def img(self) -> FrameImages:
         return frame_images(self.m, self.s, self.h)
+
+    @cached_property
+    def templates(self) -> tuple[Curvature4Tensor, ...]:
+        """The space-form model tensors (R1, R2, R3)."""
+        return space_form_templates(self.m, self.s)
 
     @cached_property
     def x_plus_hx(self) -> tuple[FrameVector, ...]:
@@ -186,17 +213,12 @@ class Instance:
     def curvature_defect(self) -> tuple[tuple[tuple[FrameVector, ...], ...], ...]:
         """R(E_i, E_j)E_k of the torsionful connection minus every term of its
         closed form but the final bracket: the Levi-Civita curvature, the
-        kappa-nullity term and the mixed phi terms."""
-        m, xi, img, kappa = self.m, self.s.xi, self.img, self.kappa
-        e, eta, phi_e, phi_x_plus_hx = img.e, img.eta, img.phi, self.phi_x_plus_hx
+        nullity term kappa R3 and the mixed phi terms."""
+        m, phi_e, phi_x_plus_hx, r3 = self.m, self.img.phi, self.phi_x_plus_hx, self.templates[2]
         idx = range(m.dim)
 
         def defect(i: int, j: int, k: int) -> FrameVector:
-            nullity = (
-                xi.scale(eta[j] * m.inner(e[i], e[k]) - eta[i] * m.inner(e[j], e[k]))
-                - e[i].scale(eta[j] * eta[k])
-                + e[j].scale(eta[i] * eta[k])
-            ).scale(kappa)
+            nullity = r3.vector(i, j, k).scale(self.kappa)
             mixed = phi_x_plus_hx[j].scale(
                 m.inner(self.x_plus_hx[i], phi_e[k])
             ) - phi_x_plus_hx[i].scale(m.inner(self.x_plus_hx[j], phi_e[k]))
@@ -206,7 +228,7 @@ class Instance:
 
     @cached_property
     def z(self) -> ConcircularTensor:
-        return concircular(self.m, self.pkg.curv)
+        return concircular(self.m, self.pkg.curv, self.templates[0])
 
 
 def classify(

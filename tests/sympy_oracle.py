@@ -171,28 +171,41 @@ def derivation_on_form(a_mat, s_mat):
     return out
 
 
-def space_form_equations(phi, r_gt, coeffs):
-    """Components of F1 R1 + F2 R2 + F3 R3 - R over every basis triple.
+def space_form_templates(phi):
+    """R1, R2, R3 of the generalized Sasakian space-form template, each as
+    t[i][j][k] = R_a(E_i, E_j)E_k:
 
-    R1, R2, R3 are the generalized Sasakian space-form template terms; the
-    coefficients solve the template exactly when every entry is zero.
+        R1(X, Y)Z = g(Y, Z)X - g(X, Z)Y
+        R2(X, Y)Z = g(X, phi Z)phi Y - g(Y, phi Z)phi X + 2 g(X, phi Y)phi Z
+        R3(X, Y)Z = eta(X)eta(Z)Y - eta(Y)eta(Z)X + g(X, Z)eta(Y)xi - g(Y, Z)eta(X)xi
     """
-    f1, f2, f3 = coeffs
-    eqs = []
+    r1, r2, r3 = ([[[None] * DIM for _ in IDX] for _ in IDX] for _ in range(3))
     for i, j, k in itertools.product(IDX, IDX, IDX):
         ei, ej, ek = basis(i), basis(j), basis(k)
-        g1 = (ej.dot(ek)) * ei - (ei.dot(ek)) * ej
-        g2 = (
+        r1[i][j][k] = (ej.dot(ek)) * ei - (ei.dot(ek)) * ej
+        r2[i][j][k] = (
             (ei.dot(phi * ek)) * (phi * ej)
             - (ej.dot(phi * ek)) * (phi * ei)
             + 2 * (ei.dot(phi * ej)) * (phi * ek)
         )
-        g3 = (
+        r3[i][j][k] = (
             ETA[i] * ETA[k] * ej
             - ETA[j] * ETA[k] * ei
             + (ei.dot(ek)) * ETA[j] * XI
             - (ej.dot(ek)) * ETA[i] * XI
         )
+    return r1, r2, r3
+
+
+def space_form_equations(phi, r_gt, coeffs):
+    """Components of F1 R1 + F2 R2 + F3 R3 - R over every basis triple; the
+    coefficients solve the template exactly when every entry is zero.
+    """
+    f1, f2, f3 = coeffs
+    r1, r2, r3 = space_form_templates(phi)
+    eqs = []
+    for i, j, k in itertools.product(IDX, IDX, IDX):
+        g1, g2, g3 = r1[i][j][k], r2[i][j][k], r3[i][j][k]
         for q in IDX:
             eqs.append(sp.expand(f1 * g1[q] + f2 * g2[q] + f3 * g3[q] - r_gt[i][j][k][q]))
     return eqs
@@ -212,6 +225,7 @@ def build_all(l=lam):
     return {
         "c": c, "phi": phi, "gamma": gamma, "h": h, "r": r, "s": s,
         "gt": gt, "r_gt": r_gt, "s_gt": s_gt, "z": z, "k_const": k_const,
+        "templates": space_form_templates(phi),
     }
 
 

@@ -18,7 +18,6 @@ from contactframe import (
     boeckx_invariant,
     dhomothetic_invariants,
     gssf_decompose,
-    gssf_template_terms,
     make_lambda_family,
     tensor_dot_form,
     tensor_dot_tensor,
@@ -170,11 +169,11 @@ def test_criterion_4_space_form_coefficients_all_one(fam0):
     checked by substitution into the template on all basis triples, so the
     verdict does not rest on the linear solver.
     """
-    m, s, curv = fam0.m, fam0.s, fam0.pkg.curv
+    m, curv = fam0.m, fam0.pkg.curv
     n, e, c = m.n, m.basis, m.constant
 
     def template(coeffs, i, j, k):
-        t1, t2, t3 = gssf_template_terms(m, s, i, j, k)
+        t1, t2, t3 = (t.vector(i, j, k) for t in fam0.templates)
         return t1.scale(coeffs[0]) + t2.scale(coeffs[1]) + t3.scale(coeffs[2])
 
     def residuals(coeffs):
@@ -218,7 +217,7 @@ def test_criterion_4_space_form_coefficients_all_one(fam0):
     ok = ok and template_tau(all_ones) == closed_tau(all_ones) == c(8)
     ok = ok and template_tau(all_ones) != fam0.pkg.tau
 
-    coeffs = gssf_decompose(m, s, curv)
+    coeffs = gssf_decompose(fam0.templates, curv)
     ok = ok and coeffs is not None
     ok = ok and (coeffs.F1, coeffs.F2, coeffs.F3) == line[0]
     ok = ok and coeffs.free == ("F3",)

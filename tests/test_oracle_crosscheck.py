@@ -4,7 +4,8 @@ Every core tensor of the one-parameter family is built twice: once by the
 engine (read from the suite ``Instance``), once with sympy from first
 principles (``tests/sympy_oracle.py``).  The two are compared component by
 component: both connection tables, h, both Ricci forms, both curvature
-tensors, the concircular tensor and its constant K, 325 components in all.
+tensors, the concircular tensor and its constant K, and the space-form
+model tensors R1, R2, R3, 568 components in all.
 Skipped where sympy is not installed.
 """
 
@@ -53,9 +54,13 @@ def test_engine_matches_sympy_oracle(fam):
             pairs.append(
                 (f"{label}{i, j, k, l}", tensor.components[i][j][k][l], d[key][i][j][k][l])
             )
+        for a, (tensor, expected) in enumerate(zip(fam.templates, d["templates"])):
+            pairs.append(
+                (f"R{a + 1}{i, j, k, l}", tensor.components[i][j][k][l], expected[i][j][k][l])
+            )
     pairs.append(("K", fam.z.K, d["k_const"]))
 
-    assert len(pairs) == 325
+    assert len(pairs) == 568
     mismatches = [
         f"{label}: engine - oracle = {delta}"
         for label, engine, expected in pairs

@@ -12,6 +12,7 @@ import contactframe.contact
 import contactframe.curvature
 import contactframe.frames
 import contactframe.suite as suite_mod
+import contactframe.tanaka_webster
 from contactframe import (
     Connection,
     ConnectionConsistencyError,
@@ -77,6 +78,7 @@ def _count_calls(monkeypatch) -> dict[str, int]:
         (contactframe.contact, "detect_kappa"),
         (contactframe.curvature, "ricci"),
         (contactframe.frames, "frame_images"),
+        (contactframe.tanaka_webster, "space_form_templates"),
     ):
         original = getattr(owner, name)
         wrapper = counting(name, original)
@@ -104,6 +106,8 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         # nabla phi (Levi-Civita), nabla h (Levi-Civita), nabla phi and
         # nabla h (torsionful), one per frame index each
         "derivative_endo": 4 * m.dim,
+        # R1, R2, R3, shared by the nullity, torsionful and concircular sections
+        "space_form_templates": 1,
     }
 
 
@@ -114,3 +118,5 @@ def test_gated_run_computes_each_layer_once(monkeypatch):
     assert counts["validate_acm"] == 1
     assert counts["lie_derive_endo"] == 1
     assert "ricci" not in counts and "derivative_endo" not in counts
+    # every derived section is gated, so the model tensors are never built
+    assert "space_form_templates" not in counts

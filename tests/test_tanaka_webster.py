@@ -8,7 +8,6 @@ from contactframe import (
     GssfCoefficients,
     eta_einstein_fit,
     gssf_decompose,
-    gssf_template_terms,
     verify_gtw_suite,
 )
 from contactframe.scalars import Scalar
@@ -168,7 +167,7 @@ def test_suite_sasakian_member(fam0):
 
 
 def test_space_form_decomposition(fam):
-    coeffs = gssf_decompose(fam.m, fam.s, fam.pkg.curv)
+    coeffs = gssf_decompose(fam.templates, fam.pkg.curv)
     assert coeffs is not None
     one = Scalar.one(fam.m.params)
     third = Scalar.constant(fam.m.params, Fraction(1, 3))
@@ -179,7 +178,7 @@ def test_space_form_decomposition(fam):
 
 
 def test_space_form_decomposition_sasakian(fam0):
-    coeffs = gssf_decompose(fam0.m, fam0.s, fam0.pkg.curv)
+    coeffs = gssf_decompose(fam0.templates, fam0.pkg.curv)
     assert coeffs is not None
     assert coeffs.F1 == fam0.m.constant(1)
     assert coeffs.F2 == fam0.m.constant(Fraction(1, 3))
@@ -192,13 +191,13 @@ def test_all_ones_is_not_a_solution(fam):
 
     nonzero residual against the computed curvature, so the solver's
     (1, 1/3, 1) answer is not an artifact of the free column."""
-    m, s, curv = fam.m, fam.s, fam.pkg.curv
+    m, curv = fam.m, fam.pkg.curv
     one = m.one_scalar()
     bad = None
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                t1, t2, t3 = gssf_template_terms(m, s, i, j, k)
+                t1, t2, t3 = (t.vector(i, j, k) for t in fam.templates)
                 combo = t1.scale(one) + t2.scale(one) + t3.scale(one)
                 residual = curv.vector(i, j, k) - combo
                 if not residual.is_zero():

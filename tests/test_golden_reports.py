@@ -14,7 +14,10 @@ section is gated (``manifests/random5.json``), each under ``all``.  The
 contact metric (kappa, mu)-space with kappa = 3/4 and mu = -1
 (``manifests/kmu3.json``) passes the structural layer but has no single
 nullity constant, so it freezes the kappa-absent gate under ``all`` and
-``nkappa``.
+``nkappa``.  The unit tangent bundle of E^4 (``manifests/t1e4.json``, a
+7-dimensional contact metric Lie group with kappa = 0) is the one report
+above dimension 3 with nonzero self-action and Ricci-action witnesses and
+"differs" entries in the pair-interchange crosscheck; it runs under ``all``.
 
 The ``curvature`` command's JSON tables are frozen too, because the gated
 random frames show their dense, many-term Levi-Civita and Riemann tensors
@@ -72,6 +75,7 @@ INSTANCES = {
     "heisenberg5": _manifest_file("heisenberg5.json"),
     "random5": _manifest_file("random5.json"),
     "kmu3": _manifest_file("kmu3.json"),
+    "t1e4": _manifest_file("t1e4.json"),
 }
 
 CASES = (
@@ -80,6 +84,7 @@ CASES = (
     + [("abelian3", suite) for suite in SUITES]
     + [("heisenberg5", "all"), ("random5", "all")]
     + [("kmu3", "all"), ("kmu3", "nkappa")]
+    + [("t1e4", "all")]
 )
 
 

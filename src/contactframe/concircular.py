@@ -28,6 +28,18 @@ standard derivation convention negates both terms), and grades:
   Z(xi,X).Z never vanishes identically, each with a minimal witness;
 - the phi-flatness hypothesis test (runs the eta-Einstein fit when the
   hypothesis holds; otherwise records the first nonzero residual).
+
+The action obstructions scan every basis tuple as component contractions.
+With A = Z(xi, E_i) built once per i (``Instance.z_xi``),
+
+    (A.Z)_jkl^p = sum_q A^p_q Z_jkl^q - A^q_j Z_qkl^p - A^q_k Z_jql^p - A^q_l Z_jkq^p
+    (A.w)_jk    = sum_q A^q_j w_qk + A^q_k w_jq
+
+are one sum of products per output component, walking only the nonzero
+entries of A and of Z (``tensor_action``, ``form_action``).
+``tensor_dot_tensor`` and ``tensor_dot_form`` are the same operators on
+arbitrary constant vectors, through the trilinear apply, and the tests hold
+the contractions to them.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING
 
 from .curvature import BilinearForm, Curvature4Tensor
@@ -78,13 +90,7 @@ def tensor_dot_tensor(
     x5: FrameVector,
 ) -> FrameVector:
     """(T1(X1,X2).T2)(X3,X4)X5 with the leading term minus three insertions."""
-    return endomorphism_dot_tensor(t1.endomorphism(x1, x2), t2, x3, x4, x5)
-
-
-def endomorphism_dot_tensor(
-    a: Endomorphism, t2: Curvature4Tensor, x3: FrameVector, x4: FrameVector, x5: FrameVector
-) -> FrameVector:
-    """(A.T2)(X3,X4)X5 = A T2(X3,X4)X5 - T2(AX3,X4)X5 - T2(X3,AX4)X5 - T2(X3,X4)AX5."""
+    a = t1.endomorphism(x1, x2)
     return (
         a.apply(t2.apply(x3, x4, x5))
         - t2.apply(a.apply(x3), x4, x5)
@@ -106,6 +112,40 @@ def tensor_dot_form(
     return omega.apply(t1.apply(x1, x2, x3), x4) + omega.apply(x3, t1.apply(x1, x2, x4))
 
 
+def tensor_action(a: Endomorphism, t: Curvature4Tensor, j: int, k: int, l: int) -> FrameVector:
+    """(A.T)(E_j, E_k)E_l as one contraction per component p:
+
+        sum_q A^p_q T_jkl^q - A^q_j T_qkl^p - A^q_k T_jql^p - A^q_l T_jkq^p,
+
+    walking only the nonzero entries of A and of T's vectors."""
+    cols, vec = a.sparse_columns, t.sparse_vectors
+    pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(a.dim)]
+    for q, t_q in vec[j][k][l]:
+        for p, a_pq in cols[q]:
+            pairs[p].append((a_pq, t_q))
+    for q, a_q in cols[j]:
+        for p, t_p in vec[q][k][l]:
+            pairs[p].append((-a_q, t_p))
+    for q, a_q in cols[k]:
+        for p, t_p in vec[j][q][l]:
+            pairs[p].append((-a_q, t_p))
+    for q, a_q in cols[l]:
+        for p, t_p in vec[j][k][q]:
+            pairs[p].append((-a_q, t_p))
+    params = t.components[0][0][0][0].params
+    return FrameVector(tuple(Scalar.sum_of_products(params, ps) for ps in pairs))
+
+
+def form_action(a: Endomorphism, w: BilinearForm, j: int, k: int) -> Scalar:
+    """(A.w)(E_j, E_k) = w(A E_j, E_k) + w(E_j, A E_k), both terms positive as
+    quoted, as one contraction over the nonzero entries of A."""
+    cols, wc = a.sparse_columns, w.components
+    return Scalar.sum_of_products(
+        wc[0][0].params,
+        chain(((a_q, wc[q][k]) for q, a_q in cols[j]), ((wc[j][q], a_q) for q, a_q in cols[k])),
+    )
+
+
 _FORM_CONVENTION_NOTE = (
     "form action implemented with both terms positive, as quoted; the standard "
     "derivation convention negates both terms, flipping every value's sign but "
@@ -122,7 +162,7 @@ _FORM_CONVENTION_NOTE = (
 def _xi_double_contraction(report, name, x):
     report.graded(
         name,
-        x.r1_scan(x.z, x.z.K, xi_at=(1, 2)),
+        x.r1_scan("z", x.z.K, xi_at=(1, 2)),
         notes=(
             "asserted definitional expansion: Z(X, xi)xi = K(X - eta(X) xi) "
             "= -K phi^2 X under phi^2 = -I + eta (x) xi",
@@ -144,12 +184,12 @@ def _xi_double_contraction_phi_square(report, name, x):
 
 # Z(X1, X2)xi = K R1(X1, X2)xi
 def _xi_pair(report, name, x):
-    report.graded(name, x.r1_scan(x.z, x.z.K, xi_at=(2,)))
+    report.graded(name, x.r1_scan("z", x.z.K, xi_at=(2,)))
 
 
 # Z(X1, xi)X2 = K R1(X1, xi)X2
 def _xi_argument(report, name, x):
-    report.graded(name, x.r1_scan(x.z, x.z.K, xi_at=(1,)))
+    report.graded(name, x.r1_scan("z", x.z.K, xi_at=(1,)))
 
 
 # eta(Z(E_i, E_j)E_k) against K eta(R1) at the basis slots model(i, j, k)
@@ -197,7 +237,7 @@ def _xi_flatness_obstruction(report, name, x):
     first_nonzero = first_witness(
         product(range(x.m.dim), repeat=2), lambda i, j: z.apply(e[i], e[j], xi), key="value"
     )
-    bad = x.r1_scan(z, z.K, xi_at=(2,))
+    bad = x.r1_scan("z", z.K, xi_at=(2,))
     if first_nonzero is not None and bad is None:
         report.holds(
             name,
@@ -262,18 +302,12 @@ def _phi_flatness(report, name, x):
         )
 
 
-# (Z(xi, E_i).ricci)(E_j, X3)
-def _ricci_action(x, x3: FrameVector, i: int, j: int) -> Scalar:
-    e = x.img.e
-    return tensor_dot_form(x.m, x.z, x.pkg.ricci, x.s.xi, e[i], e[j], x3)
-
-
 def _ricci_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X1).ricci)(X2, X3) cannot vanish identically."""
-    e = x.img.e
+    ric, z_xi = x.pkg.ricci, x.z_xi
     first_nonzero = first_witness(
         product(range(x.m.dim), repeat=3),
-        lambda i, j, k: _ricci_action(x, e[k], i, j),
+        lambda i, j, k: form_action(z_xi[i], ric, j, k),
         key="value",
     )
     if first_nonzero is not None:
@@ -297,12 +331,16 @@ def _ricci_action_obstruction(report, name, x):
 # slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2); the
 # opposite sign is tried before declaring failure
 def _ricci_action_slice(report, name, x):
-    ric = x.pkg.ricci.components
+    ric, z_xi, params = x.pkg.ricci, x.z_xi, x.m.params
+    xi = [(r, c) for r, c in enumerate(x.s.xi.components) if c.terms]
+
+    # (Z(xi, E_i).ricci)(E_j, xi) = sum_r xi^r (Z(xi, E_i).ricci)(E_j, E_r)
+    def xi_slot(i: int, j: int) -> Scalar:
+        return Scalar.sum_of_products(params, ((c, form_action(z_xi[i], ric, j, r)) for r, c in xi))
 
     def slice_witness(sign: int) -> dict | None:
         return x.scan(
-            2,
-            lambda i, j: _ricci_action(x, x.s.xi, i, j) + (x.z.K * ric[i][j]).scale(sign),
+            2, lambda i, j: xi_slot(i, j) + (x.z.K * ric.components[i][j]).scale(sign)
         )
 
     matched_sign = "-K"
@@ -325,11 +363,10 @@ def _ricci_action_slice(report, name, x):
 
 def _self_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
-    z, e = x.z, x.img.e
-    z_xi = [z.endomorphism(x.s.xi, e[i]) for i in range(x.m.dim)]
+    z, z_xi = x.z, x.z_xi
     first_nonzero = first_witness(
         product(range(x.m.dim), repeat=4),
-        lambda i, j, k, l: endomorphism_dot_tensor(z_xi[i], z, e[j], e[k], e[l]),
+        lambda i, j, k, l: tensor_action(z_xi[i], z, j, k, l),
         key="value",
     )
     if first_nonzero is not None:

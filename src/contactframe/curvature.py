@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import Row, VerificationReport, first_witness, grade_rows
@@ -132,6 +133,27 @@ class Curvature4Tensor:
             tuple(tuple(tuple(vector(i, j, k).components for k in idx) for j in idx) for i in idx)
         )
 
+    @staticmethod
+    def from_products(
+        dim: int, params: tuple[str, ...], products: Iterable[tuple[tuple[int, ...], Scalar, Scalar]]
+    ) -> "Curvature4Tensor":
+        """The tensor whose component (i, j, k, l) is the sum of a * b over the
+        products ((i, j, k, l), a, b); one sum of products per component named."""
+        pairs: dict[tuple[int, ...], list[tuple[Scalar, Scalar]]] = {}
+        for index, a, b in products:
+            pairs.setdefault(index, []).append((a, b))
+        zero, idx = Scalar.zero(params), range(dim)
+        sums = {index: Scalar.sum_of_products(params, ab) for index, ab in pairs.items()}
+        return Curvature4Tensor(
+            tuple(
+                tuple(
+                    tuple(tuple(sums.get((i, j, k, l), zero) for l in idx) for k in idx)
+                    for j in idx
+                )
+                for i in idx
+            )
+        )
+
     @property
     def dim(self) -> int:
         return len(self.components)
@@ -139,6 +161,18 @@ class Curvature4Tensor:
     def vector(self, i: int, j: int, k: int) -> FrameVector:
         """R(E_i, E_j)E_k as a frame vector."""
         return FrameVector(tuple(self.components[i][j][k]))
+
+    @cached_property
+    def sparse_vectors(self) -> tuple[tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...], ...]:
+        """The nonzero entries of each R(E_i, E_j)E_k: ``sparse_vectors[i][j][k]``
+        holds the pairs (l, R[i][j][k][l]) whose component is nonzero."""
+        return tuple(
+            tuple(
+                tuple(tuple((l, c) for l, c in enumerate(vec) if c.terms) for vec in row)
+                for row in plane
+            )
+            for plane in self.components
+        )
 
     def lowered(self, i: int, j: int, k: int, l: int) -> Scalar:
         """R(E_i, E_j, E_k, E_l) = g(R(E_i,E_j)E_k, E_l); free on an orthonormal frame."""
@@ -328,15 +362,15 @@ def _eta_covariant_derivative(report, name, x):
 
 # R(X, xi)xi, R(X, Y)xi and R(X, xi)Y equal kappa R1 at the same slots
 def _curvature_xi_xi(report, name, x):
-    report.graded(name, x.r1_scan(x.r, x.kappa, xi_at=(1, 2)))
+    report.graded(name, x.r1_scan("r", x.kappa, xi_at=(1, 2)))
 
 
 def _curvature_pair_xi(report, name, x):
-    report.graded(name, x.r1_scan(x.r, x.kappa, xi_at=(2,)))
+    report.graded(name, x.r1_scan("r", x.kappa, xi_at=(2,)))
 
 
 def _curvature_xi_argument(report, name, x):
-    report.graded(name, x.r1_scan(x.r, x.kappa, xi_at=(1,)))
+    report.graded(name, x.r1_scan("r", x.kappa, xi_at=(1,)))
 
 
 # S = 2(n-1) g + 2(n-1) g(h., .) + [2n kappa - 2(n-1)] eta (x) eta
@@ -386,9 +420,9 @@ def _sasakian_orientation(report, name, x):
     if not (x.kappa - one).is_zero():
         report.not_applicable(name, notes=("instance is not Sasakian (kappa differs from 1)",))
         return
-    if x.r1_scan(x.r, one, xi_at=(2,)) is None:
+    if x.r1_scan("r", one, xi_at=(2,)) is None:
         orientation = "eta(Y)X - eta(X)Y"
-    elif x.r1_scan(x.r, -one, xi_at=(2,)) is None:
+    elif x.r1_scan("r", -one, xi_at=(2,)) is None:
         orientation = "eta(X)Y - eta(Y)X"
     else:
         orientation = "neither"

@@ -18,7 +18,7 @@ indices at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -132,6 +132,15 @@ class Endomorphism:
 
     def column(self, j: int) -> FrameVector:
         return FrameVector(tuple(self.matrix[i][j] for i in range(self.dim)))
+
+    @cached_property
+    def sparse_columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """The nonzero entries of each column: ``sparse_columns[j]`` holds the
+        pairs (i, component i of A(E_j)) whose component is nonzero."""
+        return tuple(
+            tuple((i, row[j]) for i, row in enumerate(self.matrix) if row[j].terms)
+            for j in range(self.dim)
+        )
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Matrix product self @ other, i.e. X -> self(other(X))."""

@@ -32,7 +32,7 @@ broken input structure, is a report entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -97,6 +97,7 @@ class Instance:
     s: AlmostContactData
     lc: Connection
     r: Curvature4Tensor
+    _r1_witnesses: dict = field(default_factory=dict, init=False, repr=False)
 
     def scan(self, arity: int, residual: Callable) -> dict | None:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
@@ -113,10 +114,17 @@ class Instance:
 
         return self.scan(3 - len(xi_at), at)
 
-    def r1_scan(self, t: Curvature4Tensor, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
-        """``xi_scan`` of T - c R1: T against the model c R1 at the same slots."""
-        r1 = self.templates[0]
-        return self.xi_scan(xi_at, lambda *args: t.apply(*args) - r1.apply(*args).scale(c))
+    def r1_scan(self, layer: str, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
+        """``xi_scan`` of T - c R1, T being the layer named ``layer`` ("r" or
+        "z"): T against the model c R1 at the same slots.  Each distinct scan
+        runs once; rows that grade the same comparison share its witness."""
+        key = (layer, c, xi_at)
+        if key not in self._r1_witnesses:
+            t, r1 = getattr(self, layer), self.templates[0]
+            self._r1_witnesses[key] = self.xi_scan(
+                xi_at, lambda *args: t.apply(*args) - r1.apply(*args).scale(c)
+            )
+        return self._r1_witnesses[key]
 
     # -- structural layer ----------------------------------------------------
 
@@ -229,6 +237,12 @@ class Instance:
     @cached_property
     def z(self) -> ConcircularTensor:
         return concircular(self.m, self.pkg.curv, self.templates[0])
+
+    @cached_property
+    def z_xi(self) -> tuple[Endomorphism, ...]:
+        """Z(xi, E_i) for every frame index: the endomorphisms whose actions on
+        the ricci form and on Z the concircular obstructions grade."""
+        return tuple(self.z.endomorphism(self.s.xi, e) for e in self.img.e)
 
 
 def classify(

@@ -41,7 +41,7 @@ variant is still evaluated and reported):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import TYPE_CHECKING
 
 from .contact import AlmostContactData
@@ -329,19 +329,36 @@ def _curvature_closed_form_crosscheck(report, name, x):
     )
 
 
-def _pair_interchange_crosscheck(report, name, x):
-    m, low = x.m, x.pkg.curv.lowered
-    phi_e, h_e, phi_h = x.img.phi, x.img.h, x.img.phi_h
+# 2 phi_ab and -2 phi_ab, with phi_ab = g(phi E_a, E_b), and phi_h[a][b] = g(phi h E_a, E_b):
+# the entries the crosschecks' quoted h-expressions read
+def _phi_tables(x):
+    phi = [v.components for v in x.img.phi]
+    two_phi = [[c.scale(2) for c in row] for row in phi]
+    minus_two_phi = [[c.scale(-2) for c in row] for row in phi]
+    return two_phi, minus_two_phi, [v.components for v in x.img.phi_h]
 
+
+def _pair_interchange_crosscheck(report, name, x):
+    m, low, one = x.m, x.pkg.curv.lowered, x.m.one_scalar()
+    two_phi, minus_two_phi, phi_h = _phi_tables(x)
+    # h_phi[a][b] = g(h E_a, phi E_b)
+    h_phi = [[m.inner(h, phi) for phi in x.img.phi] for h in x.img.h]
+
+    # R(i,j,k,l) + R(k,l,i,j) + 2[phi_il g(hE_j, phiE_k) - phi_kj phih_il
+    #  - g(hE_i, phiE_k) phi_lj + phi_ki phih_jl - phih_lk phi_ij]
     def residual(i: int, j: int, k: int, l: int) -> Scalar:
-        rhs = (
-            phi_e[i].components[l] * m.inner(h_e[j], phi_e[k])
-            - phi_e[k].components[j] * phi_h[i].components[l]
-            - m.inner(h_e[i], phi_e[k]) * phi_e[l].components[j]
-            + phi_e[k].components[i] * phi_h[j].components[l]
-            - phi_h[l].components[k] * phi_e[i].components[j]
-        ).scale(-2)
-        return low(i, j, k, l) + low(k, l, i, j) - rhs
+        return Scalar.sum_of_products(
+            m.params,
+            (
+                (low(i, j, k, l), one),
+                (low(k, l, i, j), one),
+                (two_phi[i][l], h_phi[j][k]),
+                (minus_two_phi[k][j], phi_h[i][l]),
+                (h_phi[i][k], minus_two_phi[l][j]),
+                (two_phi[k][i], phi_h[j][l]),
+                (phi_h[l][k], minus_two_phi[i][j]),
+            ),
+        )
 
     report.crosscheck(
         name,
@@ -356,20 +373,31 @@ def _pair_interchange_crosscheck(report, name, x):
 
 # first Bianchi identity against the quoted h-expression
 def _cyclic_sum_crosscheck(report, name, x):
-    curv, phi_e, phi_h = x.pkg.curv, x.img.phi, x.img.phi_h
+    m, curv, one = x.m, x.pkg.curv.components, x.m.one_scalar()
+    two_phi, minus_two_phi, phi_h = _phi_tables(x)
 
+    # component p of R(i,j)k + R(j,k)i + R(k,i)j - 2[phih_k phi_ij - phih_j phi_ik + phih_i phi_jk]
     def residual(i: int, j: int, k: int) -> FrameVector:
-        lhs = curv.vector(i, j, k) + curv.vector(j, k, i) + curv.vector(k, i, j)
-        rhs = (
-            phi_h[k].scale(phi_e[i].components[j])
-            - phi_h[j].scale(phi_e[i].components[k])
-            + phi_h[i].scale(phi_e[j].components[k])
-        ).scale(2)
-        return lhs - rhs
+        return FrameVector(
+            tuple(
+                Scalar.sum_of_products(
+                    m.params,
+                    (
+                        (curv[i][j][k][p], one),
+                        (curv[j][k][i][p], one),
+                        (curv[k][i][j][p], one),
+                        (phi_h[k][p], minus_two_phi[i][j]),
+                        (phi_h[j][p], two_phi[i][k]),
+                        (phi_h[i][p], minus_two_phi[j][k]),
+                    ),
+                )
+                for p in range(m.dim)
+            )
+        )
 
     report.crosscheck(
         name,
-        product(range(x.m.dim), repeat=3),
+        product(range(m.dim), repeat=3),
         residual,
         notes=(
             "cyclic sum of the curvature against the quoted h-expression; on this "
@@ -533,30 +561,33 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
         R2(X, Y)Z = g(X, phi Z)phi Y - g(Y, phi Z)phi X + 2 g(X, phi Y)phi Z
         R3(X, Y)Z = eta(X)eta(Z)Y - eta(Y)eta(Z)X + g(X, Z)eta(Y)xi - g(Y, Z)eta(X)xi
     """
-    e = [m.basis(i) for i in range(m.dim)]
-    phi = [s.phi.column(i) for i in range(m.dim)]
-    eta = [s.eta_of(m, v) for v in e]
-    g = [[m.inner(u, v) for v in e] for u in e]
+    idx, one = range(m.dim), m.one_scalar()
+    # the nonzero entries: g_aa = 1 on the orthonormal frame, phi_ab = g(phi E_a, E_b),
+    # eta_a = eta(E_a) and xi^a
+    g = [(a, a, one) for a in idx]
+    phi = [(a, b, c) for b, row in enumerate(s.phi.matrix) for a, c in enumerate(row) if c.terms]
+    eta = [(a, c) for a, c in enumerate(s.eta_of(m, m.basis(a)) for a in idx) if c.terms]
+    xi = [(a, c) for a, c in enumerate(s.xi.components) if c.terms]
 
-    def r1(i: int, j: int, k: int) -> FrameVector:
-        return e[i].scale(g[j][k]) - e[j].scale(g[i][k])
-
-    # g(E_i, phi E_k) is component i of phi E_k on the orthonormal frame
-    def r2(i: int, j: int, k: int) -> FrameVector:
-        return (
-            phi[j].scale(phi[k].components[i])
-            - phi[i].scale(phi[k].components[j])
-            + phi[k].scale(phi[j].components[i].scale(2))
-        )
-
-    def r3(i: int, j: int, k: int) -> FrameVector:
-        return (
-            e[j].scale(eta[i] * eta[k])
-            - e[i].scale(eta[j] * eta[k])
-            + s.xi.scale(g[i][k] * eta[j] - g[j][k] * eta[i])
-        )
-
-    return tuple(Curvature4Tensor.from_vectors(m.dim, t) for t in (r1, r2, r3))
+    # R1_ijk^l = g_jk delta_il - g_ik delta_jl
+    r1 = chain(
+        (((i, j, k, i), g_jk, one) for j, k, g_jk in g for i in idx),
+        (((i, j, k, j), -g_ik, one) for i, k, g_ik in g for j in idx),
+    )
+    # R2_ijk^l = phi_ki phi_jl - phi_kj phi_il + 2 phi_ji phi_kl
+    r2 = chain(
+        (((i, j, k, l), p_ki, p_jl) for k, i, p_ki in phi for j, l, p_jl in phi),
+        (((i, j, k, l), -p_kj, p_il) for k, j, p_kj in phi for i, l, p_il in phi),
+        (((i, j, k, l), p_ji.scale(2), p_kl) for j, i, p_ji in phi for k, l, p_kl in phi),
+    )
+    # R3_ijk^l = eta_i eta_k delta_jl - eta_j eta_k delta_il + (g_ik eta_j - g_jk eta_i) xi^l
+    r3 = chain(
+        (((i, j, k, j), e_i, e_k) for i, e_i in eta for k, e_k in eta for j in idx),
+        (((i, j, k, i), -e_j, e_k) for j, e_j in eta for k, e_k in eta for i in idx),
+        (((i, j, k, l), g_ik * e_j, x_l) for i, k, g_ik in g for j, e_j in eta for l, x_l in xi),
+        (((i, j, k, l), -(g_jk * e_i), x_l) for j, k, g_jk in g for i, e_i in eta for l, x_l in xi),
+    )
+    return tuple(Curvature4Tensor.from_products(m.dim, m.params, t) for t in (r1, r2, r3))
 
 
 def gssf_decompose(

@@ -1,13 +1,24 @@
 """Concircular tensor: closed form, flatness obstructions, tensor actions."""
 
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
 
 from contactframe import (
+    Instance,
     concircular,
+    levi_civita,
+    load_manifest_file,
+    riemann,
     tensor_dot_form,
     tensor_dot_tensor,
     verify_concircular_suite,
 )
+from contactframe.concircular import form_action, tensor_action
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def test_constant_K(fam):
@@ -114,3 +125,30 @@ def test_everything_is_parameter_free(fam, fam0):
         (c.name, c.status) for c in rep0.checks
     ]
     assert fam0.z.K == fam0.m.constant(Fraction(-2, 3))
+
+
+def _manifest_instance(name: str) -> Instance:
+    m, s = load_manifest_file(str(MANIFESTS / name))
+    lc = levi_civita(m)
+    return Instance(m, s, lc, riemann(m, lc))
+
+
+@pytest.mark.parametrize("name", ["lambda_symbolic", "heisenberg5.json", "t1e4.json"])
+def test_action_contractions_match_the_vector_operators(fam, name):
+    """The component contractions the obstructions scan equal the vector-level
+    operators on every basis tuple: tensor_action(Z(xi, E_i), Z, j, k, l) is
+    (Z(xi, E_i).Z)(E_j, E_k)E_l and form_action(Z(xi, E_i), ricci, j, k) is
+    (Z(xi, E_i).ricci)(E_j, E_k)."""
+    x = fam if name == "lambda_symbolic" else _manifest_instance(name)
+    m, z, xi, ric, e = x.m, x.z, x.s.xi, x.pkg.ricci, x.img.e
+    nonzero = 0
+    for i, j, k in product(range(m.dim), repeat=3):
+        want = tensor_dot_form(m, z, ric, xi, e[i], e[j], e[k])
+        assert form_action(x.z_xi[i], ric, j, k) == want, (i, j, k)
+        for l in range(m.dim):
+            want = tensor_dot_tensor(m, z, z, xi, e[i], e[j], e[k], e[l])
+            got = tensor_action(x.z_xi[i], z, j, k, l)
+            assert got == want, (i, j, k, l)
+            nonzero += not want.is_zero()
+    # every tuple vanishes on the Sasakian H^5, so there the test compares zeros
+    assert (nonzero == 0) == (name == "heisenberg5.json")

@@ -16,7 +16,10 @@ import contactframe.tanaka_webster
 from contactframe import (
     Connection,
     ConnectionConsistencyError,
+    Curvature4Tensor,
     FrameManifold,
+    Instance,
+    Scalar,
     load_manifest_file,
     make_lambda_family,
     run_suite,
@@ -86,7 +89,11 @@ def _count_calls(monkeypatch) -> dict[str, int]:
             engine = module_name.startswith("contactframe")
             if engine and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    for cls, name in ((FrameManifold, "lie_derive_endo"), (Connection, "derivative_endo")):
+    for cls, name in (
+        (FrameManifold, "lie_derive_endo"),
+        (Connection, "derivative_endo"),
+        (Instance, "xi_scan"),
+    ):
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     return counts
 
@@ -108,7 +115,35 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "derivative_endo": 4 * m.dim,
         # R1, R2, R3, shared by the nullity, torsionful and concircular sections
         "space_form_templates": 1,
+        # the 6 distinct comparisons of R or Z with c R1 (Instance.r1_scan; 8 rows
+        # read them: conc.xi_pair and conc.xi_flatness_obstruction share one, and
+        # at kappa = 1 so do nkappa.curvature_pair_xi and the Sasakian orientation)
+        # plus the 3 gtw.curvature_xi_* rows
+        "xi_scan": 6 + 3,
     }
+
+
+def test_heisenberg_run_work_counts(monkeypatch):
+    """The residual scans are component contractions: on H^5 a full run makes
+    3,284 trilinear applies and 34,593 sums of products when every dim^4 and
+    dim^3 residual goes through Curvature4Tensor.apply, and far fewer now."""
+    m, s = load_manifest_file(str(MANIFESTS / "heisenberg5.json"))
+    counts = {"apply": 0, "sum_of_products": 0}
+    apply, sum_of_products = Curvature4Tensor.apply, Scalar.sum_of_products
+
+    def counted_apply(*args):
+        counts["apply"] += 1
+        return apply(*args)
+
+    def counted_sum_of_products(*args):
+        counts["sum_of_products"] += 1
+        return sum_of_products(*args)
+
+    monkeypatch.setattr(Curvature4Tensor, "apply", counted_apply)
+    monkeypatch.setattr(Scalar, "sum_of_products", staticmethod(counted_sum_of_products))
+    run_suite(m, s, "all")
+    assert counts["apply"] <= 800
+    assert counts["sum_of_products"] <= 17_000
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):

@@ -73,10 +73,21 @@ def concircular(
     """Z = R - (2n/(2n+1)) R1 from the curvature and the model tensor R1; K is
     computed from the instance's n."""
     coeff = Fraction(2 * m.n, 2 * m.n + 1)
-    z = Curvature4Tensor.from_vectors(
-        m.dim, lambda i, j, k: curv.vector(i, j, k) - r1.vector(i, j, k).scale(coeff)
+    one, minus_coeff = m.one_scalar(), m.constant(-coeff)
+    slots = list(product(range(m.dim), repeat=3))
+    z = Curvature4Tensor.from_products(
+        m.dim,
+        m.params,
+        chain(
+            (((i, j, k, l), c, one) for i, j, k in slots for l, c in curv.sparse_vectors[i][j][k]),
+            (
+                ((i, j, k, l), c, minus_coeff)
+                for i, j, k in slots
+                for l, c in r1.sparse_vectors[i][j][k]
+            ),
+        ),
     )
-    return ConcircularTensor(components=z.components, K=m.constant(-coeff))
+    return ConcircularTensor(components=z.components, K=minus_coeff)
 
 
 def tensor_dot_tensor(

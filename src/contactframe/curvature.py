@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import Row, VerificationReport, first_witness, grade_rows
@@ -124,14 +124,6 @@ class Curvature4Tensor:
     """Raised components R[i][j][k][l]: R(E_i, E_j)E_k = R[i][j][k][l] E_l."""
 
     components: tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]
-
-    @staticmethod
-    def from_vectors(dim: int, vector: Callable) -> "Curvature4Tensor":
-        """The tensor whose R(E_i, E_j)E_k is the frame vector ``vector(i, j, k)``."""
-        idx = range(dim)
-        return Curvature4Tensor(
-            tuple(tuple(tuple(vector(i, j, k).components for k in idx) for j in idx) for i in idx)
-        )
 
     @staticmethod
     def from_products(

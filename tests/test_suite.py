@@ -124,9 +124,9 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
 
 
 def test_heisenberg_run_work_counts(monkeypatch):
-    """The residual scans are component contractions: on H^5 a full run makes
-    3,284 trilinear applies and 34,593 sums of products when every dim^4 and
-    dim^3 residual goes through Curvature4Tensor.apply, and far fewer now."""
+    """The action obstructions and the crosschecks are component contractions,
+    not a trilinear apply per basis tuple: one H^5 run stays under 800 applies
+    and 17,000 sums of products (scanning through apply takes 3,284 and 34,593)."""
     m, s = load_manifest_file(str(MANIFESTS / "heisenberg5.json"))
     counts = {"apply": 0, "sum_of_products": 0}
     apply, sum_of_products = Curvature4Tensor.apply, Scalar.sum_of_products

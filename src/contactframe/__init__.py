@@ -71,6 +71,7 @@ from .zoo import (
     example1_pipeline,
     make_abelian3,
     make_example1_constants,
+    make_heisenberg,
     make_lambda_family,
     make_sasakian3,
     zoo_entry,
@@ -128,6 +129,7 @@ __all__ = [
     "load_manifest_file",
     "make_abelian3",
     "make_example1_constants",
+    "make_heisenberg",
     "make_lambda_family",
     "make_sasakian3",
     "manifest_hash",

@@ -75,12 +75,27 @@ class Connection:
         )
 
     def derivative_endo(self, m: FrameManifold, i: int, a: Endomorphism) -> Endomorphism:
-        """(nabla_{E_i} A) as an endomorphism, columnwise on the frame."""
-        return Endomorphism.from_columns(
-            [
-                self.derivative(i, a.column(j)) - a.apply(self.derivative_basis(i, j))
-                for j in range(m.dim)
-            ]
+        """(nabla_{E_i} A) as an endomorphism, one sum of products per entry:
+
+            (nabla_i A)^p_j = sum_q A^q_j Gamma_iq^p - Gamma_ij^q A^p_q .
+        """
+        row, idx = self.gamma[i], range(self.dim)
+        minus_row = [[-g for g in gamma_ij] for gamma_ij in row]
+        cols = a.sparse_columns
+        return Endomorphism(
+            tuple(
+                tuple(
+                    Scalar.sum_of_products(
+                        m.params,
+                        chain(
+                            ((a_q, row[q][p]) for q, a_q in cols[j]),
+                            zip(minus_row[j], a.matrix[p]),
+                        ),
+                    )
+                    for j in idx
+                )
+                for p in idx
+            )
         )
 
     def derivative_covector(self, m: FrameManifold, i: int, eta: FrameVector, j: int) -> Scalar:
@@ -303,10 +318,8 @@ def _xi_covariant_derivative_reference(report, name, x):
 
 # (nabla_X phi)Y = g(X + hX, Y) xi - eta(Y)(X + hX) = R1(xi, X + hX)Y
 def _phi_covariant_derivative(report, name, x):
-    dphi, x_plus_hx, e, r1 = x.dphi_lc, x.x_plus_hx, x.img.e, x.templates[0]
-    report.graded(
-        name, x.scan(2, lambda i, j: dphi[i].column(j) - r1.apply(x.s.xi, x_plus_hx[i], e[j]))
-    )
+    dphi, r1_xi = x.dphi_lc, x.r1_xi
+    report.graded(name, x.scan(2, lambda i, j: dphi[i].column(j) - r1_xi[i][j]))
 
 
 # h^2 = (kappa - 1) phi^2, scanned column by column

@@ -103,16 +103,38 @@ class Instance:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
         return first_witness(product(range(self.m.dim), repeat=arity), residual)
 
-    def xi_scan(self, xi_at: tuple[int, ...], residual: Callable) -> dict | None:
-        """``scan`` of ``residual(X, Y, Z)`` with xi in the argument slots
-        ``xi_at`` and frame vectors in the others: xi_at=(2,) runs (E_i, E_j, xi)."""
-        e, xi = self.img.e, self.s.xi
+    def xi_scan(self, xi_at: tuple[int, ...], terms: tuple) -> dict | None:
+        """``scan`` of ``xi_contraction(xi_at, terms)`` over the frame indices of
+        the slots without xi: xi_at=(2,) runs (E_i, E_j, xi)."""
+        return self.scan(3 - len(xi_at), self.xi_contraction(xi_at, terms))
 
-        def at(*indices: int):
-            frame = iter(indices)
-            return residual(*[xi if slot in xi_at else e[next(frame)] for slot in range(3)])
+    def xi_contraction(self, xi_at: tuple[int, ...], terms: tuple) -> Callable:
+        """The sum of c T(X, Y, Z) over the terms (T, c), with xi in the argument
+        slots ``xi_at`` and E_i, E_j, ... in the others, as a function of those
+        frame indices.  Each component is one sum of products over the nonzero
+        entries of xi and of the tensors' vectors."""
+        dim, params = self.m.dim, self.m.params
+        xi = [(r, c) for r, c in enumerate(self.s.xi.components) if c.terms]
+        # every filling of the xi slots from xi's nonzero entries, weighted by
+        # c times the product of those entries
+        weighted = []
+        for t, c in terms:
+            for fill in product(xi, repeat=len(xi_at)):
+                weight = c
+                for _, xi_r in fill:
+                    weight = weight * xi_r
+                weighted.append((t.sparse_vectors, [r for r, _ in fill], weight))
 
-        return self.scan(3 - len(xi_at), at)
+        def at(*indices: int) -> FrameVector:
+            pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(dim)]
+            for vectors, fill, weight in weighted:
+                frame, filled = iter(indices), iter(fill)
+                i, j, k = (next(filled if slot in xi_at else frame) for slot in range(3))
+                for p, v in vectors[i][j][k]:
+                    pairs[p].append((weight, v))
+            return FrameVector(tuple(Scalar.sum_of_products(params, ab) for ab in pairs))
+
+        return at
 
     def r1_scan(self, layer: str, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
         """``xi_scan`` of T - c R1, T being the layer named ``layer`` ("r" or
@@ -120,10 +142,8 @@ class Instance:
         runs once; rows that grade the same comparison share its witness."""
         key = (layer, c, xi_at)
         if key not in self._r1_witnesses:
-            t, r1 = getattr(self, layer), self.templates[0]
-            self._r1_witnesses[key] = self.xi_scan(
-                xi_at, lambda *args: t.apply(*args) - r1.apply(*args).scale(c)
-            )
+            terms = ((getattr(self, layer), self.m.one_scalar()), (self.templates[0], -c))
+            self._r1_witnesses[key] = self.xi_scan(xi_at, terms)
         return self._r1_witnesses[key]
 
     # -- structural layer ----------------------------------------------------
@@ -158,6 +178,25 @@ class Instance:
     def x_plus_hx(self) -> tuple[FrameVector, ...]:
         """E_i + hE_i for every frame index."""
         return tuple(e + he for e, he in zip(self.img.e, self.img.h))
+
+    @cached_property
+    def r1_xi(self) -> tuple[tuple[FrameVector, ...], ...]:
+        """R1(xi, E_i + hE_i)E_j = g(E_i + hE_i, E_j) xi - g(xi, E_j)(E_i + hE_i)
+        for every pair of frame indices: one sum of two products per component."""
+        params, xi = self.m.params, self.s.xi.components
+
+        def r1(v: tuple[Scalar, ...], j: int) -> FrameVector:
+            v_j, minus_xi_j = v[j], -xi[j]
+            return FrameVector(
+                tuple(
+                    Scalar.sum_of_products(params, ((v_j, xi_p), (minus_xi_j, v_p)))
+                    for xi_p, v_p in zip(xi, v)
+                )
+            )
+
+        return tuple(
+            tuple(r1(v.components, j) for j in range(self.m.dim)) for v in self.x_plus_hx
+        )
 
     @cached_property
     def phi_x_plus_hx(self) -> tuple[FrameVector, ...]:
@@ -221,16 +260,31 @@ class Instance:
     def curvature_defect(self) -> tuple[tuple[tuple[FrameVector, ...], ...], ...]:
         """R(E_i, E_j)E_k of the torsionful connection minus every term of its
         closed form but the final bracket: the Levi-Civita curvature, the
-        nullity term kappa R3 and the mixed phi terms."""
-        m, phi_e, phi_x_plus_hx, r3 = self.m, self.img.phi, self.phi_x_plus_hx, self.templates[2]
-        idx = range(m.dim)
+        nullity term kappa R3 and the mixed terms
+        g(E_i + hE_i, phi E_k)(phi + phi h)E_j - g(E_j + hE_j, phi E_k)(phi + phi h)E_i.
+        One sum of products per component, over the nonzero entries."""
+        m, idx = self.m, range(self.m.dim)
+        one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -self.kappa
+        curv, r = self.pkg.curv.sparse_vectors, self.r.sparse_vectors
+        r3 = self.templates[2].sparse_vectors
+        v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in self.phi_x_plus_hx]
+        # xh_phi[a][k] = g(E_a + hE_a, phi E_k)
+        xh_phi = [[m.inner(xh, phi) for phi in self.img.phi] for xh in self.x_plus_hx]
+        minus_xh_phi = [[-c for c in row] for row in xh_phi]
 
         def defect(i: int, j: int, k: int) -> FrameVector:
-            nullity = r3.vector(i, j, k).scale(self.kappa)
-            mixed = phi_x_plus_hx[j].scale(
-                m.inner(self.x_plus_hx[i], phi_e[k])
-            ) - phi_x_plus_hx[i].scale(m.inner(self.x_plus_hx[j], phi_e[k]))
-            return self.pkg.curv.vector(i, j, k) - self.r.vector(i, j, k) - nullity - mixed
+            pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in idx]
+            for p, c in curv[i][j][k]:
+                pairs[p].append((c, one))
+            for p, c in r[i][j][k]:
+                pairs[p].append((c, minus_one))
+            for p, c in r3[i][j][k]:
+                pairs[p].append((c, minus_kappa))
+            for p, c in v[j]:
+                pairs[p].append((minus_xh_phi[i][k], c))
+            for p, c in v[i]:
+                pairs[p].append((xh_phi[j][k], c))
+            return FrameVector(tuple(Scalar.sum_of_products(m.params, ab) for ab in pairs))
 
         return tuple(tuple(tuple(defect(i, j, k) for k in idx) for j in idx) for i in idx)
 

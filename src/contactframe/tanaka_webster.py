@@ -167,16 +167,9 @@ def _eta_parallel(report, name, x):
 # phi-derivative relation: the displaced derivative of phi equals the
 # structural derivative minus R1(xi, X + hX)Y = g(X + hX, Y) xi - eta(Y)(X + hX)
 def _phi_derivative_relation(report, name, x):
-    dphi, dphi_lc, x_plus_hx, e = x.dphi_gtw, x.dphi_lc, x.x_plus_hx, x.img.e
-    r1 = x.templates[0]
+    dphi, dphi_lc, r1_xi = x.dphi_gtw, x.dphi_lc, x.r1_xi
     report.graded(
-        name,
-        x.scan(
-            2,
-            lambda i, j: dphi[i].column(j)
-            - dphi_lc[i].column(j)
-            + r1.apply(x.s.xi, x_plus_hx[i], e[j]),
-        ),
+        name, x.scan(2, lambda i, j: dphi[i].column(j) - dphi_lc[i].column(j) + r1_xi[i][j])
     )
 
 
@@ -280,27 +273,35 @@ def _last_pair_antisymmetry(report, name, x):
 
 
 def _curvature_xi_pair(report, name, x):
-    report.graded(name, x.xi_scan((2,), x.pkg.curv.apply))
+    report.graded(name, x.xi_scan((2,), ((x.pkg.curv, x.m.one_scalar()),)))
 
 
 def _curvature_xi_first(report, name, x):
-    report.graded(name, x.xi_scan((0,), x.pkg.curv.apply))
+    report.graded(name, x.xi_scan((0,), ((x.pkg.curv, x.m.one_scalar()),)))
 
 
 def _curvature_xi_double(report, name, x):
-    report.graded(name, x.xi_scan((1, 2), x.pkg.curv.apply))
+    report.graded(name, x.xi_scan((1, 2), ((x.pkg.curv, x.m.one_scalar()),)))
 
 
 # -- closed form for the curvature ---------------------------------------------
 # R(X1, X2)X3 minus the closed form whose final bracket has sign last_sign;
 # every other term of the closed form is in x.curvature_defect
 def _closed_form_residual(x, last_sign: int):
-    v = x.phi_x_plus_hx
+    v, phi = x.phi_x_plus_hx, x.img.phi
 
     # the bracket is g(X1, phi X2 + phi h X2) + last_sign g(X2, phi X1 + phi h X1)
     def residual(i: int, j: int, k: int) -> FrameVector:
+        defect = x.curvature_defect[i][j][k]
         bracket = v[j].components[i] + v[i].components[j].scale(last_sign)
-        return x.curvature_defect[i][j][k] - x.img.phi[k].scale(bracket)
+        if not bracket.terms:
+            return defect
+        return FrameVector(
+            tuple(
+                d - bracket * f if f.terms else d
+                for d, f in zip(defect.components, phi[k].components)
+            )
+        )
 
     return residual
 
@@ -637,7 +638,16 @@ def _checked_solution(
     rows: list[list[Scalar]], rhs: list[Scalar], params: tuple[str, ...]
 ) -> LinearSolution | None:
     """``solve_linear``, re-substituted: the default value of a free unknown
-    must still satisfy every equation exactly."""
+    must still satisfy every equation exactly.
+
+    Exact duplicate equations are dropped first, keeping the first occurrence.
+    The pivots and the solution are unchanged: every elimination step maps
+    twins to twins, so a later twin has its original's pivot key, ``min``
+    picks the first of equal keys, and once the original pivots, each later
+    twin eliminates to 0 = 0.
+    """
+    unique = dict.fromkeys((tuple(row), target) for row, target in zip(rows, rhs))
+    rows, rhs = [list(row) for row, _ in unique], [target for _, target in unique]
     solution = solve_linear(rows, rhs, params)
     if solution is None or any(
         not (Scalar.sum_of_products(params, zip(row, solution.values)) - target).is_zero()

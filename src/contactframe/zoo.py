@@ -14,6 +14,9 @@ table, with h E2 = lambda E2, and with kappa = 1 - lambda^2; the (1 + lambda)
 form used here is forced by the Koszul formula and reproduces every
 downstream value.  The discrepancy is recorded on the entry's notes.
 
+``make_heisenberg(n)`` gives the Heisenberg group H^(2n+1), Sasakian with
+kappa = 1, in every odd dimension.
+
 Bookkeeping utilities (pure rational/symbolic arithmetic, no frames):
 
 - dhomothetic_invariants: the transformed nullity pair under a constant
@@ -134,6 +137,34 @@ def make_abelian3() -> ZooEntry:
         label="abelian3",
         expected_kappa=Scalar.zero(params),
         notes=("flat abelian frame; fails the contact condition by design",),
+    )
+
+
+def make_heisenberg(n: int) -> ZooEntry:
+    """The Heisenberg group H^(2n+1) on the frame xi, X_1..X_n, Y_1..Y_n.
+
+    [X_a, Y_a] = 2 xi and every other bracket is zero; phi X_a = Y_a,
+    phi Y_a = -X_a, xi = E1 and eta = E1.  Frame order: E1 = xi,
+    E(1+a) = X_a, E(1+n+a) = Y_a.  Sasakian, kappa = 1.
+    """
+    if n < 1:
+        raise ZooDomainError(f"H^(2n+1) needs n >= 1, got {n}")
+    params: tuple[str, ...] = ()
+    dim, two = 2 * n + 1, Scalar.constant(params, 2)
+    m = FrameManifold.from_pairs(dim, params, {(a, n + a, 0): two for a in range(1, n + 1)})
+    zero, one = m.zero_scalar(), m.one_scalar()
+    # column X_a holds phi X_a = Y_a, column Y_a holds phi Y_a = -X_a
+    phi = [[zero] * dim for _ in range(dim)]
+    for a in range(1, n + 1):
+        phi[n + a][a], phi[a][n + a] = one, -one
+    return ZooEntry(
+        manifold=m,
+        structure=AlmostContactData(
+            phi=Endomorphism(tuple(tuple(row) for row in phi)), xi=m.basis(0), eta=m.basis(0)
+        ),
+        label=f"heisenberg{dim}",
+        expected_kappa=one,
+        notes=(f"Heisenberg group H^{dim}; Sasakian",),
     )
 
 

@@ -1,0 +1,151 @@
+"""The component contractions the residual scans read, held to the vector-level
+operators they replace on every basis tuple: the xi-slot contraction against
+the trilinear ``Curvature4Tensor.apply``, the covariant derivative of an
+endomorphism against its column formula, and the closed-form defect and the
+R1(xi, X + hX)Y table against scale-and-subtract on frame vectors.
+
+Besides the instances with xi = E1, one lambda member is written in a frame
+turned by the rational rotation (3/5, 4/5) in the E1-E2 plane, so that xi has
+two nonzero components."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from contactframe import (
+    AlmostContactData,
+    Endomorphism,
+    FrameManifold,
+    FrameVector,
+    Instance,
+    Scalar,
+    levi_civita,
+    load_manifest_file,
+    make_lambda_family,
+    riemann,
+)
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+XI_SLOTS = [(0,), (1,), (2,), (1, 2)]
+
+
+def _instance(m: FrameManifold, s: AlmostContactData) -> Instance:
+    lc = levi_civita(m)
+    return Instance(m, s, lc, riemann(m, lc))
+
+
+def _rotated(m: FrameManifold, s: AlmostContactData) -> tuple[FrameManifold, AlmostContactData]:
+    """The same structure in the frame F_a = sum_i q_ai E_i, with q the rotation
+    (3/5, 4/5) in the E1-E2 plane: c'_ab^d = q_ai q_bj c_ij^k q_dk, phi' = q phi q^T."""
+    idx, zero = range(m.dim), m.zero_scalar()
+    q = [[Fraction(int(a == i)) for i in idx] for a in idx]
+    q[0][:2], q[1][:2] = [Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]
+
+    def combine(terms) -> Scalar:
+        """The sum of w * value over the pairs (w, value)."""
+        return sum((value.scale(w) for w, value in terms if w), zero)
+
+    c = tuple(
+        tuple(
+            tuple(
+                combine(
+                    (q[a][i] * q[b][j] * q[d][k], m.c[i][j][k])
+                    for i, j, k in product(idx, repeat=3)
+                )
+                for d in idx
+            )
+            for b in idx
+        )
+        for a in idx
+    )
+    phi = Endomorphism(
+        tuple(
+            tuple(
+                combine((q[a][i] * q[b][j], s.phi.matrix[i][j]) for i, j in product(idx, repeat=2))
+                for b in idx
+            )
+            for a in idx
+        )
+    )
+
+    def turn(v: FrameVector) -> FrameVector:
+        return FrameVector(tuple(combine((q[a][i], v.components[i]) for i in idx) for a in idx))
+
+    return FrameManifold(m.dim, m.params, c), AlmostContactData(phi, turn(s.xi), turn(s.eta))
+
+
+def _build(name: str) -> Instance:
+    if name == "lambda_symbolic":
+        entry = make_lambda_family(None)
+        return _instance(entry.manifold, entry.structure)
+    if name == "lambda_1/2_rotated":
+        entry = make_lambda_family(Fraction(1, 2))
+        x = _instance(*_rotated(entry.manifold, entry.structure))
+        # a valid N(kappa) instance whose xi is not a frame vector
+        assert not x.acm_report.has_failures and not x.h_report.has_failures
+        assert x.kappa == x.m.constant(Fraction(3, 4))
+        assert sum(1 for c in x.s.xi.components if c.terms) == 2
+        return x
+    return _instance(*load_manifest_file(str(MANIFESTS / name)))
+
+
+NAMES = ["lambda_symbolic", "heisenberg5.json", "t1e4.json", "lambda_1/2_rotated"]
+
+
+@pytest.fixture(scope="module", params=NAMES)
+def x(request) -> Instance:
+    return _build(request.param)
+
+
+def _with_xi(x: Instance, xi_at: tuple[int, ...], frame: tuple[int, ...]) -> list[FrameVector]:
+    it = iter(frame)
+    return [x.s.xi if slot in xi_at else x.img.e[next(it)] for slot in range(3)]
+
+
+@pytest.mark.parametrize("xi_at", XI_SLOTS)
+def test_xi_contraction_matches_the_trilinear_apply(x, xi_at):
+    one, r1 = x.m.one_scalar(), x.templates[0]
+    term_lists = [((t, one),) for t in (x.r, x.pkg.curv, x.z)] + [
+        ((x.r, one), (r1, -x.kappa)),
+        ((x.z, one), (r1, -x.z.K)),
+    ]
+    for terms in term_lists:
+        at = x.xi_contraction(xi_at, terms)
+        for frame in product(range(x.m.dim), repeat=3 - len(xi_at)):
+            args = _with_xi(x, xi_at, frame)
+            want = FrameVector((x.m.zero_scalar(),) * x.m.dim)
+            for t, c in terms:
+                want = want + t.apply(*args).scale(c)
+            assert at(*frame) == want, (xi_at, frame)
+
+
+def test_derivative_endo_matches_the_column_formula(x):
+    m = x.m
+    for conn, a in product((x.lc, x.pkg.conn), (x.s.phi, x.h)):
+        for i in range(m.dim):
+            got = conn.derivative_endo(m, i, a)
+            for j in range(m.dim):
+                want = conn.derivative(i, a.column(j)) - a.apply(conn.derivative_basis(i, j))
+                assert got.column(j) == want, (conn.kind, i, j)
+
+
+def test_curvature_defect_and_r1_xi_match_the_vector_forms(x):
+    m, img, kappa = x.m, x.img, x.kappa
+    r1, r3 = x.templates[0], x.templates[2]
+    v, xh = x.phi_x_plus_hx, x.x_plus_hx
+    for i, j in product(range(m.dim), repeat=2):
+        assert x.r1_xi[i][j] == r1.apply(x.s.xi, xh[i], img.e[j]), (i, j)
+        for k in range(m.dim):
+            want = (
+                x.pkg.curv.vector(i, j, k)
+                - x.r.vector(i, j, k)
+                - r3.vector(i, j, k).scale(kappa)
+                - v[j].scale(m.inner(xh[i], img.phi[k]))
+                + v[i].scale(m.inner(xh[j], img.phi[k]))
+            )
+            assert x.curvature_defect[i][j][k] == want, (i, j, k)

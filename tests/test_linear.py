@@ -53,6 +53,29 @@ def test_zero_rows_consistent_and_inconsistent():
     assert solve_linear(rows, [c(1)], P) is None
 
 
+def test_duplicate_rows_leave_the_solution_unchanged():
+    """Twin equations never pivot and eliminate to 0 = 0, so dropping them
+    (as the space-form and eta-Einstein solves do) changes nothing."""
+    params = ("t",)
+    t = Scalar.variable(params, "t")
+    one, two = Scalar.one(params), Scalar.constant(params, 2)
+    systems = [
+        # unique solution, with a twin of each equation at either end
+        ([[t, one], [one, -one]], [t * t + one, t - one]),
+        # underdetermined: the free column and its default value must survive
+        ([[one, one, two], [two, two, t]], [t, two * t]),
+        # inconsistent stays inconsistent
+        ([[one, one], [one, one]], [one, two]),
+    ]
+    solvable = []
+    for rows, rhs in systems:
+        want = solve_linear(rows, rhs, params)
+        twinned = rows + rows[::-1] + rows
+        assert solve_linear(twinned, rhs + rhs[::-1] + rhs, params) == want
+        solvable.append(want is not None)
+    assert solvable == [True, True, False]
+
+
 def test_symbolic_exact_solution():
     params = ("t",)
     t = Scalar.variable(params, "t")

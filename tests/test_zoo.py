@@ -1,22 +1,31 @@
 """Catalogue constructors, the deformation map, and derived invariants."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactframe import (
     ZooDomainError,
     boeckx_invariant,
+    classify,
     dhomothetic_invariants,
+    dump_manifest,
     example1_pipeline,
+    levi_civita,
+    load_manifest_file,
     make_abelian3,
     make_example1_constants,
+    make_heisenberg,
     make_lambda_family,
     make_sasakian3,
+    riemann,
     zoo_entry,
 )
 from contactframe.scalars import Scalar
 from contactframe.zoo import ZOO_LABELS
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 # -- deformation ---------------------------------------------------------------
@@ -178,6 +187,23 @@ def test_abelian_entry():
         for j in range(3)
     )
     assert entry.expected_kappa == Scalar.zero(())
+
+
+def test_heisenberg_entry():
+    """H^5 is the committed manifest, and every H^(2n+1) is Sasakian, kappa = 1."""
+    h5 = make_heisenberg(2)
+    assert h5.label == "heisenberg5"
+    want = dump_manifest(*load_manifest_file(str(MANIFESTS / "heisenberg5.json")))
+    assert dump_manifest(h5.manifold, h5.structure) == want
+    for n in (1, 3):
+        entry = make_heisenberg(n)
+        m, s = entry.manifold, entry.structure
+        assert m.dim == 2 * n + 1
+        lc = levi_civita(m)
+        cls = classify(m, s, lc, riemann(m, lc))
+        assert cls.is_Sasakian and cls.kappa == entry.expected_kappa == Scalar.one(())
+    with pytest.raises(ZooDomainError):
+        make_heisenberg(0)
 
 
 def test_zoo_entry_resolution():

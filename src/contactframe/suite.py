@@ -103,12 +103,16 @@ class Instance:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
         return first_witness(product(range(self.m.dim), repeat=arity), residual)
 
-    def xi_scan(self, xi_at: tuple[int, ...], terms: tuple) -> dict | None:
+    def xi_scan(
+        self, xi_at: tuple[int, ...], terms: tuple[tuple[Curvature4Tensor, Scalar], ...]
+    ) -> dict | None:
         """``scan`` of ``xi_contraction(xi_at, terms)`` over the frame indices of
         the slots without xi: xi_at=(2,) runs (E_i, E_j, xi)."""
         return self.scan(3 - len(xi_at), self.xi_contraction(xi_at, terms))
 
-    def xi_contraction(self, xi_at: tuple[int, ...], terms: tuple) -> Callable:
+    def xi_contraction(
+        self, xi_at: tuple[int, ...], terms: tuple[tuple[Curvature4Tensor, Scalar], ...]
+    ) -> Callable[..., FrameVector]:
         """The sum of c T(X, Y, Z) over the terms (T, c), with xi in the argument
         slots ``xi_at`` and E_i, E_j, ... in the others, as a function of those
         frame indices.  Each component is one sum of products over the nonzero

@@ -294,14 +294,7 @@ def _closed_form_residual(x, last_sign: int):
     def residual(i: int, j: int, k: int) -> FrameVector:
         defect = x.curvature_defect[i][j][k]
         bracket = v[j].components[i] + v[i].components[j].scale(last_sign)
-        if not bracket.terms:
-            return defect
-        return FrameVector(
-            tuple(
-                d - bracket * f if f.terms else d
-                for d, f in zip(defect.components, phi[k].components)
-            )
-        )
+        return defect - phi[k].scale(bracket) if bracket.terms else defect
 
     return residual
 

@@ -3,15 +3,23 @@
 
 The ladder is the lambda family (symbolic and at 1/2), the Heisenberg groups
 H^3, H^5, H^7 and H^9, and T1E4 (``manifests/t1e4.json``).  For each instance
-it records the minimum wall time of k runs, the size of the JSON report, and
-two deterministic work counts of one more run: the calls of
-``Curvature4Tensor.apply`` and of ``Scalar.sum_of_products``.
+it records the minimum wall time of k runs (``run_s``), the minimum of each
+run's wall time divided by the mean of a fixed Fraction loop timed just before
+and just after it (``run_norm``), the size of the JSON report, and two
+deterministic work counts of one more run: the calls of
+``Curvature4Tensor.apply`` and of ``Scalar.sum_of_products``.  Host speed on a
+shared machine swings up to 2x within seconds; ``run_norm`` moves much less.
 
 Usage:
     PYTHONPATH=src python scripts/bench_ladder.py --out BENCH.json --label change
 
 The results are merged into the JSON file ``--out`` under ``--label``, so two
 trees (say, before and after a change) can be measured into one file.
+Repeating the command for a label already in the file keeps, per instance, the
+lower ``run_s`` and ``run_norm`` and the total number of runs, so alternating
+the two trees' invocations measures both over the same stretch of host speed.
+A repeat whose report size or work counts differ from the stored ones is
+refused: it measured a different tree.
 """
 
 from __future__ import annotations
@@ -76,13 +84,30 @@ def work_counts(m, s) -> dict:
     return counts
 
 
+def reference_s() -> float:
+    """Seconds taken by a fixed dict-of-Fraction accumulation."""
+    start = time.perf_counter()
+    acc: dict[int, Fraction] = {}
+    for i in range(1500):
+        acc[i % 97] = acc.get(i % 97, Fraction(0)) + Fraction(i % 13 + 1, i % 7 + 1)
+    return time.perf_counter() - start
+
+
 def measure(m, s, runs: int) -> dict:
-    best = float("inf")
+    best, best_norm, ref = float("inf"), float("inf"), reference_s()
     for _ in range(runs):
         start = time.perf_counter()
         text = report_json(m, s)
-        best = min(best, time.perf_counter() - start)
-    return {"run_s": round(best, 5), "json_bytes": len(text.encode()), **work_counts(m, s)}
+        elapsed = time.perf_counter() - start
+        ref_after = reference_s()
+        best, best_norm = min(best, elapsed), min(best_norm, 2 * elapsed / (ref + ref_after))
+        ref = ref_after
+    return {
+        "run_s": round(best, 5),
+        "run_norm": round(best_norm, 4),
+        "json_bytes": len(text.encode()),
+        **work_counts(m, s),
+    }
 
 
 def main() -> int:
@@ -101,10 +126,23 @@ def main() -> int:
 
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
+    runs = args.runs
+    previous = data.get("results", {}).get(args.label)
+    timed = ("run_s", "run_norm")
+    if previous is not None:
+        for name, now in results.items():
+            before = previous["instances"][name]
+            if {k: v for k, v in before.items() if k not in timed} != {
+                k: v for k, v in now.items() if k not in timed
+            }:
+                raise SystemExit(f"{name}: report size or work counts differ from {args.label!r}")
+            for key in timed:
+                now[key] = min(now[key], before[key])
+        runs += previous["runs"]
     data.setdefault("results", {})[args.label] = {
         "engine_version": ENGINE_VERSION,
         "python": platform.python_version(),
-        "runs": args.runs,
+        "runs": runs,
         "instances": results,
     }
     out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

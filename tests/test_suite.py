@@ -3,6 +3,7 @@ often one run computes each layer."""
 
 from __future__ import annotations
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from contactframe import (
     FrameManifold,
     Instance,
     Scalar,
+    emit,
     load_manifest_file,
     make_lambda_family,
     run_suite,
@@ -29,6 +31,8 @@ from contactframe.suite import CONC_CHECK_NAMES, GTW_CHECK_NAMES, NKAPPA_CHECK_N
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 BROKEN = "metric parallelism violated at (1,2,3): 7"
+
+_APPLY, _SUM_OF_PRODUCTS = Curvature4Tensor.apply, Scalar.sum_of_products
 
 
 @pytest.mark.parametrize(
@@ -155,3 +159,25 @@ def test_gated_run_computes_each_layer_once(monkeypatch):
     assert "ricci" not in counts and "derivative_endo" not in counts
     # every derived section is gated, so the model tensors are never built
     assert "space_form_templates" not in counts
+
+
+def test_bench_ladder_records_deterministic_counts():
+    """scripts/bench_ladder.py covers the ladder and measures an instance's
+    report size and work counts; the counts repeat exactly between runs."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    instances = ladder.ladder()
+    assert list(instances) == [
+        "lambda_symbolic", "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4"
+    ]
+    m, s = instances["lambda_1/2"]
+    first, second = ladder.measure(m, s, 1), ladder.measure(m, s, 1)
+    assert first["json_bytes"] == len(emit(run_suite(m, s, "all")).encode())
+    for key in ("json_bytes", "apply", "sum_of_products"):
+        assert first[key] == second[key] > 0
+    assert first["run_s"] > 0 and first["run_norm"] > 0
+    # the counting wrappers are removed again
+    assert Curvature4Tensor.apply is _APPLY
+    assert Scalar.sum_of_products is _SUM_OF_PRODUCTS

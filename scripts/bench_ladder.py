@@ -2,7 +2,10 @@
 """Time ``run_suite("all")`` plus the JSON emit on the instance ladder.
 
 The ladder is the lambda family (symbolic and at 1/2), the Heisenberg groups
-H^3, H^5, H^7 and H^9, and T1E4 (``manifests/t1e4.json``).  For each instance
+H^3, H^5, H^7 and H^9, T1E4 (``manifests/t1e4.json``), and the dense random
+dimension-5 frames ``manifests/random5.json`` and ``random5_t.json`` (rational
+and linear in t), on which every derived section is gated, so the Levi-Civita
+connection and its Riemann tensor are most of a run.  For each instance
 it records the minimum wall time of k runs (``run_s``), the minimum of each
 run's wall time divided by the mean of a fixed Fraction loop timed just before
 and just after it (``run_norm``), the size of the JSON report, and two
@@ -42,7 +45,7 @@ from contactframe import (
     run_suite,
 )
 
-T1E4 = Path(__file__).resolve().parent.parent / "manifests" / "t1e4.json"
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def ladder() -> dict:
@@ -53,7 +56,9 @@ def ladder() -> dict:
     }
     entries.update((f"H{2 * n + 1}", make_heisenberg(n)) for n in (1, 2, 3, 4))
     instances = {name: (e.manifold, e.structure) for name, e in entries.items()}
-    instances["T1E4"] = load_manifest_file(str(T1E4))
+    instances["T1E4"] = load_manifest_file(str(MANIFESTS / "t1e4.json"))
+    for name in ("random5", "random5_t"):
+        instances[name] = load_manifest_file(str(MANIFESTS / f"{name}.json"))
     return instances
 
 

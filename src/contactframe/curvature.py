@@ -12,7 +12,10 @@ definitional convention
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z ,
 
 applied to either connection kind; on constant frame coefficients it is
-one sum of products per component (see ``riemann``).  Every closed-form
+one sum of products per independent component (see ``riemann``): the
+tensor is antisymmetric in its first pair, because the structure constants
+are, and in its last pair, because both connections are metric, so only
+the components with i < j and k < l are summed.  Every closed-form
 identity is then *checked against* the computed tensor rather than
 assumed, so a sign slip in a quoted formula surfaces as report data instead
 of contaminating downstream tensors.
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import TYPE_CHECKING, Iterable
 
 from .frames import Endomorphism, FrameManifold, FrameVector
@@ -212,13 +215,24 @@ class Curvature4Tensor:
 
 
 def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
-    """Curvature of a frame connection as one sum of products per component.
+    """Curvature of a frame connection, one sum of products per independent
+    component.
 
     R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k
     - nabla_{[E_i, E_j]} E_k on constant frame coefficients gives
 
         R_ijk^l = sum_m Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l
                   - c_ij^m Gamma_mk^l .
+
+    The kernel runs only for i < j and k < l, (dim (dim - 1) / 2)^2 sums;
+    every other component is read from those by sign, and the i = j and
+    k = l diagonals are zero.  Two preconditions make that exact:
+
+    - R_jik^l = -R_ijk^l needs c_ji^m = -c_ij^m, which
+      ``FrameManifold.from_pairs`` builds;
+    - R_ijl^k = -R_ijk^l needs a metric connection, Gamma_ij^k = -Gamma_ik^j,
+      which ``levi_civita`` and ``tanaka_webster.gtw_connection`` check on
+      construction (they raise ``ConnectionConsistencyError`` otherwise).
     """
     dim, params = m.dim, m.params
     idx = range(dim)
@@ -229,23 +243,22 @@ def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
     by_source = tuple(tuple(tuple(gamma[i][n][l] for n in idx) for l in idx) for i in idx)
     by_target = tuple(tuple(tuple(gamma[n][k][l] for n in idx) for l in idx) for k in idx)
 
-    def component(i: int, j: int, k: int, l: int) -> Scalar:
-        return Scalar.sum_of_products(
-            params,
-            chain(
-                zip(gamma[j][k], by_source[i][l]),
-                zip(neg_gamma[i][k], by_source[j][l]),
-                zip(neg_c[i][j], by_target[k][l]),
-            ),
-        )
-
-    return Curvature4Tensor(
-        components=tuple(
-            tuple(
-                tuple(tuple(component(i, j, k, l) for l in idx) for k in idx) for j in idx
+    zero = Scalar.zero(params)
+    table = [[[[zero] * dim for _ in idx] for _ in idx] for _ in idx]
+    for i, j in combinations(idx, 2):
+        for k, l in combinations(idx, 2):
+            r = Scalar.sum_of_products(
+                params,
+                chain(
+                    zip(gamma[j][k], by_source[i][l]),
+                    zip(neg_gamma[i][k], by_source[j][l]),
+                    zip(neg_c[i][j], by_target[k][l]),
+                ),
             )
-            for i in idx
-        )
+            table[i][j][k][l] = table[j][i][l][k] = r
+            table[j][i][k][l] = table[i][j][l][k] = -r
+    return Curvature4Tensor(
+        tuple(tuple(tuple(map(tuple, row)) for row in plane) for plane in table)
     )
 
 

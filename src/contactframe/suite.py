@@ -299,8 +299,11 @@ class Instance:
     @cached_property
     def z_xi(self) -> tuple[Endomorphism, ...]:
         """Z(xi, E_i) for every frame index: the endomorphisms whose actions on
-        the ricci form and on Z the concircular obstructions grade."""
-        return tuple(self.z.endomorphism(self.s.xi, e) for e in self.img.e)
+        the ricci form and on Z the concircular obstructions grade; column k of
+        Z(xi, E_i) is the component contraction Z(xi, E_i)E_k."""
+        idx = range(self.m.dim)
+        at = self.xi_contraction((0,), ((self.z, self.m.one_scalar()),))
+        return tuple(Endomorphism.from_columns([at(i, k) for k in idx]) for i in idx)
 
 
 def classify(

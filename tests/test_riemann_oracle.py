@@ -1,23 +1,32 @@
 """The fused Riemann kernel against the definitional formula.
 
-``riemann`` computes each component as one sum of products,
+``riemann`` computes each independent component (i < j, k < l) as one sum
+of products,
 
-    R_ijk^l = sum_m Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l - c_ij^m Gamma_mk^l .
+    R_ijk^l = sum_m Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l - c_ij^m Gamma_mk^l ,
 
-The reference below applies R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-- nabla_{[X,Y]} Z literally, one covariant derivative at a time, with plain
-Scalar ``+`` and ``*``.  Both must agree exactly on Hypothesis-generated
-antisymmetric structure constants in dimensions 3 and 5, with rational
-constants and with constants linear in one parameter.  Jacobi is not
-needed: both sides are defined for any antisymmetric c.
+and reads the others by antisymmetry in each pair.  The reference below
+applies R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z
+literally to every component, one covariant derivative at a time, with
+plain Scalar ``+`` and ``*``.  Both must agree exactly on
+Hypothesis-generated antisymmetric structure constants in dimensions 3 and
+5, with rational constants and with constants linear in one parameter, on
+a seeded dense dimension-7 frame, and on the torsionful connection in
+dimensions 3, 5 and 7.  Jacobi is not needed: both sides are defined for any
+antisymmetric c.
 """
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactframe import FrameManifold, levi_civita, riemann
+from contactframe import FrameManifold, Instance, levi_civita, load_manifest_file, riemann
 from contactframe.scalars import Scalar
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def definitional_riemann(m: FrameManifold, conn) -> list:
@@ -69,11 +78,19 @@ def frames(draw):
     return FrameManifold.from_pairs(dim, params, pairs)
 
 
-@settings(max_examples=40, deadline=None)
-@given(frames())
-def test_fused_riemann_matches_definitional_formula(m):
-    conn = levi_civita(m)
-    fused = riemann(m, conn)
+def dense_frame(dim: int, seed: int) -> FrameManifold:
+    """Every structure constant c_ij^k (i < j) a nonzero rational drawn from ``seed``."""
+    rng, nonzero = random.Random(seed), (-3, -2, -1, 1, 2, 3)
+    pairs = {
+        (i, j, k): Scalar.constant((), Fraction(rng.choice(nonzero), rng.randint(1, 3)))
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for k in range(dim)
+    }
+    return FrameManifold.from_pairs(dim, (), pairs)
+
+
+def assert_matches_definition(m: FrameManifold, conn, fused) -> None:
     reference = definitional_riemann(m, conn)
     idx = range(m.dim)
     for i in idx:
@@ -82,12 +99,60 @@ def test_fused_riemann_matches_definitional_formula(m):
                 assert list(fused.components[i][j][k]) == reference[i][j][k], (i, j, k)
 
 
+def _gtw(name: str) -> tuple:
+    """The torsionful connection and curvature of a committed manifest."""
+    m, s = load_manifest_file(str(MANIFESTS / name))
+    lc = levi_civita(m)
+    pkg = Instance(m, s, lc, riemann(m, lc)).pkg
+    return m, pkg.conn, pkg.curv
+
+
+def _lc(m: FrameManifold) -> tuple:
+    lc = levi_civita(m)
+    return m, lc, riemann(m, lc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames())
+def test_fused_riemann_matches_definitional_formula(m):
+    assert_matches_definition(*_lc(m))
+
+
 def test_fused_riemann_matches_on_the_torsionful_connection(fam):
     """The kernel is connection-agnostic: the gTW curvature agrees too."""
-    conn = fam.pkg.conn
-    reference = definitional_riemann(fam.m, conn)
-    idx = range(fam.m.dim)
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                assert list(fam.pkg.curv.components[i][j][k]) == reference[i][j][k]
+    assert_matches_definition(fam.m, fam.pkg.conn, fam.pkg.curv)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _gtw("heisenberg5.json"), id="gtw-heisenberg5"),
+        pytest.param(lambda: _gtw("t1e4.json"), id="gtw-t1e4"),
+        pytest.param(
+            lambda: _lc(load_manifest_file(str(MANIFESTS / "random5_t.json"))[0]),
+            id="lc-random5_t",
+        ),
+        pytest.param(lambda: _lc(dense_frame(7, 7)), id="lc-dense7"),
+    ],
+)
+def test_fused_riemann_matches_past_dimension_three(case):
+    """Every component, on both connections, in dimensions 5 and 7."""
+    assert_matches_definition(*case())
+
+
+@pytest.mark.parametrize(("dim", "sums"), [(3, 9), (5, 100), (7, 441)])
+def test_riemann_sums_once_per_independent_component(monkeypatch, dim, sums):
+    """One kernel call per pair i < j and pair k < l, (dim (dim - 1) / 2)^2
+    in all, on a dense frame (summing every component would take dim^4)."""
+    m = dense_frame(dim, dim)
+    lc = levi_civita(m)
+    calls = []
+    original = Scalar.sum_of_products
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(Scalar, "sum_of_products", staticmethod(counted))
+    riemann(m, lc)
+    assert len(calls) == sums

@@ -127,11 +127,10 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
     }
 
 
-def test_heisenberg_run_work_counts(monkeypatch):
-    """The residual scans are component contractions, not a trilinear apply per
-    basis tuple: one H^5 run makes 59 applies and 9,880 sums of products, under
-    the bounds 80 and 10,374 (scanning through apply takes 3,284 and 34,593)."""
-    m, s = load_manifest_file(str(MANIFESTS / "heisenberg5.json"))
+def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
+    """Calls of the trilinear apply and of the fused kernel in one
+    ``run_suite("all")`` on ``manifest``."""
+    m, s = load_manifest_file(str(MANIFESTS / manifest))
     counts = {"apply": 0, "sum_of_products": 0}
     apply, sum_of_products = Curvature4Tensor.apply, Scalar.sum_of_products
 
@@ -146,8 +145,28 @@ def test_heisenberg_run_work_counts(monkeypatch):
     monkeypatch.setattr(Curvature4Tensor, "apply", counted_apply)
     monkeypatch.setattr(Scalar, "sum_of_products", staticmethod(counted_sum_of_products))
     run_suite(m, s, "all")
-    assert counts["apply"] <= 80
-    assert counts["sum_of_products"] <= 10_374
+    return counts
+
+
+def test_heisenberg_run_work_counts(monkeypatch):
+    """The residual scans are component contractions, not a trilinear apply per
+    basis tuple, and ``riemann`` sums each independent component once: one H^5
+    run makes 34 applies and 8,830 sums of products, under the bounds 34 and
+    9,271 (the measured count plus 5%; scanning through apply takes 3,284 and
+    34,593, and summing every Riemann component 9,880)."""
+    counts = _work_counts(monkeypatch, "heisenberg5.json")
+    assert counts["apply"] <= 34
+    assert counts["sum_of_products"] <= 9_271
+
+
+def test_gated_run_work_counts(monkeypatch):
+    """On the gated dense frame no derived section runs: one run makes 410
+    sums of products, 100 of them in ``riemann``, under the bound 430 (the
+    measured count plus 5%; summing every Riemann component takes 935), and
+    no trilinear apply."""
+    counts = _work_counts(monkeypatch, "random5.json")
+    assert counts["apply"] == 0
+    assert counts["sum_of_products"] <= 430
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):
@@ -170,7 +189,7 @@ def test_bench_ladder_records_deterministic_counts():
     spec.loader.exec_module(ladder)
     instances = ladder.ladder()
     assert list(instances) == [
-        "lambda_symbolic", "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4"
+        "lambda_symbolic", "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4", "random5", "random5_t"
     ]
     m, s = instances["lambda_1/2"]
     first, second = ladder.measure(m, s, 1), ladder.measure(m, s, 1)

@@ -10,7 +10,8 @@ The instances: the symbolic lambda family and the abelian 3-dimensional
 frame (the gated path) under every suite, the lambda = 0 and lambda = 1/2
 members, the Heisenberg group H^5 (``manifests/heisenberg5.json``) and one
 dense random dimension-5 frame whose Jacobi identity fails, so every derived
-section is gated (``manifests/random5.json``), each under ``all``.  The
+section is gated (``manifests/random5.json``), and its counterpart with
+coefficients linear in t (``manifests/random5_t.json``), each under ``all``.  The
 contact metric (kappa, mu)-space with kappa = 3/4 and mu = -1
 (``manifests/kmu3.json``) passes the structural layer but has no single
 nullity constant, so it freezes the kappa-absent gate under ``all`` and
@@ -74,6 +75,7 @@ INSTANCES = {
     "abelian3": _manifest_file("abelian3.json"),
     "heisenberg5": _manifest_file("heisenberg5.json"),
     "random5": _manifest_file("random5.json"),
+    "random5_t": _manifest_file("random5_t.json"),
     "kmu3": _manifest_file("kmu3.json"),
     "t1e4": _manifest_file("t1e4.json"),
 }
@@ -82,7 +84,7 @@ CASES = (
     [("lambda_symbolic", suite) for suite in SUITES]
     + [("lambda_0", "all"), ("lambda_1_2", "all")]
     + [("abelian3", suite) for suite in SUITES]
-    + [("heisenberg5", "all"), ("random5", "all")]
+    + [("heisenberg5", "all"), ("random5", "all"), ("random5_t", "all")]
     + [("kmu3", "all"), ("kmu3", "nkappa")]
     + [("t1e4", "all")]
 )

@@ -185,11 +185,17 @@ def detect_kappa(
     """
     num: Scalar | None = None  # numerator of the first determining equation
     den: Scalar | None = None
-    e = [m.basis(i) for i in range(m.dim)]
-    for i, j in product(range(m.dim), repeat=2):
-        lhs = r.apply(e[i], e[j], s.xi)
-        rhs = e[i].scale(s.eta_of(m, e[j])) - e[j].scale(s.eta_of(m, e[i]))
-        for a, b in zip(lhs.components, rhs.components):
+    idx, zero, eta = range(m.dim), m.zero_scalar(), s.eta.components
+    xi = [(k, xk) for k, xk in enumerate(s.xi.components) if xk.terms]
+    for i, j in product(idx, repeat=2):
+        # R(E_i, E_j)xi = sum_k xi^k R(E_i, E_j)E_k, one sum of products per component
+        r_ij = r.components[i][j]
+        lhs = [Scalar.sum_of_products(m.params, ((xk, r_ij[k][p]) for k, xk in xi)) for p in idx]
+        # eta(E_j)E_i - eta(E_i)E_j
+        rhs = [zero] * m.dim
+        rhs[i] = rhs[i] + eta[j]
+        rhs[j] = rhs[j] - eta[i]
+        for a, b in zip(lhs, rhs):
             if b.is_zero():
                 if not a.is_zero():
                     return None  # kappa * 0 = nonzero: inconsistent

@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .contact import AlmostContactData
 from .frames import Endomorphism, FrameManifold, FrameVector
@@ -76,7 +76,7 @@ class ManifestError(ValueError):
 def _parse_component_list(
     raw: Any,
     dim: int,
-    params: tuple[str, ...],
+    parse: Callable[[str], Scalar],
     path: str,
     issues: list[ManifestIssue],
 ) -> FrameVector | None:
@@ -91,7 +91,7 @@ def _parse_component_list(
             ok = False
             continue
         try:
-            components.append(parse_scalar(entry, params))
+            components.append(parse(entry))
         except ScalarError as exc:
             issues.append(ManifestIssue(f"{path}[{idx}]", str(exc)))
             ok = False
@@ -141,6 +141,16 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
             seen.add(p)
         params = tuple(raw_params)
 
+    # each distinct expression is parsed once per document; a failed parse is
+    # not stored, so every bad entry reports its own issue and path
+    parsed: dict[str, Scalar] = {}
+
+    def parse(text: str) -> Scalar:
+        scalar = parsed.get(text)
+        if scalar is None:
+            scalar = parsed[text] = parse_scalar(text, params)
+        return scalar
+
     pairs: dict[tuple[int, int, int], Scalar] = {}
     raw_constants = document.get("structure_constants", [])
     if not isinstance(raw_constants, list):
@@ -181,7 +191,7 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
                 issues.append(ManifestIssue(f"{path}.coeff", "expected an expression string"))
                 continue
             try:
-                scalar = parse_scalar(coeff, params)
+                scalar = parse(coeff)
             except ScalarError as exc:
                 issues.append(ManifestIssue(f"{path}.coeff", str(exc)))
                 continue
@@ -218,13 +228,13 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
                     ManifestIssue("contact.xi", f"index {raw_xi} outside 1..{dim}")
                 )
         else:
-            xi = _parse_component_list(raw_xi, dim, params, "contact.xi", issues)
+            xi = _parse_component_list(raw_xi, dim, parse, "contact.xi", issues)
 
         raw_eta = contact.get("eta")
         if raw_eta is None:
             issues.append(ManifestIssue("contact.eta", "missing"))
         else:
-            eta = _parse_component_list(raw_eta, dim, params, "contact.eta", issues)
+            eta = _parse_component_list(raw_eta, dim, parse, "contact.eta", issues)
 
         raw_phi = contact.get("phi")
         if raw_phi is None:
@@ -256,7 +266,7 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
                         ok = False
                         continue
                     try:
-                        row.append(parse_scalar(cell, params))
+                        row.append(parse(cell))
                     except ScalarError as exc:
                         issues.append(ManifestIssue(f"contact.phi[{r}][{c}]", str(exc)))
                         ok = False

@@ -20,9 +20,11 @@ absent.  Named suites ("nkappa", "gtw", "concircular") emit only their own
 section, gated the same way; "frame" emits only the structural layer; "all"
 emits everything in order.
 
-A run derives everything from one ``Instance``: the input, its Levi-Civita
-connection and curvature, and every other layer as a cached property, so
-each is computed at most once.  Each derived section is a table of rows
+A run derives everything from one ``Instance``: the input, and every layer
+as a cached property, so each is computed at most once and only when read.
+The Levi-Civita connection and its curvature are layers too: a run whose
+structural layer fails reads neither, because every derived row is gated
+and the classification asks for kappa only when the acm layer holds.  Each derived section is a table of rows
 (``NKAPPA_ROWS``, ``GTW_ROWS``, ``CONC_ROWS``); the check catalogues, the
 gated entries and the report order all come from those tables.
 
@@ -89,14 +91,12 @@ _KAPPA_GATE = (
 class Instance:
     """One input and every layer derived from it, each computed at most once.
 
-    ``lc`` is a connection on ``m`` and ``r`` its curvature; run_suite passes
-    the Levi-Civita pair.  Every other layer is built on first use.
+    Every layer, the Levi-Civita connection ``lc`` and its curvature ``r``
+    included, is built on first use.
     """
 
     m: FrameManifold
     s: AlmostContactData
-    lc: Connection
-    r: Curvature4Tensor
     _r1_witnesses: dict = field(default_factory=dict, init=False, repr=False)
 
     def scan(self, arity: int, residual: Callable) -> dict | None:
@@ -210,6 +210,14 @@ class Instance:
     # -- the connection lc -----------------------------------------------------
 
     @cached_property
+    def lc(self) -> Connection:
+        return levi_civita(self.m)
+
+    @cached_property
+    def r(self) -> Curvature4Tensor:
+        return riemann(self.m, self.lc)
+
+    @cached_property
     def ricci(self) -> BilinearForm:
         return ricci(self.m, self.r)
 
@@ -309,8 +317,14 @@ class Instance:
 def classify(
     m: FrameManifold, s: AlmostContactData, conn: Connection, r: Curvature4Tensor
 ) -> StructureClass:
-    """Sort an instance into contact metric / K-contact / Sasakian classes."""
-    return Instance(m, s, conn, r).classification
+    """Sort an instance into contact metric / K-contact / Sasakian classes.
+
+    ``conn`` and ``r`` must be m's Levi-Civita connection and its curvature;
+    the instance reads them instead of building its own.
+    """
+    x = Instance(m, s)
+    vars(x).update(lc=conn, r=r)  # fill the two cached properties
+    return x.classification
 
 
 def run_suite(
@@ -329,8 +343,7 @@ def run_suite(
     report = VerificationReport(
         manifest_hash=manifest_hash, engine_version=ENGINE_VERSION
     )
-    lc = levi_civita(m)
-    x = Instance(m, s, lc, riemann(m, lc))
+    x = Instance(m, s)
 
     structural = (x.frame_report, x.acm_report, x.h_report)
     if any(rep.has_failures for rep in structural):

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from contactframe import Instance, levi_civita, make_lambda_family, riemann
+from contactframe import Instance, make_lambda_family
 
 
 def family_instance(lam) -> Instance:
     """The family member at ``lam`` (None keeps it symbolic)."""
     entry = make_lambda_family(lam)
-    m = entry.manifold
-    lc = levi_civita(m)
-    return Instance(m, entry.structure, lc, riemann(m, lc))
+    return Instance(entry.manifold, entry.structure)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@
 operators they replace on every basis tuple: the xi-slot contraction against
 the trilinear ``Curvature4Tensor.apply``, the covariant derivative of an
 endomorphism against its column formula, and the closed-form defect and the
-R1(xi, X + hX)Y table against scale-and-subtract on frame vectors.
+R1(xi, X + hX)Y table against scale-and-subtract on frame vectors.  The
+structural layer's two kernels, the Lie derivative of an endomorphism and the
+Jacobi cyclic sum, are held to their forms through ``FrameManifold.bracket``,
+also on the dense random frame ``manifests/random5_t.json``.
 
 Besides the instances with xi = E1, one lambda member is written in a frame
 turned by the rational rotation (3/5, 4/5) in the E1-E2 plane, so that xi has
@@ -23,10 +26,8 @@ from contactframe import (
     FrameVector,
     Instance,
     Scalar,
-    levi_civita,
     load_manifest_file,
     make_lambda_family,
-    riemann,
 )
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -35,8 +36,7 @@ XI_SLOTS = [(0,), (1,), (2,), (1, 2)]
 
 
 def _instance(m: FrameManifold, s: AlmostContactData) -> Instance:
-    lc = levi_civita(m)
-    return Instance(m, s, lc, riemann(m, lc))
+    return Instance(m, s)
 
 
 def _rotated(m: FrameManifold, s: AlmostContactData) -> tuple[FrameManifold, AlmostContactData]:
@@ -102,6 +102,12 @@ def x(request) -> Instance:
     return _build(request.param)
 
 
+@pytest.fixture(scope="module", params=NAMES + ["random5_t.json"])
+def structural(request) -> Instance:
+    """The instances above and a dense frame that fails Jacobi and acm."""
+    return _build(request.param)
+
+
 def _with_xi(x: Instance, xi_at: tuple[int, ...], frame: tuple[int, ...]) -> list[FrameVector]:
     it = iter(frame)
     return [x.s.xi if slot in xi_at else x.img.e[next(it)] for slot in range(3)]
@@ -149,3 +155,25 @@ def test_curvature_defect_and_r1_xi_match_the_vector_forms(x):
                 + v[i].scale(m.inner(xh[j], img.phi[k]))
             )
             assert x.curvature_defect[i][j][k] == want, (i, j, k)
+
+
+def test_lie_derive_endo_matches_the_bracket_form(structural):
+    m, e = structural.m, structural.img.e
+    two_components = e[0] - e[2].scale(2)
+    for xi, a in product((e[0], two_components), (structural.s.phi, structural.h)):
+        got = m.lie_derive_endo(xi, a)
+        for j in range(m.dim):
+            want = m.bracket(xi, a.column(j)) - a.apply(m.bracket(xi, e[j]))
+            assert got.column(j) == want, (xi, j)
+
+
+def test_jacobiator_matches_the_six_brackets(structural):
+    m, e = structural.m, structural.img.e
+    for i, j, k in product(range(m.dim), repeat=3):
+        want = (
+            m.bracket(m.bracket(e[i], e[j]), e[k])
+            + m.bracket(m.bracket(e[j], e[k]), e[i])
+            + m.bracket(m.bracket(e[k], e[i]), e[j])
+        )
+        got = tuple(m.jacobiator(i, j, k, l) for l in range(m.dim))
+        assert got == want.components, (i, j, k)

@@ -137,6 +137,22 @@ def test_error_collects_multiple_issues():
     assert len(excinfo.value.issues) >= 2
 
 
+def test_an_invalid_expression_is_reported_at_each_entry():
+    """Expressions are parsed once per document, but a failed parse is not
+    stored: one invalid string in two entries gives two issues, two paths."""
+    doc = copy.deepcopy(_base_doc())
+    doc["structure_constants"].append({"i": 1, "j": 2, "k": 1, "coeff": "x/{"})
+    doc["contact"]["phi"][0][0] = "x/{"
+    with pytest.raises(ManifestError) as excinfo:
+        load_manifest(doc)
+    issues = excinfo.value.issues
+    assert [issue.path for issue in issues] == [
+        f"structure_constants[{len(doc['structure_constants']) - 1}].coeff",
+        "contact.phi[0][0]",
+    ]
+    assert issues[0].message == issues[1].message
+
+
 def test_hash_is_order_insensitive_via_canonical_dump():
     """dump_manifest emits a canonical ordering, so two equal structures can
 

@@ -102,8 +102,7 @@ def assert_matches_definition(m: FrameManifold, conn, fused) -> None:
 def _gtw(name: str) -> tuple:
     """The torsionful connection and curvature of a committed manifest."""
     m, s = load_manifest_file(str(MANIFESTS / name))
-    lc = levi_civita(m)
-    pkg = Instance(m, s, lc, riemann(m, lc)).pkg
+    pkg = Instance(m, s).pkg
     return m, pkg.conn, pkg.curv
 
 

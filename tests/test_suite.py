@@ -83,6 +83,8 @@ def _count_calls(monkeypatch) -> dict[str, int]:
     for owner, name in (
         (contactframe.contact, "validate_acm"),
         (contactframe.contact, "detect_kappa"),
+        (contactframe.curvature, "levi_civita"),
+        (contactframe.curvature, "riemann"),
         (contactframe.curvature, "ricci"),
         (contactframe.frames, "frame_images"),
         (contactframe.tanaka_webster, "space_form_templates"),
@@ -110,6 +112,9 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "validate_acm": 1,
         "detect_kappa": 1,
         "lie_derive_endo": 1,
+        "levi_civita": 1,
+        # the Levi-Civita and the torsionful curvature
+        "riemann": 2,
         # the Levi-Civita and the torsionful Ricci forms
         "ricci": 2,
         # validate_acm's own, the instance's, and the torsionful connection's
@@ -149,24 +154,25 @@ def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
 
 
 def test_heisenberg_run_work_counts(monkeypatch):
-    """The residual scans are component contractions, not a trilinear apply per
-    basis tuple, and ``riemann`` sums each independent component once: one H^5
-    run makes 34 applies and 8,830 sums of products, under the bounds 34 and
-    9,271 (the measured count plus 5%; scanning through apply takes 3,284 and
-    34,593, and summing every Riemann component 9,880)."""
+    """The residual scans and ``detect_kappa`` are component contractions, not
+    a trilinear apply per basis tuple, and ``riemann`` sums each independent
+    component once: one H^5 run makes 9 applies and 8,480 sums of products,
+    under the bounds 9 and 8,904 (the measured count plus 5%; scanning through
+    apply takes 3,284 and 34,593, summing every Riemann component 9,880, and
+    applying R in ``detect_kappa`` 34 and 8,830)."""
     counts = _work_counts(monkeypatch, "heisenberg5.json")
-    assert counts["apply"] <= 34
-    assert counts["sum_of_products"] <= 9_271
+    assert counts["apply"] <= 9
+    assert counts["sum_of_products"] <= 8_904
 
 
 def test_gated_run_work_counts(monkeypatch):
-    """On the gated dense frame no derived section runs: one run makes 410
-    sums of products, 100 of them in ``riemann``, under the bound 430 (the
-    measured count plus 5%; summing every Riemann component takes 935), and
-    no trilinear apply."""
+    """On the gated dense frame no derived section runs and neither the
+    connection nor its curvature is built: one run makes 231 sums of products,
+    all in the structural layer, under the bound 242 (the measured count plus
+    5%; building both tensors up front takes 410), and no trilinear apply."""
     counts = _work_counts(monkeypatch, "random5.json")
     assert counts["apply"] == 0
-    assert counts["sum_of_products"] <= 430
+    assert counts["sum_of_products"] <= 242
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):
@@ -176,8 +182,23 @@ def test_gated_run_computes_each_layer_once(monkeypatch):
     assert counts["validate_acm"] == 1
     assert counts["lie_derive_endo"] == 1
     assert "ricci" not in counts and "derivative_endo" not in counts
-    # every derived section is gated, so the model tensors are never built
+    # every derived section is gated and acm fails, so neither the connection
+    # nor kappa is read, and the model tensors are never built
+    assert "levi_civita" not in counts and "riemann" not in counts
+    assert "detect_kappa" not in counts
     assert "space_form_templates" not in counts
+
+
+def test_frame_run_builds_the_connection_once_for_kappa(monkeypatch):
+    """suite="frame" grades no derived row, but on H^5 acm holds, so the
+    classification reads kappa: the Levi-Civita connection and its curvature
+    are built exactly once, and nothing of the torsionful connection."""
+    m, s = load_manifest_file(str(MANIFESTS / "heisenberg5.json"))
+    counts = _count_calls(monkeypatch)
+    report = run_suite(m, s, "frame")
+    assert report.by_name("acm.classification").witness["kappa"] == "1"
+    assert counts["levi_civita"] == counts["riemann"] == counts["detect_kappa"] == 1
+    assert "space_form_templates" not in counts and "ricci" not in counts
 
 
 def test_bench_ladder_records_deterministic_counts():

@@ -12,6 +12,9 @@ and just after it (``run_norm``), the size of the JSON report, and two
 deterministic work counts of one more run: the calls of
 ``Curvature4Tensor.apply`` and of ``Scalar.sum_of_products``.  Host speed on a
 shared machine swings up to 2x within seconds; ``run_norm`` moves much less.
+On the gated random frames parsing the manifest is a large share of a request,
+so for those two it also records the minimum of k ``load_manifest`` calls on
+the committed document (``load_s``).
 
 Usage:
     PYTHONPATH=src python scripts/bench_ladder.py --out BENCH.json --label change
@@ -19,7 +22,7 @@ Usage:
 The results are merged into the JSON file ``--out`` under ``--label``, so two
 trees (say, before and after a change) can be measured into one file.
 Repeating the command for a label already in the file keeps, per instance, the
-lower ``run_s`` and ``run_norm`` and the total number of runs, so alternating
+lower ``run_s``, ``run_norm`` and ``load_s`` and the total number of runs, so alternating
 the two trees' invocations measures both over the same stretch of host speed.
 A repeat whose report size or work counts differ from the stored ones is
 refused: it measured a different tree.
@@ -39,6 +42,7 @@ from contactframe import (
     Curvature4Tensor,
     Scalar,
     emit,
+    load_manifest,
     load_manifest_file,
     make_heisenberg,
     make_lambda_family,
@@ -46,6 +50,8 @@ from contactframe import (
 )
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+# ladder instances whose manifest load is timed too
+LOADED = ("random5", "random5_t")
 
 
 def ladder() -> dict:
@@ -115,6 +121,18 @@ def measure(m, s, runs: int) -> dict:
     }
 
 
+def measure_load(name: str, runs: int) -> float:
+    """The minimum seconds of ``runs`` loads of ``manifests/<name>.json``,
+    JSON decoding excluded."""
+    document = json.loads((MANIFESTS / f"{name}.json").read_text())
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        load_manifest(document)
+        best = min(best, time.perf_counter() - start)
+    return round(best, 5)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to merge the results into")
@@ -127,13 +145,15 @@ def main() -> int:
     results = {}
     for name, (m, s) in ladder().items():
         results[name] = measure(m, s, args.runs)
+        if name in LOADED:
+            results[name]["load_s"] = measure_load(name, args.runs)
         print(name, results[name], flush=True)
 
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     runs = args.runs
     previous = data.get("results", {}).get(args.label)
-    timed = ("run_s", "run_norm")
+    timed = ("run_s", "run_norm", "load_s")
     if previous is not None:
         for name, now in results.items():
             before = previous["instances"][name]
@@ -142,7 +162,8 @@ def main() -> int:
             }:
                 raise SystemExit(f"{name}: report size or work counts differ from {args.label!r}")
             for key in timed:
-                now[key] = min(now[key], before[key])
+                if key in now:
+                    now[key] = min(now[key], before[key])
         runs += previous["runs"]
     data.setdefault("results", {})[args.label] = {
         "engine_version": ENGINE_VERSION,

@@ -34,7 +34,8 @@ Conventions:
 
 Loading either returns the constructed objects or raises ManifestError
 carrying every problem found, each tagged with the JSON path it refers to
-(e.g. "contact.phi" or "structure_constants[2].coeff").  dump_manifest is
+(e.g. "contact.phi" or "structure_constants[2].coeff").  Each distinct
+expression string is parsed once per document.  dump_manifest is
 the inverse on canonical documents, and manifest_hash fingerprints the
 canonical compact serialization.
 """

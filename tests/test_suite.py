@@ -218,6 +218,9 @@ def test_bench_ladder_records_deterministic_counts():
     for key in ("json_bytes", "apply", "sum_of_products"):
         assert first[key] == second[key] > 0
     assert first["run_s"] > 0 and first["run_norm"] > 0
+    # the manifest load is timed on the gated random frames
+    assert ladder.LOADED == ("random5", "random5_t")
+    assert ladder.measure_load("random5", 1) > 0
     # the counting wrappers are removed again
     assert Curvature4Tensor.apply is _APPLY
     assert Scalar.sum_of_products is _SUM_OF_PRODUCTS

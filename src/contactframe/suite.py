@@ -24,9 +24,10 @@ A run derives everything from one ``Instance``: the input, and every layer
 as a cached property, so each is computed at most once and only when read.
 The Levi-Civita connection and its curvature are layers too: a run whose
 structural layer fails reads neither, because every derived row is gated
-and the classification asks for kappa only when the acm layer holds.  Each derived section is a table of rows
-(``NKAPPA_ROWS``, ``GTW_ROWS``, ``CONC_ROWS``); the check catalogues, the
-gated entries and the report order all come from those tables.
+and the classification asks for kappa only when the acm layer holds.  Each
+derived section is a table of rows (``NKAPPA_ROWS``, ``GTW_ROWS``,
+``CONC_ROWS``); the check catalogues, the gated entries and the report order
+all come from those tables.
 
 run_suite never raises on mathematical grounds: every outcome, including a
 broken input structure, is a report entry.

@@ -22,8 +22,9 @@ Usage:
 The results are merged into the JSON file ``--out`` under ``--label``, so two
 trees (say, before and after a change) can be measured into one file.
 Repeating the command for a label already in the file keeps, per instance, the
-lower ``run_s``, ``run_norm`` and ``load_s`` and the total number of runs, so alternating
-the two trees' invocations measures both over the same stretch of host speed.
+lower ``run_s``, ``run_norm`` and ``load_s`` and the total number of runs, so
+alternating the two trees' invocations measures both over the same stretch of
+host speed.
 A repeat whose report size or work counts differ from the stored ones is
 refused: it measured a different tree.
 """

@@ -11,15 +11,11 @@ enter any verdict.
 from .concircular import (
     ConcircularTensor,
     concircular,
-    tensor_dot_form,
-    tensor_dot_tensor,
     verify_concircular_suite,
 )
 from .contact import (
     AlmostContactData,
     StructureClass,
-    StructureInconsistencyError,
-    compute_h,
     detect_kappa,
     h_property_checks,
     validate_acm,
@@ -103,7 +99,6 @@ __all__ = [
     "Scalar",
     "ScalarError",
     "StructureClass",
-    "StructureInconsistencyError",
     "SUITES",
     "VerificationReport",
     "ZooDomainError",
@@ -111,7 +106,6 @@ __all__ = [
     "boeckx_invariant",
     "build_gtw_package",
     "classify",
-    "compute_h",
     "concircular",
     "detect_kappa",
     "dhomothetic_invariants",
@@ -141,8 +135,6 @@ __all__ = [
     "scalar_curvature",
     "solve_linear",
     "space_form_templates",
-    "tensor_dot_form",
-    "tensor_dot_tensor",
     "validate_acm",
     "verify_concircular_suite",
     "verify_gtw_suite",

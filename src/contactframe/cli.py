@@ -9,6 +9,9 @@ Subcommands:
     deform --kappa R --mu R --a R [--literal-c]   deformed nullity pair
     boeckx --kappa R --mu R                 the (1 - mu/2)/sqrt(1 - kappa) invariant
 
+A manifest path of ``-`` reads stdin.  ``curvature`` reads its tables from one
+``suite.Instance``, the object ``verify`` grades.
+
 Every subcommand accepts --format json|text (default text).  Exit status is
 0 when the run produced no failing check (non-report commands count as having
 none), 1 when a report contains failures, and 2 for unusable input (bad
@@ -24,23 +27,17 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable
 
-from .contact import StructureInconsistencyError, compute_h, detect_kappa
-from .curvature import (
-    ConnectionConsistencyError,
-    levi_civita,
-    ricci,
-    riemann,
-    scalar_curvature,
-)
+from .curvature import ConnectionConsistencyError, scalar_curvature
 from .manifest import (
     ManifestError,
+    ManifestIssue,
     dump_manifest,
+    load_manifest,
     load_manifest_file,
     manifest_hash,
 )
 from .report import emit
-from .suite import SUITES, run_suite
-from .tanaka_webster import build_gtw_package
+from .suite import SUITES, Instance, run_suite
 from .zoo import ZooDomainError, boeckx_invariant, dhomothetic_invariants, zoo_entry
 from .frames import FrameVector, render_vector
 
@@ -70,17 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "validate", parents=[common], help="grade the structural layer of a manifest"
     )
-    p.add_argument("manifest", help="path to a JSON manifest")
+    p.add_argument("manifest", help="path to a JSON manifest (- reads stdin)")
     p.set_defaults(suite="frame")
 
     p = sub.add_parser(
         "curvature", parents=[common], help="print connection and curvature tables"
     )
-    p.add_argument("manifest", help="path to a JSON manifest")
+    p.add_argument("manifest", help="path to a JSON manifest (- reads stdin)")
     p.add_argument("--connection", choices=("lc", "gtw"), default="lc")
 
     p = sub.add_parser("verify", parents=[common], help="run graded check suites")
-    p.add_argument("manifest", help="path to a JSON manifest")
+    p.add_argument("manifest", help="path to a JSON manifest (- reads stdin)")
     p.add_argument("--suite", choices=SUITES, default="all")
 
     p = sub.add_parser("zoo", parents=[common], help="emit a built-in example")
@@ -133,9 +130,20 @@ def _vector_strings(v: FrameVector) -> list[str]:
     return [str(c) for c in v.components]
 
 
+def _load(path: str):
+    """The manifest at ``path``, read from stdin when ``path`` is ``-``."""
+    if path != "-":
+        return load_manifest_file(path)
+    try:
+        document = json.load(sys.stdin)
+    except json.JSONDecodeError as exc:
+        raise ManifestError([ManifestIssue("", f"invalid JSON: {exc}")]) from exc
+    return load_manifest(document)
+
+
 def _cmd_verify(args, fmt: str) -> int:
     """verify, and validate (which runs suite "frame")."""
-    m, s = load_manifest_file(args.manifest)
+    m, s = _load(args.manifest)
     digest = manifest_hash(dump_manifest(m, s))
     report = run_suite(m, s, suite=args.suite, manifest_hash=digest)
     print(emit(report, fmt))
@@ -148,27 +156,29 @@ def _nonzero(labelled: Iterable[tuple[tuple[int, ...], FrameVector]]) -> list:
 
 
 def _cmd_curvature(args, fmt: str) -> int:
-    m, s = load_manifest_file(args.manifest)
+    m, s = _load(args.manifest)
     digest = manifest_hash(dump_manifest(m, s))
     idx = range(m.dim)
-    lc = levi_civita(m)
-    r_lc = riemann(m, lc)
+    x = Instance(m, s)
     if args.connection == "gtw":
-        try:
-            pkg = build_gtw_package(m, s, lc, compute_h(m, s))
-        except (StructureInconsistencyError, ConnectionConsistencyError) as exc:
+        # the first broken h law, else the connection's own error, refuses the run
+        bad = [f"{c.name} violated: {c.witness}" for c in x.h_report.checks if c.status == "fails"]
+        if not bad:
+            try:
+                x.pkg
+            except ConnectionConsistencyError as exc:
+                bad.append(str(exc))
+        if bad:
             return _fail(
-                "the torsionful connection needs a valid contact metric "
-                f"structure: {exc}"
+                f"the torsionful connection needs a valid contact metric structure: {bad[0]}"
             )
-        conn, curv, ricci_form, tau = pkg.conn, pkg.curv, pkg.ricci, pkg.tau
-        torsion = _nonzero(((i, j), pkg.torsion[i][j]) for i, j in combinations(idx, 2))
+        conn, curv, ricci_form, tau = x.pkg.conn, x.pkg.curv, x.pkg.ricci, x.pkg.tau
+        torsion = _nonzero(((i, j), x.pkg.torsion[i][j]) for i, j in combinations(idx, 2))
     else:
-        conn, curv = lc, r_lc
-        ricci_form = ricci(m, curv)
+        conn, curv, ricci_form = x.lc, x.r, x.ricci
         tau = scalar_curvature(m, ricci_form)
         torsion = None
-    kappa = detect_kappa(m, s, r_lc)
+    kappa = x.kappa
     derivatives = _nonzero(
         ((i, j), conn.derivative_basis(i, j)) for i, j in product(idx, repeat=2)
     )
@@ -250,15 +260,10 @@ def _cmd_zoo(args, fmt: str) -> int:
         f"expected kappa: {entry.expected_kappa}",
         "brackets (i<j, nonzero):",
     ]
-    any_bracket = False
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            v = FrameVector(tuple(m.c[i][j]))
-            if not v.is_zero():
-                lines.append(f"  [E{i + 1},E{j + 1}] = {render_vector(v.components)}")
-                any_bracket = True
-    if not any_bracket:
-        lines.append("  (all zero)")
+    brackets = _nonzero(((i, j), m.bracket_basis(i, j)) for i, j in combinations(range(m.dim), 2))
+    lines += [
+        f"  [E{i},E{j}] = {render_vector(v.components)}" for (i, j), v in brackets
+    ] or ["  (all zero)"]
     lines.append("notes:")
     for note in entry.notes:
         lines.append(f"  - {note}")

@@ -36,10 +36,9 @@ With A = Z(xi, E_i) built once per i (``Instance.z_xi``),
     (A.w)_jk    = sum_q A^q_j w_qk + A^q_k w_jq
 
 are one sum of products per output component, walking only the nonzero
-entries of A and of Z (``tensor_action``, ``form_action``).
-``tensor_dot_tensor`` and ``tensor_dot_form`` are the same operators on
-arbitrary constant vectors, through the trilinear apply, and the tests hold
-the contractions to them.
+entries of A and of Z (``tensor_action``, ``form_action``).  The tests
+hold them to the same operators on arbitrary constant vectors, written
+through the trilinear apply, on every basis tuple.
 """
 
 from __future__ import annotations
@@ -88,39 +87,6 @@ def concircular(
         ),
     )
     return ConcircularTensor(components=z.components, K=minus_coeff)
-
-
-def tensor_dot_tensor(
-    m: FrameManifold,
-    t1: Curvature4Tensor,
-    t2: Curvature4Tensor,
-    x1: FrameVector,
-    x2: FrameVector,
-    x3: FrameVector,
-    x4: FrameVector,
-    x5: FrameVector,
-) -> FrameVector:
-    """(T1(X1,X2).T2)(X3,X4)X5 with the leading term minus three insertions."""
-    a = t1.endomorphism(x1, x2)
-    return (
-        a.apply(t2.apply(x3, x4, x5))
-        - t2.apply(a.apply(x3), x4, x5)
-        - t2.apply(x3, a.apply(x4), x5)
-        - t2.apply(x3, x4, a.apply(x5))
-    )
-
-
-def tensor_dot_form(
-    m: FrameManifold,
-    t1: Curvature4Tensor,
-    omega: BilinearForm,
-    x1: FrameVector,
-    x2: FrameVector,
-    x3: FrameVector,
-    x4: FrameVector,
-) -> Scalar:
-    """(T1(X1,X2).w)(X3,X4) with both insertions positive, as quoted."""
-    return omega.apply(t1.apply(x1, x2, x3), x4) + omega.apply(x3, t1.apply(x1, x2, x4))
 
 
 def tensor_action(a: Endomorphism, t: Curvature4Tensor, j: int, k: int, l: int) -> FrameVector:
@@ -245,9 +211,7 @@ def _xi_flatness_obstruction(report, name, x):
     is structural, not accidental.
     """
     z, e, xi = x.z, x.img.e, x.s.xi
-    first_nonzero = first_witness(
-        product(range(x.m.dim), repeat=2), lambda i, j: z.apply(e[i], e[j], xi), key="value"
-    )
+    first_nonzero = x.scan(2, lambda i, j: z.apply(e[i], e[j], xi), key="value")
     bad = x.r1_scan("z", z.K, xi_at=(2,))
     if first_nonzero is not None and bad is None:
         report.holds(
@@ -316,11 +280,7 @@ def _phi_flatness(report, name, x):
 def _ricci_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X1).ricci)(X2, X3) cannot vanish identically."""
     ric, z_xi = x.pkg.ricci, x.z_xi
-    first_nonzero = first_witness(
-        product(range(x.m.dim), repeat=3),
-        lambda i, j, k: form_action(z_xi[i], ric, j, k),
-        key="value",
-    )
+    first_nonzero = x.scan(3, lambda i, j, k: form_action(z_xi[i], ric, j, k), key="value")
     if first_nonzero is not None:
         report.holds(
             name,
@@ -375,10 +335,8 @@ def _ricci_action_slice(report, name, x):
 def _self_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
     z, z_xi = x.z, x.z_xi
-    first_nonzero = first_witness(
-        product(range(x.m.dim), repeat=4),
-        lambda i, j, k, l: tensor_action(z_xi[i], z, j, k, l),
-        key="value",
+    first_nonzero = x.scan(
+        4, lambda i, j, k, l: tensor_action(z_xi[i], z, j, k, l), key="value"
     )
     if first_nonzero is not None:
         report.holds(

@@ -17,9 +17,10 @@ and reported as data, never silently adopted - the half-convention with
 phi in the second slot is the unique assignment validating the worked
 3-dimensional family.
 
-The operator h = 1/2 L_xi phi is computed from the Lie derivative and
-checked against its classical properties (symmetric, anticommutes with
-phi, trace-free, kills xi).  ``detect_kappa`` recovers the nullity
+The operator h = 1/2 L_xi phi is built once per run, by ``suite.Instance``,
+from the Lie derivative; ``h_property_checks`` grades its classical
+properties (symmetric, anticommutes with phi, trace-free, kills xi) as
+report entries.  ``detect_kappa`` recovers the nullity
 constant of a curvature tensor when one exists; ``suite.classify`` sorts an
 instance into contact metric / K-contact / Sasakian as a ``StructureClass``.
 """
@@ -34,10 +35,6 @@ from .curvature import Curvature4Tensor
 from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
 from .report import VerificationReport, first_witness
 from .scalars import Scalar, exact_div
-
-
-class StructureInconsistencyError(Exception):
-    """Raised when derived structure operators violate their defining laws."""
 
 
 @dataclass(frozen=True)
@@ -133,17 +130,6 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     )
 
     return report
-
-
-def compute_h(m: FrameManifold, s: AlmostContactData) -> Endomorphism:
-    """h = 1/2 L_xi phi; raises if the classical h-laws are violated."""
-    h = m.lie_derive_endo(s.xi, s.phi).scale(Fraction(1, 2))
-    for check in h_property_checks(m, s, h).checks:
-        if check.status == "fails":
-            raise StructureInconsistencyError(
-                f"{check.name} violated: {check.witness}"
-            )
-    return h
 
 
 def h_property_checks(

@@ -206,13 +206,6 @@ class Curvature4Tensor:
             )
         )
 
-    def endomorphism(self, x: FrameVector, y: FrameVector) -> Endomorphism:
-        """R(X, Y) as an endomorphism: column k is R(X, Y)E_k."""
-        basis = Endomorphism.identity(self.dim, x.params)
-        return Endomorphism.from_columns(
-            [self.apply(x, y, basis.column(k)) for k in range(self.dim)]
-        )
-
 
 def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
     """Curvature of a frame connection, one sum of products per independent

@@ -10,6 +10,8 @@ Everything downstream (connections, curvature, the verification suites)
 quantifies over frame basis vectors, which suffices because every checked
 identity is pointwise multilinear.  Vector fields are therefore restricted
 to constant frame coefficients, and the metric is the identity on the frame.
+Brackets are read by frame index (``bracket_basis``, ``sparse_c``); the
+bilinear bracket of arbitrary vectors lives in the tests, as a reference.
 
 Indices are 0-based throughout the code; reports and manifests use 1-based
 indices at the boundary.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .report import VerificationReport, first_witness
@@ -112,13 +114,6 @@ class Endomorphism:
         dim = len(columns)
         return Endomorphism(
             tuple(tuple(columns[j].components[i] for j in range(dim)) for i in range(dim))
-        )
-
-    @staticmethod
-    def identity(dim: int, params: tuple[str, ...]) -> "Endomorphism":
-        z, o = Scalar.zero(params), Scalar.one(params)
-        return Endomorphism(
-            tuple(tuple(o if i == j else z for j in range(dim)) for i in range(dim))
         )
 
     def apply(self, x: FrameVector) -> FrameVector:
@@ -242,22 +237,6 @@ class FrameManifold:
     def bracket_basis(self, i: int, j: int) -> FrameVector:
         return FrameVector(tuple(self.c[i][j][k] for k in range(self.dim)))
 
-    def bracket(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        """Bilinear antisymmetric extension of the structure constants."""
-        weighted = [
-            (xi * yj, self.c[i][j])
-            for i, xi in enumerate(x.components)
-            if xi.terms
-            for j, yj in enumerate(y.components)
-            if yj.terms
-        ]
-        return FrameVector(
-            tuple(
-                Scalar.sum_of_products(self.params, ((w, cij[k]) for w, cij in weighted))
-                for k in range(self.dim)
-            )
-        )
-
     @cached_property
     def sparse_c(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
         """The nonzero entries of each [E_i, E_j]: ``sparse_c[i][j]`` holds the
@@ -321,14 +300,20 @@ class FrameManifold:
     # -- well-posedness --------------------------------------------------------
 
     def validate_frame(self) -> VerificationReport:
-        """Check antisymmetry of the structure constants and the Jacobi identity."""
+        """Check antisymmetry of the structure constants and the Jacobi identity.
+
+        The antisymmetry residual is symmetric in (i, j), so scanning i <= j
+        finds the same first witness as the full row-major scan."""
         report = VerificationReport()
         idx = range(self.dim)
         c = self.c
 
         report.graded(
             "frame.bracket_antisymmetry",
-            first_witness(product(idx, repeat=3), lambda i, j, k: c[i][j][k] + c[j][i][k]),
+            first_witness(
+                ((i, j, k) for i in idx for j in range(i, self.dim) for k in idx),
+                lambda i, j, k: c[i][j][k] + c[j][i][k],
+            ),
         )
 
         report.graded(

@@ -100,9 +100,9 @@ class Instance:
     s: AlmostContactData
     _r1_witnesses: dict = field(default_factory=dict, init=False, repr=False)
 
-    def scan(self, arity: int, residual: Callable) -> dict | None:
+    def scan(self, arity: int, residual: Callable, key: str = "residual") -> dict | None:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
-        return first_witness(product(range(self.m.dim), repeat=arity), residual)
+        return first_witness(product(range(self.m.dim), repeat=arity), residual, key)
 
     def xi_scan(
         self, xi_at: tuple[int, ...], terms: tuple[tuple[Curvature4Tensor, Scalar], ...]
@@ -257,7 +257,7 @@ class Instance:
 
     @cached_property
     def pkg(self) -> GtwPackage:
-        return build_gtw_package(self.m, self.s, self.lc, self.h)
+        return build_gtw_package(self.m, self.s, self.lc, self.img)
 
     @cached_property
     def dphi_gtw(self) -> tuple[Endomorphism, ...]:

@@ -55,7 +55,7 @@ from .curvature import (
     riemann,
     scalar_curvature,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
+from .frames import FrameImages, FrameManifold, FrameVector
 from .linear import LinearSolution, solve_linear
 from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
@@ -90,12 +90,11 @@ class GssfCoefficients:
 
 
 def gtw_connection(
-    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism
+    m: FrameManifold, s: AlmostContactData, lc: Connection, img: FrameImages
 ) -> Connection:
     """The Levi-Civita connection displaced by
-    A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X);
-    verifies metric parallelism on construction."""
-    img = frame_images(m, s, h)
+    A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X), with h
+    read from the frame images ``img``; verifies metric parallelism on construction."""
     idx = range(m.dim)
 
     def displaced(i: int, j: int) -> FrameVector:
@@ -131,9 +130,9 @@ def gtw_torsion(m: FrameManifold, conn: Connection) -> tuple[tuple[FrameVector, 
 
 
 def build_gtw_package(
-    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism
+    m: FrameManifold, s: AlmostContactData, lc: Connection, img: FrameImages
 ) -> GtwPackage:
-    conn = gtw_connection(m, s, lc, h)
+    conn = gtw_connection(m, s, lc, img)
     curv = riemann(m, conn)
     ric = ricci(m, curv)
     return GtwPackage(
@@ -220,9 +219,7 @@ def _h_derivative_relation_reference(report, name, x):
 
 def _torsion_nonzero(report, name, x):
     notes = ("a contact metric instance must make this connection non-symmetric",)
-    first_nonzero = first_witness(
-        product(range(x.m.dim), repeat=2), lambda i, j: x.pkg.torsion[i][j], key="value"
-    )
+    first_nonzero = x.scan(2, lambda i, j: x.pkg.torsion[i][j], key="value")
     if first_nonzero is not None:
         report.holds(name, witness=first_nonzero, notes=notes)
     else:

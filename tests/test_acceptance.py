@@ -19,14 +19,13 @@ from contactframe import (
     dhomothetic_invariants,
     gssf_decompose,
     make_lambda_family,
-    tensor_dot_form,
-    tensor_dot_tensor,
     verify_concircular_suite,
     verify_gtw_suite,
     verify_nkappa_suite,
 )
 from contactframe.frames import FrameManifold, FrameVector
 from contactframe.scalars import Scalar
+from vector_reference import bracket, tensor_dot_form, tensor_dot_tensor
 
 LAMBDA = "manifests/lambda_family.json"
 
@@ -250,13 +249,8 @@ def test_criterion_6_scalar_curvature_is_4n_squared(fam):
     n = fam.m.n
     ok = fam.pkg.tau == fam.m.constant(4 * n * n)
     for lam_value in (Fraction(0), Fraction(1, 2), Fraction(2)):
-        entry = make_lambda_family(lam_value)
-        from contactframe import build_gtw_package, compute_h, levi_civita
-
-        m = entry.manifold
-        lc = levi_civita(m)
-        pkg = build_gtw_package(m, entry.structure, lc, compute_h(m, entry.structure))
-        ok = ok and pkg.tau == m.constant(4 * m.n * m.n)
+        x = conftest.family_instance(lam_value)
+        ok = ok and x.pkg.tau == x.m.constant(4 * x.m.n * x.m.n)
     _record(6, "torsionful scalar curvature equals 4n^2, symbolic and rational", ok)
 
 
@@ -312,9 +306,9 @@ def test_criterion_8_randomized_laws_and_byte_identical_output():
 
         x, y, z = rand_vec(), rand_vec(), rand_vec()
         s = Scalar.constant(m.params, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        ok = ok and (m.bracket(x + y, z) - m.bracket(x, z) - m.bracket(y, z)).is_zero()
-        ok = ok and (m.bracket(x.scale(s), y) - m.bracket(x, y).scale(s)).is_zero()
-        ok = ok and (m.bracket(x, y) + m.bracket(y, x)).is_zero()
+        ok = ok and (bracket(m, x + y, z) - bracket(m, x, z) - bracket(m, y, z)).is_zero()
+        ok = ok and (bracket(m, x.scale(s), y) - bracket(m, x, y).scale(s)).is_zero()
+        ok = ok and (bracket(m, x, y) + bracket(m, y, x)).is_zero()
 
     runs = [
         subprocess.run(

@@ -4,7 +4,7 @@ the trilinear ``Curvature4Tensor.apply``, the covariant derivative of an
 endomorphism against its column formula, and the closed-form defect and the
 R1(xi, X + hX)Y table against scale-and-subtract on frame vectors.  The
 structural layer's two kernels, the Lie derivative of an endomorphism and the
-Jacobi cyclic sum, are held to their forms through ``FrameManifold.bracket``,
+Jacobi cyclic sum, are held to their forms through the vector-level ``bracket``,
 also on the dense random frame ``manifests/random5_t.json``.
 
 Besides the instances with xi = E1, one lambda member is written in a frame
@@ -29,6 +29,7 @@ from contactframe import (
     load_manifest_file,
     make_lambda_family,
 )
+from vector_reference import bracket
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -163,7 +164,7 @@ def test_lie_derive_endo_matches_the_bracket_form(structural):
     for xi, a in product((e[0], two_components), (structural.s.phi, structural.h)):
         got = m.lie_derive_endo(xi, a)
         for j in range(m.dim):
-            want = m.bracket(xi, a.column(j)) - a.apply(m.bracket(xi, e[j]))
+            want = bracket(m, xi, a.column(j)) - a.apply(bracket(m, xi, e[j]))
             assert got.column(j) == want, (xi, j)
 
 
@@ -171,9 +172,9 @@ def test_jacobiator_matches_the_six_brackets(structural):
     m, e = structural.m, structural.img.e
     for i, j, k in product(range(m.dim), repeat=3):
         want = (
-            m.bracket(m.bracket(e[i], e[j]), e[k])
-            + m.bracket(m.bracket(e[j], e[k]), e[i])
-            + m.bracket(m.bracket(e[k], e[i]), e[j])
+            bracket(m, bracket(m, e[i], e[j]), e[k])
+            + bracket(m, bracket(m, e[j], e[k]), e[i])
+            + bracket(m, bracket(m, e[k], e[i]), e[j])
         )
         got = tuple(m.jacobiator(i, j, k, l) for l in range(m.dim))
         assert got == want.components, (i, j, k)

@@ -10,11 +10,10 @@ from contactframe import (
     Instance,
     concircular,
     load_manifest_file,
-    tensor_dot_form,
-    tensor_dot_tensor,
     verify_concircular_suite,
 )
 from contactframe.concircular import form_action, tensor_action
+from vector_reference import tensor_dot_form, tensor_dot_tensor
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 

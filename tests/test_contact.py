@@ -2,18 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
-
 from contactframe import (
     AlmostContactData,
-    StructureInconsistencyError,
+    Instance,
     classify,
-    compute_h,
-    detect_kappa,
-    levi_civita,
     make_abelian3,
     make_lambda_family,
-    riemann,
     validate_acm,
 )
 from contactframe.frames import Endomorphism, FrameManifold, FrameVector
@@ -69,9 +63,7 @@ def test_abelian_fails_contact_condition_but_kappa_zero():
     assert report.by_name("acm.contact_condition").status == "fails"
     # the axioms that do not involve brackets still hold
     assert report.by_name("acm.phi_square").status == "holds"
-    lc = levi_civita(entry.manifold)
-    r = riemann(entry.manifold, lc)
-    kappa = detect_kappa(entry.manifold, entry.structure, r)
+    kappa = Instance(entry.manifold, entry.structure).kappa
     # flat curvature forces kappa = 0 through the eta-degenerate equations
     assert kappa is not None and kappa.is_zero()
 
@@ -103,17 +95,15 @@ def test_relabel_invariance():
     s = AlmostContactData(phi=phi, xi=m.basis(0), eta=m.basis(0))
     report = validate_acm(m, s)
     assert not report.has_failures
-    lc = levi_civita(m)
-    r = riemann(m, lc)
-    kappa = detect_kappa(m, s, r)
-    assert kappa == one - lam * lam
-    h = compute_h(m, s)
+    x = Instance(m, s)
+    assert x.kappa == one - lam * lam
+    h = x.h
     assert h.apply(m.basis(0)).is_zero()
     assert (h.apply(m.basis(1)) + m.basis(1).scale(lam)).is_zero()
     assert (h.apply(m.basis(2)) - m.basis(2).scale(lam)).is_zero()
 
 
-def test_compute_h_raises_on_broken_structure():
+def test_h_report_grades_a_broken_structure():
     """A phi that is not skew against the brackets breaks the h laws."""
     params = ()
     m = FrameManifold.from_pairs(3, params, {(0, 1, 2): Scalar.one(params)})
@@ -121,8 +111,8 @@ def test_compute_h_raises_on_broken_structure():
     # phi E1 = E2 (so phi does not kill xi and h-symmetry degrades)
     phi = Endomorphism(((zero, zero, zero), (one, zero, zero), (zero, zero, zero)))
     s = AlmostContactData(phi=phi, xi=m.basis(0), eta=m.basis(0))
-    with pytest.raises(StructureInconsistencyError):
-        compute_h(m, s)
+    failing = [c.name for c in Instance(m, s).h_report.checks if c.status == "fails"]
+    assert failing == ["acm.h_symmetric", "acm.h_kills_xi"]
 
 
 def test_detect_kappa_none_when_no_single_constant_fits():
@@ -134,20 +124,16 @@ def test_detect_kappa_none_when_no_single_constant_fits():
     m = FrameManifold.from_pairs(
         3, params, {(0, 1, 2): one, (1, 2, 0): one, (0, 2, 1): -one}
     )
-    lc = levi_civita(m)
-    r = riemann(m, lc)
     zero = m.zero_scalar()
     sone = m.one_scalar()
     phi = Endomorphism(((zero, zero, zero), (zero, zero, -sone), (zero, sone, zero)))
     s = AlmostContactData(phi=phi, xi=m.basis(0), eta=m.basis(0))
-    kappa = detect_kappa(m, s, r)
+    kappa = Instance(m, s).kappa
     assert kappa is not None
     assert kappa == m.constant(Fraction(1, 4))
     # ...but when the distinguished direction is transverse to the center of
     # a Heisenberg frame, R(X, Y)xi escapes the nullity shape entirely and
     # the detector reports None instead of inventing a constant
     m2 = FrameManifold.from_pairs(3, params, {(0, 1, 2): one})
-    lc2 = levi_civita(m2)
-    r2 = riemann(m2, lc2)
     s2 = AlmostContactData(phi=phi, xi=m2.basis(0), eta=m2.basis(0))
-    assert detect_kappa(m2, s2, r2) is None
+    assert Instance(m2, s2).kappa is None

@@ -4,16 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from contactframe import (
-    compute_h,
-    detect_kappa,
-    levi_civita,
-    make_lambda_family,
-    ricci,
-    riemann,
-    scalar_curvature,
-    verify_nkappa_suite,
-)
+from contactframe import Instance, make_lambda_family, scalar_curvature, verify_nkappa_suite
 from contactframe.scalars import Scalar
 
 
@@ -97,17 +88,14 @@ def test_ricci_and_scalar_symbolic(fam):
 @pytest.mark.parametrize("lam_value", [Fraction(0), Fraction(1, 2), Fraction(2)])
 def test_rational_members_match_closed_forms(lam_value):
     entry = make_lambda_family(lam_value)
-    m, s = entry.manifold, entry.structure
-    lc = levi_civita(m)
-    r = riemann(m, lc)
-    ric = ricci(m, r)
+    m, x = entry.manifold, Instance(entry.manifold, entry.structure)
+    ric = x.ricci
     tau = scalar_curvature(m, ric)
     expected_tau = Fraction(2) - 2 * lam_value * lam_value
     assert tau == m.constant(expected_tau)
     assert ric.components[0][0] == m.constant(expected_tau)
     assert entry.expected_kappa == m.constant(1 - lam_value * lam_value)
-    kappa = detect_kappa(m, s, r)
-    assert kappa == m.constant(1 - lam_value * lam_value)
+    assert x.kappa == m.constant(1 - lam_value * lam_value)
 
 
 def test_detect_kappa_matches_family_constant(fam):

@@ -1,12 +1,15 @@
 """Frame manifolds: bracket bilinearity/antisymmetry, Jacobi grading."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactframe.frames import FrameError, FrameManifold, FrameVector
+from contactframe.report import first_witness
 from contactframe.scalars import Scalar
+from vector_reference import bracket
 
 P = ()
 
@@ -34,14 +37,14 @@ def test_bracket_bilinear_and_antisymmetric(xs, ys, zs, a, b):
     m = heisenberg3()
     x, y, z = vec(m, xs), vec(m, ys), vec(m, zs)
     a_s, b_s = Scalar.constant(P, a), Scalar.constant(P, b)
-    left = m.bracket(x.scale(a_s) + y.scale(b_s), z)
-    right = m.bracket(x, z).scale(a_s) + m.bracket(y, z).scale(b_s)
+    left = bracket(m, x.scale(a_s) + y.scale(b_s), z)
+    right = bracket(m, x, z).scale(a_s) + bracket(m, y, z).scale(b_s)
     assert (left - right).is_zero()
-    second = m.bracket(z, x.scale(a_s) + y.scale(b_s))
-    expanded = m.bracket(z, x).scale(a_s) + m.bracket(z, y).scale(b_s)
+    second = bracket(m, z, x.scale(a_s) + y.scale(b_s))
+    expanded = bracket(m, z, x).scale(a_s) + bracket(m, z, y).scale(b_s)
     assert (second - expanded).is_zero()
-    assert (m.bracket(x, y) + m.bracket(y, x)).is_zero()
-    assert m.bracket(x, x).is_zero()
+    assert (bracket(m, x, y) + bracket(m, y, x)).is_zero()
+    assert bracket(m, x, x).is_zero()
 
 
 def test_validate_frame_passes_on_lie_algebras():
@@ -68,6 +71,38 @@ def test_jacobi_violation_is_witnessed():
     assert bad.witness is not None and "indices" in bad.witness
 
 
+def _table(dim: int, entries) -> FrameManifold:
+    """c[i][j][k] = entries[(i, j, k)], 0 elsewhere; no antisymmetry imposed."""
+    idx = range(dim)
+    c = (
+        tuple(tuple(Scalar.constant(P, entries.get((i, j, k), 0)) for k in idx) for j in idx)
+        for i in idx
+    )
+    return FrameManifold(dim, P, tuple(c))
+
+
+def _antisymmetry_witnesses(m: FrameManifold):
+    """The graded witness and that of the full dim^3 row-major scan."""
+    full = first_witness(
+        product(range(m.dim), repeat=3), lambda i, j, k: m.c[i][j][k] + m.c[j][i][k]
+    )
+    return m.validate_frame().by_name("frame.bracket_antisymmetry").witness, full
+
+
+def test_antisymmetry_scan_keeps_the_full_scan_witness():
+    # a diagonal c_22^4 = 1 first in the scan, then c_53^1 = 2 with c_35^1 = 0
+    graded, full = _antisymmetry_witnesses(_table(5, {(1, 1, 3): 1, (4, 2, 0): 2}))
+    assert graded == full == {"indices": [2, 2, 4], "residual": "2"}
+
+
+@HUNDRED
+@given(st.lists(st.sampled_from([-1, 0, 0, 0, 1]), min_size=27, max_size=27))
+def test_antisymmetry_witness_matches_the_full_scan_on_random_tables(values):
+    m = _table(3, dict(zip(product(range(3), repeat=3), values)))
+    graded, full = _antisymmetry_witnesses(m)
+    assert graded == full
+
+
 def test_from_pairs_rejects_bad_keys():
     with pytest.raises(FrameError):
         FrameManifold.from_pairs(3, P, {(1, 0, 2): Scalar.one(P)})  # needs i < j
@@ -87,6 +122,6 @@ def test_lie_derive_endo_of_identity_vanishes():
     from contactframe.frames import Endomorphism
 
     m = heisenberg3()
-    identity = Endomorphism.identity(m.dim, P)
+    identity = Endomorphism.from_columns([m.basis(j) for j in range(m.dim)])
     derived = m.lie_derive_endo(m.basis(0), identity)
     assert derived.is_zero()

@@ -27,9 +27,10 @@ LAMBDA = "manifests/lambda_family.json"
 ABELIAN = "manifests/abelian3.json"
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, stdin: str | None = None):
     return subprocess.run(
         [sys.executable, "-m", "contactframe", *args],
+        input=stdin,
         capture_output=True,
         text=True,
     )
@@ -128,6 +129,29 @@ def test_curvature_gtw_refuses_a_broken_structure():
         "the torsionful connection needs a valid contact metric structure: "
         "acm.h_symmetric violated: {'indices': [2, 1], 'residual': '-1'}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command", [("verify",), ("validate",), ("curvature", "--connection", "gtw")]
+)
+def test_dash_reads_the_manifest_from_stdin(command):
+    from_file = run_cli(*command, LAMBDA)
+    piped = run_cli(*command, "-", stdin=Path(LAMBDA).read_text())
+    assert piped.returncode == from_file.returncode == 0
+    assert piped.stdout == from_file.stdout
+
+
+def test_zoo_manifest_pipes_into_verify():
+    zoo = run_cli("zoo", "lambda", "--lambda", "1/2", "--format", "json")
+    manifest = json.dumps(json.loads(zoo.stdout)["manifest"])
+    piped = run_cli("verify", "--format", "json", "-", stdin=manifest)
+    assert piped.stdout == Path("tests/golden/lambda_1_2_all.json").read_text() + "\n"
+
+
+def test_invalid_json_on_stdin_exits_2():
+    proc = run_cli("verify", "-", stdin="{not json")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("invalid JSON: ")
 
 
 # -- determinism --------------------------------------------------------------------

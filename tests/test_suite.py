@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import contactframe.cli as cli
 import contactframe.contact
 import contactframe.curvature
 import contactframe.frames
@@ -117,8 +118,9 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "riemann": 2,
         # the Levi-Civita and the torsionful Ricci forms
         "ricci": 2,
-        # validate_acm's own, the instance's, and the torsionful connection's
-        "frame_images": 3,
+        # validate_acm's own and the instance's, which the torsionful
+        # connection reads
+        "frame_images": 2,
         # nabla phi (Levi-Civita), nabla h (Levi-Civita), nabla phi and
         # nabla h (torsionful), one per frame index each
         "derivative_endo": 4 * m.dim,
@@ -130,6 +132,17 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         # plus the 3 gtw.curvature_xi_* rows
         "xi_scan": 6 + 3,
     }
+
+
+def test_curvature_gtw_reads_one_instance(monkeypatch, capsys):
+    """``curvature --connection gtw`` builds h, the Levi-Civita connection and
+    the frame images once, and the curvature twice (Levi-Civita, torsionful)."""
+    counts = _count_calls(monkeypatch)
+    path = str(MANIFESTS / "heisenberg5.json")
+    assert cli.main(["curvature", path, "--connection", "gtw"]) == 0
+    assert capsys.readouterr().out
+    assert counts["levi_civita"] == counts["lie_derive_endo"] == counts["frame_images"] == 1
+    assert counts["riemann"] == 2
 
 
 def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:

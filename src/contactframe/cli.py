@@ -10,7 +10,10 @@ Subcommands:
     boeckx --kappa R --mu R                 the (1 - mu/2)/sqrt(1 - kappa) invariant
 
 A manifest path of ``-`` reads stdin.  ``curvature`` reads its tables from one
-``suite.Instance``, the object ``verify`` grades.
+``suite.Instance``, the object ``verify`` grades.  ``--connection gtw`` has
+``verify``'s gate for the gtw.* rows: it exits 2 naming the first failing check
+of the structural layer (frame.*, acm.* and the h laws), or the connection's
+own error when that layer holds but the connection cannot be built.
 
 Every subcommand accepts --format json|text (default text).  Exit status is
 0 when the run produced no failing check (non-report commands count as having
@@ -161,8 +164,9 @@ def _cmd_curvature(args, fmt: str) -> int:
     idx = range(m.dim)
     x = Instance(m, s)
     if args.connection == "gtw":
-        # the first broken h law, else the connection's own error, refuses the run
-        bad = [f"{c.name} violated: {c.witness}" for c in x.h_report.checks if c.status == "fails"]
+        # verify's gate: the first failing structural check, else the connection's error
+        gate = x.structural_report.checks
+        bad = [f"{c.name} violated: {c.witness}" for c in gate if c.status == "fails"]
         if not bad:
             try:
                 x.pkg

@@ -149,11 +149,11 @@ def _xi_double_contraction(report, name, x):
 
 # quoted variant K phi^2 X, evaluated under the adopted phi^2 sign
 def _xi_double_contraction_phi_square(report, name, x):
-    z, xi, e = x.z, x.s.xi, x.img.e
-    phi2 = x.s.phi.compose(x.s.phi)
+    z, phi2 = x.z, x.s.phi.square
+    z_xi_xi = x.xi_contraction((1, 2), ((z, x.m.one_scalar()),))
     report.reference(
         name,
-        x.scan(1, lambda i: z.apply(e[i], xi, xi) - phi2.column(i).scale(z.K)),
+        x.scan(1, lambda i: z_xi_xi(i) - phi2.column(i).scale(z.K)),
         "the K phi^2 X variant matches only under the opposite "
         "phi^2 sign convention; recorded as data",
     )
@@ -210,8 +210,8 @@ def _xi_flatness_obstruction(report, name, x):
     AND every component agrees with the K-closed form, so the non-flatness
     is structural, not accidental.
     """
-    z, e, xi = x.z, x.img.e, x.s.xi
-    first_nonzero = x.scan(2, lambda i, j: z.apply(e[i], e[j], xi), key="value")
+    z = x.z
+    first_nonzero = x.scan(2, x.xi_contraction((2,), ((z, x.m.one_scalar()),)), key="value")
     bad = x.r1_scan("z", z.K, xi_at=(2,))
     if first_nonzero is not None and bad is None:
         report.holds(

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 
 from .curvature import Curvature4Tensor
-from .frames import Endomorphism, FrameManifold, FrameVector, frame_images
+from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import VerificationReport, first_witness
 from .scalars import Scalar, exact_div
 
@@ -64,11 +64,14 @@ _PHI_SQUARE_NOTE = (
 
 
 def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
-    """Check the almost-contact axioms and the contact condition exactly."""
+    """Check the almost-contact axioms and the contact condition exactly.
+
+    On the orthonormal frame phi E_i, eta(E_i) and g(E_i, E_j) = delta_ij are read
+    as components: phi's column i, eta's component i and 1 or 0."""
     report = VerificationReport()
-    phi, xi = s.phi, s.xi
-    img = frame_images(m, s)
+    phi, xi, eta = s.phi, s.xi, s.eta.components
     idx = range(m.dim)
+    phi_e = [phi.column(i) for i in idx]
 
     vec = phi.apply(xi)
     report.graded("acm.phi_kills_xi", None if vec.is_zero() else {"residual": str(vec)})
@@ -78,26 +81,24 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
 
     report.graded(
         "acm.eta_after_phi",
-        first_witness(product(idx, repeat=1), lambda i: s.eta_of(m, img.phi[i])),
+        first_witness(product(idx, repeat=1), lambda i: s.eta_of(m, phi_e[i])),
     )
 
-    phi2 = phi.compose(phi)
     report.graded(
         "acm.phi_square",
         first_witness(
             product(idx, repeat=1),
-            lambda j: phi2.column(j) + img.e[j] - xi.scale(img.eta[j]),
+            lambda j: phi.square.column(j) + m.basis(j) - xi.scale(eta[j]),
         ),
         notes=(_PHI_SQUARE_NOTE,),
     )
 
+    one, zero = m.one_scalar(), m.zero_scalar()
     report.graded(
         "acm.phi_metric_compatibility",
         first_witness(
             product(idx, repeat=2),
-            lambda i, j: m.inner(img.phi[i], img.phi[j])
-            - m.inner(img.e[i], img.e[j])
-            + img.eta[i] * img.eta[j],
+            lambda i, j: m.inner(phi_e[i], phi_e[j]) - (one if i == j else zero) + eta[i] * eta[j],
         ),
         notes=(_PHI_SQUARE_NOTE,),
     )
@@ -110,9 +111,7 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
 
     report.graded(
         "acm.contact_condition",
-        first_witness(
-            product(idx, repeat=2), lambda i, j: d_eta(i, j) - img.phi[j].components[i]
-        ),
+        first_witness(product(idx, repeat=2), lambda i, j: d_eta(i, j) - phi.matrix[i][j]),
         notes=(
             "adopted convention: d eta(X, Y) = 1/2 (X eta(Y) - Y eta(X) - eta([X, Y])) "
             "and contact condition d eta(X, Y) = g(X, phi Y)",
@@ -122,9 +121,7 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     # reference variant with phi in the first slot: d eta(X, Y) = g(phi X, Y)
     report.reference(
         "acm.contact_condition_reference_form",
-        first_witness(
-            product(idx, repeat=2), lambda i, j: d_eta(i, j) - img.phi[i].components[j]
-        ),
+        first_witness(product(idx, repeat=2), lambda i, j: d_eta(i, j) - phi.matrix[j][i]),
         "reference variant d eta(X, Y) = g(phi X, Y) disagrees with the "
         "computed exterior derivative; recorded as data",
     )

@@ -261,10 +261,6 @@ class BilinearForm:
 
     components: tuple[tuple[Scalar, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
     def apply(self, x: FrameVector, y: FrameVector) -> Scalar:
         return Scalar.sum_of_products(
             x.params,
@@ -330,8 +326,8 @@ def _phi_covariant_derivative(report, name, x):
 
 # h^2 = (kappa - 1) phi^2, scanned column by column
 def _h_square(report, name, x):
-    idx, phi = range(x.m.dim), x.s.phi
-    diff = x.h.compose(x.h) - phi.compose(phi).scale(x.kappa - x.m.one_scalar())
+    idx = range(x.m.dim)
+    diff = x.h.square - x.s.phi.square.scale(x.kappa - x.m.one_scalar())
     report.graded(
         name,
         first_witness(((i, j) for j in idx for i in idx), lambda i, j: diff.matrix[i][j]),

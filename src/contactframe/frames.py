@@ -46,10 +46,6 @@ class FrameVector:
             raise FrameError("a frame vector needs at least one component")
 
     @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @property
     def params(self) -> tuple[str, ...]:
         return self.components[0].params
 
@@ -143,6 +139,11 @@ class Endomorphism:
             [self.apply(other.column(j)) for j in range(self.dim)]
         )
 
+    @cached_property
+    def square(self) -> "Endomorphism":
+        """self @ self, built once."""
+        return self.compose(self)
+
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
         return Endomorphism(
             tuple(
@@ -158,9 +159,6 @@ class Endomorphism:
                 for row_a, row_b in zip(self.matrix, other.matrix)
             )
         )
-
-    def __neg__(self) -> "Endomorphism":
-        return Endomorphism(tuple(tuple(-a for a in row) for row in self.matrix))
 
     def scale(self, factor: Scalar | RationalLike) -> "Endomorphism":
         if isinstance(factor, Scalar):
@@ -332,8 +330,8 @@ class FrameImages:
     """The frame and its images under the structure, computed once per run.
 
     ``e[i]`` is E_i, ``phi[i]`` is phi E_i, ``h[i]`` is h E_i, ``phi_h[i]``
-    is phi h E_i and ``eta[i]`` is eta(E_i).  ``h`` and ``phi_h`` are empty
-    when no h was given.
+    is phi h E_i and ``eta[i]`` is eta(E_i).  ``suite.Instance.img`` holds
+    the one set a run builds.
     """
 
     e: tuple[FrameVector, ...]
@@ -343,11 +341,9 @@ class FrameImages:
     eta: tuple[Scalar, ...]
 
 
-def frame_images(
-    m: FrameManifold, s: "AlmostContactData", h: Endomorphism | None = None
-) -> FrameImages:
+def frame_images(m: FrameManifold, s: "AlmostContactData", h: Endomorphism) -> FrameImages:
     e = tuple(m.basis(i) for i in range(m.dim))
-    h_images = () if h is None else tuple(h.column(i) for i in range(m.dim))
+    h_images = tuple(h.column(i) for i in range(m.dim))
     return FrameImages(
         e=e,
         phi=tuple(s.phi.column(i) for i in range(m.dim)),

@@ -4,10 +4,9 @@ The solver works fraction-free: forward elimination uses cross-multiplication
 (``pivot * row - entry * pivot_row``), which stays inside the polynomial ring,
 and only the final back-substitution divides - via ``exact_div``, so a result
 is produced only when the solution itself is polynomial.  Underdetermined
-systems are resolved by assigning a caller-chosen default to every free
-unknown (the callers here want canonical representatives, not the full
-solution space, but the free columns are reported so the caller can describe
-the family).
+systems are resolved by assigning the constant 1 to every free unknown (the
+callers here want canonical representatives, not the full solution space, but
+the free columns are reported so the caller can describe the family).
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ def solve_linear(
     rows: Sequence[Sequence[Scalar]],
     rhs: Sequence[Scalar],
     params: tuple[str, ...],
-    free_value: Scalar | None = None,
 ) -> LinearSolution | None:
     """Solve ``rows @ x = rhs`` exactly over the scalar ring.
 
     Returns None when the system is inconsistent, or when solving it would
     require leaving the polynomial ring (non-exact division).  Free unknowns
-    receive ``free_value`` (default: the constant 1).
+    receive the constant 1.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -44,9 +42,6 @@ def solve_linear(
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged coefficient matrix")
-    if free_value is None:
-        free_value = Scalar.one(params)
-
     work = [(list(row), r) for row, r in zip(rows, rhs)]
     pivot_rows: dict[int, int] = {}  # column -> row index
     used: set[int] = set()
@@ -89,7 +84,7 @@ def solve_linear(
     free_columns = tuple(c for c in range(ncols) if c not in pivot_rows)
     values: list[Scalar] = [Scalar.zero(params)] * ncols
     for col in free_columns:
-        values[col] = free_value
+        values[col] = Scalar.one(params)
 
     for col, idx in pivot_rows.items():
         coeffs, r = work[idx]

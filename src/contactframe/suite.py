@@ -11,14 +11,17 @@ run_suite assembles one report from the layered check suites:
     conc.*    the concircular tensor: contraction identities and the
               non-flatness obstructions
 
-The structural layer (frame.* and acm.*) is always graded honestly.  The
-derived suites presuppose a contact metric structure satisfying the nullity
-condition; when the structural layer fails, or no single nullity constant
-fits the curvature, those suites are emitted as not_applicable entries
-carrying a gate note instead of misgrading identities whose hypotheses are
-absent.  Named suites ("nkappa", "gtw", "concircular") emit only their own
-section, gated the same way; "frame" emits only the structural layer; "all"
-emits everything in order.
+The structural layer (frame.*, acm.* and the h laws, one report:
+``Instance.structural_report``) is always graded honestly, and it is the
+one structural gate: ``curvature --connection gtw`` refuses exactly the
+inputs on which it fails.  The derived suites presuppose a contact metric
+structure satisfying the nullity condition; when the structural layer
+fails, or no single nullity constant fits the curvature, those suites are
+emitted as not_applicable entries carrying a gate note instead of
+misgrading identities whose hypotheses are absent.  Named suites
+("nkappa", "gtw", "concircular") emit only their own section, gated the
+same way; "frame" emits only the structural layer; "all" emits everything
+in order.
 
 A run derives everything from one ``Instance``: the input, and every layer
 as a cached property, so each is computed at most once and only when read.
@@ -154,21 +157,22 @@ class Instance:
     # -- structural layer ----------------------------------------------------
 
     @cached_property
-    def frame_report(self) -> VerificationReport:
-        return self.m.validate_frame()
-
-    @cached_property
     def acm_report(self) -> VerificationReport:
         return validate_acm(self.m, self.s)
 
     @cached_property
     def h(self) -> Endomorphism:
-        """h = 1/2 L_xi phi; ``h_report`` grades its laws."""
+        """h = 1/2 L_xi phi; ``structural_report`` grades its laws."""
         return self.m.lie_derive_endo(self.s.xi, self.s.phi).scale(Fraction(1, 2))
 
     @cached_property
-    def h_report(self) -> VerificationReport:
-        return h_property_checks(self.m, self.s, self.h)
+    def structural_report(self) -> VerificationReport:
+        """frame.*, acm.* and the h laws, in report order: the layer that gates
+        every derived row of ``run_suite`` and ``curvature --connection gtw``."""
+        report = self.m.validate_frame()
+        report.extend(self.acm_report)
+        report.extend(h_property_checks(self.m, self.s, self.h))
+        return report
 
     @cached_property
     def img(self) -> FrameImages:
@@ -346,8 +350,7 @@ def run_suite(
     )
     x = Instance(m, s)
 
-    structural = (x.frame_report, x.acm_report, x.h_report)
-    if any(rep.has_failures for rep in structural):
+    if x.structural_report.has_failures:
         gate_note = _STRUCTURAL_GATE
     elif x.kappa is None:
         gate_note = _KAPPA_GATE
@@ -355,8 +358,7 @@ def run_suite(
         gate_note = ""
 
     if suite in ("all", "frame"):
-        for rep in structural:
-            report.extend(rep)
+        report.extend(x.structural_report)
         cls = x.classification
         report.holds(
             "acm.classification",

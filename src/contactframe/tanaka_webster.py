@@ -613,13 +613,14 @@ def gssf_decompose(
 def eta_einstein_fit(
     m: FrameManifold, s: AlmostContactData, form: BilinearForm
 ) -> tuple[Scalar, Scalar] | None:
-    """Solve form = A g + B eta (x) eta exactly; None when inconsistent."""
-    rows: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
-    for i, j in product(range(m.dim), repeat=2):
-        ei, ej = m.basis(i), m.basis(j)
-        rows.append([m.inner(ei, ej), m.inner(s.eta, ei) * m.inner(s.eta, ej)])
-        rhs.append(form.apply(ei, ej))
+    """Solve form = A g + B eta (x) eta exactly; None when inconsistent.
+
+    On the orthonormal frame g(E_i, E_j) = delta_ij and eta(E_i) = eta_i, so
+    each equation reads its coefficients and its target from components."""
+    one, zero, eta = m.one_scalar(), m.zero_scalar(), s.eta.components
+    pairs = list(product(range(m.dim), repeat=2))
+    rows = [[one if i == j else zero, eta[i] * eta[j]] for i, j in pairs]
+    rhs = [form.components[i][j] for i, j in pairs]
     solution = _checked_solution(rows, rhs, m.params)
     return None if solution is None else solution.values
 

@@ -6,9 +6,19 @@ import ast
 import importlib
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from contactframe import (
+    classify,
+    h_property_checks,
+    levi_civita,
+    make_heisenberg,
+    riemann,
+    validate_acm,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,3 +47,24 @@ def test_every_traced_layer_resolves(monkeypatch):
     spec.loader.exec_module(spans)
     for owner, attr, *_ in spans.LAYERS:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_the_heisenberg_self_check_holds():
+    """The engine calls ``perfbench/bench.py``'s ``check_heisenberg`` makes
+    outside ``run_suite``, on H^5: every graded frame.*/acm.* entry and h law
+    holds (the quoted ``*_reference_form`` variants only must not fail), the
+    instance is Sasakian and kappa = 1."""
+    entry = make_heisenberg(2)
+    m, s = entry.manifold, entry.structure
+    h = m.lie_derive_endo(s.xi, s.phi).scale(Fraction(1, 2))
+    entries = m.validate_frame().checks + validate_acm(m, s).checks
+    entries += h_property_checks(m, s, h).checks
+    assert entries
+    for c in entries:
+        assert c.status == "holds" or (
+            c.status == "not_applicable" and c.name.endswith("_reference_form")
+        ), c.name
+    lc = levi_civita(m)
+    cls = classify(m, s, lc, riemann(m, lc))
+    assert cls.is_Sasakian
+    assert cls.kappa is not None and str(cls.kappa) == "1"

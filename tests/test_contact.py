@@ -104,14 +104,18 @@ def test_relabel_invariance():
 
 
 def test_h_report_grades_a_broken_structure():
-    """A phi that is not skew against the brackets breaks the h laws."""
+    """A phi that is not skew against the brackets breaks the h laws, which
+    the structural report grades after frame.* and acm.*."""
     params = ()
     m = FrameManifold.from_pairs(3, params, {(0, 1, 2): Scalar.one(params)})
     zero, one = m.zero_scalar(), m.one_scalar()
     # phi E1 = E2 (so phi does not kill xi and h-symmetry degrades)
     phi = Endomorphism(((zero, zero, zero), (one, zero, zero), (zero, zero, zero)))
     s = AlmostContactData(phi=phi, xi=m.basis(0), eta=m.basis(0))
-    failing = [c.name for c in Instance(m, s).h_report.checks if c.status == "fails"]
+    checks = Instance(m, s).structural_report.checks
+    h_laws = [c for c in checks if c.name.startswith("acm.h_")]
+    assert checks[-len(h_laws) :] == h_laws
+    failing = [c.name for c in h_laws if c.status == "fails"]
     assert failing == ["acm.h_symmetric", "acm.h_kills_xi"]
 
 

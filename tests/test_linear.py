@@ -39,14 +39,6 @@ def test_underdetermined_reports_free_columns():
     assert sol.values == (c(2), c(1))
 
 
-def test_free_value_override():
-    rows = [[c(1), c(1)]]
-    rhs = [c(3)]
-    sol = solve_linear(rows, rhs, P, free_value=c(0))
-    assert sol is not None
-    assert sol.values == (c(3), c(0))
-
-
 def test_zero_rows_consistent_and_inconsistent():
     rows = [[c(0), c(0)]]
     assert solve_linear(rows, [c(0)], P) is not None

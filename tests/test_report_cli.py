@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import contactframe.cli as cli
 from contactframe import (
     VerificationReport,
     emit,
@@ -25,6 +26,7 @@ from contactframe.suite import (
 
 LAMBDA = "manifests/lambda_family.json"
 ABELIAN = "manifests/abelian3.json"
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def run_cli(*args: str, stdin: str | None = None):
@@ -121,14 +123,37 @@ def test_unknown_suite_exits_2():
     assert proc.returncode == 2
 
 
+def _gtw_refusal(manifest: str) -> str:
+    proc = run_cli("curvature", f"manifests/{manifest}", "--connection", "gtw")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    prefix = "the torsionful connection needs a valid contact metric structure: "
+    assert proc.stderr.startswith(prefix)
+    return proc.stderr[len(prefix) :]
+
+
 def test_curvature_gtw_refuses_a_broken_structure():
-    proc = run_cli("curvature", "manifests/random5.json", "--connection", "gtw")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        "the torsionful connection needs a valid contact metric structure: "
-        "acm.h_symmetric violated: {'indices': [2, 1], 'residual': '-1'}\n"
+    """The refusal names the first failing check of the structural layer."""
+    assert _gtw_refusal("random5.json") == (
+        "frame.jacobi_identity violated: {'indices': [1, 2, 3, 1], 'residual': '-3'}\n"
     )
+
+
+def test_curvature_gtw_refuses_a_broken_contact_condition():
+    assert _gtw_refusal("abelian3.json") == (
+        "acm.contact_condition violated: {'indices': [2, 3], 'residual': '1'}\n"
+    )
+
+
+@pytest.mark.parametrize("manifest", sorted(p.name for p in MANIFESTS.glob("*.json")))
+def test_curvature_gtw_has_the_gate_of_validate(manifest, capsys):
+    """``curvature --connection gtw`` refuses exactly the inputs whose
+    structural layer ``validate`` fails."""
+    path = str(MANIFESTS / manifest)
+    validated = cli.main(["validate", path])
+    refused = cli.main(["curvature", path, "--connection", "gtw"]) == 2
+    capsys.readouterr()
+    assert validated in (0, 1)
+    assert refused == (validated == 1)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from contactframe import (
     Connection,
     ConnectionConsistencyError,
     Curvature4Tensor,
+    Endomorphism,
     FrameManifold,
     Instance,
     Scalar,
@@ -98,6 +99,7 @@ def _count_calls(monkeypatch) -> dict[str, int]:
                 monkeypatch.setattr(module, name, wrapper)
     for cls, name in (
         (FrameManifold, "lie_derive_endo"),
+        (Endomorphism, "compose"),
         (Connection, "derivative_endo"),
         (Instance, "xi_scan"),
     ):
@@ -118,9 +120,10 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "riemann": 2,
         # the Levi-Civita and the torsionful Ricci forms
         "ricci": 2,
-        # validate_acm's own and the instance's, which the torsionful
-        # connection reads
-        "frame_images": 2,
+        # the instance's, which the torsionful connection reads
+        "frame_images": 1,
+        # phi^2 and h^2 (each built once, ``Endomorphism.square``), h phi and phi h
+        "compose": 4,
         # nabla phi (Levi-Civita), nabla h (Levi-Civita), nabla phi and
         # nabla h (torsionful), one per frame index each
         "derivative_endo": 4 * m.dim,
@@ -169,23 +172,25 @@ def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
 def test_heisenberg_run_work_counts(monkeypatch):
     """The residual scans and ``detect_kappa`` are component contractions, not
     a trilinear apply per basis tuple, and ``riemann`` sums each independent
-    component once: one H^5 run makes 9 applies and 8,480 sums of products,
-    under the bounds 9 and 8,904 (the measured count plus 5%; scanning through
-    apply takes 3,284 and 34,593, summing every Riemann component 9,880, and
-    applying R in ``detect_kappa`` 34 and 8,830)."""
+    component once: one H^5 run makes 5 applies, all in the phi-flatness
+    sandwich, and 8,270 sums of products, under the bounds 5 and 8,683 (the
+    measured count plus 5%; scanning through apply takes 3,284 and 34,593,
+    summing every Riemann component 9,880, applying R in ``detect_kappa`` 34
+    and 8,830, and applying Z in the two conc xi-slot scans 9 and 8,480)."""
     counts = _work_counts(monkeypatch, "heisenberg5.json")
-    assert counts["apply"] <= 9
-    assert counts["sum_of_products"] <= 8_904
+    assert counts["apply"] <= 5
+    assert counts["sum_of_products"] <= 8_683
 
 
 def test_gated_run_work_counts(monkeypatch):
     """On the gated dense frame no derived section runs and neither the
-    connection nor its curvature is built: one run makes 231 sums of products,
-    all in the structural layer, under the bound 242 (the measured count plus
-    5%; building both tensors up front takes 410), and no trilinear apply."""
+    connection nor its curvature is built: one run makes 201 sums of products,
+    all in the structural layer, under the bound 211 (the measured count plus
+    5%; building both tensors up front takes 410, and a second set of frame
+    images in ``validate_acm`` 231), and no trilinear apply."""
     counts = _work_counts(monkeypatch, "random5.json")
     assert counts["apply"] == 0
-    assert counts["sum_of_products"] <= 242
+    assert counts["sum_of_products"] <= 211
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):
@@ -194,6 +199,7 @@ def test_gated_run_computes_each_layer_once(monkeypatch):
     run_suite(m, s, "all")
     assert counts["validate_acm"] == 1
     assert counts["lie_derive_endo"] == 1
+    assert counts["frame_images"] == 1
     assert "ricci" not in counts and "derivative_endo" not in counts
     # every derived section is gated and acm fails, so neither the connection
     # nor kappa is read, and the model tensors are never built

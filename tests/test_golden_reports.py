@@ -24,8 +24,10 @@ The ``curvature`` command's JSON tables are frozen too, because the gated
 random frames show their dense, many-term Levi-Civita and Riemann tensors
 nowhere else: ``--connection lc`` on ``manifests/random5.json`` and on
 ``manifests/random5_t.json`` (the same generator, coefficients linear in
-t), and ``--connection gtw`` on the lambda family and H^5.  Those goldens
-are ``tests/golden/curvature_<manifest>_<connection>.json``.
+t), and ``--connection gtw`` on the lambda family and H^5, on T_1E^4 (the
+torsionful tables at n = 3 with h != 0) and on the (kappa, mu)-space, whose
+tables carry ``kappa: null`` because no single nullity constant fits.
+Those goldens are ``tests/golden/curvature_<manifest>_<connection>.json``.
 
 Regenerate every golden file from the current engine:
 
@@ -95,6 +97,8 @@ CURVATURE_CASES = [
     ("random5_t", "lc"),
     ("lambda_family", "gtw"),
     ("heisenberg5", "gtw"),
+    ("t1e4", "gtw"),
+    ("kmu3", "gtw"),
 ]
 
 

@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Snapshot every CLI output on the bundled manifests, for an A/B diff.
+
+For each manifest in ``manifests/`` this runs ``contactframe.cli.main``
+in-process 16 times: ``verify`` under each of the 5 suites, ``validate``, and
+``curvature --connection lc`` and ``--connection gtw``, each in json and in
+text.  Every run's stdout, stderr and exit status go to one file,
+``OUT_DIR/<manifest>__<command>.<format>.txt``.  A change that must keep the
+CLI byte-identical is checked by snapshotting both trees and comparing the
+two directories:
+
+    PYTHONPATH=src python scripts/cli_snapshot.py /tmp/before   # parent tree
+    PYTHONPATH=src python scripts/cli_snapshot.py /tmp/after    # changed tree
+    diff -r /tmp/before /tmp/after
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from contactframe import SUITES
+from contactframe.cli import main
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+COMMANDS = (
+    [(f"verify-{suite}", ["verify", "--suite", suite]) for suite in SUITES]
+    + [("validate", ["validate"])]
+    + [(f"curvature-{c}", ["curvature", "--connection", c]) for c in ("lc", "gtw")]
+)
+
+
+def snapshot(manifest: Path, argv: list[str], fmt: str) -> str:
+    """stdout, stderr and the exit status of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main([argv[0], str(manifest), *argv[1:], "--format", fmt])
+    return f"exit: {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def main_snapshot(out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = 0
+    for manifest in sorted(MANIFESTS.glob("*.json")):
+        for label, argv in COMMANDS:
+            for fmt in ("json", "text"):
+                path = out_dir / f"{manifest.stem}__{label}.{fmt}.txt"
+                path.write_text(snapshot(manifest, argv, fmt), encoding="utf-8")
+                written += 1
+    print(f"wrote {written} files to {out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="directory to write the snapshot into")
+    raise SystemExit(main_snapshot(parser.parse_args().out_dir))

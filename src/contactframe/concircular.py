@@ -171,11 +171,11 @@ def _xi_argument(report, name, x):
 
 # eta(Z(E_i, E_j)E_k) against K eta(R1) at the basis slots model(i, j, k)
 def _eta_witness(x, model) -> dict | None:
-    m, z, r1, eta_of = x.m, x.z, x.templates[0], x.s.eta_of
+    m, z, r1, eta = x.m, x.z, x.templates[0], x.s.eta
     return x.scan(
         3,
-        lambda i, j, k: eta_of(m, z.vector(i, j, k))
-        - z.K * eta_of(m, r1.vector(*model(i, j, k))),
+        lambda i, j, k: m.inner(eta, z.vector(i, j, k))
+        - z.K * m.inner(eta, r1.vector(*model(i, j, k))),
     )
 
 
@@ -240,7 +240,7 @@ def _phi_flatness(report, name, x):
     The scan covers only indices whose frame vector survives phi (phi xi = 0
     makes xi-slots vacuous).
     """
-    m, z, phi_e = x.m, x.z, x.img.phi
+    m, z, phi_e = x.m, x.z, x.s.phi.columns
     survivors = [i for i in range(m.dim) if not phi_e[i].is_zero()]
 
     @lru_cache(maxsize=1)

@@ -43,9 +43,6 @@ class AlmostContactData:
     xi: FrameVector
     eta: FrameVector
 
-    def eta_of(self, m: FrameManifold, x: FrameVector) -> Scalar:
-        return m.inner(self.eta, x)
-
 
 @dataclass(frozen=True)
 class StructureClass:
@@ -67,21 +64,21 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     """Check the almost-contact axioms and the contact condition exactly.
 
     On the orthonormal frame phi E_i, eta(E_i) and g(E_i, E_j) = delta_ij are read
-    as components: phi's column i, eta's component i and 1 or 0."""
+    as components: phi's column i, eta's component i and ``inner_basis``."""
     report = VerificationReport()
     phi, xi, eta = s.phi, s.xi, s.eta.components
     idx = range(m.dim)
-    phi_e = [phi.column(i) for i in idx]
+    phi_e = phi.columns
 
     vec = phi.apply(xi)
     report.graded("acm.phi_kills_xi", None if vec.is_zero() else {"residual": str(vec)})
 
-    value = s.eta_of(m, xi) - m.one_scalar()
+    value = m.inner(s.eta, xi) - m.one_scalar()
     report.graded("acm.eta_of_xi", None if value.is_zero() else {"residual": str(value)})
 
     report.graded(
         "acm.eta_after_phi",
-        first_witness(product(idx, repeat=1), lambda i: s.eta_of(m, phi_e[i])),
+        first_witness(product(idx, repeat=1), lambda i: m.inner(s.eta, phi_e[i])),
     )
 
     report.graded(
@@ -93,12 +90,11 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
         notes=(_PHI_SQUARE_NOTE,),
     )
 
-    one, zero = m.one_scalar(), m.zero_scalar()
     report.graded(
         "acm.phi_metric_compatibility",
         first_witness(
             product(idx, repeat=2),
-            lambda i, j: m.inner(phi_e[i], phi_e[j]) - (one if i == j else zero) + eta[i] * eta[j],
+            lambda i, j: m.inner(phi_e[i], phi_e[j]) - m.inner_basis(i, j) + eta[i] * eta[j],
         ),
         notes=(_PHI_SQUARE_NOTE,),
     )
@@ -107,7 +103,7 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     half = Fraction(1, 2)
 
     def d_eta(i: int, j: int) -> Scalar:
-        return (-s.eta_of(m, m.bracket_basis(i, j))).scale(half)
+        return (-m.inner(s.eta, m.bracket_basis(i, j))).scale(half)
 
     report.graded(
         "acm.contact_condition",

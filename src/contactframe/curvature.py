@@ -301,7 +301,7 @@ def _nullity_constant(report, name, x):
 def _xi_covariant_derivative(report, name, x):
     report.graded(
         name,
-        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.img.phi[i] + x.img.phi_h[i]),
+        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.s.phi.column(i) + x.phi_h.column(i)),
         notes=(
             "asserted form: nabla_X xi = -phi X - phi h X; the variant with a bare "
             "h-term is checked separately as a reference form",
@@ -312,7 +312,7 @@ def _xi_covariant_derivative(report, name, x):
 def _xi_covariant_derivative_reference(report, name, x):
     report.reference(
         name,
-        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.img.phi[i] + x.img.h[i]),
+        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.s.phi.column(i) + x.h.column(i)),
         "reference variant -phi X - h X disagrees with the computed "
         "derivative; recorded as data",
     )
@@ -336,20 +336,18 @@ def _h_square(report, name, x):
 
 # (nabla_X h)Y = [(1-kappa) g(X, phi Y) + g(X, h phi Y)] xi + eta(Y) h(phi X + phi h X)
 def _h_covariant_derivative(report, name, x):
-    m, h, img = x.m, x.h, x.img
+    m, h, phi, eta = x.m, x.h, x.s.phi, x.s.eta.components
     one_minus_kappa = m.one_scalar() - x.kappa
     dh = [x.lc.derivative_endo(m, i, h) for i in range(m.dim)]
-    h_phi = [h.apply(v) for v in img.phi]
+    h_phi = [h.apply(v) for v in phi.columns]
     tails = [h.apply(v) for v in x.phi_x_plus_hx]
     report.graded(
         name,
         x.scan(
             2,
             lambda i, j: dh[i].column(j)
-            - x.s.xi.scale(
-                one_minus_kappa * img.phi[j].components[i] + h_phi[j].components[i]
-            )
-            - tails[i].scale(img.eta[j]),
+            - x.s.xi.scale(one_minus_kappa * phi.matrix[i][j] + h_phi[j].components[i])
+            - tails[i].scale(eta[j]),
         ),
     )
 
@@ -362,7 +360,7 @@ def _eta_covariant_derivative(report, name, x):
         x.scan(
             2,
             lambda i, j: x.lc.derivative_covector(m, i, x.s.eta, j)
-            - m.inner(x.x_plus_hx[i], x.img.phi[j]),
+            - m.inner(x.x_plus_hx[i], x.s.phi.column(j)),
         ),
     )
 
@@ -382,7 +380,7 @@ def _curvature_xi_argument(report, name, x):
 
 # S = 2(n-1) g + 2(n-1) g(h., .) + [2n kappa - 2(n-1)] eta (x) eta
 def _ricci_closed_form(report, name, x):
-    m, img = x.m, x.img
+    m, eta = x.m, x.s.eta.components
     two_n_minus_2 = m.constant(2 * (m.n - 1))
     eta_coeff = m.constant(2 * m.n) * x.kappa - two_n_minus_2
     report.graded(
@@ -390,20 +388,20 @@ def _ricci_closed_form(report, name, x):
         x.scan(
             2,
             lambda i, j: x.ricci.components[i][j]
-            - two_n_minus_2 * m.inner(img.e[i], img.e[j])
-            - two_n_minus_2 * img.h[i].components[j]
-            - eta_coeff * img.eta[i] * img.eta[j],
+            - two_n_minus_2 * m.inner_basis(i, j)
+            - two_n_minus_2 * x.h.matrix[j][i]
+            - eta_coeff * eta[i] * eta[j],
         ),
     )
 
 
 # S(X, xi) = 2 n kappa eta(X); S(xi, xi) = 2 n kappa
 def _ricci_xi_values(report, name, x):
-    xi, s_form = x.s.xi, x.ricci
-    two_n_kappa = x.m.constant(2 * x.m.n) * x.kappa
+    m, xi, eta, s_form = x.m, x.s.xi, x.s.eta.components, x.ricci
+    two_n_kappa = m.constant(2 * m.n) * x.kappa
     report.graded(
         name,
-        x.scan(1, lambda i: s_form.apply(x.img.e[i], xi) - two_n_kappa * x.img.eta[i])
+        x.scan(1, lambda i: s_form.apply(m.basis(i), xi) - two_n_kappa * eta[i])
         or first_witness([()], lambda: s_form.apply(xi, xi) - two_n_kappa),
     )
 

@@ -12,6 +12,10 @@ identity is pointwise multilinear.  Vector fields are therefore restricted
 to constant frame coefficients, and the metric is the identity on the frame.
 Brackets are read by frame index (``bracket_basis``, ``sparse_c``); the
 bilinear bracket of arbitrary vectors lives in the tests, as a reference.
+The structure is read the same way: g(E_i, E_j) is delta_ij
+(``inner_basis``), a 1-form's value on E_i is its component i, and the image
+A E_j of an endomorphism is column j of its matrix (``Endomorphism.columns``,
+built once per endomorphism).
 
 Indices are 0-based throughout the code; reports and manifests use 1-based
 indices at the boundary.
@@ -22,13 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .report import VerificationReport, first_witness
 from .scalars import RationalLike, Scalar
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
-    from .contact import AlmostContactData
 
 
 class FrameError(Exception):
@@ -121,8 +122,13 @@ class Endomorphism:
             )
         )
 
+    @cached_property
+    def columns(self) -> tuple[FrameVector, ...]:
+        """A(E_j) for every frame index, built once."""
+        return tuple(FrameVector(col) for col in zip(*self.matrix))
+
     def column(self, j: int) -> FrameVector:
-        return FrameVector(tuple(self.matrix[i][j] for i in range(self.dim)))
+        return self.columns[j]
 
     @cached_property
     def sparse_columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
@@ -264,6 +270,10 @@ class FrameManifold:
         """The orthonormal-frame metric: g(X, Y) = sum_i x_i y_i."""
         return Scalar.sum_of_products(self.params, zip(x.components, y.components))
 
+    def inner_basis(self, i: int, j: int) -> Scalar:
+        """g(E_i, E_j) = delta_ij on the orthonormal frame."""
+        return self.one_scalar() if i == j else self.zero_scalar()
+
     def lie_derive_endo(self, xi: FrameVector, a: Endomorphism) -> Endomorphism:
         """(L_xi A)(X) = [xi, A X] - A [xi, X], one sum of products per entry:
 
@@ -324,30 +334,3 @@ class FrameManifold:
 
         return report
 
-
-@dataclass(frozen=True)
-class FrameImages:
-    """The frame and its images under the structure, computed once per run.
-
-    ``e[i]`` is E_i, ``phi[i]`` is phi E_i, ``h[i]`` is h E_i, ``phi_h[i]``
-    is phi h E_i and ``eta[i]`` is eta(E_i).  ``suite.Instance.img`` holds
-    the one set a run builds.
-    """
-
-    e: tuple[FrameVector, ...]
-    phi: tuple[FrameVector, ...]
-    h: tuple[FrameVector, ...]
-    phi_h: tuple[FrameVector, ...]
-    eta: tuple[Scalar, ...]
-
-
-def frame_images(m: FrameManifold, s: "AlmostContactData", h: Endomorphism) -> FrameImages:
-    e = tuple(m.basis(i) for i in range(m.dim))
-    h_images = tuple(h.column(i) for i in range(m.dim))
-    return FrameImages(
-        e=e,
-        phi=tuple(s.phi.column(i) for i in range(m.dim)),
-        h=h_images,
-        phi_h=tuple(s.phi.apply(v) for v in h_images),
-        eta=tuple(s.eta_of(m, v) for v in e),
-    )

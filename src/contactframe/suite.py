@@ -63,7 +63,7 @@ from .curvature import (
     riemann,
     verify_nkappa_suite,
 )
-from .frames import Endomorphism, FrameImages, FrameManifold, FrameVector, frame_images
+from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import VerificationReport, first_witness
 from .scalars import Scalar
 from .tanaka_webster import (
@@ -175,10 +175,6 @@ class Instance:
         return report
 
     @cached_property
-    def img(self) -> FrameImages:
-        return frame_images(self.m, self.s, self.h)
-
-    @cached_property
     def templates(self) -> tuple[Curvature4Tensor, ...]:
         """The space-form model tensors (R1, R2, R3)."""
         return space_form_templates(self.m, self.s)
@@ -186,7 +182,7 @@ class Instance:
     @cached_property
     def x_plus_hx(self) -> tuple[FrameVector, ...]:
         """E_i + hE_i for every frame index."""
-        return tuple(e + he for e, he in zip(self.img.e, self.img.h))
+        return tuple(self.m.basis(i) + he for i, he in enumerate(self.h.columns))
 
     @cached_property
     def r1_xi(self) -> tuple[tuple[FrameVector, ...], ...]:
@@ -208,9 +204,15 @@ class Instance:
         )
 
     @cached_property
+    def phi_h(self) -> Endomorphism:
+        """phi h, built once; only the derived rows and the torsionful
+        connection read it, so a gated run never builds it."""
+        return self.s.phi.compose(self.h)
+
+    @cached_property
     def phi_x_plus_hx(self) -> tuple[FrameVector, ...]:
         """phi E_i + phi h E_i for every frame index."""
-        return tuple(p + ph for p, ph in zip(self.img.phi, self.img.phi_h))
+        return tuple(p + ph for p, ph in zip(self.s.phi.columns, self.phi_h.columns))
 
     # -- the connection lc -----------------------------------------------------
 
@@ -238,15 +240,15 @@ class Instance:
     @cached_property
     def classification(self) -> StructureClass:
         """Contact metric / K-contact / Sasakian; kappa only when acm holds."""
-        m, xi, img = self.m, self.s.xi, self.img
+        m, xi, eta = self.m, self.s.xi, self.s.eta.components
         acm_ok = not self.acm_report.has_failures
         # Sasakian: (nabla_X phi)Y = g(X, Y) xi - eta(Y) X
         sasakian = acm_ok and (
             self.scan(
                 2,
                 lambda i, j: self.dphi_lc[i].column(j)
-                - xi.scale(m.inner(img.e[i], img.e[j]))
-                + img.e[i].scale(img.eta[j]),
+                - xi.scale(m.inner_basis(i, j))
+                + m.basis(i).scale(eta[j]),
             )
             is None
         )
@@ -261,7 +263,7 @@ class Instance:
 
     @cached_property
     def pkg(self) -> GtwPackage:
-        return build_gtw_package(self.m, self.s, self.lc, self.img)
+        return build_gtw_package(self.m, self.s, self.lc, self.h, self.phi_h)
 
     @cached_property
     def dphi_gtw(self) -> tuple[Endomorphism, ...]:
@@ -286,7 +288,7 @@ class Instance:
         r3 = self.templates[2].sparse_vectors
         v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in self.phi_x_plus_hx]
         # xh_phi[a][k] = g(E_a + hE_a, phi E_k)
-        xh_phi = [[m.inner(xh, phi) for phi in self.img.phi] for xh in self.x_plus_hx]
+        xh_phi = [[m.inner(xh, phi) for phi in self.s.phi.columns] for xh in self.x_plus_hx]
         minus_xh_phi = [[-c for c in row] for row in xh_phi]
 
         def defect(i: int, j: int, k: int) -> FrameVector:

@@ -55,7 +55,7 @@ from .curvature import (
     riemann,
     scalar_curvature,
 )
-from .frames import FrameImages, FrameManifold, FrameVector
+from .frames import Endomorphism, FrameManifold, FrameVector
 from .linear import LinearSolution, solve_linear
 from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
@@ -90,19 +90,20 @@ class GssfCoefficients:
 
 
 def gtw_connection(
-    m: FrameManifold, s: AlmostContactData, lc: Connection, img: FrameImages
+    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism, phi_h: Endomorphism
 ) -> Connection:
     """The Levi-Civita connection displaced by
-    A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X), with h
-    read from the frame images ``img``; verifies metric parallelism on construction."""
-    idx = range(m.dim)
+    A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X), with
+    phi_h = phi h; on the frame g(E_i + hE_i, phi E_j) = phi_ij + g(hE_i, phi E_j)
+    and eta(E_i) is eta's component i.  Verifies metric parallelism on construction."""
+    idx, phi, eta = range(m.dim), s.phi, s.eta.components
 
     def displaced(i: int, j: int) -> FrameVector:
         return (
             lc.derivative_basis(i, j)
-            + s.xi.scale(m.inner(img.e[i] + img.h[i], img.phi[j]))
-            + img.phi[j].scale(img.eta[i])
-            + (img.phi_h[i] + img.phi[i]).scale(img.eta[j])
+            + s.xi.scale(phi.matrix[i][j] + m.inner(h.column(i), phi.column(j)))
+            + phi.column(j).scale(eta[i])
+            + (phi_h.column(i) + phi.column(i)).scale(eta[j])
         )
 
     gamma = tuple(tuple(displaced(i, j).components for j in idx) for i in idx)
@@ -130,9 +131,9 @@ def gtw_torsion(m: FrameManifold, conn: Connection) -> tuple[tuple[FrameVector, 
 
 
 def build_gtw_package(
-    m: FrameManifold, s: AlmostContactData, lc: Connection, img: FrameImages
+    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism, phi_h: Endomorphism
 ) -> GtwPackage:
-    conn = gtw_connection(m, s, lc, img)
+    conn = gtw_connection(m, s, lc, h, phi_h)
     curv = riemann(m, conn)
     ric = ricci(m, curv)
     return GtwPackage(
@@ -186,10 +187,10 @@ def _phi_parallel(report, name, x):
 
 # h-derivative relation, corrected form: (del_X h)Y = 2 eta(X) phi h Y
 def _h_derivative_relation(report, name, x):
-    img = x.img
+    phi_h, eta = x.phi_h, x.s.eta.components
     report.graded(
         name,
-        x.scan(2, lambda i, j: x.dh_gtw[i].column(j) - img.phi_h[j].scale(img.eta[i]).scale(2)),
+        x.scan(2, lambda i, j: x.dh_gtw[i].column(j) - phi_h.column(j).scale(eta[i]).scale(2)),
         notes=(
             "asserted form: (del_X h)Y = 2 eta(X) phi h Y; "
             "the reference variant is checked separately",
@@ -199,7 +200,7 @@ def _h_derivative_relation(report, name, x):
 
 # reference variant: [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi + eta(X) phi(Y + hY)
 def _h_derivative_relation_reference(report, name, x):
-    m, img = x.m, x.img
+    m, phi, eta = x.m, x.s.phi, x.s.eta.components
     kappa_minus_1 = x.kappa - m.one_scalar()
     report.reference(
         name,
@@ -207,9 +208,9 @@ def _h_derivative_relation_reference(report, name, x):
             2,
             lambda i, j: x.dh_gtw[i].column(j)
             - x.s.xi.scale(
-                kappa_minus_1 * img.phi[i].components[j] + m.inner(img.h[i], img.phi[j])
+                kappa_minus_1 * phi.matrix[j][i] + m.inner(x.h.column(i), phi.column(j))
             )
-            - x.phi_x_plus_hx[j].scale(img.eta[i]),
+            - x.phi_x_plus_hx[j].scale(eta[i]),
         ),
         "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
         "+ eta(X) phi(Y + hY) disagrees with the computed derivative; "
@@ -228,20 +229,20 @@ def _torsion_nonzero(report, name, x):
 
 # T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
 def _torsion_witness(x, v: tuple[FrameVector, ...]) -> dict | None:
-    m, img, x_plus_hx = x.m, x.img, x.x_plus_hx
+    m, phi, eta, x_plus_hx = x.m, x.s.phi.columns, x.s.eta.components, x.x_plus_hx
     return x.scan(
         2,
         lambda i, j: x.pkg.torsion[i][j]
-        - x.s.xi.scale(m.inner(x_plus_hx[i], img.phi[j]) - m.inner(x_plus_hx[j], img.phi[i]))
-        - v[i].scale(img.eta[j])
-        + v[j].scale(img.eta[i]),
+        - x.s.xi.scale(m.inner(x_plus_hx[i], phi[j]) - m.inner(x_plus_hx[j], phi[i]))
+        - v[i].scale(eta[j])
+        + v[j].scale(eta[i]),
     )
 
 
 def _torsion_closed_form(report, name, x):
     report.graded(
         name,
-        _torsion_witness(x, x.img.phi_h),
+        _torsion_witness(x, x.phi_h.columns),
         notes=(
             "asserted form: T(X, Y) = [g(X+hX, phi Y) - g(Y+hY, phi X)] xi "
             "+ eta(Y) phi h X - eta(X) phi h Y",
@@ -285,7 +286,7 @@ def _curvature_xi_double(report, name, x):
 # R(X1, X2)X3 minus the closed form whose final bracket has sign last_sign;
 # every other term of the closed form is in x.curvature_defect
 def _closed_form_residual(x, last_sign: int):
-    v, phi = x.phi_x_plus_hx, x.img.phi
+    v, phi = x.phi_x_plus_hx, x.s.phi.columns
 
     # the bracket is g(X1, phi X2 + phi h X2) + last_sign g(X2, phi X1 + phi h X1)
     def residual(i: int, j: int, k: int) -> FrameVector:
@@ -323,17 +324,17 @@ def _curvature_closed_form_crosscheck(report, name, x):
 # 2 phi_ab and -2 phi_ab, with phi_ab = g(phi E_a, E_b), and phi_h[a][b] = g(phi h E_a, E_b):
 # the entries the crosschecks' quoted h-expressions read
 def _phi_tables(x):
-    phi = [v.components for v in x.img.phi]
+    phi = [v.components for v in x.s.phi.columns]
     two_phi = [[c.scale(2) for c in row] for row in phi]
     minus_two_phi = [[c.scale(-2) for c in row] for row in phi]
-    return two_phi, minus_two_phi, [v.components for v in x.img.phi_h]
+    return two_phi, minus_two_phi, [v.components for v in x.phi_h.columns]
 
 
 def _pair_interchange_crosscheck(report, name, x):
     m, low, one = x.m, x.pkg.curv.lowered, x.m.one_scalar()
     two_phi, minus_two_phi, phi_h = _phi_tables(x)
     # h_phi[a][b] = g(h E_a, phi E_b)
-    h_phi = [[m.inner(h, phi) for phi in x.img.phi] for h in x.img.h]
+    h_phi = [[m.inner(h, phi) for phi in x.s.phi.columns] for h in x.h.columns]
 
     # R(i,j,k,l) + R(k,l,i,j) + 2[phi_il g(hE_j, phiE_k) - phi_kj phih_il
     #  - g(hE_i, phiE_k) phi_lj + phi_ki phih_jl - phih_lk phi_ij]
@@ -399,7 +400,7 @@ def _cyclic_sum_crosscheck(report, name, x):
 
 # -- Ricci and scalar curvature ---------------------------------------------------
 def _ricci_closed_form(report, name, x):
-    m, img, ric = x.m, x.img, x.pkg.ricci.components
+    m, eta, ric = x.m, x.s.eta.components, x.pkg.ricci.components
     two_nk_plus_2 = x.kappa.scale(2 * m.n) + m.constant(2)
     report.graded(
         name,
@@ -407,22 +408,22 @@ def _ricci_closed_form(report, name, x):
             2,
             lambda i, j: ric[i][j]
             - x.ricci.components[i][j]
-            - m.inner(img.e[i], img.e[j]).scale(2)
-            + two_nk_plus_2 * img.eta[i] * img.eta[j],
+            - m.inner_basis(i, j).scale(2)
+            + two_nk_plus_2 * eta[i] * eta[j],
         ),
     )
 
 
 def _ricci_alternative_form(report, name, x):
-    m, img, ric, n = x.m, x.img, x.pkg.ricci.components, x.m.n
+    m, eta, ric, n = x.m, x.s.eta.components, x.pkg.ricci.components, x.m.n
     report.graded(
         name,
         x.scan(
             2,
             lambda i, j: ric[i][j]
-            - m.inner(img.e[i], img.e[j]).scale(2 * n)
-            - img.h[i].components[j].scale(2 * (n - 1))
-            + (img.eta[i] * img.eta[j]).scale(2 * n),
+            - m.inner_basis(i, j).scale(2 * n)
+            - x.h.matrix[j][i].scale(2 * (n - 1))
+            + (eta[i] * eta[j]).scale(2 * n),
         ),
     )
 
@@ -431,7 +432,7 @@ def _ricci_xi_degenerate(report, name, x):
     ric, xi = x.pkg.ricci, x.s.xi
     report.graded(
         name,
-        x.scan(1, lambda i: ric.apply(x.img.e[i], xi))
+        x.scan(1, lambda i: ric.apply(x.m.basis(i), xi))
         or first_witness([()], lambda: ric.apply(xi, xi)),
     )
 
@@ -557,7 +558,7 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
     # eta_a = eta(E_a) and xi^a
     g = [(a, a, one) for a in idx]
     phi = [(a, b, c) for b, row in enumerate(s.phi.matrix) for a, c in enumerate(row) if c.terms]
-    eta = [(a, c) for a, c in enumerate(s.eta_of(m, m.basis(a)) for a in idx) if c.terms]
+    eta = [(a, c) for a, c in enumerate(s.eta.components) if c.terms]
     xi = [(a, c) for a, c in enumerate(s.xi.components) if c.terms]
 
     # R1_ijk^l = g_jk delta_il - g_ik delta_jl
@@ -617,9 +618,9 @@ def eta_einstein_fit(
 
     On the orthonormal frame g(E_i, E_j) = delta_ij and eta(E_i) = eta_i, so
     each equation reads its coefficients and its target from components."""
-    one, zero, eta = m.one_scalar(), m.zero_scalar(), s.eta.components
+    eta = s.eta.components
     pairs = list(product(range(m.dim), repeat=2))
-    rows = [[one if i == j else zero, eta[i] * eta[j]] for i, j in pairs]
+    rows = [[m.inner_basis(i, j), eta[i] * eta[j]] for i, j in pairs]
     rhs = [form.components[i][j] for i, j in pairs]
     solution = _checked_solution(rows, rhs, m.params)
     return None if solution is None else solution.values

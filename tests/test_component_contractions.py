@@ -9,13 +9,19 @@ also on the dense random frame ``manifests/random5_t.json``.
 
 Besides the instances with xi = E1, one lambda member is written in a frame
 turned by the rational rotation (3/5, 4/5) in the E1-E2 plane, so that xi has
-two nonzero components."""
+two nonzero components.
+
+Frame-change invariance: the symbolic lambda family, the (kappa, mu)-space
+``manifests/kmu3.json`` and H^5 are turned by the Cayley transform of a seeded
+rational skew matrix, which makes xi and eta fully dense, and every row's
+status and the classification must equal the unturned run's."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -28,6 +34,7 @@ from contactframe import (
     Scalar,
     load_manifest_file,
     make_lambda_family,
+    run_suite,
 )
 from vector_reference import bracket
 
@@ -40,12 +47,12 @@ def _instance(m: FrameManifold, s: AlmostContactData) -> Instance:
     return Instance(m, s)
 
 
-def _rotated(m: FrameManifold, s: AlmostContactData) -> tuple[FrameManifold, AlmostContactData]:
-    """The same structure in the frame F_a = sum_i q_ai E_i, with q the rotation
-    (3/5, 4/5) in the E1-E2 plane: c'_ab^d = q_ai q_bj c_ij^k q_dk, phi' = q phi q^T."""
+def _rotated(
+    m: FrameManifold, s: AlmostContactData, q: list[list[Fraction]]
+) -> tuple[FrameManifold, AlmostContactData]:
+    """The same structure in the frame F_a = sum_i q_ai E_i, q a rational
+    orthogonal matrix: c'_ab^d = q_ai q_bj c_ij^k q_dk, phi' = q phi q^T."""
     idx, zero = range(m.dim), m.zero_scalar()
-    q = [[Fraction(int(a == i)) for i in idx] for a in idx]
-    q[0][:2], q[1][:2] = [Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]
 
     def combine(terms) -> Scalar:
         """The sum of w * value over the pairs (w, value)."""
@@ -80,13 +87,50 @@ def _rotated(m: FrameManifold, s: AlmostContactData) -> tuple[FrameManifold, Alm
     return FrameManifold(m.dim, m.params, c), AlmostContactData(phi, turn(s.xi), turn(s.eta))
 
 
+def _plane_rotation(dim: int) -> list[list[Fraction]]:
+    """The rotation (3/5, 4/5) in the E1-E2 plane."""
+    q = [[Fraction(int(a == i)) for i in range(dim)] for a in range(dim)]
+    q[0][:2], q[1][:2] = [Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]
+    return q
+
+
+def _cayley_rotation(dim: int, seed: int) -> list[list[Fraction]]:
+    """The Cayley transform (I - S)(I + S)^-1 of a seeded rational skew S: a
+    rational orthogonal matrix, dense for a dense S."""
+    rng = Random(seed)
+    s = [[Fraction(0)] * dim for _ in range(dim)]
+    for a, b in combinations(range(dim), 2):
+        s[a][b] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 4)))
+        s[b][a] = -s[a][b]
+    eye = [[Fraction(int(a == b)) for b in range(dim)] for a in range(dim)]
+    minus = [[eye[a][b] - s[a][b] for b in range(dim)] for a in range(dim)]
+    # (I + S)^-1 by Gauss-Jordan on [I + S | I]; I + S is invertible for skew S
+    aug = [[eye[a][b] + s[a][b] for b in range(dim)] + eye[a] for a in range(dim)]
+    for col in range(dim):
+        pivot = next(r for r in range(col, dim) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(dim):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    inv = [row[dim:] for row in aug]
+    q = [[sum(minus[a][k] * inv[k][b] for k in range(dim)) for b in range(dim)] for a in range(dim)]
+    assert all(
+        sum(q[a][k] * q[b][k] for k in range(dim)) == int(a == b)
+        for a, b in product(range(dim), repeat=2)
+    )
+    return q
+
+
 def _build(name: str) -> Instance:
     if name == "lambda_symbolic":
         entry = make_lambda_family(None)
         return _instance(entry.manifold, entry.structure)
     if name == "lambda_1/2_rotated":
         entry = make_lambda_family(Fraction(1, 2))
-        x = _instance(*_rotated(entry.manifold, entry.structure))
+        m, s = entry.manifold, entry.structure
+        x = _instance(*_rotated(m, s, _plane_rotation(m.dim)))
         # a valid N(kappa) instance whose xi is not a frame vector
         assert not x.structural_report.has_failures
         assert x.kappa == x.m.constant(Fraction(3, 4))
@@ -111,7 +155,7 @@ def structural(request) -> Instance:
 
 def _with_xi(x: Instance, xi_at: tuple[int, ...], frame: tuple[int, ...]) -> list[FrameVector]:
     it = iter(frame)
-    return [x.s.xi if slot in xi_at else x.img.e[next(it)] for slot in range(3)]
+    return [x.s.xi if slot in xi_at else x.m.basis(next(it)) for slot in range(3)]
 
 
 @pytest.mark.parametrize("xi_at", XI_SLOTS)
@@ -142,24 +186,25 @@ def test_derivative_endo_matches_the_column_formula(x):
 
 
 def test_curvature_defect_and_r1_xi_match_the_vector_forms(x):
-    m, img, kappa = x.m, x.img, x.kappa
+    m, phi, kappa = x.m, x.s.phi, x.kappa
     r1, r3 = x.templates[0], x.templates[2]
     v, xh = x.phi_x_plus_hx, x.x_plus_hx
     for i, j in product(range(m.dim), repeat=2):
-        assert x.r1_xi[i][j] == r1.apply(x.s.xi, xh[i], img.e[j]), (i, j)
+        assert x.r1_xi[i][j] == r1.apply(x.s.xi, xh[i], m.basis(j)), (i, j)
         for k in range(m.dim):
             want = (
                 x.pkg.curv.vector(i, j, k)
                 - x.r.vector(i, j, k)
                 - r3.vector(i, j, k).scale(kappa)
-                - v[j].scale(m.inner(xh[i], img.phi[k]))
-                + v[i].scale(m.inner(xh[j], img.phi[k]))
+                - v[j].scale(m.inner(xh[i], phi.column(k)))
+                + v[i].scale(m.inner(xh[j], phi.column(k)))
             )
             assert x.curvature_defect[i][j][k] == want, (i, j, k)
 
 
 def test_lie_derive_endo_matches_the_bracket_form(structural):
-    m, e = structural.m, structural.img.e
+    m = structural.m
+    e = [m.basis(i) for i in range(m.dim)]
     two_components = e[0] - e[2].scale(2)
     for xi, a in product((e[0], two_components), (structural.s.phi, structural.h)):
         got = m.lie_derive_endo(xi, a)
@@ -169,7 +214,8 @@ def test_lie_derive_endo_matches_the_bracket_form(structural):
 
 
 def test_jacobiator_matches_the_six_brackets(structural):
-    m, e = structural.m, structural.img.e
+    m = structural.m
+    e = [m.basis(i) for i in range(m.dim)]
     for i, j, k in product(range(m.dim), repeat=3):
         want = (
             bracket(m, bracket(m, e[i], e[j]), e[k])
@@ -178,3 +224,27 @@ def test_jacobiator_matches_the_six_brackets(structural):
         )
         got = tuple(m.jacobiator(i, j, k, l) for l in range(m.dim))
         assert got == want.components, (i, j, k)
+
+
+def _statuses(m: FrameManifold, s: AlmostContactData) -> tuple[list, dict]:
+    report = run_suite(m, s, "all")
+    return [(c.name, c.status) for c in report.checks], report.by_name(
+        "acm.classification"
+    ).witness
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("name", ["lambda_symbolic", "kmu3.json", "heisenberg5.json"])
+def test_reports_are_invariant_under_a_dense_frame_change(name, seed):
+    """Every check is a tensor identity, so turning the orthonormal frame by a
+    dense rational orthogonal matrix changes the witnesses but no row's status
+    and no classification value; in the turned frame xi and eta have no zero
+    component, so no scan can lean on xi being a frame vector."""
+    if name == "lambda_symbolic":
+        entry = make_lambda_family(None)
+        m, s = entry.manifold, entry.structure
+    else:
+        m, s = load_manifest_file(str(MANIFESTS / name))
+    m2, s2 = _rotated(m, s, _cayley_rotation(m.dim, seed))
+    assert all(c.terms for c in s2.xi.components + s2.eta.components)
+    assert _statuses(m2, s2) == _statuses(m, s)

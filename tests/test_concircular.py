@@ -136,7 +136,8 @@ def test_action_contractions_match_the_vector_operators(fam, name):
     (Z(xi, E_i).Z)(E_j, E_k)E_l and form_action(Z(xi, E_i), ricci, j, k) is
     (Z(xi, E_i).ricci)(E_j, E_k)."""
     x = fam if name == "lambda_symbolic" else _manifest_instance(name)
-    m, z, xi, ric, e = x.m, x.z, x.s.xi, x.pkg.ricci, x.img.e
+    m, z, xi, ric = x.m, x.z, x.s.xi, x.pkg.ricci
+    e = [m.basis(i) for i in range(m.dim)]
     nonzero = 0
     for i, j, k in product(range(m.dim), repeat=3):
         want = tensor_dot_form(m, z, ric, xi, e[i], e[j], e[k])

@@ -88,7 +88,6 @@ def _count_calls(monkeypatch) -> dict[str, int]:
         (contactframe.curvature, "levi_civita"),
         (contactframe.curvature, "riemann"),
         (contactframe.curvature, "ricci"),
-        (contactframe.frames, "frame_images"),
         (contactframe.tanaka_webster, "space_form_templates"),
     ):
         original = getattr(owner, name)
@@ -120,10 +119,9 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "riemann": 2,
         # the Levi-Civita and the torsionful Ricci forms
         "ricci": 2,
-        # the instance's, which the torsionful connection reads
-        "frame_images": 1,
-        # phi^2 and h^2 (each built once, ``Endomorphism.square``), h phi and phi h
-        "compose": 4,
+        # phi^2 and h^2 (each built once, ``Endomorphism.square``), h phi and
+        # phi h in the h laws, and the instance's phi h
+        "compose": 5,
         # nabla phi (Levi-Civita), nabla h (Levi-Civita), nabla phi and
         # nabla h (torsionful), one per frame index each
         "derivative_endo": 4 * m.dim,
@@ -138,13 +136,13 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
 
 
 def test_curvature_gtw_reads_one_instance(monkeypatch, capsys):
-    """``curvature --connection gtw`` builds h, the Levi-Civita connection and
-    the frame images once, and the curvature twice (Levi-Civita, torsionful)."""
+    """``curvature --connection gtw`` builds h and the Levi-Civita connection
+    once, and the curvature twice (Levi-Civita, torsionful)."""
     counts = _count_calls(monkeypatch)
     path = str(MANIFESTS / "heisenberg5.json")
     assert cli.main(["curvature", path, "--connection", "gtw"]) == 0
     assert capsys.readouterr().out
-    assert counts["levi_civita"] == counts["lie_derive_endo"] == counts["frame_images"] == 1
+    assert counts["levi_civita"] == counts["lie_derive_endo"] == 1
     assert counts["riemann"] == 2
 
 
@@ -173,24 +171,26 @@ def test_heisenberg_run_work_counts(monkeypatch):
     """The residual scans and ``detect_kappa`` are component contractions, not
     a trilinear apply per basis tuple, and ``riemann`` sums each independent
     component once: one H^5 run makes 5 applies, all in the phi-flatness
-    sandwich, and 8,270 sums of products, under the bounds 5 and 8,683 (the
+    sandwich, and 8,196 sums of products, under the bounds 5 and 8,605 (the
     measured count plus 5%; scanning through apply takes 3,284 and 34,593,
     summing every Riemann component 9,880, applying R in ``detect_kappa`` 34
-    and 8,830, and applying Z in the two conc xi-slot scans 9 and 8,480)."""
+    and 8,830, applying Z in the two conc xi-slot scans 9 and 8,480, and
+    reading g(E_i, E_j) and phi h E_i from a table of frame images 8,270)."""
     counts = _work_counts(monkeypatch, "heisenberg5.json")
     assert counts["apply"] <= 5
-    assert counts["sum_of_products"] <= 8_683
+    assert counts["sum_of_products"] <= 8_605
 
 
 def test_gated_run_work_counts(monkeypatch):
     """On the gated dense frame no derived section runs and neither the
-    connection nor its curvature is built: one run makes 201 sums of products,
-    all in the structural layer, under the bound 211 (the measured count plus
-    5%; building both tensors up front takes 410, and a second set of frame
-    images in ``validate_acm`` 231), and no trilinear apply."""
+    connection nor its curvature is built: one run makes 171 sums of products,
+    all in the structural layer, under the bound 179 (the measured count plus
+    5%; building both tensors up front takes 410, a second set of frame images
+    in ``validate_acm`` 231, and one set of frame images that nothing reads
+    201), and no trilinear apply."""
     counts = _work_counts(monkeypatch, "random5.json")
     assert counts["apply"] == 0
-    assert counts["sum_of_products"] <= 211
+    assert counts["sum_of_products"] <= 179
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):
@@ -199,7 +199,8 @@ def test_gated_run_computes_each_layer_once(monkeypatch):
     run_suite(m, s, "all")
     assert counts["validate_acm"] == 1
     assert counts["lie_derive_endo"] == 1
-    assert counts["frame_images"] == 1
+    # phi^2 in validate_acm, h phi and phi h in the h laws: no instance phi h
+    assert counts["compose"] == 3
     assert "ricci" not in counts and "derivative_endo" not in counts
     # every derived section is gated and acm fails, so neither the connection
     # nor kappa is read, and the model tensors are never built

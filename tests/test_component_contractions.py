@@ -227,10 +227,10 @@ def test_jacobiator_matches_the_six_brackets(structural):
 
 
 def _statuses(m: FrameManifold, s: AlmostContactData) -> tuple[list, dict]:
+    """Every row's status and the classification of one ``run_suite("all")``."""
     report = run_suite(m, s, "all")
-    return [(c.name, c.status) for c in report.checks], report.by_name(
-        "acm.classification"
-    ).witness
+    classification = report.by_name("acm.classification").witness
+    return [(c.name, c.status) for c in report.checks], classification
 
 
 @pytest.mark.parametrize("seed", [1, 3])

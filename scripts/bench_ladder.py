@@ -8,10 +8,11 @@ and linear in t), on which every derived section is gated, so the Levi-Civita
 connection and its Riemann tensor are most of a run.  For each instance
 it records the minimum wall time of k runs (``run_s``), the minimum of each
 run's wall time divided by the mean of a fixed Fraction loop timed just before
-and just after it (``run_norm``), the size of the JSON report, and two
+and just after it (``run_norm``), the size of the JSON report, and three
 deterministic work counts of one more run: the calls of
-``Curvature4Tensor.apply`` and of ``Scalar.sum_of_products``.  Host speed on a
-shared machine swings up to 2x within seconds; ``run_norm`` moves much less.
+``Curvature4Tensor.apply`` and of ``Scalar.sum_of_products``, and the number
+of Scalars constructed.  Host speed on a shared machine swings up to 2x within
+seconds; ``run_norm`` moves much less.
 On the gated random frames parsing the manifest is a large share of a request,
 so for those two it also records the minimum of k ``load_manifest`` calls on
 the committed document (``load_s``).
@@ -74,9 +75,10 @@ def report_json(m, s) -> str:
 
 
 def work_counts(m, s) -> dict:
-    """Calls of the trilinear apply and of the fused kernel in one run."""
-    counts = {"apply": 0, "sum_of_products": 0}
-    apply, sum_of_products = Curvature4Tensor.apply, Scalar.sum_of_products
+    """Calls of the trilinear apply and of the fused kernel, and the Scalars
+    constructed, in one run."""
+    counts = {"apply": 0, "sum_of_products": 0, "scalars": 0}
+    apply, sum_of_products, init = Curvature4Tensor.apply, Scalar.sum_of_products, Scalar.__init__
 
     def counted_apply(*args):
         counts["apply"] += 1
@@ -86,13 +88,19 @@ def work_counts(m, s) -> dict:
         counts["sum_of_products"] += 1
         return sum_of_products(*args)
 
+    def counted_init(*args):
+        counts["scalars"] += 1
+        init(*args)
+
     Curvature4Tensor.apply = counted_apply
     Scalar.sum_of_products = staticmethod(counted_sum_of_products)
+    Scalar.__init__ = counted_init
     try:
         report_json(m, s)
     finally:
         Curvature4Tensor.apply = apply
         Scalar.sum_of_products = staticmethod(sum_of_products)
+        Scalar.__init__ = init
     return counts
 
 

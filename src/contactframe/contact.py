@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .curvature import Curvature4Tensor
 from .frames import Endomorphism, FrameManifold, FrameVector
@@ -138,10 +138,20 @@ def h_property_checks(
         first_witness(columns, lambda i, j: h.matrix[i][j] - h.matrix[j][i]),
     )
 
-    anti = h.compose(s.phi) + s.phi.compose(h)
-    report.graded(
-        "acm.h_phi_anticommute", first_witness(columns, lambda i, j: anti.matrix[i][j])
-    )
+    # (h phi + phi h)_ij, one sum of products over the nonzero entries of
+    # column j of phi and of h, so a failing frame stops at its first witness
+    phi, phi_cols, h_cols = s.phi.matrix, s.phi.sparse_columns, h.sparse_columns
+
+    def anticommutator(i: int, j: int) -> Scalar:
+        return Scalar.sum_of_products(
+            m.params,
+            chain(
+                ((h.matrix[i][k], c) for k, c in phi_cols[j]),
+                ((phi[i][k], c) for k, c in h_cols[j]),
+            ),
+        )
+
+    report.graded("acm.h_phi_anticommute", first_witness(columns, anticommutator))
 
     trace = h.trace()
     report.graded("acm.h_trace_free", None if trace.is_zero() else {"residual": str(trace)})

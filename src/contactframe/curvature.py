@@ -125,9 +125,11 @@ def levi_civita(m: FrameManifold) -> Connection:
     )
     conn = Connection(kind=LEVI_CIVITA, gamma=gamma)
     # metric compatibility and torsion-freeness are structural for the Koszul
-    # output on antisymmetric c, so a violation indicates malformed input
+    # output on antisymmetric c, so a violation indicates malformed input; the
+    # metric residual is symmetric in (j, k) and (i, k, j) comes before
+    # (i, j, k), so checking j <= k finds the same first violation
     for i, j, k in product(range(m.dim), repeat=3):
-        if not (gamma[i][j][k] + gamma[i][k][j]).is_zero():
+        if j <= k and not (gamma[i][j][k] + gamma[i][k][j]).is_zero():
             law = "metric compatibility"
         elif not (gamma[i][j][k] - gamma[j][i][k] - m.c[i][j][k]).is_zero():
             law = "torsion-freeness"

@@ -1,16 +1,17 @@
 """Exact scalar arithmetic: sparse multivariate polynomials over the rationals.
 
 A Scalar is a polynomial in a fixed, ordered tuple of parameter names with
-Fraction coefficients.  The representation is canonical:
+rational coefficients.  The representation is canonical:
 
     terms: sorted tuple of (exponent-vector, coefficient) pairs,
            one exponent per declared parameter, no zero coefficients.
 
 Two Scalars are equal exactly when their parameter lists and term tuples are
 identical, so ``a == b`` is the decision procedure for polynomial identity
-and ``is_zero`` needs no normalisation step.  Coefficients use
-``fractions.Fraction``, which keeps every value gcd-reduced with a positive
-denominator.
+and ``is_zero`` needs no normalisation step.  An integral coefficient is an
+``int``, and any other is a ``fractions.Fraction``, which keeps its value
+gcd-reduced with a positive denominator; int arithmetic is far cheaper, and
+most coefficients of the frames graded here are integral.
 
 All operations are pure; Scalars are immutable and hashable.
 
@@ -23,8 +24,15 @@ invariant of their operands:
 - no coefficient is zero, so ``terms == ()`` is zero and a one-term Scalar
   whose monomial is all zeros is a nonzero constant (every Scalar over no
   parameters is zero or such a constant);
-- every coefficient is a ``Fraction``, and Fraction arithmetic returns
-  Fractions, so a product or sum of coefficients needs no re-wrapping.
+- zero is one shared instance per parameter tuple, ``Scalar.zero(params)``
+  (held in a bounded cache), and every operation whose result is zero returns
+  it, so the zeros that dominate a contraction allocate nothing;
+- every coefficient is an ``int`` when it is integral and otherwise a
+  ``Fraction`` with denominator > 1, never a ``bool`` or a float, so there is
+  one representation of each value.  int arithmetic stays int, and a Fraction
+  result is turned back into an int by ``_coeff`` when it is integral;
+  ``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``, so equality and
+  hashing do not depend on the rule.
 
 ``+``, ``-`` and ``*`` check the parameter lists first, so a mismatch is
 raised even when an operand is zero, then short-circuit zero operands,
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add
 from typing import Iterable, Mapping, Union
@@ -77,7 +86,7 @@ class Scalar:
     """Canonical sparse polynomial over a declared parameter tuple."""
 
     params: tuple[str, ...]
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, RationalLike], ...]
 
     # -- constructors ------------------------------------------------------
 
@@ -87,11 +96,8 @@ class Scalar:
     ) -> "Scalar":
         # monomials are distinct dict keys, so the tuple sort never compares
         # coefficients
-        ordered = sorted(
-            ((m, c if type(c) is Fraction else Fraction(c)) for m, c in mapping.items() if c),
-            reverse=True,
-        )
-        return Scalar(params, tuple(ordered))
+        ordered = sorted(((m, _coeff(c)) for m, c in mapping.items() if c), reverse=True)
+        return Scalar(params, tuple(ordered)) if ordered else Scalar.zero(params)
 
     @staticmethod
     def sum_of_products(
@@ -107,7 +113,7 @@ class Scalar:
             if a.terms and b.terms:
                 live.append((a, b))
         if not live:
-            return Scalar(params, ())
+            return Scalar.zero(params)
         if len(live) == 1:
             a, b = live[0]
             return a * b
@@ -115,13 +121,16 @@ class Scalar:
 
     @staticmethod
     def constant(params: tuple[str, ...], value: RationalLike) -> "Scalar":
-        value = Fraction(value)
+        value = _coeff(value)
         if value == 0:
-            return Scalar(params, ())
+            return Scalar.zero(params)
         return Scalar(params, (((0,) * len(params), value),))
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def zero(params: tuple[str, ...]) -> "Scalar":
+        """The shared zero over ``params``; bounded, so fresh parameter names
+        cannot grow the cache without limit."""
         return Scalar(params, ())
 
     @staticmethod
@@ -133,7 +142,7 @@ class Scalar:
         if name not in params:
             raise ScalarError(f"unknown parameter {name!r}; declared: {params}")
         mono = tuple(1 if p == name else 0 for p in params)
-        return Scalar(params, ((mono, Fraction(1)),))
+        return Scalar(params, ((mono, 1),))
 
     # -- ring operations ---------------------------------------------------
 
@@ -155,7 +164,9 @@ class Scalar:
             (m1, c1), (m2, c2) = self.terms[0], other.terms[0]
             if m1 == m2:
                 c = c1 + c2
-                return Scalar(self.params, ((m1, c),) if c else ())
+                if not c:
+                    return Scalar.zero(self.params)
+                return Scalar(self.params, ((m1, _coeff(c)),))
             pair = ((m1, c1), (m2, c2)) if m1 > m2 else ((m2, c2), (m1, c1))
             return Scalar(self.params, pair)
         acc = dict(self.terms)
@@ -174,9 +185,11 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
+        if not self.terms:
+            return self
         return Scalar(self.params, tuple((m, -c) for m, c in self.terms))
 
-    def _constant_factor(self) -> Fraction | None:
+    def _constant_factor(self) -> RationalLike | None:
         """The coefficient of a nonzero constant, else None."""
         if len(self.terms) == 1 and not any(self.terms[0][0]):
             return self.terms[0][1]
@@ -188,8 +201,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check_params(other)
-        if not self.terms or not other.terms:
-            return Scalar(self.params, ())
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         factor = other._constant_factor()
         if factor is not None:
             return self._times(factor)
@@ -198,7 +213,7 @@ class Scalar:
             return other._times(factor)
         if len(self.terms) == 1 and len(other.terms) == 1:
             (m1, c1), (m2, c2) = self.terms[0], other.terms[0]
-            return Scalar(self.params, ((tuple(map(add, m1, m2)), c1 * c2),))
+            return Scalar(self.params, ((tuple(map(add, m1, m2)), _coeff(c1 * c2)),))
         return _accumulate(self.params, ((self, other),))
 
     def __rmul__(self, other: RationalLike) -> "Scalar":
@@ -223,13 +238,13 @@ class Scalar:
     def scale(self, factor: RationalLike) -> "Scalar":
         if not factor:
             return Scalar.zero(self.params)
-        return self._times(Fraction(factor))
+        return self._times(_coeff(factor))
 
-    def _times(self, factor: Fraction) -> "Scalar":
-        """Multiply by a nonzero Fraction; no term can vanish."""
-        if factor == 1:
+    def _times(self, factor: RationalLike) -> "Scalar":
+        """Multiply by a nonzero canonical coefficient; no term can vanish."""
+        if factor == 1 or not self.terms:
             return self
-        return Scalar(self.params, tuple((m, c * factor) for m, c in self.terms))
+        return Scalar(self.params, tuple((m, _coeff(c * factor)) for m, c in self.terms))
 
     # -- predicates and views ----------------------------------------------
 
@@ -243,7 +258,7 @@ class Scalar:
         """The value of a constant Scalar; error when any parameter occurs."""
         if not self.is_constant():
             raise ScalarError(f"not a constant: {self}")
-        return self.terms[0][1] if self.terms else Fraction(0)
+        return Fraction(self.terms[0][1]) if self.terms else Fraction(0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -316,8 +331,9 @@ def _accumulate(params: tuple[str, ...], pairs: Iterable[tuple[Scalar, Scalar]])
     """Sum the products of canonical Scalars over ``params`` and canonicalise once.
 
     Each monomial's sum is kept as an unreduced (numerator, denominator) pair
-    of ints, so the loop does integer arithmetic only; ``Fraction`` reduces
-    every surviving coefficient once at the end.
+    of ints, so the loop does integer arithmetic only; every surviving
+    coefficient is reduced once at the end, to an int when the denominator
+    divides the numerator.
     """
     acc: dict[Monomial, tuple[int, int]] = {}
     get = acc.get
@@ -334,10 +350,22 @@ def _accumulate(params: tuple[str, ...], pairs: Iterable[tuple[Scalar, Scalar]])
                     acc[mono] = (prev[0] + n, d)
                 else:
                     acc[mono] = (prev[0] * d + n * prev[1], prev[1] * d)
-    return Scalar.from_terms(params, {m: Fraction(n, d) for m, (n, d) in acc.items() if n})
+    return Scalar.from_terms(
+        params, {m: n // d if n % d == 0 else Fraction(n, d) for m, (n, d) in acc.items() if n}
+    )
 
 
-def _frac_str(value: Fraction) -> str:
+def _coeff(value: RationalLike) -> RationalLike:
+    """The canonical coefficient of a rational value: an int when integral,
+    else a Fraction with denominator > 1."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _frac_str(value: RationalLike) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -359,7 +387,7 @@ def exact_div(numerator: Scalar, divisor: Scalar) -> Scalar | None:
         diff = tuple(a - b for a, b in zip(mono, lead_mono))
         if any(e < 0 for e in diff):
             return None
-        q = coeff / lead_coeff
+        q = Fraction(coeff) / lead_coeff
         quotient[diff] = quotient.get(diff, Fraction(0)) + q
         for dmono, dcoeff in divisor.terms:
             target = tuple(a + b for a, b in zip(diff, dmono))

@@ -152,13 +152,17 @@ def test_parameter_mismatch_is_rejected():
 
 
 def assert_canonical(s: Scalar) -> None:
-    """Strictly descending monomials, no zero coefficient, Fraction coefficients."""
+    """Strictly descending monomials, no zero coefficient, and one
+    representation per value: an int when integral (never a bool), else a
+    Fraction with denominator > 1.  A zero is the shared instance."""
     monos = [mono for mono, _ in s.terms]
     assert all(a > b for a, b in zip(monos, monos[1:])), s.terms
     for mono, coeff in s.terms:
         assert len(mono) == len(s.params)
-        assert type(coeff) is Fraction
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
         assert coeff != 0
+    if not s.terms:
+        assert s is Scalar.zero(s.params)
 
 
 raw_coeffs = st.one_of(st.integers(-5, 5), coeffs)
@@ -203,3 +207,59 @@ def test_parameter_mismatch_is_raised_with_a_zero_operand(op):
     for a, b in ((x, zero_y), (zero_y, x), (Scalar.zero(("x",)), zero_y)):
         with pytest.raises(ParameterMismatchError):
             apply(a, b)
+
+
+@HUNDRED
+@given(scalars(), st.lists(st.tuples(scalars(), scalars()), max_size=3))
+def test_every_zero_is_the_shared_instance(a, pairs):
+    zero = Scalar.zero(PARAMS)
+    assert zero.terms == () and Scalar.zero(("x", "y")) is zero
+    cancelling = pairs + [(-p, q) for p, q in pairs] + [(a, zero)]
+    for result in (
+        a - a,
+        a + (-a),
+        a * zero,
+        zero * a,
+        a * 0,
+        a.scale(0),
+        -zero,
+        zero.scale(Fraction(3, 2)),
+        Scalar.sum_of_products(PARAMS, cancelling),
+        Scalar.sum_of_products(PARAMS, []),
+        Scalar.from_terms(PARAMS, {}),
+        Scalar.from_terms(PARAMS, {(1, 0): 0, (0, 2): Fraction(0)}),
+        Scalar.constant(PARAMS, 0),
+    ):
+        assert result is zero
+
+
+def test_integral_coefficients_are_ints():
+    x = Scalar.variable(PARAMS, "x")
+    half = Scalar.constant(PARAMS, Fraction(1, 2))
+    for s in (
+        Scalar.constant(PARAMS, Fraction(4, 2)),
+        Scalar.constant(PARAMS, True),
+        (half + half) * x,
+        (half * x).scale(2),
+        half * x * Scalar.constant(PARAMS, 4),
+        Scalar.from_terms(PARAMS, {(1, 0): Fraction(6, 3), (0, 0): True}),
+        Scalar.sum_of_products(PARAMS, [(half, x), (half, x), (x, x)]),
+    ):
+        assert_canonical(s)
+        assert all(type(c) is int for _, c in s.terms), s.terms
+
+
+def test_no_float_leaks_into_division_or_evaluation():
+    x = Scalar.variable(PARAMS, "x")
+    three, two = Scalar.constant(PARAMS, 3), Scalar.constant(PARAMS, 2)
+    quotient = exact_div(three * x, two * x)
+    assert quotient.terms == (((0, 0), Fraction(3, 2)),)
+    assert type(quotient.terms[0][1]) is Fraction
+    assert exact_div(x * x * three, x * two).terms == (((1, 0), Fraction(3, 2)),)
+    # 1/3 has no exact binary float, so a float quotient would show here
+    assert exact_div(x * x + x, three * x) == (x + Scalar.one(PARAMS)).scale(Fraction(1, 3))
+    for value in (three.constant_value(), Scalar.zero(PARAMS).constant_value()):
+        assert type(value) is Fraction
+    assert three.constant_value() / 2 == Fraction(3, 2)
+    for value in (three.substitute({}), (x * three).substitute({"x": 1})):
+        assert type(value) is Fraction and value == 3

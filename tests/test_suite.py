@@ -34,7 +34,7 @@ MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 BROKEN = "metric parallelism violated at (1,2,3): 7"
 
-_APPLY, _SUM_OF_PRODUCTS = Curvature4Tensor.apply, Scalar.sum_of_products
+_APPLY, _SUM_OF_PRODUCTS, _INIT = Curvature4Tensor.apply, Scalar.sum_of_products, Scalar.__init__
 
 
 @pytest.mark.parametrize(
@@ -119,9 +119,9 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "riemann": 2,
         # the Levi-Civita and the torsionful Ricci forms
         "ricci": 2,
-        # phi^2 and h^2 (each built once, ``Endomorphism.square``), h phi and
-        # phi h in the h laws, and the instance's phi h
-        "compose": 5,
+        # phi^2 and h^2 (each built once, ``Endomorphism.square``) and the
+        # instance's phi h; the h laws read h phi + phi h entry by entry
+        "compose": 3,
         # nabla phi (Levi-Civita), nabla h (Levi-Civita), nabla phi and
         # nabla h (torsionful), one per frame index each
         "derivative_endo": 4 * m.dim,
@@ -147,11 +147,11 @@ def test_curvature_gtw_reads_one_instance(monkeypatch, capsys):
 
 
 def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
-    """Calls of the trilinear apply and of the fused kernel in one
-    ``run_suite("all")`` on ``manifest``."""
+    """Calls of the trilinear apply and of the fused kernel, and the Scalars
+    constructed, in one ``run_suite("all")`` on ``manifest``."""
     m, s = load_manifest_file(str(MANIFESTS / manifest))
-    counts = {"apply": 0, "sum_of_products": 0}
-    apply, sum_of_products = Curvature4Tensor.apply, Scalar.sum_of_products
+    counts = {"apply": 0, "sum_of_products": 0, "scalars": 0}
+    apply, sum_of_products, init = Curvature4Tensor.apply, Scalar.sum_of_products, Scalar.__init__
 
     def counted_apply(*args):
         counts["apply"] += 1
@@ -161,8 +161,13 @@ def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
         counts["sum_of_products"] += 1
         return sum_of_products(*args)
 
+    def counted_init(*args):
+        counts["scalars"] += 1
+        init(*args)
+
     monkeypatch.setattr(Curvature4Tensor, "apply", counted_apply)
     monkeypatch.setattr(Scalar, "sum_of_products", staticmethod(counted_sum_of_products))
+    monkeypatch.setattr(Scalar, "__init__", counted_init)
     run_suite(m, s, "all")
     return counts
 
@@ -171,26 +176,34 @@ def test_heisenberg_run_work_counts(monkeypatch):
     """The residual scans and ``detect_kappa`` are component contractions, not
     a trilinear apply per basis tuple, and ``riemann`` sums each independent
     component once: one H^5 run makes 5 applies, all in the phi-flatness
-    sandwich, and 8,196 sums of products, under the bounds 5 and 8,605 (the
+    sandwich, and 8,171 sums of products, under the bounds 5 and 8,579 (the
     measured count plus 5%; scanning through apply takes 3,284 and 34,593,
     summing every Riemann component 9,880, applying R in ``detect_kappa`` 34
-    and 8,830, applying Z in the two conc xi-slot scans 9 and 8,480, and
-    reading g(E_i, E_j) and phi h E_i from a table of frame images 8,270)."""
+    and 8,830, applying Z in the two conc xi-slot scans 9 and 8,480, reading
+    g(E_i, E_j) and phi h E_i from a table of frame images 8,270, and
+    composing h phi and phi h in the h laws 8,196).  Almost every graded
+    quantity on H^5 is zero, and every zero is one shared Scalar: the run
+    constructs 909 Scalars, under the bound 954 (a new zero per zero result
+    makes 13,288)."""
     counts = _work_counts(monkeypatch, "heisenberg5.json")
     assert counts["apply"] <= 5
-    assert counts["sum_of_products"] <= 8_605
+    assert counts["sum_of_products"] <= 8_579
+    assert counts["scalars"] <= 954
 
 
 def test_gated_run_work_counts(monkeypatch):
     """On the gated dense frame no derived section runs and neither the
-    connection nor its curvature is built: one run makes 171 sums of products,
-    all in the structural layer, under the bound 179 (the measured count plus
+    connection nor its curvature is built: one run makes 127 sums of products,
+    all in the structural layer, under the bound 133 (the measured count plus
     5%; building both tensors up front takes 410, a second set of frame images
-    in ``validate_acm`` 231, and one set of frame images that nothing reads
-    201), and no trilinear apply."""
+    in ``validate_acm`` 231, one set of frame images that nothing reads 201,
+    and composing h phi and phi h in full before the h laws scan 171), and no
+    trilinear apply.  It constructs 103 Scalars, under the bound 108 (a new
+    zero per zero result makes 390)."""
     counts = _work_counts(monkeypatch, "random5.json")
     assert counts["apply"] == 0
-    assert counts["sum_of_products"] <= 179
+    assert counts["sum_of_products"] <= 133
+    assert counts["scalars"] <= 108
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):
@@ -199,8 +212,9 @@ def test_gated_run_computes_each_layer_once(monkeypatch):
     run_suite(m, s, "all")
     assert counts["validate_acm"] == 1
     assert counts["lie_derive_endo"] == 1
-    # phi^2 in validate_acm, h phi and phi h in the h laws: no instance phi h
-    assert counts["compose"] == 3
+    # phi^2 in validate_acm only: the h laws compose nothing, and there is no
+    # instance phi h
+    assert counts["compose"] == 1
     assert "ricci" not in counts and "derivative_endo" not in counts
     # every derived section is gated and acm fails, so neither the connection
     # nor kappa is read, and the model tensors are never built
@@ -235,7 +249,7 @@ def test_bench_ladder_records_deterministic_counts():
     m, s = instances["lambda_1/2"]
     first, second = ladder.measure(m, s, 1), ladder.measure(m, s, 1)
     assert first["json_bytes"] == len(emit(run_suite(m, s, "all")).encode())
-    for key in ("json_bytes", "apply", "sum_of_products"):
+    for key in ("json_bytes", "apply", "sum_of_products", "scalars"):
         assert first[key] == second[key] > 0
     assert first["run_s"] > 0 and first["run_norm"] > 0
     # the manifest load is timed on the gated random frames
@@ -244,3 +258,4 @@ def test_bench_ladder_records_deterministic_counts():
     # the counting wrappers are removed again
     assert Curvature4Tensor.apply is _APPLY
     assert Scalar.sum_of_products is _SUM_OF_PRODUCTS
+    assert Scalar.__init__ is _INIT

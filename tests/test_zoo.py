@@ -148,6 +148,17 @@ def test_pipeline_minus_branch():
     assert r.difference == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("literal_c", [False, True])
+def test_pipeline_exact_branch_stays_exact(sign, literal_c):
+    """The exact branch reads kappa-bar and mu-bar through ``constant_value()``,
+    which stays a Fraction even where the coefficient is stored as an int."""
+    r = example1_pipeline(4, sign, literal_c=literal_c)
+    assert r.is_exact
+    for value in (r.kappa_bar, r.mu_bar, r.difference):
+        assert type(value) is Fraction
+
+
 def test_pipeline_inexact_branch():
     r = example1_pipeline(2, "plus")
     assert not r.is_exact

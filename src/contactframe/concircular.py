@@ -29,16 +29,21 @@ standard derivation convention negates both terms), and grades:
 - the phi-flatness hypothesis test (runs the eta-Einstein fit when the
   hypothesis holds; otherwise records the first nonzero residual).
 
-The action obstructions scan every basis tuple as component contractions.
-With A = Z(xi, E_i) built once per i (``Instance.z_xi``),
+The action obstructions, the ricci-action slice and the eta-contraction pair
+are graded from tables of nonzero residuals (``tables.sum_table``), never
+evaluated on every basis tuple.  With A = Z(xi, E_i) built once per i
+(``Instance.z_xi``),
 
     (A.Z)_jkl^p = sum_q A^p_q Z_jkl^q - A^q_j Z_qkl^p - A^q_k Z_jql^p - A^q_l Z_jkq^p
     (A.w)_jk    = sum_q A^q_j w_qk + A^q_k w_jq
 
-are one sum of products per output component, walking only the nonzero
-entries of A and of Z (``tensor_action``, ``form_action``).  The tests
-hold them to the same operators on arbitrary constant vectors, written
-through the trilinear apply, on every basis tuple.
+are stated as products of the nonzero entries of A with the nonzero
+components of Z or w (``self_action_slabs``, ``ricci_action_slabs``), so on a
+Sasakian input, where almost every A vanishes, almost no sum runs.  Each table
+is built one slab of leading indices at a time, and a scan stops at the first
+slab holding a witness.  The tests hold the tables to the same operators on
+arbitrary constant vectors, written through the trilinear apply, and to the
+per-tuple residuals they replace, on every basis tuple.
 """
 
 from __future__ import annotations
@@ -47,12 +52,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .curvature import BilinearForm, Curvature4Tensor
-from .frames import Endomorphism, FrameManifold, FrameVector
+from .curvature import Curvature4Tensor
+from .frames import FrameManifold, FrameVector
 from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
+from .tables import Table, sum_table
 from .tanaka_webster import eta_einstein_fit
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
@@ -73,54 +79,76 @@ def concircular(
     computed from the instance's n."""
     coeff = Fraction(2 * m.n, 2 * m.n + 1)
     one, minus_coeff = m.one_scalar(), m.constant(-coeff)
-    slots = list(product(range(m.dim), repeat=3))
     z = Curvature4Tensor.from_products(
         m.dim,
         m.params,
         chain(
-            (((i, j, k, l), c, one) for i, j, k in slots for l, c in curv.sparse_vectors[i][j][k]),
-            (
-                ((i, j, k, l), c, minus_coeff)
-                for i, j, k in slots
-                for l, c in r1.sparse_vectors[i][j][k]
-            ),
+            (((i, j, k, l), c, one) for i, j, k, l, c in curv.nonzero),
+            (((i, j, k, l), c, minus_coeff) for i, j, k, l, c in r1.nonzero),
         ),
     )
     return ConcircularTensor(components=z.components, K=minus_coeff)
 
 
-def tensor_action(a: Endomorphism, t: Curvature4Tensor, j: int, k: int, l: int) -> FrameVector:
-    """(A.T)(E_j, E_k)E_l as one contraction per component p:
+def self_action_slabs(x) -> Callable[[int, int], Table]:
+    """(A.Z)(E_j, E_k)E_l with A = Z(xi, E_i), as the table of slab (i, j)
+    keyed (i, j, k, l, p):
 
-        sum_q A^p_q T_jkl^q - A^q_j T_qkl^p - A^q_k T_jql^p - A^q_l T_jkq^p,
+        sum_q A^p_q Z_jkl^q - A^q_j Z_qkl^p - A^q_k Z_jql^p - A^q_l Z_jkq^p,
 
-    walking only the nonzero entries of A and of T's vectors."""
-    cols, vec = a.sparse_columns, t.sparse_vectors
-    pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(a.dim)]
-    for q, t_q in vec[j][k][l]:
-        for p, a_pq in cols[q]:
-            pairs[p].append((a_pq, t_q))
-    for q, a_q in cols[j]:
-        for p, t_p in vec[q][k][l]:
-            pairs[p].append((-a_q, t_p))
-    for q, a_q in cols[k]:
-        for p, t_p in vec[j][q][l]:
-            pairs[p].append((-a_q, t_p))
-    for q, a_q in cols[l]:
-        for p, t_p in vec[j][k][q]:
-            pairs[p].append((-a_q, t_p))
-    params = t.components[0][0][0][0].params
-    return FrameVector(tuple(Scalar.sum_of_products(params, ps) for ps in pairs))
+    whose products pair the nonzero components of Z with the nonzero entries
+    of A in the matching column or row: the first, third and fourth terms read
+    the components Z_j..., the second those Z_q... with A^q_j nonzero."""
+    z, idx = x.z, range(x.m.dim)
+
+    # the slabs come in order of i, so each A's rows are built once
+    @lru_cache(maxsize=1)
+    def minus_rows(i: int) -> list[list[tuple[int, Scalar]]]:
+        """minus_rows(i)[q] holds (j, -A^q_j) for the nonzero entries of row q."""
+        rows: list[list[tuple[int, Scalar]]] = [[] for _ in idx]
+        for j, col in enumerate(x.z_xi[i].sparse_columns):
+            for q, a in col:
+                rows[q].append((j, -a))
+        return rows
+
+    def products(i: int, j: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
+        cols = x.z_xi[i].sparse_columns
+        if not any(cols):
+            return
+        minus = minus_rows(i)
+        for _, k, l, q, c in z.entries(j):
+            for p, a in cols[q]:
+                yield (i, j, k, l, p), a, c
+            for b, a in minus[k]:
+                yield (i, j, b, l, q), a, c
+            for b, a in minus[l]:
+                yield (i, j, k, b, q), a, c
+        for q, a in cols[j]:
+            minus_a = -a
+            for _, k, l, p, c in z.entries(q):
+                yield (i, j, k, l, p), minus_a, c
+
+    return lambda i, j: sum_table(x.m.params, products(i, j))
 
 
-def form_action(a: Endomorphism, w: BilinearForm, j: int, k: int) -> Scalar:
-    """(A.w)(E_j, E_k) = w(A E_j, E_k) + w(E_j, A E_k), both terms positive as
-    quoted, as one contraction over the nonzero entries of A."""
-    cols, wc = a.sparse_columns, w.components
-    return Scalar.sum_of_products(
-        wc[0][0].params,
-        chain(((a_q, wc[q][k]) for q, a_q in cols[j]), ((wc[j][q], a_q) for q, a_q in cols[k])),
-    )
+def ricci_action_slabs(x) -> Callable[[int], Table]:
+    """(A.w)(E_j, E_k) = w(A E_j, E_k) + w(E_j, A E_k) with A = Z(xi, E_i) and
+    w the ricci form, both terms positive as quoted, as the table of slab i
+    keyed (i, j, k): sum_q A^q_j w_qk + w_jq A^q_k over the nonzero entries of
+    A and of w."""
+    idx, w = range(x.m.dim), x.pkg.ricci.components
+    w_rows = [[(k, c) for k, c in enumerate(w[q]) if c.terms] for q in idx]
+    w_cols = [[(j, w[j][q]) for j in idx if w[j][q].terms] for q in idx]
+
+    def products(i: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
+        for j, col in enumerate(x.z_xi[i].sparse_columns):
+            for q, a in col:
+                for k, c in w_rows[q]:
+                    yield (i, j, k), a, c
+                for b, c in w_cols[q]:
+                    yield (i, b, j), c, a
+
+    return lambda i: sum_table(x.m.params, products(i))
 
 
 _FORM_CONVENTION_NOTE = (
@@ -149,11 +177,21 @@ def _xi_double_contraction(report, name, x):
 
 # quoted variant K phi^2 X, evaluated under the adopted phi^2 sign
 def _xi_double_contraction_phi_square(report, name, x):
-    z, phi2 = x.z, x.s.phi.square
-    z_xi_xi = x.xi_contraction((1, 2), ((z, x.m.one_scalar()),))
+    one, params, phi2 = x.m.one_scalar(), x.m.params, x.s.phi.square.sparse_columns
+    z_xi_xi, minus_k = x.xi_contraction((1, 2), ((x.z, one),)), -x.z.K
+
+    def slab(i: int) -> Table:
+        return sum_table(
+            params,
+            chain(
+                ((index, one, c) for index, c in z_xi_xi(i).items()),
+                (((i, p), minus_k, c) for p, c in phi2[i]),
+            ),
+        )
+
     report.reference(
         name,
-        x.scan(1, lambda i: z_xi_xi(i) - phi2.column(i).scale(z.K)),
+        x.table_scan(slab),
         "the K phi^2 X variant matches only under the opposite "
         "phi^2 sign convention; recorded as data",
     )
@@ -169,21 +207,31 @@ def _xi_argument(report, name, x):
     report.graded(name, x.r1_scan("z", x.z.K, xi_at=(1,)))
 
 
-# eta(Z(E_i, E_j)E_k) against K eta(R1) at the basis slots model(i, j, k)
-def _eta_witness(x, model) -> dict | None:
-    m, z, r1, eta = x.m, x.z, x.templates[0], x.s.eta
-    return x.scan(
-        3,
-        lambda i, j, k: m.inner(eta, z.vector(i, j, k))
-        - z.K * m.inner(eta, r1.vector(*model(i, j, k))),
-    )
+def eta_contraction_slabs(x, order: tuple[int, int, int]) -> Callable[[int], Table]:
+    """eta(Z(E_i, E_j)E_k) - K eta(R1(E_a, E_b)E_c), the R1 slots (a, b, c)
+    being placed so that (i, j, k) = (a, b, c) read in ``order``: (0, 1, 2)
+    compares R1(E_i, E_j)E_k, (1, 2, 0) compares R1(E_k, E_i)E_j.  The table
+    of slab i is keyed (i, j, k); its products are the nonzero components of Z
+    and R1 whose component index p has eta_p nonzero."""
+    z, r1, eta = x.z, x.templates[0], x.s.eta.components
+    minus_k_eta = [-(z.K * e) for e in eta]
+
+    def products(i: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
+        for _, j, k, p, c in z.entries(i):
+            if eta[p].terms:
+                yield (i, j, k), eta[p], c
+        for *abc, p, c in r1.entries(i, slot=order[0]):
+            if eta[p].terms:
+                yield tuple(abc[s] for s in order), minus_k_eta[p], c
+
+    return lambda i: sum_table(x.m.params, products(i))
 
 
 # eta(Z(X1, X2)X3) = K eta(R1(X1, X2)X3)
 def _eta_contraction(report, name, x):
     report.graded(
         name,
-        _eta_witness(x, lambda i, j, k: (i, j, k)),
+        x.table_scan(eta_contraction_slabs(x, (0, 1, 2)), False),
         notes=(
             "asserted form: eta(Z(X1,X2)X3) = K[eta(X1) g(X2,X3) - "
             "eta(X2) g(X1,X3)], the expansion forced by the definition and the "
@@ -197,7 +245,7 @@ def _eta_contraction(report, name, x):
 def _eta_contraction_reference(report, name, x):
     report.reference(
         name,
-        _eta_witness(x, lambda i, j, k: (k, i, j)),
+        x.table_scan(eta_contraction_slabs(x, (1, 2, 0)), False),
         "reference variant K[eta(X3) g(X1,X2) - eta(X1) g(X3,X2)] "
         "disagrees with the computed contraction; recorded as data",
     )
@@ -211,7 +259,7 @@ def _xi_flatness_obstruction(report, name, x):
     is structural, not accidental.
     """
     z = x.z
-    first_nonzero = x.scan(2, x.xi_contraction((2,), ((z, x.m.one_scalar()),)), key="value")
+    first_nonzero = x.table_scan(x.xi_contraction((2,), ((z, x.m.one_scalar()),)), key="value")
     bad = x.r1_scan("z", z.K, xi_at=(2,))
     if first_nonzero is not None and bad is None:
         report.holds(
@@ -279,8 +327,7 @@ def _phi_flatness(report, name, x):
 
 def _ricci_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X1).ricci)(X2, X3) cannot vanish identically."""
-    ric, z_xi = x.pkg.ricci, x.z_xi
-    first_nonzero = x.scan(3, lambda i, j, k: form_action(z_xi[i], ric, j, k), key="value")
+    first_nonzero = x.table_scan(lambda i: x.kept(ricci_action_slabs, i), False, key="value")
     if first_nonzero is not None:
         report.holds(
             name,
@@ -302,17 +349,24 @@ def _ricci_action_obstruction(report, name, x):
 # slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2); the
 # opposite sign is tried before declaring failure
 def _ricci_action_slice(report, name, x):
-    ric, z_xi, params = x.pkg.ricci, x.z_xi, x.m.params
-    xi = [(r, c) for r, c in enumerate(x.s.xi.components) if c.terms]
+    ric, xi, params = x.pkg.ricci.components, x.s.xi.components, x.m.params
 
-    # (Z(xi, E_i).ricci)(E_j, xi) = sum_r xi^r (Z(xi, E_i).ricci)(E_j, E_r)
-    def xi_slot(i: int, j: int) -> Scalar:
-        return Scalar.sum_of_products(params, ((c, form_action(z_xi[i], ric, j, r)) for r, c in xi))
-
+    # (Z(xi, E_i).ricci)(E_j, xi) + sign K ricci(E_i, E_j), the first term being
+    # sum_r xi^r (Z(xi, E_i).ricci)(E_j, E_r) over slab i of the action's table
     def slice_witness(sign: int) -> dict | None:
-        return x.scan(
-            2, lambda i, j: xi_slot(i, j) + (x.z.K * ric.components[i][j]).scale(sign)
-        )
+        k = x.z.K.scale(sign)
+
+        def slab(i: int) -> Table:
+            action = x.kept(ricci_action_slabs, i).items()
+            return sum_table(
+                params,
+                chain(
+                    (((i, j), xi[r], c) for (_, j, r), c in action if xi[r].terms),
+                    (((i, j), k, c) for j, c in enumerate(ric[i]) if c.terms),
+                ),
+            )
+
+        return x.table_scan(slab, False)
 
     matched_sign = "-K"
     witness = slice_witness(1)
@@ -334,10 +388,7 @@ def _ricci_action_slice(report, name, x):
 
 def _self_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
-    z, z_xi = x.z, x.z_xi
-    first_nonzero = x.scan(
-        4, lambda i, j, k, l: tensor_action(z_xi[i], z, j, k, l), key="value"
-    )
+    first_nonzero = x.table_scan(self_action_slabs(x), key="value", depth=2)
     if first_nonzero is not None:
         report.holds(
             name,

@@ -33,11 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
+from .tables import sum_table
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
     from .suite import Instance
@@ -151,11 +152,7 @@ class Curvature4Tensor:
     ) -> "Curvature4Tensor":
         """The tensor whose component (i, j, k, l) is the sum of a * b over the
         products ((i, j, k, l), a, b); one sum of products per component named."""
-        pairs: dict[tuple[int, ...], list[tuple[Scalar, Scalar]]] = {}
-        for index, a, b in products:
-            pairs.setdefault(index, []).append((a, b))
-        zero, idx = Scalar.zero(params), range(dim)
-        sums = {index: Scalar.sum_of_products(params, ab) for index, ab in pairs.items()}
+        sums, zero, idx = sum_table(params, products), Scalar.zero(params), range(dim)
         return Curvature4Tensor(
             tuple(
                 tuple(
@@ -185,6 +182,25 @@ class Curvature4Tensor:
             )
             for plane in self.components
         )
+
+    def entries(self, a: int, slot: int = 0) -> Iterator[tuple[int, int, int, int, Scalar]]:
+        """The nonzero components (i, j, k, l, R[i][j][k][l]) whose index in the
+        argument ``slot`` (0 or 1) is a."""
+        sv = self.sparse_vectors
+        if slot == 0:
+            return (
+                (a, j, k, l, c) for j, row in enumerate(sv[a]) for k, vec in enumerate(row)
+                for l, c in vec
+            )
+        return (
+            (i, a, k, l, c) for i, plane in enumerate(sv) for k, vec in enumerate(plane[a])
+            for l, c in vec
+        )
+
+    @cached_property
+    def nonzero(self) -> tuple[tuple[int, int, int, int, Scalar], ...]:
+        """Every nonzero component (i, j, k, l, R[i][j][k][l]), in index order."""
+        return tuple(e for a in range(self.dim) for e in self.entries(a))
 
     def lowered(self, i: int, j: int, k: int, l: int) -> Scalar:
         """R(E_i, E_j, E_k, E_l) = g(R(E_i,E_j)E_k, E_l); free on an orthonormal frame."""
@@ -341,14 +357,14 @@ def _h_covariant_derivative(report, name, x):
     m, h, phi, eta = x.m, x.h, x.s.phi, x.s.eta.components
     one_minus_kappa = m.one_scalar() - x.kappa
     dh = [x.lc.derivative_endo(m, i, h) for i in range(m.dim)]
-    h_phi = [h.apply(v) for v in phi.columns]
     tails = [h.apply(v) for v in x.phi_x_plus_hx]
+    # g(X, h phi Y) = g(hX, phi Y): h is symmetric on every input the gate admits
     report.graded(
         name,
         x.scan(
             2,
             lambda i, j: dh[i].column(j)
-            - x.s.xi.scale(one_minus_kappa * phi.matrix[i][j] + h_phi[j].components[i])
+            - x.s.xi.scale(one_minus_kappa * phi.matrix[i][j] + x.h_phi[i][j])
             - tails[i].scale(eta[j]),
         ),
     )
@@ -359,11 +375,7 @@ def _eta_covariant_derivative(report, name, x):
     m = x.m
     report.graded(
         name,
-        x.scan(
-            2,
-            lambda i, j: x.lc.derivative_covector(m, i, x.s.eta, j)
-            - m.inner(x.x_plus_hx[i], x.s.phi.column(j)),
-        ),
+        x.scan(2, lambda i, j: x.lc.derivative_covector(m, i, x.s.eta, j) - x.xh_phi[i][j]),
     )
 
 

@@ -13,7 +13,10 @@ Witnesses are plain JSON-ready dictionaries: indices are 1-based frame
 indices, scalar values are rendered through the canonical expression
 grammar, vectors through the frame-vector rendering ("-2/3*E2").  Every
 scan for a witness goes through ``first_witness``: the first index tuple,
-in the caller's order, whose residual is nonzero.
+in the caller's order, whose residual is nonzero.  A residual stated as a
+table of its nonzero values (``tables``) is scanned through it too, and a
+crosscheck reads such a table: a tuple absent from it agrees without being
+evaluated.
 
 A derived section is an ordered tuple of rows ``(name, build)``;
 ``grade_rows`` calls ``build(report, name, x)`` for each, which grades the
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -120,28 +123,29 @@ class VerificationReport:
         return self.not_applicable(name, witness=witness, notes=(note,))
 
     def crosscheck(
-        self, name: str, tuples: Iterable[tuple[int, ...]], residual: Callable, notes
+        self, name: str, tuples: Iterable[tuple[int, ...]], residuals: Mapping, notes
     ) -> Check:
-        """Record per index tuple whether ``residual`` vanishes.
+        """Record per index tuple whether its residual vanishes.
 
-        The witness maps each 1-based tuple ("1,2,3") to "agrees" or
-        "differs", plus the first nonzero residual and where it occurred.
-        The check holds when every tuple agrees and is not_applicable
-        otherwise: the verdict is data, not a pass condition.
+        ``residuals`` maps each tuple whose residual is nonzero to that
+        residual; a tuple absent from it vanishes.  The witness maps each
+        1-based tuple ("1,2,3") to "agrees" or "differs", plus the first
+        nonzero residual and where it occurred.  The check holds when every
+        tuple agrees and is not_applicable otherwise: the verdict is data, not
+        a pass condition.
         """
         witness: dict = {}
         first: dict | None = None
         for indices in tuples:
-            value = residual(*indices)
             key = ",".join(str(i + 1) for i in indices)
-            if value.is_zero():
+            if indices not in residuals:
                 witness[key] = "agrees"
                 continue
             witness[key] = "differs"
             if first is None:
                 first = {
                     "first_residual_at": [i + 1 for i in indices],
-                    "first_residual": str(value),
+                    "first_residual": str(residuals[indices]),
                 }
         if first is None:
             return self.holds(name, witness=witness, notes=notes)

@@ -32,6 +32,14 @@ derived section is a table of rows (``NKAPPA_ROWS``, ``GTW_ROWS``,
 ``CONC_ROWS``); the check catalogues, the gated entries and the report order
 all come from those tables.
 
+A row reads its residual either per basis tuple (``Instance.scan``) or, for
+the dim^3 and dim^4 residuals and the xi-slot contractions, from a table of
+the nonzero values built from the nonzero entries of its operands
+(``Instance.table_scan``, ``tables.sum_table``), one slab of leading indices
+at a time; both give the same first witness.  The tables that two rows read
+(the curvature closed form, the ricci action) are kept on the instance
+(``Instance.kept``).
+
 run_suite never raises on mathematical grounds: every outcome, including a
 broken input structure, is a report entry.
 """
@@ -42,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .concircular import CONC_ROWS, ConcircularTensor, concircular, verify_concircular_suite
 from .contact import (
@@ -66,6 +74,7 @@ from .curvature import (
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import VerificationReport, first_witness
 from .scalars import Scalar
+from .tables import Table, sum_table, table_witness, vectors
 from .tanaka_webster import (
     GTW_ROWS,
     GtwPackage,
@@ -102,25 +111,52 @@ class Instance:
     m: FrameManifold
     s: AlmostContactData
     _r1_witnesses: dict = field(default_factory=dict, init=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def scan(self, arity: int, residual: Callable, key: str = "residual") -> dict | None:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
         return first_witness(product(range(self.m.dim), repeat=arity), residual, key)
 
+    def table_scan(
+        self,
+        slab: Callable[..., Table],
+        vector: bool = True,
+        key: str = "residual",
+        depth: int = 1,
+    ) -> dict | None:
+        """The witness ``scan`` would give, read from tables of nonzero
+        residuals: ``slab(*lead)`` is the table of the tuples whose first
+        ``depth`` indices are ``lead``, built only while no earlier slab holds a
+        witness.  A vector residual puts its component last in the index."""
+        dim, params = self.m.dim, self.m.params
+        slabs = (slab(*lead) for lead in product(range(dim), repeat=depth))
+        if vector:
+            slabs = (vectors(table, dim, params) for table in slabs)
+        return table_witness(slabs, key)
+
+    def kept(self, slabs: Callable[["Instance"], Callable[[int], Table]], a: int) -> Table:
+        """Slab a of the residual ``slabs(self)``, built once: for a table that
+        two rows read (the curvature closed form, the ricci action)."""
+        key = (slabs, a)
+        if key not in self._kept:
+            self._kept[key] = slabs(self)(a)
+        return self._kept[key]
+
     def xi_scan(
         self, xi_at: tuple[int, ...], terms: tuple[tuple[Curvature4Tensor, Scalar], ...]
     ) -> dict | None:
-        """``scan`` of ``xi_contraction(xi_at, terms)`` over the frame indices of
-        the slots without xi: xi_at=(2,) runs (E_i, E_j, xi)."""
-        return self.scan(3 - len(xi_at), self.xi_contraction(xi_at, terms))
+        """``table_scan`` of ``xi_contraction(xi_at, terms)``: xi_at=(2,) runs
+        (E_i, E_j, xi)."""
+        return self.table_scan(self.xi_contraction(xi_at, terms))
 
     def xi_contraction(
         self, xi_at: tuple[int, ...], terms: tuple[tuple[Curvature4Tensor, Scalar], ...]
-    ) -> Callable[..., FrameVector]:
+    ) -> Callable[[int], Table]:
         """The sum of c T(X, Y, Z) over the terms (T, c), with xi in the argument
-        slots ``xi_at`` and E_i, E_j, ... in the others, as a function of those
-        frame indices.  Each component is one sum of products over the nonzero
-        entries of xi and of the tensors' vectors."""
+        slots ``xi_at`` and E_i, E_j, ... in the others, as tables keyed by those
+        frame indices and the component: ``xi_contraction(xi_at, terms)(a)`` is
+        the slab whose first frame index is a.  Its products are the nonzero
+        entries of the tensors' vectors, weighted by c times xi's entries."""
         dim, params = self.m.dim, self.m.params
         xi = [(r, c) for r, c in enumerate(self.s.xi.components) if c.terms]
         # every filling of the xi slots from xi's nonzero entries, weighted by
@@ -132,17 +168,17 @@ class Instance:
                 for _, xi_r in fill:
                     weight = weight * xi_r
                 weighted.append((t.sparse_vectors, [r for r, _ in fill], weight))
+        rest = list(product(range(dim), repeat=2 - len(xi_at)))
 
-        def at(*indices: int) -> FrameVector:
-            pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(dim)]
-            for vectors, fill, weight in weighted:
-                frame, filled = iter(indices), iter(fill)
-                i, j, k = (next(filled if slot in xi_at else frame) for slot in range(3))
-                for p, v in vectors[i][j][k]:
-                    pairs[p].append((weight, v))
-            return FrameVector(tuple(Scalar.sum_of_products(params, ab) for ab in pairs))
+        def products(a: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
+            for sv, fill, weight in weighted:
+                for indices in ((a,) + r for r in rest):
+                    frame, filled = iter(indices), iter(fill)
+                    i, j, k = (next(filled if slot in xi_at else frame) for slot in range(3))
+                    for p, v in sv[i][j][k]:
+                        yield indices + (p,), weight, v
 
-        return at
+        return lambda a: sum_table(params, products(a))
 
     def r1_scan(self, layer: str, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
         """``xi_scan`` of T - c R1, T being the layer named ``layer`` ("r" or
@@ -210,6 +246,32 @@ class Instance:
         return self.s.phi.compose(self.h)
 
     @cached_property
+    def h_phi(self) -> tuple[tuple[Scalar, ...], ...]:
+        """g(hE_i, phi E_j) for every pair of frame indices: sum_q h^q_i phi^q_j,
+        one sum of products per nonzero entry over the nonzero entries of h."""
+        idx, zero, phi = range(self.m.dim), self.m.zero_scalar(), self.s.phi.matrix
+        table = sum_table(
+            self.m.params,
+            (
+                ((i, j), h_qi, phi_qj)
+                for i, col in enumerate(self.h.sparse_columns)
+                for q, h_qi in col
+                for j, phi_qj in enumerate(phi[q])
+                if phi_qj.terms
+            ),
+        )
+        return tuple(tuple(table.get((i, j), zero) for j in idx) for i in idx)
+
+    @cached_property
+    def xh_phi(self) -> tuple[tuple[Scalar, ...], ...]:
+        """g(E_i + hE_i, phi E_j) = phi^i_j + g(hE_i, phi E_j) for every pair of
+        frame indices."""
+        phi = self.s.phi.matrix
+        return tuple(
+            tuple(phi[i][j] + c for j, c in enumerate(row)) for i, row in enumerate(self.h_phi)
+        )
+
+    @cached_property
     def phi_x_plus_hx(self) -> tuple[FrameVector, ...]:
         """phi E_i + phi h E_i for every frame index."""
         return tuple(p + ph for p, ph in zip(self.s.phi.columns, self.phi_h.columns))
@@ -263,7 +325,7 @@ class Instance:
 
     @cached_property
     def pkg(self) -> GtwPackage:
-        return build_gtw_package(self.m, self.s, self.lc, self.h, self.phi_h)
+        return build_gtw_package(self.m, self.s, self.lc, self.xh_phi, self.phi_h)
 
     @cached_property
     def dphi_gtw(self) -> tuple[Endomorphism, ...]:
@@ -276,38 +338,6 @@ class Instance:
         return tuple(conn.derivative_endo(self.m, i, self.h) for i in range(self.m.dim))
 
     @cached_property
-    def curvature_defect(self) -> tuple[tuple[tuple[FrameVector, ...], ...], ...]:
-        """R(E_i, E_j)E_k of the torsionful connection minus every term of its
-        closed form but the final bracket: the Levi-Civita curvature, the
-        nullity term kappa R3 and the mixed terms
-        g(E_i + hE_i, phi E_k)(phi + phi h)E_j - g(E_j + hE_j, phi E_k)(phi + phi h)E_i.
-        One sum of products per component, over the nonzero entries."""
-        m, idx = self.m, range(self.m.dim)
-        one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -self.kappa
-        curv, r = self.pkg.curv.sparse_vectors, self.r.sparse_vectors
-        r3 = self.templates[2].sparse_vectors
-        v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in self.phi_x_plus_hx]
-        # xh_phi[a][k] = g(E_a + hE_a, phi E_k)
-        xh_phi = [[m.inner(xh, phi) for phi in self.s.phi.columns] for xh in self.x_plus_hx]
-        minus_xh_phi = [[-c for c in row] for row in xh_phi]
-
-        def defect(i: int, j: int, k: int) -> FrameVector:
-            pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in idx]
-            for p, c in curv[i][j][k]:
-                pairs[p].append((c, one))
-            for p, c in r[i][j][k]:
-                pairs[p].append((c, minus_one))
-            for p, c in r3[i][j][k]:
-                pairs[p].append((c, minus_kappa))
-            for p, c in v[j]:
-                pairs[p].append((minus_xh_phi[i][k], c))
-            for p, c in v[i]:
-                pairs[p].append((xh_phi[j][k], c))
-            return FrameVector(tuple(Scalar.sum_of_products(m.params, ab) for ab in pairs))
-
-        return tuple(tuple(tuple(defect(i, j, k) for k in idx) for j in idx) for i in idx)
-
-    @cached_property
     def z(self) -> ConcircularTensor:
         return concircular(self.m, self.pkg.curv, self.templates[0])
 
@@ -315,10 +345,15 @@ class Instance:
     def z_xi(self) -> tuple[Endomorphism, ...]:
         """Z(xi, E_i) for every frame index: the endomorphisms whose actions on
         the ricci form and on Z the concircular obstructions grade; column k of
-        Z(xi, E_i) is the component contraction Z(xi, E_i)E_k."""
-        idx = range(self.m.dim)
-        at = self.xi_contraction((0,), ((self.z, self.m.one_scalar()),))
-        return tuple(Endomorphism.from_columns([at(i, k) for k in idx]) for i in idx)
+        Z(xi, E_i) is Z(xi, E_i)E_k, read from slab i of the table
+        ``xi_contraction((0,), ((Z, 1),))``."""
+        idx, zero = range(self.m.dim), self.m.zero_scalar()
+        slab = self.xi_contraction((0,), ((self.z, self.m.one_scalar()),))
+        tables = [slab(i) for i in idx]
+        return tuple(
+            Endomorphism(tuple(tuple(t.get((i, k, p), zero) for k in idx) for p in idx))
+            for i, t in enumerate(tables)
+        )
 
 
 def classify(

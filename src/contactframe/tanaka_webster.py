@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .contact import AlmostContactData
 from .curvature import (
@@ -59,6 +59,7 @@ from .frames import Endomorphism, FrameManifold, FrameVector
 from .linear import LinearSolution, solve_linear
 from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
+from .tables import Table, sum_table, vectors
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
     from .suite import Instance
@@ -90,18 +91,22 @@ class GssfCoefficients:
 
 
 def gtw_connection(
-    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism, phi_h: Endomorphism
+    m: FrameManifold,
+    s: AlmostContactData,
+    lc: Connection,
+    xh_phi: tuple[tuple[Scalar, ...], ...],
+    phi_h: Endomorphism,
 ) -> Connection:
     """The Levi-Civita connection displaced by
     A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X), with
-    phi_h = phi h; on the frame g(E_i + hE_i, phi E_j) = phi_ij + g(hE_i, phi E_j)
-    and eta(E_i) is eta's component i.  Verifies metric parallelism on construction."""
+    xh_phi[i][j] = g(E_i + hE_i, phi E_j) and phi_h = phi h; on the frame
+    eta(E_i) is eta's component i.  Verifies metric parallelism on construction."""
     idx, phi, eta = range(m.dim), s.phi, s.eta.components
 
     def displaced(i: int, j: int) -> FrameVector:
         return (
             lc.derivative_basis(i, j)
-            + s.xi.scale(phi.matrix[i][j] + m.inner(h.column(i), phi.column(j)))
+            + s.xi.scale(xh_phi[i][j])
             + phi.column(j).scale(eta[i])
             + (phi_h.column(i) + phi.column(i)).scale(eta[j])
         )
@@ -131,9 +136,13 @@ def gtw_torsion(m: FrameManifold, conn: Connection) -> tuple[tuple[FrameVector, 
 
 
 def build_gtw_package(
-    m: FrameManifold, s: AlmostContactData, lc: Connection, h: Endomorphism, phi_h: Endomorphism
+    m: FrameManifold,
+    s: AlmostContactData,
+    lc: Connection,
+    xh_phi: tuple[tuple[Scalar, ...], ...],
+    phi_h: Endomorphism,
 ) -> GtwPackage:
-    conn = gtw_connection(m, s, lc, h, phi_h)
+    conn = gtw_connection(m, s, lc, xh_phi, phi_h)
     curv = riemann(m, conn)
     ric = ricci(m, curv)
     return GtwPackage(
@@ -200,16 +209,14 @@ def _h_derivative_relation(report, name, x):
 
 # reference variant: [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi + eta(X) phi(Y + hY)
 def _h_derivative_relation_reference(report, name, x):
-    m, phi, eta = x.m, x.s.phi, x.s.eta.components
-    kappa_minus_1 = x.kappa - m.one_scalar()
+    phi, eta = x.s.phi, x.s.eta.components
+    kappa_minus_1 = x.kappa - x.m.one_scalar()
     report.reference(
         name,
         x.scan(
             2,
             lambda i, j: x.dh_gtw[i].column(j)
-            - x.s.xi.scale(
-                kappa_minus_1 * phi.matrix[j][i] + m.inner(x.h.column(i), phi.column(j))
-            )
+            - x.s.xi.scale(kappa_minus_1 * phi.matrix[j][i] + x.h_phi[i][j])
             - x.phi_x_plus_hx[j].scale(eta[i]),
         ),
         "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
@@ -229,11 +236,11 @@ def _torsion_nonzero(report, name, x):
 
 # T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
 def _torsion_witness(x, v: tuple[FrameVector, ...]) -> dict | None:
-    m, phi, eta, x_plus_hx = x.m, x.s.phi.columns, x.s.eta.components, x.x_plus_hx
+    eta, xh_phi = x.s.eta.components, x.xh_phi
     return x.scan(
         2,
         lambda i, j: x.pkg.torsion[i][j]
-        - x.s.xi.scale(m.inner(x_plus_hx[i], phi[j]) - m.inner(x_plus_hx[j], phi[i]))
+        - x.s.xi.scale(xh_phi[i][j] - xh_phi[j][i])
         - v[i].scale(eta[j])
         + v[j].scale(eta[i]),
     )
@@ -260,14 +267,26 @@ def _torsion_closed_form_reference(report, name, x):
 
 
 # -- curvature antisymmetries and xi-degeneracies ------------------------------
+# R(E_i, E_j, E_k, E_l) plus the same component with its first (last) pair
+# swapped, for the leading index i: the products are the nonzero components
+# whose first or second index (first index) is i
+def pair_antisymmetry_table(x, i: int, pair: str) -> Table:
+    curv, one = x.pkg.curv, x.m.one_scalar()
+    if pair == "first":
+        swapped = (((i, a, k, l), c, one) for a, _, k, l, c in curv.entries(i, slot=1))
+    else:
+        swapped = (((i, j, l, k), c, one) for _, j, k, l, c in curv.entries(i))
+    return sum_table(
+        x.m.params, chain((((i, j, k, l), c, one) for _, j, k, l, c in curv.entries(i)), swapped)
+    )
+
+
 def _first_pair_antisymmetry(report, name, x):
-    low = x.pkg.curv.lowered
-    report.graded(name, x.scan(4, lambda i, j, k, l: low(i, j, k, l) + low(j, i, k, l)))
+    report.graded(name, x.table_scan(lambda i: pair_antisymmetry_table(x, i, "first"), False))
 
 
 def _last_pair_antisymmetry(report, name, x):
-    low = x.pkg.curv.lowered
-    report.graded(name, x.scan(4, lambda i, j, k, l: low(i, j, k, l) + low(i, j, l, k)))
+    report.graded(name, x.table_scan(lambda i: pair_antisymmetry_table(x, i, "last"), False))
 
 
 def _curvature_xi_pair(report, name, x):
@@ -283,24 +302,50 @@ def _curvature_xi_double(report, name, x):
 
 
 # -- closed form for the curvature ---------------------------------------------
-# R(X1, X2)X3 minus the closed form whose final bracket has sign last_sign;
-# every other term of the closed form is in x.curvature_defect
-def _closed_form_residual(x, last_sign: int):
-    v, phi = x.phi_x_plus_hx, x.s.phi.columns
+def closed_form_slabs(x) -> Callable[[int], Table]:
+    """R(E_i, E_j)E_k minus its asserted closed form, as the table of slab i
+    keyed (i, j, k, p):
 
-    # the bracket is g(X1, phi X2 + phi h X2) + last_sign g(X2, phi X1 + phi h X1)
-    def residual(i: int, j: int, k: int) -> FrameVector:
-        defect = x.curvature_defect[i][j][k]
-        bracket = v[j].components[i] + v[i].components[j].scale(last_sign)
-        return defect - phi[k].scale(bracket) if bracket.terms else defect
+        curv_ijk^p - R_ijk^p - kappa R3_ijk^p
+        - g(E_i + hE_i, phi E_k) v_j^p + g(E_j + hE_j, phi E_k) v_i^p
+        - [v_j^i - v_i^j] phi_k^p,
 
-    return residual
+    v_a = phi E_a + phi h E_a and R the Levi-Civita curvature; the products
+    are the nonzero entries of each term.  The closed form's row and the
+    reference variant's crosscheck share each slab (``Instance.kept``)."""
+    m, idx = x.m, range(x.m.dim)
+    one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -x.kappa
+    tensors = ((x.pkg.curv, one), (x.r, minus_one), (x.templates[2], minus_kappa))
+    v = [w.components for w in x.phi_x_plus_hx]
+    v_nz = [[(p, c) for p, c in enumerate(w) if c.terms] for w in v]
+    minus_v_nz = [[(p, -c) for p, c in w] for w in v_nz]
+    xh_phi, phi_cols = x.xh_phi, x.s.phi.sparse_columns
+
+    def products(i: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
+        for t, c in tensors:
+            for _, j, k, p, value in t.entries(i):
+                yield (i, j, k, p), c, value
+        for j in idx:
+            for k in idx:
+                if xh_phi[i][k].terms:
+                    for p, c in minus_v_nz[j]:
+                        yield (i, j, k, p), xh_phi[i][k], c
+                if xh_phi[j][k].terms:
+                    for p, c in v_nz[i]:
+                        yield (i, j, k, p), xh_phi[j][k], c
+            minus_bracket = v[i][j] - v[j][i]
+            if minus_bracket.terms:
+                for k in idx:
+                    for p, c in phi_cols[k]:
+                        yield (i, j, k, p), minus_bracket, c
+
+    return lambda i: sum_table(m.params, products(i))
 
 
 def _curvature_closed_form(report, name, x):
     report.graded(
         name,
-        x.scan(3, _closed_form_residual(x, -1)),
+        x.table_scan(lambda i: x.kept(closed_form_slabs, i)),
         notes=(
             "asserted form carries [g(X1, phi X2 + phi h X2) - g(X2, phi X1 + "
             "phi h X1)] phi X3 as its final bracket (a difference; equals "
@@ -309,11 +354,33 @@ def _curvature_closed_form(report, name, x):
     )
 
 
+# the reference variant's bracket is the sum v_j^i + v_i^j, so its residual is
+# the asserted form's minus 2 v_i^j phi_k^p
 def _curvature_closed_form_crosscheck(report, name, x):
+    m, idx = x.m, range(x.m.dim)
+    one, phi_cols = m.one_scalar(), x.s.phi.sparse_columns
+    minus_two_v = [
+        (i, j, c.scale(-2))
+        for i, w in enumerate(x.phi_x_plus_hx)
+        for j, c in enumerate(w.components)
+        if c.terms
+    ]
+    table = sum_table(
+        m.params,
+        chain(
+            ((index, one, c) for i in idx for index, c in x.kept(closed_form_slabs, i).items()),
+            (
+                ((i, j, k, p), a, c)
+                for i, j, a in minus_two_v
+                for k in idx
+                for p, c in phi_cols[k]
+            ),
+        ),
+    )
     report.crosscheck(
         name,
-        product(range(x.m.dim), repeat=3),
-        _closed_form_residual(x, +1),
+        product(idx, repeat=3),
+        vectors(table, m.dim, m.params),
         notes=(
             "reference variant with a sum in the final bracket, re-evaluated per "
             "basis triple; the verdict is data, not a pass condition",
@@ -321,41 +388,44 @@ def _curvature_closed_form_crosscheck(report, name, x):
     )
 
 
-# 2 phi_ab and -2 phi_ab, with phi_ab = g(phi E_a, E_b), and phi_h[a][b] = g(phi h E_a, E_b):
-# the entries the crosschecks' quoted h-expressions read
-def _phi_tables(x):
-    phi = [v.components for v in x.s.phi.columns]
-    two_phi = [[c.scale(2) for c in row] for row in phi]
-    minus_two_phi = [[c.scale(-2) for c in row] for row in phi]
-    return two_phi, minus_two_phi, [v.components for v in x.phi_h.columns]
+# the nonzero entries (a, b, value) of 2 phi_ab and -2 phi_ab, with phi_ab =
+# g(phi E_a, E_b), and of phi_h[a][b] = g(phi h E_a, E_b): the entries the
+# crosschecks' quoted h-expressions read
+def _phi_entries(x):
+    phi = [(a, b, c) for a, col in enumerate(x.s.phi.sparse_columns) for b, c in col]
+    phi_h = [(a, b, c) for a, col in enumerate(x.phi_h.sparse_columns) for b, c in col]
+    two = [(a, b, c.scale(2)) for a, b, c in phi]
+    minus_two = [(a, b, c.scale(-2)) for a, b, c in phi]
+    return two, minus_two, phi_h
+
+
+def pair_interchange_table(x) -> Table:
+    """R(i,j,k,l) + R(k,l,i,j) + 2[phi_il g(hE_j, phiE_k) - phi_kj phih_il
+    - g(hE_i, phiE_k) phi_lj + phi_ki phih_jl - phih_lk phi_ij], over the
+    nonzero components of R and the nonzero entries of phi, phi h and h_phi."""
+    one = x.m.one_scalar()
+    two_phi, minus_two_phi, phi_h = _phi_entries(x)
+    h_phi = [(a, b, c) for a, row in enumerate(x.h_phi) for b, c in enumerate(row) if c.terms]
+    curv = x.pkg.curv.nonzero
+    return sum_table(
+        x.m.params,
+        chain(
+            (((i, j, k, l), c, one) for i, j, k, l, c in curv),
+            (((i, j, k, l), c, one) for k, l, i, j, c in curv),
+            (((i, j, k, l), a, b) for i, l, a in two_phi for j, k, b in h_phi),
+            (((i, j, k, l), a, b) for k, j, a in minus_two_phi for i, l, b in phi_h),
+            (((i, j, k, l), b, a) for l, j, a in minus_two_phi for i, k, b in h_phi),
+            (((i, j, k, l), a, b) for k, i, a in two_phi for j, l, b in phi_h),
+            (((i, j, k, l), b, a) for i, j, a in minus_two_phi for l, k, b in phi_h),
+        ),
+    )
 
 
 def _pair_interchange_crosscheck(report, name, x):
-    m, low, one = x.m, x.pkg.curv.lowered, x.m.one_scalar()
-    two_phi, minus_two_phi, phi_h = _phi_tables(x)
-    # h_phi[a][b] = g(h E_a, phi E_b)
-    h_phi = [[m.inner(h, phi) for phi in x.s.phi.columns] for h in x.h.columns]
-
-    # R(i,j,k,l) + R(k,l,i,j) + 2[phi_il g(hE_j, phiE_k) - phi_kj phih_il
-    #  - g(hE_i, phiE_k) phi_lj + phi_ki phih_jl - phih_lk phi_ij]
-    def residual(i: int, j: int, k: int, l: int) -> Scalar:
-        return Scalar.sum_of_products(
-            m.params,
-            (
-                (low(i, j, k, l), one),
-                (low(k, l, i, j), one),
-                (two_phi[i][l], h_phi[j][k]),
-                (minus_two_phi[k][j], phi_h[i][l]),
-                (h_phi[i][k], minus_two_phi[l][j]),
-                (two_phi[k][i], phi_h[j][l]),
-                (phi_h[l][k], minus_two_phi[i][j]),
-            ),
-        )
-
     report.crosscheck(
         name,
-        product(range(m.dim), repeat=4),
-        residual,
+        product(range(x.m.dim), repeat=4),
+        pair_interchange_table(x),
         notes=(
             "defect of interchanging the argument pairs, compared against the "
             "quoted five-term h-expression per basis tuple; the verdict is data",
@@ -363,34 +433,33 @@ def _pair_interchange_crosscheck(report, name, x):
     )
 
 
+def cyclic_sum_table(x) -> Table:
+    """Component p of R(i,j)k + R(j,k)i + R(k,i)j - 2[phih_k phi_ij
+    - phih_j phi_ik + phih_i phi_jk], over the nonzero components of R and the
+    nonzero entries of phi and phi h."""
+    one, idx = x.m.one_scalar(), range(x.m.dim)
+    two_phi, minus_two_phi, _ = _phi_entries(x)
+    phi_h = x.phi_h.sparse_columns
+    curv = x.pkg.curv.nonzero
+    return sum_table(
+        x.m.params,
+        chain(
+            (((i, j, k, p), c, one) for i, j, k, p, c in curv),
+            (((i, j, k, p), c, one) for j, k, i, p, c in curv),
+            (((i, j, k, p), c, one) for k, i, j, p, c in curv),
+            (((i, j, k, p), a, b) for i, j, a in minus_two_phi for k in idx for p, b in phi_h[k]),
+            (((i, j, k, p), a, b) for i, k, a in two_phi for j in idx for p, b in phi_h[j]),
+            (((i, j, k, p), a, b) for j, k, a in minus_two_phi for i in idx for p, b in phi_h[i]),
+        ),
+    )
+
+
 # first Bianchi identity against the quoted h-expression
 def _cyclic_sum_crosscheck(report, name, x):
-    m, curv, one = x.m, x.pkg.curv.components, x.m.one_scalar()
-    two_phi, minus_two_phi, phi_h = _phi_tables(x)
-
-    # component p of R(i,j)k + R(j,k)i + R(k,i)j - 2[phih_k phi_ij - phih_j phi_ik + phih_i phi_jk]
-    def residual(i: int, j: int, k: int) -> FrameVector:
-        return FrameVector(
-            tuple(
-                Scalar.sum_of_products(
-                    m.params,
-                    (
-                        (curv[i][j][k][p], one),
-                        (curv[j][k][i][p], one),
-                        (curv[k][i][j][p], one),
-                        (phi_h[k][p], minus_two_phi[i][j]),
-                        (phi_h[j][p], two_phi[i][k]),
-                        (phi_h[i][p], minus_two_phi[j][k]),
-                    ),
-                )
-                for p in range(m.dim)
-            )
-        )
-
     report.crosscheck(
         name,
-        product(range(m.dim), repeat=3),
-        residual,
+        product(range(x.m.dim), repeat=3),
+        vectors(cyclic_sum_table(x), x.m.dim, x.m.params),
         notes=(
             "cyclic sum of the curvature against the quoted h-expression; on this "
             "family both sides may vanish identically even though xi is not Killing",

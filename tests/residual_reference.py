@@ -1,0 +1,210 @@
+"""Per-tuple residuals of the rows that the engine grades from tables of
+nonzero entries: each is a function of the basis indices, evaluated one tuple
+at a time with one sum of products per component, as the rows computed them
+before they became tables.  ``tests/test_residual_tables.py`` holds every
+table, witness and crosscheck to them."""
+
+from __future__ import annotations
+
+from itertools import product
+
+from contactframe import Endomorphism, FrameVector, Instance, Scalar
+
+
+def xi_contraction(x: Instance, xi_at: tuple[int, ...], terms):
+    """The sum of c T(X, Y, Z) over the terms (T, c), with xi in the argument
+    slots ``xi_at`` and E_i, E_j, ... in the others, as a function of those
+    frame indices."""
+    dim, params = x.m.dim, x.m.params
+    xi = [(r, c) for r, c in enumerate(x.s.xi.components) if c.terms]
+    weighted = []
+    for t, c in terms:
+        for fill in product(xi, repeat=len(xi_at)):
+            weight = c
+            for _, xi_r in fill:
+                weight = weight * xi_r
+            weighted.append((t.sparse_vectors, [r for r, _ in fill], weight))
+
+    def at(*indices: int) -> FrameVector:
+        pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(dim)]
+        for vectors, fill, weight in weighted:
+            frame, filled = iter(indices), iter(fill)
+            i, j, k = (next(filled if slot in xi_at else frame) for slot in range(3))
+            for p, v in vectors[i][j][k]:
+                pairs[p].append((weight, v))
+        return FrameVector(tuple(Scalar.sum_of_products(params, ab) for ab in pairs))
+
+    return at
+
+
+def z_xi(x: Instance) -> tuple[Endomorphism, ...]:
+    """Z(xi, E_i) for every frame index, column k being Z(xi, E_i)E_k."""
+    idx = range(x.m.dim)
+    at = xi_contraction(x, (0,), ((x.z, x.m.one_scalar()),))
+    return tuple(Endomorphism.from_columns([at(i, k) for k in idx]) for i in idx)
+
+
+def tensor_action(a: Endomorphism, t, j: int, k: int, l: int) -> FrameVector:
+    """sum_q A^p_q T_jkl^q - A^q_j T_qkl^p - A^q_k T_jql^p - A^q_l T_jkq^p."""
+    cols, vec = a.sparse_columns, t.sparse_vectors
+    pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(a.dim)]
+    for q, t_q in vec[j][k][l]:
+        for p, a_pq in cols[q]:
+            pairs[p].append((a_pq, t_q))
+    for q, a_q in cols[j]:
+        for p, t_p in vec[q][k][l]:
+            pairs[p].append((-a_q, t_p))
+    for q, a_q in cols[k]:
+        for p, t_p in vec[j][q][l]:
+            pairs[p].append((-a_q, t_p))
+    for q, a_q in cols[l]:
+        for p, t_p in vec[j][k][q]:
+            pairs[p].append((-a_q, t_p))
+    params = t.components[0][0][0][0].params
+    return FrameVector(tuple(Scalar.sum_of_products(params, ps) for ps in pairs))
+
+
+def form_action(a: Endomorphism, w, j: int, k: int) -> Scalar:
+    """(A.w)(E_j, E_k) = w(A E_j, E_k) + w(E_j, A E_k)."""
+    cols, wc = a.sparse_columns, w.components
+    return Scalar.sum_of_products(
+        wc[0][0].params,
+        [(a_q, wc[q][k]) for q, a_q in cols[j]] + [(wc[j][q], a_q) for q, a_q in cols[k]],
+    )
+
+
+def curvature_defect(x: Instance):
+    """R(E_i, E_j)E_k of the torsionful connection minus every term of its
+    closed form but the final bracket, as a function of (i, j, k)."""
+    m = x.m
+    one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -x.kappa
+    curv, r = x.pkg.curv.sparse_vectors, x.r.sparse_vectors
+    r3 = x.templates[2].sparse_vectors
+    v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in x.phi_x_plus_hx]
+    xh_phi = [[m.inner(xh, phi) for phi in x.s.phi.columns] for xh in x.x_plus_hx]
+
+    def defect(i: int, j: int, k: int) -> FrameVector:
+        pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(m.dim)]
+        for p, c in curv[i][j][k]:
+            pairs[p].append((c, one))
+        for p, c in r[i][j][k]:
+            pairs[p].append((c, minus_one))
+        for p, c in r3[i][j][k]:
+            pairs[p].append((c, minus_kappa))
+        for p, c in v[j]:
+            pairs[p].append((-xh_phi[i][k], c))
+        for p, c in v[i]:
+            pairs[p].append((xh_phi[j][k], c))
+        return FrameVector(tuple(Scalar.sum_of_products(m.params, ab) for ab in pairs))
+
+    return defect
+
+
+def closed_form(x: Instance, last_sign: int):
+    """R(X1, X2)X3 minus the closed form whose final bracket is
+    g(X1, phi X2 + phi h X2) + last_sign g(X2, phi X1 + phi h X1)."""
+    v, phi, defect = x.phi_x_plus_hx, x.s.phi.columns, curvature_defect(x)
+
+    def residual(i: int, j: int, k: int) -> FrameVector:
+        bracket = v[j].components[i] + v[i].components[j].scale(last_sign)
+        return defect(i, j, k) - phi[k].scale(bracket)
+
+    return residual
+
+
+def _phi_tables(x: Instance):
+    phi = [v.components for v in x.s.phi.columns]
+    two_phi = [[c.scale(2) for c in row] for row in phi]
+    minus_two_phi = [[c.scale(-2) for c in row] for row in phi]
+    return two_phi, minus_two_phi, [v.components for v in x.phi_h.columns]
+
+
+def pair_interchange(x: Instance):
+    m, low, one = x.m, x.pkg.curv.lowered, x.m.one_scalar()
+    two_phi, minus_two_phi, phi_h = _phi_tables(x)
+    h_phi = [[m.inner(h, phi) for phi in x.s.phi.columns] for h in x.h.columns]
+
+    def residual(i: int, j: int, k: int, l: int) -> Scalar:
+        return Scalar.sum_of_products(
+            m.params,
+            (
+                (low(i, j, k, l), one),
+                (low(k, l, i, j), one),
+                (two_phi[i][l], h_phi[j][k]),
+                (minus_two_phi[k][j], phi_h[i][l]),
+                (h_phi[i][k], minus_two_phi[l][j]),
+                (two_phi[k][i], phi_h[j][l]),
+                (phi_h[l][k], minus_two_phi[i][j]),
+            ),
+        )
+
+    return residual
+
+
+def cyclic_sum(x: Instance):
+    m, curv, one = x.m, x.pkg.curv.components, x.m.one_scalar()
+    two_phi, minus_two_phi, phi_h = _phi_tables(x)
+
+    def residual(i: int, j: int, k: int) -> FrameVector:
+        return FrameVector(
+            tuple(
+                Scalar.sum_of_products(
+                    m.params,
+                    (
+                        (curv[i][j][k][p], one),
+                        (curv[j][k][i][p], one),
+                        (curv[k][i][j][p], one),
+                        (phi_h[k][p], minus_two_phi[i][j]),
+                        (phi_h[j][p], two_phi[i][k]),
+                        (phi_h[i][p], minus_two_phi[j][k]),
+                    ),
+                )
+                for p in range(m.dim)
+            )
+        )
+
+    return residual
+
+
+def first_pair_antisymmetry(x: Instance):
+    low = x.pkg.curv.lowered
+    return lambda i, j, k, l: low(i, j, k, l) + low(j, i, k, l)
+
+
+def last_pair_antisymmetry(x: Instance):
+    low = x.pkg.curv.lowered
+    return lambda i, j, k, l: low(i, j, k, l) + low(i, j, l, k)
+
+
+def eta_contraction(x: Instance, model):
+    """eta(Z(E_i, E_j)E_k) - K eta(R1 at the slots model(i, j, k))."""
+    m, z, r1, eta = x.m, x.z, x.templates[0], x.s.eta
+    return lambda i, j, k: m.inner(eta, z.vector(i, j, k)) - z.K * m.inner(
+        eta, r1.vector(*model(i, j, k))
+    )
+
+
+def phi_square_variant(x: Instance):
+    """Z(E_i, xi)xi - K phi^2 E_i."""
+    z, phi2 = x.z, x.s.phi.square
+    z_xi_xi = xi_contraction(x, (1, 2), ((z, x.m.one_scalar()),))
+    return lambda i: z_xi_xi(i) - phi2.column(i).scale(z.K)
+
+
+def ricci_action(x: Instance):
+    a, ric = z_xi(x), x.pkg.ricci
+    return lambda i, j, k: form_action(a[i], ric, j, k)
+
+
+def ricci_action_slice(x: Instance, sign: int):
+    """(Z(xi, E_i).ricci)(E_j, xi) + sign K ricci(E_i, E_j)."""
+    a, ric, params = z_xi(x), x.pkg.ricci, x.m.params
+    xi = [(r, c) for r, c in enumerate(x.s.xi.components) if c.terms]
+    return lambda i, j: Scalar.sum_of_products(
+        params, [(c, form_action(a[i], ric, j, r)) for r, c in xi]
+    ) + (x.z.K * ric.components[i][j]).scale(sign)
+
+
+def self_action(x: Instance):
+    a, z = z_xi(x), x.z
+    return lambda i, j, k, l: tensor_action(a[i], z, j, k, l)

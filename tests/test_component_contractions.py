@@ -1,8 +1,9 @@
 """The component contractions the residual scans read, held to the vector-level
-operators they replace on every basis tuple: the xi-slot contraction against
-the trilinear ``Curvature4Tensor.apply``, the covariant derivative of an
-endomorphism against its column formula, and the closed-form defect and the
-R1(xi, X + hX)Y table against scale-and-subtract on frame vectors.  The
+operators they replace on every basis tuple: the xi-slot contraction's tables
+against the trilinear ``Curvature4Tensor.apply``, the covariant derivative of
+an endomorphism against its column formula, and the curvature closed form's
+table, the R1(xi, X + hX)Y table and the g(hE_i, phi E_j) table against
+scale-and-subtract and inner products on frame vectors.  The
 structural layer's two kernels, the Lie derivative of an endomorphism and the
 Jacobi cyclic sum, are held to their forms through the vector-level ``bracket``,
 also on the dense random frame ``manifests/random5_t.json``.
@@ -12,9 +13,9 @@ turned by the rational rotation (3/5, 4/5) in the E1-E2 plane, so that xi has
 two nonzero components.
 
 Frame-change invariance: the symbolic lambda family, the (kappa, mu)-space
-``manifests/kmu3.json`` and H^5 are turned by the Cayley transform of a seeded
-rational skew matrix, which makes xi and eta fully dense, and every row's
-status and the classification must equal the unturned run's."""
+``manifests/kmu3.json``, H^5 and T1E4 are turned by the Cayley transform of a
+seeded rational skew matrix, which makes xi and eta fully dense, and every
+row's status and the classification must equal the unturned run's."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from contactframe import (
     make_lambda_family,
     run_suite,
 )
+from contactframe.tanaka_webster import closed_form_slabs
 from vector_reference import bracket
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -166,13 +168,16 @@ def test_xi_contraction_matches_the_trilinear_apply(x, xi_at):
         ((x.z, one), (r1, -x.z.K)),
     ]
     for terms in term_lists:
-        at = x.xi_contraction(xi_at, terms)
+        slab = x.xi_contraction(xi_at, terms)
+        tables = [slab(a) for a in range(x.m.dim)]
         for frame in product(range(x.m.dim), repeat=3 - len(xi_at)):
             args = _with_xi(x, xi_at, frame)
             want = FrameVector((x.m.zero_scalar(),) * x.m.dim)
             for t, c in terms:
                 want = want + t.apply(*args).scale(c)
-            assert at(*frame) == want, (xi_at, frame)
+            # the slab of the first frame index holds the nonzero components
+            got = tuple(tables[frame[0]].get(frame + (p,)) for p in range(x.m.dim))
+            assert got == tuple(c if c.terms else None for c in want.components), (xi_at, frame)
 
 
 def test_derivative_endo_matches_the_column_formula(x):
@@ -185,21 +190,33 @@ def test_derivative_endo_matches_the_column_formula(x):
                 assert got.column(j) == want, (conn.kind, i, j)
 
 
-def test_curvature_defect_and_r1_xi_match_the_vector_forms(x):
+def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
+    """The closed form's table (once ``x.curvature_defect`` plus the final
+    bracket) holds exactly the nonzero components of curv - R - kappa R3
+    - g(E_i + hE_i, phi E_k)(phi + phi h)E_j + g(E_j + hE_j, phi E_k)(phi + phi h)E_i
+    - [g(E_i, (phi + phi h)E_j) - g(E_j, (phi + phi h)E_i)] phi E_k, and the
+    cached g(hE_i, phi E_j) and g(E_i + hE_i, phi E_j) are the inner products."""
     m, phi, kappa = x.m, x.s.phi, x.kappa
     r1, r3 = x.templates[0], x.templates[2]
     v, xh = x.phi_x_plus_hx, x.x_plus_hx
     for i, j in product(range(m.dim), repeat=2):
         assert x.r1_xi[i][j] == r1.apply(x.s.xi, xh[i], m.basis(j)), (i, j)
-        for k in range(m.dim):
+        assert x.h_phi[i][j] == m.inner(x.h.column(i), phi.column(j)), (i, j)
+        assert x.xh_phi[i][j] == m.inner(xh[i], phi.column(j)), (i, j)
+    for i in range(m.dim):
+        table = x.kept(closed_form_slabs, i)
+        for j, k in product(range(m.dim), repeat=2):
+            bracket = v[j].components[i] - v[i].components[j]
             want = (
                 x.pkg.curv.vector(i, j, k)
                 - x.r.vector(i, j, k)
                 - r3.vector(i, j, k).scale(kappa)
                 - v[j].scale(m.inner(xh[i], phi.column(k)))
                 + v[i].scale(m.inner(xh[j], phi.column(k)))
+                - phi.column(k).scale(bracket)
             )
-            assert x.curvature_defect[i][j][k] == want, (i, j, k)
+            got = tuple(table.get((i, j, k, p)) for p in range(m.dim))
+            assert got == tuple(c if c.terms else None for c in want.components), (i, j, k)
 
 
 def test_lie_derive_endo_matches_the_bracket_form(structural):
@@ -233,13 +250,22 @@ def _statuses(m: FrameManifold, s: AlmostContactData) -> tuple[list, dict]:
     return [(c.name, c.status) for c in report.checks], classification
 
 
-@pytest.mark.parametrize("seed", [1, 3])
-@pytest.mark.parametrize("name", ["lambda_symbolic", "kmu3.json", "heisenberg5.json"])
+@pytest.mark.parametrize(
+    ("name", "seed"),
+    [
+        (name, seed)
+        for name in ("lambda_symbolic", "kmu3.json", "heisenberg5.json")
+        for seed in (1, 3)
+    ]
+    + [("t1e4.json", 3)],
+)
 def test_reports_are_invariant_under_a_dense_frame_change(name, seed):
     """Every check is a tensor identity, so turning the orthonormal frame by a
     dense rational orthogonal matrix changes the witnesses but no row's status
     and no classification value; in the turned frame xi and eta have no zero
-    component, so no scan can lean on xi being a frame vector."""
+    component, so no scan can lean on xi being a frame vector.  The turned
+    T1E4 (dimension 7, h nonzero) is the dense input on which every residual
+    table of the derived rows is full."""
     if name == "lambda_symbolic":
         entry = make_lambda_family(None)
         m, s = entry.manifold, entry.structure

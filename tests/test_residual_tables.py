@@ -1,0 +1,221 @@
+"""The rows graded from tables of nonzero entries, held to their per-tuple
+residuals (``tests/residual_reference.py``).
+
+For every converted row, the table the engine builds from the nonzero entries
+of its operands must hold exactly the nonzero per-tuple residuals, and the
+row's witness (or crosscheck table) must be the one the per-tuple scan gives.
+The instances are the component-contraction ones (the symbolic lambda family,
+H^5, T1E4 and a lambda member turned in the E1-E2 plane) and kmu3, H^5 and
+T1E4 turned by a dense Cayley rotation (seed 3), on which every table is full.
+One entry of Z and one entry of the torsionful curvature are then perturbed
+on H^5 and on the lambda family, and both paths must find the same new
+witnesses."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+import residual_reference as ref
+from contactframe import Curvature4Tensor, Instance, Scalar, load_manifest_file
+from contactframe.concircular import (
+    CONC_ROWS,
+    ConcircularTensor,
+    eta_contraction_slabs,
+    ricci_action_slabs,
+    self_action_slabs,
+)
+from contactframe.report import VerificationReport, first_witness, grade_rows
+from contactframe.tables import vectors
+from contactframe.tanaka_webster import (
+    GTW_ROWS,
+    closed_form_slabs,
+    cyclic_sum_table,
+    pair_antisymmetry_table,
+    pair_interchange_table,
+)
+from test_component_contractions import NAMES, _build, _cayley_rotation, _rotated
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+ROTATED = ["kmu3.json@3", "heisenberg5.json@3", "t1e4.json@3"]
+
+ROWS = dict(GTW_ROWS + CONC_ROWS)
+
+
+def _instance(name: str) -> Instance:
+    if "@" not in name:
+        return _build(name)
+    manifest, seed = name.split("@")
+    m, s = load_manifest_file(str(MANIFESTS / manifest))
+    return Instance(*_rotated(m, s, _cayley_rotation(m.dim, int(seed))))
+
+
+@pytest.fixture(scope="module", params=NAMES + ROTATED)
+def x(request) -> Instance:
+    return _instance(request.param)
+
+
+def _merged(slab, dim: int, depth: int = 1) -> dict:
+    return {k: v for lead in product(range(dim), repeat=depth) for k, v in slab(*lead).items()}
+
+
+def _nonzero(residual, dim: int, arity: int) -> dict:
+    """The per-tuple residual on every basis tuple, zeros left out."""
+    values = ((t, residual(*t)) for t in product(range(dim), repeat=arity))
+    return {t: v for t, v in values if not v.is_zero()}
+
+
+# (row, arity, per-tuple residual, engine table or None, how the row reports it);
+# an engine table of a vector residual is keyed with the component last
+def _cases(x: Instance) -> list:
+    dim, params = x.m.dim, x.m.params
+
+    def vec(table: dict) -> dict:
+        return vectors(table, dim, params)
+
+    cases = [
+        ("gtw.curvature_first_pair_antisymmetry", 4, ref.first_pair_antisymmetry(x),
+         _merged(lambda i: pair_antisymmetry_table(x, i, "first"), dim), "graded"),
+        ("gtw.curvature_last_pair_antisymmetry", 4, ref.last_pair_antisymmetry(x),
+         _merged(lambda i: pair_antisymmetry_table(x, i, "last"), dim), "graded"),
+        ("gtw.pair_interchange_crosscheck", 4, ref.pair_interchange(x),
+         pair_interchange_table(x), "crosscheck"),
+        ("gtw.cyclic_sum_crosscheck", 3, ref.cyclic_sum(x), vec(cyclic_sum_table(x)),
+         "crosscheck"),
+        ("conc.eta_contraction", 3, ref.eta_contraction(x, lambda i, j, k: (i, j, k)),
+         _merged(eta_contraction_slabs(x, (0, 1, 2)), dim), "graded"),
+        ("conc.eta_contraction_reference_form", 3,
+         ref.eta_contraction(x, lambda i, j, k: (k, i, j)),
+         _merged(eta_contraction_slabs(x, (1, 2, 0)), dim), "graded"),
+        ("conc.xi_double_contraction_phi_square_variant", 1, ref.phi_square_variant(x), None,
+         "graded"),
+        ("conc.ricci_action_obstruction", 3, ref.ricci_action(x),
+         _merged(ricci_action_slabs(x), dim), "obstruction"),
+        ("conc.self_action_obstruction", 4, ref.self_action(x),
+         vec(_merged(self_action_slabs(x), dim, depth=2)), "obstruction"),
+    ]
+    if x.kappa is not None:  # the closed form reads the nullity constant
+        cases += [
+            ("gtw.curvature_closed_form", 3, ref.closed_form(x, -1),
+             vec(_merged(lambda i: x.kept(closed_form_slabs, i), dim)), "graded"),
+            ("gtw.curvature_closed_form_crosscheck", 3, ref.closed_form(x, +1), None,
+             "crosscheck"),
+        ]
+    return cases
+
+
+def _crosscheck_witness(dim: int, arity: int, residual) -> dict:
+    """The crosscheck witness built by evaluating every tuple."""
+    tuples = list(product(range(dim), repeat=arity))
+    return VerificationReport().crosscheck("c", tuples, _nonzero(residual, dim, arity), ()).witness
+
+
+def _expected_witness(x: Instance, arity: int, residual, kind: str) -> dict | None:
+    dim = x.m.dim
+    if kind == "crosscheck":
+        return _crosscheck_witness(dim, arity, residual)
+    key = "value" if kind == "obstruction" else "residual"
+    return first_witness(product(range(dim), repeat=arity), residual, key)
+
+
+def _row_witness(x: Instance, name: str, kind: str) -> dict | None:
+    (check,) = grade_rows(((name, ROWS[name]),), x).checks
+    if kind == "obstruction" and check.status == "fails":
+        return None
+    return check.witness
+
+
+def test_tables_hold_the_nonzero_per_tuple_residuals(x):
+    for name, arity, residual, table, _ in _cases(x):
+        if table is not None:
+            assert table == _nonzero(residual, x.m.dim, arity), name
+
+
+def test_witnesses_and_crosschecks_match_the_per_tuple_scans(x):
+    for name, arity, residual, _, kind in _cases(x):
+        want = _expected_witness(x, arity, residual, kind)
+        assert _row_witness(x, name, kind) == want, name
+
+
+def test_xi_flatness_witness_matches_the_per_tuple_scan(x):
+    one = x.m.one_scalar()
+    got = x.table_scan(x.xi_contraction((2,), ((x.z, one),)), key="value")
+    at = ref.xi_contraction(x, (2,), ((x.z, one),))
+    assert got == first_witness(product(range(x.m.dim), repeat=2), at, "value")
+
+
+def test_ricci_action_slice_matches_the_per_tuple_scans(x):
+    """The slice row tries -K, then +K; its witness is the -K scan's unless
+    only the +K scan is clean."""
+    tuples = list(product(range(x.m.dim), repeat=2))
+    minus_k, plus_k = (
+        first_witness(tuples, ref.ricci_action_slice(x, sign)) for sign in (1, -1)
+    )
+    want = None if minus_k is not None and plus_k is None else minus_k
+    assert _row_witness(x, "conc.ricci_action_slice", "graded") == want
+
+
+@pytest.mark.parametrize("xi_at", [(0,), (1,), (2,), (1, 2)])
+def test_xi_scans_match_the_per_tuple_scans(x, xi_at):
+    one, r1 = x.m.one_scalar(), x.templates[0]
+    term_lists = [((x.pkg.curv, one),), ((x.z, one), (r1, -x.z.K))]
+    if x.kappa is not None:
+        term_lists.append(((x.r, one), (r1, -x.kappa)))
+    for terms in term_lists:
+        at = ref.xi_contraction(x, xi_at, terms)
+        tuples = product(range(x.m.dim), repeat=3 - len(xi_at))
+        assert x.xi_scan(xi_at, terms) == first_witness(tuples, at)
+
+
+def _bumped(t: Curvature4Tensor, index: tuple[int, int, int, int]) -> tuple:
+    """t's components with 1 added at ``index``."""
+    comps = [[[list(vec) for vec in row] for row in plane] for plane in t.components]
+    i, j, k, l = index
+    comps[i][j][k][l] = comps[i][j][k][l] + Scalar.constant(comps[i][j][k][l].params, 1)
+    return tuple(tuple(tuple(tuple(vec) for vec in row) for row in plane) for plane in comps)
+
+
+def _perturbed(x: Instance, tensor: str, index: tuple[int, int, int, int]) -> Instance:
+    """A fresh instance of x's input whose torsionful curvature (and so Z) or
+    whose Z alone carries one perturbed entry."""
+    y = Instance(x.m, x.s)
+    if tensor == "curv":
+        vars(y)["pkg"] = replace(x.pkg, curv=Curvature4Tensor(_bumped(x.pkg.curv, index)))
+    else:
+        vars(y)["z"] = ConcircularTensor(components=_bumped(x.z, index), K=x.z.K)
+    return y
+
+
+# each perturbation, and the rows whose witness it must move
+PERTURBATIONS = [
+    ("curv", (0, 1, 2, 3), {
+        "gtw.curvature_first_pair_antisymmetry", "gtw.curvature_last_pair_antisymmetry",
+        "gtw.pair_interchange_crosscheck", "gtw.cyclic_sum_crosscheck",
+        "gtw.curvature_closed_form", "gtw.curvature_closed_form_crosscheck",
+    }),
+    ("z", (0, 1, 2, 0), {
+        "conc.eta_contraction", "conc.self_action_obstruction",
+    }),
+]
+
+
+@pytest.mark.parametrize("name", ["heisenberg5.json", "lambda_symbolic"])
+@pytest.mark.parametrize(("tensor", "index", "moved"), PERTURBATIONS)
+def test_a_perturbed_entry_moves_the_same_witnesses(name, tensor, index, moved):
+    x = _instance(name)
+    index = tuple(min(i, x.m.dim - 1) for i in index)
+    y = _perturbed(x, tensor, index)
+    before = {row: _row_witness(x, row, kind) for row, _, _, _, kind in _cases(x)}
+    seen = set()
+    for row, arity, residual, table, kind in _cases(y):
+        got = _row_witness(y, row, kind)
+        assert got == _expected_witness(y, arity, residual, kind), row
+        if table is not None:
+            assert table == _nonzero(residual, y.m.dim, arity), row
+        if got != before[row]:
+            seen.add(row)
+    assert moved <= seen

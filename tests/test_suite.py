@@ -147,10 +147,11 @@ def test_curvature_gtw_reads_one_instance(monkeypatch, capsys):
 
 
 def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
-    """Calls of the trilinear apply and of the fused kernel, and the Scalars
-    constructed, in one ``run_suite("all")`` on ``manifest``."""
+    """Calls of the trilinear apply and of the fused kernel, the kernel's
+    calls that return zero, and the Scalars constructed, in one
+    ``run_suite("all")`` on ``manifest``."""
     m, s = load_manifest_file(str(MANIFESTS / manifest))
-    counts = {"apply": 0, "sum_of_products": 0, "scalars": 0}
+    counts = {"apply": 0, "sum_of_products": 0, "zero_sums": 0, "scalars": 0}
     apply, sum_of_products, init = Curvature4Tensor.apply, Scalar.sum_of_products, Scalar.__init__
 
     def counted_apply(*args):
@@ -159,7 +160,9 @@ def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
 
     def counted_sum_of_products(*args):
         counts["sum_of_products"] += 1
-        return sum_of_products(*args)
+        value = sum_of_products(*args)
+        counts["zero_sums"] += not value.terms
+        return value
 
     def counted_init(*args):
         counts["scalars"] += 1
@@ -176,19 +179,21 @@ def test_heisenberg_run_work_counts(monkeypatch):
     """The residual scans and ``detect_kappa`` are component contractions, not
     a trilinear apply per basis tuple, and ``riemann`` sums each independent
     component once: one H^5 run makes 5 applies, all in the phi-flatness
-    sandwich, and 8,171 sums of products, under the bounds 5 and 8,579 (the
-    measured count plus 5%; scanning through apply takes 3,284 and 34,593,
-    summing every Riemann component 9,880, applying R in ``detect_kappa`` 34
-    and 8,830, applying Z in the two conc xi-slot scans 9 and 8,480, reading
-    g(E_i, E_j) and phi h E_i from a table of frame images 8,270, and
-    composing h phi and phi h in the h laws 8,196).  Almost every graded
-    quantity on H^5 is zero, and every zero is one shared Scalar: the run
-    constructs 909 Scalars, under the bound 954 (a new zero per zero result
-    makes 13,288)."""
+    sandwich.  The heavy derived rows are tables built from the nonzero
+    entries of their operands, so a sum of products runs only for an index
+    some product names: the run makes 1,843 sums of products, 1,615 of them
+    zero, under the bounds 1,935 and 1,695 (the measured counts plus 5%;
+    evaluating every basis tuple of those rows takes 8,171 and 7,917, scanning
+    through apply 34,593, summing every Riemann component 9,880, applying R in
+    ``detect_kappa`` 8,830 and applying Z in the two conc xi-slot scans
+    8,480).  Almost every graded quantity on H^5 is zero, and every zero is
+    one shared Scalar: the run constructs 687 Scalars, under the bound 721 (a
+    new zero per zero result makes 13,288; evaluating every tuple 909)."""
     counts = _work_counts(monkeypatch, "heisenberg5.json")
     assert counts["apply"] <= 5
-    assert counts["sum_of_products"] <= 8_579
-    assert counts["scalars"] <= 954
+    assert counts["sum_of_products"] <= 1_935
+    assert counts["zero_sums"] <= 1_695
+    assert counts["scalars"] <= 721
 
 
 def test_gated_run_work_counts(monkeypatch):
@@ -249,7 +254,7 @@ def test_bench_ladder_records_deterministic_counts():
     m, s = instances["lambda_1/2"]
     first, second = ladder.measure(m, s, 1), ladder.measure(m, s, 1)
     assert first["json_bytes"] == len(emit(run_suite(m, s, "all")).encode())
-    for key in ("json_bytes", "apply", "sum_of_products", "scalars"):
+    for key in ("json_bytes", "apply", "sum_of_products", "zero_sums", "scalars"):
         assert first[key] == second[key] > 0
     assert first["run_s"] > 0 and first["run_norm"] > 0
     # the manifest load is timed on the gated random frames

@@ -4,8 +4,11 @@
 For each manifest in ``manifests/`` this runs ``contactframe.cli.main``
 in-process 16 times: ``verify`` under each of the 5 suites, ``validate``, and
 ``curvature --connection lc`` and ``--connection gtw``, each in json and in
-text.  Every run's stdout, stderr and exit status go to one file,
-``OUT_DIR/<manifest>__<command>.<format>.txt``.  A change that must keep the
+text.  It also runs the fixed bookkeeping commands in ``BOOKKEEPING`` (``zoo``,
+``deform`` and ``boeckx``), each in json and in text.  Every run's stdout,
+stderr and exit status go to one file,
+``OUT_DIR/<manifest>__<command>.<format>.txt``, or
+``OUT_DIR/bookkeeping__<command>.<format>.txt``.  A change that must keep the
 CLI byte-identical is checked by snapshotting both trees and comparing the
 two directories:
 
@@ -33,23 +36,35 @@ COMMANDS = (
 )
 
 
-def snapshot(manifest: Path, argv: list[str], fmt: str) -> str:
+BOOKKEEPING = (
+    ("zoo-lambda-symbolic", ["zoo", "lambda", "--symbolic"]),
+    ("zoo-sasakian3", ["zoo", "sasakian3"]),
+    ("deform", ["deform", "--kappa", "-8", "--mu", "-8", "--a", "5"]),
+    ("boeckx", ["boeckx", "--kappa", "3/4", "--mu", "0"]),
+)
+
+
+def snapshot(argv: list[str], fmt: str) -> str:
     """stdout, stderr and the exit status of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        status = main([argv[0], str(manifest), *argv[1:], "--format", fmt])
+        status = main([*argv, "--format", fmt])
     return f"exit: {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
 def main_snapshot(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
+    runs = [
+        (f"{manifest.stem}__{label}", [argv[0], str(manifest), *argv[1:]])
+        for manifest in sorted(MANIFESTS.glob("*.json"))
+        for label, argv in COMMANDS
+    ] + [(f"bookkeeping__{label}", argv) for label, argv in BOOKKEEPING]
     written = 0
-    for manifest in sorted(MANIFESTS.glob("*.json")):
-        for label, argv in COMMANDS:
-            for fmt in ("json", "text"):
-                path = out_dir / f"{manifest.stem}__{label}.{fmt}.txt"
-                path.write_text(snapshot(manifest, argv, fmt), encoding="utf-8")
-                written += 1
+    for stem, argv in runs:
+        for fmt in ("json", "text"):
+            path = out_dir / f"{stem}.{fmt}.txt"
+            path.write_text(snapshot(argv, fmt), encoding="utf-8")
+            written += 1
     print(f"wrote {written} files to {out_dir}")
     return 0
 

@@ -58,15 +58,11 @@ from .tanaka_webster import (
 from .version import ENGINE_VERSION
 from .zoo import (
     BoeckxInvariant,
-    Example1Constants,
-    Example1Report,
     ZooDomainError,
     ZooEntry,
     boeckx_invariant,
     dhomothetic_invariants,
-    example1_pipeline,
     make_abelian3,
-    make_example1_constants,
     make_heisenberg,
     make_lambda_family,
     make_sasakian3,
@@ -86,8 +82,6 @@ __all__ = [
     "Curvature4Tensor",
     "ENGINE_VERSION",
     "Endomorphism",
-    "Example1Constants",
-    "Example1Report",
     "FrameManifold",
     "FrameVector",
     "GssfCoefficients",
@@ -113,7 +107,6 @@ __all__ = [
     "emit",
     "eta_einstein_fit",
     "exact_div",
-    "example1_pipeline",
     "gssf_decompose",
     "gtw_connection",
     "gtw_torsion",
@@ -122,7 +115,6 @@ __all__ = [
     "load_manifest",
     "load_manifest_file",
     "make_abelian3",
-    "make_example1_constants",
     "make_heisenberg",
     "make_lambda_family",
     "make_sasakian3",

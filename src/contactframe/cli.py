@@ -6,7 +6,7 @@ Subcommands:
     curvature <manifest> --connection lc|gtw   connection/torsion/curvature tables
     verify <manifest> [--suite ...]         graded check suites
     zoo <label> [--lambda R | --symbolic]   built-in examples by label
-    deform --kappa R --mu R --a R [--literal-c]   deformed nullity pair
+    deform --kappa R --mu R --a R           D-homothetically deformed nullity pair
     boeckx --kappa R --mu R                 the (1 - mu/2)/sqrt(1 - kappa) invariant
 
 A manifest path of ``-`` reads stdin.  ``curvature`` reads its tables from one
@@ -105,11 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=_rational, required=True)
     p.add_argument("--mu", type=_rational, required=True)
     p.add_argument("--a", type=_rational, required=True)
-    p.add_argument(
-        "--literal-c",
-        action="store_true",
-        help="use the literal numerator reading mu + 2(a-1) - 2",
-    )
 
     p = sub.add_parser(
         "boeckx", parents=[common], help="the (1 - mu/2)/sqrt(1 - kappa) invariant"
@@ -278,16 +273,13 @@ def _cmd_zoo(args, fmt: str) -> int:
 
 
 def _cmd_deform(args, fmt: str) -> int:
-    kappa_bar, mu_bar = dhomothetic_invariants(
-        args.kappa, args.mu, args.a, literal_c=args.literal_c
-    )
+    kappa_bar, mu_bar = dhomothetic_invariants(args.kappa, args.mu, args.a)
     if fmt == "json":
         _emit_json(
             {
                 "kappa": str(args.kappa),
                 "mu": str(args.mu),
                 "a": str(args.a),
-                "literal_c": args.literal_c,
                 "kappa_bar": str(kappa_bar),
                 "mu_bar": str(mu_bar),
             }
@@ -295,8 +287,6 @@ def _cmd_deform(args, fmt: str) -> int:
         return 0
     print(f"kappa_bar = {kappa_bar}")
     print(f"mu_bar = {mu_bar}")
-    if args.literal_c:
-        print("(literal-c numerator mu + 2(a-1) - 2)")
     return 0
 
 

@@ -19,21 +19,14 @@ kappa = 1, in every odd dimension.
 
 Bookkeeping utilities (pure rational/symbolic arithmetic, no frames):
 
-- dhomothetic_invariants: the transformed nullity pair under a constant
-  rescaling of the structure,
-      kappa_bar = (kappa + a^2 - 1)/a,   mu_bar = (mu + 2a - 2)/a.
-  The mu_bar numerator is quoted with a "2c" in one source; reading c as a
-  is the consistent interpretation (it makes the identity deformation a = 1
-  fix (kappa, mu) and sends the standard c-pipeline to mu_bar = 0), and the
-  literal reading c = a - 1, i.e. mu_bar = (mu + 2a - 4)/a, stays available
-  behind the literal_c flag.
+- dhomothetic_invariants: the nullity pair after the D-homothetic deformation
+  eta' = a eta, xi' = xi/a, phi' = phi, g' = a g + a(a - 1) eta (x) eta
+  (Tanno, Illinois J. Math. 12, 1968; Blair-Koufogiorgos-Papantoniou,
+  Israel J. Math. 91, 1995),
+      kappa_bar = (kappa + a^2 - 1)/a^2,   mu_bar = (mu + 2a - 2)/a.
 - boeckx_invariant: I = (1 - mu/2)/sqrt(1 - kappa), exact when 1 - kappa is
   a rational square, otherwise returned as (square, sign) plus a flagged
-  decimal approximation.
-- make_example1_constants / example1_pipeline: the constants
-  c = (sqrt(n) +/- 1)^2/(n - 1), a = 1 + c, the induced
-  kappa = c(2 - c), mu = -2c, and the deformed pair, reported next to the
-  target value 1 - 1/n.
+  decimal approximation.  The deformation leaves it unchanged for a > 0.
 """
 
 from __future__ import annotations
@@ -196,14 +189,12 @@ def dhomothetic_invariants(
     kappa: Scalar | RationalLike,
     mu: Scalar | RationalLike,
     a: Scalar | RationalLike,
-    literal_c: bool = False,
 ) -> tuple[Scalar, Scalar]:
     """The deformed nullity pair (kappa_bar, mu_bar) under the rescaling a.
 
-    kappa_bar = (kappa + a^2 - 1)/a.  mu_bar = (mu + 2a - 2)/a by default;
-    literal_c=True substitutes c = a - 1 into the quoted numerator "mu + 2c - 2",
-    giving (mu + 2a - 4)/a.  Division must be exact; symbolic a that does not
-    divide the numerator raises.
+    kappa_bar = (kappa + a^2 - 1)/a^2 and mu_bar = (mu + 2a - 2)/a.  Division
+    must be exact; a symbolic a whose a^2 or a does not divide its numerator
+    raises.
     """
     params: tuple[str, ...] = ()
     for value in (kappa, mu, a):
@@ -217,9 +208,9 @@ def dhomothetic_invariants(
         raise ZooDomainError("deformation constant a must be invertible")
     one = Scalar.one(params)
     two = Scalar.constant(params, 2)
-    offset = Scalar.constant(params, 4) if literal_c else two
-    kappa_bar = exact_div(kappa_s + a_s * a_s - one, a_s)
-    mu_bar = exact_div(mu_s + two * a_s - offset, a_s)
+    a_squared = a_s * a_s
+    kappa_bar = exact_div(kappa_s + a_squared - one, a_squared)
+    mu_bar = exact_div(mu_s + two * a_s - two, a_s)
     if kappa_bar is None or mu_bar is None:
         raise ZooDomainError(
             "deformation constant a does not divide the transformed numerator "
@@ -275,94 +266,4 @@ def boeckx_invariant(
         )
     return BoeckxInvariant(
         is_exact=False, value=None, square=square, sign=sign, approx=approx
-    )
-
-
-@dataclass(frozen=True)
-class Example1Constants:
-    """c = (sqrt(n) +/- 1)^2/(n - 1) and a = 1 + c; exact iff sqrt(n) is."""
-
-    c: Fraction | float
-    a: Fraction | float
-    is_exact: bool
-
-
-_SIGNS = ("plus", "minus")
-
-
-def make_example1_constants(n: int, sign: str = "plus") -> Example1Constants:
-    """The deformation constants for the N(1 - 1/n, 0) target; n >= 2."""
-    if sign not in _SIGNS:
-        raise ZooDomainError(f"sign must be one of {_SIGNS}, got {sign!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ZooDomainError(f"n must be a positive integer, got {n!r}")
-    if n == 1:
-        raise ZooDomainError("n = 1 makes the denominator n - 1 vanish")
-    offset = 1 if sign == "plus" else -1
-    root = isqrt(n)
-    if root * root == n:
-        c = Fraction((root + offset) ** 2, n - 1)
-        return Example1Constants(c=c, a=1 + c, is_exact=True)
-    c_approx = (math.sqrt(n) + offset) ** 2 / (n - 1)
-    return Example1Constants(c=c_approx, a=1 + c_approx, is_exact=False)
-
-
-@dataclass(frozen=True)
-class Example1Report:
-    """The c-pipeline: constants, induced (kappa, mu), deformed pair, target.
-
-    kappa = c(2 - c) and mu = -2c; the deformation by a = 1 + c targets
-    kappa_bar = 1 - 1/n.  difference = kappa_bar - target is reported rather
-    than asserted: the plus branch at n = 4 lands at kappa_bar = 3, not 3/4.
-    """
-
-    n: int
-    sign: str
-    c: Fraction | float
-    a: Fraction | float
-    kappa: Fraction | float
-    mu: Fraction | float
-    kappa_bar: Fraction | float
-    mu_bar: Fraction | float
-    target: Fraction
-    difference: Fraction | float
-    is_exact: bool
-
-
-def example1_pipeline(
-    n: int, sign: str = "plus", literal_c: bool = False
-) -> Example1Report:
-    """Run the constants through the deformation and compare with 1 - 1/n."""
-    constants = make_example1_constants(n, sign)
-    target = Fraction(n - 1, n)
-    if constants.is_exact:
-        c = constants.c
-        a = constants.a
-        kappa = c * (2 - c)
-        mu = -2 * c
-        kappa_bar_s, mu_bar_s = dhomothetic_invariants(
-            kappa, mu, a, literal_c=literal_c
-        )
-        kappa_bar = kappa_bar_s.constant_value()
-        mu_bar = mu_bar_s.constant_value()
-    else:
-        c = constants.c
-        a = constants.a
-        kappa = c * (2 - c)
-        mu = -2 * c
-        offset = 4.0 if literal_c else 2.0
-        kappa_bar = (kappa + a * a - 1) / a
-        mu_bar = (mu + 2 * a - offset) / a
-    return Example1Report(
-        n=n,
-        sign=sign,
-        c=c,
-        a=a,
-        kappa=kappa,
-        mu=mu,
-        kappa_bar=kappa_bar,
-        mu_bar=mu_bar,
-        target=target,
-        difference=kappa_bar - target,
-        is_exact=constants.is_exact,
     )

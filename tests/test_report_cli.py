@@ -245,8 +245,9 @@ def test_deform_output():
     proc = run_cli("deform", "--kappa", "-8", "--mu", "-8", "--a", "5", "--format", "json")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
-    assert doc["kappa_bar"] == "16/5"
-    assert doc["mu_bar"] == "0"
+    assert doc == {"kappa": "-8", "mu": "-8", "a": "5", "kappa_bar": "16/25", "mu_bar": "0"}
+    text = run_cli("deform", "--kappa", "-8", "--mu", "-8", "--a", "5")
+    assert text.stdout == "kappa_bar = 16/25\nmu_bar = 0\n"
 
 
 def test_boeckx_output():

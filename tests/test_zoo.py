@@ -1,21 +1,25 @@
 """Catalogue constructors, the deformation map, and derived invariants."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactframe import (
+    AlmostContactData,
+    FrameManifold,
+    Instance,
     ZooDomainError,
     boeckx_invariant,
     classify,
     dhomothetic_invariants,
     dump_manifest,
-    example1_pipeline,
     levi_civita,
     load_manifest_file,
     make_abelian3,
-    make_example1_constants,
     make_heisenberg,
     make_lambda_family,
     make_sasakian3,
@@ -40,11 +44,8 @@ def test_deformation_identity():
 
 def test_deformation_regression_values():
     out = dhomothetic_invariants(Fraction(-8), Fraction(-8), Fraction(5))
-    assert out[0] == Scalar.constant((), Fraction(16, 5))
+    assert out[0] == Scalar.constant((), Fraction(16, 25))
     assert out[1] == Scalar.constant((), 0)
-    lit = dhomothetic_invariants(Fraction(-8), Fraction(-8), Fraction(5), literal_c=True)
-    assert lit[0] == Scalar.constant((), Fraction(16, 5))
-    assert lit[1] == Scalar.constant((), Fraction(-2, 5))
 
 
 def test_deformation_rejects_zero_scale():
@@ -55,15 +56,101 @@ def test_deformation_rejects_zero_scale():
 def test_deformation_symbolic_scale():
     params = ("a",)
     a = Scalar.variable(params, "a")
-    kappa = a * a - Scalar.one(params)  # kappa + a^2 - 1 = 2a^2 - 2: not divisible
+    one = Scalar.one(params)
+    kappa = a * a - one  # kappa + a^2 - 1 = 2a^2 - 2: not divisible by a^2
     with pytest.raises(ZooDomainError):
         dhomothetic_invariants(kappa, Scalar.zero(params), a)
-    # but a numerator that is divisible by `a` succeeds symbolically
-    one = Scalar.one(params)
-    kappa2 = one - a * a + a  # kappa + a^2 - 1 = a
+    # a numerator that a^2 divides succeeds symbolically
+    kappa2 = one - a * a + a * a * a  # kappa + a^2 - 1 = a^3
     k_bar, mu_bar = dhomothetic_invariants(kappa2, Scalar.constant(params, 2) - a - a, a)
-    assert k_bar == one
+    assert k_bar == a
     assert mu_bar == Scalar.zero(params)
+
+
+def _deformed(m: FrameManifold, s: AlmostContactData, r: Fraction):
+    """The D-homothetic deformation by a = r^2, read on the frame.
+
+    With eta' = a eta, xi' = xi/a, phi' = phi and g' = a g + a(a - 1) eta (x) eta,
+    the frame E1' = E1/a, E_p' = E_p/r is g'-orthonormal.  Writing E_p' = E_p/s_p
+    (s_1 = a, s_p = r otherwise) gives c'_pq^t = c_pq^t s_t/(s_p s_q), while phi,
+    xi = E1 and eta = E1 keep their components.
+    """
+    assert s.xi == m.basis(0) and s.eta == m.basis(0)
+    a = r * r
+    scale = [a] + [r] * (m.dim - 1)
+    pairs = {
+        (p, q, t): coeff.scale(scale[t] / (scale[p] * scale[q]))
+        for p, q in combinations(range(m.dim), 2)
+        for t, coeff in m.sparse_c[p][q]
+    }
+    d = FrameManifold.from_pairs(m.dim, m.params, pairs)
+    return d, AlmostContactData(phi=s.phi, xi=d.basis(0), eta=d.basis(0))
+
+
+def _nullity_fails(x: Instance, kappa: Scalar, mu: Scalar) -> list[int]:
+    """The horizontal p where R(E_p, xi)xi != kappa E_p + mu hE_p."""
+    m = x.m
+    return [
+        p
+        for p in range(1, m.dim)
+        if x.r.vector(p, 0, 0) != m.basis(p).scale(kappa) + x.h.column(p).scale(mu)
+    ]
+
+
+NULLITY_PAIRS = {"t1e4": (0, 0), "kmu3": (Fraction(3, 4), -1), "lambda-1/2": (Fraction(3, 4), 0)}
+
+
+def _undeformed(name: str) -> tuple[FrameManifold, AlmostContactData]:
+    if name == "lambda-1/2":
+        entry = make_lambda_family(Fraction(1, 2))
+        return entry.manifold, entry.structure
+    return load_manifest_file(str(MANIFESTS / f"{name}.json"))
+
+
+@pytest.mark.parametrize("r", [2, 3], ids=["a=4", "a=9"])
+@pytest.mark.parametrize("name", sorted(NULLITY_PAIRS))
+def test_deformation_matches_the_deformed_frame(name, r):
+    """Tanno's (kappa', mu') is the nullity pair the deformed frame's tensors carry."""
+    x = Instance(*_deformed(*_undeformed(name), Fraction(r)))
+    assert not x.structural_report.has_failures
+    kappa_bar, mu_bar = dhomothetic_invariants(*NULLITY_PAIRS[name], r * r)
+    assert _nullity_fails(x, kappa_bar, mu_bar) == []
+
+
+def test_shifted_mu_numerator_fails_on_the_deformed_frame():
+    """mu' = (mu + 2a - 4)/a, the "2c" numerator read with c = a - 1, gives
+    mu' = 1 for T1E4 at a = 4; the deformed frame carries 3/2."""
+    x = Instance(*_deformed(*_undeformed("t1e4"), Fraction(2)))
+    kappa_bar = Scalar.constant((), Fraction(15, 16))
+    assert _nullity_fails(x, kappa_bar, Scalar.constant((), Fraction(3, 2))) == []
+    assert _nullity_fails(x, kappa_bar, Scalar.constant((), 1)) != []
+
+
+@pytest.mark.parametrize("n, sign", [(4, 1), (4, -1), (9, 1), (9, -1)])
+def test_example_deformation_reaches_the_target(n, sign):
+    """The unit tangent sphere bundle T1S^(n+1)(c) is a (c(2 - c), -2c)-space;
+    deformed by a = 1 + c with c = (sqrt(n) +/- 1)^2/(n - 1), it becomes
+    N((n - 1)/n) with mu = 0 on both branches."""
+    c = Fraction((isqrt(n) + sign) ** 2, n - 1)
+    kappa_bar, mu_bar = dhomothetic_invariants(c * (2 - c), -2 * c, 1 + c)
+    assert kappa_bar == Scalar.constant((), Fraction(n - 1, n))
+    assert mu_bar == Scalar.zero(())
+
+
+below_one = st.fractions(
+    min_value=Fraction(-5), max_value=Fraction(1), max_denominator=6
+).filter(lambda k: k < 1)
+rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
+scales = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(5), max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(below_one, rationals, scales)
+def test_deformation_keeps_the_boeckx_invariant(kappa, mu, a):
+    before = boeckx_invariant(kappa, mu)
+    kappa_bar, mu_bar = dhomothetic_invariants(kappa, mu, a)
+    after = boeckx_invariant(kappa_bar.constant_value(), mu_bar.constant_value())
+    assert (after.square, after.sign) == (before.square, before.sign)
 
 
 # -- the rescaled-eigenvalue invariant -----------------------------------------
@@ -102,67 +189,6 @@ def test_invariant_domain():
         boeckx_invariant(Fraction(1), Fraction(0))
     with pytest.raises(ZooDomainError):
         boeckx_invariant(Fraction(2), Fraction(0))
-
-
-# -- worked deformation pipeline -------------------------------------------------
-
-
-def test_example_constants_exact():
-    plus = make_example1_constants(4, "plus")
-    assert (plus.c, plus.a, plus.is_exact) == (Fraction(3), Fraction(4), True)
-    minus = make_example1_constants(4, "minus")
-    assert (minus.c, minus.a, minus.is_exact) == (Fraction(1, 3), Fraction(4, 3), True)
-
-
-def test_example_constants_inexact():
-    c = make_example1_constants(2, "plus")
-    assert not c.is_exact
-    assert isinstance(c.c, float)
-
-
-def test_example_constants_domain():
-    with pytest.raises(ZooDomainError):
-        make_example1_constants(1)
-    with pytest.raises(ZooDomainError):
-        make_example1_constants(0)
-    with pytest.raises(ZooDomainError):
-        make_example1_constants(4, "sideways")
-
-
-def test_pipeline_plus_branch():
-    r = example1_pipeline(4, "plus")
-    assert r.is_exact
-    assert (r.c, r.a) == (Fraction(3), Fraction(4))
-    assert (r.kappa, r.mu) == (Fraction(-3), Fraction(-6))
-    assert (r.kappa_bar, r.mu_bar) == (Fraction(3), Fraction(0))
-    assert r.target == Fraction(3, 4)
-    assert r.difference == Fraction(9, 4)
-
-
-def test_pipeline_minus_branch():
-    r = example1_pipeline(4, "minus")
-    assert r.is_exact
-    assert (r.c, r.a) == (Fraction(1, 3), Fraction(4, 3))
-    assert (r.kappa, r.mu) == (Fraction(5, 9), Fraction(-2, 3))
-    assert (r.kappa_bar, r.mu_bar) == (Fraction(1), Fraction(0))
-    assert r.difference == Fraction(1, 4)
-
-
-@pytest.mark.parametrize("sign", ["plus", "minus"])
-@pytest.mark.parametrize("literal_c", [False, True])
-def test_pipeline_exact_branch_stays_exact(sign, literal_c):
-    """The exact branch reads kappa-bar and mu-bar through ``constant_value()``,
-    which stays a Fraction even where the coefficient is stored as an int."""
-    r = example1_pipeline(4, sign, literal_c=literal_c)
-    assert r.is_exact
-    for value in (r.kappa_bar, r.mu_bar, r.difference):
-        assert type(value) is Fraction
-
-
-def test_pipeline_inexact_branch():
-    r = example1_pipeline(2, "plus")
-    assert not r.is_exact
-    assert isinstance(r.kappa_bar, float)
 
 
 # -- catalogue -------------------------------------------------------------------

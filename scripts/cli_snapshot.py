@@ -5,9 +5,12 @@ For each manifest in ``manifests/`` this runs ``contactframe.cli.main``
 in-process 16 times: ``verify`` under each of the 5 suites, ``validate``, and
 ``curvature --connection lc`` and ``--connection gtw``, each in json and in
 text.  It also runs the fixed bookkeeping commands in ``BOOKKEEPING`` (``zoo``,
-``deform`` and ``boeckx``), each in json and in text.  Every run's stdout,
-stderr and exit status go to one file,
-``OUT_DIR/<manifest>__<command>.<format>.txt``, or
+``deform`` and ``boeckx``), each in json and in text, and the 16 manifest
+commands on every input of ``bench_ladder.ladder()`` that no bundled manifest
+holds (H^3, H^7, H^9 and lambda = 1/2), written to a temporary manifest first.
+Every run's stdout, stderr and exit status go to one file,
+``OUT_DIR/<manifest>__<command>.<format>.txt``,
+``OUT_DIR/ladder-<instance>__<command>.<format>.txt``, or
 ``OUT_DIR/bookkeeping__<command>.<format>.txt``.  A change that must keep the
 CLI byte-identical is checked by snapshotting both trees and comparing the
 two directories:
@@ -21,10 +24,13 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from contactframe import SUITES
+from bench_ladder import ladder
+from contactframe import SUITES, dump_manifest, load_manifest_file, manifest_hash
 from contactframe.cli import main
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -40,6 +46,7 @@ BOOKKEEPING = (
     ("zoo-lambda-symbolic", ["zoo", "lambda", "--symbolic"]),
     ("zoo-sasakian3", ["zoo", "sasakian3"]),
     ("deform", ["deform", "--kappa", "-8", "--mu", "-8", "--a", "5"]),
+    ("deform-negative-a", ["deform", "--kappa", "0", "--mu", "0", "--a", "-2"]),
     ("boeckx", ["boeckx", "--kappa", "3/4", "--mu", "0"]),
 )
 
@@ -52,19 +59,39 @@ def snapshot(argv: list[str], fmt: str) -> str:
     return f"exit: {status}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
+def ladder_manifests(directory: Path) -> list[tuple[str, Path]]:
+    """(stem, path) of a manifest written into ``directory`` for every ladder
+    input whose canonical document matches no bundled manifest."""
+    bundled = {
+        manifest_hash(dump_manifest(*load_manifest_file(str(path))))
+        for path in MANIFESTS.glob("*.json")
+    }
+    written = []
+    for name, (m, s) in ladder().items():
+        document = dump_manifest(m, s)
+        if manifest_hash(document) not in bundled:
+            path = directory / f"ladder-{name.replace('/', '_')}.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            written.append((path.stem, path))
+    return written
+
+
 def main_snapshot(out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = [
-        (f"{manifest.stem}__{label}", [argv[0], str(manifest), *argv[1:]])
-        for manifest in sorted(MANIFESTS.glob("*.json"))
-        for label, argv in COMMANDS
-    ] + [(f"bookkeeping__{label}", argv) for label, argv in BOOKKEEPING]
     written = 0
-    for stem, argv in runs:
-        for fmt in ("json", "text"):
-            path = out_dir / f"{stem}.{fmt}.txt"
-            path.write_text(snapshot(argv, fmt), encoding="utf-8")
-            written += 1
+    with tempfile.TemporaryDirectory() as scratch:
+        manifests = [(path.stem, path) for path in sorted(MANIFESTS.glob("*.json"))]
+        manifests += ladder_manifests(Path(scratch))
+        runs = [
+            (f"{stem}__{label}", [argv[0], str(path), *argv[1:]])
+            for stem, path in manifests
+            for label, argv in COMMANDS
+        ] + [(f"bookkeeping__{label}", argv) for label, argv in BOOKKEEPING]
+        for stem, argv in runs:
+            for fmt in ("json", "text"):
+                path = out_dir / f"{stem}.{fmt}.txt"
+                path.write_text(snapshot(argv, fmt), encoding="utf-8")
+                written += 1
     print(f"wrote {written} files to {out_dir}")
     return 0
 

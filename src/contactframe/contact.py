@@ -20,9 +20,10 @@ phi in the second slot is the unique assignment validating the worked
 The operator h = 1/2 L_xi phi is built once per run, by ``suite.Instance``,
 from the Lie derivative; ``h_property_checks`` grades its classical
 properties (symmetric, anticommutes with phi, trace-free, kills xi) as
-report entries.  ``detect_kappa`` recovers the nullity
-constant of a curvature tensor when one exists; ``suite.classify`` sorts an
-instance into contact metric / K-contact / Sasakian as a ``StructureClass``.
+report entries.  ``detect_kappa`` recovers the nullity constant of a
+curvature tensor when exactly one polynomial constant fits, through the
+engine's one coefficient fit (``linear.exact_fit``); ``suite.classify`` sorts
+an instance into contact metric / K-contact / Sasakian as a ``StructureClass``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from itertools import chain, product
 from .curvature import Curvature4Tensor
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import VerificationReport, first_witness
-from .scalars import Scalar, exact_div
+from .linear import exact_fit
+from .scalars import Scalar
+from .tables import sum_table
 
 
 @dataclass(frozen=True)
@@ -165,33 +168,22 @@ def h_property_checks(
 def detect_kappa(
     m: FrameManifold, s: AlmostContactData, r: Curvature4Tensor
 ) -> Scalar | None:
-    """Solve R(E_i, E_j)xi = kappa (eta(E_j)E_i - eta(E_i)E_j) for one kappa.
+    """The kappa of R(E_i, E_j)xi = kappa (eta(E_j)E_i - eta(E_i)E_j), by
+    ``exact_fit`` over the nonzero components (i, j, p) of both sides.
 
-    Componentwise this is a family of one-unknown linear equations; a result
-    is returned only when every equation is consistent (cross-differences
-    vanish exactly) and the common solution is polynomial.  Degenerate
-    systems (every equation 0 = 0) return None.
+    None when no single polynomial kappa fits, and when every component
+    reads 0 = 0 (in dimension 1, or when eta = 0 and R(., .)xi = 0), where
+    kappa is free.
     """
-    num: Scalar | None = None  # numerator of the first determining equation
-    den: Scalar | None = None
-    idx, zero, eta = range(m.dim), m.zero_scalar(), s.eta.components
-    xi = [(k, xk) for k, xk in enumerate(s.xi.components) if xk.terms]
-    for i, j in product(idx, repeat=2):
-        # R(E_i, E_j)xi = sum_k xi^k R(E_i, E_j)E_k, one sum of products per component
-        r_ij = r.components[i][j]
-        lhs = [Scalar.sum_of_products(m.params, ((xk, r_ij[k][p]) for k, xk in xi)) for p in idx]
-        # eta(E_j)E_i - eta(E_i)E_j
-        rhs = [zero] * m.dim
-        rhs[i] = rhs[i] + eta[j]
-        rhs[j] = rhs[j] - eta[i]
-        for a, b in zip(lhs, rhs):
-            if b.is_zero():
-                if not a.is_zero():
-                    return None  # kappa * 0 = nonzero: inconsistent
-            elif num is None:
-                num, den = a, b
-            elif not (a * den - num * b).is_zero():
-                return None  # a/b disagrees with num/den (cross-multiplied)
-    if num is None or den is None:
-        return None
-    return exact_div(num, den)
+    idx = range(m.dim)
+    xi = {k: c for k, c in enumerate(s.xi.components) if c.terms}
+    eta = [(a, c) for a, c in enumerate(s.eta.components) if c.terms]
+    # R(E_i, E_j)xi = sum_k xi^k R(E_i, E_j)E_k, component p
+    target = sum_table(
+        m.params, (((i, j, p), xi[k], c) for i, j, k, p, c in r.nonzero if k in xi)
+    )
+    # eta(E_j)E_i - eta(E_i)E_j, zero for i = j
+    template = {(i, j, i): e_j for j, e_j in eta for i in idx if i != j}
+    template.update({(i, j, j): -e_i for i, e_i in eta for j in idx if i != j})
+    solution = exact_fit(m.params, target, (template,))
+    return None if solution is None else solution.values[0]

@@ -78,29 +78,17 @@ class Connection:
             )
         )
 
-    def derivative_endo(self, m: FrameManifold, i: int, a: Endomorphism) -> Endomorphism:
-        """(nabla_{E_i} A) as an endomorphism, one sum of products per entry:
+    @cached_property
+    def operators(self) -> tuple[Endomorphism, ...]:
+        """G_i, the endomorphism E_q -> nabla_{E_i} E_q, for every frame index."""
+        return tuple(Endomorphism(tuple(zip(*plane))) for plane in self.gamma)
 
-            (nabla_i A)^p_j = sum_q A^q_j Gamma_iq^p - Gamma_ij^q A^p_q .
+    def derivative_endo(self, m: FrameManifold, i: int, a: Endomorphism) -> Endomorphism:
+        """nabla_{E_i} A = [G_i, A] with G_i = ``operators[i]``:
+
+            (nabla_i A)^p_j = sum_q Gamma_iq^p A^q_j - A^p_q Gamma_ij^q .
         """
-        row, idx = self.gamma[i], range(self.dim)
-        minus_row = [[-g for g in gamma_ij] for gamma_ij in row]
-        cols = a.sparse_columns
-        return Endomorphism(
-            tuple(
-                tuple(
-                    Scalar.sum_of_products(
-                        m.params,
-                        chain(
-                            ((a_q, row[q][p]) for q, a_q in cols[j]),
-                            zip(minus_row[j], a.matrix[p]),
-                        ),
-                    )
-                    for j in idx
-                )
-                for p in idx
-            )
-        )
+        return self.operators[i].commutator(a)
 
     def derivative_covector(self, m: FrameManifold, i: int, eta: FrameVector, j: int) -> Scalar:
         """(nabla_{E_i} eta)(E_j) = -eta(nabla_{E_i} E_j) for constant eta."""

@@ -15,7 +15,10 @@ bilinear bracket of arbitrary vectors lives in the tests, as a reference.
 The structure is read the same way: g(E_i, E_j) is delta_ij
 (``inner_basis``), a 1-form's value on E_i is its component i, and the image
 A E_j of an endomorphism is column j of its matrix (``Endomorphism.columns``,
-built once per endomorphism).
+built once per endomorphism).  ``compose`` and ``commutator`` pair the
+nonzero entries of both operands and run one sum of products per entry some
+pair names (``tables.sum_table``); covariant and Lie derivatives of an
+endomorphism are such commutators.
 
 Indices are 0-based throughout the code; reports and manifests use 1-based
 indices at the boundary.
@@ -26,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .report import VerificationReport, first_witness
 from .scalars import RationalLike, Scalar
+from .tables import Table, sum_table
 
 
 class FrameError(Exception):
@@ -106,6 +110,17 @@ class Endomorphism:
     def dim(self) -> int:
         return len(self.matrix)
 
+    @property
+    def params(self) -> tuple[str, ...]:
+        return self.matrix[0][0].params
+
+    @staticmethod
+    def from_products(dim: int, params: tuple[str, ...], products: Iterable) -> "Endomorphism":
+        """The endomorphism whose entry (p, j) is the sum of a * b over the
+        products ((p, j), a, b); one sum of products per entry named."""
+        sums, zero, idx = sum_table(params, products), Scalar.zero(params), range(dim)
+        return Endomorphism(tuple(tuple(sums.get((p, j), zero) for j in idx) for p in idx))
+
     @staticmethod
     def from_columns(columns: Sequence[FrameVector]) -> "Endomorphism":
         dim = len(columns)
@@ -140,10 +155,18 @@ class Endomorphism:
         )
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """Matrix product self @ other, i.e. X -> self(other(X))."""
-        return Endomorphism.from_columns(
-            [self.apply(other.column(j)) for j in range(self.dim)]
-        )
+        """Matrix product self @ other, i.e. X -> self(other(X)), over the
+        nonzero entries of both."""
+        products = _matrix_products(self.sparse_columns, other.sparse_columns)
+        return Endomorphism.from_products(self.dim, self.params, products)
+
+    def commutator(self, other: "Endomorphism") -> "Endomorphism":
+        """[A, B] = A B - B A for A = self, B = other, as A B + B (-A) over the
+        nonzero entries of both."""
+        a, b = self.sparse_columns, other.sparse_columns
+        minus_a = [[(p, -c) for p, c in col] for col in a]
+        products = chain(_matrix_products(a, b), _matrix_products(b, minus_a))
+        return Endomorphism.from_products(self.dim, self.params, products)
 
     @cached_property
     def square(self) -> "Endomorphism":
@@ -172,11 +195,29 @@ class Endomorphism:
         return Endomorphism(tuple(tuple(a.scale(factor) for a in row) for row in self.matrix))
 
     def trace(self) -> Scalar:
-        params = self.matrix[0][0].params
-        return sum((self.matrix[i][i] for i in range(self.dim)), Scalar.zero(params))
+        return sum((self.matrix[i][i] for i in range(self.dim)), Scalar.zero(self.params))
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.matrix for a in row)
+
+
+def _matrix_products(a_cols, b_cols) -> Iterator[tuple[tuple[int, int], Scalar, Scalar]]:
+    """The products ((p, j), A^p_q, B^q_j) of the matrix product A B, from the
+    nonzero entries (row, value) of each column of A and of B."""
+    return (((p, j), a, b) for j, col in enumerate(b_cols) for q, b in col for p, a in a_cols[q])
+
+
+def vectors(table: Table, dim: int, params: tuple[str, ...]) -> dict[tuple[int, ...], FrameVector]:
+    """The vector residual of a table whose last index is the component: each
+    index tuple with a nonzero component maps to its frame vector."""
+    zero = Scalar.zero(params)
+    grouped: dict[tuple[int, ...], list[Scalar]] = {}
+    for index, value in table.items():
+        components = grouped.get(index[:-1])
+        if components is None:
+            components = grouped[index[:-1]] = [zero] * dim
+        components[index[-1]] = value
+    return {index: FrameVector(tuple(c)) for index, c in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -275,35 +316,15 @@ class FrameManifold:
         return self.one_scalar() if i == j else self.zero_scalar()
 
     def lie_derive_endo(self, xi: FrameVector, a: Endomorphism) -> Endomorphism:
-        """(L_xi A)(X) = [xi, A X] - A [xi, X], one sum of products per entry:
+        """L_xi A = [D, A] with D = ad_xi, X -> [xi, X]:
 
-            (L_xi A)^p_j = sum_q D^p_q A^q_j - A^p_q D^q_j ,
+            (L_xi A)^p_j = sum_q D^p_q A^q_j - A^p_q D^q_j ,   D^p_q = sum_r xi^r c_rq^p ,
 
-        with D = ad_xi, D^p_q = sum_r xi^r c_rq^p, built once.
+        D built from the nonzero entries of xi and of the brackets.
         """
-        idx, params, c = range(self.dim), self.params, self.c
-        live = [(r, xr) for r, xr in enumerate(xi.components) if xr.terms]
-        d = [
-            [Scalar.sum_of_products(params, ((xr, c[r][q][p]) for r, xr in live)) for q in idx]
-            for p in idx
-        ]
-        minus_d_cols = [[-d[q][j] for q in idx] for j in idx]
-        cols = a.sparse_columns
-        return Endomorphism(
-            tuple(
-                tuple(
-                    Scalar.sum_of_products(
-                        params,
-                        chain(
-                            ((d[p][q], a_q) for q, a_q in cols[j]),
-                            zip(a.matrix[p], minus_d_cols[j]),
-                        ),
-                    )
-                    for j in idx
-                )
-                for p in idx
-            )
-        )
+        live = [(xr, self.sparse_c[r]) for r, xr in enumerate(xi.components) if xr.terms]
+        products = (((p, q), x, c) for x, c_r in live for q, col in enumerate(c_r) for p, c in col)
+        return Endomorphism.from_products(self.dim, self.params, products).commutator(a)
 
     # -- well-posedness --------------------------------------------------------
 

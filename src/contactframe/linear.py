@@ -7,12 +7,16 @@ is produced only when the solution itself is polynomial.  Underdetermined
 systems are resolved by assigning the constant 1 to every free unknown (the
 callers here want canonical representatives, not the full solution space, but
 the free columns are reported so the caller can describe the family).
+
+``exact_fit`` is the engine's one coefficient fit: the nullity constant, the
+space-form and the eta-Einstein coefficients each write a sparse target as an
+exact combination of sparse templates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .scalars import Scalar, exact_div
 
@@ -100,3 +104,32 @@ def solve_linear(
         values[col] = quotient
 
     return LinearSolution(values=tuple(values), free_columns=free_columns)
+
+
+def exact_fit(
+    params: tuple[str, ...],
+    target: Mapping[Hashable, Scalar],
+    templates: Sequence[Mapping[Hashable, Scalar]],
+) -> LinearSolution | None:
+    """Solve target = sum_c x_c templates[c] exactly for the x_c, each
+    mapping an index to a nonzero Scalar: one equation per index named, in
+    sorted order, exact duplicates dropped, and the ``solve_linear`` solution
+    substituted back (a free unknown's default must satisfy every equation).
+    None when inconsistent, not polynomial, or without any equation.
+
+    ``solve_linear`` pivots on the rank profile's columns, which neither the
+    equation order nor a 0 = 0 row nor a twin changes, so none changes the
+    solution or its free columns."""
+    zero = Scalar.zero(params)
+    indices = sorted(set(target).union(*templates))
+    pairs = ((tuple(t.get(i, zero) for t in templates), target.get(i, zero)) for i in indices)
+    equations = list(dict.fromkeys(pairs))
+    if not equations:
+        return None
+    solution = solve_linear([list(row) for row, _ in equations], [b for _, b in equations], params)
+    if solution is None or any(
+        not (Scalar.sum_of_products(params, zip(row, solution.values)) - b).is_zero()
+        for row, b in equations
+    ):
+        return None
+    return solution

@@ -71,10 +71,10 @@ from .curvature import (
     riemann,
     verify_nkappa_suite,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector
+from .frames import Endomorphism, FrameManifold, FrameVector, vectors
 from .report import VerificationReport, first_witness
 from .scalars import Scalar
-from .tables import Table, sum_table, table_witness, vectors
+from .tables import Table, sum_table, table_witness
 from .tanaka_webster import (
     GTW_ROWS,
     GtwPackage,

@@ -5,7 +5,8 @@ A residual is stated as products ``(index, a, b)``: its value at ``index`` is
 the sum of a * b over the products naming that index.  ``sum_table`` runs
 one sum per index named and keeps only the nonzero sums, so an index that no
 product names is zero by construction and costs nothing.  A vector residual
-puts its component p last in the index.
+puts its component p last in the index; ``frames.vectors`` reads it as frame
+vectors, and ``frames`` builds its matrix products with ``sum_table`` too.
 
 ``table_witness`` reads tables built one slab at a time, in increasing order
 of the leading indices, and stops at the first slab holding a nonzero entry;
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .frames import FrameVector
 from .report import first_witness
 from .scalars import Scalar
 
@@ -44,19 +44,6 @@ def sum_table(
         if value.terms:
             table[index] = value
     return table
-
-
-def vectors(table: Table, dim: int, params: tuple[str, ...]) -> dict[tuple[int, ...], FrameVector]:
-    """The vector residual of a table whose last index is the component: each
-    index tuple with a nonzero component maps to its frame vector."""
-    zero = Scalar.zero(params)
-    grouped: dict[tuple[int, ...], list[Scalar]] = {}
-    for index, value in table.items():
-        components = grouped.get(index[:-1])
-        if components is None:
-            components = grouped[index[:-1]] = [zero] * dim
-        components[index[-1]] = value
-    return {index: FrameVector(tuple(c)) for index, c in grouped.items()}
 
 
 def table_witness(slabs: Iterable[dict], key: str = "residual") -> dict | None:

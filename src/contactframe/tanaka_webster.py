@@ -55,11 +55,11 @@ from .curvature import (
     riemann,
     scalar_curvature,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector
-from .linear import LinearSolution, solve_linear
+from .frames import Endomorphism, FrameManifold, FrameVector, vectors
+from .linear import exact_fit
 from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
-from .tables import Table, sum_table, vectors
+from .tables import Table, sum_table
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
     from .suite import Instance
@@ -655,29 +655,17 @@ def gssf_decompose(
     templates: tuple[Curvature4Tensor, ...], curv: Curvature4Tensor
 ) -> GssfCoefficients | None:
     """Solve curv = F1 R1 + F2 R2 + F3 R3 exactly for constant F1, F2, F3, if
-    any; ``templates`` is (R1, R2, R3) from ``space_form_templates``.
-
-    Component equations reading 0 = 0 are left out: the solver never pivots
-    on such a row nor eliminates against it, so the solution is unchanged.
-    """
-    rows: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
-    for i, j, k, l in product(range(curv.dim), repeat=4):
-        row = [t.components[i][j][k][l] for t in templates]
-        target = curv.components[i][j][k][l]
-        if not (target.is_zero() and all(c.is_zero() for c in row)):
-            rows.append(row)
-            rhs.append(target)
-    solution = _checked_solution(rows, rhs, curv.components[0][0][0][0].params)
+    any; ``templates`` is (R1, R2, R3) from ``space_form_templates``.  One
+    ``exact_fit`` over the nonzero components of the four tensors."""
+    params = curv.components[0][0][0][0].params
+    target, *nonzero = (
+        {(i, j, k, l): c for i, j, k, l, c in t.nonzero} for t in (curv, *templates)
+    )
+    solution = exact_fit(params, target, nonzero)
     if solution is None:
         return None
-    f1, f2, f3 = solution.values
-    return GssfCoefficients(
-        F1=f1,
-        F2=f2,
-        F3=f3,
-        free=tuple(_GSSF_NAMES[c] for c in solution.free_columns),
-    )
+    free = tuple(_GSSF_NAMES[c] for c in solution.free_columns)
+    return GssfCoefficients(*solution.values, free=free)
 
 
 def eta_einstein_fit(
@@ -686,33 +674,13 @@ def eta_einstein_fit(
     """Solve form = A g + B eta (x) eta exactly; None when inconsistent.
 
     On the orthonormal frame g(E_i, E_j) = delta_ij and eta(E_i) = eta_i, so
-    each equation reads its coefficients and its target from components."""
-    eta = s.eta.components
-    pairs = list(product(range(m.dim), repeat=2))
-    rows = [[m.inner_basis(i, j), eta[i] * eta[j]] for i, j in pairs]
-    rhs = [form.components[i][j] for i, j in pairs]
-    solution = _checked_solution(rows, rhs, m.params)
+    one ``exact_fit`` reads the nonzero entries of g, eta (x) eta and the form
+    from components."""
+    eta = [(i, c) for i, c in enumerate(s.eta.components) if c.terms]
+    g = dict.fromkeys(((i, i) for i in range(m.dim)), m.one_scalar())
+    eta_eta = {(i, j): a * b for i, a in eta for j, b in eta}
+    target = {
+        (i, j): c for i, row in enumerate(form.components) for j, c in enumerate(row) if c.terms
+    }
+    solution = exact_fit(m.params, target, (g, eta_eta))
     return None if solution is None else solution.values
-
-
-def _checked_solution(
-    rows: list[list[Scalar]], rhs: list[Scalar], params: tuple[str, ...]
-) -> LinearSolution | None:
-    """``solve_linear``, re-substituted: the default value of a free unknown
-    must still satisfy every equation exactly.
-
-    Exact duplicate equations are dropped first, keeping the first occurrence.
-    The pivots and the solution are unchanged: every elimination step maps
-    twins to twins, so a later twin has its original's pivot key, ``min``
-    picks the first of equal keys, and once the original pivots, each later
-    twin eliminates to 0 = 0.
-    """
-    unique = dict.fromkeys((tuple(row), target) for row, target in zip(rows, rhs))
-    rows, rhs = [list(row) for row, _ in unique], [target for _, target in unique]
-    solution = solve_linear(rows, rhs, params)
-    if solution is None or any(
-        not (Scalar.sum_of_products(params, zip(row, solution.values)) - target).is_zero()
-        for row, target in zip(rows, rhs)
-    ):
-        return None
-    return solution

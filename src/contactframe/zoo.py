@@ -20,7 +20,7 @@ kappa = 1, in every odd dimension.
 Bookkeeping utilities (pure rational/symbolic arithmetic, no frames):
 
 - dhomothetic_invariants: the nullity pair after the D-homothetic deformation
-  eta' = a eta, xi' = xi/a, phi' = phi, g' = a g + a(a - 1) eta (x) eta
+  eta' = a eta, xi' = xi/a, phi' = phi, g' = a g + a(a - 1) eta (x) eta, a > 0
   (Tanno, Illinois J. Math. 12, 1968; Blair-Koufogiorgos-Papantoniou,
   Israel J. Math. 91, 1995),
       kappa_bar = (kappa + a^2 - 1)/a^2,   mu_bar = (mu + 2a - 2)/a.
@@ -192,9 +192,10 @@ def dhomothetic_invariants(
 ) -> tuple[Scalar, Scalar]:
     """The deformed nullity pair (kappa_bar, mu_bar) under the rescaling a.
 
-    kappa_bar = (kappa + a^2 - 1)/a^2 and mu_bar = (mu + 2a - 2)/a.  Division
-    must be exact; a symbolic a whose a^2 or a does not divide its numerator
-    raises.
+    kappa_bar = (kappa + a^2 - 1)/a^2 and mu_bar = (mu + 2a - 2)/a.  A
+    constant a must be positive, since g' = a g + a(a - 1) eta (x) eta is no
+    metric for a <= 0; a symbolic a is taken as positive.  Division must be
+    exact; a symbolic a whose a^2 or a does not divide its numerator raises.
     """
     params: tuple[str, ...] = ()
     for value in (kappa, mu, a):
@@ -204,8 +205,11 @@ def dhomothetic_invariants(
     kappa_s = _as_scalar(kappa, params)
     mu_s = _as_scalar(mu, params)
     a_s = _as_scalar(a, params)
-    if a_s.is_zero():
-        raise ZooDomainError("deformation constant a must be invertible")
+    if a_s.is_constant() and a_s.constant_value() <= 0:
+        raise ZooDomainError(
+            f"deformation constant a must be positive, got {a_s}: "
+            "g' = a g + a(a - 1) eta (x) eta is a metric only for a > 0"
+        )
     one = Scalar.one(params)
     two = Scalar.constant(params, 2)
     a_squared = a_s * a_s

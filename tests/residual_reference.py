@@ -2,13 +2,16 @@
 nonzero entries: each is a function of the basis indices, evaluated one tuple
 at a time with one sum of products per component, as the rows computed them
 before they became tables.  ``tests/test_residual_tables.py`` holds every
-table, witness and crosscheck to them."""
+table, witness and crosscheck to them.  ``detect_kappa`` is the nullity
+constant solved one equation at a time by cross-multiplication, as the
+engine found it before it became an ``exact_fit``."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from contactframe import Endomorphism, FrameVector, Instance, Scalar
+from contactframe.scalars import exact_div
 
 
 def xi_contraction(x: Instance, xi_at: tuple[int, ...], terms):
@@ -208,3 +211,32 @@ def ricci_action_slice(x: Instance, sign: int):
 def self_action(x: Instance):
     a, z = z_xi(x), x.z
     return lambda i, j, k, l: tensor_action(a[i], z, j, k, l)
+
+
+def detect_kappa(m, s, r) -> Scalar | None:
+    """Solve R(E_i, E_j)xi = kappa (eta(E_j)E_i - eta(E_i)E_j) component by
+    component: the first equation with a nonzero right-hand side fixes
+    kappa = num/den, every later one must agree with it cross-multiplied, and
+    an equation 0 * kappa = nonzero is inconsistent.  None when no equation
+    determines kappa, when two disagree, or when num/den is not polynomial."""
+    num: Scalar | None = None
+    den: Scalar | None = None
+    idx, zero, eta = range(m.dim), m.zero_scalar(), s.eta.components
+    xi = [(k, xk) for k, xk in enumerate(s.xi.components) if xk.terms]
+    for i, j in product(idx, repeat=2):
+        r_ij = r.components[i][j]
+        lhs = [Scalar.sum_of_products(m.params, ((xk, r_ij[k][p]) for k, xk in xi)) for p in idx]
+        rhs = [zero] * m.dim
+        rhs[i] = rhs[i] + eta[j]
+        rhs[j] = rhs[j] - eta[i]
+        for a, b in zip(lhs, rhs):
+            if b.is_zero():
+                if not a.is_zero():
+                    return None
+            elif num is None:
+                num, den = a, b
+            elif not (a * den - num * b).is_zero():
+                return None
+    if num is None or den is None:
+        return None
+    return exact_div(num, den)

@@ -1,17 +1,29 @@
 """Almost-contact validation, h, nullity-constant detection, classification."""
 
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import residual_reference as ref
 from contactframe import (
     AlmostContactData,
     Instance,
     classify,
+    detect_kappa,
+    load_manifest,
+    load_manifest_file,
     make_abelian3,
+    make_heisenberg,
     make_lambda_family,
     validate_acm,
 )
 from contactframe.frames import Endomorphism, FrameManifold, FrameVector
 from contactframe.scalars import Scalar
+from test_riemann_oracle import frames, small
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def test_lambda_family_satisfies_every_axiom(fam):
@@ -141,3 +153,73 @@ def test_detect_kappa_none_when_no_single_constant_fits():
     m2 = FrameManifold.from_pairs(3, params, {(0, 1, 2): one})
     s2 = AlmostContactData(phi=phi, xi=m2.basis(0), eta=m2.basis(0))
     assert Instance(m2, s2).kappa is None
+
+
+def test_kappa_is_none_when_every_equation_reads_zero():
+    """kappa is free, so not detected, when R(X, Y)xi = kappa (eta(Y)X -
+    eta(X)Y) reads 0 = 0 throughout: in dimension 1, and when eta = 0 and
+    R(., .)xi = 0."""
+    line = {
+        "dimension": 1,
+        "parameters": [],
+        "structure_constants": [],
+        "contact": {"xi": ["1"], "eta": ["1"], "phi": [["0"]]},
+    }
+    assert Instance(*load_manifest(line)).kappa is None
+    entry = make_abelian3()
+    xi = entry.manifold.basis(0)
+    s = AlmostContactData(phi=entry.structure.phi, xi=xi, eta=xi.scale(0))
+    assert Instance(entry.manifold, s).kappa is None
+
+
+def _kappa_cases():
+    cases = {name.name: load_manifest_file(str(name)) for name in sorted(MANIFESTS.glob("*.json"))}
+    for n in (1, 2, 3, 4):
+        entry = make_heisenberg(n)
+        cases[entry.label] = (entry.manifold, entry.structure)
+    for lam in (None, 0, Fraction(1, 2), 3, Fraction(-2, 7)):
+        entry = make_lambda_family(lam)
+        cases[f"lambda={lam}"] = (entry.manifold, entry.structure)
+    return cases
+
+
+@pytest.mark.parametrize("name, ms", _kappa_cases().items())
+def test_detect_kappa_matches_the_cross_multiplication(name, ms):
+    m, s = ms
+    r = Instance(m, s).r
+    assert detect_kappa(m, s, r) == ref.detect_kappa(m, s, r)
+
+
+def _unit_or_drawn(draw, m: FrameManifold) -> FrameVector:
+    """E_1, or a vector of small constant components."""
+    if draw(st.booleans()):
+        return m.basis(0)
+    values = st.sampled_from((-1, 0, 0, 1, 2))
+    return FrameVector(tuple(m.constant(draw(values)) for _ in range(m.dim)))
+
+
+@st.composite
+def milnor_frames(draw):
+    """[E1, E2] = a E3, [E2, E3] = b E1, [E3, E1] = c E2, the shape of the
+    lambda family, on which kappa is often determined."""
+    params = ()
+    a, b, c = (Scalar.constant(params, draw(small)) for _ in range(3))
+    return FrameManifold.from_pairs(3, params, {(0, 1, 2): a, (1, 2, 0): b, (0, 2, 1): -c})
+
+
+@st.composite
+def structures(draw):
+    m = draw(st.one_of(frames(), milnor_frames()))
+    xi = _unit_or_drawn(draw, m)
+    eta = xi if draw(st.booleans()) else _unit_or_drawn(draw, m)
+    zero = m.zero_scalar()
+    phi = Endomorphism(tuple((zero,) * m.dim for _ in range(m.dim)))
+    return m, AlmostContactData(phi=phi, xi=xi, eta=eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures())
+def test_detect_kappa_matches_the_cross_multiplication_on_drawn_frames(ms):
+    m, s = ms
+    r = Instance(m, s).r
+    assert detect_kappa(m, s, r) == ref.detect_kappa(m, s, r)

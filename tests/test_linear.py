@@ -1,10 +1,11 @@
 """Exact linear solving over the scalar ring."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from contactframe.linear import solve_linear
+from contactframe.linear import exact_fit, solve_linear
 from contactframe.scalars import Scalar
 
 P = ()
@@ -120,3 +121,41 @@ def test_zero_rows_leave_the_solution_unchanged(stride):
     padded_rows.append([zero, zero, zero])
     padded_rhs.append(zero)
     assert solve_linear(padded_rows, padded_rhs, params) == baseline
+
+
+T = ("t",)
+t, one, two, three = (Scalar.variable(T, "t"), *(Scalar.constant(T, v) for v in (1, 2, 3)))
+
+FIT_SYSTEMS = [
+    # unique: 2x + y = 3, x - y = 0 (the target names no index 1), t x = t
+    ({0: three, 3: t}, ({0: two, 1: one, 3: t}, {0: one, 1: -one}), ((one, one), ())),
+    # underdetermined: the second template is twice the first, so y is free
+    # and takes 1; index 2 is a twin of index 0
+    (
+        {0: three, 1: three * t, 2: three},
+        ({0: one, 1: t, 2: one}, {0: two, 1: two * t, 2: two}),
+        ((one, one), (1,)),
+    ),
+    # inconsistent: x = 1 and x = 2
+    ({0: one, 1: two}, ({0: one, 1: one},), None),
+]
+
+
+@pytest.mark.parametrize("target, templates, expected", FIT_SYSTEMS)
+def test_exact_fit_is_independent_of_the_index_order(target, templates, expected):
+    """Relabelling the indices reorders the equations; the solution and its
+    free columns stay the same."""
+    for order in permutations(range(4)):
+        relabel = dict(zip(range(4), order))
+
+        def moved(mapping):
+            return {relabel[i]: v for i, v in mapping.items()}
+
+        got = exact_fit(T, moved(target), [moved(tpl) for tpl in templates])
+        assert (got and (got.values, got.free_columns)) == expected, order
+
+
+def test_exact_fit_without_an_equation_is_none():
+    assert exact_fit(P, {}, ({}, {})) is None
+    # an index named only by the target: 0 * x = 1
+    assert exact_fit(P, {(0, 1): c(1)}, ({},)) is None

@@ -118,6 +118,13 @@ def test_bad_rational_argument_exits_2():
     assert proc.returncode == 2
 
 
+def test_deform_with_a_nonpositive_scale_exits_2():
+    proc = run_cli("deform", "--kappa", "0", "--mu", "0", "--a", "-2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "must be positive" in proc.stderr
+
+
 def test_unknown_suite_exits_2():
     proc = run_cli("verify", LAMBDA, "--suite", "everything")
     assert proc.returncode == 2

@@ -28,8 +28,8 @@ from contactframe.concircular import (
     ricci_action_slabs,
     self_action_slabs,
 )
+from contactframe.frames import vectors
 from contactframe.report import VerificationReport, first_witness, grade_rows
-from contactframe.tables import vectors
 from contactframe.tanaka_webster import (
     GTW_ROWS,
     closed_form_slabs,

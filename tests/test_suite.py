@@ -180,34 +180,40 @@ def test_heisenberg_run_work_counts(monkeypatch):
     a trilinear apply per basis tuple, and ``riemann`` sums each independent
     component once: one H^5 run makes 5 applies, all in the phi-flatness
     sandwich.  The heavy derived rows are tables built from the nonzero
-    entries of their operands, so a sum of products runs only for an index
-    some product names: the run makes 1,843 sums of products, 1,615 of them
-    zero, under the bounds 1,935 and 1,695 (the measured counts plus 5%;
-    evaluating every basis tuple of those rows takes 8,171 and 7,917, scanning
-    through apply 34,593, summing every Riemann component 9,880, applying R in
-    ``detect_kappa`` 8,830 and applying Z in the two conc xi-slot scans
-    8,480).  Almost every graded quantity on H^5 is zero, and every zero is
-    one shared Scalar: the run constructs 687 Scalars, under the bound 721 (a
-    new zero per zero result makes 13,288; evaluating every tuple 909)."""
+    entries of their operands, and so are the endomorphism products (nabla A
+    and L_xi A as commutators, ``Endomorphism.commutator``) and the fits for
+    kappa, the space-form and the eta-Einstein coefficients
+    (``linear.exact_fit``), so a sum of products runs only for an index some
+    product names: the run makes 1,118 sums of products, 888 of them zero,
+    under the bounds 1,173 and 932 (the measured counts plus 5%; dense
+    derivative and Lie kernels and a cross-multiplied kappa take 1,843 and
+    1,615, evaluating every basis tuple of the derived rows 8,171 and 7,917,
+    scanning through apply 34,593, summing every Riemann component 9,880,
+    applying R in ``detect_kappa`` 8,830 and applying Z in the two conc
+    xi-slot scans 8,480).  Almost every graded quantity on H^5 is zero, and
+    every zero is one shared Scalar: the run constructs 671 Scalars, under
+    the bound 704 (a new zero per zero result makes 13,288; evaluating every
+    tuple 909)."""
     counts = _work_counts(monkeypatch, "heisenberg5.json")
     assert counts["apply"] <= 5
-    assert counts["sum_of_products"] <= 1_935
-    assert counts["zero_sums"] <= 1_695
-    assert counts["scalars"] <= 721
+    assert counts["sum_of_products"] <= 1_173
+    assert counts["zero_sums"] <= 932
+    assert counts["scalars"] <= 704
 
 
 def test_gated_run_work_counts(monkeypatch):
     """On the gated dense frame no derived section runs and neither the
-    connection nor its curvature is built: one run makes 127 sums of products,
-    all in the structural layer, under the bound 133 (the measured count plus
-    5%; building both tensors up front takes 410, a second set of frame images
-    in ``validate_acm`` 231, one set of frame images that nothing reads 201,
-    and composing h phi and phi h in full before the h laws scan 171), and no
-    trilinear apply.  It constructs 103 Scalars, under the bound 108 (a new
-    zero per zero result makes 390)."""
+    connection nor its curvature is built: one run makes 96 sums of products,
+    all in the structural layer, under the bound 100 (the measured count plus
+    5%; a dense Lie-derivative kernel for h takes 127, building both tensors
+    up front 410, a second set of frame images in ``validate_acm`` 231, one
+    set of frame images that nothing reads 201, and composing h phi and
+    phi h in full before the h laws scan 171), and no trilinear apply.  It
+    constructs 103 Scalars, under the bound 108 (a new zero per zero result
+    makes 390)."""
     counts = _work_counts(monkeypatch, "random5.json")
     assert counts["apply"] == 0
-    assert counts["sum_of_products"] <= 133
+    assert counts["sum_of_products"] <= 100
     assert counts["scalars"] <= 108
 
 

@@ -53,6 +53,18 @@ def test_deformation_rejects_zero_scale():
         dhomothetic_invariants(Fraction(1), Fraction(0), Fraction(0))
 
 
+@pytest.mark.parametrize("a", [Fraction(-2), Fraction(-1, 3), Fraction(0)])
+def test_deformation_rejects_a_nonpositive_constant_scale(a):
+    """g' = a g + a(a - 1) eta (x) eta is no metric for a <= 0; a = -2 would
+    give (kappa_bar, mu_bar) = (3/4, 3) from (0, 0), whose Boeckx invariant is
+    -1 against the input's 1."""
+    with pytest.raises(ZooDomainError, match="must be positive"):
+        dhomothetic_invariants(Fraction(0), Fraction(0), a)
+    params = ("t",)
+    with pytest.raises(ZooDomainError, match="must be positive"):
+        dhomothetic_invariants(Scalar.zero(params), Scalar.zero(params), Scalar.constant(params, a))
+
+
 def test_deformation_symbolic_scale():
     params = ("a",)
     a = Scalar.variable(params, "a")

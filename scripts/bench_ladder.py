@@ -8,12 +8,12 @@ and linear in t), on which every derived section is gated, so the Levi-Civita
 connection and its Riemann tensor are most of a run.  For each instance
 it records the minimum wall time of k runs (``run_s``), the minimum of each
 run's wall time divided by the mean of a fixed Fraction loop timed just before
-and just after it (``run_norm``), the size of the JSON report, and four
+and just after it (``run_norm``), the size of the JSON report, and three
 deterministic work counts of one more run on a fresh copy of the input: the
-calls of ``Curvature4Tensor.apply`` and of ``Scalar.sum_of_products``, the
-sums of products that return zero (``zero_sums``), and the number of Scalars
-constructed.  Host speed on a shared machine swings up to 2x within
-seconds; ``run_norm`` moves much less.
+calls of ``Scalar.sum_of_products``, the sums of products that return zero
+(``zero_sums``), and the number of Scalars constructed; the tests bound these
+counts through ``work_counts``.  Host speed on a shared machine swings up to
+2x within seconds; ``run_norm`` moves much less.
 On the gated random frames parsing the manifest is a large share of a request,
 so for those two it also records the minimum of k ``load_manifest`` calls on
 the committed document (``load_s``).
@@ -42,7 +42,6 @@ from pathlib import Path
 
 from contactframe import (
     ENGINE_VERSION,
-    Curvature4Tensor,
     Scalar,
     dump_manifest,
     emit,
@@ -77,17 +76,13 @@ def report_json(m, s) -> str:
 
 
 def work_counts(m, s) -> dict:
-    """Calls of the trilinear apply and of the fused kernel, the kernel's calls
-    that return zero, and the Scalars constructed, in one run on a fresh copy
-    of the input (``load_manifest(dump_manifest(m, s))``), so that no cache
-    left on m and s by the timed runs lowers the counts."""
+    """Calls of the fused kernel, the kernel's calls that return zero, and the
+    Scalars constructed, in one run on a fresh copy of the input
+    (``load_manifest(dump_manifest(m, s))``), so that no cache left on m and s
+    by the timed runs lowers the counts."""
     m, s = load_manifest(dump_manifest(m, s))
-    counts = {"apply": 0, "sum_of_products": 0, "zero_sums": 0, "scalars": 0}
-    apply, sum_of_products, init = Curvature4Tensor.apply, Scalar.sum_of_products, Scalar.__init__
-
-    def counted_apply(*args):
-        counts["apply"] += 1
-        return apply(*args)
+    counts = {"sum_of_products": 0, "zero_sums": 0, "scalars": 0}
+    sum_of_products, init = Scalar.sum_of_products, Scalar.__init__
 
     def counted_sum_of_products(*args):
         counts["sum_of_products"] += 1
@@ -99,13 +94,11 @@ def work_counts(m, s) -> dict:
         counts["scalars"] += 1
         init(*args)
 
-    Curvature4Tensor.apply = counted_apply
     Scalar.sum_of_products = staticmethod(counted_sum_of_products)
     Scalar.__init__ = counted_init
     try:
         report_json(m, s)
     finally:
-        Curvature4Tensor.apply = apply
         Scalar.sum_of_products = staticmethod(sum_of_products)
         Scalar.__init__ = init
     return counts

@@ -62,7 +62,6 @@ from .zoo import (
     ZooEntry,
     boeckx_invariant,
     dhomothetic_invariants,
-    make_abelian3,
     make_heisenberg,
     make_lambda_family,
     make_sasakian3,
@@ -114,7 +113,6 @@ __all__ = [
     "levi_civita",
     "load_manifest",
     "load_manifest_file",
-    "make_abelian3",
     "make_heisenberg",
     "make_lambda_family",
     "make_sasakian3",

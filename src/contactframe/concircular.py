@@ -41,9 +41,12 @@ are stated as products of the nonzero entries of A with the nonzero
 components of Z or w (``self_action_slabs``, ``ricci_action_slabs``), so on a
 Sasakian input, where almost every A vanishes, almost no sum runs.  Each table
 is built one slab of leading indices at a time, and a scan stops at the first
-slab holding a witness.  The tests hold the tables to the same operators on
-arbitrary constant vectors, written through the trilinear apply, and to the
-per-tuple residuals they replace, on every basis tuple.
+slab holding a witness.  The xi-contractions of Z are read from
+``Curvature4Tensor.xi_table``, and the phi-flatness test from a table of
+g(Z(phi E_i, phi E_j)phi E_k, phi E_l) built the same way
+(``phi_flatness_slabs``).  The tests hold the tables to the same operators
+on arbitrary constant vectors and to the per-tuple residuals they replace,
+on every basis tuple.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .curvature import Curvature4Tensor
-from .frames import FrameManifold, FrameVector
-from .report import Row, VerificationReport, first_witness, grade_rows
+from .frames import FrameManifold
+from .report import Row, VerificationReport, grade_rows
 from .scalars import Scalar
 from .tables import Table, sum_table
 from .tanaka_webster import eta_einstein_fit
@@ -167,7 +170,7 @@ _FORM_CONVENTION_NOTE = (
 def _xi_double_contraction(report, name, x):
     report.graded(
         name,
-        x.r1_scan("z", x.z.K, xi_at=(1, 2)),
+        x.r1_scan(x.z, x.z.K, xi_at=(1, 2)),
         notes=(
             "asserted definitional expansion: Z(X, xi)xi = K(X - eta(X) xi) "
             "= -K phi^2 X under phi^2 = -I + eta (x) xi",
@@ -177,21 +180,17 @@ def _xi_double_contraction(report, name, x):
 
 # quoted variant K phi^2 X, evaluated under the adopted phi^2 sign
 def _xi_double_contraction_phi_square(report, name, x):
-    one, params, phi2 = x.m.one_scalar(), x.m.params, x.s.phi.square.sparse_columns
-    z_xi_xi, minus_k = x.xi_contraction((1, 2), ((x.z, one),)), -x.z.K
-
-    def slab(i: int) -> Table:
-        return sum_table(
-            params,
-            chain(
-                ((index, one, c) for index, c in z_xi_xi(i).items()),
-                (((i, p), minus_k, c) for p, c in phi2[i]),
-            ),
-        )
-
+    one, minus_k, phi2 = x.m.one_scalar(), -x.z.K, x.s.phi.square.sparse_columns
+    table = sum_table(
+        x.m.params,
+        chain(
+            ((index, c, one) for index, c in x.z.xi_table(x.s.xi, (1, 2)).items()),
+            (((i, p), c, minus_k) for i, col in enumerate(phi2) for p, c in col),
+        ),
+    )
     report.reference(
         name,
-        x.table_scan(slab),
+        x.table_scan(lambda: table, depth=0),
         "the K phi^2 X variant matches only under the opposite "
         "phi^2 sign convention; recorded as data",
     )
@@ -199,12 +198,12 @@ def _xi_double_contraction_phi_square(report, name, x):
 
 # Z(X1, X2)xi = K R1(X1, X2)xi
 def _xi_pair(report, name, x):
-    report.graded(name, x.r1_scan("z", x.z.K, xi_at=(2,)))
+    report.graded(name, x.r1_scan(x.z, x.z.K, xi_at=(2,)))
 
 
 # Z(X1, xi)X2 = K R1(X1, xi)X2
 def _xi_argument(report, name, x):
-    report.graded(name, x.r1_scan("z", x.z.K, xi_at=(1,)))
+    report.graded(name, x.r1_scan(x.z, x.z.K, xi_at=(1,)))
 
 
 def eta_contraction_slabs(x, order: tuple[int, int, int]) -> Callable[[int], Table]:
@@ -259,8 +258,8 @@ def _xi_flatness_obstruction(report, name, x):
     is structural, not accidental.
     """
     z = x.z
-    first_nonzero = x.table_scan(x.xi_contraction((2,), ((z, x.m.one_scalar()),)), key="value")
-    bad = x.r1_scan("z", z.K, xi_at=(2,))
+    first_nonzero = x.table_scan(lambda: z.xi_table(x.s.xi, (2,)), key="value", depth=0)
+    bad = x.r1_scan(z, z.K, xi_at=(2,))
     if first_nonzero is not None and bad is None:
         report.holds(
             name,
@@ -282,23 +281,45 @@ def _xi_flatness_obstruction(report, name, x):
         )
 
 
+def phi_flatness_slabs(x) -> Callable[[int], Table]:
+    """g(Z(phi E_i, phi E_j)phi E_k, phi E_l) as the table of slab i keyed
+    (i, j, k, l):
+
+        sum phi^a_i phi^b_j phi^c_k phi^d_l Z_abc^d,
+
+    contracted one slot at a time over the nonzero entries of Z and of phi:
+    first a against column i of phi, keyed (b, c, d), then three times the
+    leading index against its row of phi, the new index moving last.  An
+    index whose phi E vanishes (xi's, say) never appears."""
+    z, phi, params = x.z, x.s.phi, x.m.params
+    rows = [[(j, c) for j, c in enumerate(row) if c.terms] for row in phi.matrix]
+
+    def slab(i: int) -> Table:
+        table = sum_table(
+            params,
+            (
+                ((b, c, d), value, phi_ai)
+                for a, phi_ai in phi.sparse_columns[i]
+                for _, b, c, d, value in z.entries(a)
+            ),
+        )
+        for _ in range(3):
+            table = sum_table(
+                params,
+                (
+                    (key[1:] + (j,), value, phi_ej)
+                    for key, value in table.items()
+                    for j, phi_ej in rows[key[0]]
+                ),
+            )
+        return {(i,) + key: value for key, value in table.items()}
+
+    return slab
+
+
 def _phi_flatness(report, name, x):
-    """Test g(Z(phi X1, phi X2)phi X3, phi X4) = 0; on success fit eta-Einstein.
-
-    The scan covers only indices whose frame vector survives phi (phi xi = 0
-    makes xi-slots vacuous).
-    """
-    m, z, phi_e = x.m, x.z, x.s.phi.columns
-    survivors = [i for i in range(m.dim) if not phi_e[i].is_zero()]
-
-    @lru_cache(maxsize=1)
-    def z_phi(i: int, j: int, k: int) -> FrameVector:
-        return z.apply(phi_e[i], phi_e[j], phi_e[k])
-
-    first_nonzero = first_witness(
-        product(survivors, repeat=4),
-        lambda i, j, k, l: m.inner(z_phi(i, j, k), phi_e[l]),
-    )
+    """Test g(Z(phi X1, phi X2)phi X3, phi X4) = 0; on success fit eta-Einstein."""
+    first_nonzero = x.table_scan(phi_flatness_slabs(x), False)
     if first_nonzero is not None:
         report.not_applicable(
             name,
@@ -309,7 +330,7 @@ def _phi_flatness(report, name, x):
             ),
         )
         return
-    fit = eta_einstein_fit(m, x.s, x.pkg.ricci)
+    fit = eta_einstein_fit(x.m, x.s, x.pkg.ricci)
     if fit is None:
         report.fails(
             name,
@@ -425,6 +446,6 @@ CONC_ROWS: tuple[Row, ...] = (
 
 def verify_concircular_suite(x: "Instance") -> VerificationReport:
     """Grade the xi-contraction identities and the theorem obstructions of
-    ``x.z``.  The structural layer must hold (the run_suite gate guarantees
-    it): the rows stated through R1 rely on eta = g(., xi) and eta(xi) = 1."""
+    ``x.z``; every row is not_applicable when ``x.gate_note`` is set (the
+    rows stated through R1 rely on eta = g(., xi) and eta(xi) = 1)."""
     return grade_rows(CONC_ROWS, x)

@@ -37,7 +37,6 @@ from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import VerificationReport, first_witness
 from .linear import exact_fit
 from .scalars import Scalar
-from .tables import sum_table
 
 
 @dataclass(frozen=True)
@@ -176,12 +175,9 @@ def detect_kappa(
     kappa is free.
     """
     idx = range(m.dim)
-    xi = {k: c for k, c in enumerate(s.xi.components) if c.terms}
     eta = [(a, c) for a, c in enumerate(s.eta.components) if c.terms]
-    # R(E_i, E_j)xi = sum_k xi^k R(E_i, E_j)E_k, component p
-    target = sum_table(
-        m.params, (((i, j, p), xi[k], c) for i, j, k, p, c in r.nonzero if k in xi)
-    )
+    # R(E_i, E_j)xi, component p, keyed (i, j, p): the table the nullity rows read
+    target = r.xi_table(s.xi, (2,))
     # eta(E_j)E_i - eta(E_i)E_j, zero for i = j
     template = {(i, j, i): e_j for j, e_j in eta for i in idx if i != j}
     template.update({(i, j, j): -e_i for i, e_i in eta for j in idx if i != j})

@@ -31,20 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, product
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
-from .tables import sum_table
+from .tables import Table, sum_table
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
     from .suite import Instance
-
-LEVI_CIVITA = "levi_civita"
-TANAKA_WEBSTER = "tanaka_webster"
 
 
 class ConnectionConsistencyError(Exception):
@@ -55,7 +53,6 @@ class ConnectionConsistencyError(Exception):
 class Connection:
     """Frame connection coefficients: nabla_{E_i} E_j = gamma[i][j][k] E_k."""
 
-    kind: str
     gamma: tuple[tuple[tuple[Scalar, ...], ...], ...]
 
     @property
@@ -112,7 +109,7 @@ def levi_civita(m: FrameManifold) -> Connection:
         )
         for i in range(m.dim)
     )
-    conn = Connection(kind=LEVI_CIVITA, gamma=gamma)
+    conn = Connection(gamma)
     # metric compatibility and torsion-freeness are structural for the Koszul
     # output on antisymmetric c, so a violation indicates malformed input; the
     # metric residual is symmetric in (j, k) and (i, k, j) comes before
@@ -194,22 +191,37 @@ class Curvature4Tensor:
         """R(E_i, E_j, E_k, E_l) = g(R(E_i,E_j)E_k, E_l); free on an orthonormal frame."""
         return self.components[i][j][k][l]
 
-    def apply(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
-        """Trilinear extension to constant-coefficient vectors."""
-        weighted = [
-            (xi * yj * zk, self.components[i][j][k])
-            for i, xi in enumerate(x.components)
-            if xi.terms
-            for j, yj in enumerate(y.components)
-            if yj.terms
-            for k, zk in enumerate(z.components)
-            if zk.terms
-        ]
-        return FrameVector(
-            tuple(
-                Scalar.sum_of_products(x.params, ((w, row[l]) for w, row in weighted))
-                for l in range(self.dim)
-            )
+    @cached_property
+    def _xi_tables(self) -> dict[tuple[FrameVector, tuple[int, ...]], Table]:
+        return {}
+
+    def xi_table(self, xi: FrameVector, xi_at: tuple[int, ...]) -> Table:
+        """T(X, Y)Z with xi in the argument slots ``xi_at`` (0, 1, 2) and frame
+        vectors in the others, as the table of its nonzero values keyed by the
+        frame indices of the other slots and the component: ``xi_table(xi, (2,))``
+        maps (i, j, p) to component p of T(E_i, E_j)xi.  Built once per
+        (xi, xi_at); the tensor keeps it, so every reader shares one table."""
+        key = (xi, xi_at)
+        if key not in self._xi_tables:
+            self._xi_tables[key] = self._contract_xi(xi, xi_at)
+        return self._xi_tables[key]
+
+    def _contract_xi(self, xi: FrameVector, xi_at: tuple[int, ...]) -> Table:
+        """One ``sum_table`` over the nonzero components (i, j, k, l, c), each
+        weighted by the product of xi's entries at its xi slots; the component
+        comes first in each product, so a weight of 1 keeps the component
+        itself."""
+        at_xi = itemgetter(*xi_at)
+        index = itemgetter(*(slot for slot in range(3) if slot not in xi_at), 3)
+        nonzero = [(r, c) for r, c in enumerate(xi.components) if c.terms]
+        # keyed as at_xi reads the indices of a component
+        weights = {
+            at_xi(dict(zip(xi_at, (r for r, _ in fill)))): reduce(mul, (c for _, c in fill))
+            for fill in product(nonzero, repeat=len(xi_at))
+        }
+        return sum_table(
+            xi.params,
+            ((index(e), e[4], weights[at]) for e in self.nonzero if (at := at_xi(e)) in weights),
         )
 
 
@@ -369,15 +381,15 @@ def _eta_covariant_derivative(report, name, x):
 
 # R(X, xi)xi, R(X, Y)xi and R(X, xi)Y equal kappa R1 at the same slots
 def _curvature_xi_xi(report, name, x):
-    report.graded(name, x.r1_scan("r", x.kappa, xi_at=(1, 2)))
+    report.graded(name, x.r1_scan(x.r, x.kappa, xi_at=(1, 2)))
 
 
 def _curvature_pair_xi(report, name, x):
-    report.graded(name, x.r1_scan("r", x.kappa, xi_at=(2,)))
+    report.graded(name, x.r1_scan(x.r, x.kappa, xi_at=(2,)))
 
 
 def _curvature_xi_argument(report, name, x):
-    report.graded(name, x.r1_scan("r", x.kappa, xi_at=(1,)))
+    report.graded(name, x.r1_scan(x.r, x.kappa, xi_at=(1,)))
 
 
 # S = 2(n-1) g + 2(n-1) g(h., .) + [2n kappa - 2(n-1)] eta (x) eta
@@ -427,9 +439,9 @@ def _sasakian_orientation(report, name, x):
     if not (x.kappa - one).is_zero():
         report.not_applicable(name, notes=("instance is not Sasakian (kappa differs from 1)",))
         return
-    if x.r1_scan("r", one, xi_at=(2,)) is None:
+    if x.r1_scan(x.r, one, xi_at=(2,)) is None:
         orientation = "eta(Y)X - eta(X)Y"
-    elif x.r1_scan("r", -one, xi_at=(2,)) is None:
+    elif x.r1_scan(x.r, -one, xi_at=(2,)) is None:
         orientation = "eta(X)Y - eta(Y)X"
     else:
         orientation = "neither"
@@ -459,8 +471,8 @@ NKAPPA_ROWS: tuple[Row, ...] = (
 
 
 def verify_nkappa_suite(x: "Instance") -> VerificationReport:
-    """Grade the nullity-class identities of ``x``; ``x.kappa`` must be the
-    detected nullity constant of the Levi-Civita curvature ``x.r``, and the
-    structural layer must hold (the run_suite gate guarantees both): the rows
-    stated through R1 rely on eta = g(., xi) and eta(xi) = 1."""
+    """Grade the nullity-class identities of ``x`` against its nullity
+    constant ``x.kappa``; every row is not_applicable when ``x.gate_note``
+    is set, as when no single kappa fits (the rows stated through R1 rely on
+    eta = g(., xi) and eta(xi) = 1)."""
     return grade_rows(NKAPPA_ROWS, x)

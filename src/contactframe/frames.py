@@ -121,13 +121,6 @@ class Endomorphism:
         sums, zero, idx = sum_table(params, products), Scalar.zero(params), range(dim)
         return Endomorphism(tuple(tuple(sums.get((p, j), zero) for j in idx) for p in idx))
 
-    @staticmethod
-    def from_columns(columns: Sequence[FrameVector]) -> "Endomorphism":
-        dim = len(columns)
-        return Endomorphism(
-            tuple(tuple(columns[j].components[i] for j in range(dim)) for i in range(dim))
-        )
-
     def apply(self, x: FrameVector) -> FrameVector:
         live = [(j, xj) for j, xj in enumerate(x.components) if xj.terms]
         return FrameVector(

@@ -20,7 +20,8 @@ evaluated.
 
 A derived section is an ordered tuple of rows ``(name, build)``;
 ``grade_rows`` calls ``build(report, name, x)`` for each, which grades the
-named check from the instance ``x`` through one verdict helper.  The rows
+named check from the instance ``x`` through one verdict helper, unless the
+instance carries a gate note.  The rows
 are the only place a derived check's name is written down.
 
 Serialization is deterministic: no timestamps, stable key order, check
@@ -189,10 +190,15 @@ Row = tuple[str, Callable[[VerificationReport, str, Any], None]]
 
 
 def grade_rows(rows: Iterable[Row], x: Any) -> VerificationReport:
-    """One report holding each row's check, in row order."""
-    report = VerificationReport()
+    """One report holding each row's check, in row order.  When the instance
+    is gated (``x.gate_note`` is not empty) no row is built: each is
+    not_applicable with the note."""
+    report, note = VerificationReport(), x.gate_note
     for name, build in rows:
-        build(report, name, x)
+        if note:
+            report.not_applicable(name, notes=(note,))
+        else:
+            build(report, name, x)
     return report
 
 

@@ -17,8 +17,9 @@ one structural gate: ``curvature --connection gtw`` refuses exactly the
 inputs on which it fails.  The derived suites presuppose a contact metric
 structure satisfying the nullity condition; when the structural layer
 fails, or no single nullity constant fits the curvature, those suites are
-emitted as not_applicable entries carrying a gate note instead of
-misgrading identities whose hypotheses are absent.  Named suites
+emitted as not_applicable entries carrying a gate note
+(``Instance.gate_note``) instead of misgrading identities whose hypotheses
+are absent; each section grader applies the gate itself.  Named suites
 ("nkappa", "gtw", "concircular") emit only their own section, gated the
 same way; "frame" emits only the structural layer; "all" emits everything
 in order.
@@ -33,12 +34,15 @@ derived section is a table of rows (``NKAPPA_ROWS``, ``GTW_ROWS``,
 all come from those tables.
 
 A row reads its residual either per basis tuple (``Instance.scan``) or, for
-the dim^3 and dim^4 residuals and the xi-slot contractions, from a table of
-the nonzero values built from the nonzero entries of its operands
-(``Instance.table_scan``, ``tables.sum_table``), one slab of leading indices
-at a time; both give the same first witness.  The tables that two rows read
-(the curvature closed form, the ricci action) are kept on the instance
-(``Instance.kept``).
+the dim^3 and dim^4 residuals, from a table of the nonzero values built from
+the nonzero entries of its operands (``Instance.table_scan``,
+``tables.sum_table``), one slab of leading indices at a time; both give the
+same first witness.  The tables that two rows read (the curvature closed
+form, the ricci action) are kept on the instance (``Instance.kept``).  A
+tensor with xi in some argument slots is read from one table per tensor and
+slots, kept on the tensor (``Curvature4Tensor.xi_table``) and scanned whole:
+``detect_kappa``, ``Instance.r1_scan``, ``Instance.z_xi`` and the xi-slot
+rows share them.
 
 run_suite never raises on mathematical grounds: every outcome, including a
 broken input structure, is a report entry.
@@ -49,8 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Callable, Iterator
+from itertools import chain, product
+from typing import Callable
 
 from .concircular import CONC_ROWS, ConcircularTensor, concircular, verify_concircular_suite
 from .contact import (
@@ -127,7 +131,8 @@ class Instance:
         """The witness ``scan`` would give, read from tables of nonzero
         residuals: ``slab(*lead)`` is the table of the tuples whose first
         ``depth`` indices are ``lead``, built only while no earlier slab holds a
-        witness.  A vector residual puts its component last in the index."""
+        witness; ``depth=0`` reads one table, ``slab()``, whole.  A vector
+        residual puts its component last in the index."""
         dim, params = self.m.dim, self.m.params
         slabs = (slab(*lead) for lead in product(range(dim), repeat=depth))
         if vector:
@@ -142,52 +147,20 @@ class Instance:
             self._kept[key] = slabs(self)(a)
         return self._kept[key]
 
-    def xi_scan(
-        self, xi_at: tuple[int, ...], terms: tuple[tuple[Curvature4Tensor, Scalar], ...]
-    ) -> dict | None:
-        """``table_scan`` of ``xi_contraction(xi_at, terms)``: xi_at=(2,) runs
-        (E_i, E_j, xi)."""
-        return self.table_scan(self.xi_contraction(xi_at, terms))
-
-    def xi_contraction(
-        self, xi_at: tuple[int, ...], terms: tuple[tuple[Curvature4Tensor, Scalar], ...]
-    ) -> Callable[[int], Table]:
-        """The sum of c T(X, Y, Z) over the terms (T, c), with xi in the argument
-        slots ``xi_at`` and E_i, E_j, ... in the others, as tables keyed by those
-        frame indices and the component: ``xi_contraction(xi_at, terms)(a)`` is
-        the slab whose first frame index is a.  Its products are the nonzero
-        entries of the tensors' vectors, weighted by c times xi's entries."""
-        dim, params = self.m.dim, self.m.params
-        xi = [(r, c) for r, c in enumerate(self.s.xi.components) if c.terms]
-        # every filling of the xi slots from xi's nonzero entries, weighted by
-        # c times the product of those entries
-        weighted = []
-        for t, c in terms:
-            for fill in product(xi, repeat=len(xi_at)):
-                weight = c
-                for _, xi_r in fill:
-                    weight = weight * xi_r
-                weighted.append((t.sparse_vectors, [r for r, _ in fill], weight))
-        rest = list(product(range(dim), repeat=2 - len(xi_at)))
-
-        def products(a: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
-            for sv, fill, weight in weighted:
-                for indices in ((a,) + r for r in rest):
-                    frame, filled = iter(indices), iter(fill)
-                    i, j, k = (next(filled if slot in xi_at else frame) for slot in range(3))
-                    for p, v in sv[i][j][k]:
-                        yield indices + (p,), weight, v
-
-        return lambda a: sum_table(params, products(a))
-
-    def r1_scan(self, layer: str, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
-        """``xi_scan`` of T - c R1, T being the layer named ``layer`` ("r" or
-        "z"): T against the model c R1 at the same slots.  Each distinct scan
-        runs once; rows that grade the same comparison share its witness."""
-        key = (layer, c, xi_at)
+    def r1_scan(self, t: Curvature4Tensor, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
+        """The witness of T - c R1 with xi in the argument slots ``xi_at``:
+        ``t.xi_table`` against R1's table at the same slots, scanned whole.
+        Each distinct comparison runs once; rows that grade the same comparison
+        share its witness."""
+        key = (id(t), c, xi_at)
         if key not in self._r1_witnesses:
-            terms = ((getattr(self, layer), self.m.one_scalar()), (self.templates[0], -c))
-            self._r1_witnesses[key] = self.xi_scan(xi_at, terms)
+            xi, one, minus_c = self.s.xi, self.m.one_scalar(), -c
+            products = chain(
+                ((index, v, one) for index, v in t.xi_table(xi, xi_at).items()),
+                ((index, v, minus_c) for index, v in self.templates[0].xi_table(xi, xi_at).items()),
+            )
+            table = sum_table(self.m.params, products)
+            self._r1_witnesses[key] = self.table_scan(lambda: table, depth=0)
         return self._r1_witnesses[key]
 
     # -- structural layer ----------------------------------------------------
@@ -209,6 +182,17 @@ class Instance:
         report.extend(self.acm_report)
         report.extend(h_property_checks(self.m, self.s, self.h))
         return report
+
+    @cached_property
+    def gate_note(self) -> str:
+        """Why the derived rows do not apply, "" when they do: the structural
+        layer fails, or no single nullity constant fits.  ``report.grade_rows``
+        emits every row of a gated section as not_applicable with this note."""
+        if self.structural_report.has_failures:
+            return _STRUCTURAL_GATE
+        if self.kappa is None:
+            return _KAPPA_GATE
+        return ""
 
     @cached_property
     def templates(self) -> tuple[Curvature4Tensor, ...]:
@@ -345,14 +329,12 @@ class Instance:
     def z_xi(self) -> tuple[Endomorphism, ...]:
         """Z(xi, E_i) for every frame index: the endomorphisms whose actions on
         the ricci form and on Z the concircular obstructions grade; column k of
-        Z(xi, E_i) is Z(xi, E_i)E_k, read from slab i of the table
-        ``xi_contraction((0,), ((Z, 1),))``."""
+        Z(xi, E_i) is Z(xi, E_i)E_k, read from ``z.xi_table(xi, (0,))``."""
         idx, zero = range(self.m.dim), self.m.zero_scalar()
-        slab = self.xi_contraction((0,), ((self.z, self.m.one_scalar()),))
-        tables = [slab(i) for i in idx]
+        table = self.z.xi_table(self.s.xi, (0,))
         return tuple(
-            Endomorphism(tuple(tuple(t.get((i, k, p), zero) for k in idx) for p in idx))
-            for i, t in enumerate(tables)
+            Endomorphism(tuple(tuple(table.get((i, k, p), zero) for k in idx) for p in idx))
+            for i in idx
         )
 
 
@@ -378,7 +360,9 @@ def run_suite(
     """Run the requested section(s); see the module docstring for gating.
 
     The layers a section reads (kappa, the torsionful package, Z) are built
-    here, before the section runs, so a section's own work excludes them.
+    here, before the section runs, so a section's own work excludes them; a
+    gated run builds neither the package nor Z, and each section grader emits
+    its gated entries itself (``Instance.gate_note``).
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
@@ -386,13 +370,6 @@ def run_suite(
         manifest_hash=manifest_hash, engine_version=ENGINE_VERSION
     )
     x = Instance(m, s)
-
-    if x.structural_report.has_failures:
-        gate_note = _STRUCTURAL_GATE
-    elif x.kappa is None:
-        gate_note = _KAPPA_GATE
-    else:
-        gate_note = ""
 
     if suite in ("all", "frame"):
         report.extend(x.structural_report)
@@ -408,30 +385,28 @@ def run_suite(
             notes=("informational classification; the values are data",),
         )
 
-    nkappa_rows = NKAPPA_ROWS if suite in ("all", "nkappa") else ()
-    gtw_rows = GTW_ROWS if suite in ("all", "gtw") else ()
-    conc_rows = CONC_ROWS if suite in ("all", "concircular") else ()
-    if gate_note:
-        for name, _ in nkappa_rows + gtw_rows + conc_rows:
-            report.not_applicable(name, notes=(gate_note,))
+    if suite == "frame":
         return report
-
-    if nkappa_rows:
+    # read before the sections, so that kappa is not a section's own work
+    gated = bool(x.gate_note)
+    if suite in ("all", "nkappa"):
         report.extend(verify_nkappa_suite(x))
-    if gtw_rows or conc_rows:
+    gtw, conc = suite in ("all", "gtw"), suite in ("all", "concircular")
+    if (gtw or conc) and not gated:
         try:
             x.pkg
         except ConnectionConsistencyError as exc:
-            for name, _ in gtw_rows + conc_rows:
+            for name, _ in (GTW_ROWS if gtw else ()) + (CONC_ROWS if conc else ()):
                 report.fails(
                     name,
                     witness={"residual": str(exc)},
                     notes=("the torsionful connection could not be built",),
                 )
             return report
-    if gtw_rows:
+    if gtw:
         report.extend(verify_gtw_suite(x))
-    if conc_rows:
-        x.z
+    if conc:
+        if not gated:
+            x.z
         report.extend(verify_concircular_suite(x))
     return report

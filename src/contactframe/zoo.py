@@ -115,24 +115,6 @@ def make_sasakian3() -> ZooEntry:
     return make_lambda_family(0, label="sasakian3")
 
 
-def make_abelian3() -> ZooEntry:
-    """All brackets zero, same (phi, xi, eta).
-
-    Not a contact metric structure (d eta = 0 while g(X, phi Y) is not);
-    shipped to demonstrate honest gating.  Its curvature vanishes, so the
-    nullity equations force kappa = 0.
-    """
-    params: tuple[str, ...] = ()
-    m = FrameManifold.from_pairs(3, params, {})
-    return ZooEntry(
-        manifold=m,
-        structure=_lambda_structure(m),
-        label="abelian3",
-        expected_kappa=Scalar.zero(params),
-        notes=("flat abelian frame; fails the contact condition by design",),
-    )
-
-
 def make_heisenberg(n: int) -> ZooEntry:
     """The Heisenberg group H^(2n+1) on the frame xi, X_1..X_n, Y_1..Y_n.
 

@@ -12,6 +12,7 @@ from itertools import product
 
 from contactframe import Endomorphism, FrameVector, Instance, Scalar
 from contactframe.scalars import exact_div
+from vector_reference import apply, endomorphism
 
 
 def xi_contraction(x: Instance, xi_at: tuple[int, ...], terms):
@@ -44,7 +45,7 @@ def z_xi(x: Instance) -> tuple[Endomorphism, ...]:
     """Z(xi, E_i) for every frame index, column k being Z(xi, E_i)E_k."""
     idx = range(x.m.dim)
     at = xi_contraction(x, (0,), ((x.z, x.m.one_scalar()),))
-    return tuple(Endomorphism.from_columns([at(i, k) for k in idx]) for i in idx)
+    return tuple(endomorphism([at(i, k) for k in idx]) for i in idx)
 
 
 def tensor_action(a: Endomorphism, t, j: int, k: int, l: int) -> FrameVector:
@@ -192,6 +193,19 @@ def phi_square_variant(x: Instance):
     z, phi2 = x.z, x.s.phi.square
     z_xi_xi = xi_contraction(x, (1, 2), ((z, x.m.one_scalar()),))
     return lambda i: z_xi_xi(i) - phi2.column(i).scale(z.K)
+
+
+def phi_flatness(x: Instance):
+    """g(Z(phi E_i, phi E_j)phi E_k, phi E_l), through the trilinear apply."""
+    m, z, phi_e = x.m, x.z, x.s.phi.columns
+    applied: dict[tuple[int, int, int], FrameVector] = {}
+
+    def residual(i: int, j: int, k: int, l: int) -> Scalar:
+        if (i, j, k) not in applied:
+            applied[i, j, k] = apply(z, phi_e[i], phi_e[j], phi_e[k])
+        return m.inner(applied[i, j, k], phi_e[l])
+
+    return residual
 
 
 def ricci_action(x: Instance):

@@ -25,7 +25,7 @@ from contactframe import (
 )
 from contactframe.frames import FrameManifold, FrameVector
 from contactframe.scalars import Scalar
-from vector_reference import bracket, tensor_dot_form, tensor_dot_tensor
+from vector_reference import apply, bracket, tensor_dot_form, tensor_dot_tensor
 
 LAMBDA = "manifests/lambda_family.json"
 
@@ -234,7 +234,7 @@ def test_criterion_4_space_form_coefficients_all_one(fam0):
 def test_criterion_5_nonvanishing_obstructions(fam):
     m, z, s = fam.m, fam.z, fam.s
     e = m.basis
-    got = z.apply(e(1), e(0), s.xi)
+    got = apply(z, e(1), e(0), s.xi)
     want = e(1).scale(m.constant(Fraction(-2, 3)))
     ok = (got - want).is_zero() and not got.is_zero()
     val = tensor_dot_form(m, z, fam.pkg.ricci, s.xi, e(1), e(1), s.xi)

@@ -1,6 +1,7 @@
 """The component contractions the residual scans read, held to the vector-level
-operators they replace on every basis tuple: the xi-slot contraction's tables
-against the trilinear ``Curvature4Tensor.apply``, the covariant derivative of
+operators they replace on every basis tuple: the xi-slot tables
+(``Curvature4Tensor.xi_table``) against the trilinear apply of
+``tests/vector_reference.py``, the covariant derivative of
 an endomorphism against its column formula, and the curvature closed form's
 table, the R1(xi, X + hX)Y table and the g(hE_i, phi E_j) table against
 scale-and-subtract and inner products on frame vectors.  The
@@ -38,7 +39,7 @@ from contactframe import (
     run_suite,
 )
 from contactframe.tanaka_webster import closed_form_slabs
-from vector_reference import bracket
+from vector_reference import apply, bracket
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -162,32 +163,26 @@ def _with_xi(x: Instance, xi_at: tuple[int, ...], frame: tuple[int, ...]) -> lis
 
 @pytest.mark.parametrize("xi_at", XI_SLOTS)
 def test_xi_contraction_matches_the_trilinear_apply(x, xi_at):
-    one, r1 = x.m.one_scalar(), x.templates[0]
-    term_lists = [((t, one),) for t in (x.r, x.pkg.curv, x.z)] + [
-        ((x.r, one), (r1, -x.kappa)),
-        ((x.z, one), (r1, -x.z.K)),
-    ]
-    for terms in term_lists:
-        slab = x.xi_contraction(xi_at, terms)
-        tables = [slab(a) for a in range(x.m.dim)]
+    """Each xi table holds exactly the nonzero components of the apply, and
+    a second read returns the same table."""
+    for t in (x.r, x.templates[0], x.pkg.curv, x.z):
+        table = t.xi_table(x.s.xi, xi_at)
+        assert t.xi_table(x.s.xi, xi_at) is table
+        want = {}
         for frame in product(range(x.m.dim), repeat=3 - len(xi_at)):
-            args = _with_xi(x, xi_at, frame)
-            want = FrameVector((x.m.zero_scalar(),) * x.m.dim)
-            for t, c in terms:
-                want = want + t.apply(*args).scale(c)
-            # the slab of the first frame index holds the nonzero components
-            got = tuple(tables[frame[0]].get(frame + (p,)) for p in range(x.m.dim))
-            assert got == tuple(c if c.terms else None for c in want.components), (xi_at, frame)
+            value = apply(t, *_with_xi(x, xi_at, frame))
+            want.update((frame + (p,), c) for p, c in enumerate(value.components) if c.terms)
+        assert table == want, xi_at
 
 
 def test_derivative_endo_matches_the_column_formula(x):
     m = x.m
-    for conn, a in product((x.lc, x.pkg.conn), (x.s.phi, x.h)):
+    for (name, conn), a in product((("lc", x.lc), ("gtw", x.pkg.conn)), (x.s.phi, x.h)):
         for i in range(m.dim):
             got = conn.derivative_endo(m, i, a)
             for j in range(m.dim):
                 want = conn.derivative(i, a.column(j)) - a.apply(conn.derivative_basis(i, j))
-                assert got.column(j) == want, (conn.kind, i, j)
+                assert got.column(j) == want, (name, i, j)
 
 
 def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
@@ -200,7 +195,7 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
     r1, r3 = x.templates[0], x.templates[2]
     v, xh = x.phi_x_plus_hx, x.x_plus_hx
     for i, j in product(range(m.dim), repeat=2):
-        assert x.r1_xi[i][j] == r1.apply(x.s.xi, xh[i], m.basis(j)), (i, j)
+        assert x.r1_xi[i][j] == apply(r1, x.s.xi, xh[i], m.basis(j)), (i, j)
         assert x.h_phi[i][j] == m.inner(x.h.column(i), phi.column(j)), (i, j)
         assert x.xh_phi[i][j] == m.inner(xh[i], phi.column(j)), (i, j)
     for i in range(m.dim):

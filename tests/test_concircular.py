@@ -12,7 +12,7 @@ from contactframe import (
     verify_concircular_suite,
 )
 from contactframe.concircular import ricci_action_slabs, self_action_slabs
-from vector_reference import tensor_dot_form, tensor_dot_tensor
+from vector_reference import apply, tensor_dot_form, tensor_dot_tensor
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -25,7 +25,7 @@ def test_xi_nonflatness_witness(fam):
     """Z(E2, E1)xi = -(2/3) E2 is nonzero, so the tensor cannot be xi-flat."""
     m, z, s = fam.m, fam.z, fam.s
     e = m.basis
-    got = z.apply(e(1), e(0), s.xi)
+    got = apply(z, e(1), e(0), s.xi)
     want = e(1).scale(m.constant(Fraction(-2, 3)))
     assert (got - want).is_zero()
     # and every component matches K (eta(Y)X - eta(X)Y), the structural form
@@ -34,7 +34,7 @@ def test_xi_nonflatness_witness(fam):
             expected = (
                 e(i).scale(m.inner(s.eta, e(j))) - e(j).scale(m.inner(s.eta, e(i)))
             ).scale(z.K)
-            assert (z.apply(e(i), e(j), s.xi) - expected).is_zero()
+            assert (apply(z, e(i), e(j), s.xi) - expected).is_zero()
 
 
 def test_phi_sandwich_component(fam):
@@ -42,7 +42,7 @@ def test_phi_sandwich_component(fam):
     m, z, phi = fam.m, fam.z, fam.s.phi
     e = m.basis
     val = m.inner(
-        z.apply(phi.apply(e(1)), phi.apply(e(2)), phi.apply(e(1))),
+        apply(z, phi.apply(e(1)), phi.apply(e(2)), phi.apply(e(1))),
         phi.apply(e(2)),
     )
     assert val == m.constant(Fraction(-4, 3))

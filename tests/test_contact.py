@@ -14,7 +14,6 @@ from contactframe import (
     detect_kappa,
     load_manifest,
     load_manifest_file,
-    make_abelian3,
     make_heisenberg,
     make_lambda_family,
     validate_acm,
@@ -69,13 +68,13 @@ def test_generic_member_is_not_sasakian(fam):
 
 
 def test_abelian_fails_contact_condition_but_kappa_zero():
-    entry = make_abelian3()
-    report = validate_acm(entry.manifold, entry.structure)
+    m, s = load_manifest_file(str(MANIFESTS / "abelian3.json"))
+    report = validate_acm(m, s)
     assert report.has_failures
     assert report.by_name("acm.contact_condition").status == "fails"
     # the axioms that do not involve brackets still hold
     assert report.by_name("acm.phi_square").status == "holds"
-    kappa = Instance(entry.manifold, entry.structure).kappa
+    kappa = Instance(m, s).kappa
     # flat curvature forces kappa = 0 through the eta-degenerate equations
     assert kappa is not None and kappa.is_zero()
 
@@ -166,10 +165,10 @@ def test_kappa_is_none_when_every_equation_reads_zero():
         "contact": {"xi": ["1"], "eta": ["1"], "phi": [["0"]]},
     }
     assert Instance(*load_manifest(line)).kappa is None
-    entry = make_abelian3()
-    xi = entry.manifold.basis(0)
-    s = AlmostContactData(phi=entry.structure.phi, xi=xi, eta=xi.scale(0))
-    assert Instance(entry.manifold, s).kappa is None
+    m, abelian = load_manifest_file(str(MANIFESTS / "abelian3.json"))
+    xi = m.basis(0)
+    s = AlmostContactData(phi=abelian.phi, xi=xi, eta=xi.scale(0))
+    assert Instance(m, s).kappa is None
 
 
 def _kappa_cases():

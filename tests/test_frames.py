@@ -122,6 +122,6 @@ def test_lie_derive_endo_of_identity_vanishes():
     from contactframe.frames import Endomorphism
 
     m = heisenberg3()
-    identity = Endomorphism.from_columns([m.basis(j) for j in range(m.dim)])
+    identity = Endomorphism(tuple(m.basis(j).components for j in range(m.dim)))
     derived = m.lie_derive_endo(m.basis(0), identity)
     assert derived.is_zero()

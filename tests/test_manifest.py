@@ -16,7 +16,6 @@ from contactframe import (
     dump_manifest,
     load_manifest,
     load_manifest_file,
-    make_abelian3,
     make_lambda_family,
     make_sasakian3,
     manifest_hash,
@@ -39,13 +38,6 @@ def _base_doc() -> dict:
 def test_shipped_manifest_matches_constructor():
     m, s = load_manifest_file(LAMBDA_PATH)
     entry = make_lambda_family()
-    assert m == entry.manifold
-    assert s == entry.structure
-
-
-def test_shipped_abelian_matches_constructor():
-    m, s = load_manifest_file(ABELIAN_PATH)
-    entry = make_abelian3()
     assert m == entry.manifold
     assert s == entry.structure
 
@@ -204,7 +196,6 @@ def test_budgets_admit_committed_manifests_zoo_entries_and_h9():
         make_lambda_family(),
         make_lambda_family(Fraction(1, 2)),
         make_sasakian3(),
-        make_abelian3(),
     ):
         load_manifest(dump_manifest(entry.manifold, entry.structure))
     assert load_manifest(_heisenberg_doc(4))[0].dim == 9

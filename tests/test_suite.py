@@ -27,6 +27,9 @@ from contactframe import (
     load_manifest_file,
     make_lambda_family,
     run_suite,
+    verify_concircular_suite,
+    verify_gtw_suite,
+    verify_nkappa_suite,
 )
 from contactframe.suite import CONC_CHECK_NAMES, GTW_CHECK_NAMES, NKAPPA_CHECK_NAMES
 
@@ -34,7 +37,18 @@ MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 BROKEN = "metric parallelism violated at (1,2,3): 7"
 
-_APPLY, _SUM_OF_PRODUCTS, _INIT = Curvature4Tensor.apply, Scalar.sum_of_products, Scalar.__init__
+_SUM_OF_PRODUCTS, _INIT = Scalar.sum_of_products, Scalar.__init__
+
+
+def _load_bench_ladder():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LADDER = _load_bench_ladder()
 
 
 @pytest.mark.parametrize(
@@ -100,7 +114,7 @@ def _count_calls(monkeypatch) -> dict[str, int]:
         (FrameManifold, "lie_derive_endo"),
         (Endomorphism, "compose"),
         (Connection, "derivative_endo"),
-        (Instance, "xi_scan"),
+        (Curvature4Tensor, "_contract_xi"),
     ):
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     return counts
@@ -127,12 +141,66 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "derivative_endo": 4 * m.dim,
         # R1, R2, R3, shared by the nullity, torsionful and concircular sections
         "space_form_templates": 1,
-        # the 6 distinct comparisons of R or Z with c R1 (Instance.r1_scan; 8 rows
-        # read them: conc.xi_pair and conc.xi_flatness_obstruction share one, and
-        # at kappa = 1 so do nkappa.curvature_pair_xi and the Sasakian orientation)
-        # plus the 3 gtw.curvature_xi_* rows
-        "xi_scan": 6 + 3,
+        # the xi-contractions (Curvature4Tensor.xi_table), each built once: R and
+        # R1 at (1, 2), (2,) and (1,), the torsionful curvature at (2,), (0,) and
+        # (1, 2), and Z at (1, 2), (2,), (1,) and (0,)
+        "_contract_xi": 13,
     }
+
+
+def test_heisenberg_run_builds_each_xi_table_once(monkeypatch):
+    """The sections of one H^5 run read 13 xi tables and build each once;
+    ``detect_kappa`` builds R's (2,) table, and the nullity rows read that
+    same table."""
+    m, s = load_manifest_file(str(MANIFESTS / "heisenberg5.json"))
+    built = []
+    contract = Curvature4Tensor._contract_xi
+
+    def recording(t, xi, xi_at):
+        built.append((t, xi_at))
+        return contract(t, xi, xi_at)
+
+    monkeypatch.setattr(Curvature4Tensor, "_contract_xi", recording)
+    x = Instance(m, s)
+    x.kappa
+    r_pair = x.r.xi_table(s.xi, (2,))
+    assert built == [(x.r, (2,))]
+    for grader in (verify_nkappa_suite, verify_gtw_suite, verify_concircular_suite):
+        grader(x)
+    assert x.r.xi_table(s.xi, (2,)) is r_pair
+    names = {id(x.r): "R", id(x.templates[0]): "R1", id(x.pkg.curv): "curv", id(x.z): "Z"}
+    assert sorted((names[id(t)], xi_at) for t, xi_at in built) == sorted(
+        [(t, xi_at) for t in ("R", "R1") for xi_at in ((1, 2), (2,), (1,))]
+        + [("curv", xi_at) for xi_at in ((2,), (0,), (1, 2))]
+        + [("Z", xi_at) for xi_at in ((1, 2), (2,), (1,), (0,))]
+    )
+
+
+GRADERS = {
+    "nkappa": verify_nkappa_suite,
+    "gtw": verify_gtw_suite,
+    "concircular": verify_concircular_suite,
+}
+
+
+@pytest.mark.parametrize("section", GRADERS)
+@pytest.mark.parametrize("manifest", sorted(p.name for p in MANIFESTS.glob("*.json")))
+def test_section_graders_gate_themselves(manifest, section):
+    """A section grader called on its own emits the entries run_suite emits
+    for that section, gated inputs included."""
+    m, s = load_manifest_file(str(MANIFESTS / manifest))
+    assert GRADERS[section](Instance(m, s)).checks == run_suite(m, s, section).checks
+
+
+def test_nkappa_grader_on_an_input_without_kappa():
+    """kmu3 is a contact metric (kappa, mu)-space: no single kappa fits, so
+    every nullity row is not_applicable with the kappa gate note."""
+    x = Instance(*load_manifest_file(str(MANIFESTS / "kmu3.json")))
+    checks = verify_nkappa_suite(x).checks
+    assert len(checks) == 14
+    for check in checks:
+        assert check.status == "not_applicable"
+        assert check.convention_notes == (suite_mod._KAPPA_GATE,)
 
 
 def test_curvature_gtw_reads_one_instance(monkeypatch, capsys):
@@ -146,73 +214,49 @@ def test_curvature_gtw_reads_one_instance(monkeypatch, capsys):
     assert counts["riemann"] == 2
 
 
-def _work_counts(monkeypatch, manifest: str) -> dict[str, int]:
-    """Calls of the trilinear apply and of the fused kernel, the kernel's
-    calls that return zero, and the Scalars constructed, in one
-    ``run_suite("all")`` on ``manifest``."""
-    m, s = load_manifest_file(str(MANIFESTS / manifest))
-    counts = {"apply": 0, "sum_of_products": 0, "zero_sums": 0, "scalars": 0}
-    apply, sum_of_products, init = Curvature4Tensor.apply, Scalar.sum_of_products, Scalar.__init__
-
-    def counted_apply(*args):
-        counts["apply"] += 1
-        return apply(*args)
-
-    def counted_sum_of_products(*args):
-        counts["sum_of_products"] += 1
-        value = sum_of_products(*args)
-        counts["zero_sums"] += not value.terms
-        return value
-
-    def counted_init(*args):
-        counts["scalars"] += 1
-        init(*args)
-
-    monkeypatch.setattr(Curvature4Tensor, "apply", counted_apply)
-    monkeypatch.setattr(Scalar, "sum_of_products", staticmethod(counted_sum_of_products))
-    monkeypatch.setattr(Scalar, "__init__", counted_init)
-    run_suite(m, s, "all")
-    return counts
+def _work_counts(manifest: str) -> dict[str, int]:
+    """``scripts/bench_ladder.py``'s work counts of one ``run_suite("all")``
+    on ``manifest``."""
+    return LADDER.work_counts(*load_manifest_file(str(MANIFESTS / manifest)))
 
 
-def test_heisenberg_run_work_counts(monkeypatch):
+def test_heisenberg_run_work_counts():
     """The residual scans and ``detect_kappa`` are component contractions, not
-    a trilinear apply per basis tuple, and ``riemann`` sums each independent
-    component once: one H^5 run makes 5 applies, all in the phi-flatness
-    sandwich.  The heavy derived rows are tables built from the nonzero
-    entries of their operands, and so are the endomorphism products (nabla A
-    and L_xi A as commutators, ``Endomorphism.commutator``) and the fits for
-    kappa, the space-form and the eta-Einstein coefficients
+    a trilinear apply per basis tuple (``Curvature4Tensor`` has no apply
+    left), and ``riemann`` sums each independent component once.  The heavy
+    derived rows are tables built from the nonzero entries of their operands,
+    each xi-contraction is built once per tensor and slot pattern
+    (``Curvature4Tensor.xi_table``), the endomorphism products (nabla A and
+    L_xi A) are commutators (``Endomorphism.commutator``), and kappa, the
+    space-form and the eta-Einstein coefficients are one exact fit
     (``linear.exact_fit``), so a sum of products runs only for an index some
-    product names: the run makes 1,118 sums of products, 888 of them zero,
-    under the bounds 1,173 and 932 (the measured counts plus 5%; dense
-    derivative and Lie kernels and a cross-multiplied kappa take 1,843 and
-    1,615, evaluating every basis tuple of the derived rows 8,171 and 7,917,
-    scanning through apply 34,593, summing every Riemann component 9,880,
-    applying R in ``detect_kappa`` 8,830 and applying Z in the two conc
-    xi-slot scans 8,480).  Almost every graded quantity on H^5 is zero, and
-    every zero is one shared Scalar: the run constructs 671 Scalars, under
-    the bound 704 (a new zero per zero result makes 13,288; evaluating every
-    tuple 909)."""
-    counts = _work_counts(monkeypatch, "heisenberg5.json")
-    assert counts["apply"] <= 5
+    product names: the run makes 1,147 sums of products, 863 of them zero,
+    under the bounds 1,173 and 932 (one H^5 run at 1,118 and 888 plus 5%;
+    dense derivative and Lie kernels and a cross-multiplied kappa take 1,843
+    and 1,615, evaluating every basis tuple of the derived rows 8,171 and
+    7,917, scanning through a trilinear apply 34,593, summing every Riemann
+    component 9,880, applying R in ``detect_kappa`` 8,830 and applying Z in
+    the two conc xi-slot scans 8,480).  Almost every graded quantity on H^5
+    is zero, and every zero is one shared Scalar: the run constructs 667
+    Scalars, under the bound 704 (a new zero per zero result makes 13,288;
+    evaluating every tuple 909)."""
+    counts = _work_counts("heisenberg5.json")
+    assert not hasattr(Curvature4Tensor, "apply")
     assert counts["sum_of_products"] <= 1_173
     assert counts["zero_sums"] <= 932
     assert counts["scalars"] <= 704
 
 
-def test_gated_run_work_counts(monkeypatch):
+def test_gated_run_work_counts():
     """On the gated dense frame no derived section runs and neither the
     connection nor its curvature is built: one run makes 96 sums of products,
     all in the structural layer, under the bound 100 (the measured count plus
     5%; a dense Lie-derivative kernel for h takes 127, building both tensors
     up front 410, a second set of frame images in ``validate_acm`` 231, one
     set of frame images that nothing reads 201, and composing h phi and
-    phi h in full before the h laws scan 171), and no trilinear apply.  It
-    constructs 103 Scalars, under the bound 108 (a new zero per zero result
-    makes 390)."""
-    counts = _work_counts(monkeypatch, "random5.json")
-    assert counts["apply"] == 0
+    phi h in full before the h laws scan 171).  It constructs 103 Scalars,
+    under the bound 108 (a new zero per zero result makes 390)."""
+    counts = _work_counts("random5.json")
     assert counts["sum_of_products"] <= 100
     assert counts["scalars"] <= 108
 
@@ -249,10 +293,7 @@ def test_frame_run_builds_the_connection_once_for_kappa(monkeypatch):
 def test_bench_ladder_records_deterministic_counts():
     """scripts/bench_ladder.py covers the ladder and measures an instance's
     report size and work counts; the counts repeat exactly between runs."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_ladder.py"
-    spec = importlib.util.spec_from_file_location("bench_ladder", path)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
+    ladder = LADDER
     instances = ladder.ladder()
     assert list(instances) == [
         "lambda_symbolic", "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4", "random5", "random5_t"
@@ -260,13 +301,12 @@ def test_bench_ladder_records_deterministic_counts():
     m, s = instances["lambda_1/2"]
     first, second = ladder.measure(m, s, 1), ladder.measure(m, s, 1)
     assert first["json_bytes"] == len(emit(run_suite(m, s, "all")).encode())
-    for key in ("json_bytes", "apply", "sum_of_products", "zero_sums", "scalars"):
+    for key in ("json_bytes", "sum_of_products", "zero_sums", "scalars"):
         assert first[key] == second[key] > 0
     assert first["run_s"] > 0 and first["run_norm"] > 0
     # the manifest load is timed on the gated random frames
     assert ladder.LOADED == ("random5", "random5_t")
     assert ladder.measure_load("random5", 1) > 0
     # the counting wrappers are removed again
-    assert Curvature4Tensor.apply is _APPLY
     assert Scalar.sum_of_products is _SUM_OF_PRODUCTS
     assert Scalar.__init__ is _INIT

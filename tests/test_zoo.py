@@ -19,7 +19,6 @@ from contactframe import (
     dump_manifest,
     levi_civita,
     load_manifest_file,
-    make_abelian3,
     make_heisenberg,
     make_lambda_family,
     make_sasakian3,
@@ -227,15 +226,12 @@ def test_sasakian_entry():
     assert entry.expected_kappa == Scalar.one(())
 
 
-def test_abelian_entry():
-    entry = make_abelian3()
-    assert entry.manifold.dim == 3
-    assert all(
-        entry.manifold.bracket_basis(i, j).is_zero()
-        for i in range(3)
-        for j in range(3)
-    )
-    assert entry.expected_kappa == Scalar.zero(())
+def test_abelian_manifest():
+    m, s = load_manifest_file(str(MANIFESTS / "abelian3.json"))
+    assert m.dim == 3
+    assert all(m.bracket_basis(i, j).is_zero() for i in range(3) for j in range(3))
+    # the flat curvature forces kappa = 0
+    assert Instance(m, s).kappa == Scalar.zero(())
 
 
 def test_heisenberg_entry():

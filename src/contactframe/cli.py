@@ -33,11 +33,10 @@ from typing import Iterable
 from .curvature import ConnectionConsistencyError, scalar_curvature
 from .manifest import (
     ManifestError,
-    ManifestIssue,
     dump_manifest,
-    load_manifest,
     load_manifest_file,
     manifest_hash,
+    read_manifest,
 )
 from .report import emit
 from .suite import SUITES, Instance, run_suite
@@ -48,7 +47,10 @@ _FORMATS = ("json", "text")
 
 
 def _rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:  # argparse reports only ValueError/TypeError
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,13 +132,7 @@ def _vector_strings(v: FrameVector) -> list[str]:
 
 def _load(path: str):
     """The manifest at ``path``, read from stdin when ``path`` is ``-``."""
-    if path != "-":
-        return load_manifest_file(path)
-    try:
-        document = json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        raise ManifestError([ManifestIssue("", f"invalid JSON: {exc}")]) from exc
-    return load_manifest(document)
+    return read_manifest(sys.stdin) if path == "-" else load_manifest_file(path)
 
 
 def _cmd_verify(args, fmt: str) -> int:

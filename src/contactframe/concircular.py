@@ -82,15 +82,14 @@ def concircular(
     computed from the instance's n."""
     coeff = Fraction(2 * m.n, 2 * m.n + 1)
     one, minus_coeff = m.one_scalar(), m.constant(-coeff)
-    z = Curvature4Tensor.from_products(
-        m.dim,
+    table = sum_table(
         m.params,
         chain(
-            (((i, j, k, l), c, one) for i, j, k, l, c in curv.nonzero),
-            (((i, j, k, l), c, minus_coeff) for i, j, k, l, c in r1.nonzero),
+            ((index, c, one) for index, c in curv.table.items()),
+            ((index, c, minus_coeff) for index, c in r1.table.items()),
         ),
     )
-    return ConcircularTensor(components=z.components, K=minus_coeff)
+    return ConcircularTensor(m.dim, m.params, table, K=minus_coeff)
 
 
 def self_action_slabs(x) -> Callable[[int, int], Table]:

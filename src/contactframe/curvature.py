@@ -15,10 +15,12 @@ applied to either connection kind; on constant frame coefficients it is
 one sum of products per independent component (see ``riemann``): the
 tensor is antisymmetric in its first pair, because the structure constants
 are, and in its last pair, because both connections are metric, so only
-the components with i < j and k < l are summed.  Every closed-form
-identity is then *checked against* the computed tensor rather than
-assumed, so a sign slip in a quoted formula surfaces as report data instead
-of contaminating downstream tensors.
+the components with i < j and k < l are summed.  A curvature-type tensor
+(``Curvature4Tensor``) is held as the table of its nonzero components, the
+shape ``tables.sum_table`` returns, and every reader takes it from there.
+Every closed-form identity is then *checked against* the computed tensor
+rather than assumed, so a sign slip in a quoted formula surfaces as report
+data instead of contaminating downstream tensors.
 
 Ricci is the contraction S(X, Y) = sum_i R(X, E_i, E_i, Y) with lowered
 components R(X, Y, Z, W) = g(R(X, Y)Z, W); the scalar curvature is its
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, combinations, product
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import Row, VerificationReport, first_witness, grade_rows
@@ -127,69 +129,47 @@ def levi_civita(m: FrameManifold) -> Connection:
 
 @dataclass(frozen=True)
 class Curvature4Tensor:
-    """Raised components R[i][j][k][l]: R(E_i, E_j)E_k = R[i][j][k][l] E_l."""
+    """The components R_ijk^l of R(E_i, E_j)E_k = R_ijk^l E_l, held as the
+    table of the nonzero ones keyed (i, j, k, l); every component the table
+    does not name is zero."""
 
-    components: tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]
+    dim: int
+    params: tuple[str, ...]
+    table: Table
 
-    @staticmethod
-    def from_products(
-        dim: int, params: tuple[str, ...], products: Iterable[tuple[tuple[int, ...], Scalar, Scalar]]
-    ) -> "Curvature4Tensor":
-        """The tensor whose component (i, j, k, l) is the sum of a * b over the
-        products ((i, j, k, l), a, b); one sum of products per component named."""
-        sums, zero, idx = sum_table(params, products), Scalar.zero(params), range(dim)
-        return Curvature4Tensor(
-            tuple(
-                tuple(
-                    tuple(tuple(sums.get((i, j, k, l), zero) for l in idx) for k in idx)
-                    for j in idx
-                )
-                for i in idx
-            )
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]:
+        """The dense view R[i][j][k][l], built on first read; only ``vector``
+        (the ``curvature`` command's tables) and the benchmark's trace counter
+        read it."""
+        get, zero, idx = self.table.get, Scalar.zero(self.params), range(self.dim)
+        return tuple(
+            tuple(tuple(tuple(get((i, j, k, l), zero) for l in idx) for k in idx) for j in idx)
+            for i in idx
         )
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
 
     def vector(self, i: int, j: int, k: int) -> FrameVector:
         """R(E_i, E_j)E_k as a frame vector."""
-        return FrameVector(tuple(self.components[i][j][k]))
+        return FrameVector(self.components[i][j][k])
 
     @cached_property
-    def sparse_vectors(self) -> tuple[tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...], ...]:
-        """The nonzero entries of each R(E_i, E_j)E_k: ``sparse_vectors[i][j][k]``
-        holds the pairs (l, R[i][j][k][l]) whose component is nonzero."""
-        return tuple(
-            tuple(
-                tuple(tuple((l, c) for l, c in enumerate(vec) if c.terms) for vec in row)
-                for row in plane
-            )
-            for plane in self.components
-        )
+    def _by_slot(self) -> tuple[dict[int, list[tuple[int, int, int, int, Scalar]]], ...]:
+        """The nonzero components (i, j, k, l, c) grouped by i and by j, each
+        group in index order."""
+        groups: tuple[dict, dict] = ({}, {})
+        for index, c in sorted(self.table.items(), key=itemgetter(0)):
+            for slot, group in enumerate(groups):
+                group.setdefault(index[slot], []).append((*index, c))
+        return groups
 
     def entries(self, a: int, slot: int = 0) -> Iterator[tuple[int, int, int, int, Scalar]]:
         """The nonzero components (i, j, k, l, R[i][j][k][l]) whose index in the
-        argument ``slot`` (0 or 1) is a."""
-        sv = self.sparse_vectors
-        if slot == 0:
-            return (
-                (a, j, k, l, c) for j, row in enumerate(sv[a]) for k, vec in enumerate(row)
-                for l, c in vec
-            )
-        return (
-            (i, a, k, l, c) for i, plane in enumerate(sv) for k, vec in enumerate(plane[a])
-            for l, c in vec
-        )
-
-    @cached_property
-    def nonzero(self) -> tuple[tuple[int, int, int, int, Scalar], ...]:
-        """Every nonzero component (i, j, k, l, R[i][j][k][l]), in index order."""
-        return tuple(e for a in range(self.dim) for e in self.entries(a))
+        argument ``slot`` (0 or 1) is a, in index order."""
+        return iter(self._by_slot[slot].get(a, ()))
 
     def lowered(self, i: int, j: int, k: int, l: int) -> Scalar:
         """R(E_i, E_j, E_k, E_l) = g(R(E_i,E_j)E_k, E_l); free on an orthonormal frame."""
-        return self.components[i][j][k][l]
+        return self.table.get((i, j, k, l), Scalar.zero(self.params))
 
     @cached_property
     def _xi_tables(self) -> dict[tuple[FrameVector, tuple[int, ...]], Table]:
@@ -207,7 +187,7 @@ class Curvature4Tensor:
         return self._xi_tables[key]
 
     def _contract_xi(self, xi: FrameVector, xi_at: tuple[int, ...]) -> Table:
-        """One ``sum_table`` over the nonzero components (i, j, k, l, c), each
+        """One ``sum_table`` over the nonzero components (i, j, k, l) -> c, each
         weighted by the product of xi's entries at its xi slots; the component
         comes first in each product, so a weight of 1 keeps the component
         itself."""
@@ -221,7 +201,11 @@ class Curvature4Tensor:
         }
         return sum_table(
             xi.params,
-            ((index(e), e[4], weights[at]) for e in self.nonzero if (at := at_xi(e)) in weights),
+            (
+                (index(e), c, weights[at])
+                for e, c in self.table.items()
+                if (at := at_xi(e)) in weights
+            ),
         )
 
 
@@ -235,9 +219,10 @@ def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
         R_ijk^l = sum_m Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l
                   - c_ij^m Gamma_mk^l .
 
-    The kernel runs only for i < j and k < l, (dim (dim - 1) / 2)^2 sums;
-    every other component is read from those by sign, and the i = j and
-    k = l diagonals are zero.  Two preconditions make that exact:
+    The kernel runs only for i < j and k < l, (dim (dim - 1) / 2)^2 sums,
+    and writes each nonzero sum into the table with the three components it
+    fixes by sign; the i = j and k = l diagonals are zero, so no entry holds
+    them.  Two preconditions make that exact:
 
     - R_jik^l = -R_ijk^l needs c_ji^m = -c_ij^m, which
       ``FrameManifold.from_pairs`` builds;
@@ -254,8 +239,7 @@ def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
     by_source = tuple(tuple(tuple(gamma[i][n][l] for n in idx) for l in idx) for i in idx)
     by_target = tuple(tuple(tuple(gamma[n][k][l] for n in idx) for l in idx) for k in idx)
 
-    zero = Scalar.zero(params)
-    table = [[[[zero] * dim for _ in idx] for _ in idx] for _ in idx]
+    table: Table = {}
     for i, j in combinations(idx, 2):
         for k, l in combinations(idx, 2):
             r = Scalar.sum_of_products(
@@ -266,11 +250,10 @@ def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
                     zip(neg_c[i][j], by_target[k][l]),
                 ),
             )
-            table[i][j][k][l] = table[j][i][l][k] = r
-            table[j][i][k][l] = table[i][j][l][k] = -r
-    return Curvature4Tensor(
-        tuple(tuple(tuple(map(tuple, row)) for row in plane) for plane in table)
-    )
+            if r.terms:
+                table[i, j, k, l] = table[j, i, l, k] = r
+                table[j, i, k, l] = table[i, j, l, k] = -r
+    return Curvature4Tensor(dim, params, table)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ Conventions:
   [r][c] is the r-th component of phi(E_{c+1}) (columns are images);
 - the dimension must be odd (the structures modeled here do not exist on
   even-dimensional frames) and at most MAX_DIMENSION;
+- at most MAX_PARAMETERS parameters are declared;
 - every expression stays within the parser's budgets (``scalars.MAX_EXPONENT``
   and ``scalars.MAX_TERMS``).
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 from .contact import AlmostContactData
 from .frames import Endomorphism, FrameManifold, FrameVector
@@ -55,6 +56,9 @@ from .scalars import Scalar, ScalarError, parse_scalar
 # so the dimension is bounded before any work starts.  H^11 and every
 # committed manifest fit.
 MAX_DIMENSION = 11
+# Every monomial is a tuple as long as the parameter list, so the list is
+# bounded before any expression is parsed; no committed manifest declares two.
+MAX_PARAMETERS = 8
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,9 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
         isinstance(p, str) for p in raw_params
     ):
         issues.append(ManifestIssue("parameters", "expected a list of names"))
+    elif (n := len(raw_params)) > MAX_PARAMETERS:
+        issues.append(ManifestIssue("parameters", f"{n} exceeds MAX_PARAMETERS = {MAX_PARAMETERS}"))
+        raise ManifestError(issues)
     else:
         seen: set[str] = set()
         for idx, p in enumerate(raw_params):
@@ -283,16 +290,24 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
     return manifold, structure
 
 
+def read_manifest(handle: IO[str]) -> tuple[FrameManifold, AlmostContactData]:
+    """Parse a JSON manifest from an open text stream, then load it.  A
+    document nested deeper than the decoder's recursion limit is invalid
+    JSON here, like any other undecodable one."""
+    try:
+        document = json.load(handle)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ManifestError([ManifestIssue("", f"invalid JSON: {exc}")]) from exc
+    return load_manifest(document)
+
+
 def load_manifest_file(path: str) -> tuple[FrameManifold, AlmostContactData]:
     """Read and parse a JSON manifest file, then load it."""
     try:
         with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+            return read_manifest(handle)
     except OSError as exc:
         raise ManifestError([ManifestIssue("", f"cannot read {path}: {exc}")]) from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError([ManifestIssue("", f"invalid JSON: {exc}")]) from exc
-    return load_manifest(document)
 
 
 def dump_manifest(m: FrameManifold, s: AlmostContactData) -> dict:

@@ -401,12 +401,12 @@ def pair_interchange_table(x) -> Table:
     one = x.m.one_scalar()
     two_phi, minus_two_phi, phi_h = _phi_entries(x)
     h_phi = [(a, b, c) for a, row in enumerate(x.h_phi) for b, c in enumerate(row) if c.terms]
-    curv = x.pkg.curv.nonzero
+    curv = x.pkg.curv.table.items()
     return sum_table(
         x.m.params,
         chain(
-            (((i, j, k, l), c, one) for i, j, k, l, c in curv),
-            (((i, j, k, l), c, one) for k, l, i, j, c in curv),
+            ((index, c, one) for index, c in curv),
+            (((i, j, k, l), c, one) for (k, l, i, j), c in curv),
             (((i, j, k, l), a, b) for i, l, a in two_phi for j, k, b in h_phi),
             (((i, j, k, l), a, b) for k, j, a in minus_two_phi for i, l, b in phi_h),
             (((i, j, k, l), b, a) for l, j, a in minus_two_phi for i, k, b in h_phi),
@@ -435,13 +435,13 @@ def cyclic_sum_table(x) -> Table:
     one, idx = x.m.one_scalar(), range(x.m.dim)
     two_phi, minus_two_phi, _ = _phi_entries(x)
     phi_h = x.phi_h.sparse_columns
-    curv = x.pkg.curv.nonzero
+    curv = x.pkg.curv.table.items()
     return sum_table(
         x.m.params,
         chain(
-            (((i, j, k, p), c, one) for i, j, k, p, c in curv),
-            (((i, j, k, p), c, one) for j, k, i, p, c in curv),
-            (((i, j, k, p), c, one) for k, i, j, p, c in curv),
+            ((index, c, one) for index, c in curv),
+            (((i, j, k, p), c, one) for (j, k, i, p), c in curv),
+            (((i, j, k, p), c, one) for (k, i, j, p), c in curv),
             (((i, j, k, p), a, b) for i, j, a in minus_two_phi for k in idx for p, b in phi_h[k]),
             (((i, j, k, p), a, b) for i, k, a in two_phi for j in idx for p, b in phi_h[j]),
             (((i, j, k, p), a, b) for j, k, a in minus_two_phi for i in idx for p, b in phi_h[i]),
@@ -643,7 +643,7 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
         (((i, j, k, l), g_ik * e_j, x_l) for i, k, g_ik in g for j, e_j in eta for l, x_l in xi),
         (((i, j, k, l), -(g_jk * e_i), x_l) for j, k, g_jk in g for i, e_i in eta for l, x_l in xi),
     )
-    return tuple(Curvature4Tensor.from_products(m.dim, m.params, t) for t in (r1, r2, r3))
+    return tuple(Curvature4Tensor(m.dim, m.params, sum_table(m.params, t)) for t in (r1, r2, r3))
 
 
 def gssf_decompose(
@@ -652,11 +652,7 @@ def gssf_decompose(
     """Solve curv = F1 R1 + F2 R2 + F3 R3 exactly for constant F1, F2, F3, if
     any; ``templates`` is (R1, R2, R3) from ``space_form_templates``.  One
     ``exact_fit`` over the nonzero components of the four tensors."""
-    params = curv.components[0][0][0][0].params
-    target, *nonzero = (
-        {(i, j, k, l): c for i, j, k, l, c in t.nonzero} for t in (curv, *templates)
-    )
-    solution = exact_fit(params, target, nonzero)
+    solution = exact_fit(curv.params, curv.table, [t.table for t in templates])
     if solution is None:
         return None
     free = tuple(_GSSF_NAMES[c] for c in solution.free_columns)

@@ -222,6 +222,13 @@ class BoeckxInvariant:
     approx: float
 
 
+def _near_one(q: Fraction, step: int) -> tuple[float, int]:
+    """(float(q / 2^e), e) for the multiple e of ``step`` that brings q / 2^e near 1."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    e -= e % step
+    return float(q / Fraction(2) ** e), e
+
+
 def boeckx_invariant(
     kappa: RationalLike, mu: RationalLike
 ) -> BoeckxInvariant:
@@ -236,20 +243,20 @@ def boeckx_invariant(
     numerator = 1 - mu_f / 2
     square = numerator * numerator / radicand
     sign = (numerator > 0) - (numerator < 0)
-    if numerator == 0:
-        return BoeckxInvariant(
-            is_exact=True, value=Fraction(0), square=square, sign=0, approx=0.0
-        )
     root_num, root_den = isqrt(radicand.numerator), isqrt(radicand.denominator)
-    approx = float(numerator) / math.sqrt(float(radicand))
-    if (
-        root_num * root_num == radicand.numerator
-        and root_den * root_den == radicand.denominator
-    ):
-        value = numerator / Fraction(root_num, root_den)
-        return BoeckxInvariant(
-            is_exact=True, value=value, square=square, sign=sign, approx=approx
-        )
+    is_exact = numerator == 0 or (
+        root_num * root_num == radicand.numerator and root_den * root_den == radicand.denominator
+    )
+    # numerator = n 2^a and radicand = r 2^b with n and r near 1 and b even:
+    # I = (n / sqrt(r)) 2^(a - b/2) is a float whenever I is in range
+    (n, a), (r, b) = _near_one(numerator, 1), _near_one(radicand, 2)
+    try:
+        approx = math.ldexp(n / math.sqrt(r), a - b // 2)
+    except OverflowError:
+        raise ZooDomainError(
+            "the invariant lies outside the float range, so it has no decimal approximation"
+        ) from None
+    value = numerator / Fraction(root_num, root_den) if is_exact else None
     return BoeckxInvariant(
-        is_exact=False, value=None, square=square, sign=sign, approx=approx
+        is_exact=is_exact, value=value, square=square, sign=sign, approx=approx
     )

@@ -15,6 +15,16 @@ from contactframe.scalars import exact_div
 from vector_reference import apply, endomorphism
 
 
+def sparse_vectors(t) -> list:
+    """``sparse_vectors(t)[i][j][k]`` holds the pairs (l, T[i][j][k][l]) whose
+    component is nonzero, read from the dense view ``components``, so that the
+    references stay independent of the tensor's table."""
+    return [
+        [[[(l, c) for l, c in enumerate(vec) if c.terms] for vec in row] for row in plane]
+        for plane in t.components
+    ]
+
+
 def xi_contraction(x: Instance, xi_at: tuple[int, ...], terms):
     """The sum of c T(X, Y, Z) over the terms (T, c), with xi in the argument
     slots ``xi_at`` and E_i, E_j, ... in the others, as a function of those
@@ -23,11 +33,12 @@ def xi_contraction(x: Instance, xi_at: tuple[int, ...], terms):
     xi = [(r, c) for r, c in enumerate(x.s.xi.components) if c.terms]
     weighted = []
     for t, c in terms:
+        vectors = sparse_vectors(t)
         for fill in product(xi, repeat=len(xi_at)):
             weight = c
             for _, xi_r in fill:
                 weight = weight * xi_r
-            weighted.append((t.sparse_vectors, [r for r, _ in fill], weight))
+            weighted.append((vectors, [r for r, _ in fill], weight))
 
     def at(*indices: int) -> FrameVector:
         pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(dim)]
@@ -48,9 +59,10 @@ def z_xi(x: Instance) -> tuple[Endomorphism, ...]:
     return tuple(endomorphism([at(i, k) for k in idx]) for i in idx)
 
 
-def tensor_action(a: Endomorphism, t, j: int, k: int, l: int) -> FrameVector:
-    """sum_q A^p_q T_jkl^q - A^q_j T_qkl^p - A^q_k T_jql^p - A^q_l T_jkq^p."""
-    cols, vec = a.sparse_columns, t.sparse_vectors
+def tensor_action(a: Endomorphism, vec: list, j: int, k: int, l: int) -> FrameVector:
+    """sum_q A^p_q T_jkl^q - A^q_j T_qkl^p - A^q_k T_jql^p - A^q_l T_jkq^p, T
+    given by its ``sparse_vectors``."""
+    cols = a.sparse_columns
     pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(a.dim)]
     for q, t_q in vec[j][k][l]:
         for p, a_pq in cols[q]:
@@ -64,8 +76,7 @@ def tensor_action(a: Endomorphism, t, j: int, k: int, l: int) -> FrameVector:
     for q, a_q in cols[l]:
         for p, t_p in vec[j][k][q]:
             pairs[p].append((-a_q, t_p))
-    params = t.components[0][0][0][0].params
-    return FrameVector(tuple(Scalar.sum_of_products(params, ps) for ps in pairs))
+    return FrameVector(tuple(Scalar.sum_of_products(a.params, ps) for ps in pairs))
 
 
 def form_action(a: Endomorphism, w, j: int, k: int) -> Scalar:
@@ -82,8 +93,7 @@ def curvature_defect(x: Instance):
     closed form but the final bracket, as a function of (i, j, k)."""
     m = x.m
     one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -x.kappa
-    curv, r = x.pkg.curv.sparse_vectors, x.r.sparse_vectors
-    r3 = x.templates[2].sparse_vectors
+    curv, r, r3 = (sparse_vectors(t) for t in (x.pkg.curv, x.r, x.templates[2]))
     v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in x.phi_x_plus_hx]
     xh_phi = [[m.inner(xh, phi) for phi in x.s.phi.columns] for xh in x.x_plus_hx]
 
@@ -223,7 +233,7 @@ def ricci_action_slice(x: Instance, sign: int):
 
 
 def self_action(x: Instance):
-    a, z = z_xi(x), x.z
+    a, z = z_xi(x), sparse_vectors(x.z)
     return lambda i, j, k, l: tensor_action(a[i], z, j, k, l)
 
 

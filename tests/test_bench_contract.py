@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 from contactframe import (
+    Instance,
     classify,
     h_property_checks,
     levi_civita,
     make_heisenberg,
+    make_lambda_family,
     riemann,
     validate_acm,
 )
@@ -40,13 +42,30 @@ def test_every_imported_engine_name_exists(file, module, name):
     assert hasattr(importlib.import_module(module), name), f"{file}: {module}.{name}"
 
 
-def test_every_traced_layer_resolves(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclass looks itself up
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves(spans):
     for owner, attr, *_ in spans.LAYERS:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "entry", [make_heisenberg(2), make_lambda_family(None)], ids=["H5", "lambda_symbolic"]
+)
+def test_the_trace_counter_counts_the_nonzero_components(spans, entry):
+    """The count ``spans.py`` records for a curvature layer (read from the
+    dense view) is the size of the tensor's table, for R, the torsionful
+    curvature and Z."""
+    x = Instance(entry.manifold, entry.structure)
+    for tensor in (x.r, x.pkg.curv, x.z):
+        assert spans._nonzero_entries(tensor) == len(tensor.table)
 
 
 def test_the_heisenberg_self_check_holds():

@@ -1,11 +1,26 @@
 """Levi-Civita connection, curvature, Ricci data, and the nullity suite."""
 
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from contactframe import Instance, make_lambda_family, scalar_curvature, verify_nkappa_suite
+from contactframe import (
+    ConcircularTensor,
+    Curvature4Tensor,
+    Instance,
+    emit,
+    load_manifest_file,
+    make_heisenberg,
+    make_lambda_family,
+    run_suite,
+    scalar_curvature,
+    verify_nkappa_suite,
+)
 from contactframe.scalars import Scalar
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def _lam(m):
@@ -128,3 +143,39 @@ def test_nullity_suite_sasakian_member(fam0):
     assert statuses["nkappa.xi_covariant_derivative_reference_form"] == "holds"
     assert statuses["nkappa.sasakian_curvature_xi_orientation"] == "holds"
     assert statuses["nkappa.nullity_constant"] == "holds"
+
+
+# -- the table of nonzero components -------------------------------------------
+
+
+def test_every_tensor_a_run_builds_is_the_table_of_its_nonzero_components(monkeypatch):
+    """Over one run on each committed manifest, every curvature-type tensor
+    built (R, the torsionful curvature, R1-R3 and Z) holds no zero in its
+    table, and its dense view agrees with the table entry by entry."""
+    built = []
+    for cls in (Curvature4Tensor, ConcircularTensor):
+
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    for path in sorted(MANIFESTS.glob("*.json")):
+        run_suite(*load_manifest_file(str(path)), "all")
+    assert len(built) > len(list(MANIFESTS.glob("*.json")))
+    for t in built:
+        assert all(c.terms for c in t.table.values())
+        zero = Scalar.zero(t.params)
+        for i, j, k, l in product(range(t.dim), repeat=4):
+            assert t.components[i][j][k][l] == t.table.get((i, j, k, l), zero), (i, j, k, l)
+
+
+@pytest.mark.parametrize(
+    "entry", [make_heisenberg(2), make_lambda_family(None)], ids=["H5", "lambda_symbolic"]
+)
+def test_a_verify_run_never_builds_the_dense_view(monkeypatch, entry):
+    def dense(self):
+        raise AssertionError("the dense view was built")
+
+    monkeypatch.setattr(Curvature4Tensor, "components", property(dense))
+    emit(run_suite(entry.manifold, entry.structure, "all"))

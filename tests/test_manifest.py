@@ -20,7 +20,7 @@ from contactframe import (
     make_sasakian3,
     manifest_hash,
 )
-from contactframe.manifest import MAX_DIMENSION
+from contactframe.manifest import MAX_DIMENSION, MAX_PARAMETERS
 from contactframe.scalars import MAX_EXPONENT, MAX_TERMS
 
 LAMBDA_PATH = "manifests/lambda_family.json"
@@ -209,6 +209,26 @@ def test_dimension_just_past_the_limit_is_refused(dim):
     issue = _budget_issue(doc)
     assert issue.path == "dimension"
     assert "MAX_DIMENSION" in issue.message
+
+
+def _parameters_doc(count: int) -> dict:
+    """The lambda family declaring ``count`` parameters, the extra ones unused."""
+    doc = copy.deepcopy(_base_doc())
+    doc["parameters"] = ["lambda"] + [f"p{a}" for a in range(1, count)]
+    return doc
+
+
+def test_parameters_at_the_limit_load():
+    m, _ = load_manifest(_parameters_doc(MAX_PARAMETERS))
+    assert len(m.params) == MAX_PARAMETERS
+
+
+def test_parameters_just_past_the_limit_are_refused_before_parsing():
+    doc = _parameters_doc(MAX_PARAMETERS + 1)
+    doc["structure_constants"].append({"i": 1, "j": 2, "k": 1, "coeff": "(("})
+    issue = _budget_issue(doc)  # the unparsable coefficient is never read
+    assert issue.path == "parameters"
+    assert "MAX_PARAMETERS" in issue.message
 
 
 def test_exponent_just_past_the_limit_is_refused():

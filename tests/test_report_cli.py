@@ -118,6 +118,21 @@ def test_bad_rational_argument_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("zoo", "lambda", "--lambda", "1/0"),
+        ("deform", "--kappa", "1/0", "--mu", "0", "--a", "1"),
+        ("boeckx", "--kappa", "0", "--mu", "1/0"),
+    ],
+)
+def test_a_zero_denominator_argument_exits_2(command):
+    proc = run_cli(*command)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "zero denominator in '1/0'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_deform_with_a_nonpositive_scale_exits_2():
     proc = run_cli("deform", "--kappa", "0", "--mu", "0", "--a", "-2")
     assert proc.returncode == 2
@@ -184,6 +199,21 @@ def test_invalid_json_on_stdin_exits_2():
     proc = run_cli("verify", "-", stdin="{not json")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("invalid JSON: ")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_deeply_nested_manifest_exits_2(tmp_path, source):
+    """A document nested past the decoder's recursion limit is invalid JSON."""
+    deep = "[" * 100_000 + "]" * 100_000
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        proc = run_cli("verify", str(path))
+    else:
+        proc = run_cli("verify", "-", stdin=deep)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("invalid JSON: ")
+    assert "Traceback" not in proc.stderr
 
 
 # -- determinism --------------------------------------------------------------------

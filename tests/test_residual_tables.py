@@ -181,12 +181,16 @@ def test_xi_scans_match_the_per_tuple_scans(x, xi_at):
         assert x.r1_scan(t, c, xi_at) == first_witness(tuples, at)
 
 
-def _bumped(t: Curvature4Tensor, index: tuple[int, int, int, int]) -> tuple:
-    """t's components with 1 added at ``index``."""
-    comps = [[[list(vec) for vec in row] for row in plane] for plane in t.components]
-    i, j, k, l = index
-    comps[i][j][k][l] = comps[i][j][k][l] + Scalar.constant(comps[i][j][k][l].params, 1)
-    return tuple(tuple(tuple(tuple(vec) for vec in row) for row in plane) for plane in comps)
+def _bumped(t: Curvature4Tensor, index: tuple[int, int, int, int]) -> dict:
+    """A copy of t's table with 1 added at ``index``; an entry that becomes
+    zero is dropped."""
+    table = dict(t.table)
+    value = t.lowered(*index) + Scalar.constant(t.params, 1)
+    if value.terms:
+        table[index] = value
+    else:
+        del table[index]
+    return table
 
 
 def _perturbed(x: Instance, tensor: str, index: tuple[int, int, int, int]) -> Instance:
@@ -194,9 +198,10 @@ def _perturbed(x: Instance, tensor: str, index: tuple[int, int, int, int]) -> In
     whose Z alone carries one perturbed entry."""
     y = Instance(x.m, x.s)
     if tensor == "curv":
-        vars(y)["pkg"] = replace(x.pkg, curv=Curvature4Tensor(_bumped(x.pkg.curv, index)))
+        curv = Curvature4Tensor(x.m.dim, x.m.params, _bumped(x.pkg.curv, index))
+        vars(y)["pkg"] = replace(x.pkg, curv=curv)
     else:
-        vars(y)["z"] = ConcircularTensor(components=_bumped(x.z, index), K=x.z.K)
+        vars(y)["z"] = ConcircularTensor(x.m.dim, x.m.params, _bumped(x.z, index), K=x.z.K)
     return y
 
 

@@ -198,6 +198,19 @@ def test_invariant_zero_and_negative():
 def test_invariant_domain():
     with pytest.raises(ZooDomainError):
         boeckx_invariant(Fraction(1), Fraction(0))
+
+
+def test_invariant_approximation_outside_the_float_range_of_its_operands():
+    """approx is read from the exact quantities: an operand outside the float
+    range leaves it right, and only an invariant outside that range is a
+    domain error."""
+    with pytest.raises(ZooDomainError, match="outside the float range"):
+        boeckx_invariant(Fraction(0), Fraction(10) ** 400)
+    tiny = boeckx_invariant(-Fraction(10) ** 400, Fraction(0))
+    assert not tiny.is_exact and tiny.approx == pytest.approx(1e-200, rel=1e-15)
+    huge = boeckx_invariant(1 - Fraction(1, 10**400), Fraction(0))
+    assert huge.is_exact and huge.value == 10**200
+    assert huge.approx == pytest.approx(1e200, rel=1e-15)
     with pytest.raises(ZooDomainError):
         boeckx_invariant(Fraction(2), Fraction(0))
 

@@ -4,11 +4,13 @@
 The ladder is the lambda family (symbolic and at 1/2), the Heisenberg groups
 H^3, H^5, H^7 and H^9, T1E4 (``manifests/t1e4.json``), and the dense random
 dimension-5 frames ``manifests/random5.json`` and ``random5_t.json`` (rational
-and linear in t), on which every derived section is gated, so the Levi-Civita
-connection and its Riemann tensor are most of a run.  For each instance
+and linear in t), on which every derived section is gated, so neither the
+Levi-Civita connection nor its curvature is built and a run is the structural
+layer and the emit.  For each instance
 it records the minimum wall time of k runs (``run_s``), the minimum of each
 run's wall time divided by the mean of a fixed Fraction loop timed just before
-and just after it (``run_norm``), the size of the JSON report, and three
+and just after it (``run_norm``), the minimum of k ``emit`` calls of the
+finished report (``emit_s``), the size of the JSON report, and three
 deterministic work counts of one more run on a fresh copy of the input: the
 calls of ``Scalar.sum_of_products``, the sums of products that return zero
 (``zero_sums``), and the number of Scalars constructed; the tests bound these
@@ -24,7 +26,8 @@ Usage:
 The results are merged into the JSON file ``--out`` under ``--label``, so two
 trees (say, before and after a change) can be measured into one file.
 Repeating the command for a label already in the file keeps, per instance, the
-lower ``run_s``, ``run_norm`` and ``load_s`` and the total number of runs, so
+lower ``run_s``, ``run_norm``, ``emit_s`` and ``load_s`` and the total number
+of runs, so
 alternating the two trees' invocations measures both over the same stretch of
 host speed.
 A repeat whose report size or work counts differ from the stored ones is
@@ -125,9 +128,20 @@ def measure(m, s, runs: int) -> dict:
     return {
         "run_s": round(best, 5),
         "run_norm": round(best_norm, 4),
+        "emit_s": measure_emit(run_suite(m, s, "all"), runs),
         "json_bytes": len(text.encode()),
         **work_counts(m, s),
     }
+
+
+def measure_emit(report, runs: int) -> float:
+    """The minimum seconds of ``runs`` JSON emits of a finished report."""
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        emit(report)
+        best = min(best, time.perf_counter() - start)
+    return round(best, 6)
 
 
 def measure_load(name: str, runs: int) -> float:
@@ -162,7 +176,7 @@ def main() -> int:
     data = json.loads(out.read_text()) if out.exists() else {}
     runs = args.runs
     previous = data.get("results", {}).get(args.label)
-    timed = ("run_s", "run_norm", "load_s")
+    timed = ("run_s", "run_norm", "emit_s", "load_s")
     if previous is not None:
         for name, now in results.items():
             before = previous["instances"][name]

@@ -242,14 +242,20 @@ class FrameManifold:
         pairs: Mapping[tuple[int, int, int], Scalar],
     ) -> "FrameManifold":
         """Build from sparse (i, j, k) -> coefficient with i < j (0-based);
-        the i > j half is filled in by antisymmetry."""
+        the i > j half is filled in by antisymmetry, with one negation per
+        distinct coefficient object."""
         zero = Scalar.zero(params)
         table = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        negated: dict[int, Scalar] = {}
         for (i, j, k), coeff in pairs.items():
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise FrameError(f"structure index ({i},{j},{k}) out of range for i<j<dim")
-            table[i][j][k] = table[i][j][k] + coeff
-            table[j][i][k] = table[j][i][k] - coeff
+            zero._check_params(coeff)
+            if coeff.terms:
+                minus = negated.get(id(coeff))
+                if minus is None:
+                    minus = negated[id(coeff)] = -coeff
+                table[i][j][k], table[j][i][k] = coeff, minus
         frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
         return FrameManifold(dim=dim, params=params, c=frozen)
 

@@ -30,8 +30,10 @@ Conventions:
 - the dimension must be odd (the structures modeled here do not exist on
   even-dimensional frames) and at most MAX_DIMENSION;
 - at most MAX_PARAMETERS parameters are declared;
-- every expression stays within the parser's budgets (``scalars.MAX_EXPONENT``
-  and ``scalars.MAX_TERMS``).
+- "structure_constants" has at most dim * dim * (dim - 1) / 2 entries, one
+  per distinct triple (i < j, k);
+- every expression stays within the parser's budgets (``scalars.MAX_EXPONENT``,
+  ``scalars.MAX_TERMS`` and ``scalars.MAX_DEPTH``).
 
 Loading either returns the constructed objects or raises ManifestError
 carrying every problem found, each tagged with the JSON path it refers to
@@ -161,8 +163,19 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
 
     pairs: dict[tuple[int, int, int], Scalar] = {}
     raw_constants = document.get("structure_constants", [])
+    # one entry per distinct (i < j, k); a longer list repeats a triple, and
+    # is refused before any entry is read
+    most = dim * dim * (dim - 1) // 2
     if not isinstance(raw_constants, list):
         issues.append(ManifestIssue("structure_constants", "expected a list"))
+    elif len(raw_constants) > most:
+        issues.append(
+            ManifestIssue(
+                "structure_constants",
+                f"{len(raw_constants)} entries, more than the {most} distinct triples"
+                f" (i < j, k) of dimension {dim}",
+            )
+        )
     else:
         for idx, entry in enumerate(raw_constants):
             path = f"structure_constants[{idx}]"
@@ -311,27 +324,30 @@ def load_manifest_file(path: str) -> tuple[FrameManifold, AlmostContactData]:
 
 
 def dump_manifest(m: FrameManifold, s: AlmostContactData) -> dict:
-    """The canonical document for these objects (component-list xi, sorted keys)."""
-    constants = []
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            for k in range(m.dim):
-                coeff = m.c[i][j][k]
-                if not coeff.is_zero():
-                    constants.append(
-                        {"i": i + 1, "j": j + 1, "k": k + 1, "coeff": str(coeff)}
-                    )
+    """The canonical document for these objects (component-list xi, sorted keys).
+    Each distinct Scalar object is rendered once."""
+    rendered: dict[int, str] = {}
+
+    def text(value: Scalar) -> str:
+        out = rendered.get(id(value))
+        if out is None:
+            out = rendered[id(value)] = str(value)
+        return out
+
     return {
         "dimension": m.dim,
         "parameters": list(m.params),
-        "structure_constants": constants,
+        "structure_constants": [
+            {"i": i + 1, "j": j + 1, "k": k + 1, "coeff": text(coeff)}
+            for i in range(m.dim)
+            for j in range(i + 1, m.dim)
+            for k, coeff in enumerate(m.c[i][j])
+            if coeff.terms
+        ],
         "contact": {
-            "xi": [str(c) for c in s.xi.components],
-            "eta": [str(c) for c in s.eta.components],
-            "phi": [
-                [str(s.phi.matrix[r][c]) for c in range(m.dim)]
-                for r in range(m.dim)
-            ],
+            "xi": [text(c) for c in s.xi.components],
+            "eta": [text(c) for c in s.eta.components],
+            "phi": [[text(value) for value in row] for row in s.phi.matrix],
         },
     }
 

@@ -26,7 +26,12 @@ are the only place a derived check's name is written down.
 
 Serialization is deterministic: no timestamps, stable key order, check
 order fixed by construction order.  Two runs over the same input must
-produce byte-identical JSON.
+produce byte-identical JSON.  ``emit`` writes the JSON in one pass from the
+checks, byte for byte what ``json.dumps(document, sort_keys=True,
+indent=2)`` makes of the report's document; the standard encoder runs its
+pure-Python generators whenever it indents.  Only str, int, bool, None and
+str-keyed dicts, lists and tuples of them are written: a float or any other
+value raises TypeError.
 """
 
 from __future__ import annotations
@@ -74,12 +79,6 @@ class Check:
             raise ReportError(f"unknown status {self.status!r} for check {self.name!r}")
         if self.status == FAILS and self.witness is None:
             raise ReportError(f"failing check {self.name!r} must carry a witness")
-
-    def to_dict(self) -> dict:
-        data: dict = {"name": self.name, "status": self.status}
-        data["witness"] = self.witness
-        data["convention_notes"] = list(self.convention_notes)
-        return data
 
 
 @dataclass
@@ -174,17 +173,6 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "provenance": {
-                "manifest_hash": self.manifest_hash,
-                "engine_version": self.engine_version,
-            },
-        }
-
 
 Row = tuple[str, Callable[[VerificationReport, str, Any], None]]
 
@@ -205,10 +193,72 @@ def grade_rows(rows: Iterable[Row], x: Any) -> VerificationReport:
 def emit(report: VerificationReport, format: str = "json") -> str:
     """Render a report deterministically as JSON or aligned text."""
     if format == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _emit_json(report)
     if format == "text":
         return _emit_text(report)
     raise ValueError(f"unknown format {format!r}")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value: Any, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` renders it
+    on a line indented by ``pad``.  Only str-keyed dicts, lists, tuples, str,
+    int, bool and None are written; anything else (a float, a Scalar, a
+    non-str key) raises TypeError.  A str item is quoted in place, since
+    most items of a witness are strings."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            v = value[key]
+            items.append(_quote(key) + ": " + (_quote(v) if type(v) is str else _json(v, inner)))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_json(report: VerificationReport) -> str:
+    """The report as ``json.dumps(..., sort_keys=True, indent=2)`` renders its
+    document, written in one pass: a check's four keys are written in their
+    sorted order, and the document holds no floats."""
+    pad = "      "
+    checks = [
+        "{\n"
+        f'{pad}"convention_notes": {_json(c.convention_notes, pad)},\n'
+        f'{pad}"name": {_json(c.name, pad)},\n'
+        f'{pad}"status": {_json(c.status, pad)},\n'
+        f'{pad}"witness": {_json(c.witness, pad)}\n'
+        "    }"
+        for c in report.checks
+    ]
+    provenance = {"engine_version": report.engine_version, "manifest_hash": report.manifest_hash}
+    return (
+        '{\n  "checks": '
+        + ("[\n    " + ",\n    ".join(checks) + "\n  ]" if checks else "[]")
+        + ',\n  "provenance": '
+        + _json(provenance, "  ")
+        + "\n}\n"
+    )
 
 
 _TEXT_TAGS = {HOLDS: "[holds]", FAILS: "[FAILS]", NOT_APPLICABLE: "[ n/a ]"}

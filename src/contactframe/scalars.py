@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Monomial = tuple[int, ...]
 RationalLike = Union[Fraction, int]
@@ -407,13 +407,16 @@ def exact_div(numerator: Scalar, divisor: Scalar) -> Scalar | None:
 #   base   := int | int '/' int | name | '(' expr ')' | '-' base
 #
 # Input budgets: an exponent above MAX_EXPONENT, a power that may have more
-# than MAX_TERMS terms (refused before it is computed), and any parsed
-# operation whose result has more than MAX_TERMS terms are parse errors, so
-# a hostile coefficient cannot burn CPU.  Both limits sit far above what a
-# structure constant needs.
+# than MAX_TERMS terms (refused before it is computed), any parsed
+# operation whose result has more than MAX_TERMS terms, and a '(' or unary
+# '-' nested more than MAX_DEPTH deep are parse errors, so a hostile
+# coefficient can neither burn CPU nor exhaust the recursion limit (each
+# level of nesting is a few parser frames).  Every limit sits far above what
+# a structure constant needs.
 
 MAX_EXPONENT = 64
 MAX_TERMS = 256
+MAX_DEPTH = 64
 
 
 def _power_terms_bound(base: Scalar, exponent: int) -> int:
@@ -432,6 +435,7 @@ class _Parser:
         self.text = text
         self.params = params
         self.pos = 0
+        self.depth = 0  # the '(' and unary '-' enclosing the current base
 
     def error(self, message: str) -> ScalarParseError:
         return ScalarParseError(message, self.pos)
@@ -502,14 +506,22 @@ class _Parser:
             value = self.bounded(value**exponent)
         return value
 
+    def nested(self, parse: Callable[[], Scalar]) -> Scalar:
+        """``parse()`` one level deeper, after the '(' or '-' at ``pos``."""
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"nesting deeper than MAX_DEPTH = {MAX_DEPTH}")
+        self.depth += 1
+        self.pos += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def base(self) -> Scalar:
         ch = self.peek()
         if ch == "-":
-            self.pos += 1
-            return -self.base()
+            return -self.nested(self.base)
         if ch == "(":
-            self.pos += 1
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect(")")
             if self.peek() == "/":
                 raise self.error("division is only defined between integer literals")

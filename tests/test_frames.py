@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactframe.frames import FrameError, FrameManifold, FrameVector
 from contactframe.report import first_witness
-from contactframe.scalars import Scalar
+from contactframe.scalars import ParameterMismatchError, Scalar, parse_scalar
 from vector_reference import bracket
 
 P = ()
@@ -108,6 +108,29 @@ def test_from_pairs_rejects_bad_keys():
         FrameManifold.from_pairs(3, P, {(1, 0, 2): Scalar.one(P)})  # needs i < j
     with pytest.raises(FrameError):
         FrameManifold.from_pairs(3, P, {(0, 3, 1): Scalar.one(P)})  # out of range
+
+
+def test_from_pairs_rejects_a_coefficient_over_other_parameters():
+    t = Scalar.variable(("t",), "t")
+    with pytest.raises(ParameterMismatchError):
+        FrameManifold.from_pairs(3, P, {(0, 1, 2): t})
+    with pytest.raises(ParameterMismatchError):  # a zero is checked too
+        FrameManifold.from_pairs(3, ("s",), {(0, 1, 2): Scalar.zero(("t",))})
+
+
+def test_from_pairs_fills_the_antisymmetric_half():
+    params = ("t",)
+    a, b = parse_scalar("1+t", params), parse_scalar("-2/3", params)
+    zero = Scalar.zero(params)
+    pairs = {(0, 1, 2): a, (0, 2, 1): b, (1, 2, 0): a, (1, 2, 2): zero}
+    m = FrameManifold.from_pairs(3, params, pairs)
+    assert m.c[0][1][2] is a and m.c[1][0][2] == -a
+    assert m.c[0][2][1] is b and m.c[2][0][1] == -b
+    # one negation per distinct coefficient object
+    assert m.c[2][1][0] is m.c[1][0][2]
+    # every zero, the listed one included, is the shared zero
+    for i, j, k in product(range(3), repeat=3):
+        assert m.c[i][j][k].terms or m.c[i][j][k] is zero
 
 
 def test_inner_is_the_orthonormal_metric():

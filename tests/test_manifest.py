@@ -21,7 +21,7 @@ from contactframe import (
     manifest_hash,
 )
 from contactframe.manifest import MAX_DIMENSION, MAX_PARAMETERS
-from contactframe.scalars import MAX_EXPONENT, MAX_TERMS
+from contactframe.scalars import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS
 
 LAMBDA_PATH = "manifests/lambda_family.json"
 ABELIAN_PATH = "manifests/abelian3.json"
@@ -278,3 +278,113 @@ def test_budget_breach_exits_2_with_its_path(tmp_path):
     )
     assert proc.returncode == 2
     assert "structure_constants[" in proc.stderr and "MAX_TERMS" in proc.stderr
+
+
+NESTINGS = {
+    "parentheses": lambda depth: "(" * depth + "x" + ")" * depth,
+    "unary minus": lambda depth: "-" * depth + "x",
+}
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_nesting_just_past_the_depth_limit_is_refused(shape):
+    nest = NESTINGS[shape]
+    m, _ = load_manifest(_coeff_doc(nest(MAX_DEPTH)))
+    assert str(m.c[0][1][0]) == ("-x" if shape == "unary minus" and MAX_DEPTH % 2 else "x")
+    issue = _budget_issue(_coeff_doc(nest(MAX_DEPTH + 1)))
+    assert issue.path.startswith("structure_constants[") and issue.path.endswith("].coeff")
+    assert issue.message == f"nesting deeper than MAX_DEPTH = {MAX_DEPTH} (at position {MAX_DEPTH})"
+
+
+def test_nesting_past_the_depth_limit_in_phi_is_refused_at_its_path():
+    doc = _base_doc()
+    doc["contact"]["phi"][1][2] = "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1)
+    issue = _budget_issue(doc)
+    assert issue.path == "contact.phi[1][2]"
+    assert "MAX_DEPTH" in issue.message
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("shape, depth", [("parentheses", 250), ("unary minus", 990)])
+def test_a_deeply_nested_coefficient_exits_2_with_its_path(tmp_path, source, shape, depth):
+    """Nesting that would exhaust the parser's recursion is refused by its
+    budget: exit 2 with the JSON path, not a RecursionError traceback."""
+    text = json.dumps(_coeff_doc(NESTINGS[shape](depth)))
+    command = [sys.executable, "-m", "contactframe", "verify"]
+    if source == "file":
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        proc = subprocess.run(command + [str(path)], capture_output=True, text=True)
+    else:
+        proc = subprocess.run(command + ["-"], input=text, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("structure_constants[")
+    assert "].coeff: nesting deeper than MAX_DEPTH" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _all_triples_doc(dim: int, extra: int) -> dict:
+    """H^dim with one entry per distinct triple (i < j, k), plus ``extra``
+    repeats of the first."""
+    doc = _heisenberg_doc((dim - 1) // 2)
+    listed = {(c["i"], c["j"], c["k"]): c["coeff"] for c in doc["structure_constants"]}
+    doc["structure_constants"] = [
+        {"i": i, "j": j, "k": k, "coeff": listed.get((i, j, k), "0")}
+        for i in range(1, dim + 1)
+        for j in range(i + 1, dim + 1)
+        for k in range(1, dim + 1)
+    ]
+    doc["structure_constants"] += doc["structure_constants"][:1] * extra
+    return doc
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_structure_constants_past_the_triple_count_are_refused_before_reading(dim):
+    most = dim * dim * (dim - 1) // 2
+    doc = _all_triples_doc(dim, 0)
+    assert len(doc["structure_constants"]) == most
+    assert load_manifest(doc)[0] == load_manifest(_heisenberg_doc((dim - 1) // 2))[0]
+    doc = _all_triples_doc(dim, 1)
+    doc["structure_constants"][-1] = {"coeff": "(("}  # never read
+    issue = _budget_issue(doc)
+    assert issue.path == "structure_constants"
+    assert issue.message == (
+        f"{most + 1} entries, more than the {most} distinct triples (i < j, k) of dimension {dim}"
+    )
+
+
+def test_a_flood_of_repeated_triples_is_one_issue():
+    start = time.perf_counter()
+    issue = _budget_issue(_all_triples_doc(3, 200_000))
+    assert time.perf_counter() - start < 0.5
+    assert issue.path == "structure_constants"
+
+
+def _reference_dump(m, s) -> dict:
+    """dump_manifest as it rendered every coefficient through its own str()."""
+    constants = []
+    for i in range(m.dim):
+        for j in range(i + 1, m.dim):
+            for k in range(m.dim):
+                coeff = m.c[i][j][k]
+                if not coeff.is_zero():
+                    constants.append({"i": i + 1, "j": j + 1, "k": k + 1, "coeff": str(coeff)})
+    return {
+        "dimension": m.dim,
+        "parameters": list(m.params),
+        "structure_constants": constants,
+        "contact": {
+            "xi": [str(c) for c in s.xi.components],
+            "eta": [str(c) for c in s.eta.components],
+            "phi": [[str(s.phi.matrix[r][c]) for c in range(m.dim)] for r in range(m.dim)],
+        },
+    }
+
+
+def test_dump_matches_the_reference_rendering_on_every_committed_manifest():
+    inputs = [load_manifest_file(str(path)) for path in sorted(Path("manifests").glob("*.json"))]
+    inputs += [(e.manifold, e.structure) for e in (make_lambda_family(), make_sasakian3())]
+    for m, s in inputs:
+        document = dump_manifest(m, s)
+        assert document == _reference_dump(m, s)
+        assert json.dumps(document) == json.dumps(_reference_dump(m, s))

@@ -8,9 +8,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import contactframe.cli as cli
 from contactframe import (
+    Scalar,
     VerificationReport,
     emit,
     load_manifest,
@@ -18,6 +20,7 @@ from contactframe import (
     verify_gtw_suite,
     verify_nkappa_suite,
 )
+from contactframe.report import _json
 from contactframe.suite import (
     CONC_CHECK_NAMES,
     GTW_CHECK_NAMES,
@@ -47,6 +50,73 @@ def test_empty_report_emits_valid_json():
     assert doc["checks"] == []
     assert "engine_version" in doc["provenance"]
     assert doc["provenance"]["manifest_hash"] is None
+
+
+# JSON values as a report may hold them: str (non-ASCII, quotes and control
+# characters included), int of any size, bool, None, and nested containers
+big_ints = st.integers(min_value=10**30) | st.integers(max_value=-(10**30))
+json_leaves = st.none() | st.booleans() | st.integers() | big_ints | st.text()
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_writer_matches_json_dumps(value):
+    assert _json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_writer_matches_json_dumps_on_edge_strings():
+    value = {"": [], "\u00e9\"\\\n\x00\U0001f600": {"z": (), "a": [-(2**70), True, None]}}
+    assert _json(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"a": [0.0]}, {1: "one"}, [{("i",): 1}], Scalar.zero(()), {"x": {1, 2}}]
+)
+def test_writer_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        _json(value, "")
+
+
+def _reference_document(report: VerificationReport) -> dict:
+    """The report's JSON document as a dict tree: emit writes exactly what
+    json.dumps(..., sort_keys=True, indent=2) makes of it."""
+    return {
+        "checks": [
+            {
+                "name": c.name,
+                "status": c.status,
+                "witness": c.witness,
+                "convention_notes": list(c.convention_notes),
+            }
+            for c in report.checks
+        ],
+        "provenance": {
+            "manifest_hash": report.manifest_hash,
+            "engine_version": report.engine_version,
+        },
+    }
+
+
+witnesses = st.none() | st.dictionaries(st.text(max_size=6), json_values, max_size=4)
+statuses = st.sampled_from(["holds", "not_applicable"])
+checks = st.tuples(st.text(), statuses, witnesses, st.lists(st.text(), max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(checks, max_size=4), st.none() | st.text(max_size=8))
+def test_emit_matches_json_dumps_of_the_report_document(rows, digest):
+    report = VerificationReport(manifest_hash=digest)
+    for name, status, witness, notes in rows:
+        report.add(name, status, witness, notes)
+    expected = json.dumps(_reference_document(report), sort_keys=True, indent=2) + "\n"
+    assert emit(report, "json") == expected
 
 
 def test_emit_rejects_unknown_format():

@@ -230,14 +230,14 @@ def test_heisenberg_run_work_counts():
     L_xi A) are commutators (``Endomorphism.commutator``), and kappa, the
     space-form and the eta-Einstein coefficients are one exact fit
     (``linear.exact_fit``), so a sum of products runs only for an index some
-    product names: the run makes 1,147 sums of products, 863 of them zero,
+    product names: the run makes 1,151 sums of products, 847 of them zero,
     under the bounds 1,173 and 932 (one H^5 run at 1,118 and 888 plus 5%;
     dense derivative and Lie kernels and a cross-multiplied kappa take 1,843
     and 1,615, evaluating every basis tuple of the derived rows 8,171 and
     7,917, scanning through a trilinear apply 34,593, summing every Riemann
     component 9,880, applying R in ``detect_kappa`` 8,830 and applying Z in
     the two conc xi-slot scans 8,480).  Almost every graded quantity on H^5
-    is zero, and every zero is one shared Scalar: the run constructs 667
+    is zero, and every zero is one shared Scalar: the run constructs 657
     Scalars, under the bound 704 (a new zero per zero result makes 13,288;
     evaluating every tuple 909)."""
     counts = _work_counts("heisenberg5.json")
@@ -303,7 +303,7 @@ def test_bench_ladder_records_deterministic_counts():
     assert first["json_bytes"] == len(emit(run_suite(m, s, "all")).encode())
     for key in ("json_bytes", "sum_of_products", "zero_sums", "scalars"):
         assert first[key] == second[key] > 0
-    assert first["run_s"] > 0 and first["run_norm"] > 0
+    assert first["run_s"] > 0 and first["run_norm"] > 0 and first["emit_s"] > 0
     # the manifest load is timed on the gated random frames
     assert ladder.LOADED == ("random5", "random5_t")
     assert ladder.measure_load("random5", 1) > 0

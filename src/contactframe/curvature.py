@@ -15,12 +15,16 @@ applied to either connection kind; on constant frame coefficients it is
 one sum of products per independent component (see ``riemann``): the
 tensor is antisymmetric in its first pair, because the structure constants
 are, and in its last pair, because both connections are metric, so only
-the components with i < j and k < l are summed.  A curvature-type tensor
-(``Curvature4Tensor``) is held as the table of its nonzero components, the
-shape ``tables.sum_table`` returns, and every reader takes it from there.
-Every closed-form identity is then *checked against* the computed tensor
-rather than assumed, so a sign slip in a quoted formula surfaces as report
-data instead of contaminating downstream tensors.
+the components with i < j and k < l are summed.  A connection
+(``Connection``) is held as the table of its nonzero coefficients keyed
+(i, j, k), and a curvature-type tensor (``Curvature4Tensor``) as the table
+of its nonzero components, the shape ``tables.sum_table`` returns; every
+reader takes them from there.  The Koszul formula, the curvature and the
+construction checks of a connection are sums over products of nonzero
+entries only, so a coefficient or component that no product names is zero
+without a sum.  Every closed-form identity is then *checked against* the
+computed tensor rather than assumed, so a sign slip in a quoted formula
+surfaces as report data instead of contaminating downstream tensors.
 
 Ricci is the contraction S(X, Y) = sum_i R(X, E_i, E_i, Y) with lowered
 components R(X, Y, Z, W) = g(R(X, Y)Z, W); the scalar curvature is its
@@ -34,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, combinations, product
+from itertools import chain, product
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import Row, VerificationReport, first_witness, grade_rows
@@ -53,76 +57,133 @@ class ConnectionConsistencyError(Exception):
 
 @dataclass(frozen=True)
 class Connection:
-    """Frame connection coefficients: nabla_{E_i} E_j = gamma[i][j][k] E_k."""
+    """The coefficients of nabla_{E_i} E_j = Gamma_ij^k E_k, held as the table
+    of the nonzero ones keyed (i, j, k); every coefficient the table does not
+    name is zero.  There is no dense view: ``derivative_basis`` is the one
+    dense read, and only the ``curvature`` command's tables take it."""
 
-    gamma: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    dim: int
+    params: tuple[str, ...]
+    table: Table
 
-    @property
-    def dim(self) -> int:
-        return len(self.gamma)
+    @cached_property
+    def _by_pair(self) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:
+        """The nonzero coefficients (k, Gamma_ij^k) grouped by (i, j), each
+        group in k order."""
+        groups: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+        for (i, j, k), g in sorted(self.table.items(), key=itemgetter(0)):
+            groups.setdefault((i, j), []).append((k, g))
+        return groups
+
+    def entries(self, i: int, j: int) -> Sequence[tuple[int, Scalar]]:
+        """The nonzero components (k, Gamma_ij^k) of nabla_{E_i} E_j, in k order."""
+        return self._by_pair.get((i, j), ())
 
     def derivative_basis(self, i: int, j: int) -> FrameVector:
         """nabla_{E_i} E_j as a frame vector."""
-        return FrameVector(tuple(self.gamma[i][j][k] for k in range(self.dim)))
+        components = [Scalar.zero(self.params)] * self.dim
+        for k, g in self.entries(i, j):
+            components[k] = g
+        return FrameVector(tuple(components))
 
     def derivative(self, i: int, x: FrameVector) -> FrameVector:
-        """nabla_{E_i} X for a constant-coefficient X."""
-        row = self.gamma[i]
-        return FrameVector(
-            tuple(
-                Scalar.sum_of_products(
-                    x.params, ((xj, row[j][k]) for j, xj in enumerate(x.components))
-                )
-                for k in range(self.dim)
-            )
+        """nabla_{E_i} X = sum_j x_j Gamma_ij^k E_k for a constant-coefficient X."""
+        sums = sum_table(
+            x.params,
+            (
+                ((k,), xj, g)
+                for j, xj in enumerate(x.components)
+                if xj.terms
+                for k, g in self.entries(i, j)
+            ),
         )
+        zero = Scalar.zero(x.params)
+        return FrameVector(tuple(sums.get((k,), zero) for k in range(self.dim)))
 
     @cached_property
     def operators(self) -> tuple[Endomorphism, ...]:
-        """G_i, the endomorphism E_q -> nabla_{E_i} E_q, for every frame index."""
-        return tuple(Endomorphism(tuple(zip(*plane))) for plane in self.gamma)
+        """G_i, the endomorphism E_q -> nabla_{E_i} E_q, for every frame index:
+        (G_i)^p_q = Gamma_iq^p."""
+        idx, zero = range(self.dim), Scalar.zero(self.params)
+        matrices = [[[zero] * self.dim for _ in idx] for _ in idx]
+        for (i, q, p), g in self.table.items():
+            matrices[i][p][q] = g
+        return tuple(Endomorphism(tuple(map(tuple, rows))) for rows in matrices)
 
-    def derivative_endo(self, m: FrameManifold, i: int, a: Endomorphism) -> Endomorphism:
+    def derivative_endo(self, i: int, a: Endomorphism) -> Endomorphism:
         """nabla_{E_i} A = [G_i, A] with G_i = ``operators[i]``:
 
             (nabla_i A)^p_j = sum_q Gamma_iq^p A^q_j - A^p_q Gamma_ij^q .
         """
         return self.operators[i].commutator(a)
 
-    def derivative_covector(self, m: FrameManifold, i: int, eta: FrameVector, j: int) -> Scalar:
+    def derivative_covector(self, i: int, eta: FrameVector, j: int) -> Scalar:
         """(nabla_{E_i} eta)(E_j) = -eta(nabla_{E_i} E_j) for constant eta."""
-        return -m.inner(eta, self.derivative_basis(i, j))
+        eta_k = eta.components
+        return -Scalar.sum_of_products(
+            self.params, ((eta_k[k], g) for k, g in self.entries(i, j))
+        )
 
-    def metric_derivative(self, i: int, j: int, k: int) -> Scalar:
-        """(nabla_{E_i} g)(E_j, E_k) on the orthonormal frame."""
-        return -(self.gamma[i][j][k] + self.gamma[i][k][j])
+    @cached_property
+    def metric_residual(self) -> Table:
+        """(nabla_{E_i} g)(E_j, E_k) = -(Gamma_ij^k + Gamma_ik^j), as the table
+        of its nonzero values keyed (i, j, k)."""
+        minus_one = -Scalar.one(self.params)
+        return sum_table(
+            self.params,
+            chain.from_iterable(
+                (((i, j, k), g, minus_one), ((i, k, j), g, minus_one))
+                for (i, j, k), g in self.table.items()
+            ),
+        )
+
+
+def torsion_table(m: FrameManifold, conn: Connection) -> Table:
+    """T(E_i, E_j) = nabla_{E_i} E_j - nabla_{E_j} E_i - [E_i, E_j], as the
+    table of its nonzero components keyed (i, j, k)."""
+    one = Scalar.one(m.params)
+    minus_one = -one
+    return sum_table(
+        m.params,
+        chain(
+            chain.from_iterable(
+                (((i, j, k), g, one), ((j, i, k), g, minus_one))
+                for (i, j, k), g in conn.table.items()
+            ),
+            (
+                ((i, j, k), c, minus_one)
+                for i, plane in enumerate(m.sparse_c)
+                for j, c_ij in enumerate(plane)
+                for k, c in c_ij
+            ),
+        ),
+    )
 
 
 def levi_civita(m: FrameManifold) -> Connection:
-    """Koszul formula on the orthonormal frame; verifies its own invariants."""
-    half = Fraction(1, 2)
-    gamma = tuple(
-        tuple(
-            tuple(
-                (m.c[i][j][k] - m.c[j][k][i] + m.c[k][i][j]).scale(half)
-                for k in range(m.dim)
-            )
-            for j in range(m.dim)
-        )
-        for i in range(m.dim)
+    """Koszul formula on the orthonormal frame, one sum of products per
+    coefficient some bracket names: each c_ab^d adds +1/2 to Gamma_ab^d,
+    -1/2 to Gamma_da^b and +1/2 to Gamma_bd^a.  Verifies metric
+    compatibility and torsion-freeness, both structural for the Koszul
+    output on antisymmetric c, so a violation indicates malformed input."""
+    half = m.constant(Fraction(1, 2))
+    minus_half = -half
+    table = sum_table(
+        m.params,
+        chain.from_iterable(
+            (((a, b, d), c, half), ((d, a, b), c, minus_half), ((b, d, a), c, half))
+            for a, plane in enumerate(m.sparse_c)
+            for b, c_ab in enumerate(plane)
+            for d, c in c_ab
+        ),
     )
-    conn = Connection(gamma)
-    # metric compatibility and torsion-freeness are structural for the Koszul
-    # output on antisymmetric c, so a violation indicates malformed input; the
-    # metric residual is symmetric in (j, k) and (i, k, j) comes before
-    # (i, j, k), so checking j <= k finds the same first violation
-    for i, j, k in product(range(m.dim), repeat=3):
-        if j <= k and not (gamma[i][j][k] + gamma[i][k][j]).is_zero():
-            law = "metric compatibility"
-        elif not (gamma[i][j][k] - gamma[j][i][k] - m.c[i][j][k]).is_zero():
-            law = "torsion-freeness"
-        else:
-            continue
+    conn = Connection(m.dim, m.params, table)
+    # both residuals are tables of their nonzero values, so the first
+    # violation in row-major order is the least index tuple either names
+    metric, torsion = conn.metric_residual, torsion_table(m, conn)
+    if metric or torsion:
+        i, j, k = at = min(chain(metric, torsion))
+        law = "metric compatibility" if at in metric else "torsion-freeness"
         raise ConnectionConsistencyError(f"{law} violated at ({i + 1},{j + 1},{k + 1})")
     return conn
 
@@ -211,7 +272,7 @@ class Curvature4Tensor:
 
 def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
     """Curvature of a frame connection, one sum of products per independent
-    component.
+    component some product of nonzero coefficients names.
 
     R(E_i, E_j)E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k
     - nabla_{[E_i, E_j]} E_k on constant frame coefficients gives
@@ -219,41 +280,49 @@ def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
         R_ijk^l = sum_m Gamma_jk^m Gamma_im^l - Gamma_ik^m Gamma_jm^l
                   - c_ij^m Gamma_mk^l .
 
-    The kernel runs only for i < j and k < l, (dim (dim - 1) / 2)^2 sums,
-    and writes each nonzero sum into the table with the three components it
-    fixes by sign; the i = j and k = l diagonals are zero, so no entry holds
-    them.  Two preconditions make that exact:
+    Only the products of nonzero entries with i < j and k < l are formed:
+    each Gamma_ak^m pairs with each Gamma_bm^l, b != a, as the first term
+    when b < a and the second when a < b.  Each nonzero sum is written into
+    the table with the three components it fixes by sign; the i = j and
+    k = l diagonals are zero, so no entry holds them.  Two preconditions
+    make that exact:
 
     - R_jik^l = -R_ijk^l needs c_ji^m = -c_ij^m, which
-      ``FrameManifold.from_pairs`` builds;
+      ``FrameManifold.from_pairs`` builds; the kernel reads -c_ij^m as c_ji^m;
     - R_ijl^k = -R_ijk^l needs a metric connection, Gamma_ij^k = -Gamma_ik^j,
       which ``levi_civita`` and ``tanaka_webster.gtw_connection`` check on
       construction (they raise ``ConnectionConsistencyError`` otherwise).
     """
-    dim, params = m.dim, m.params
-    idx = range(dim)
-    gamma = conn.gamma
-    neg_gamma = tuple(tuple(tuple(-g for g in row) for row in plane) for plane in gamma)
-    neg_c = tuple(tuple(tuple(-c for c in row) for row in plane) for plane in m.c)
-    # by_source[i][l][n] = Gamma_in^l and by_target[k][l][n] = Gamma_nk^l
-    by_source = tuple(tuple(tuple(gamma[i][n][l] for n in idx) for l in idx) for i in idx)
-    by_target = tuple(tuple(tuple(gamma[n][k][l] for n in idx) for l in idx) for k in idx)
+    idx, entries = range(m.dim), conn.entries
 
+    def products() -> Iterator[tuple[tuple[int, int, int, int], Scalar, Scalar]]:
+        for (a, k, q), g in conn.table.items():
+            minus_g = -g
+            for b in idx:
+                if b == a:
+                    continue
+                for l, g_bq in entries(b, q):
+                    if k < l:
+                        if b < a:
+                            yield (b, a, k, l), g, g_bq
+                        else:
+                            yield (a, b, k, l), minus_g, g_bq
+        for j, plane in enumerate(m.sparse_c):
+            for i in range(j):
+                for q, c_ji in plane[i]:
+                    for k in idx:
+                        for l, g_qk in entries(q, k):
+                            if k < l:
+                                yield (i, j, k, l), c_ji, g_qk
+
+    sums = sum_table(m.params, products())
     table: Table = {}
-    for i, j in combinations(idx, 2):
-        for k, l in combinations(idx, 2):
-            r = Scalar.sum_of_products(
-                params,
-                chain(
-                    zip(gamma[j][k], by_source[i][l]),
-                    zip(neg_gamma[i][k], by_source[j][l]),
-                    zip(neg_c[i][j], by_target[k][l]),
-                ),
-            )
-            if r.terms:
-                table[i, j, k, l] = table[j, i, l, k] = r
-                table[j, i, k, l] = table[i, j, l, k] = -r
-    return Curvature4Tensor(dim, params, table)
+    # row-major, whatever order the products named the components in
+    for (i, j, k, l) in sorted(sums):
+        r = sums[i, j, k, l]
+        table[i, j, k, l] = table[j, i, l, k] = r
+        table[j, i, k, l] = table[i, j, l, k] = -r
+    return Curvature4Tensor(m.dim, m.params, table)
 
 
 @dataclass(frozen=True)
@@ -339,7 +408,7 @@ def _h_square(report, name, x):
 def _h_covariant_derivative(report, name, x):
     m, h, phi, eta = x.m, x.h, x.s.phi, x.s.eta.components
     one_minus_kappa = m.one_scalar() - x.kappa
-    dh = [x.lc.derivative_endo(m, i, h) for i in range(m.dim)]
+    dh = [x.lc.derivative_endo(i, h) for i in range(m.dim)]
     tails = [h.apply(v) for v in x.phi_x_plus_hx]
     # g(X, h phi Y) = g(hX, phi Y): h is symmetric on every input the gate admits
     report.graded(
@@ -355,10 +424,9 @@ def _h_covariant_derivative(report, name, x):
 
 # (nabla_X eta)Y = g(X + hX, phi Y)
 def _eta_covariant_derivative(report, name, x):
-    m = x.m
     report.graded(
         name,
-        x.scan(2, lambda i, j: x.lc.derivative_covector(m, i, x.s.eta, j) - x.xh_phi[i][j]),
+        x.scan(2, lambda i, j: x.lc.derivative_covector(i, x.s.eta, j) - x.xh_phi[i][j]),
     )
 
 

@@ -281,7 +281,7 @@ class Instance:
     @cached_property
     def dphi_lc(self) -> tuple[Endomorphism, ...]:
         """nabla_{E_i} phi for every frame index."""
-        return tuple(self.lc.derivative_endo(self.m, i, self.s.phi) for i in range(self.m.dim))
+        return tuple(self.lc.derivative_endo(i, self.s.phi) for i in range(self.m.dim))
 
     @cached_property
     def classification(self) -> StructureClass:
@@ -314,12 +314,12 @@ class Instance:
     @cached_property
     def dphi_gtw(self) -> tuple[Endomorphism, ...]:
         conn = self.pkg.conn
-        return tuple(conn.derivative_endo(self.m, i, self.s.phi) for i in range(self.m.dim))
+        return tuple(conn.derivative_endo(i, self.s.phi) for i in range(self.m.dim))
 
     @cached_property
     def dh_gtw(self) -> tuple[Endomorphism, ...]:
         conn = self.pkg.conn
-        return tuple(conn.derivative_endo(self.m, i, self.h) for i in range(self.m.dim))
+        return tuple(conn.derivative_endo(i, self.h) for i in range(self.m.dim))
 
     @cached_property
     def z(self) -> ConcircularTensor:

@@ -53,6 +53,7 @@ from .curvature import (
     ricci,
     riemann,
     scalar_curvature,
+    torsion_table,
 )
 from .frames import Endomorphism, FrameManifold, FrameVector, vectors
 from .linear import exact_fit
@@ -99,39 +100,54 @@ def gtw_connection(
     """The Levi-Civita connection displaced by
     A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X), with
     xh_phi[i][j] = g(E_i + hE_i, phi E_j) and phi_h = phi h; on the frame
-    eta(E_i) is eta's component i.  Verifies metric parallelism on construction."""
-    idx, phi, eta = range(m.dim), s.phi, s.eta.components
+    eta(E_i) is eta's component i.  One sum of products per coefficient that
+    a nonzero entry of lc or of A names:
 
-    def displaced(i: int, j: int) -> FrameVector:
-        return (
-            lc.derivative_basis(i, j)
-            + s.xi.scale(xh_phi[i][j])
-            + phi.column(j).scale(eta[i])
-            + (phi_h.column(i) + phi.column(i)).scale(eta[j])
-        )
+        Gamma_ij^k + xh_phi[i][j] xi^k + eta_i phi^k_j + eta_j (phi h + phi)^k_i .
 
-    gamma = tuple(tuple(displaced(i, j).components for j in idx) for i in idx)
-    conn = Connection(gamma)
-    witness = first_witness(product(idx, repeat=3), conn.metric_derivative)
-    if witness is not None:
-        at = ",".join(str(i) for i in witness["indices"])
+    Verifies metric parallelism on construction."""
+    idx, one = range(m.dim), m.one_scalar()
+    xi = [(k, v) for k, v in enumerate(s.xi.components) if v.terms]
+    eta = [(i, v) for i, v in enumerate(s.eta.components) if v.terms]
+    phi, phi_h = s.phi.sparse_columns, phi_h.sparse_columns
+    table = sum_table(
+        m.params,
+        chain(
+            ((index, g, one) for index, g in lc.table.items()),
+            (
+                ((i, j, k), a, xi_k)
+                for i, row in enumerate(xh_phi)
+                for j, a in enumerate(row)
+                if a.terms
+                for k, xi_k in xi
+            ),
+            (((i, j, k), eta_i, p) for i, eta_i in eta for j in idx for k, p in phi[j]),
+            (
+                ((i, j, k), eta_j, p)
+                for j, eta_j in eta
+                for i in idx
+                for k, p in chain(phi_h[i], phi[i])
+            ),
+        ),
+    )
+    conn = Connection(m.dim, m.params, table)
+    residual = conn.metric_residual
+    if residual:
+        at = min(residual)
         raise ConnectionConsistencyError(
-            f"metric parallelism violated at ({at}): {witness['residual']}"
+            f"metric parallelism violated at ({','.join(str(i + 1) for i in at)}): "
+            f"{residual[at]}"
         )
     return conn
 
 
 def gtw_torsion(m: FrameManifold, conn: Connection) -> tuple[tuple[FrameVector, ...], ...]:
-    """T(E_i, E_j) = del_{E_i}E_j - del_{E_j}E_i - [E_i, E_j]."""
-    return tuple(
-        tuple(
-            conn.derivative_basis(i, j)
-            - conn.derivative_basis(j, i)
-            - m.bracket_basis(i, j)
-            for j in range(m.dim)
-        )
-        for i in range(m.dim)
-    )
+    """T(E_i, E_j) = del_{E_i}E_j - del_{E_j}E_i - [E_i, E_j], from the table
+    of its nonzero components; every pair it does not name shares one zero
+    vector."""
+    nonzero = vectors(torsion_table(m, conn), m.dim, m.params)
+    zero = FrameVector((m.zero_scalar(),) * m.dim)
+    return tuple(tuple(nonzero.get((i, j), zero) for j in range(m.dim)) for i in range(m.dim))
 
 
 def build_gtw_package(
@@ -159,7 +175,7 @@ def build_gtw_package(
 
 
 def _metric_parallel(report, name, x):
-    report.graded(name, x.scan(3, x.pkg.conn.metric_derivative))
+    report.graded(name, x.table_scan(lambda: x.pkg.conn.metric_residual, vector=False, depth=0))
 
 
 def _xi_parallel(report, name, x):
@@ -168,7 +184,7 @@ def _xi_parallel(report, name, x):
 
 def _eta_parallel(report, name, x):
     report.graded(
-        name, x.scan(2, lambda i, j: x.pkg.conn.derivative_covector(x.m, i, x.s.eta, j))
+        name, x.scan(2, lambda i, j: x.pkg.conn.derivative_covector(i, x.s.eta, j))
     )
 
 

@@ -179,7 +179,7 @@ def test_derivative_endo_matches_the_column_formula(x):
     m = x.m
     for (name, conn), a in product((("lc", x.lc), ("gtw", x.pkg.conn)), (x.s.phi, x.h)):
         for i in range(m.dim):
-            got = conn.derivative_endo(m, i, a)
+            got = conn.derivative_endo(i, a)
             for j in range(m.dim):
                 want = conn.derivative(i, a.column(j)) - a.apply(conn.derivative_basis(i, j))
                 assert got.column(j) == want, (name, i, j)

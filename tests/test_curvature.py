@@ -8,6 +8,7 @@ import pytest
 
 from contactframe import (
     ConcircularTensor,
+    Connection,
     Curvature4Tensor,
     Instance,
     emit,
@@ -50,11 +51,7 @@ def test_connection_table_symbolic(fam):
 
 
 def test_metric_is_parallel(fam):
-    lc = fam.lc
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert lc.metric_derivative(i, j, k).is_zero(), (i, j, k)
+    assert fam.lc.metric_residual == {}
 
 
 def test_riemann_golden_values(fam):
@@ -150,10 +147,13 @@ def test_nullity_suite_sasakian_member(fam0):
 
 def test_every_tensor_a_run_builds_is_the_table_of_its_nonzero_components(monkeypatch):
     """Over one run on each committed manifest, every curvature-type tensor
-    built (R, the torsionful curvature, R1-R3 and Z) holds no zero in its
-    table, and its dense view agrees with the table entry by entry."""
+    built (R, the torsionful curvature, R1-R3 and Z) and every connection
+    (Levi-Civita, torsionful) holds no zero in its table.  A curvature-type
+    tensor's dense view agrees with its table entry by entry; a connection
+    has no dense view, and its one dense read, ``derivative_basis``, agrees
+    with its table entry by entry."""
     built = []
-    for cls in (Curvature4Tensor, ConcircularTensor):
+    for cls in (Curvature4Tensor, ConcircularTensor, Connection):
 
         def recording(self, *args, _init=cls.__init__, **kwargs):
             _init(self, *args, **kwargs)
@@ -162,10 +162,20 @@ def test_every_tensor_a_run_builds_is_the_table_of_its_nonzero_components(monkey
         monkeypatch.setattr(cls, "__init__", recording)
     for path in sorted(MANIFESTS.glob("*.json")):
         run_suite(*load_manifest_file(str(path)), "all")
-    assert len(built) > len(list(MANIFESTS.glob("*.json")))
+    connections = [t for t in built if isinstance(t, Connection)]
+    # both connections on H^5, lambda and T1E4; Levi-Civita alone on kmu3,
+    # whose kappa gate stops the torsionful one
+    assert len(connections) == 7
+    assert len(built) - len(connections) > len(list(MANIFESTS.glob("*.json")))
+    assert not hasattr(Connection, "gamma")
     for t in built:
         assert all(c.terms for c in t.table.values())
         zero = Scalar.zero(t.params)
+        if isinstance(t, Connection):
+            for i, j, k in product(range(t.dim), repeat=3):
+                got = t.derivative_basis(i, j).components[k]
+                assert got == t.table.get((i, j, k), zero), (i, j, k)
+            continue
         for i, j, k, l in product(range(t.dim), repeat=4):
             assert t.components[i][j][k][l] == t.table.get((i, j, k, l), zero), (i, j, k, l)
 
@@ -174,8 +184,13 @@ def test_every_tensor_a_run_builds_is_the_table_of_its_nonzero_components(monkey
     "entry", [make_heisenberg(2), make_lambda_family(None)], ids=["H5", "lambda_symbolic"]
 )
 def test_a_verify_run_never_builds_the_dense_view(monkeypatch, entry):
-    def dense(self):
+    """Neither a curvature-type tensor's dense view nor a connection's dense
+    read (``derivative_basis``, one dense vector per pair) is built by a
+    verify run; only the ``curvature`` command's tables read them."""
+
+    def dense(self, *args):
         raise AssertionError("the dense view was built")
 
     monkeypatch.setattr(Curvature4Tensor, "components", property(dense))
+    monkeypatch.setattr(Connection, "derivative_basis", dense)
     emit(run_suite(entry.manifold, entry.structure, "all"))

@@ -33,12 +33,14 @@ def definitional_riemann(m: FrameManifold, conn) -> list:
     """R[i][j][k][l] by nabla_i nabla_j E_k - nabla_j nabla_i E_k - nabla_[E_i,E_j] E_k."""
     dim = m.dim
     zero = Scalar.zero(m.params)
+    # gamma[i][j][k] = Gamma_ij^k, every coefficient
+    gamma = [[conn.derivative_basis(i, j).components for j in range(dim)] for i in range(dim)]
 
     def nabla(i: int, x: list) -> list:
         out = [zero] * dim
         for j in range(dim):
             for k in range(dim):
-                out[k] = out[k] + x[j] * conn.gamma[i][j][k]
+                out[k] = out[k] + x[j] * gamma[i][j][k]
         return out
 
     comps = []
@@ -47,12 +49,12 @@ def definitional_riemann(m: FrameManifold, conn) -> list:
         for j in range(dim):
             plane_j = []
             for k in range(dim):
-                first = nabla(i, list(conn.gamma[j][k]))
-                second = nabla(j, list(conn.gamma[i][k]))
+                first = nabla(i, list(gamma[j][k]))
+                second = nabla(j, list(gamma[i][k]))
                 vec = [a - b for a, b in zip(first, second)]
                 for mm in range(dim):
                     coeff = m.c[i][j][mm]
-                    vec = [v - coeff * g for v, g in zip(vec, conn.gamma[mm][k])]
+                    vec = [v - coeff * g for v, g in zip(vec, gamma[mm][k])]
                 plane_j.append(vec)
             plane_i.append(plane_j)
         comps.append(plane_i)

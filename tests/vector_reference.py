@@ -1,11 +1,17 @@
 """Vector-level reference operators: the bracket, the trilinear extension of
 a curvature-type tensor and the tensor actions on arbitrary constant vectors,
-through the structure constants and the tensor's components.  The tests hold
-the engine's component contractions to them on every basis tuple."""
+through the structure constants and the tensor's components; and the dense
+connection coefficients of the Koszul formula and of the generalized
+Tanaka-Webster displacement, every coefficient with plain Scalar ``+`` and
+``*``.  The tests hold the engine's component contractions and connection
+tables to them on every basis tuple."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from contactframe import (
+    AlmostContactData,
     BilinearForm,
     Curvature4Tensor,
     Endomorphism,
@@ -71,3 +77,58 @@ def tensor_dot_tensor(m, t1, t2, x1, x2, x3, x4, x5) -> FrameVector:
 def tensor_dot_form(m, t1, omega: BilinearForm, x1, x2, x3, x4) -> Scalar:
     """(T1(X1,X2).w)(X3,X4) with both insertions positive, as quoted."""
     return omega.apply(apply(t1, x1, x2, x3), x4) + omega.apply(x3, apply(t1, x1, x2, x4))
+
+
+def koszul(m: FrameManifold) -> list:
+    """gamma[i][j][k] = Gamma_ij^k = (c_ij^k - c_jk^i + c_ki^j) / 2 for every
+    index triple."""
+    idx, c = range(m.dim), m.c
+    return [
+        [[(c[i][j][k] - c[j][k][i] + c[k][i][j]).scale(Fraction(1, 2)) for k in idx] for j in idx]
+        for i in idx
+    ]
+
+
+def contact_h(m: FrameManifold, s: AlmostContactData) -> list:
+    """h[p][q] = component p of hE_q, h = 1/2 L_xi phi = 1/2 [ad_xi, phi] with
+    (ad_xi)^p_q = sum_r xi^r c_rq^p."""
+    idx, zero = range(m.dim), Scalar.zero(m.params)
+    xi, phi = s.xi.components, s.phi.matrix
+    ad = [[sum((xi[r] * m.c[r][q][p] for r in idx), zero) for q in idx] for p in idx]
+    return [
+        [
+            sum((ad[p][r] * phi[r][q] - phi[p][r] * ad[r][q] for r in idx), zero).scale(
+                Fraction(1, 2)
+            )
+            for q in idx
+        ]
+        for p in idx
+    ]
+
+
+def gtw_gamma(m: FrameManifold, s: AlmostContactData, gamma: list) -> list:
+    """The Levi-Civita coefficients ``gamma`` displaced by
+    A(E_i, E_j) = g(E_i + hE_i, phi E_j) xi + eta(E_i) phi E_j
+    + eta(E_j) phi(hE_i + E_i), with h from ``contact_h``."""
+    idx, zero = range(m.dim), Scalar.zero(m.params)
+    xi, eta, phi = s.xi.components, s.eta.components, s.phi.matrix
+    h = contact_h(m, s)
+    # x_plus_hx[i][p] = component p of E_i + hE_i
+    x_plus_hx = [[h[p][i] + m.inner_basis(i, p) for p in idx] for i in idx]
+    phi_x_plus_hx = [
+        [sum((phi[p][q] * x_plus_hx[i][q] for q in idx), zero) for p in idx] for i in idx
+    ]
+    xh_phi = [[sum((x_plus_hx[i][p] * phi[p][j] for p in idx), zero) for j in idx] for i in idx]
+    return [
+        [
+            [
+                gamma[i][j][k]
+                + xh_phi[i][j] * xi[k]
+                + eta[i] * phi[k][j]
+                + eta[j] * phi_x_plus_hx[i][k]
+                for k in idx
+            ]
+            for j in idx
+        ]
+        for i in idx
+    ]

@@ -1,25 +1,40 @@
 #!/usr/bin/env python3
-"""Time two trees of the engine against each other in one process.
+"""Time and count two trees of the engine against each other in one process.
 
 The parent tree is ``git archive <rev> src`` unpacked into a temporary
 directory (or, when ``rev`` names a directory, the ``contactframe`` package
 under it); the change tree is this checkout's ``src`` (or ``--change DIR``).
 Both are imported side by side as the packages ``cf_parent`` and
-``cf_change``.  Each round runs, on every case and on both trees in
-alternating order, a full request (load -> hash -> ``run_suite("all")`` ->
-emit) and, where the request builds them, the ``levi_civita``, ``riemann``
-and ``build_gtw_package`` layers on a freshly loaded input.  The cases are
-H^3 to H^9 and the three perfbench documents; ``random_frame_triage`` is
-its six seeded frames in sequence, and is gated, so it times the request
-only.
+``cf_change``.
 
-For each case and layer it prints the minimum microseconds of each tree,
-the median over rounds of the paired ratio change / parent, and the number
-of rounds the change was faster.  It exits 1 if the two trees' reports
-differ in any byte.
+The cases are the ladder (``ladder``: the lambda family, symbolic and at 1/2,
+H^3 to H^9, T1E4 and the dense dimension-5 frames ``random5`` and
+``random5_t``) and the three perfbench documents; a rung whose document is
+byte-identical to a perfbench one (lambda symbolic) runs once, under the
+perfbench name.  ``random_frame_triage`` is its six seeded frames in
+sequence, and every figure of it is summed over the six.
+
+Before the timed rounds each tree counts, once per case, the work of one
+``run_suite("all")`` plus emit on a freshly loaded input (``work_counts``):
+the calls of ``Scalar.sum_of_products``, those that return zero, the
+Scalars constructed, and the JSON report's bytes.  Counts that differ
+between the trees are data, not an error.
+
+Each round runs, on every case and on both trees in alternating order, a
+full request (load -> hash -> ``run_suite("all")`` -> emit), timing within
+it the ``load`` (``load_manifest`` on the decoded document) and the ``emit``
+of the finished report; and, where the request builds them, the
+``levi_civita``, ``riemann`` and ``build_gtw_package`` layers on a freshly
+loaded input.
+
+For each case it prints both trees' counts, and per layer the minimum
+microseconds of each tree, the median over rounds of the paired ratio
+change / parent, and the number of rounds the change was faster.  ``--out``
+writes the same figures as one JSON document.  It exits 1 if the two trees'
+reports differ in any byte.
 
 Usage:
-    python scripts/ab.py HEAD~1 [--rounds 40] [--only H5 --only H9]
+    python scripts/ab.py HEAD~1 [--rounds 40] [--only H5 --only H9] [--out BENCH.json]
 """
 
 from __future__ import annotations
@@ -28,18 +43,22 @@ import argparse
 import importlib
 import importlib.util
 import json
+import platform
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+from fractions import Fraction
 from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("request", "levi_civita", "riemann", "build_gtw_package")
-TRIAGE_SEED = 1
+MANIFESTS = ROOT / "manifests"
+LAYERS = ("request", "load", "emit", "levi_civita", "riemann", "build_gtw_package")
+# the seed perfbench runs its workloads with
+SEED = 1
 
 
 def load_tree(alias: str, src: Path):
@@ -55,12 +74,13 @@ def load_tree(alias: str, src: Path):
     return module
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
 def unpack(rev: str, into: Path) -> Path:
     """``git archive rev src`` unpacked under ``into``; the unpacked ``src``."""
-    archive = subprocess.run(
-        ["git", "archive", rev, "src"], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+    with tarfile.open(fileobj=BytesIO(git("archive", rev, "src"))) as tar:
         tar.extractall(into, filter="data")
     return into / "src"
 
@@ -73,23 +93,64 @@ def load_script(name: str, path: Path):
     return module
 
 
+def ladder(cf) -> dict:
+    """Rung name -> (manifold, structure), built with the package ``cf``.
+    random5 and random5_t (rational and linear in t) are gated: a run on them
+    builds no derived section, connection or curvature."""
+    entries = {
+        "lambda_symbolic": cf.make_lambda_family(None),
+        "lambda_1/2": cf.make_lambda_family(Fraction(1, 2)),
+    }
+    entries.update((f"H{2 * n + 1}", cf.make_heisenberg(n)) for n in (1, 2, 3, 4))
+    rungs = {name: (e.manifold, e.structure) for name, e in entries.items()}
+    for name, stem in (("T1E4", "t1e4"), ("random5", "random5"), ("random5_t", "random5_t")):
+        rungs[name] = cf.load_manifest_file(str(MANIFESTS / f"{stem}.json"))
+    return rungs
+
+
 def cases(cf) -> dict[str, list[str]]:
     """Case name -> the manifest texts one request of it serves."""
     workloads = load_script("ab_workloads", ROOT / "perfbench" / "workloads.py")
-
-    def text(document: dict) -> str:
-        return json.dumps(document)
-
-    out = {}
-    for n in (1, 2, 3, 4):
-        entry = cf.make_heisenberg(n)
-        out[f"H{2 * n + 1}"] = [text(cf.dump_manifest(entry.manifold, entry.structure))]
-    entry = cf.make_lambda_family(None)
-    out["lambda_symbolic_verify"] = [text(cf.dump_manifest(entry.manifold, entry.structure))]
-    out["heisenberg_verify"] = [text(workloads.heisenberg_document(2))]
-    triage = workloads.make_instances("random_frame_triage", TRIAGE_SEED)
-    out["random_frame_triage"] = [text(inst.document) for inst in triage]
+    out = {name: [json.dumps(cf.dump_manifest(m, s))] for name, (m, s) in ladder(cf).items()}
+    # perfbench's lambda_symbolic_verify document is this rung's dump, made by
+    # whichever contactframe is importable, so the rung runs under that name
+    out["lambda_symbolic_verify"] = out.pop("lambda_symbolic")
+    for name in ("heisenberg_verify", "random_frame_triage"):
+        out[name] = [json.dumps(inst.document) for inst in workloads.make_instances(name, SEED)]
     return out
+
+
+def work_counts(cf, m, s) -> dict:
+    """Calls of the fused kernel, the kernel's calls that return zero, the
+    Scalars constructed and the JSON report's bytes of one
+    ``run_suite("all")`` plus emit in the package ``cf``, on a fresh copy of
+    the input (``load_manifest(dump_manifest(m, s))``), so that no cache left
+    on m and s lowers the counts.  The counters wrap ``cf``'s own Scalar
+    class and are removed again."""
+    m, s = cf.load_manifest(cf.dump_manifest(m, s))
+    scalar = cf.Scalar
+    counts = {"sum_of_products": 0, "zero_sums": 0, "scalars": 0}
+    sum_of_products, init = scalar.sum_of_products, scalar.__init__
+
+    def counted_sum_of_products(*args):
+        counts["sum_of_products"] += 1
+        value = sum_of_products(*args)
+        counts["zero_sums"] += not value.terms
+        return value
+
+    def counted_init(*args):
+        counts["scalars"] += 1
+        init(*args)
+
+    scalar.sum_of_products = staticmethod(counted_sum_of_products)
+    scalar.__init__ = counted_init
+    try:
+        text = cf.emit(cf.run_suite(m, s, "all"), "json")
+    finally:
+        scalar.sum_of_products = staticmethod(sum_of_products)
+        scalar.__init__ = init
+    counts["json_bytes"] = len(text.encode())
+    return counts
 
 
 class Tree:
@@ -99,13 +160,28 @@ class Tree:
         self.cf = cf
         self.suite = importlib.import_module(cf.__name__ + ".suite")
 
-    def request(self, texts: list[str]) -> str:
-        cf, out = self.cf, []
+    def counts(self, texts: list[str]) -> dict:
+        """``work_counts`` summed over the texts."""
+        runs = [work_counts(self.cf, *self.cf.load_manifest(json.loads(t))) for t in texts]
+        return {key: sum(run[key] for run in runs) for key in runs[0]}
+
+    def request(self, texts: list[str]) -> tuple[str, dict]:
+        """The reports of one request, and the seconds of the request and of
+        its load and emit steps, summed over the texts."""
+        cf, out, seconds = self.cf, [], {"load": 0.0, "emit": 0.0}
+        begin = time.perf_counter()
         for text in texts:
-            m, s = cf.load_manifest(json.loads(text))
+            document = json.loads(text)
+            start = time.perf_counter()
+            m, s = cf.load_manifest(document)
+            seconds["load"] += time.perf_counter() - start
             digest = cf.manifest_hash(cf.dump_manifest(m, s))
-            out.append(cf.emit(cf.run_suite(m, s, "all", manifest_hash=digest), "json"))
-        return "".join(out)
+            report = cf.run_suite(m, s, "all", manifest_hash=digest)
+            start = time.perf_counter()
+            out.append(cf.emit(report, "json"))
+            seconds["emit"] += time.perf_counter() - start
+        seconds["request"] = time.perf_counter() - begin
+        return "".join(out), seconds
 
     def layers(self, text: str) -> dict:
         """Seconds of each layer on a freshly loaded input, or {} when a
@@ -128,9 +204,7 @@ class Tree:
         return seconds
 
     def measure(self, texts: list[str]) -> tuple[str, dict]:
-        start = time.perf_counter()
-        out = self.request(texts)
-        seconds = {"request": time.perf_counter() - start}
+        out, seconds = self.request(texts)
         if len(texts) == 1:
             seconds.update(self.layers(texts[0]))
         return out, seconds
@@ -159,13 +233,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory holding the change's contactframe/ (default: src)")
     parser.add_argument("--rounds", type=int, default=40, help="alternating rounds per case")
     parser.add_argument("--only", action="append", help="run only this case (repeatable)")
+    parser.add_argument("--out", type=Path, help="write the figures to this JSON file")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         rev = Path(args.rev)
-        parent_src = rev if rev.is_dir() else unpack(args.rev, Path(tmp))
+        if rev.is_dir():
+            parent_src, parent_id = rev, args.rev
+        else:
+            parent_src = unpack(args.rev, Path(tmp))
+            parent_id = git("rev-parse", "--verify", f"{args.rev}^{{commit}}").decode().strip()
         parent, change = Tree(load_tree("cf_parent", parent_src)), Tree(
             load_tree("cf_change", args.change)
         )
@@ -173,21 +252,33 @@ def main(argv: list[str] | None = None) -> int:
         unknown = set(args.only or ()) - set(all_cases)
         if unknown:
             parser.error(f"unknown case(s) {sorted(unknown)}; known: {list(all_cases)}")
-        differ = []
-        print(f"{'case':24} {'layer':18} {'parent_us':>10} {'change_us':>10} "
-              f"{'ratio':>7} {'wins':>7}")
+        results, differ = {}, []
+        print(f"{'case':24} {'layer or count':18} {'parent':>10} {'change':>10} "
+              f"{'ratio':>7} {'wins':>7}   (layers in min us)")
         for name, texts in all_cases.items():
             if args.only and name not in args.only:
                 continue
+            counts = {"parent": parent.counts(texts), "change": change.counts(texts)}
+            for key, value in counts["parent"].items():
+                print(f"{name:24} {key:18} {value:10d} {counts['change'][key]:10d}", flush=True)
             samples, same = compare(parent, change, texts, args.rounds)
             if not same:
                 differ.append(name)
+            layers = {}
             for layer, pairs in samples.items():
-                ratio = statistics.median(c / p for p, c in pairs)
-                wins = sum(c < p for p, c in pairs)
-                print(f"{name:24} {layer:18} {min(p for p, _ in pairs) * 1e6:10.0f} "
-                      f"{min(c for _, c in pairs) * 1e6:10.0f} {ratio:7.3f} "
-                      f"{wins:3d}/{len(pairs):<3d}", flush=True)
+                layers[layer] = row = {
+                    "parent_us": round(min(p for p, _ in pairs) * 1e6, 1),
+                    "change_us": round(min(c for _, c in pairs) * 1e6, 1),
+                    "ratio": round(statistics.median(c / p for p, c in pairs), 4),
+                    "wins": sum(c < p for p, c in pairs),
+                }
+                print(f"{name:24} {layer:18} {row['parent_us']:10.0f} {row['change_us']:10.0f} "
+                      f"{row['ratio']:7.3f} {row['wins']:3d}/{len(pairs):<3d}", flush=True)
+            results[name] = {"counts": counts, "layers": layers}
+    if args.out:
+        document = {"parent": parent_id, "python": platform.python_version(),
+                    "rounds": args.rounds, "cases": results}
+        args.out.write_text(json.dumps(document, indent=2) + "\n")
     if differ:
         print(f"outputs differ: {', '.join(differ)}")
         return 1

@@ -6,8 +6,9 @@ in-process 16 times: ``verify`` under each of the 5 suites, ``validate``, and
 ``curvature --connection lc`` and ``--connection gtw``, each in json and in
 text.  It also runs the fixed bookkeeping commands in ``BOOKKEEPING`` (``zoo``,
 ``deform`` and ``boeckx``), each in json and in text, and the 16 manifest
-commands on every input of ``bench_ladder.ladder()`` that no bundled manifest
-holds (H^3, H^7, H^9 and lambda = 1/2), written to a temporary manifest first.
+commands on every rung of ``ab.ladder()`` (``scripts/ab.py``) that no bundled
+manifest holds (H^3, H^7, H^9 and lambda = 1/2), written to a temporary
+manifest first.
 Every run's stdout, stderr and exit status go to one file,
 ``OUT_DIR/<manifest>__<command>.<format>.txt``,
 ``OUT_DIR/ladder-<instance>__<command>.<format>.txt``, or
@@ -29,7 +30,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from bench_ladder import ladder
+import contactframe
+from ab import ladder
 from contactframe import SUITES, dump_manifest, load_manifest_file, manifest_hash
 from contactframe.cli import main
 
@@ -67,7 +69,7 @@ def ladder_manifests(directory: Path) -> list[tuple[str, Path]]:
         for path in MANIFESTS.glob("*.json")
     }
     written = []
-    for name, (m, s) in ladder().items():
+    for name, (m, s) in ladder(contactframe).items():
         document = dump_manifest(m, s)
         if manifest_hash(document) not in bundled:
             path = directory / f"ladder-{name.replace('/', '_')}.json"

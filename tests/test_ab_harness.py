@@ -1,8 +1,10 @@
-"""``scripts/ab.py`` resolves a slowdown in one layer and refuses a change
-in the output: it is run on this tree against a copy of it."""
+"""``scripts/ab.py`` resolves a slowdown in one layer, counts an extra sum
+of products and refuses a change in the output: it is run on this tree
+against a copy of it."""
 
 from __future__ import annotations
 
+import json
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+COUNTS = ("sum_of_products", "zero_sums", "scalars", "json_bytes")
 
 # appended to the copy's curvature.py: every riemann call sleeps 2 ms first;
 # the modules that import riemann from it pick up the wrapper
@@ -25,6 +28,18 @@ def riemann(m, conn):
     return _riemann(m, conn)
 """
 
+# appended to the copy's curvature.py: every riemann call makes one more
+# (empty) sum of products
+EXTRA_SUM = """
+
+_riemann = riemann
+
+
+def riemann(m, conn):
+    Scalar.sum_of_products((), ())
+    return _riemann(m, conn)
+"""
+
 
 def _copy(tmp_path: Path, module: str, suffix: str) -> Path:
     src = tmp_path / "src"
@@ -34,31 +49,37 @@ def _copy(tmp_path: Path, module: str, suffix: str) -> Path:
     return src
 
 
-def _ab(change: Path, rounds: int) -> subprocess.CompletedProcess:
+def _ab(change: Path, rounds: int, *options: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab.py"), str(SRC), "--change", str(change),
-         "--rounds", str(rounds), "--only", "H3"],
+         "--rounds", str(rounds), *options],
         capture_output=True,
         text=True,
         timeout=120,
     )
 
 
-def _rows(stdout: str) -> dict[str, tuple[float, str]]:
-    """layer -> (median paired ratio, wins) of the printed H3 rows."""
+def _rows(stdout: str, case: str = "H3") -> dict[str, tuple]:
+    """layer -> (median paired ratio, wins), and count -> (parent, change),
+    of the printed rows of ``case``."""
     rows = {}
     for line in stdout.splitlines():
         fields = line.split()
-        if fields and fields[0] == "H3":
-            rows[fields[1]] = (float(fields[4]), fields[5])
+        if fields and fields[0] == case:
+            if len(fields) == 6:
+                rows[fields[1]] = (float(fields[4]), fields[5])
+            else:
+                rows[fields[1]] = (int(fields[2]), int(fields[3]))
     return rows
 
 
 def test_ab_detects_a_slower_layer(tmp_path):
-    run = _ab(_copy(tmp_path, "curvature.py", SLOW_RIEMANN), rounds=5)
+    run = _ab(_copy(tmp_path, "curvature.py", SLOW_RIEMANN), 5, "--only", "H3")
     assert run.returncode == 0, run.stdout + run.stderr
     rows = _rows(run.stdout)
-    assert set(rows) == {"request", "levi_civita", "riemann", "build_gtw_package"}
+    assert set(rows) - set(COUNTS) == {
+        "request", "load", "emit", "levi_civita", "riemann", "build_gtw_package"
+    }
     # the slowed layer loses every round by far; the request, which calls
     # riemann twice, loses every round too
     ratio, wins = rows["riemann"]
@@ -68,6 +89,35 @@ def test_ab_detects_a_slower_layer(tmp_path):
 
 
 def test_ab_refuses_a_changed_output(tmp_path):
-    run = _ab(_copy(tmp_path, "version.py", '\nENGINE_VERSION += "-changed"\n'), rounds=1)
+    run = _ab(_copy(tmp_path, "version.py", '\nENGINE_VERSION += "-changed"\n'), 1, "--only", "H3")
     assert run.returncode == 1
     assert run.stdout.splitlines()[-1] == "outputs differ: H3"
+
+
+def test_ab_counts_an_extra_sum_of_products(tmp_path):
+    """A request on H^3 calls riemann twice (Levi-Civita and torsionful), so
+    the change makes exactly two more sums of products; the counts are data,
+    so the harness still exits 0."""
+    out = tmp_path / "ab.json"
+    run = _ab(_copy(tmp_path, "curvature.py", EXTRA_SUM), 1, "--only", "H3", "--out", str(out))
+    assert run.returncode == 0, run.stdout + run.stderr
+    parent, change = _rows(run.stdout)["sum_of_products"]
+    assert change == parent + 2
+    counts = json.loads(out.read_text())["cases"]["H3"]["counts"]
+    assert counts["parent"]["sum_of_products"] == parent
+    assert counts["change"]["sum_of_products"] == parent + 2
+    assert counts["parent"]["json_bytes"] == counts["change"]["json_bytes"]
+
+
+def test_ab_counts_agree_on_identical_trees():
+    run = _ab(SRC, 1)
+    assert run.returncode == 0, run.stdout + run.stderr
+    cases = list(dict.fromkeys(line.split()[0] for line in run.stdout.splitlines()[1:]))
+    assert cases == [
+        "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4", "random5", "random5_t",
+        "lambda_symbolic_verify", "heisenberg_verify", "random_frame_triage",
+    ]
+    for case in cases:
+        rows = _rows(run.stdout, case)
+        assert all(rows[key][0] == rows[key][1] for key in COUNTS)
+        assert rows["sum_of_products"][0] > 0

@@ -4,6 +4,7 @@ often one run computes each layer."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from contactframe import (
     FrameManifold,
     Instance,
     Scalar,
+    dump_manifest,
     emit,
     load_manifest_file,
     make_lambda_family,
@@ -40,15 +42,15 @@ BROKEN = "metric parallelism violated at (1,2,3): 7"
 _SUM_OF_PRODUCTS, _INIT = Scalar.sum_of_products, Scalar.__init__
 
 
-def _load_bench_ladder():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_ladder.py"
-    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+def _load_ab():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-LADDER = _load_bench_ladder()
+AB = _load_ab()
 
 
 @pytest.mark.parametrize(
@@ -215,9 +217,9 @@ def test_curvature_gtw_reads_one_instance(monkeypatch, capsys):
 
 
 def _work_counts(manifest: str) -> dict[str, int]:
-    """``scripts/bench_ladder.py``'s work counts of one ``run_suite("all")``
-    on ``manifest``."""
-    return LADDER.work_counts(*load_manifest_file(str(MANIFESTS / manifest)))
+    """``scripts/ab.py``'s work counts of one ``run_suite("all")`` on
+    ``manifest``."""
+    return AB.work_counts(contactframe, *load_manifest_file(str(MANIFESTS / manifest)))
 
 
 def test_heisenberg_run_work_counts():
@@ -295,23 +297,21 @@ def test_frame_run_builds_the_connection_once_for_kappa(monkeypatch):
     assert "space_form_templates" not in counts and "ricci" not in counts
 
 
-def test_bench_ladder_records_deterministic_counts():
-    """scripts/bench_ladder.py covers the ladder and measures an instance's
-    report size and work counts; the counts repeat exactly between runs."""
-    ladder = LADDER
-    instances = ladder.ladder()
-    assert list(instances) == [
+def test_ab_ladder_records_deterministic_counts():
+    """scripts/ab.py covers the ladder, its work counts and report size
+    repeat exactly between runs, and it times a request's load and emit."""
+    rungs = AB.ladder(contactframe)
+    assert list(rungs) == [
         "lambda_symbolic", "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4", "random5", "random5_t"
     ]
-    m, s = instances["lambda_1/2"]
-    first, second = ladder.measure(m, s, 1), ladder.measure(m, s, 1)
+    m, s = rungs["lambda_1/2"]
+    first, second = AB.work_counts(contactframe, m, s), AB.work_counts(contactframe, m, s)
+    assert first == second
+    assert set(first) == {"sum_of_products", "zero_sums", "scalars", "json_bytes"}
+    assert all(value > 0 for value in first.values())
     assert first["json_bytes"] == len(emit(run_suite(m, s, "all")).encode())
-    for key in ("json_bytes", "sum_of_products", "zero_sums", "scalars"):
-        assert first[key] == second[key] > 0
-    assert first["run_s"] > 0 and first["run_norm"] > 0 and first["emit_s"] > 0
-    # the manifest load is timed on the gated random frames
-    assert ladder.LOADED == ("random5", "random5_t")
-    assert ladder.measure_load("random5", 1) > 0
+    _, seconds = AB.Tree(contactframe).request([json.dumps(dump_manifest(m, s))])
+    assert seconds["load"] > 0 and seconds["emit"] > 0
     # the counting wrappers are removed again
     assert Scalar.sum_of_products is _SUM_OF_PRODUCTS
     assert Scalar.__init__ is _INIT

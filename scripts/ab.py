@@ -25,7 +25,12 @@ full request (load -> hash -> ``run_suite("all")`` -> emit), timing within
 it the ``load`` (``load_manifest`` on the decoded document) and the ``emit``
 of the finished report; and, where the request builds them, the
 ``levi_civita``, ``riemann`` and ``build_gtw_package`` layers on a freshly
-loaded input.
+loaded input, and each of the three derived sections
+(``verify_nkappa_suite``, ``verify_gtw_suite``, ``verify_concircular_suite``)
+on its own freshly loaded ``Instance`` whose structural layer,
+classification, Levi-Civita connection and curvature, kappa and torsionful
+package (and, for the concircular section, Z) are built before the timer
+starts, as ``run_suite`` builds them before the section.
 
 For each case it prints both trees' counts, and per layer the minimum
 microseconds of each tree, the median over rounds of the paired ratio
@@ -56,7 +61,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = ROOT / "manifests"
-LAYERS = ("request", "load", "emit", "levi_civita", "riemann", "build_gtw_package")
+SUITE_LAYERS = ("verify_nkappa_suite", "verify_gtw_suite", "verify_concircular_suite")
+LAYERS = ("request", "load", "emit", "levi_civita", "riemann", "build_gtw_package",
+          *SUITE_LAYERS)
 # the seed perfbench runs its workloads with
 SEED = 1
 
@@ -184,8 +191,9 @@ class Tree:
         return "".join(out), seconds
 
     def layers(self, text: str) -> dict:
-        """Seconds of each layer on a freshly loaded input, or {} when a
-        request on it builds none of them."""
+        """Seconds of each layer on a freshly loaded input (each section on
+        its own, with the layers it reads built first), or {} when a request
+        on it builds none of them."""
         m, s = self.cf.load_manifest(json.loads(text))
         x = self.suite.Instance(m, s)
         if x.gate_note:
@@ -201,6 +209,15 @@ class Tree:
         start = time.perf_counter()
         suite.build_gtw_package(m, s, lc, xh_phi, phi_h)
         seconds["build_gtw_package"] = time.perf_counter() - start
+        for name in SUITE_LAYERS:
+            x = suite.Instance(*self.cf.load_manifest(json.loads(text)))
+            x.classification, x.gate_note, x.pkg
+            if name == "verify_concircular_suite":
+                x.z
+            section = getattr(suite, name)
+            start = time.perf_counter()
+            section(x)
+            seconds[name] = time.perf_counter() - start
         return seconds
 
     def measure(self, texts: list[str]) -> tuple[str, dict]:
@@ -253,14 +270,14 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown case(s) {sorted(unknown)}; known: {list(all_cases)}")
         results, differ = {}, []
-        print(f"{'case':24} {'layer or count':18} {'parent':>10} {'change':>10} "
+        print(f"{'case':24} {'layer or count':24} {'parent':>10} {'change':>10} "
               f"{'ratio':>7} {'wins':>7}   (layers in min us)")
         for name, texts in all_cases.items():
             if args.only and name not in args.only:
                 continue
             counts = {"parent": parent.counts(texts), "change": change.counts(texts)}
             for key, value in counts["parent"].items():
-                print(f"{name:24} {key:18} {value:10d} {counts['change'][key]:10d}", flush=True)
+                print(f"{name:24} {key:24} {value:10d} {counts['change'][key]:10d}", flush=True)
             samples, same = compare(parent, change, texts, args.rounds)
             if not same:
                 differ.append(name)
@@ -272,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
                     "ratio": round(statistics.median(c / p for p, c in pairs), 4),
                     "wins": sum(c < p for p, c in pairs),
                 }
-                print(f"{name:24} {layer:18} {row['parent_us']:10.0f} {row['change_us']:10.0f} "
+                print(f"{name:24} {layer:24} {row['parent_us']:10.0f} {row['change_us']:10.0f} "
                       f"{row['ratio']:7.3f} {row['wins']:3d}/{len(pairs):<3d}", flush=True)
             results[name] = {"counts": counts, "layers": layers}
     if args.out:

@@ -67,6 +67,14 @@ def first_witness(
     return None
 
 
+class _Labels(dict):
+    """0-based index -> its 1-based label, built on first use."""
+
+    def __missing__(self, i: int) -> str:
+        self[i] = label = str(i + 1)
+        return label
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -132,12 +140,13 @@ class VerificationReport:
         1-based tuple ("1,2,3") to "agrees" or "differs", plus the first
         nonzero residual and where it occurred.  The check holds when every
         tuple agrees and is not_applicable otherwise: the verdict is data, not
-        a pass condition.
+        a pass condition.  A key joins 1-based labels, each built once per call.
         """
         witness: dict = {}
         first: dict | None = None
+        label = _Labels().__getitem__
         for indices in tuples:
-            key = ",".join(str(i + 1) for i in indices)
+            key = ",".join(map(label, indices))
             if indices not in residuals:
                 witness[key] = "agrees"
                 continue

@@ -34,11 +34,18 @@ invariant of their operands:
   ``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``, so equality and
   hashing do not depend on the rule.
 
-``+``, ``-`` and ``*`` check the parameter lists first, so a mismatch is
-raised even when an operand is zero, then short-circuit zero operands,
-constant factors and one-term products.  Contractions (sums of products)
-go through ``Scalar.sum_of_products``, which accumulates every product in
-one dict and canonicalises once.
+``+``, ``-`` and ``*`` dispatch on the exact type of the other operand:
+a Scalar (``other.__class__ is Scalar``) is taken first, and only another
+operand goes through ``isinstance(other, (int, Fraction))``, an ABC check,
+after which ``*`` scales by it; anything else, a float included, gives
+``NotImplemented``, so ``Scalar + 1`` and ``Scalar * 1.5`` raise TypeError.
+Between Scalars the parameter lists are compared first, so a mismatch is
+raised even when an operand is zero, then zero operands, constant factors
+and one-term products short-circuit.  Contractions (sums of products) go
+through ``Scalar.sum_of_products``, which accumulates every live product in
+one dict and canonicalises once; over no parameters every live operand is
+a one-term constant, and two or more live products are summed in one
+unreduced (numerator, denominator) pair of ints that is reduced once.
 """
 
 from __future__ import annotations
@@ -103,7 +110,8 @@ class Scalar:
     def sum_of_products(
         params: tuple[str, ...], pairs: Iterable[tuple["Scalar", "Scalar"]]
     ) -> "Scalar":
-        """The sum of a * b over the pairs, accumulated in one dict."""
+        """The sum of a * b over the pairs, accumulated in one dict, or over
+        no parameters in one (numerator, denominator) pair."""
         live = []
         for a, b in pairs:
             if a.params != params or b.params != params:
@@ -117,7 +125,21 @@ class Scalar:
         if len(live) == 1:
             a, b = live[0]
             return a * b
-        return _accumulate(params, live)
+        if params:
+            return _accumulate(params, live)
+        # every live operand is a one-term constant: one (numerator,
+        # denominator) pair, reduced once
+        n, d = 0, 1
+        for a, b in live:
+            c1, c2 = a.terms[0][1], b.terms[0][1]
+            n2, d2 = c1.numerator * c2.numerator, c1.denominator * c2.denominator
+            if d2 == d:
+                n += n2
+            else:
+                n, d = n * d2 + n2 * d, d * d2
+        if not n:
+            return Scalar.zero(params)
+        return Scalar(params, (((), n // d if n % d == 0 else Fraction(n, d)),))
 
     @staticmethod
     def constant(params: tuple[str, ...], value: RationalLike) -> "Scalar":
@@ -153,9 +175,10 @@ class Scalar:
             )
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             return NotImplemented
-        self._check_params(other)
+        if self.params != other.params:
+            self._check_params(other)
         if not other.terms:
             return self
         if not self.terms:
@@ -177,9 +200,10 @@ class Scalar:
         return Scalar.from_terms(self.params, acc)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             return NotImplemented
-        self._check_params(other)
+        if self.params != other.params:
+            self._check_params(other)
         if not other.terms:
             return self
         return self + (-other)
@@ -196,11 +220,12 @@ class Scalar:
         return None
 
     def __mul__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        self._check_params(other)
+        if self.params != other.params:
+            self._check_params(other)
         if not self.terms:
             return self
         if not other.terms:

@@ -28,6 +28,22 @@ def riemann(m, conn):
     return _riemann(m, conn)
 """
 
+# appended to the copy's suite.py: every run_suite call sleeps 100 ms first,
+# far above the round-to-round jitter of a request on a busy host (tens of
+# ms), so the slowed request loses every round; the package's run_suite is
+# imported from suite.py after the wrapper is defined
+SLOW_REQUEST = """
+
+import time as _time
+
+_run_suite = run_suite
+
+
+def run_suite(*args, **kwargs):
+    _time.sleep(0.1)
+    return _run_suite(*args, **kwargs)
+"""
+
 # appended to the copy's curvature.py: every riemann call makes one more
 # (empty) sum of products
 EXTRA_SUM = """
@@ -41,11 +57,13 @@ def riemann(m, conn):
 """
 
 
-def _copy(tmp_path: Path, module: str, suffix: str) -> Path:
+def _copy(tmp_path: Path, *edits: tuple[str, str]) -> Path:
+    """A copy of ``src`` with each ``(module, suffix)`` appended to its module."""
     src = tmp_path / "src"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(src / "contactframe" / module, "a") as f:
-        f.write(suffix)
+    for module, suffix in edits:
+        with open(src / "contactframe" / module, "a") as f:
+            f.write(suffix)
     return src
 
 
@@ -74,14 +92,16 @@ def _rows(stdout: str, case: str = "H3") -> dict[str, tuple]:
 
 
 def test_ab_detects_a_slower_layer(tmp_path):
-    run = _ab(_copy(tmp_path, "curvature.py", SLOW_RIEMANN), 5, "--only", "H3")
+    slow = _copy(tmp_path, ("curvature.py", SLOW_RIEMANN), ("suite.py", SLOW_REQUEST))
+    run = _ab(slow, 5, "--only", "H3")
     assert run.returncode == 0, run.stdout + run.stderr
     rows = _rows(run.stdout)
     assert set(rows) - set(COUNTS) == {
-        "request", "load", "emit", "levi_civita", "riemann", "build_gtw_package"
+        "request", "load", "emit", "levi_civita", "riemann", "build_gtw_package",
+        "verify_nkappa_suite", "verify_gtw_suite", "verify_concircular_suite",
     }
-    # the slowed layer loses every round by far; the request, which calls
-    # riemann twice, loses every round too
+    # the slowed layer loses every round by far; the request, which sleeps
+    # in run_suite and calls riemann twice, loses every round too
     ratio, wins = rows["riemann"]
     assert ratio > 5 and wins == "0/5"
     ratio, wins = rows["request"]
@@ -89,7 +109,8 @@ def test_ab_detects_a_slower_layer(tmp_path):
 
 
 def test_ab_refuses_a_changed_output(tmp_path):
-    run = _ab(_copy(tmp_path, "version.py", '\nENGINE_VERSION += "-changed"\n'), 1, "--only", "H3")
+    changed = _copy(tmp_path, ("version.py", '\nENGINE_VERSION += "-changed"\n'))
+    run = _ab(changed, 1, "--only", "H3")
     assert run.returncode == 1
     assert run.stdout.splitlines()[-1] == "outputs differ: H3"
 
@@ -99,7 +120,7 @@ def test_ab_counts_an_extra_sum_of_products(tmp_path):
     the change makes exactly two more sums of products; the counts are data,
     so the harness still exits 0."""
     out = tmp_path / "ab.json"
-    run = _ab(_copy(tmp_path, "curvature.py", EXTRA_SUM), 1, "--only", "H3", "--out", str(out))
+    run = _ab(_copy(tmp_path, ("curvature.py", EXTRA_SUM)), 1, "--only", "H3", "--out", str(out))
     assert run.returncode == 0, run.stdout + run.stderr
     parent, change = _rows(run.stdout)["sum_of_products"]
     assert change == parent + 2

@@ -1,5 +1,8 @@
 """Exact scalar algebra: ring axioms, evaluation homomorphism, grammar."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -179,6 +182,26 @@ def test_sum_of_products_is_the_left_fold(pairs):
     assert_canonical(fused)
 
 
+constants = raw_coeffs.map(lambda c: Scalar.constant((), c))
+
+
+@HUNDRED
+@given(st.lists(st.tuples(constants, constants), max_size=6), st.booleans())
+def test_parameterless_sum_of_products_is_the_left_fold(pairs, cancel):
+    """Over no parameters the live products are summed in one (numerator,
+    denominator) pair; with ``cancel`` every product meets its negation."""
+    if cancel:
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    fold = Scalar.zero(())
+    for a, b in pairs:
+        fold = fold + a * b
+    fused = Scalar.sum_of_products((), pairs)
+    assert fused == fold
+    assert_canonical(fused)
+    if cancel:
+        assert fused is Scalar.zero(())
+
+
 @HUNDRED
 @given(scalars(), scalars(), raw_coeffs)
 def test_operations_return_canonical_scalars(a, b, factor):
@@ -263,3 +286,22 @@ def test_no_float_leaks_into_division_or_evaluation():
     assert three.constant_value() / 2 == Fraction(3, 2)
     for value in (three.substitute({}), (x * three).substitute({"x": 1})):
         assert type(value) is Fraction and value == 3
+
+
+def test_rational_factors_scale_and_other_operands_are_refused():
+    a = Scalar.variable(PARAMS, "x") + Scalar.constant(PARAMS, Fraction(2, 3))
+    for factor in (3, Fraction(-5, 4), True):
+        assert a * factor == a.scale(factor) == factor * a
+    for apply in (lambda: a * 1.5, lambda: a + 1, lambda: a - 1):
+        with pytest.raises(TypeError):
+            apply()
+
+
+def test_scalars_copy_pickle_and_stay_frozen():
+    """Scalar stays a frozen dataclass: copies and pickles are equal values,
+    and a field cannot be reassigned."""
+    a = Scalar.variable(PARAMS, "x") * Scalar.constant(PARAMS, Fraction(1, 2))
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+    with pytest.raises(FrozenInstanceError):
+        a.terms = ()

@@ -23,14 +23,16 @@ between the trees are data, not an error.
 Each round runs, on every case and on both trees in alternating order, a
 full request (load -> hash -> ``run_suite("all")`` -> emit), timing within
 it the ``load`` (``load_manifest`` on the decoded document) and the ``emit``
-of the finished report; and, where the request builds them, the
-``levi_civita``, ``riemann`` and ``build_gtw_package`` layers on a freshly
-loaded input, and each of the three derived sections
-(``verify_nkappa_suite``, ``verify_gtw_suite``, ``verify_concircular_suite``)
-on its own freshly loaded ``Instance`` whose structural layer,
-classification, Levi-Civita connection and curvature, kappa and torsionful
-package (and, for the concircular section, Z) are built before the timer
-starts, as ``run_suite`` builds them before the section.
+of the finished report.  Where the request builds them, it also times on a
+freshly loaded input the layers ``levi_civita``, ``riemann``,
+``detect_kappa`` (kappa from that curvature), ``build_gtw_package`` and
+``concircular`` (Z from that package's curvature and R1), each on inputs
+built before its timer starts and read by no earlier layer; and each of the
+three derived sections (``verify_nkappa_suite``, ``verify_gtw_suite``,
+``verify_concircular_suite``) on its own freshly loaded ``Instance`` whose
+structural layer, classification, Levi-Civita connection and curvature,
+kappa and torsionful package (and, for the concircular section, Z) are built
+before the timer starts, as ``run_suite`` builds them before the section.
 
 For each case it prints both trees' counts, and per layer the minimum
 microseconds of each tree, the median over rounds of the paired ratio
@@ -62,8 +64,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = ROOT / "manifests"
 SUITE_LAYERS = ("verify_nkappa_suite", "verify_gtw_suite", "verify_concircular_suite")
-LAYERS = ("request", "load", "emit", "levi_civita", "riemann", "build_gtw_package",
-          *SUITE_LAYERS)
+LAYERS = ("request", "load", "emit", "levi_civita", "riemann", "detect_kappa",
+          "build_gtw_package", "concircular", *SUITE_LAYERS)
 # the seed perfbench runs its workloads with
 SEED = 1
 
@@ -203,12 +205,18 @@ class Tree:
         lc = suite.levi_civita(m)
         seconds["levi_civita"] = time.perf_counter() - start
         start = time.perf_counter()
-        suite.riemann(m, lc)
+        r = suite.riemann(m, lc)
         seconds["riemann"] = time.perf_counter() - start
-        xh_phi, phi_h = x.xh_phi, x.phi_h
         start = time.perf_counter()
-        suite.build_gtw_package(m, s, lc, xh_phi, phi_h)
+        suite.detect_kappa(m, s, r)
+        seconds["detect_kappa"] = time.perf_counter() - start
+        xh_phi, phi_h, r1 = x.xh_phi, x.phi_h, x.templates[0]
+        start = time.perf_counter()
+        pkg = suite.build_gtw_package(m, s, lc, xh_phi, phi_h)
         seconds["build_gtw_package"] = time.perf_counter() - start
+        start = time.perf_counter()
+        suite.concircular(m, pkg.curv, r1)
+        seconds["concircular"] = time.perf_counter() - start
         for name in SUITE_LAYERS:
             x = suite.Instance(*self.cf.load_manifest(json.loads(text)))
             x.classification, x.gate_note, x.pkg

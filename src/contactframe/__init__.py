@@ -51,7 +51,6 @@ from .tanaka_webster import (
     eta_einstein_fit,
     gssf_decompose,
     gtw_connection,
-    gtw_torsion,
     space_form_templates,
     verify_gtw_suite,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "exact_div",
     "gssf_decompose",
     "gtw_connection",
-    "gtw_torsion",
     "h_property_checks",
     "levi_civita",
     "load_manifest",

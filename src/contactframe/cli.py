@@ -41,7 +41,7 @@ from .manifest import (
 from .report import emit
 from .suite import SUITES, Instance, run_suite
 from .zoo import ZooDomainError, boeckx_invariant, dhomothetic_invariants, zoo_entry
-from .frames import FrameVector, render_vector
+from .frames import FrameVector, render_vector, vectors
 
 _FORMATS = ("json", "text")
 
@@ -168,7 +168,8 @@ def _cmd_curvature(args, fmt: str) -> int:
                 f"the torsionful connection needs a valid contact metric structure: {bad[0]}"
             )
         conn, curv, ricci_form, tau = x.pkg.conn, x.pkg.curv, x.pkg.ricci, x.pkg.tau
-        torsion = _nonzero(((i, j), x.pkg.torsion[i][j]) for i, j in combinations(idx, 2))
+        nonzero = vectors(x.pkg.torsion, m.dim, m.params)
+        torsion = _nonzero((at, nonzero[at]) for at in combinations(idx, 2) if at in nonzero)
     else:
         conn, curv, ricci_form = x.lc, x.r, x.ricci
         tau = scalar_curvature(m, ricci_form)

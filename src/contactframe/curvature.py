@@ -371,7 +371,7 @@ def _nullity_constant(report, name, x):
 def _xi_covariant_derivative(report, name, x):
     report.graded(
         name,
-        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.s.phi.column(i) + x.phi_h.column(i)),
+        x.vector_scan(x.xi_derivative(x.lc, x.s.phi, x.phi_h)),
         notes=(
             "asserted form: nabla_X xi = -phi X - phi h X; the variant with a bare "
             "h-term is checked separately as a reference form",
@@ -382,7 +382,7 @@ def _xi_covariant_derivative(report, name, x):
 def _xi_covariant_derivative_reference(report, name, x):
     report.reference(
         name,
-        x.scan(1, lambda i: x.lc.derivative(i, x.s.xi) + x.s.phi.column(i) + x.h.column(i)),
+        x.vector_scan(x.xi_derivative(x.lc, x.s.phi, x.h)),
         "reference variant -phi X - h X disagrees with the computed "
         "derivative; recorded as data",
     )
@@ -390,8 +390,8 @@ def _xi_covariant_derivative_reference(report, name, x):
 
 # (nabla_X phi)Y = g(X + hX, Y) xi - eta(Y)(X + hX) = R1(xi, X + hX)Y
 def _phi_covariant_derivative(report, name, x):
-    dphi, r1_xi = x.dphi_lc, x.r1_xi
-    report.graded(name, x.scan(2, lambda i, j: dphi[i].column(j) - r1_xi[i][j]))
+    one = x.m.one_scalar()
+    report.graded(name, x.vector_scan(x.derivatives(x.dphi_lc, one), x.r1_xi(-one)))
 
 
 # h^2 = (kappa - 1) phi^2, scanned column by column
@@ -406,18 +406,27 @@ def _h_square(report, name, x):
 
 # (nabla_X h)Y = [(1-kappa) g(X, phi Y) + g(X, h phi Y)] xi + eta(Y) h(phi X + phi h X)
 def _h_covariant_derivative(report, name, x):
-    m, h, phi, eta = x.m, x.h, x.s.phi, x.s.eta.components
-    one_minus_kappa = m.one_scalar() - x.kappa
-    dh = [x.lc.derivative_endo(i, h) for i in range(m.dim)]
-    tails = [h.apply(v) for v in x.phi_x_plus_hx]
+    h, one = x.h, x.m.one_scalar()
+    dh = [x.lc.derivative_endo(i, h) for i in range(x.m.dim)]
+    h_cols, eta = h.sparse_columns, x.s.eta.components
+    # -eta_j h(phi + phi h)E_i: the products -eta_j (phi + phi h)^q_i h^p_q
+    tails = (
+        ((i, j, p), -(eta_j * v_q), h_pq)
+        for i, v in enumerate(x.phi_x_plus_hx)
+        for q, v_q in enumerate(v.components)
+        if v_q.terms and h_cols[q]
+        for j, eta_j in enumerate(eta)
+        if eta_j.terms
+        for p, h_pq in h_cols[q]
+    )
     # g(X, h phi Y) = g(hX, phi Y): h is symmetric on every input the gate admits
     report.graded(
         name,
-        x.scan(
-            2,
-            lambda i, j: dh[i].column(j)
-            - x.s.xi.scale(one_minus_kappa * phi.matrix[i][j] + x.h_phi[i][j])
-            - tails[i].scale(eta[j]),
+        x.vector_scan(
+            x.derivatives(dh, one),
+            x.along_xi(x.s.phi.matrix, x.kappa - one),
+            x.along_xi(x.h_phi, -one),
+            tails,
         ),
     )
 

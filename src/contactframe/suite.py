@@ -33,11 +33,18 @@ derived section is a table of rows (``NKAPPA_ROWS``, ``GTW_ROWS``,
 ``CONC_ROWS``); the check catalogues, the gated entries and the report order
 all come from those tables.
 
-A row reads its residual either per basis tuple (``Instance.scan``) or, for
-the dim^3 and dim^4 residuals, from a table of the nonzero values built from
-the nonzero entries of its operands (``Instance.table_scan``,
-``tables.sum_table``), one slab of leading indices at a time; both give the
-same first witness.  The tables that two rows read (the curvature closed
+A derived row reads its residual from a table of the nonzero values, summed
+from products of the nonzero entries of its operands (``tables.sum_table``)
+and scanned in row-major order (``Instance.table_scan``), so that it gives
+the first witness a scan of every basis tuple would give.  The vector
+residuals of one or two frame vectors (nabla xi, nabla phi, nabla h, the
+torsion and its closed forms, and the classification's Sasakian test) are
+one table each, keyed (i, j, p) and built from the products that the
+instance states (``Instance.vector_scan``); the dim^3 and dim^4 residuals
+are built one slab of leading indices at a time.  Only the scalar residuals
+of one or two frame vectors (the Ricci forms and values, nabla eta, the
+Ricci symmetry) are evaluated per basis tuple (``Instance.scan``), as the
+structural layer's are.  The tables that two rows read (the curvature closed
 form, the ricci action) are kept on the instance (``Instance.kept``).  A
 tensor with xi in some argument slots is read from one table per tensor and
 slots, kept on the tensor (``Curvature4Tensor.xi_table``) and scanned whole:
@@ -54,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .concircular import CONC_ROWS, ConcircularTensor, concircular, verify_concircular_suite
 from .contact import (
@@ -78,7 +85,7 @@ from .curvature import (
 from .frames import Endomorphism, FrameManifold, FrameVector, vectors
 from .report import VerificationReport, first_witness
 from .scalars import Scalar
-from .tables import Table, sum_table, table_witness
+from .tables import Product, Table, sum_table, table_witness
 from .tanaka_webster import (
     GTW_ROWS,
     GtwPackage,
@@ -163,6 +170,77 @@ class Instance:
             self._r1_witnesses[key] = self.table_scan(lambda: table, depth=0)
         return self._r1_witnesses[key]
 
+    # -- the vector residuals of the frame vectors E_i, E_j ------------------
+    # Each is stated as products keyed (i, j, p), p the component of the
+    # residual at (E_i, E_j), over the nonzero entries of its operands.
+
+    def vector_scan(self, *products: Iterable[Product]) -> dict | None:
+        """The witness ``scan`` would give of the vector residual that the
+        products sum to, the component last in each key: one table, read whole."""
+        table = sum_table(self.m.params, chain(*products))
+        return self.table_scan(lambda: table, depth=0)
+
+    def xi_derivative(self, conn: Connection, *plus: Endomorphism) -> Iterator[Product]:
+        """nabla_{E_i} xi plus A E_i for each A in ``plus``, keyed (i, p): the
+        products xi^j Gamma_ij^p and A^p_i over the nonzero entries."""
+        xi, one = self.s.xi.components, self.m.one_scalar()
+        return chain(
+            (((i, p), xi[j], g) for (i, j, p), g in conn.table.items() if xi[j].terms),
+            (
+                ((i, p), a, one)
+                for e in plus
+                for i, col in enumerate(e.sparse_columns)
+                for p, a in col
+            ),
+        )
+
+    @staticmethod
+    def derivatives(endos: Sequence[Endomorphism], c: Scalar) -> Iterator[Product]:
+        """c A_i E_j over the nonzero entries A_i^p_j of each A_i = endos[i]."""
+        return (
+            ((i, j, p), a, c)
+            for i, e in enumerate(endos)
+            for j, col in enumerate(e.sparse_columns)
+            for p, a in col
+        )
+
+    def along_xi(
+        self, rows: Sequence[Sequence[Scalar]], c: Scalar, transpose: bool = False
+    ) -> Iterator[Product]:
+        """a_ij c xi over the nonzero a_ij = rows[i][j] (rows[j][i] when
+        ``transpose``) and the nonzero c xi^p."""
+        xi = self.s.xi.components
+        c_xi = [(p, w) for p, v in enumerate(xi) if v.terms and (w := c * v).terms]
+        for a, row in enumerate(rows):
+            for b, a_ab in enumerate(row):
+                if a_ab.terms:
+                    i, j = (b, a) if transpose else (a, b)
+                    for p, w in c_xi:
+                        yield (i, j, p), a_ab, w
+
+    @staticmethod
+    def along(
+        u: Sequence[Scalar], w: Sequence[FrameVector], c: Scalar, u_at: int
+    ) -> Iterator[Product]:
+        """c u_i w_j (``u_at`` 0) or c u_j w_i (``u_at`` 1) over the nonzero
+        c u_a and the nonzero components w_b^p of the vectors w_b = w[b]."""
+        c_u = [(a, cu) for a, v in enumerate(u) if v.terms and (cu := c * v).terms]
+        live = [[(p, v) for p, v in enumerate(wb.components) if v.terms] for wb in w]
+        for a, cu in c_u:
+            for b, col in enumerate(live):
+                i, j = (b, a) if u_at else (a, b)
+                for p, v in col:
+                    yield (i, j, p), cu, v
+
+    def r1_xi(self, c: Scalar) -> Iterator[Product]:
+        """c R1(xi, E_i + hE_i)E_j = c g(E_i + hE_i, E_j) xi - c xi^j (E_i + hE_i),
+        the term of both phi-derivative forms."""
+        v = self.x_plus_hx
+        return chain(
+            self.along_xi([w.components for w in v], c),
+            self.along(self.s.xi.components, v, -c, 1),
+        )
+
     # -- structural layer ----------------------------------------------------
 
     @cached_property
@@ -203,25 +281,6 @@ class Instance:
     def x_plus_hx(self) -> tuple[FrameVector, ...]:
         """E_i + hE_i for every frame index."""
         return tuple(self.m.basis(i) + he for i, he in enumerate(self.h.columns))
-
-    @cached_property
-    def r1_xi(self) -> tuple[tuple[FrameVector, ...], ...]:
-        """R1(xi, E_i + hE_i)E_j = g(E_i + hE_i, E_j) xi - g(xi, E_j)(E_i + hE_i)
-        for every pair of frame indices: one sum of two products per component."""
-        params, xi = self.m.params, self.s.xi.components
-
-        def r1(v: tuple[Scalar, ...], j: int) -> FrameVector:
-            v_j, minus_xi_j = v[j], -xi[j]
-            return FrameVector(
-                tuple(
-                    Scalar.sum_of_products(params, ((v_j, xi_p), (minus_xi_j, v_p)))
-                    for xi_p, v_p in zip(xi, v)
-                )
-            )
-
-        return tuple(
-            tuple(r1(v.components, j) for j in range(self.m.dim)) for v in self.x_plus_hx
-        )
 
     @cached_property
     def phi_h(self) -> Endomorphism:
@@ -286,18 +345,18 @@ class Instance:
     @cached_property
     def classification(self) -> StructureClass:
         """Contact metric / K-contact / Sasakian; kappa only when acm holds."""
-        m, xi, eta = self.m, self.s.xi, self.s.eta.components
-        acm_ok = not self.acm_report.has_failures
-        # Sasakian: (nabla_X phi)Y = g(X, Y) xi - eta(Y) X
-        sasakian = acm_ok and (
-            self.scan(
-                2,
-                lambda i, j: self.dphi_lc[i].column(j)
-                - xi.scale(m.inner_basis(i, j))
-                + m.basis(i).scale(eta[j]),
+        acm_ok = sasakian = not self.acm_report.has_failures
+        if acm_ok:
+            # Sasakian: (nabla_X phi)Y = g(X, Y) xi - eta(Y) X
+            one, e = self.m.one_scalar(), [self.m.basis(i) for i in range(self.m.dim)]
+            sasakian = (
+                self.vector_scan(
+                    self.derivatives(self.dphi_lc, one),
+                    self.along_xi([v.components for v in e], -one),
+                    self.along(self.s.eta.components, e, one, 1),
+                )
+                is None
             )
-            is None
-        )
         return StructureClass(
             is_contact_metric=acm_ok,
             is_K_contact=acm_ok and self.h.is_zero(),

@@ -24,11 +24,10 @@ from .report import first_witness
 from .scalars import Scalar
 
 Table = dict[tuple[int, ...], Scalar]
+Product = tuple[tuple[int, ...], Scalar, Scalar]
 
 
-def sum_table(
-    params: tuple[str, ...], products: Iterable[tuple[tuple[int, ...], Scalar, Scalar]]
-) -> Table:
+def sum_table(params: tuple[str, ...], products: Iterable[Product]) -> Table:
     """The nonzero sums of a * b per index over the products (index, a, b):
     one ``Scalar.sum_of_products`` per index named."""
     pairs: dict[tuple[int, ...], list[tuple[Scalar, Scalar]]] = {}

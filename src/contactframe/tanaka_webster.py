@@ -70,7 +70,7 @@ class GtwPackage:
     """The torsionful connection with all of its derived tensors."""
 
     conn: Connection
-    torsion: tuple[tuple[FrameVector, ...], ...]
+    torsion: Table
     curv: Curvature4Tensor
     ricci: BilinearForm
     tau: Scalar
@@ -141,15 +141,6 @@ def gtw_connection(
     return conn
 
 
-def gtw_torsion(m: FrameManifold, conn: Connection) -> tuple[tuple[FrameVector, ...], ...]:
-    """T(E_i, E_j) = del_{E_i}E_j - del_{E_j}E_i - [E_i, E_j], from the table
-    of its nonzero components; every pair it does not name shares one zero
-    vector."""
-    nonzero = vectors(torsion_table(m, conn), m.dim, m.params)
-    zero = FrameVector((m.zero_scalar(),) * m.dim)
-    return tuple(tuple(nonzero.get((i, j), zero) for j in range(m.dim)) for i in range(m.dim))
-
-
 def build_gtw_package(
     m: FrameManifold,
     s: AlmostContactData,
@@ -162,7 +153,7 @@ def build_gtw_package(
     ric = ricci(m, curv)
     return GtwPackage(
         conn=conn,
-        torsion=gtw_torsion(m, conn),
+        torsion=torsion_table(m, conn),
         curv=curv,
         ricci=ric,
         tau=scalar_curvature(m, ric),
@@ -179,7 +170,7 @@ def _metric_parallel(report, name, x):
 
 
 def _xi_parallel(report, name, x):
-    report.graded(name, x.scan(1, lambda i: x.pkg.conn.derivative(i, x.s.xi)))
+    report.graded(name, x.vector_scan(x.xi_derivative(x.pkg.conn)))
 
 
 def _eta_parallel(report, name, x):
@@ -191,16 +182,19 @@ def _eta_parallel(report, name, x):
 # phi-derivative relation: the displaced derivative of phi equals the
 # structural derivative minus R1(xi, X + hX)Y = g(X + hX, Y) xi - eta(Y)(X + hX)
 def _phi_derivative_relation(report, name, x):
-    dphi, dphi_lc, r1_xi = x.dphi_gtw, x.dphi_lc, x.r1_xi
+    one = x.m.one_scalar()
     report.graded(
-        name, x.scan(2, lambda i, j: dphi[i].column(j) - dphi_lc[i].column(j) + r1_xi[i][j])
+        name,
+        x.vector_scan(
+            x.derivatives(x.dphi_gtw, one), x.derivatives(x.dphi_lc, -one), x.r1_xi(one)
+        ),
     )
 
 
 def _phi_parallel(report, name, x):
     report.graded(
         name,
-        x.scan(2, lambda i, j: x.dphi_gtw[i].column(j)),
+        x.vector_scan(x.derivatives(x.dphi_gtw, x.m.one_scalar())),
         notes=(
             "phi is parallel on every validated nullity-class instance, not only "
             "in the Sasakian subcase: the derivative relation cancels exactly "
@@ -211,10 +205,12 @@ def _phi_parallel(report, name, x):
 
 # h-derivative relation, corrected form: (del_X h)Y = 2 eta(X) phi h Y
 def _h_derivative_relation(report, name, x):
-    phi_h, eta = x.phi_h, x.s.eta.components
     report.graded(
         name,
-        x.scan(2, lambda i, j: x.dh_gtw[i].column(j) - phi_h.column(j).scale(eta[i]).scale(2)),
+        x.vector_scan(
+            x.derivatives(x.dh_gtw, x.m.one_scalar()),
+            x.along(x.s.eta.components, x.phi_h.columns, x.m.constant(-2), 0),
+        ),
         notes=(
             "asserted form: (del_X h)Y = 2 eta(X) phi h Y; "
             "the reference variant is checked separately",
@@ -224,15 +220,14 @@ def _h_derivative_relation(report, name, x):
 
 # reference variant: [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi + eta(X) phi(Y + hY)
 def _h_derivative_relation_reference(report, name, x):
-    phi, eta = x.s.phi, x.s.eta.components
-    kappa_minus_1 = x.kappa - x.m.one_scalar()
+    one = x.m.one_scalar()
     report.reference(
         name,
-        x.scan(
-            2,
-            lambda i, j: x.dh_gtw[i].column(j)
-            - x.s.xi.scale(kappa_minus_1 * phi.matrix[j][i] + x.h_phi[i][j])
-            - x.phi_x_plus_hx[j].scale(eta[i]),
+        x.vector_scan(
+            x.derivatives(x.dh_gtw, one),
+            x.along_xi(x.s.phi.matrix, one - x.kappa, transpose=True),
+            x.along_xi(x.h_phi, -one),
+            x.along(x.s.eta.components, x.phi_x_plus_hx, -one, 0),
         ),
         "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
         "+ eta(X) phi(Y + hY) disagrees with the computed derivative; "
@@ -242,7 +237,7 @@ def _h_derivative_relation_reference(report, name, x):
 
 def _torsion_nonzero(report, name, x):
     notes = ("a contact metric instance must make this connection non-symmetric",)
-    first_nonzero = x.scan(2, lambda i, j: x.pkg.torsion[i][j], key="value")
+    first_nonzero = x.table_scan(lambda: x.pkg.torsion, key="value", depth=0)
     if first_nonzero is not None:
         report.holds(name, witness=first_nonzero, notes=notes)
     else:
@@ -251,13 +246,13 @@ def _torsion_nonzero(report, name, x):
 
 # T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
 def _torsion_witness(x, v: tuple[FrameVector, ...]) -> dict | None:
-    eta, xh_phi = x.s.eta.components, x.xh_phi
-    return x.scan(
-        2,
-        lambda i, j: x.pkg.torsion[i][j]
-        - x.s.xi.scale(xh_phi[i][j] - xh_phi[j][i])
-        - v[i].scale(eta[j])
-        + v[j].scale(eta[i]),
+    one, eta = x.m.one_scalar(), x.s.eta.components
+    return x.vector_scan(
+        ((index, t, one) for index, t in x.pkg.torsion.items()),
+        x.along_xi(x.xh_phi, -one),
+        x.along_xi(x.xh_phi, one, transpose=True),
+        x.along(eta, v, -one, 1),
+        x.along(eta, v, one, 0),
     )
 
 

@@ -97,7 +97,8 @@ def test_ab_detects_a_slower_layer(tmp_path):
     assert run.returncode == 0, run.stdout + run.stderr
     rows = _rows(run.stdout)
     assert set(rows) - set(COUNTS) == {
-        "request", "load", "emit", "levi_civita", "riemann", "build_gtw_package",
+        "request", "load", "emit", "levi_civita", "riemann", "detect_kappa",
+        "build_gtw_package", "concircular",
         "verify_nkappa_suite", "verify_gtw_suite", "verify_concircular_suite",
     }
     # the slowed layer loses every round by far; the request, which sleeps

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 import residual_reference as ref
-from contactframe import Curvature4Tensor, Instance, Scalar, load_manifest_file
+from contactframe import Curvature4Tensor, Instance, Scalar
 from contactframe.concircular import (
     CONC_ROWS,
     ConcircularTensor,
@@ -38,26 +37,16 @@ from contactframe.tanaka_webster import (
     pair_antisymmetry_table,
     pair_interchange_table,
 )
-from test_component_contractions import NAMES, _build, _cayley_rotation, _rotated
-
-MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+from test_component_contractions import NAMES, _build
 
 ROTATED = ["kmu3.json@3", "heisenberg5.json@3", "t1e4.json@3"]
 
 ROWS = dict(GTW_ROWS + CONC_ROWS)
 
 
-def _instance(name: str) -> Instance:
-    if "@" not in name:
-        return _build(name)
-    manifest, seed = name.split("@")
-    m, s = load_manifest_file(str(MANIFESTS / manifest))
-    return Instance(*_rotated(m, s, _cayley_rotation(m.dim, int(seed))))
-
-
 @pytest.fixture(scope="module", params=NAMES + ROTATED)
 def x(request) -> Instance:
-    return _instance(request.param)
+    return _build(request.param)
 
 
 def _merged(slab, dim: int, depth: int = 1) -> dict:
@@ -221,7 +210,7 @@ PERTURBATIONS = [
 @pytest.mark.parametrize("name", ["heisenberg5.json", "lambda_symbolic"])
 @pytest.mark.parametrize(("tensor", "index", "moved"), PERTURBATIONS)
 def test_a_perturbed_entry_moves_the_same_witnesses(name, tensor, index, moved):
-    x = _instance(name)
+    x = _build(name)
     index = tuple(min(i, x.m.dim - 1) for i in index)
     y = _perturbed(x, tensor, index)
     before = {row: _row_witness(x, row, kind) for row, _, _, _, kind in _cases(x)}

@@ -230,28 +230,31 @@ def test_heisenberg_run_work_counts():
     constants, the torsionful connection from Levi-Civita's nonzero
     coefficients and the nonzero entries of A, and ``riemann`` from the
     nonzero products of coefficients, each independent component once.  The
-    heavy derived rows are tables built from the nonzero entries of their
-    operands, each xi-contraction is built once per tensor and slot pattern
-    (``Curvature4Tensor.xi_table``), the endomorphism products (nabla A and
-    L_xi A) are commutators (``Endomorphism.commutator``), and kappa, the
-    space-form and the eta-Einstein coefficients are one exact fit
-    (``linear.exact_fit``), so a sum of products runs only for an index some
-    product names: the run makes 948 sums of products, 628 of them zero,
-    under the bounds 995 and 659 (the measured counts plus 5%; dense
-    connection and Riemann kernels take 1,151 and 847, dense derivative and
-    Lie kernels and a cross-multiplied kappa 1,843 and 1,615, evaluating
-    every basis tuple of the derived rows 8,171 and 7,917, scanning through
-    a trilinear apply 34,593, summing every Riemann component 9,880,
-    applying R in ``detect_kappa`` 8,830 and applying Z in the two conc
-    xi-slot scans 8,480).  Almost every graded quantity on H^5 is zero, and
-    every zero is one shared Scalar: the run constructs 632 Scalars, under
-    the bound 663 (dense connection kernels make 657, a new zero per zero
-    result 13,288, evaluating every tuple 909)."""
+    heavy derived rows, and the vector rows of one or two frame vectors
+    (nabla xi, nabla phi, nabla h, the torsion forms and the Sasakian test),
+    are tables built from the nonzero entries of their operands, each
+    xi-contraction is built once per tensor and slot pattern (``Curvature4Tensor.xi_table``), the
+    endomorphism products (nabla A and L_xi A) are commutators
+    (``Endomorphism.commutator``), and kappa, the space-form and the
+    eta-Einstein coefficients are one exact fit (``linear.exact_fit``), so a
+    sum of products runs only for an index some product names: the run makes
+    845 sums of products, 529 of them zero, under the bounds 887 and 555 (the
+    measured counts plus 5%; vector rows evaluated per basis tuple over a
+    dense R1(xi, X + hX) table take 948 and 628, dense connection and
+    Riemann kernels 1,151 and 847, dense derivative and Lie kernels and a
+    cross-multiplied kappa 1,843 and 1,615, evaluating every basis tuple of
+    the derived rows 8,171 and 7,917, scanning through a trilinear apply
+    34,593, summing every Riemann component 9,880, applying R in
+    ``detect_kappa`` 8,830 and applying Z in the two conc xi-slot scans
+    8,480).  Almost every graded quantity on H^5 is zero, and every zero is
+    one shared Scalar: the run constructs 593 Scalars, under the bound 622
+    (vector rows evaluated per basis tuple make 632, dense connection kernels
+    657, a new zero per zero result 13,288, evaluating every tuple 909)."""
     counts = _work_counts("heisenberg5.json")
     assert not hasattr(Curvature4Tensor, "apply")
-    assert counts["sum_of_products"] <= 995
-    assert counts["zero_sums"] <= 659
-    assert counts["scalars"] <= 663
+    assert counts["sum_of_products"] <= 887
+    assert counts["zero_sums"] <= 555
+    assert counts["scalars"] <= 622
 
 
 def test_gated_run_work_counts():

@@ -265,6 +265,11 @@ class FrameManifold:
         return Scalar.zero(self.params)
 
     def one_scalar(self) -> Scalar:
+        """The manifold's one shared 1, built on first use."""
+        return self._one
+
+    @cached_property
+    def _one(self) -> Scalar:
         return Scalar.one(self.params)
 
     def constant(self, value: RationalLike) -> Scalar:

@@ -38,9 +38,11 @@ Conventions:
 Loading either returns the constructed objects or raises ManifestError
 carrying every problem found, each tagged with the JSON path it refers to
 (e.g. "contact.phi" or "structure_constants[2].coeff").  Each distinct
-expression string is parsed once per document.  dump_manifest is
-the inverse on canonical documents, and manifest_hash fingerprints the
-canonical compact serialization.
+expression string is parsed once per document.  A well-formed
+structure-constant entry is accepted by one combined test; the per-field
+checks run, and the entry's path is built, only when it has an issue to
+report.  dump_manifest is the inverse on canonical documents, and
+manifest_hash fingerprints the canonical compact serialization.
 """
 
 from __future__ import annotations
@@ -178,6 +180,24 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
         )
     else:
         for idx, entry in enumerate(raw_constants):
+            # a well-formed entry passes one test; only an entry with an issue
+            # to report goes through the field checks and builds its path
+            if (
+                type(entry) is dict
+                and len(entry) == 4
+                and type(i := entry.get("i")) is int
+                and type(j := entry.get("j")) is int
+                and type(k := entry.get("k")) is int
+                and type(coeff := entry.get("coeff")) is str
+                and 1 <= i < j <= dim
+                and 1 <= k <= dim
+                and (key0 := (i - 1, j - 1, k - 1)) not in pairs
+            ):
+                try:
+                    pairs[key0] = parse(coeff)
+                except ScalarError as exc:
+                    issues.append(ManifestIssue(f"structure_constants[{idx}].coeff", str(exc)))
+                continue
             path = f"structure_constants[{idx}]"
             if not isinstance(entry, dict):
                 issues.append(ManifestIssue(path, "expected an object"))

@@ -29,7 +29,9 @@ order fixed by construction order.  Two runs over the same input must
 produce byte-identical JSON.  ``emit`` writes the JSON in one pass from the
 checks, byte for byte what ``json.dumps(document, sort_keys=True,
 indent=2)`` makes of the report's document; the standard encoder runs its
-pure-Python generators whenever it indents.  Only str, int, bool, None and
+pure-Python generators whenever it indents.  Each distinct
+``convention_notes`` tuple is rendered once per emit, so a gated section's
+one note is not rendered once per row.  Only str, int, bool, None and
 str-keyed dicts, lists and tuples of them are written: a float or any other
 value raises TypeError.
 """
@@ -251,9 +253,19 @@ def _emit_json(report: VerificationReport) -> str:
     document, written in one pass: a check's four keys are written in their
     sorted order, and the document holds no floats."""
     pad = "      "
+    # a gated section gives every row the same notes: each distinct tuple is
+    # rendered once
+    notes: dict[tuple[str, ...], str] = {}
+
+    def rendered(value: tuple[str, ...]) -> str:
+        out = notes.get(value)
+        if out is None:
+            out = notes[value] = _json(value, pad)
+        return out
+
     checks = [
         "{\n"
-        f'{pad}"convention_notes": {_json(c.convention_notes, pad)},\n'
+        f'{pad}"convention_notes": {rendered(c.convention_notes)},\n'
         f'{pad}"name": {_json(c.name, pad)},\n'
         f'{pad}"status": {_json(c.status, pad)},\n'
         f'{pad}"witness": {_json(c.witness, pad)}\n'

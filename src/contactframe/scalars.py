@@ -45,7 +45,11 @@ and one-term products short-circuit.  Contractions (sums of products) go
 through ``Scalar.sum_of_products``, which accumulates every live product in
 one dict and canonicalises once; over no parameters every live operand is
 a one-term constant, and two or more live products are summed in one
-unreduced (numerator, denominator) pair of ints that is reduced once.
+unreduced (numerator, denominator) pair of ints that is reduced once.  A
+sum of two Scalars merges their descending term tuples, so it never sorts.
+
+``parse_scalar`` evaluates a coefficient string into one monomial ->
+coefficient dict and builds a single Scalar from it.
 """
 
 from __future__ import annotations
@@ -192,12 +196,24 @@ class Scalar:
                 return Scalar(self.params, ((m1, _coeff(c)),))
             pair = ((m1, c1), (m2, c2)) if m1 > m2 else ((m2, c2), (m1, c1))
             return Scalar(self.params, pair)
-        acc = dict(self.terms)
-        get = acc.get
-        for mono, coeff in other.terms:
-            c = get(mono)
-            acc[mono] = coeff if c is None else c + coeff
-        return Scalar.from_terms(self.params, acc)
+        # merge the two descending term tuples
+        a, b, out = self.terms, other.terms, []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (m1, c1), (m2, c2) = a[i], b[j]
+            if m1 > m2:
+                out.append(a[i])
+                i += 1
+            elif m2 > m1:
+                out.append(b[j])
+                j += 1
+            else:
+                if c := c1 + c2:
+                    out.append((m1, _coeff(c)))
+                i += 1
+                j += 1
+        out += a[i:] or b[j:]
+        return Scalar(self.params, tuple(out)) if out else Scalar.zero(self.params)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if other.__class__ is not Scalar:
@@ -443,22 +459,73 @@ MAX_EXPONENT = 64
 MAX_TERMS = 256
 MAX_DEPTH = 64
 
+# a parsed value: monomial -> coefficient, with no zero coefficient
+Terms = dict[Monomial, RationalLike]
 
-def _power_terms_bound(base: Scalar, exponent: int) -> int:
+
+def _add_into(acc: Terms, other: Terms, negate: bool) -> None:
+    """acc += other (or acc -= other), dropping the coefficients that cancel."""
+    get = acc.get
+    for mono, coeff in other.items():
+        if negate:
+            coeff = -coeff
+        prev = get(mono)
+        if prev is None:
+            acc[mono] = coeff
+        elif total := prev + coeff:
+            acc[mono] = total
+        else:
+            del acc[mono]
+
+
+def _multiply(a: Terms, b: Terms) -> Terms:
+    acc: Terms = {}
+    get = acc.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(map(add, m1, m2))
+            prev = get(mono)
+            acc[mono] = c1 * c2 if prev is None else prev + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def _power(base: Terms, exponent: int, unit: Monomial) -> Terms:
+    result: Terms = {unit: 1}
+    while exponent:
+        if exponent & 1:
+            result = _multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _multiply(base, base)
+    return result
+
+
+def _power_terms_bound(base: Terms, exponent: int) -> int:
     """An upper bound on the number of terms of base ** exponent."""
-    n = len(base.terms)
+    n = len(base)
     if exponent == 0 or n <= 1:
         return 1
-    k = len(base.appearing_parameters())
+    k = sum(map(any, zip(*base)))  # the parameters that occur
+    degree = max(map(sum, base))
     # multinomial count of term choices, and the count of monomials of
     # bounded total degree in the k parameters that occur
-    return min(comb(n + exponent - 1, exponent), comb(exponent * base.total_degree() + k, k))
+    return min(comb(n + exponent - 1, exponent), comb(exponent * degree + k, k))
 
 
 class _Parser:
+    """Recursive descent that evaluates into ``Terms`` dicts, not Scalars.
+
+    Each production returns a fresh dict that its caller owns, so a sum or a
+    negation updates it in place; ``parse`` builds the string's one Scalar
+    from the final dict.  A dict's length is its Scalar's term count, so the
+    budgets are checked where, and read as, they would be on Scalars.
+    ``peek`` calls ``skip_ws`` only when the next character is whitespace.
+    """
+
     def __init__(self, text: str, params: tuple[str, ...]):
         self.text = text
         self.params = params
+        self.unit = (0,) * len(params)
         self.pos = 0
         self.depth = 0  # the '(' and unary '-' enclosing the current base
 
@@ -470,8 +537,11 @@ class _Parser:
             self.pos += 1
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        text, pos = self.text, self.pos
+        if pos < len(text) and text[pos].isspace():
+            self.skip_ws()
+            pos = self.pos
+        return text[pos] if pos < len(text) else ""
 
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
@@ -483,36 +553,31 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
+        return Scalar.from_terms(self.params, value)
+
+    def bounded(self, value: Terms) -> Terms:
+        if len(value) > MAX_TERMS:
+            raise self.error(f"expression has {len(value)} terms, more than MAX_TERMS = {MAX_TERMS}")
         return value
 
-    def bounded(self, value: Scalar) -> Scalar:
-        if len(value.terms) > MAX_TERMS:
-            raise self.error(
-                f"expression has {len(value.terms)} terms, more than MAX_TERMS = {MAX_TERMS}"
-            )
-        return value
-
-    def expr(self) -> Scalar:
+    def expr(self) -> Terms:
         value = self.term()
         while True:
             ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = self.bounded(value + self.term())
-            elif ch == "-":
-                self.pos += 1
-                value = self.bounded(value - self.term())
-            else:
+            if ch != "+" and ch != "-":
                 return value
+            self.pos += 1
+            _add_into(value, self.term(), ch == "-")
+            self.bounded(value)
 
-    def term(self) -> Scalar:
+    def term(self) -> Terms:
         value = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            value = self.bounded(value * self.factor())
+            value = self.bounded(_multiply(value, self.factor()))
         return value
 
-    def factor(self) -> Scalar:
+    def factor(self) -> Terms:
         value = self.base()
         if self.peek() == "^":
             self.pos += 1
@@ -528,10 +593,10 @@ class _Parser:
                     f"power may have up to {bound} terms, more than MAX_TERMS = {MAX_TERMS}",
                     start,
                 )
-            value = self.bounded(value**exponent)
+            value = self.bounded(_power(value, exponent, self.unit))
         return value
 
-    def nested(self, parse: Callable[[], Scalar]) -> Scalar:
+    def nested(self, parse: Callable[[], Terms]) -> Terms:
         """``parse()`` one level deeper, after the '(' or '-' at ``pos``."""
         if self.depth == MAX_DEPTH:
             raise self.error(f"nesting deeper than MAX_DEPTH = {MAX_DEPTH}")
@@ -541,10 +606,13 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def base(self) -> Scalar:
+    def base(self) -> Terms:
         ch = self.peek()
         if ch == "-":
-            return -self.nested(self.base)
+            value = self.nested(self.base)
+            for mono, coeff in value.items():
+                value[mono] = -coeff
+            return value
         if ch == "(":
             value = self.nested(self.expr)
             self.expect(")")
@@ -555,14 +623,13 @@ class _Parser:
             num = self._integer()
             if self.peek() == "/":
                 self.pos += 1
-                self.skip_ws()
                 if not self.peek().isdigit():
                     raise self.error("expected an integer denominator")
                 den = self._integer()
                 if den == 0:
                     raise self.error("zero denominator")
-                return Scalar.constant(self.params, Fraction(num, den))
-            return Scalar.constant(self.params, num)
+                return {self.unit: _coeff(Fraction(num, den))} if num else {}
+            return {self.unit: num} if num else {}
         if ch.isalpha() or ch == "_":
             name = self._name()
             if name not in self.params:
@@ -571,11 +638,12 @@ class _Parser:
                 )
             if self.peek() == "/":
                 raise self.error("division is only defined between integer literals")
-            return Scalar.variable(self.params, name)
+            return {tuple(int(p == name) for p in self.params): 1}
         raise self.error("expected a number, parameter name, '(' or '-'")
 
+    # _integer and _name start where peek() stopped, after any whitespace
+
     def _integer(self) -> int:
-        self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -585,7 +653,6 @@ class _Parser:
             raise ScalarParseError("invalid integer literal", start) from None
 
     def _name(self) -> str:
-        self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"

@@ -249,8 +249,10 @@ class Instance:
 
     @cached_property
     def h(self) -> Endomorphism:
-        """h = 1/2 L_xi phi; ``structural_report`` grades its laws."""
-        return self.m.lie_derive_endo(self.s.xi, self.s.phi).scale(Fraction(1, 2))
+        """h = 1/2 L_xi phi, built as L_xi (1/2 phi): the halving touches phi's
+        few nonzero entries, not every entry of L_xi phi;
+        ``structural_report`` grades its laws."""
+        return self.m.lie_derive_endo(self.s.xi, self.s.phi.scale(Fraction(1, 2)))
 
     @cached_property
     def structural_report(self) -> VerificationReport:

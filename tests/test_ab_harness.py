@@ -138,6 +138,10 @@ def test_ab_counts_agree_on_identical_trees():
     assert cases == [
         "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4", "random5", "random5_t",
         "lambda_symbolic_verify", "heisenberg_verify", "random_frame_triage",
+        *(f"random_frame_triage/random_d{d}_{kind}_{i}"
+          for d, kind, count in ((5, "rational", 2), (5, "linear_t", 2),
+                                 (7, "rational", 1), (7, "linear_t", 1))
+          for i in range(count)),
     ]
     for case in cases:
         rows = _rows(run.stdout, case)

@@ -145,6 +145,195 @@ def test_an_invalid_expression_is_reported_at_each_entry():
     assert issues[0].message == issues[1].message
 
 
+# appended to H^5 (over the parameter lambda) one case at a time, then all at once
+MALFORMED_ENTRIES = {
+    "non_dict": [
+        "1",
+        2,
+        None,
+        [1, 2, 3, "1"],
+    ],
+    "bool_index": [
+        {"i": True, "j": 2, "k": 1, "coeff": "1"},
+        {"i": 1, "j": 2, "k": False, "coeff": "1"},
+    ],
+    "non_int_index": [
+        {"i": 1.0, "j": 2, "k": 1, "coeff": "1"},
+        {"i": 1, "j": "3", "k": 1, "coeff": "1"},
+    ],
+    "out_of_range": [
+        {"i": 0, "j": 2, "k": 1, "coeff": "1"},
+        {"i": 1, "j": 6, "k": 1, "coeff": "1"},
+        {"i": 1, "j": 2, "k": 6, "coeff": "1"},
+        {"i": -1, "j": 9, "k": 0, "coeff": "1"},
+    ],
+    "i_not_below_j": [
+        {"i": 2, "j": 1, "k": 1, "coeff": "1"},
+        {"i": 3, "j": 3, "k": 2, "coeff": "x"},
+    ],
+    "missing_field": [
+        {"j": 2, "k": 1, "coeff": "1"},
+        {"i": 1, "j": 2, "coeff": "1"},
+        {"i": 1, "j": 2, "k": 1},
+        {},
+    ],
+    "extra_field": [
+        {"i": 1, "j": 2, "k": 1, "coeff": "1", "note": "x"},
+        {"i": 1, "j": 3, "k": 1, "coeff": "1", "z": 0, "a": 1},
+        {"i": 2, "j": 1, "k": 1, "coeff": "1", "note": "x"},
+    ],
+    "non_str_coeff": [
+        {"i": 1, "j": 2, "k": 1, "coeff": 1},
+        {"i": 1, "j": 2, "k": 2, "coeff": None},
+        {"i": 1, "j": 2, "k": 3, "coeff": ["1"]},
+    ],
+    "bad_coeff": [
+        {"i": 1, "j": 2, "k": 1, "coeff": "1+"},
+        {"i": 1, "j": 2, "k": 2, "coeff": "mu"},
+        {"i": 1, "j": 3, "k": 1, "coeff": "1/0"},
+    ],
+    "duplicate_triple": [
+        {"i": 2, "j": 4, "k": 1, "coeff": "5"},
+        {"i": 3, "j": 5, "k": 1, "coeff": "2"},
+        {"i": 2, "j": 4, "k": 1, "coeff": "lambda+"},
+        {"i": 3, "j": 5, "k": 1, "coeff": 2},
+    ],
+}
+MIXED_TAIL = [
+    {"i": True, "j": 5, "coeff": 3, "extra": 1},
+    "entry",
+    {"i": 1, "j": 2, "k": 1, "coeff": "lambda"},
+    {"i": 1, "j": 2, "k": 1, "coeff": "lambda"},
+]
+
+# the (path, message) list of each case, path after "structure_constants"
+MALFORMED_ISSUES = {
+    "non_dict": [
+        ("[2]", "expected an object"),
+        ("[3]", "expected an object"),
+        ("[4]", "expected an object"),
+        ("[5]", "expected an object"),
+    ],
+    "bool_index": [
+        ("[2].i", "expected an integer"),
+        ("[3].k", "expected an integer"),
+    ],
+    "non_int_index": [
+        ("[2].i", "expected an integer"),
+        ("[3].j", "expected an integer"),
+    ],
+    "out_of_range": [
+        ("[2].i", "index 0 outside 1..5"),
+        ("[3].j", "index 6 outside 1..5"),
+        ("[4].k", "index 6 outside 1..5"),
+        ("[5].i", "index -1 outside 1..5"),
+        ("[5].j", "index 9 outside 1..5"),
+        ("[5].k", "index 0 outside 1..5"),
+    ],
+    "i_not_below_j": [
+        ("[2].i", "require i < j, got (2,1)"),
+        ("[3].i", "require i < j, got (3,3)"),
+    ],
+    "missing_field": [
+        ("[2].i", "expected an integer"),
+        ("[3].k", "expected an integer"),
+        ("[4].coeff", "expected an expression string"),
+        ("[5].i", "expected an integer"),
+        ("[5].j", "expected an integer"),
+        ("[5].k", "expected an integer"),
+    ],
+    "extra_field": [
+        ("[2].note", "unknown field"),
+        ("[3].a", "unknown field"),
+        ("[3].z", "unknown field"),
+        ("[4].note", "unknown field"),
+        ("[4].i", "require i < j, got (2,1)"),
+    ],
+    "non_str_coeff": [
+        ("[2].coeff", "expected an expression string"),
+        ("[3].coeff", "expected an expression string"),
+        ("[4].coeff", "expected an expression string"),
+    ],
+    "bad_coeff": [
+        ("[2].coeff", "expected a number, parameter name, '(' or '-' (at position 2)"),
+        ("[3].coeff", "unknown parameter 'mu'; declared: ['lambda'] (at position 2)"),
+        ("[4].coeff", "zero denominator (at position 3)"),
+    ],
+    "duplicate_triple": [
+        ("[2]", "duplicate triple (i,j,k)=(2,4,1)"),
+        ("[3]", "duplicate triple (i,j,k)=(3,5,1)"),
+        ("[4].coeff", "expected a number, parameter name, '(' or '-' (at position 7)"),
+        ("[5].coeff", "expected an expression string"),
+    ],
+    "mixed": [
+        ("[2]", "expected an object"),
+        ("[3]", "expected an object"),
+        ("[4]", "expected an object"),
+        ("[5]", "expected an object"),
+        ("[6].i", "expected an integer"),
+        ("[7].k", "expected an integer"),
+        ("[8].i", "expected an integer"),
+        ("[9].j", "expected an integer"),
+        ("[10].i", "index 0 outside 1..5"),
+        ("[11].j", "index 6 outside 1..5"),
+        ("[12].k", "index 6 outside 1..5"),
+        ("[13].i", "index -1 outside 1..5"),
+        ("[13].j", "index 9 outside 1..5"),
+        ("[13].k", "index 0 outside 1..5"),
+        ("[14].i", "require i < j, got (2,1)"),
+        ("[15].i", "require i < j, got (3,3)"),
+        ("[16].i", "expected an integer"),
+        ("[17].k", "expected an integer"),
+        ("[18].coeff", "expected an expression string"),
+        ("[19].i", "expected an integer"),
+        ("[19].j", "expected an integer"),
+        ("[19].k", "expected an integer"),
+        ("[20].note", "unknown field"),
+        ("[21].a", "unknown field"),
+        ("[21].z", "unknown field"),
+        ("[22].note", "unknown field"),
+        ("[22].i", "require i < j, got (2,1)"),
+        ("[23].coeff", "expected an expression string"),
+        ("[24].coeff", "expected an expression string"),
+        ("[25].coeff", "expected an expression string"),
+        ("[26].coeff", "expected a number, parameter name, '(' or '-' (at position 2)"),
+        ("[27].coeff", "unknown parameter 'mu'; declared: ['lambda'] (at position 2)"),
+        ("[28].coeff", "zero denominator (at position 3)"),
+        ("[29]", "duplicate triple (i,j,k)=(2,4,1)"),
+        ("[30]", "duplicate triple (i,j,k)=(3,5,1)"),
+        ("[31].coeff", "expected a number, parameter name, '(' or '-' (at position 7)"),
+        ("[32].coeff", "expected an expression string"),
+        ("[33].i", "expected an integer"),
+        ("[33].k", "expected an integer"),
+        ("[33].extra", "unknown field"),
+        ("[34]", "expected an object"),
+        ("[35]", "duplicate triple (i,j,k)=(1,2,1)"),
+        ("[36]", "duplicate triple (i,j,k)=(1,2,1)"),
+    ],
+}
+
+def _malformed_issues(entries: list) -> list[tuple[str, str]]:
+    doc = _heisenberg_doc(2)
+    doc["parameters"] = ["lambda"]
+    doc["structure_constants"] += copy.deepcopy(entries)
+    with pytest.raises(ManifestError) as excinfo:
+        load_manifest(doc)
+    return [(issue.path, issue.message) for issue in excinfo.value.issues]
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_ENTRIES, "mixed"])
+def test_malformed_structure_constants_give_exact_issues(case):
+    """Each malformed entry reports the exact paths and messages, in entry
+    order; an entry with only an unknown field is still read, so a later
+    repeat of its triple is a duplicate."""
+    if case == "mixed":
+        entries = [e for listed in MALFORMED_ENTRIES.values() for e in listed] + MIXED_TAIL
+    else:
+        entries = MALFORMED_ENTRIES[case]
+    expected = [("structure_constants" + path, message) for path, message in MALFORMED_ISSUES[case]]
+    assert _malformed_issues(entries) == expected
+
+
 def test_hash_is_order_insensitive_via_canonical_dump():
     """dump_manifest emits a canonical ordering, so two equal structures can
 

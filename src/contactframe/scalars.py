@@ -196,7 +196,6 @@ class Scalar:
                 return Scalar(self.params, ((m1, _coeff(c)),))
             pair = ((m1, c1), (m2, c2)) if m1 > m2 else ((m2, c2), (m1, c1))
             return Scalar(self.params, pair)
-        # merge the two descending term tuples
         a, b, out = self.terms, other.terms, []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -553,11 +552,18 @@ class _Parser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
+        if not value:
+            return Scalar.zero(self.params)
+        if len(value) == 1:  # most coefficients: no sort
+            ((mono, coeff),) = value.items()
+            return Scalar(self.params, ((mono, _coeff(coeff)),))
         return Scalar.from_terms(self.params, value)
 
     def bounded(self, value: Terms) -> Terms:
         if len(value) > MAX_TERMS:
-            raise self.error(f"expression has {len(value)} terms, more than MAX_TERMS = {MAX_TERMS}")
+            raise self.error(
+                f"expression has {len(value)} terms, more than MAX_TERMS = {MAX_TERMS}"
+            )
         return value
 
     def expr(self) -> Terms:

@@ -312,6 +312,7 @@ MALFORMED_ISSUES = {
     ],
 }
 
+
 def _malformed_issues(entries: list) -> list[tuple[str, str]]:
     doc = _heisenberg_doc(2)
     doc["parameters"] = ["lambda"]
@@ -330,8 +331,8 @@ def test_malformed_structure_constants_give_exact_issues(case):
         entries = [e for listed in MALFORMED_ENTRIES.values() for e in listed] + MIXED_TAIL
     else:
         entries = MALFORMED_ENTRIES[case]
-    expected = [("structure_constants" + path, message) for path, message in MALFORMED_ISSUES[case]]
-    assert _malformed_issues(entries) == expected
+    expected = MALFORMED_ISSUES[case]
+    assert _malformed_issues(entries) == [("structure_constants" + p, m) for p, m in expected]
 
 
 def test_hash_is_order_insensitive_via_canonical_dump():

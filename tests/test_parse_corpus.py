@@ -76,6 +76,9 @@ def _limits() -> list[str]:
     row_t17 = "(" + "+".join(f"t^{a}" for a in range(17)) + ")"
     row_x = "(" + "+".join(f"x^{b}" for b in range(16)) + ")"
     out += [row_t + "*" + row_x, row_t17 + "*" + row_x, row_x + "*" + row_t17]
+    # a product whose 17 * 17 = 289 partial terms cancel down to 34
+    row_x17 = "(" + "+".join(f"x^{b}" for b in range(17)) + ")"
+    out += [f"(1-t)*{row_t}*{row_x17}", f"(1-t)*({row_t}*{row_x17})"]
     # (1+t+x)^k has (k+1)(k+2)/2 terms: 253 at k = 21, 276 at k = 22
     out += ["(1+t+x)^21", "(1+t+x)^22", "(1+t+x)^20*(1+t)", "(t+x)^255",
             "(1+t)^64*(1+x)^3", "(1+t)^64*(1+x)^4", "(1+t^2)^64"]

@@ -255,17 +255,10 @@ def _emit_json(report: VerificationReport) -> str:
     pad = "      "
     # a gated section gives every row the same notes: each distinct tuple is
     # rendered once
-    notes: dict[tuple[str, ...], str] = {}
-
-    def rendered(value: tuple[str, ...]) -> str:
-        out = notes.get(value)
-        if out is None:
-            out = notes[value] = _json(value, pad)
-        return out
-
+    notes = {n: _json(n, pad) for n in {c.convention_notes for c in report.checks}}
     checks = [
         "{\n"
-        f'{pad}"convention_notes": {rendered(c.convention_notes)},\n'
+        f'{pad}"convention_notes": {notes[c.convention_notes]},\n'
         f'{pad}"name": {_json(c.name, pad)},\n'
         f'{pad}"status": {_json(c.status, pad)},\n'
         f'{pad}"witness": {_json(c.witness, pad)}\n'

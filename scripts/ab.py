@@ -40,10 +40,15 @@ For each case it prints both trees' counts, and per layer the minimum
 microseconds of each tree, the median over rounds of the paired ratio
 change / parent, and the number of rounds the change was faster.  ``--out``
 writes the same figures as one JSON document.  It exits 1 if the two trees'
-reports differ in any byte.
+reports differ in any byte, unless every difference lies inside the witness
+of a check named by ``--allow-diff`` (repeatable): such a case prints one
+line naming the checks whose witness differs and both trees' report bytes,
+and ``--out`` records those names.  A changed status, name or order of any
+check, or a changed witness of a check not named, still exits 1.
 
 Usage:
     python scripts/ab.py HEAD~1 [--rounds 40] [--only H5 --only H9] [--out BENCH.json]
+        [--allow-diff gtw.pair_interchange_crosscheck]
 """
 
 from __future__ import annotations
@@ -179,7 +184,7 @@ class Tree:
         runs = [work_counts(self.cf, *self.cf.load_manifest(json.loads(t))) for t in texts]
         return {key: sum(run[key] for run in runs) for key in runs[0]}
 
-    def request(self, texts: list[str]) -> tuple[str, dict]:
+    def request(self, texts: list[str]) -> tuple[tuple[str, ...], dict]:
         """The reports of one request, and the seconds of the request and of
         its load and emit steps, summed over the texts."""
         cf, out, seconds = self.cf, [], {"load": 0.0, "emit": 0.0}
@@ -195,7 +200,7 @@ class Tree:
             out.append(cf.emit(report, "json"))
             seconds["emit"] += time.perf_counter() - start
         seconds["request"] = time.perf_counter() - begin
-        return "".join(out), seconds
+        return tuple(out), seconds
 
     def layers(self, text: str) -> dict:
         """Seconds of each layer on a freshly loaded input (each section on
@@ -233,27 +238,44 @@ class Tree:
             seconds[name] = time.perf_counter() - start
         return seconds
 
-    def measure(self, texts: list[str]) -> tuple[str, dict]:
+    def measure(self, texts: list[str]) -> tuple[tuple[str, ...], dict]:
         out, seconds = self.request(texts)
         if len(texts) == 1:
             seconds.update(self.layers(texts[0]))
         return out, seconds
 
 
-def compare(parent: Tree, change: Tree, texts: list[str], rounds: int) -> tuple[dict, bool]:
-    """Per layer: (parent seconds, change seconds) of each round; and whether
-    every round's outputs were byte-identical."""
+def compare(parent: Tree, change: Tree, texts: list[str], rounds: int) -> tuple[dict, set]:
+    """Per layer: (parent seconds, change seconds) of each round; and the
+    distinct (parent reports, change reports) pairs that the rounds gave."""
     samples: dict[str, list[tuple[float, float]]] = {}
-    same = True
+    outputs = set()
     for r in range(rounds):
         order = (parent, change) if r % 2 == 0 else (change, parent)
         results = {id(tree): tree.measure(texts) for tree in order}
         (out_p, sec_p), (out_c, sec_c) = results[id(parent)], results[id(change)]
-        same = same and out_p == out_c
+        outputs.add((out_p, out_c))
         for layer in LAYERS:
             if layer in sec_p and layer in sec_c:
                 samples.setdefault(layer, []).append((sec_p[layer], sec_c[layer]))
-    return samples, same
+    return samples, outputs
+
+
+def witness_diff(parent: tuple[str, ...], change: tuple[str, ...], allowed: set[str]):
+    """The sorted names of the checks whose witness differs between the two
+    trees' JSON reports, when only witnesses of checks in ``allowed`` differ;
+    None when anything else differs, or no witness does."""
+    names = set()
+    for a, b in zip(parent, change, strict=True):
+        documents = json.loads(a), json.loads(b)
+        witnesses = []
+        for document in documents:
+            held = [c for c in document["checks"] if c["name"] in allowed]
+            witnesses.append([(c["name"], c.pop("witness")) for c in held])
+        if documents[0] != documents[1]:
+            return None
+        names.update(n for (n, w), (_, v) in zip(*witnesses) if w != v)
+    return sorted(names) or None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=40, help="alternating rounds per case")
     parser.add_argument("--only", action="append", help="run only this case (repeatable)")
     parser.add_argument("--out", type=Path, help="write the figures to this JSON file")
+    parser.add_argument("--allow-diff", action="append", default=[], metavar="NAME",
+                        help="allow the witness of this check to differ (repeatable)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -291,9 +315,17 @@ def main(argv: list[str] | None = None) -> int:
             counts = {"parent": parent.counts(texts), "change": change.counts(texts)}
             for key, value in counts["parent"].items():
                 print(f"{name:40} {key:24} {value:10d} {counts['change'][key]:10d}", flush=True)
-            samples, same = compare(parent, change, texts, args.rounds)
-            if not same:
+            samples, outputs = compare(parent, change, texts, args.rounds)
+            differing = [(p, c) for p, c in outputs if p != c]
+            diffs = [witness_diff(p, c, set(args.allow_diff)) for p, c in differing]
+            witnesses = []
+            if None in diffs:
                 differ.append(name)
+            elif differing:
+                witnesses = sorted(set().union(*diffs))
+                p, c = ("".join(out).encode() for out in differing[0])
+                print(f"{name}: only the witnesses of {', '.join(witnesses)} differ; "
+                      f"report bytes {len(p)} -> {len(c)}", flush=True)
             layers = {}
             for layer, pairs in samples.items():
                 layers[layer] = row = {
@@ -305,6 +337,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name:40} {layer:24} {row['parent_us']:10.0f} {row['change_us']:10.0f} "
                       f"{row['ratio']:7.3f} {row['wins']:3d}/{len(pairs):<3d}", flush=True)
             results[name] = {"counts": counts, "layers": layers}
+            if witnesses:
+                results[name]["witness_diff"] = witnesses
     if args.out:
         document = {"parent": parent_id, "python": platform.python_version(),
                     "rounds": args.rounds, "cases": results}

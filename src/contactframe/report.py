@@ -14,9 +14,11 @@ indices, scalar values are rendered through the canonical expression
 grammar, vectors through the frame-vector rendering ("-2/3*E2").  Every
 scan for a witness goes through ``first_witness``: the first index tuple,
 in the caller's order, whose residual is nonzero.  A residual stated as a
-table of its nonzero values (``tables``) is scanned through it too, and a
-crosscheck reads such a table: a tuple absent from it agrees without being
-evaluated.
+table of its nonzero values (``tables``) is scanned through it too.  A
+crosscheck reads only the keys of such a table and the value at the first
+one: its witness counts the tuples that agree and lists the few that
+differ, so a tuple absent from the table agrees without being evaluated or
+written.
 
 A derived section is an ordered tuple of rows ``(name, build)``;
 ``grade_rows`` calls ``build(report, name, x)`` for each, which grades the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -67,14 +69,6 @@ def first_witness(
         if not value.is_zero():
             return {"indices": [i + 1 for i in indices], key: str(value)}
     return None
-
-
-class _Labels(dict):
-    """0-based index -> its 1-based label, built on first use."""
-
-    def __missing__(self, i: int) -> str:
-        self[i] = label = str(i + 1)
-        return label
 
 
 @dataclass(frozen=True)
@@ -133,34 +127,26 @@ class VerificationReport:
         return self.not_applicable(name, witness=witness, notes=(note,))
 
     def crosscheck(
-        self, name: str, tuples: Iterable[tuple[int, ...]], residuals: Mapping, notes
+        self, name: str, count: int, differs: Iterable[tuple[int, ...]], residual: Callable, notes
     ) -> Check:
-        """Record per index tuple whether its residual vanishes.
+        """Record which of ``count`` index tuples have a nonzero residual.
 
-        ``residuals`` maps each tuple whose residual is nonzero to that
-        residual; a tuple absent from it vanishes.  The witness maps each
-        1-based tuple ("1,2,3") to "agrees" or "differs", plus the first
-        nonzero residual and where it occurred.  The check holds when every
-        tuple agrees and is not_applicable otherwise: the verdict is data, not
-        a pass condition.  A key joins 1-based labels, each built once per call.
+        ``differs`` holds the 0-based tuples whose residual is nonzero; every
+        other tuple vanishes.  The witness counts the tuples that agree, lists
+        the 1-based tuples that differ ("1,2,3") in row-major order and, when
+        one differs, gives the first of them and ``residual(tuple)`` there.
+        The check holds when every tuple agrees and is not_applicable
+        otherwise: the verdict is data, not a pass condition.
         """
-        witness: dict = {}
-        first: dict | None = None
-        label = _Labels().__getitem__
-        for indices in tuples:
-            key = ",".join(map(label, indices))
-            if indices not in residuals:
-                witness[key] = "agrees"
-                continue
-            witness[key] = "differs"
-            if first is None:
-                first = {
-                    "first_residual_at": [i + 1 for i in indices],
-                    "first_residual": str(residuals[indices]),
-                }
-        if first is None:
+        differs = sorted(differs)
+        witness: dict = {
+            "agrees": count - len(differs),
+            "differs": [",".join(str(i + 1) for i in t) for t in differs],
+        }
+        if not differs:
             return self.holds(name, witness=witness, notes=notes)
-        witness.update(first)
+        witness["first_residual_at"] = [i + 1 for i in differs[0]]
+        witness["first_residual"] = str(residual(differs[0]))
         return self.not_applicable(name, witness=witness, notes=notes)
 
     def extend(self, other: "VerificationReport") -> None:
@@ -298,11 +284,15 @@ def _emit_text(report: VerificationReport) -> str:
 
 
 def _render_witness(witness: dict) -> str:
+    """key=value pairs in key order; a list is parenthesized, and each string
+    item of it (a crosscheck's "i,j,k") is parenthesized too, so that
+    ``differs`` keeps its tuples apart."""
     parts = []
     for key in sorted(witness):
         value = witness[key]
         if isinstance(value, (list, tuple)):
-            rendered = "(" + ",".join(str(v) for v in value) + ")"
+            items = (f"({v})" if isinstance(v, str) else str(v) for v in value)
+            rendered = "(" + ",".join(items) + ")"
         else:
             rendered = str(value)
         parts.append(f"{key}={rendered}")

@@ -180,6 +180,12 @@ class Instance:
         table = sum_table(self.m.params, chain(*products))
         return self.table_scan(lambda: table, depth=0)
 
+    def vector_at(self, table: Table) -> Callable[[tuple[int, ...]], FrameVector]:
+        """index -> the frame vector at index of a vector residual table, the
+        component last in each key."""
+        zero, idx = Scalar.zero(self.m.params), range(self.m.dim)
+        return lambda index: FrameVector(tuple(table.get((*index, p), zero) for p in idx))
+
     def xi_derivative(self, conn: Connection, *plus: Endomorphism) -> Iterator[Product]:
         """nabla_{E_i} xi plus A E_i for each A in ``plus``, keyed (i, p): the
         products xi^j Gamma_ij^p and A^p_i over the nonzero entries."""

@@ -1,6 +1,7 @@
 """``scripts/ab.py`` resolves a slowdown in one layer, counts an extra sum
-of products and refuses a change in the output: it is run on this tree
-against a copy of it."""
+of products and refuses a change in the output unless it lies inside the
+witness of a check named by ``--allow-diff``: it is run on this tree against
+a copy of it."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -55,6 +58,28 @@ def riemann(m, conn):
     Scalar.sum_of_products((), ())
     return _riemann(m, conn)
 """
+
+
+# appended to the copy's report.py: the check CHANGED_CHECK gets one more
+# witness entry (WITNESS) or the other of holds and not_applicable (STATUS)
+CHANGED_CHECK = "gtw.cyclic_sum_crosscheck"
+CHANGE = """
+
+_add = VerificationReport.add
+
+
+def _changed_add(self, name, status, witness=None, notes=()):
+    if name == {name!r}:
+        {edit}
+    return _add(self, name, status, witness, notes)
+
+
+VerificationReport.add = _changed_add
+"""
+WITNESS = CHANGE.format(name=CHANGED_CHECK, edit='witness = {**(witness or {}), "changed": "yes"}')
+STATUS = CHANGE.format(
+    name=CHANGED_CHECK, edit="status = HOLDS if status == NOT_APPLICABLE else NOT_APPLICABLE"
+)
 
 
 def _copy(tmp_path: Path, *edits: tuple[str, str]) -> Path:
@@ -114,6 +139,34 @@ def test_ab_refuses_a_changed_output(tmp_path):
     run = _ab(changed, 1, "--only", "H3")
     assert run.returncode == 1
     assert run.stdout.splitlines()[-1] == "outputs differ: H3"
+
+
+def test_ab_allows_a_changed_witness_of_a_named_check(tmp_path):
+    """--allow-diff NAME accepts a report that differs only inside NAME's
+    witness, prints one summary line for the case and records the name."""
+    out = tmp_path / "ab.json"
+    changed = _copy(tmp_path, ("report.py", WITNESS))
+    run = _ab(changed, 1, "--only", "H3", "--allow-diff", CHANGED_CHECK, "--out", str(out))
+    assert run.returncode == 0, run.stdout + run.stderr
+    (summary,) = [line for line in run.stdout.splitlines() if line.startswith("H3:")]
+    assert summary.startswith(f"H3: only the witnesses of {CHANGED_CHECK} differ; report bytes ")
+    parent, change = (int(n) for n in summary.split("report bytes ")[1].split(" -> "))
+    assert change == parent + len(',\n        "changed": "yes"')
+    assert json.loads(out.read_text())["cases"]["H3"]["witness_diff"] == [CHANGED_CHECK]
+
+
+@pytest.mark.parametrize(
+    ("edit", "allowed"),
+    [
+        (WITNESS, "gtw.pair_interchange_crosscheck"),  # another check's witness
+        (STATUS, CHANGED_CHECK),  # the named check's status
+    ],
+)
+def test_ab_refuses_any_other_difference(tmp_path, edit, allowed):
+    run = _ab(_copy(tmp_path, ("report.py", edit)), 1, "--only", "H3", "--allow-diff", allowed)
+    assert run.returncode == 1
+    assert run.stdout.splitlines()[-1] == "outputs differ: H3"
+    assert not any(line.startswith("H3:") for line in run.stdout.splitlines())
 
 
 def test_ab_counts_an_extra_sum_of_products(tmp_path):

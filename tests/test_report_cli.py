@@ -317,6 +317,30 @@ def test_curvature_text_renders_vectors():
     assert "scalar curvature: 4" in proc.stdout
 
 
+def test_verify_text_keeps_crosscheck_tuples_apart(capsys):
+    """Each differing tuple of a crosscheck keeps its own parentheses in the
+    text report; a crosscheck that holds lists none."""
+    assert cli.main(["verify", LAMBDA, "--suite", "gtw", "--format", "text"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lines = {
+        name: next(line for line in out if f"] {name}  " in line)
+        for name in GTW_CHECK_NAMES
+        if name.endswith("_crosscheck")
+    }
+    assert lines["gtw.pair_interchange_crosscheck"] == (
+        "[ n/a ] gtw.pair_interchange_crosscheck  witness: agrees=75 "
+        "differs=((2,2,3,3),(2,3,2,3),(2,3,3,2),(3,2,2,3),(3,2,3,2),(3,3,2,2)) "
+        "first_residual=-4*lambda first_residual_at=(2,2,3,3)"
+    )
+    assert lines["gtw.curvature_closed_form_crosscheck"].endswith(
+        "witness: agrees=23 differs=((2,3,2),(2,3,3),(3,2,2),(3,2,3)) "
+        "first_residual=(-2*lambda-2)*E3 first_residual_at=(2,3,2)"
+    )
+    assert lines["gtw.cyclic_sum_crosscheck"] == (
+        "[holds] gtw.cyclic_sum_crosscheck  witness: agrees=27 differs=()"
+    )
+
+
 def test_curvature_lc_reports_kappa():
     proc = run_cli("curvature", LAMBDA, "--format", "json")
     doc = json.loads(proc.stdout)

@@ -102,8 +102,8 @@ def _cases(x: Instance) -> list:
 
 def _crosscheck_witness(dim: int, arity: int, residual) -> dict:
     """The crosscheck witness built by evaluating every tuple."""
-    tuples = list(product(range(dim), repeat=arity))
-    return VerificationReport().crosscheck("c", tuples, _nonzero(residual, dim, arity), ()).witness
+    nonzero = _nonzero(residual, dim, arity)
+    return VerificationReport().crosscheck("c", dim**arity, nonzero, nonzero.get, ()).witness
 
 
 def _expected_witness(x: Instance, arity: int, residual, kind: str) -> dict | None:

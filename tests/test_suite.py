@@ -27,6 +27,7 @@ from contactframe import (
     dump_manifest,
     emit,
     load_manifest_file,
+    make_heisenberg,
     make_lambda_family,
     run_suite,
     verify_concircular_suite,
@@ -251,12 +252,24 @@ def test_heisenberg_run_work_counts():
     Scalars, under the bound 536 (a fresh 1 per ``one_scalar()`` call and
     h halved after the Lie derivative make 593, vector rows evaluated per
     basis tuple 632, dense connection kernels 657, a new zero per zero
-    result 13,288, evaluating every tuple 909)."""
+    result 13,288, evaluating every tuple 909).  The JSON report is 15,170
+    bytes, under the bound 15,929 (plus 5%): a crosscheck witness counts the
+    agreeing tuples and names only the differing ones (one "agrees" entry
+    per basis tuple made 39,611)."""
     counts = _work_counts("heisenberg5.json")
     assert not hasattr(Curvature4Tensor, "apply")
     assert counts["sum_of_products"] <= 887
     assert counts["zero_sums"] <= 555
     assert counts["scalars"] <= 536
+    assert counts["json_bytes"] <= 15929
+
+
+def test_heisenberg9_report_size():
+    """The report of H^9 is 16,085 bytes, under the bound 16,889 (the measured
+    size plus 5%; one "agrees" or "differs" entry per basis tuple of the
+    three crosschecks, 6,561 + 729 + 729 of them, made 244,421)."""
+    e = make_heisenberg(4)
+    assert AB.work_counts(contactframe, e.manifold, e.structure)["json_bytes"] <= 16889
 
 
 def test_gated_run_work_counts():

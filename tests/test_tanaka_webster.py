@@ -1,18 +1,23 @@
 """The torsionful connection: parallelism, torsion, curvature, decomposition."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactframe import (
     FrameVector,
     GssfCoefficients,
+    Instance,
     eta_einstein_fit,
     gssf_decompose,
+    load_manifest_file,
     verify_gtw_suite,
 )
 from contactframe.frames import vectors
 from contactframe.scalars import Scalar
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 def _lam(m):
@@ -122,9 +127,8 @@ def test_closed_form_crosscheck_records_every_triple(fam):
     check = report.by_name("gtw.curvature_closed_form_crosscheck")
     assert check.status == "not_applicable"
     w = check.witness
-    verdicts = {k: v for k, v in w.items() if not k.startswith("first_")}
-    assert len(verdicts) == 27
-    assert sum(1 for v in verdicts.values() if v == "differs") == 4
+    assert w["agrees"] + len(w["differs"]) == 27
+    assert w["differs"] == ["2,3,2", "2,3,3", "3,2,2", "3,2,3"]
     assert w["first_residual_at"] == [2, 3, 2]
     assert w["first_residual"] == "(-2*lambda-2)*E3"
     # the corrected difference-bracket presentation holds outright
@@ -136,9 +140,8 @@ def test_pair_interchange_crosscheck_records_every_tuple(fam):
     check = report.by_name("gtw.pair_interchange_crosscheck")
     assert check.status == "not_applicable"
     w = check.witness
-    verdicts = {k: v for k, v in w.items() if not k.startswith("first_")}
-    assert len(verdicts) == 81
-    assert sum(1 for v in verdicts.values() if v == "differs") == 6
+    assert w["agrees"] + len(w["differs"]) == 81
+    assert len(w["differs"]) == 6
     assert w["first_residual_at"] == [2, 2, 3, 3]
     assert w["first_residual"] == "-4*lambda"
 
@@ -147,8 +150,7 @@ def test_cyclic_sum_crosscheck_holds(fam):
     report = verify_gtw_suite(fam)
     check = report.by_name("gtw.cyclic_sum_crosscheck")
     assert check.status == "holds"
-    assert all(v == "agrees" for v in check.witness.values())
-    assert len(check.witness) == 27
+    assert check.witness == {"agrees": 27, "differs": []}
 
 
 def test_suite_sasakian_member(fam0):
@@ -160,9 +162,41 @@ def test_suite_sasakian_member(fam0):
     # parameter-free ones remain
     check = report.by_name("gtw.pair_interchange_crosscheck")
     assert check.status == "not_applicable"
-    verdicts = {k: v for k, v in check.witness.items() if not k.startswith("first_")}
-    assert sum(1 for v in verdicts.values() if v == "differs") == 4
+    assert len(check.witness["differs"]) == 4
     assert check.witness["first_residual"] == "-4"
+
+
+# each crosscheck and the arity of the basis tuples it records
+CROSSCHECKS = (
+    ("gtw.curvature_closed_form_crosscheck", 3),
+    ("gtw.pair_interchange_crosscheck", 4),
+    ("gtw.cyclic_sum_crosscheck", 3),
+)
+
+
+@pytest.mark.parametrize("name", ["fam", "fam0", "heisenberg5", "t1e4"])
+def test_crosscheck_witness_accounts_for_every_tuple(request, name):
+    """The compact witness counts the agreeing tuples and names the differing
+    ones, each once and in row-major order; the first of them is the first
+    residual's, and the crosscheck holds exactly when none differs.  Run on
+    the lambda family (symbolic and at 0), H^5 and T_1E^4."""
+    if name.startswith("fam"):
+        x = request.getfixturevalue(name)
+    else:
+        x = Instance(*load_manifest_file(str(MANIFESTS / f"{name}.json")))
+    report = verify_gtw_suite(x)
+    for check_name, arity in CROSSCHECKS:
+        check = report.by_name(check_name)
+        w = check.witness
+        assert w["agrees"] + len(w["differs"]) == x.m.dim**arity, check_name
+        tuples = [tuple(int(i) for i in t.split(",")) for t in w["differs"]]
+        assert all(len(t) == arity for t in tuples)
+        assert tuples == sorted(set(tuples)), check_name
+        assert (check.status == "holds") == (w["differs"] == []), check_name
+        if tuples:
+            assert tuple(w["first_residual_at"]) == tuples[0]
+        else:
+            assert "first_residual_at" not in w
 
 
 def test_space_form_decomposition(fam):

@@ -42,9 +42,9 @@ change / parent, and the number of rounds the change was faster.  ``--out``
 writes the same figures as one JSON document.  It exits 1 if the two trees'
 reports differ in any byte, unless every difference lies inside the witness
 of a check named by ``--allow-diff`` (repeatable): such a case prints one
-line naming the checks whose witness differs and both trees' report bytes,
-and ``--out`` records those names.  A changed status, name or order of any
-check, or a changed witness of a check not named, still exits 1.
+line naming the checks whose witness differs, and ``--out`` records those
+names.  A changed status, name or order of any check, or a changed witness
+of a check not named, still exits 1.
 
 Usage:
     python scripts/ab.py HEAD~1 [--rounds 40] [--only H5 --only H9] [--out BENCH.json]
@@ -261,7 +261,9 @@ def compare(parent: Tree, change: Tree, texts: list[str], rounds: int) -> tuple[
     return samples, outputs
 
 
-def witness_diff(parent: tuple[str, ...], change: tuple[str, ...], allowed: set[str]):
+def witness_diff(
+    parent: tuple[str, ...], change: tuple[str, ...], allowed: set[str]
+) -> list[str] | None:
     """The sorted names of the checks whose witness differs between the two
     trees' JSON reports, when only witnesses of checks in ``allowed`` differ;
     None when anything else differs, or no witness does."""
@@ -323,9 +325,7 @@ def main(argv: list[str] | None = None) -> int:
                 differ.append(name)
             elif differing:
                 witnesses = sorted(set().union(*diffs))
-                p, c = ("".join(out).encode() for out in differing[0])
-                print(f"{name}: only the witnesses of {', '.join(witnesses)} differ; "
-                      f"report bytes {len(p)} -> {len(c)}", flush=True)
+                print(f"{name}: only the witnesses of {', '.join(witnesses)} differ", flush=True)
             layers = {}
             for layer, pairs in samples.items():
                 layers[layer] = row = {

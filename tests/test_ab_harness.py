@@ -148,11 +148,12 @@ def test_ab_allows_a_changed_witness_of_a_named_check(tmp_path):
     changed = _copy(tmp_path, ("report.py", WITNESS))
     run = _ab(changed, 1, "--only", "H3", "--allow-diff", CHANGED_CHECK, "--out", str(out))
     assert run.returncode == 0, run.stdout + run.stderr
-    (summary,) = [line for line in run.stdout.splitlines() if line.startswith("H3:")]
-    assert summary.startswith(f"H3: only the witnesses of {CHANGED_CHECK} differ; report bytes ")
-    parent, change = (int(n) for n in summary.split("report bytes ")[1].split(" -> "))
+    summary = [line for line in run.stdout.splitlines() if line.startswith("H3:")]
+    assert summary == [f"H3: only the witnesses of {CHANGED_CHECK} differ"]
+    case = json.loads(out.read_text())["cases"]["H3"]
+    assert case["witness_diff"] == [CHANGED_CHECK]
+    parent, change = (case["counts"][tree]["json_bytes"] for tree in ("parent", "change"))
     assert change == parent + len(',\n        "changed": "yes"')
-    assert json.loads(out.read_text())["cases"]["H3"]["witness_diff"] == [CHANGED_CHECK]
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,7 @@ arithmetic is exact (rational coefficients, sparse polynomials); no floats
 enter any verdict.
 """
 
-from .concircular import (
-    ConcircularTensor,
-    concircular,
-    verify_concircular_suite,
-)
+from .concircular import ConcircularTensor, concircular
 from .contact import (
     AlmostContactData,
     StructureClass,
@@ -29,7 +25,6 @@ from .curvature import (
     ricci,
     riemann,
     scalar_curvature,
-    verify_nkappa_suite,
 )
 from .frames import Endomorphism, FrameManifold, FrameVector, render_vector
 from .linear import LinearSolution, solve_linear
@@ -43,7 +38,15 @@ from .manifest import (
 )
 from .report import Check, VerificationReport, emit
 from .scalars import Scalar, ScalarError, exact_div, parse_scalar
-from .suite import SUITES, Instance, classify, run_suite
+from .suite import (
+    SUITES,
+    Instance,
+    classify,
+    run_suite,
+    verify_concircular_suite,
+    verify_gtw_suite,
+    verify_nkappa_suite,
+)
 from .tanaka_webster import (
     GssfCoefficients,
     GtwPackage,
@@ -52,7 +55,6 @@ from .tanaka_webster import (
     gssf_decompose,
     gtw_connection,
     space_form_templates,
-    verify_gtw_suite,
 )
 from .version import ENGINE_VERSION
 from .zoo import (

@@ -55,17 +55,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .curvature import Curvature4Tensor
 from .frames import FrameManifold
-from .report import Row, VerificationReport, grade_rows
 from .scalars import Scalar
 from .tables import Table, sum_table
 from .tanaka_webster import eta_einstein_fit
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
-    from .suite import Instance
 
 
 @dataclass(frozen=True)
@@ -158,6 +154,7 @@ _FORM_CONVENTION_NOTE = (
     "derivation convention negates both terms, flipping every value's sign but "
     "no vanishing verdict"
 )
+_ABSENT = ("the stated obstruction is absent on this instance",)
 
 
 # -- the concircular suite ------------------------------------------------------
@@ -259,24 +256,20 @@ def _xi_flatness_obstruction(report, name, x):
     z = x.z
     first_nonzero = x.table_scan(lambda: z.xi_table(x.s.xi, (2,)), key="value", depth=0)
     bad = x.r1_scan(z, z.K, xi_at=(2,))
-    if first_nonzero is not None and bad is None:
-        report.holds(
+    if first_nonzero is not None and bad is not None:
+        report.fails(
+            name, witness=bad, notes=("a component disagrees with the K-closed form",)
+        )
+    else:
+        report.nonvanishing(
             name,
-            witness=first_nonzero,
-            notes=(
+            first_nonzero,
+            "Z(X1, X2)xi",
+            (
                 "the instance cannot be xi-flat for this tensor: the witness "
                 "value is structural (every component matches the K-closed form)",
             ),
-        )
-    elif first_nonzero is None:
-        report.fails(
-            name,
-            witness={"residual": "Z(X1, X2)xi vanished identically"},
-            notes=("flatness achieved, contradicting the stated obstruction",),
-        )
-    else:
-        report.fails(
-            name, witness=bad, notes=("a component disagrees with the K-closed form",)
+            ("flatness achieved, contradicting the stated obstruction",),
         )
 
 
@@ -348,22 +341,17 @@ def _phi_flatness(report, name, x):
 def _ricci_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X1).ricci)(X2, X3) cannot vanish identically."""
     first_nonzero = x.table_scan(lambda i: x.kept(ricci_action_slabs, i), False, key="value")
-    if first_nonzero is not None:
-        report.holds(
-            name,
-            witness=first_nonzero,
-            notes=(
-                "the action of Z(xi, .) on the ricci form is not identically "
-                "zero; indices order: (X1, X2, X3) in (Z(xi,X1).ricci)(X2,X3)",
-                _FORM_CONVENTION_NOTE,
-            ),
-        )
-    else:
-        report.fails(
-            name,
-            witness={"residual": "Z(xi, X).ricci vanished identically"},
-            notes=("the stated obstruction is absent on this instance",),
-        )
+    report.nonvanishing(
+        name,
+        first_nonzero,
+        "Z(xi, X).ricci",
+        (
+            "the action of Z(xi, .) on the ricci form is not identically "
+            "zero; indices order: (X1, X2, X3) in (Z(xi,X1).ricci)(X2,X3)",
+            _FORM_CONVENTION_NOTE,
+        ),
+        _ABSENT,
+    )
 
 
 # slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2); the
@@ -409,42 +397,15 @@ def _ricci_action_slice(report, name, x):
 def _self_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
     first_nonzero = x.table_scan(self_action_slabs(x), key="value", depth=2)
-    if first_nonzero is not None:
-        report.holds(
-            name,
-            witness=first_nonzero,
-            notes=(
-                "the action of Z(xi, .) on Z itself is not identically zero; "
-                "indices order: (X2, X3, X4, X5) in (Z(xi,X2).Z)(X3,X4)X5; some "
-                "natural-looking tuples vanish by antisymmetry, so the scan "
-                "records the minimal-index nonzero tuple",
-            ),
-        )
-    else:
-        report.fails(
-            name,
-            witness={"residual": "Z(xi, X).Z vanished identically"},
-            notes=("the stated obstruction is absent on this instance",),
-        )
-
-
-CONC_ROWS: tuple[Row, ...] = (
-    ("conc.xi_double_contraction", _xi_double_contraction),
-    ("conc.xi_double_contraction_phi_square_variant", _xi_double_contraction_phi_square),
-    ("conc.xi_pair", _xi_pair),
-    ("conc.xi_argument", _xi_argument),
-    ("conc.eta_contraction", _eta_contraction),
-    ("conc.eta_contraction_reference_form", _eta_contraction_reference),
-    ("conc.xi_flatness_obstruction", _xi_flatness_obstruction),
-    ("conc.phi_flatness", _phi_flatness),
-    ("conc.ricci_action_obstruction", _ricci_action_obstruction),
-    ("conc.ricci_action_slice", _ricci_action_slice),
-    ("conc.self_action_obstruction", _self_action_obstruction),
-)
-
-
-def verify_concircular_suite(x: "Instance") -> VerificationReport:
-    """Grade the xi-contraction identities and the theorem obstructions of
-    ``x.z``; every row is not_applicable when ``x.gate_note`` is set (the
-    rows stated through R1 rely on eta = g(., xi) and eta(xi) = 1)."""
-    return grade_rows(CONC_ROWS, x)
+    report.nonvanishing(
+        name,
+        first_nonzero,
+        "Z(xi, X).Z",
+        (
+            "the action of Z(xi, .) on Z itself is not identically zero; "
+            "indices order: (X2, X3, X4, X5) in (Z(xi,X2).Z)(X3,X4)X5; some "
+            "natural-looking tuples vanish by antisymmetry, so the scan "
+            "records the minimal-index nonzero tuple",
+        ),
+        _ABSENT,
+    )

@@ -40,15 +40,12 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, product
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .frames import Endomorphism, FrameManifold, FrameVector
-from .report import Row, VerificationReport, first_witness, grade_rows
+from .report import first_witness
 from .scalars import Scalar
 from .tables import Table, sum_table
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
-    from .suite import Instance
 
 
 class ConnectionConsistencyError(Exception):
@@ -510,29 +507,3 @@ def _sasakian_orientation(report, name, x):
         {"residual": "neither orientation matches"} if orientation == "neither" else None,
         notes=(f"computed orientation: R(X,Y)xi = {orientation}",),
     )
-
-
-NKAPPA_ROWS: tuple[Row, ...] = (
-    ("nkappa.nullity_constant", _nullity_constant),
-    ("nkappa.xi_covariant_derivative", _xi_covariant_derivative),
-    ("nkappa.xi_covariant_derivative_reference_form", _xi_covariant_derivative_reference),
-    ("nkappa.phi_covariant_derivative", _phi_covariant_derivative),
-    ("nkappa.h_square", _h_square),
-    ("nkappa.h_covariant_derivative", _h_covariant_derivative),
-    ("nkappa.eta_covariant_derivative", _eta_covariant_derivative),
-    ("nkappa.curvature_xi_xi", _curvature_xi_xi),
-    ("nkappa.curvature_pair_xi", _curvature_pair_xi),
-    ("nkappa.curvature_xi_argument", _curvature_xi_argument),
-    ("nkappa.ricci_closed_form", _ricci_closed_form),
-    ("nkappa.ricci_xi_values", _ricci_xi_values),
-    ("nkappa.scalar_curvature_value", _scalar_curvature_value),
-    ("nkappa.sasakian_curvature_xi_orientation", _sasakian_orientation),
-)
-
-
-def verify_nkappa_suite(x: "Instance") -> VerificationReport:
-    """Grade the nullity-class identities of ``x`` against its nullity
-    constant ``x.kappa``; every row is not_applicable when ``x.gate_note``
-    is set, as when no single kappa fits (the rows stated through R1 rely on
-    eta = g(., xi) and eta(xi) = 1)."""
-    return grade_rows(NKAPPA_ROWS, x)

@@ -20,11 +20,11 @@ one: its witness counts the tuples that agree and lists the few that
 differ, so a tuple absent from the table agrees without being evaluated or
 written.
 
-A derived section is an ordered tuple of rows ``(name, build)``;
-``grade_rows`` calls ``build(report, name, x)`` for each, which grades the
-named check from the instance ``x`` through one verdict helper, unless the
-instance carries a gate note.  The rows
-are the only place a derived check's name is written down.
+Every check after the structural layer is a row ``(name, build)`` of one
+ordered catalogue (``suite.CATALOGUE``), the only place its name is written.
+``grade_rows`` is the one gate: for each row it takes the instance's verdict
+``x.gate(name)`` when there is one, and otherwise calls
+``build(report, name, x)``, which grades the check through one verdict helper.
 
 Serialization is deterministic: no timestamps, stable key order, check
 order fixed by construction order.  Two runs over the same input must
@@ -126,6 +126,15 @@ class VerificationReport:
             return self.holds(name)
         return self.not_applicable(name, witness=witness, notes=(note,))
 
+    def nonvanishing(
+        self, name: str, witness: dict | None, what: str, notes, vanished_notes
+    ) -> Check:
+        """A quantity that must not vanish identically: holds with
+        ``witness``, its first nonzero value, or fails when there is none."""
+        if witness is not None:
+            return self.holds(name, witness=witness, notes=notes)
+        return self.fails(name, {"residual": f"{what} vanished identically"}, vanished_notes)
+
     def crosscheck(
         self, name: str, count: int, differs: Iterable[tuple[int, ...]], residual: Callable, notes
     ) -> Check:
@@ -175,15 +184,16 @@ Row = tuple[str, Callable[[VerificationReport, str, Any], None]]
 
 
 def grade_rows(rows: Iterable[Row], x: Any) -> VerificationReport:
-    """One report holding each row's check, in row order.  When the instance
-    is gated (``x.gate_note`` is not empty) no row is built: each is
-    not_applicable with the note."""
-    report, note = VerificationReport(), x.gate_note
+    """One report holding each row's check, in row order: the instance's
+    verdict ``x.gate(name)`` when it gates the row, else the check that the
+    row's build grades."""
+    report = VerificationReport()
     for name, build in rows:
-        if note:
-            report.not_applicable(name, notes=(note,))
-        else:
+        verdict = x.gate(name)
+        if verdict is None:
             build(report, name, x)
+        else:
+            report.checks.append(verdict)
     return report
 
 

@@ -19,19 +19,21 @@ structure satisfying the nullity condition; when the structural layer
 fails, or no single nullity constant fits the curvature, those suites are
 emitted as not_applicable entries carrying a gate note
 (``Instance.gate_note``) instead of misgrading identities whose hypotheses
-are absent; each section grader applies the gate itself.  Named suites
-("nkappa", "gtw", "concircular") emit only their own section, gated the
-same way; "frame" emits only the structural layer; "all" emits everything
-in order.
+are absent, and the gtw.* and conc.* rows fail with the reason when the
+torsionful connection cannot be built.  Every check after the structural
+layer is a row of one ordered catalogue, ``CATALOGUE``, and
+``report.grade_rows`` is its one gate: it asks the instance for each row's
+verdict (``Instance.gate``).  Named suites ("nkappa", "gtw", "concircular")
+emit only their own section; "frame" emits the structural layer and the
+classification; "all" emits everything in order.
 
 A run derives everything from one ``Instance``: the input, and every layer
 as a cached property, so each is computed at most once and only when read.
 The Levi-Civita connection and its curvature are layers too: a run whose
 structural layer fails reads neither, because every derived row is gated
-and the classification asks for kappa only when the acm layer holds.  Each
-derived section is a table of rows (``NKAPPA_ROWS``, ``GTW_ROWS``,
-``CONC_ROWS``); the check catalogues, the gated entries and the report order
-all come from those tables.
+and the classification asks for kappa only when the acm layer holds.  A
+section grader (``verify_gtw_suite``, say) grades its section's rows, so
+called on its own it emits what ``run_suite`` emits for that section.
 
 A derived row reads its residual from a table of the nonzero values, summed
 from products of the nonzero entries of its operands (``tables.sum_table``)
@@ -59,11 +61,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .concircular import CONC_ROWS, ConcircularTensor, concircular, verify_concircular_suite
+from .concircular import (
+    ConcircularTensor, _eta_contraction, _eta_contraction_reference, _phi_flatness,
+    _ricci_action_obstruction, _ricci_action_slice, _self_action_obstruction, _xi_argument,
+    _xi_double_contraction, _xi_double_contraction_phi_square, _xi_flatness_obstruction, _xi_pair,
+    concircular,
+)
 from .contact import (
     AlmostContactData,
     StructureClass,
@@ -72,34 +79,29 @@ from .contact import (
     validate_acm,
 )
 from .curvature import (
-    NKAPPA_ROWS,
-    BilinearForm,
-    Connection,
-    ConnectionConsistencyError,
-    Curvature4Tensor,
-    levi_civita,
-    ricci,
-    riemann,
-    verify_nkappa_suite,
+    BilinearForm, Connection, ConnectionConsistencyError, Curvature4Tensor, _curvature_pair_xi,
+    _curvature_xi_argument, _curvature_xi_xi, _eta_covariant_derivative, _h_covariant_derivative,
+    _h_square, _nullity_constant, _phi_covariant_derivative, _ricci_closed_form, _ricci_xi_values,
+    _sasakian_orientation, _scalar_curvature_value, _xi_covariant_derivative,
+    _xi_covariant_derivative_reference, levi_civita, ricci, riemann,
 )
 from .frames import Endomorphism, FrameManifold, FrameVector, vectors
-from .report import VerificationReport, first_witness
+from .report import FAILS, NOT_APPLICABLE, Check, Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
 from .tables import Product, Table, sum_table, table_witness
 from .tanaka_webster import (
-    GTW_ROWS,
-    GtwPackage,
-    build_gtw_package,
-    space_form_templates,
-    verify_gtw_suite,
+    GtwPackage, _curvature_closed_form, _curvature_closed_form_crosscheck, _curvature_xi,
+    _cyclic_sum_crosscheck, _eta_einstein_fit, _eta_parallel, _first_pair_antisymmetry,
+    _gtw_ricci_closed_form, _gtw_scalar_curvature_value, _h_derivative_relation,
+    _h_derivative_relation_reference, _last_pair_antisymmetry, _metric_parallel,
+    _pair_interchange_crosscheck, _phi_derivative_relation, _phi_parallel, _ricci_alternative_form,
+    _ricci_symmetry, _ricci_xi_degenerate, _scalar_curvature_relation, _space_form_decomposition,
+    _torsion_closed_form, _torsion_closed_form_reference, _torsion_nonzero, _xi_parallel,
+    build_gtw_package, space_form_templates,
 )
 from .version import ENGINE_VERSION
 
 SUITES = ("all", "frame", "nkappa", "gtw", "concircular")
-
-NKAPPA_CHECK_NAMES = tuple(name for name, _ in NKAPPA_ROWS)
-GTW_CHECK_NAMES = tuple(name for name, _ in GTW_ROWS)
-CONC_CHECK_NAMES = tuple(name for name, _ in CONC_ROWS)
 
 _STRUCTURAL_GATE = (
     "gated: the structural layer (frame.*/acm.*) fails on this input; "
@@ -109,6 +111,7 @@ _KAPPA_GATE = (
     "gated: no single nullity constant reproduces R(X, Y)xi on this "
     "instance, so the nullity-based identities have no hypothesis to test"
 )
+_CONNECTION_NOTE = ("the torsionful connection could not be built",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +127,9 @@ class Instance:
     _r1_witnesses: dict = field(default_factory=dict, init=False, repr=False)
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
-    def scan(self, arity: int, residual: Callable, key: str = "residual") -> dict | None:
+    def scan(self, arity: int, residual: Callable) -> dict | None:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
-        return first_witness(product(range(self.m.dim), repeat=arity), residual, key)
+        return first_witness(product(range(self.m.dim), repeat=arity), residual)
 
     def table_scan(
         self,
@@ -272,13 +275,26 @@ class Instance:
     @cached_property
     def gate_note(self) -> str:
         """Why the derived rows do not apply, "" when they do: the structural
-        layer fails, or no single nullity constant fits.  ``report.grade_rows``
-        emits every row of a gated section as not_applicable with this note."""
+        layer fails, or no single nullity constant fits."""
         if self.structural_report.has_failures:
             return _STRUCTURAL_GATE
         if self.kappa is None:
             return _KAPPA_GATE
         return ""
+
+    def gate(self, name: str) -> Check | None:
+        """The verdict on the catalogue row ``name`` when this instance gates
+        it, None when the row is graded.  Every nkappa.*, gtw.* and conc.* row
+        is not_applicable with ``gate_note`` when that is set; otherwise a
+        gtw.* or conc.* row fails with ``connection_error`` when that is set."""
+        section = name.partition(".")[0]
+        if section == "acm":
+            return None
+        if self.gate_note:
+            return Check(name, NOT_APPLICABLE, convention_notes=(self.gate_note,))
+        if section in ("gtw", "conc") and self.connection_error:
+            return Check(name, FAILS, {"residual": self.connection_error}, _CONNECTION_NOTE)
+        return None
 
     @cached_property
     def templates(self) -> tuple[Curvature4Tensor, ...]:
@@ -379,6 +395,16 @@ class Instance:
         return build_gtw_package(self.m, self.s, self.lc, self.xh_phi, self.phi_h)
 
     @cached_property
+    def connection_error(self) -> str:
+        """Why the torsionful connection cannot be built (the
+        ``ConnectionConsistencyError`` text), "" once ``pkg`` is built."""
+        try:
+            self.pkg
+        except ConnectionConsistencyError as exc:
+            return str(exc)
+        return ""
+
+    @cached_property
     def dphi_gtw(self) -> tuple[Endomorphism, ...]:
         conn = self.pkg.conn
         return tuple(conn.derivative_endo(i, self.s.phi) for i in range(self.m.dim))
@@ -418,6 +444,100 @@ def classify(
     return x.classification
 
 
+def _classification(report, name, x):
+    cls = x.classification
+    report.holds(
+        name,
+        witness={
+            "is_contact_metric": str(cls.is_contact_metric).lower(),
+            "is_K_contact": str(cls.is_K_contact).lower(),
+            "is_Sasakian": str(cls.is_Sasakian).lower(),
+            "kappa": str(cls.kappa) if cls.kappa is not None else "none",
+        },
+        notes=("informational classification; the values are data",),
+    )
+
+
+# Every check after the structural layer, in report order; ``Instance.gate``
+# reads a row's hypothesis from its section, the part of its name before the dot.
+CATALOGUE: tuple[Row, ...] = (
+    ("acm.classification", _classification),
+    ("nkappa.nullity_constant", _nullity_constant),
+    ("nkappa.xi_covariant_derivative", _xi_covariant_derivative),
+    ("nkappa.xi_covariant_derivative_reference_form", _xi_covariant_derivative_reference),
+    ("nkappa.phi_covariant_derivative", _phi_covariant_derivative),
+    ("nkappa.h_square", _h_square),
+    ("nkappa.h_covariant_derivative", _h_covariant_derivative),
+    ("nkappa.eta_covariant_derivative", _eta_covariant_derivative),
+    ("nkappa.curvature_xi_xi", _curvature_xi_xi),
+    ("nkappa.curvature_pair_xi", _curvature_pair_xi),
+    ("nkappa.curvature_xi_argument", _curvature_xi_argument),
+    ("nkappa.ricci_closed_form", _ricci_closed_form),
+    ("nkappa.ricci_xi_values", _ricci_xi_values),
+    ("nkappa.scalar_curvature_value", _scalar_curvature_value),
+    ("nkappa.sasakian_curvature_xi_orientation", _sasakian_orientation),
+    ("gtw.metric_parallel", _metric_parallel),
+    ("gtw.xi_parallel", _xi_parallel),
+    ("gtw.eta_parallel", _eta_parallel),
+    ("gtw.phi_derivative_relation", _phi_derivative_relation),
+    ("gtw.phi_parallel", _phi_parallel),
+    ("gtw.h_derivative_relation", _h_derivative_relation),
+    ("gtw.h_derivative_relation_reference_form", _h_derivative_relation_reference),
+    ("gtw.torsion_nonzero", _torsion_nonzero),
+    ("gtw.torsion_closed_form", _torsion_closed_form),
+    ("gtw.torsion_closed_form_reference_form", _torsion_closed_form_reference),
+    ("gtw.curvature_first_pair_antisymmetry", _first_pair_antisymmetry),
+    ("gtw.curvature_last_pair_antisymmetry", _last_pair_antisymmetry),
+    ("gtw.curvature_xi_pair", _curvature_xi((2,))),
+    ("gtw.curvature_xi_first", _curvature_xi((0,))),
+    ("gtw.curvature_xi_double", _curvature_xi((1, 2))),
+    ("gtw.curvature_closed_form", _curvature_closed_form),
+    ("gtw.curvature_closed_form_crosscheck", _curvature_closed_form_crosscheck),
+    ("gtw.pair_interchange_crosscheck", _pair_interchange_crosscheck),
+    ("gtw.cyclic_sum_crosscheck", _cyclic_sum_crosscheck),
+    ("gtw.ricci_closed_form", _gtw_ricci_closed_form),
+    ("gtw.ricci_alternative_form", _ricci_alternative_form),
+    ("gtw.ricci_xi_degenerate", _ricci_xi_degenerate),
+    ("gtw.ricci_symmetry", _ricci_symmetry),
+    ("gtw.scalar_curvature_value", _gtw_scalar_curvature_value),
+    ("gtw.scalar_curvature_relation", _scalar_curvature_relation),
+    ("gtw.space_form_decomposition", _space_form_decomposition),
+    ("gtw.eta_einstein_fit", _eta_einstein_fit),
+    ("conc.xi_double_contraction", _xi_double_contraction),
+    ("conc.xi_double_contraction_phi_square_variant", _xi_double_contraction_phi_square),
+    ("conc.xi_pair", _xi_pair),
+    ("conc.xi_argument", _xi_argument),
+    ("conc.eta_contraction", _eta_contraction),
+    ("conc.eta_contraction_reference_form", _eta_contraction_reference),
+    ("conc.xi_flatness_obstruction", _xi_flatness_obstruction),
+    ("conc.phi_flatness", _phi_flatness),
+    ("conc.ricci_action_obstruction", _ricci_action_obstruction),
+    ("conc.ricci_action_slice", _ricci_action_slice),
+    ("conc.self_action_obstruction", _self_action_obstruction),
+)
+
+
+@cache
+def section(prefix: str) -> tuple[Row, ...]:
+    """The catalogue's rows whose names start with ``prefix``, in order."""
+    return tuple(row for row in CATALOGUE if row[0].startswith(prefix))
+
+
+def verify_nkappa_suite(x: Instance) -> VerificationReport:
+    """The nullity-class identities of ``x``, graded against ``x.kappa``."""
+    return grade_rows(section("nkappa."), x)
+
+
+def verify_gtw_suite(x: Instance) -> VerificationReport:
+    """The identities of the torsionful connection ``x.pkg``."""
+    return grade_rows(section("gtw."), x)
+
+
+def verify_concircular_suite(x: Instance) -> VerificationReport:
+    """The xi-contraction identities and the obstructions of ``x.z``."""
+    return grade_rows(section("conc."), x)
+
+
 def run_suite(
     m: FrameManifold,
     s: AlmostContactData,
@@ -428,52 +548,29 @@ def run_suite(
 
     The layers a section reads (kappa, the torsionful package, Z) are built
     here, before the section runs, so a section's own work excludes them; a
-    gated run builds neither the package nor Z, and each section grader emits
-    its gated entries itself (``Instance.gate_note``).
+    gated run builds neither the package nor Z.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
-    report = VerificationReport(
-        manifest_hash=manifest_hash, engine_version=ENGINE_VERSION
-    )
+    report = VerificationReport(manifest_hash=manifest_hash, engine_version=ENGINE_VERSION)
     x = Instance(m, s)
 
     if suite in ("all", "frame"):
         report.extend(x.structural_report)
-        cls = x.classification
-        report.holds(
-            "acm.classification",
-            witness={
-                "is_contact_metric": str(cls.is_contact_metric).lower(),
-                "is_K_contact": str(cls.is_K_contact).lower(),
-                "is_Sasakian": str(cls.is_Sasakian).lower(),
-                "kappa": str(cls.kappa) if cls.kappa is not None else "none",
-            },
-            notes=("informational classification; the values are data",),
-        )
-
+        report.extend(grade_rows(section("acm."), x))
     if suite == "frame":
         return report
     # read before the sections, so that kappa is not a section's own work
-    gated = bool(x.gate_note)
+    x.gate_note
     if suite in ("all", "nkappa"):
         report.extend(verify_nkappa_suite(x))
     gtw, conc = suite in ("all", "gtw"), suite in ("all", "concircular")
-    if (gtw or conc) and not gated:
-        try:
-            x.pkg
-        except ConnectionConsistencyError as exc:
-            for name, _ in (GTW_ROWS if gtw else ()) + (CONC_ROWS if conc else ()):
-                report.fails(
-                    name,
-                    witness={"residual": str(exc)},
-                    notes=("the torsionful connection could not be built",),
-                )
-            return report
+    # connection_error builds the package, unless the sections are gated
+    built = (gtw or conc) and not x.gate_note and not x.connection_error
     if gtw:
         report.extend(verify_gtw_suite(x))
     if conc:
-        if not gated:
+        if built:
             x.z
         report.extend(verify_concircular_suite(x))
     return report

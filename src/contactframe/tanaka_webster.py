@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .contact import AlmostContactData
 from .curvature import (
@@ -57,12 +57,9 @@ from .curvature import (
 )
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .linear import exact_fit
-from .report import Row, VerificationReport, first_witness, grade_rows
+from .report import first_witness
 from .scalars import Scalar
 from .tables import Table, sum_table
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, no runtime cycle
-    from .suite import Instance
 
 
 @dataclass(frozen=True)
@@ -238,10 +235,7 @@ def _h_derivative_relation_reference(report, name, x):
 def _torsion_nonzero(report, name, x):
     notes = ("a contact metric instance must make this connection non-symmetric",)
     first_nonzero = x.table_scan(lambda: x.pkg.torsion, key="value", depth=0)
-    if first_nonzero is not None:
-        report.holds(name, witness=first_nonzero, notes=notes)
-    else:
-        report.fails(name, witness={"residual": "torsion vanished identically"}, notes=notes)
+    report.nonvanishing(name, first_nonzero, "torsion", notes, notes)
 
 
 # T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
@@ -464,7 +458,7 @@ def _cyclic_sum_crosscheck(report, name, x):
 
 
 # -- Ricci and scalar curvature ---------------------------------------------------
-def _ricci_closed_form(report, name, x):
+def _gtw_ricci_closed_form(report, name, x):
     m, eta, ric = x.m, x.s.eta.components, x.pkg.ricci.components
     two_nk_plus_2 = x.kappa.scale(2 * m.n) + m.constant(2)
     report.graded(
@@ -514,7 +508,7 @@ def _ricci_symmetry(report, name, x):
     )
 
 
-def _scalar_curvature_value(report, name, x):
+def _gtw_scalar_curvature_value(report, name, x):
     tau, target = x.pkg.tau, x.m.constant(4 * x.m.n * x.m.n)
     value = tau - target
     report.graded(
@@ -566,45 +560,6 @@ def _eta_einstein_fit(report, name, x):
     else:
         a_coeff, b_coeff = fit
         report.holds(name, witness={"A": str(a_coeff), "B": str(b_coeff)})
-
-
-GTW_ROWS: tuple[Row, ...] = (
-    ("gtw.metric_parallel", _metric_parallel),
-    ("gtw.xi_parallel", _xi_parallel),
-    ("gtw.eta_parallel", _eta_parallel),
-    ("gtw.phi_derivative_relation", _phi_derivative_relation),
-    ("gtw.phi_parallel", _phi_parallel),
-    ("gtw.h_derivative_relation", _h_derivative_relation),
-    ("gtw.h_derivative_relation_reference_form", _h_derivative_relation_reference),
-    ("gtw.torsion_nonzero", _torsion_nonzero),
-    ("gtw.torsion_closed_form", _torsion_closed_form),
-    ("gtw.torsion_closed_form_reference_form", _torsion_closed_form_reference),
-    ("gtw.curvature_first_pair_antisymmetry", _first_pair_antisymmetry),
-    ("gtw.curvature_last_pair_antisymmetry", _last_pair_antisymmetry),
-    ("gtw.curvature_xi_pair", _curvature_xi((2,))),
-    ("gtw.curvature_xi_first", _curvature_xi((0,))),
-    ("gtw.curvature_xi_double", _curvature_xi((1, 2))),
-    ("gtw.curvature_closed_form", _curvature_closed_form),
-    ("gtw.curvature_closed_form_crosscheck", _curvature_closed_form_crosscheck),
-    ("gtw.pair_interchange_crosscheck", _pair_interchange_crosscheck),
-    ("gtw.cyclic_sum_crosscheck", _cyclic_sum_crosscheck),
-    ("gtw.ricci_closed_form", _ricci_closed_form),
-    ("gtw.ricci_alternative_form", _ricci_alternative_form),
-    ("gtw.ricci_xi_degenerate", _ricci_xi_degenerate),
-    ("gtw.ricci_symmetry", _ricci_symmetry),
-    ("gtw.scalar_curvature_value", _scalar_curvature_value),
-    ("gtw.scalar_curvature_relation", _scalar_curvature_relation),
-    ("gtw.space_form_decomposition", _space_form_decomposition),
-    ("gtw.eta_einstein_fit", _eta_einstein_fit),
-)
-
-
-def verify_gtw_suite(x: "Instance") -> VerificationReport:
-    """Grade every identity of the torsionful connection ``x.pkg``, exactly;
-    every row is not_applicable when ``x.gate_note`` is set (the rows read
-    the nullity constant, and those stated through R1 rely on eta = g(., xi)
-    and eta(xi) = 1)."""
-    return grade_rows(GTW_ROWS, x)
 
 
 _GSSF_NAMES = ("F1", "F2", "F3")

@@ -19,6 +19,7 @@ from contactframe import (
     make_heisenberg,
     make_lambda_family,
     riemann,
+    run_suite,
     validate_acm,
 )
 
@@ -54,6 +55,27 @@ def spans(monkeypatch):
 def test_every_traced_layer_resolves(spans):
     for owner, attr, *_ in spans.LAYERS:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_a_traced_run_records_every_layer_outside_the_sections(spans):
+    """One traced H^5 ``run_suite("all")``, wrapped as perfbench wraps it,
+    records a span for every layer but ``contact.classify`` (which
+    ``run_suite`` never calls), and the torsionful package and Z are built
+    outside every section span, so that no per-layer figure reads 0 or is
+    counted inside a section's."""
+    entry = make_heisenberg(2)
+    tracer = spans.Tracer()
+    with tracer.request(0), tracer.layers_patched(), tracer.span("suite.run"):
+        run_suite(entry.manifold, entry.structure, "all")
+    recorded = {sp.name for sp in tracer.spans}
+    assert {name for _, _, name, *_ in spans.LAYERS} - recorded == {"contact.classify"}
+    by_id = {sp.id: sp for sp in tracer.spans}
+    for sp in tracer.spans:
+        if sp.name in ("tanaka_webster.package", "concircular.tensor"):
+            parent = sp.parent
+            while parent is not None:
+                assert not by_id[parent].name.endswith(".suite"), sp.name
+                parent = by_id[parent].parent
 
 
 @pytest.mark.parametrize(

@@ -40,10 +40,11 @@ from contactframe import (
     make_lambda_family,
     run_suite,
 )
-from contactframe.curvature import NKAPPA_ROWS, torsion_table
+from contactframe.curvature import torsion_table
 from contactframe.report import VerificationReport, first_witness
 from contactframe.tables import sum_table
-from contactframe.tanaka_webster import GTW_ROWS, closed_form_slabs
+from contactframe.suite import CATALOGUE
+from contactframe.tanaka_webster import closed_form_slabs
 from vector_reference import apply, bracket
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -239,7 +240,7 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
 
 # -- the vector rows over pairs of frame vectors ---------------------------------
 
-ROWS = dict(NKAPPA_ROWS + GTW_ROWS)
+ROWS = dict(CATALOGUE)
 
 # the rows whose residual is a vector over one or two frame vectors
 VECTOR_ROWS = (

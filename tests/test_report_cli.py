@@ -12,20 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import contactframe.cli as cli
 from contactframe import (
+    SUITES,
+    Instance,
     Scalar,
     VerificationReport,
     emit,
     load_manifest,
-    verify_concircular_suite,
-    verify_gtw_suite,
-    verify_nkappa_suite,
+    load_manifest_file,
+    run_suite,
 )
 from contactframe.report import _json
-from contactframe.suite import (
-    CONC_CHECK_NAMES,
-    GTW_CHECK_NAMES,
-    NKAPPA_CHECK_NAMES,
-)
+from contactframe.suite import CATALOGUE
 
 LAMBDA = "manifests/lambda_family.json"
 ABELIAN = "manifests/abelian3.json"
@@ -124,22 +121,40 @@ def test_emit_rejects_unknown_format():
         emit(VerificationReport(), "yaml")
 
 
-def test_catalogues_match_emitted_names(fam):
-    nk = verify_nkappa_suite(fam)
-    assert tuple(c.name for c in nk.checks) == NKAPPA_CHECK_NAMES
-    gt = verify_gtw_suite(fam)
-    assert tuple(c.name for c in gt.checks) == GTW_CHECK_NAMES
-    cc = verify_concircular_suite(fam)
-    assert tuple(c.name for c in cc.checks) == CONC_CHECK_NAMES
+# the catalogue's sections that each suite emits after the structural layer
+SUITE_SECTIONS = {
+    "all": ("acm", "nkappa", "gtw", "conc"),
+    "frame": ("acm",),
+    "nkappa": ("nkappa",),
+    "gtw": ("gtw",),
+    "concircular": ("conc",),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("manifest", ["lambda_family.json", "kmu3.json", "random5.json"])
+def test_report_names_follow_the_catalogue(manifest, suite):
+    """After the structural layer a report names the catalogue's rows of the
+    requested sections, in catalogue order, on an ungated input (symbolic
+    lambda), a kappa-gated one (kmu3) and a structurally gated one (random5)."""
+    m, s = load_manifest_file(str(MANIFESTS / manifest))
+    structural = Instance(m, s).structural_report.checks if suite in ("all", "frame") else []
+    checks = run_suite(m, s, suite).checks
+    assert checks[: len(structural)] == structural
+    sections = SUITE_SECTIONS[suite]
+    expected = [name for name, _ in CATALOGUE if name.partition(".")[0] in sections]
+    assert [c.name for c in checks[len(structural) :]] == expected
 
 
 def test_each_derived_check_name_is_written_once():
-    """The section row tables are the only place a derived name is spelled."""
+    """The catalogue is the only place a name after the structural layer is
+    spelled."""
     src = Path(__file__).resolve().parent.parent / "src" / "contactframe"
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py")))
-    literals = Counter(re.findall(r"[\"'](?:nkappa|gtw|conc)\.[a-z_0-9]+[\"']", text))
-    catalogue = NKAPPA_CHECK_NAMES + GTW_CHECK_NAMES + CONC_CHECK_NAMES
-    assert literals == Counter(f'"{name}"' for name in catalogue)
+    literals = Counter(
+        re.findall(r"[\"'](?:(?:nkappa|gtw|conc)\.[a-z_0-9]+|acm\.classification)[\"']", text)
+    )
+    assert literals == Counter(f'"{name}"' for name, _ in CATALOGUE)
 
 
 # -- exit semantics ----------------------------------------------------------------
@@ -324,7 +339,7 @@ def test_verify_text_keeps_crosscheck_tuples_apart(capsys):
     out = capsys.readouterr().out.splitlines()
     lines = {
         name: next(line for line in out if f"] {name}  " in line)
-        for name in GTW_CHECK_NAMES
+        for name, _ in CATALOGUE
         if name.endswith("_crosscheck")
     }
     assert lines["gtw.pair_interchange_crosscheck"] == (

@@ -21,7 +21,6 @@ import pytest
 import residual_reference as ref
 from contactframe import Curvature4Tensor, Instance, Scalar
 from contactframe.concircular import (
-    CONC_ROWS,
     ConcircularTensor,
     eta_contraction_slabs,
     phi_flatness_slabs,
@@ -30,8 +29,8 @@ from contactframe.concircular import (
 )
 from contactframe.frames import vectors
 from contactframe.report import VerificationReport, first_witness
+from contactframe.suite import CATALOGUE
 from contactframe.tanaka_webster import (
-    GTW_ROWS,
     closed_form_slabs,
     cyclic_sum_table,
     pair_antisymmetry_table,
@@ -41,7 +40,7 @@ from test_component_contractions import NAMES, _build
 
 ROTATED = ["kmu3.json@3", "heisenberg5.json@3", "t1e4.json@3"]
 
-ROWS = dict(GTW_ROWS + CONC_ROWS)
+ROWS = dict(CATALOGUE)
 
 
 @pytest.fixture(scope="module", params=NAMES + ROTATED)

@@ -34,7 +34,7 @@ from contactframe import (
     verify_gtw_suite,
     verify_nkappa_suite,
 )
-from contactframe.suite import CONC_CHECK_NAMES, GTW_CHECK_NAMES, NKAPPA_CHECK_NAMES
+from contactframe.suite import CATALOGUE
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -53,22 +53,43 @@ def _load_ab():
 
 AB = _load_ab()
 
+GRADERS = {
+    "nkappa": verify_nkappa_suite,
+    "gtw": verify_gtw_suite,
+    "concircular": verify_concircular_suite,
+}
+
+
+def _names(*sections: str) -> tuple[str, ...]:
+    """The catalogue's names in the given sections ("nkappa", "gtw", "conc")."""
+    return tuple(name for name, _ in CATALOGUE if name.partition(".")[0] in sections)
+
+
+def _break_the_connection(monkeypatch) -> list:
+    """Make building the torsionful connection raise; the calls made are listed."""
+    calls = []
+
+    def broken_package(*args, **kwargs):
+        calls.append(args)
+        raise ConnectionConsistencyError(BROKEN)
+
+    monkeypatch.setattr(suite_mod, "build_gtw_package", broken_package)
+    return calls
+
 
 @pytest.mark.parametrize(
     ("suite", "derived"),
     [
-        ("all", GTW_CHECK_NAMES + CONC_CHECK_NAMES),
-        ("gtw", GTW_CHECK_NAMES),
-        ("concircular", CONC_CHECK_NAMES),
+        ("all", _names("gtw", "conc")),
+        ("gtw", _names("gtw")),
+        ("concircular", _names("conc")),
     ],
 )
 def test_connection_failure_fails_every_derived_check(monkeypatch, suite, derived):
-    def broken_package(*args, **kwargs):
-        raise ConnectionConsistencyError(BROKEN)
-
-    monkeypatch.setattr(suite_mod, "build_gtw_package", broken_package)
+    _break_the_connection(monkeypatch)
     entry = make_lambda_family(None)
-    report = run_suite(entry.manifold, entry.structure, suite)
+    m, s = entry.manifold, entry.structure
+    report = run_suite(m, s, suite)
 
     tail = report.checks[len(report.checks) - len(derived) :]
     assert tuple(c.name for c in tail) == derived
@@ -80,10 +101,30 @@ def test_connection_failure_fails_every_derived_check(monkeypatch, suite, derive
     head = [c.name for c in report.checks[: len(report.checks) - len(derived)]]
     if suite == "all":
         # the structural layer and the nullity section come first, unaffected
-        assert head[-len(NKAPPA_CHECK_NAMES) :] == list(NKAPPA_CHECK_NAMES)
+        assert head[-len(_names("nkappa")) :] == list(_names("nkappa"))
         assert report.by_name("nkappa.nullity_constant").status == "holds"
     else:
         assert head == []
+    # a section grader called on its own meets the same failure
+    for section in ("gtw", "concircular") if suite == "all" else (suite,):
+        assert GRADERS[section](Instance(m, s)).checks == run_suite(m, s, section).checks
+
+
+def test_a_gated_run_never_builds_the_connection(monkeypatch):
+    """On the structurally gated random5 every gtw and conc row is
+    not_applicable with the structural note, in run_suite and in each grader
+    called alone, and the broken ``build_gtw_package`` is never called."""
+    calls = _break_the_connection(monkeypatch)
+    m, s = load_manifest_file(str(MANIFESTS / "random5.json"))
+    alone = (GRADERS[section](Instance(m, s)) for section in ("gtw", "concircular"))
+    reports = [run_suite(m, s, "all"), *alone]
+    derived = [c for r in reports for c in r.checks if c.name.startswith(("gtw.", "conc."))]
+    assert [c.name for c in derived] == list(_names("gtw", "conc")) * 2
+    for check in derived:
+        assert check.status == "not_applicable"
+        assert check.witness is None
+        assert check.convention_notes == (suite_mod._STRUCTURAL_GATE,)
+    assert calls == []
 
 
 def _count_calls(monkeypatch) -> dict[str, int]:
@@ -177,13 +218,6 @@ def test_heisenberg_run_builds_each_xi_table_once(monkeypatch):
         + [("curv", xi_at) for xi_at in ((2,), (0,), (1, 2))]
         + [("Z", xi_at) for xi_at in ((1, 2), (2,), (1,), (0,))]
     )
-
-
-GRADERS = {
-    "nkappa": verify_nkappa_suite,
-    "gtw": verify_gtw_suite,
-    "concircular": verify_concircular_suite,
-}
 
 
 @pytest.mark.parametrize("section", GRADERS)

@@ -18,7 +18,8 @@ the median request and the sum is dominated by the dimension-7 frames.
 
 Before the timed rounds each tree counts, once per case, the work of one
 ``run_suite("all")`` plus emit on a freshly loaded input (``work_counts``):
-the calls of ``Scalar.sum_of_products``, those that return zero, the
+the sums of products (one per index a ``sum_table`` call names, plus each
+``Scalar.sum_of_products`` call made outside it), those that are zero, the
 Scalars constructed, and the JSON report's bytes.  Counts that differ
 between the trees are data, not an error.
 
@@ -64,6 +65,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from io import BytesIO
 from pathlib import Path
@@ -139,35 +141,71 @@ def cases(cf) -> dict[str, list[str]]:
     return out
 
 
-def work_counts(cf, m, s) -> dict:
-    """Calls of the fused kernel, the kernel's calls that return zero, the
-    Scalars constructed and the JSON report's bytes of one
-    ``run_suite("all")`` plus emit in the package ``cf``, on a fresh copy of
-    the input (``load_manifest(dump_manifest(m, s))``), so that no cache left
-    on m and s lowers the counts.  The counters wrap ``cf``'s own Scalar
-    class and are removed again."""
-    m, s = cf.load_manifest(cf.dump_manifest(m, s))
-    scalar = cf.Scalar
+@contextmanager
+def counting(cf):
+    """Count, while the block runs, the sums of products of the package
+    ``cf``, those that are zero, and the Scalars constructed; yields the
+    counts dict, which the block may read after it ends.
+
+    A sum is one index that a ``sum_table`` call's products name (zero when
+    the index is missing from the table), or one ``Scalar.sum_of_products``
+    call made outside ``sum_table``, so the figures do not depend on
+    whether the table kernel sums through ``sum_of_products``.  Every module
+    of ``cf`` that binds ``sum_table`` by name gets the counting wrapper,
+    and every wrapper is removed again."""
     counts = {"sum_of_products": 0, "zero_sums": 0, "scalars": 0}
-    sum_of_products, init = scalar.sum_of_products, scalar.__init__
+    scalar, tables = cf.Scalar, sys.modules[cf.__name__ + ".tables"]
+    sum_table, sum_of_products, init = tables.sum_table, scalar.sum_of_products, scalar.__init__
+    inside = [False]
+
+    def counted_sum_table(params, products):
+        products = list(products)
+        named = len({index for index, _, _ in products})
+        inside[0] = True
+        try:
+            table = sum_table(params, products)
+        finally:
+            inside[0] = False
+        counts["sum_of_products"] += named
+        counts["zero_sums"] += named - len(table)
+        return table
 
     def counted_sum_of_products(*args):
-        counts["sum_of_products"] += 1
         value = sum_of_products(*args)
-        counts["zero_sums"] += not value.terms
+        if not inside[0]:
+            counts["sum_of_products"] += 1
+            counts["zero_sums"] += not value.terms
         return value
 
     def counted_init(*args):
         counts["scalars"] += 1
         init(*args)
 
+    bound = [
+        module for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == cf.__name__ and getattr(module, "sum_table", None) is sum_table
+    ]
+    for module in bound:
+        module.sum_table = counted_sum_table
     scalar.sum_of_products = staticmethod(counted_sum_of_products)
     scalar.__init__ = counted_init
     try:
-        text = cf.emit(cf.run_suite(m, s, "all"), "json")
+        yield counts
     finally:
+        for module in bound:
+            module.sum_table = sum_table
         scalar.sum_of_products = staticmethod(sum_of_products)
         scalar.__init__ = init
+
+
+def work_counts(cf, m, s) -> dict:
+    """The sums of products, zero sums and Scalars (``counting``) and the
+    JSON report's bytes of one ``run_suite("all")`` plus emit in the package
+    ``cf``, on a fresh copy of the input (``load_manifest(dump_manifest(m,
+    s))``), so that no cache left on m and s lowers the counts."""
+    m, s = cf.load_manifest(cf.dump_manifest(m, s))
+    with counting(cf) as counts:
+        text = cf.emit(cf.run_suite(m, s, "all"), "json")
     counts["json_bytes"] = len(text.encode())
     return counts
 

@@ -342,11 +342,13 @@ class BilinearForm:
 
 
 def ricci(m: FrameManifold, r: Curvature4Tensor) -> BilinearForm:
-    """S(E_j, E_l) = sum_i R(E_j, E_i, E_i, E_l)."""
-    idx, zero = range(m.dim), m.zero_scalar()
-    return BilinearForm(
-        tuple(tuple(sum((r.lowered(j, i, i, l) for i in idx), zero) for l in idx) for j in idx)
+    """S(E_j, E_l) = sum_i R(E_j, E_i, E_i, E_l): one ``sum_table`` over the
+    nonzero components (j, i, i, l)."""
+    idx, zero, one = range(m.dim), m.zero_scalar(), m.one_scalar()
+    sums = sum_table(
+        m.params, (((j, l), c, one) for (j, i, k, l), c in r.table.items() if i == k)
     )
+    return BilinearForm(tuple(tuple(sums.get((j, l), zero) for l in idx) for j in idx))
 
 
 def scalar_curvature(m: FrameManifold, s: BilinearForm) -> Scalar:

@@ -40,13 +40,16 @@ operand goes through ``isinstance(other, (int, Fraction))``, an ABC check,
 after which ``*`` scales by it; anything else, a float included, gives
 ``NotImplemented``, so ``Scalar + 1`` and ``Scalar * 1.5`` raise TypeError.
 Between Scalars the parameter lists are compared first, so a mismatch is
-raised even when an operand is zero, then zero operands, constant factors
-and one-term products short-circuit.  Contractions (sums of products) go
-through ``Scalar.sum_of_products``, which accumulates every live product in
-one dict and canonicalises once; over no parameters every live operand is
-a one-term constant, and two or more live products are summed in one
-unreduced (numerator, denominator) pair of ints that is reduced once.  A
-sum of two Scalars merges their descending term tuples, so it never sorts.
+raised even when an operand is zero; then zero operands short-circuit, and
+one-term operands take a direct path that builds one term: ``*`` of two
+one-term Scalars (a factor 1 returns the other operand itself), ``+`` and
+``-`` of two, unary ``-`` and ``scale``.  A sum of two Scalars merges their
+descending term tuples, so it never sorts.
+
+Sums of products are the contraction kernel ``tables.sum_table``, and
+``Scalar.sum_of_products`` for one sum: one live product is a * b, and two
+or more are added with ``_accumulate`` into unreduced sums of ints, reduced
+once by ``_reduced``.
 
 ``parse_scalar`` evaluates a coefficient string into one monomial ->
 coefficient dict and builds a single Scalar from it.
@@ -114,14 +117,12 @@ class Scalar:
     def sum_of_products(
         params: tuple[str, ...], pairs: Iterable[tuple["Scalar", "Scalar"]]
     ) -> "Scalar":
-        """The sum of a * b over the pairs, accumulated in one dict, or over
-        no parameters in one (numerator, denominator) pair."""
+        """The sum of a * b over the pairs: one live product is a * b, and two
+        or more are one ``_accumulate`` sum, reduced once."""
         live = []
         for a, b in pairs:
             if a.params != params or b.params != params:
-                raise ParameterMismatchError(
-                    f"parameter lists differ: {params} vs {a.params}, {b.params}"
-                )
+                raise _mismatch(params, a, b)
             if a.terms and b.terms:
                 live.append((a, b))
         if not live:
@@ -129,21 +130,10 @@ class Scalar:
         if len(live) == 1:
             a, b = live[0]
             return a * b
-        if params:
-            return _accumulate(params, live)
-        # every live operand is a one-term constant: one (numerator,
-        # denominator) pair, reduced once
-        n, d = 0, 1
+        acc = _new_sum(params)
         for a, b in live:
-            c1, c2 = a.terms[0][1], b.terms[0][1]
-            n2, d2 = c1.numerator * c2.numerator, c1.denominator * c2.denominator
-            if d2 == d:
-                n += n2
-            else:
-                n, d = n * d2 + n2 * d, d * d2
-        if not n:
-            return Scalar.zero(params)
-        return Scalar(params, (((), n // d if n % d == 0 else Fraction(n, d)),))
+            _accumulate(acc, a, b)
+        return _reduced(params, acc)
 
     @staticmethod
     def constant(params: tuple[str, ...], value: RationalLike) -> "Scalar":
@@ -188,14 +178,7 @@ class Scalar:
         if not self.terms:
             return other
         if len(self.terms) == 1 and len(other.terms) == 1:
-            (m1, c1), (m2, c2) = self.terms[0], other.terms[0]
-            if m1 == m2:
-                c = c1 + c2
-                if not c:
-                    return Scalar.zero(self.params)
-                return Scalar(self.params, ((m1, _coeff(c)),))
-            pair = ((m1, c1), (m2, c2)) if m1 > m2 else ((m2, c2), (m1, c1))
-            return Scalar(self.params, pair)
+            return _binomial(self.params, *self.terms[0], *other.terms[0])
         a, b, out = self.terms, other.terms, []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -221,18 +204,18 @@ class Scalar:
             self._check_params(other)
         if not other.terms:
             return self
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            ((m2, c2),) = other.terms
+            return _binomial(self.params, *self.terms[0], m2, -c2)
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
         if not self.terms:
             return self
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms
+            return Scalar(self.params, ((m, -c),))
         return Scalar(self.params, tuple((m, -c) for m, c in self.terms))
-
-    def _constant_factor(self) -> RationalLike | None:
-        """The coefficient of a nonzero constant, else None."""
-        if len(self.terms) == 1 and not any(self.terms[0][0]):
-            return self.terms[0][1]
-        return None
 
     def __mul__(self, other: Union["Scalar", RationalLike]) -> "Scalar":
         if other.__class__ is not Scalar:
@@ -245,16 +228,22 @@ class Scalar:
             return self
         if not other.terms:
             return other
-        factor = other._constant_factor()
-        if factor is not None:
-            return self._times(factor)
-        factor = self._constant_factor()
-        if factor is not None:
-            return other._times(factor)
         if len(self.terms) == 1 and len(other.terms) == 1:
             (m1, c1), (m2, c2) = self.terms[0], other.terms[0]
-            return Scalar(self.params, ((tuple(map(add, m1, m2)), _coeff(c1 * c2)),))
-        return _accumulate(self.params, ((self, other),))
+            if c2 == 1 and not any(m2):
+                return self
+            if c1 == 1 and not any(m1):
+                return other
+            mono = tuple(map(add, m1, m2)) if self.params else m1
+            return Scalar(self.params, ((mono, _coeff(c1 * c2)),))
+        # a nonzero constant times a Scalar of two or more terms
+        if len(other.terms) == 1 and not any(other.terms[0][0]):
+            return self._times(other.terms[0][1])
+        if len(self.terms) == 1 and not any(self.terms[0][0]):
+            return other._times(self.terms[0][1])
+        acc: dict = {}
+        _accumulate(acc, self, other)
+        return _reduced(self.params, acc)
 
     def __rmul__(self, other: RationalLike) -> "Scalar":
         if isinstance(other, (int, Fraction)):
@@ -284,6 +273,9 @@ class Scalar:
         """Multiply by a nonzero canonical coefficient; no term can vanish."""
         if factor == 1 or not self.terms:
             return self
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms
+            return Scalar(self.params, ((m, _coeff(c * factor)),))
         return Scalar(self.params, tuple((m, _coeff(c * factor)) for m, c in self.terms))
 
     # -- predicates and views ----------------------------------------------
@@ -367,32 +359,71 @@ class Scalar:
         return f"Scalar({str(self)!r}, params={self.params})"
 
 
-def _accumulate(params: tuple[str, ...], pairs: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
-    """Sum the products of canonical Scalars over ``params`` and canonicalise once.
+# A sum of two or more live products (``Scalar.sum_of_products``,
+# ``tables.sum_table``): over no parameters every live operand is a one-term
+# constant and the sum is one unreduced [numerator, denominator] list of
+# ints; otherwise a dict monomial -> unreduced (numerator, denominator).
+Sum = Union[list[int], dict[Monomial, tuple[int, int]]]
 
-    Each monomial's sum is kept as an unreduced (numerator, denominator) pair
-    of ints, so the loop does integer arithmetic only; every surviving
-    coefficient is reduced once at the end, to an int when the denominator
-    divides the numerator.
-    """
-    acc: dict[Monomial, tuple[int, int]] = {}
+
+def _mismatch(params: tuple[str, ...], a: Scalar, b: Scalar) -> ParameterMismatchError:
+    return ParameterMismatchError(f"parameter lists differ: {params} vs {a.params}, {b.params}")
+
+
+def _new_sum(params: tuple[str, ...]) -> Sum:
+    return {} if params else [0, 1]
+
+
+def _accumulate(acc: Sum, a: Scalar, b: Scalar) -> None:
+    """Add a * b of two nonzero Scalars to the sum ``acc``."""
+    if acc.__class__ is list:
+        c1, c2 = a.terms[0][1], b.terms[0][1]
+        n2, d2 = c1.numerator * c2.numerator, c1.denominator * c2.denominator
+        n, d = acc
+        if d2 == d:
+            acc[0] = n + n2
+        else:
+            acc[0], acc[1] = n * d2 + n2 * d, d * d2
+        return
     get = acc.get
-    for a, b in pairs:
-        for m1, c1 in a.terms:
-            n1, d1 = c1.numerator, c1.denominator
-            for m2, c2 in b.terms:
-                mono = tuple(map(add, m1, m2)) if params else m1
-                n, d = n1 * c2.numerator, d1 * c2.denominator
-                prev = get(mono)
-                if prev is None:
-                    acc[mono] = (n, d)
-                elif prev[1] == d:
-                    acc[mono] = (prev[0] + n, d)
-                else:
-                    acc[mono] = (prev[0] * d + n * prev[1], prev[1] * d)
+    for m1, c1 in a.terms:
+        n1, d1 = c1.numerator, c1.denominator
+        for m2, c2 in b.terms:
+            mono = tuple(map(add, m1, m2))
+            n, d = n1 * c2.numerator, d1 * c2.denominator
+            prev = get(mono)
+            if prev is None:
+                acc[mono] = (n, d)
+            elif prev[1] == d:
+                acc[mono] = (prev[0] + n, d)
+            else:
+                acc[mono] = (prev[0] * d + n * prev[1], prev[1] * d)
+
+
+def _reduced(params: tuple[str, ...], acc: Sum) -> Scalar:
+    """The canonical Scalar of an ``_accumulate`` sum: each surviving
+    coefficient reduced once, to an int when the denominator divides it."""
+    if acc.__class__ is list:
+        n, d = acc
+        if not n:
+            return Scalar.zero(params)
+        return Scalar(params, (((), n // d if n % d == 0 else Fraction(n, d)),))
     return Scalar.from_terms(
         params, {m: n // d if n % d == 0 else Fraction(n, d) for m, (n, d) in acc.items() if n}
     )
+
+
+def _binomial(
+    params: tuple[str, ...], m1: Monomial, c1: RationalLike, m2: Monomial, c2: RationalLike
+) -> Scalar:
+    """The sum of two nonzero one-term Scalars c1 m1 + c2 m2."""
+    if m1 == m2:
+        c = c1 + c2
+        if not c:
+            return Scalar.zero(params)
+        return Scalar(params, ((m1, _coeff(c)),))
+    pair = ((m1, c1), (m2, c2)) if m1 > m2 else ((m2, c2), (m1, c1))
+    return Scalar(params, pair)
 
 
 def _coeff(value: RationalLike) -> RationalLike:

@@ -16,6 +16,7 @@ dimensions 3, 5 and 7.  Jacobi is not needed: both sides are defined for any
 antisymmetric c.
 """
 
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,10 +24,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import contactframe
 from contactframe import FrameManifold, Instance, levi_civita, load_manifest_file, riemann
 from contactframe.scalars import Scalar
 
-MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+ROOT = Path(__file__).resolve().parent.parent
+MANIFESTS = ROOT / "manifests"
+_AB_SPEC = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+AB = importlib.util.module_from_spec(_AB_SPEC)
+_AB_SPEC.loader.exec_module(AB)
 
 
 def definitional_riemann(m: FrameManifold, conn) -> list:
@@ -142,18 +148,12 @@ def test_fused_riemann_matches_past_dimension_three(case):
 
 
 @pytest.mark.parametrize(("dim", "sums"), [(3, 9), (5, 100), (7, 441)])
-def test_riemann_sums_once_per_independent_component(monkeypatch, dim, sums):
-    """One kernel call per pair i < j and pair k < l, (dim (dim - 1) / 2)^2
-    in all, on a dense frame (summing every component would take dim^4)."""
+def test_riemann_sums_once_per_independent_component(dim, sums):
+    """One sum of products per pair i < j and pair k < l, (dim (dim - 1) / 2)^2
+    in all, on a dense frame (summing every component would take dim^4); the
+    sums are counted by ``scripts/ab.py``'s ``counting``."""
     m = dense_frame(dim, dim)
     lc = levi_civita(m)
-    calls = []
-    original = Scalar.sum_of_products
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(Scalar, "sum_of_products", staticmethod(counted))
-    riemann(m, lc)
-    assert len(calls) == sums
+    with AB.counting(contactframe) as counts:
+        riemann(m, lc)
+    assert counts["sum_of_products"] == sums

@@ -35,6 +35,7 @@ from contactframe import (
     verify_nkappa_suite,
 )
 from contactframe.suite import CATALOGUE
+from contactframe.tables import sum_table
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -273,17 +274,21 @@ def test_heisenberg_run_work_counts():
     (``Endomorphism.commutator``), and kappa, the space-form and the
     eta-Einstein coefficients are one exact fit (``linear.exact_fit``), so a
     sum of products runs only for an index some product names: the run makes
-    845 sums of products, 529 of them zero, under the bounds 887 and 555 (the
-    measured counts plus 5%; vector rows evaluated per basis tuple over a
-    dense R1(xi, X + hX) table take 948 and 628, dense connection and
+    850 sums of products, 529 of them zero, under the bounds 887 and 555 (the
+    measured counts 845 and 529 plus 5%, before the Ricci form became one
+    table contraction with 5 entries; vector rows evaluated per basis tuple
+    over a dense R1(xi, X + hX) table take 948 and 628, dense connection and
     Riemann kernels 1,151 and 847, dense derivative and Lie kernels and a
     cross-multiplied kappa 1,843 and 1,615, evaluating every basis tuple of
     the derived rows 8,171 and 7,917, scanning through a trilinear apply
     34,593, summing every Riemann component 9,880, applying R in
     ``detect_kappa`` 8,830 and applying Z in the two conc xi-slot scans
     8,480).  Almost every graded quantity on H^5 is zero, and every zero is
-    one shared Scalar, as is the manifold's 1: the run constructs 510
-    Scalars, under the bound 536 (a fresh 1 per ``one_scalar()`` call and
+    one shared Scalar, as is the manifold's 1, and a product with a unit
+    factor is the other operand: the run constructs 400 Scalars, under the
+    bound 420 (the measured count plus 5%; one ``Scalar.sum_of_products`` per
+    table index, with no one-term paths in the Scalar ring, made 510, under
+    the bound 536; a fresh 1 per ``one_scalar()`` call and
     h halved after the Lie derivative make 593, vector rows evaluated per
     basis tuple 632, dense connection kernels 657, a new zero per zero
     result 13,288, evaluating every tuple 909).  The JSON report is 15,170
@@ -294,8 +299,19 @@ def test_heisenberg_run_work_counts():
     assert not hasattr(Curvature4Tensor, "apply")
     assert counts["sum_of_products"] <= 887
     assert counts["zero_sums"] <= 555
-    assert counts["scalars"] <= 536
+    assert counts["scalars"] <= 420
     assert counts["json_bytes"] <= 15929
+
+
+def test_heisenberg_sum_counts_are_exact():
+    """The counter reaches every module that binds ``sum_table`` by name: a
+    run on H^5 reads exactly 850 sums of products, 529 of them zero.  They
+    are the 845 and 529 of the kernel that ran one ``Scalar.sum_of_products``
+    per index, plus the 5 nonzero entries of the Levi-Civita Ricci form, now
+    one ``sum_table`` (the torsionful curvature of H^5 is zero and names no
+    entry), so a binding the counter missed would lower them."""
+    counts = _work_counts("heisenberg5.json")
+    assert (counts["sum_of_products"], counts["zero_sums"]) == (850, 529)
 
 
 def test_heisenberg9_report_size():
@@ -313,13 +329,15 @@ def test_gated_run_work_counts():
     5%; a dense Lie-derivative kernel for h takes 127, building both tensors
     up front 410, a second set of frame images in ``validate_acm`` 231, one
     set of frame images that nothing reads 201, and composing h phi and
-    phi h in full before the h laws scan 171).  It constructs 79 Scalars,
-    under the bound 83 (halving every entry of L_xi phi rather than phi's
+    phi h in full before the h laws scan 171).  It constructs 54 Scalars,
+    under the bound 56 (the measured count plus 5%; one
+    ``Scalar.sum_of_products`` per table index, with no one-term paths in the
+    Scalar ring, made 79, under the bound 83; halving every entry of L_xi phi rather than phi's
     nonzero entries, and a fresh 1 per ``one_scalar()`` call, make 103; a
     new zero per zero result 390)."""
     counts = _work_counts("random5.json")
     assert counts["sum_of_products"] <= 100
-    assert counts["scalars"] <= 83
+    assert counts["scalars"] <= 56
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):
@@ -369,3 +387,5 @@ def test_ab_ladder_records_deterministic_counts():
     # the counting wrappers are removed again
     assert Scalar.sum_of_products is _SUM_OF_PRODUCTS
     assert Scalar.__init__ is _INIT
+    engine = [module for name, module in sys.modules.items() if name.startswith("contactframe.")]
+    assert all(getattr(module, "sum_table", sum_table) is sum_table for module in engine)

@@ -27,10 +27,12 @@ computed tensor rather than assumed, so a sign slip in a quoted formula
 surfaces as report data instead of contaminating downstream tensors.
 
 Ricci is the contraction S(X, Y) = sum_i R(X, E_i, E_i, Y) with lowered
-components R(X, Y, Z, W) = g(R(X, Y)Z, W); the scalar curvature is its
-trace.  This module also houses the N(kappa) identity suite: the nullity
-closed forms for curvature against the characteristic direction, the h- and
-phi-derivative identities, and the Ricci/scalar closed forms.
+components R(X, Y, Z, W) = g(R(X, Y)Z, W), which on the orthonormal frame
+are the table's components: one ``sum_table`` over the components
+(j, i, i, l).  The scalar curvature is its trace.  This module also houses
+the N(kappa) identity suite: the nullity closed forms for curvature against
+the characteristic direction, the h- and phi-derivative identities, and the
+Ricci/scalar closed forms.
 """
 
 from __future__ import annotations

@@ -156,23 +156,24 @@ def counting(cf):
     counts = {"sum_of_products": 0, "zero_sums": 0, "scalars": 0}
     scalar, tables = cf.Scalar, sys.modules[cf.__name__ + ".tables"]
     sum_table, sum_of_products, init = tables.sum_table, scalar.sum_of_products, scalar.__init__
-    inside = [False]
+    inside = False
 
     def counted_sum_table(params, products):
+        nonlocal inside
         products = list(products)
         named = len({index for index, _, _ in products})
-        inside[0] = True
+        inside = True
         try:
             table = sum_table(params, products)
         finally:
-            inside[0] = False
+            inside = False
         counts["sum_of_products"] += named
         counts["zero_sums"] += named - len(table)
         return table
 
     def counted_sum_of_products(*args):
         value = sum_of_products(*args)
-        if not inside[0]:
+        if not inside:
             counts["sum_of_products"] += 1
             counts["zero_sums"] += not value.terms
         return value
@@ -181,10 +182,8 @@ def counting(cf):
         counts["scalars"] += 1
         init(*args)
 
-    bound = [
-        module for name, module in list(sys.modules.items())
-        if name.partition(".")[0] == cf.__name__ and getattr(module, "sum_table", None) is sum_table
-    ]
+    package = [m for name, m in sys.modules.items() if name.partition(".")[0] == cf.__name__]
+    bound = [module for module in package if getattr(module, "sum_table", None) is sum_table]
     for module in bound:
         module.sum_table = counted_sum_table
     scalar.sum_of_products = staticmethod(counted_sum_of_products)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable
 
-from .curvature import ConnectionConsistencyError, scalar_curvature
+from .curvature import scalar_curvature
 from .manifest import (
     ManifestError,
     dump_manifest,
@@ -158,11 +158,8 @@ def _cmd_curvature(args, fmt: str) -> int:
         # verify's gate: the first failing structural check, else the connection's error
         gate = x.structural_report.checks
         bad = [f"{c.name} violated: {c.witness}" for c in gate if c.status == "fails"]
-        if not bad:
-            try:
-                x.pkg
-            except ConnectionConsistencyError as exc:
-                bad.append(str(exc))
+        if not bad and x.connection_error:
+            bad.append(x.connection_error)
         if bad:
             return _fail(
                 f"the torsionful connection needs a valid contact metric structure: {bad[0]}"

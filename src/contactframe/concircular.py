@@ -38,29 +38,32 @@ evaluated on every basis tuple.  With A = Z(xi, E_i) built once per i
     (A.w)_jk    = sum_q A^q_j w_qk + A^q_k w_jq
 
 are stated as products of the nonzero entries of A with the nonzero
-components of Z or w (``self_action_slabs``, ``ricci_action_slabs``), so on a
-Sasakian input, where almost every A vanishes, almost no sum runs.  Each table
-is built one slab of leading indices at a time, and a scan stops at the first
-slab holding a witness.  The xi-contractions of Z are read from
-``Curvature4Tensor.xi_table``, and the phi-flatness test from a table of
-g(Z(phi E_i, phi E_j)phi E_k, phi E_l) built the same way
-(``phi_flatness_slabs``).  The tests hold the tables to the same operators
-on arbitrary constant vectors and to the per-tuple residuals they replace,
-on every basis tuple.
+components of Z or w (``self_action_slabs``, ``ricci_action_table``), so on a
+Sasakian input, where almost every A vanishes, almost no sum runs.  The ricci
+action is one table, which the obstruction and the slice both read.  A row's
+witness is its table's least index (``suite.Instance.table_scan``), and three
+residuals whose witness often comes early on a dense input are built lazily,
+as generators of tables in increasing order of their leading indices, up to
+the first that holds an entry (``tables.first_nonempty``): the self action,
+one table per (i, j), and the eta-contraction pair
+(``eta_contraction_slabs``) and the phi-flatness test, a table of
+g(Z(phi E_i, phi E_j)phi E_k, phi E_l) (``phi_flatness_slabs``), one table
+per i.  The xi-contractions of Z are read from ``Curvature4Tensor.xi_table``.
+The tests hold the tables to the same operators on arbitrary constant vectors
+and to the per-tuple residuals they replace, on every basis tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .curvature import Curvature4Tensor
 from .frames import FrameManifold
 from .scalars import Scalar
-from .tables import Table, sum_table
+from .tables import Table, first_nonempty, sum_table
 from .tanaka_webster import eta_einstein_fit
 
 
@@ -88,32 +91,19 @@ def concircular(
     return ConcircularTensor(m.dim, m.params, table, K=minus_coeff)
 
 
-def self_action_slabs(x) -> Callable[[int, int], Table]:
-    """(A.Z)(E_j, E_k)E_l with A = Z(xi, E_i), as the table of slab (i, j)
-    keyed (i, j, k, l, p):
+def self_action_slabs(x) -> Iterator[Table]:
+    """(A.Z)(E_j, E_k)E_l with A = Z(xi, E_i), as one table per (i, j) keyed
+    (i, j, k, l, p), in row-major order:
 
         sum_q A^p_q Z_jkl^q - A^q_j Z_qkl^p - A^q_k Z_jql^p - A^q_l Z_jkq^p,
 
     whose products pair the nonzero components of Z with the nonzero entries
     of A in the matching column or row: the first, third and fourth terms read
-    the components Z_j..., the second those Z_q... with A^q_j nonzero."""
-    z, idx = x.z, range(x.m.dim)
+    the components Z_j..., the second those Z_q... with A^q_j nonzero.  An i
+    whose A vanishes yields no table."""
+    z, idx, params = x.z, range(x.m.dim), x.m.params
 
-    # the slabs come in order of i, so each A's rows are built once
-    @lru_cache(maxsize=1)
-    def minus_rows(i: int) -> list[list[tuple[int, Scalar]]]:
-        """minus_rows(i)[q] holds (j, -A^q_j) for the nonzero entries of row q."""
-        rows: list[list[tuple[int, Scalar]]] = [[] for _ in idx]
-        for j, col in enumerate(x.z_xi[i].sparse_columns):
-            for q, a in col:
-                rows[q].append((j, -a))
-        return rows
-
-    def products(i: int, j: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
-        cols = x.z_xi[i].sparse_columns
-        if not any(cols):
-            return
-        minus = minus_rows(i)
+    def products(i: int, j: int, cols, minus) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
         for _, k, l, q, c in z.entries(j):
             for p, a in cols[q]:
                 yield (i, j, k, l, p), a, c
@@ -126,27 +116,38 @@ def self_action_slabs(x) -> Callable[[int, int], Table]:
             for _, k, l, p, c in z.entries(q):
                 yield (i, j, k, l, p), minus_a, c
 
-    return lambda i, j: sum_table(x.m.params, products(i, j))
+    for i, a in enumerate(x.z_xi):
+        cols = a.sparse_columns
+        if not any(cols):
+            continue
+        # minus[q] holds (j, -A^q_j) for the nonzero entries of row q of A
+        minus: list[list[tuple[int, Scalar]]] = [[] for _ in idx]
+        for j, col in enumerate(cols):
+            for q, v in col:
+                minus[q].append((j, -v))
+        for j in idx:
+            yield sum_table(params, products(i, j, cols, minus))
 
 
-def ricci_action_slabs(x) -> Callable[[int], Table]:
+def ricci_action_table(x) -> Table:
     """(A.w)(E_j, E_k) = w(A E_j, E_k) + w(E_j, A E_k) with A = Z(xi, E_i) and
-    w the ricci form, both terms positive as quoted, as the table of slab i
-    keyed (i, j, k): sum_q A^q_j w_qk + w_jq A^q_k over the nonzero entries of
-    A and of w."""
+    w the ricci form, both terms positive as quoted, as one table keyed
+    (i, j, k): sum_q A^q_j w_qk + w_jq A^q_k over the nonzero entries of A and
+    of w."""
     idx, w = range(x.m.dim), x.pkg.ricci.components
     w_rows = [[(k, c) for k, c in enumerate(w[q]) if c.terms] for q in idx]
     w_cols = [[(j, w[j][q]) for j in idx if w[j][q].terms] for q in idx]
 
-    def products(i: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
-        for j, col in enumerate(x.z_xi[i].sparse_columns):
-            for q, a in col:
-                for k, c in w_rows[q]:
-                    yield (i, j, k), a, c
-                for b, c in w_cols[q]:
-                    yield (i, b, j), c, a
+    def products() -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
+        for i, a in enumerate(x.z_xi):
+            for j, col in enumerate(a.sparse_columns):
+                for q, v in col:
+                    for k, c in w_rows[q]:
+                        yield (i, j, k), v, c
+                    for b, c in w_cols[q]:
+                        yield (i, b, j), c, v
 
-    return lambda i: sum_table(x.m.params, products(i))
+    return sum_table(x.m.params, products())
 
 
 _FORM_CONVENTION_NOTE = (
@@ -186,7 +187,7 @@ def _xi_double_contraction_phi_square(report, name, x):
     )
     report.reference(
         name,
-        x.table_scan(lambda: table, depth=0),
+        x.table_scan(table),
         "the K phi^2 X variant matches only under the opposite "
         "phi^2 sign convention; recorded as data",
     )
@@ -202,12 +203,12 @@ def _xi_argument(report, name, x):
     report.graded(name, x.r1_scan(x.z, x.z.K, xi_at=(1,)))
 
 
-def eta_contraction_slabs(x, order: tuple[int, int, int]) -> Callable[[int], Table]:
+def eta_contraction_slabs(x, order: tuple[int, int, int]) -> Iterator[Table]:
     """eta(Z(E_i, E_j)E_k) - K eta(R1(E_a, E_b)E_c), the R1 slots (a, b, c)
     being placed so that (i, j, k) = (a, b, c) read in ``order``: (0, 1, 2)
-    compares R1(E_i, E_j)E_k, (1, 2, 0) compares R1(E_k, E_i)E_j.  The table
-    of slab i is keyed (i, j, k); its products are the nonzero components of Z
-    and R1 whose component index p has eta_p nonzero."""
+    compares R1(E_i, E_j)E_k, (1, 2, 0) compares R1(E_k, E_i)E_j.  One table
+    per i, in order, keyed (i, j, k); its products are the nonzero components
+    of Z and R1 whose component index p has eta_p nonzero."""
     z, r1, eta = x.z, x.templates[0], x.s.eta.components
     minus_k_eta = [-(z.K * e) for e in eta]
 
@@ -219,14 +220,14 @@ def eta_contraction_slabs(x, order: tuple[int, int, int]) -> Callable[[int], Tab
             if eta[p].terms:
                 yield tuple(abc[s] for s in order), minus_k_eta[p], c
 
-    return lambda i: sum_table(x.m.params, products(i))
+    return (sum_table(x.m.params, products(i)) for i in range(x.m.dim))
 
 
 # eta(Z(X1, X2)X3) = K eta(R1(X1, X2)X3)
 def _eta_contraction(report, name, x):
     report.graded(
         name,
-        x.table_scan(eta_contraction_slabs(x, (0, 1, 2)), False),
+        x.table_scan(first_nonempty(eta_contraction_slabs(x, (0, 1, 2))), False),
         notes=(
             "asserted form: eta(Z(X1,X2)X3) = K[eta(X1) g(X2,X3) - "
             "eta(X2) g(X1,X3)], the expansion forced by the definition and the "
@@ -240,7 +241,7 @@ def _eta_contraction(report, name, x):
 def _eta_contraction_reference(report, name, x):
     report.reference(
         name,
-        x.table_scan(eta_contraction_slabs(x, (1, 2, 0)), False),
+        x.table_scan(first_nonempty(eta_contraction_slabs(x, (1, 2, 0))), False),
         "reference variant K[eta(X3) g(X1,X2) - eta(X1) g(X3,X2)] "
         "disagrees with the computed contraction; recorded as data",
     )
@@ -254,7 +255,7 @@ def _xi_flatness_obstruction(report, name, x):
     is structural, not accidental.
     """
     z = x.z
-    first_nonzero = x.table_scan(lambda: z.xi_table(x.s.xi, (2,)), key="value", depth=0)
+    first_nonzero = x.table_scan(z.xi_table(x.s.xi, (2,)), key="value")
     bad = x.r1_scan(z, z.K, xi_at=(2,))
     if first_nonzero is not None and bad is not None:
         report.fails(
@@ -273,9 +274,9 @@ def _xi_flatness_obstruction(report, name, x):
         )
 
 
-def phi_flatness_slabs(x) -> Callable[[int], Table]:
-    """g(Z(phi E_i, phi E_j)phi E_k, phi E_l) as the table of slab i keyed
-    (i, j, k, l):
+def phi_flatness_slabs(x) -> Iterator[Table]:
+    """g(Z(phi E_i, phi E_j)phi E_k, phi E_l) as one table per i, in order,
+    keyed (i, j, k, l):
 
         sum phi^a_i phi^b_j phi^c_k phi^d_l Z_abc^d,
 
@@ -286,12 +287,12 @@ def phi_flatness_slabs(x) -> Callable[[int], Table]:
     z, phi, params = x.z, x.s.phi, x.m.params
     rows = [[(j, c) for j, c in enumerate(row) if c.terms] for row in phi.matrix]
 
-    def slab(i: int) -> Table:
+    for i, col in enumerate(phi.sparse_columns):
         table = sum_table(
             params,
             (
                 ((b, c, d), value, phi_ai)
-                for a, phi_ai in phi.sparse_columns[i]
+                for a, phi_ai in col
                 for _, b, c, d, value in z.entries(a)
             ),
         )
@@ -304,14 +305,12 @@ def phi_flatness_slabs(x) -> Callable[[int], Table]:
                     for j, phi_ej in rows[key[0]]
                 ),
             )
-        return {(i,) + key: value for key, value in table.items()}
-
-    return slab
+        yield {(i,) + key: value for key, value in table.items()}
 
 
 def _phi_flatness(report, name, x):
     """Test g(Z(phi X1, phi X2)phi X3, phi X4) = 0; on success fit eta-Einstein."""
-    first_nonzero = x.table_scan(phi_flatness_slabs(x), False)
+    first_nonzero = x.table_scan(first_nonempty(phi_flatness_slabs(x)), False)
     if first_nonzero is not None:
         report.not_applicable(
             name,
@@ -340,7 +339,7 @@ def _phi_flatness(report, name, x):
 
 def _ricci_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X1).ricci)(X2, X3) cannot vanish identically."""
-    first_nonzero = x.table_scan(lambda i: x.kept(ricci_action_slabs, i), False, key="value")
+    first_nonzero = x.table_scan(x.kept(ricci_action_table), False, key="value")
     report.nonvanishing(
         name,
         first_nonzero,
@@ -360,21 +359,17 @@ def _ricci_action_slice(report, name, x):
     ric, xi, params = x.pkg.ricci.components, x.s.xi.components, x.m.params
 
     # (Z(xi, E_i).ricci)(E_j, xi) + sign K ricci(E_i, E_j), the first term being
-    # sum_r xi^r (Z(xi, E_i).ricci)(E_j, E_r) over slab i of the action's table
+    # sum_r xi^r (Z(xi, E_i).ricci)(E_j, E_r) over the action's table
     def slice_witness(sign: int) -> dict | None:
-        k = x.z.K.scale(sign)
-
-        def slab(i: int) -> Table:
-            action = x.kept(ricci_action_slabs, i).items()
-            return sum_table(
-                params,
-                chain(
-                    (((i, j), xi[r], c) for (_, j, r), c in action if xi[r].terms),
-                    (((i, j), k, c) for j, c in enumerate(ric[i]) if c.terms),
-                ),
-            )
-
-        return x.table_scan(slab, False)
+        k, action = x.z.K.scale(sign), x.kept(ricci_action_table).items()
+        table = sum_table(
+            params,
+            chain(
+                (((i, j), xi[r], c) for (i, j, r), c in action if xi[r].terms),
+                (((i, j), k, c) for i, row in enumerate(ric) for j, c in enumerate(row) if c.terms),
+            ),
+        )
+        return x.table_scan(table, False)
 
     matched_sign = "-K"
     witness = slice_witness(1)
@@ -396,7 +391,7 @@ def _ricci_action_slice(report, name, x):
 
 def _self_action_obstruction(report, name, x):
     """Obstruction: (Z(xi, X2).Z)(X3, X4)X5 cannot vanish identically."""
-    first_nonzero = x.table_scan(self_action_slabs(x), key="value", depth=2)
+    first_nonzero = x.table_scan(first_nonempty(self_action_slabs(x)), key="value")
     report.nonvanishing(
         name,
         first_nonzero,

@@ -85,20 +85,6 @@ class Connection:
             components[k] = g
         return FrameVector(tuple(components))
 
-    def derivative(self, i: int, x: FrameVector) -> FrameVector:
-        """nabla_{E_i} X = sum_j x_j Gamma_ij^k E_k for a constant-coefficient X."""
-        sums = sum_table(
-            x.params,
-            (
-                ((k,), xj, g)
-                for j, xj in enumerate(x.components)
-                if xj.terms
-                for k, g in self.entries(i, j)
-            ),
-        )
-        zero = Scalar.zero(x.params)
-        return FrameVector(tuple(sums.get((k,), zero) for k in range(self.dim)))
-
     @cached_property
     def operators(self) -> tuple[Endomorphism, ...]:
         """G_i, the endomorphism E_q -> nabla_{E_i} E_q, for every frame index:
@@ -226,10 +212,6 @@ class Curvature4Tensor:
         """The nonzero components (i, j, k, l, R[i][j][k][l]) whose index in the
         argument ``slot`` (0 or 1) is a, in index order."""
         return iter(self._by_slot[slot].get(a, ()))
-
-    def lowered(self, i: int, j: int, k: int, l: int) -> Scalar:
-        """R(E_i, E_j, E_k, E_l) = g(R(E_i,E_j)E_k, E_l); free on an orthonormal frame."""
-        return self.table.get((i, j, k, l), Scalar.zero(self.params))
 
     @cached_property
     def _xi_tables(self) -> dict[tuple[FrameVector, tuple[int, ...]], Table]:

@@ -36,18 +36,22 @@ section grader (``verify_gtw_suite``, say) grades its section's rows, so
 called on its own it emits what ``run_suite`` emits for that section.
 
 A derived row reads its residual from a table of the nonzero values, summed
-from products of the nonzero entries of its operands (``tables.sum_table``)
-and scanned in row-major order (``Instance.table_scan``), so that it gives
-the first witness a scan of every basis tuple would give.  The vector
-residuals of one or two frame vectors (nabla xi, nabla phi, nabla h, the
-torsion and its closed forms, and the classification's Sasakian test) are
-one table each, keyed (i, j, p) and built from the products that the
-instance states (``Instance.vector_scan``); the dim^3 and dim^4 residuals
-are built one slab of leading indices at a time.  Only the scalar residuals
-of one or two frame vectors (the Ricci forms and values, nabla eta, the
-Ricci symmetry) are evaluated per basis tuple (``Instance.scan``), as the
-structural layer's are.  The tables that two rows read (the curvature closed
-form, the ricci action) are kept on the instance (``Instance.kept``).  A
+from products of the nonzero entries of its operands (``tables.sum_table``).
+Every entry is nonzero, so the first witness a row-major scan of every basis
+tuple would give is the table's least index, with the value there
+(``Instance.table_scan``).  The vector residuals of one or two frame vectors
+(nabla xi, nabla phi, nabla h, the torsion and its closed forms, and the
+classification's Sasakian test) are one table each, keyed (i, j, p) and
+built from the products that the instance states (``Instance.vector_scan``).
+Every table is built whole, except three whose witness often comes early
+on a dense input (the eta contraction, the phi-flatness test and the
+self-action obstruction): those are generators of tables split by their
+leading indices, built up to the first that holds an entry
+(``tables.first_nonempty``).  Only the scalar residuals of one or two frame
+vectors (the Ricci forms and values, nabla eta, the Ricci symmetry) are
+evaluated per basis tuple (``Instance.scan``), as the structural layer's
+are.  The tables that two rows read (the curvature closed form, the ricci
+action) are kept on the instance, one per builder (``Instance.kept``).  A
 tensor with xi in some argument slots is read from one table per tensor and
 slots, kept on the tensor (``Curvature4Tensor.xi_table``) and scanned whole:
 ``detect_kappa``, ``Instance.r1_scan``, ``Instance.z_xi`` and the xi-slot
@@ -85,10 +89,10 @@ from .curvature import (
     _sasakian_orientation, _scalar_curvature_value, _xi_covariant_derivative,
     _xi_covariant_derivative_reference, levi_civita, ricci, riemann,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector, vectors
+from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import FAILS, NOT_APPLICABLE, Check, Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
-from .tables import Product, Table, sum_table, table_witness
+from .tables import Product, Table, sum_table
 from .tanaka_webster import (
     GtwPackage, _curvature_closed_form, _curvature_closed_form_crosscheck, _curvature_xi,
     _cyclic_sum_crosscheck, _eta_einstein_fit, _eta_parallel, _first_pair_antisymmetry,
@@ -131,31 +135,26 @@ class Instance:
         """``first_witness`` over every basis index tuple of ``arity``, row-major."""
         return first_witness(product(range(self.m.dim), repeat=arity), residual)
 
-    def table_scan(
-        self,
-        slab: Callable[..., Table],
-        vector: bool = True,
-        key: str = "residual",
-        depth: int = 1,
-    ) -> dict | None:
-        """The witness ``scan`` would give, read from tables of nonzero
-        residuals: ``slab(*lead)`` is the table of the tuples whose first
-        ``depth`` indices are ``lead``, built only while no earlier slab holds a
-        witness; ``depth=0`` reads one table, ``slab()``, whole.  A vector
-        residual puts its component last in the index."""
-        dim, params = self.m.dim, self.m.params
-        slabs = (slab(*lead) for lead in product(range(dim), repeat=depth))
+    def table_scan(self, table: Table, vector: bool = True, key: str = "residual") -> dict | None:
+        """The witness ``scan`` would give, read from a table of nonzero
+        residuals: its least index, with the value there, or None when the
+        table is empty.  A vector residual puts its component last in the
+        index, and its witness is the least leading indices, with the frame
+        vector there (``vector_at``)."""
+        if not table:
+            return None
+        least = min(table)
         if vector:
-            slabs = (vectors(table, dim, params) for table in slabs)
-        return table_witness(slabs, key)
+            at = self.vector_at(table)
+            return first_witness([least[:-1]], lambda *lead: at(lead), key)
+        return first_witness([least], lambda *index: table[index], key)
 
-    def kept(self, slabs: Callable[["Instance"], Callable[[int], Table]], a: int) -> Table:
-        """Slab a of the residual ``slabs(self)``, built once: for a table that
-        two rows read (the curvature closed form, the ricci action)."""
-        key = (slabs, a)
-        if key not in self._kept:
-            self._kept[key] = slabs(self)(a)
-        return self._kept[key]
+    def kept(self, build: Callable[["Instance"], Table]) -> Table:
+        """The table ``build(self)``, built once: for a table that two rows
+        read (the curvature closed form, the ricci action)."""
+        if build not in self._kept:
+            self._kept[build] = build(self)
+        return self._kept[build]
 
     def r1_scan(self, t: Curvature4Tensor, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
         """The witness of T - c R1 with xi in the argument slots ``xi_at``:
@@ -169,8 +168,7 @@ class Instance:
                 ((index, v, one) for index, v in t.xi_table(xi, xi_at).items()),
                 ((index, v, minus_c) for index, v in self.templates[0].xi_table(xi, xi_at).items()),
             )
-            table = sum_table(self.m.params, products)
-            self._r1_witnesses[key] = self.table_scan(lambda: table, depth=0)
+            self._r1_witnesses[key] = self.table_scan(sum_table(self.m.params, products))
         return self._r1_witnesses[key]
 
     # -- the vector residuals of the frame vectors E_i, E_j ------------------
@@ -180,8 +178,7 @@ class Instance:
     def vector_scan(self, *products: Iterable[Product]) -> dict | None:
         """The witness ``scan`` would give of the vector residual that the
         products sum to, the component last in each key: one table, read whole."""
-        table = sum_table(self.m.params, chain(*products))
-        return self.table_scan(lambda: table, depth=0)
+        return self.table_scan(sum_table(self.m.params, chain(*products)))
 
     def vector_at(self, table: Table) -> Callable[[tuple[int, ...]], FrameVector]:
         """index -> the frame vector at index of a vector residual table, the

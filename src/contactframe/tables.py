@@ -1,5 +1,5 @@
-"""Residual tables: the nonzero sums of a stream of products, and the witness
-scan over such tables.
+"""Residual tables: the nonzero sums of a stream of products, and the first
+nonempty table of a lazy stream of them.
 
 A residual is stated as products ``(index, a, b)``: its value at ``index`` is
 the sum of a * b over the products naming that index.  ``sum_table`` is the
@@ -11,23 +11,23 @@ unreduced sum of ints (``scalars._accumulate``, the step
 ``Scalar.sum_of_products`` takes too), reduced once at the end.  Only the
 nonzero values are kept, so an index that no product names, or whose
 products cancel, is zero by construction and costs nothing.  A vector
-residual puts its component p last in the index; ``frames.vectors`` reads
-it as frame vectors, and ``frames`` builds its matrix products with
-``sum_table`` too.
+residual puts its component p last in the index, and ``frames`` builds its
+matrix products with ``sum_table`` too.
 
-``table_witness`` reads tables built one slab at a time, in increasing order
-of the leading indices, and stops at the first slab holding a nonzero entry;
-within a slab the index tuples are read in sorted order through
-``first_witness``, so the witness is the one a row-major scan of every basis
-tuple would give.  Building slab by slab keeps a dense input whose witness
-comes early from paying for the whole table.
+Every entry of such a table is nonzero, so the witness a row-major scan of
+every basis tuple would give is the table's least index, with the value
+there (``suite.Instance.table_scan``); a vector residual's witness is its
+least leading indices, with the frame vector there.  A residual whose
+witness often comes early on a dense input is built lazily instead, as a
+generator of tables split by their leading indices, in increasing order:
+``first_nonempty`` builds only as many of them as it takes to find an entry,
+and that table holds the least index of the whole.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .report import first_witness
 from .scalars import Scalar, _accumulate, _mismatch, _new_sum, _reduced
 
 Table = dict[tuple[int, ...], Scalar]
@@ -68,12 +68,7 @@ def sum_table(params: tuple[str, ...], products: Iterable[Product]) -> Table:
     return table
 
 
-def table_witness(slabs: Iterable[dict], key: str = "residual") -> dict | None:
-    """``first_witness`` over tables of nonzero residuals, one slab at a time:
-    each slab holds the tuples that share their leading indices, and the slabs
-    come in increasing order of those."""
-    for slab in slabs:
-        witness = first_witness(sorted(slab), lambda *indices: slab[indices], key)
-        if witness is not None:
-            return witness
-    return None
+def first_nonempty(tables: Iterable[Table]) -> Table:
+    """The first of the tables that holds an entry, or {}: the tables are
+    built one at a time, and none after that one."""
+    return next((table for table in tables if table), {})

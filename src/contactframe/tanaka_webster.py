@@ -41,7 +41,7 @@ variant is still evaluated and reported):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterator
 
 from .contact import AlmostContactData
@@ -163,7 +163,7 @@ def build_gtw_package(
 
 
 def _metric_parallel(report, name, x):
-    report.graded(name, x.table_scan(lambda: x.pkg.conn.metric_residual, vector=False, depth=0))
+    report.graded(name, x.table_scan(x.pkg.conn.metric_residual, vector=False))
 
 
 def _xi_parallel(report, name, x):
@@ -234,7 +234,7 @@ def _h_derivative_relation_reference(report, name, x):
 
 def _torsion_nonzero(report, name, x):
     notes = ("a contact metric instance must make this connection non-symmetric",)
-    first_nonzero = x.table_scan(lambda: x.pkg.torsion, key="value", depth=0)
+    first_nonzero = x.table_scan(x.pkg.torsion, key="value")
     report.nonvanishing(name, first_nonzero, "torsion", notes, notes)
 
 
@@ -272,39 +272,36 @@ def _torsion_closed_form_reference(report, name, x):
 
 # -- curvature antisymmetries and xi-degeneracies ------------------------------
 # R(E_i, E_j, E_k, E_l) plus the same component with its first (last) pair
-# swapped, for the leading index i: the products are the nonzero components
-# whose first or second index (first index) is i
-def pair_antisymmetry_table(x, i: int, pair: str) -> Table:
-    curv, one = x.pkg.curv, x.m.one_scalar()
+# swapped: each nonzero component names its own index and its swapped one
+def pair_antisymmetry_table(x, pair: str) -> Table:
+    curv, one = x.pkg.curv.table.items(), x.m.one_scalar()
     if pair == "first":
-        swapped = (((i, a, k, l), c, one) for a, _, k, l, c in curv.entries(i, slot=1))
+        swapped = (((j, i, k, l), c, one) for (i, j, k, l), c in curv)
     else:
-        swapped = (((i, j, l, k), c, one) for _, j, k, l, c in curv.entries(i))
-    return sum_table(
-        x.m.params, chain((((i, j, k, l), c, one) for _, j, k, l, c in curv.entries(i)), swapped)
-    )
+        swapped = (((i, j, l, k), c, one) for (i, j, k, l), c in curv)
+    return sum_table(x.m.params, chain(((index, c, one) for index, c in curv), swapped))
 
 
 def _first_pair_antisymmetry(report, name, x):
-    report.graded(name, x.table_scan(lambda i: pair_antisymmetry_table(x, i, "first"), False))
+    report.graded(name, x.table_scan(pair_antisymmetry_table(x, "first"), False))
 
 
 def _last_pair_antisymmetry(report, name, x):
-    report.graded(name, x.table_scan(lambda i: pair_antisymmetry_table(x, i, "last"), False))
+    report.graded(name, x.table_scan(pair_antisymmetry_table(x, "last"), False))
 
 
 # curv(X, Y)Z = 0 with xi in the argument slots xi_at
 def _curvature_xi(xi_at: tuple[int, ...]) -> Callable:
     def row(report, name, x):
-        report.graded(name, x.table_scan(lambda: x.pkg.curv.xi_table(x.s.xi, xi_at), depth=0))
+        report.graded(name, x.table_scan(x.pkg.curv.xi_table(x.s.xi, xi_at)))
 
     return row
 
 
 # -- closed form for the curvature ---------------------------------------------
-def closed_form_slabs(x) -> Callable[[int], Table]:
-    """R(E_i, E_j)E_k minus its asserted closed form, as the table of slab i
-    keyed (i, j, k, p):
+def closed_form_table(x) -> Table:
+    """R(E_i, E_j)E_k minus its asserted closed form, as one table keyed
+    (i, j, k, p):
 
         curv_ijk^p - R_ijk^p - kappa R3_ijk^p
         - g(E_i + hE_i, phi E_k) v_j^p + g(E_j + hE_j, phi E_k) v_i^p
@@ -312,7 +309,7 @@ def closed_form_slabs(x) -> Callable[[int], Table]:
 
     v_a = phi E_a + phi h E_a and R the Levi-Civita curvature; the products
     are the nonzero entries of each term.  The closed form's row and the
-    reference variant's crosscheck share each slab (``Instance.kept``)."""
+    reference variant's crosscheck share the table (``Instance.kept``)."""
     m, idx = x.m, range(x.m.dim)
     one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -x.kappa
     tensors = ((x.pkg.curv, one), (x.r, minus_one), (x.templates[2], minus_kappa))
@@ -321,11 +318,11 @@ def closed_form_slabs(x) -> Callable[[int], Table]:
     minus_v_nz = [[(p, -c) for p, c in w] for w in v_nz]
     xh_phi, phi_cols = x.xh_phi, x.s.phi.sparse_columns
 
-    def products(i: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
+    def products() -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
         for t, c in tensors:
-            for _, j, k, p, value in t.entries(i):
-                yield (i, j, k, p), c, value
-        for j in idx:
+            for index, value in t.table.items():
+                yield index, c, value
+        for i, j in product(idx, repeat=2):
             for k in idx:
                 if xh_phi[i][k].terms:
                     for p, c in minus_v_nz[j]:
@@ -339,13 +336,13 @@ def closed_form_slabs(x) -> Callable[[int], Table]:
                     for p, c in phi_cols[k]:
                         yield (i, j, k, p), minus_bracket, c
 
-    return lambda i: sum_table(m.params, products(i))
+    return sum_table(m.params, products())
 
 
 def _curvature_closed_form(report, name, x):
     report.graded(
         name,
-        x.table_scan(lambda i: x.kept(closed_form_slabs, i)),
+        x.table_scan(x.kept(closed_form_table)),
         notes=(
             "asserted form carries [g(X1, phi X2 + phi h X2) - g(X2, phi X1 + "
             "phi h X1)] phi X3 as its final bracket (a difference; equals "
@@ -368,7 +365,7 @@ def _curvature_closed_form_crosscheck(report, name, x):
     table = sum_table(
         m.params,
         chain(
-            ((index, one, c) for i in idx for index, c in x.kept(closed_form_slabs, i).items()),
+            ((index, one, c) for index, c in x.kept(closed_form_table).items()),
             (
                 ((i, j, k, p), a, c)
                 for i, j, a in minus_two_v

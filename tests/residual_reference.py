@@ -25,6 +25,14 @@ def sparse_vectors(t) -> list:
     ]
 
 
+def lowered(t):
+    """R(E_i, E_j, E_k, E_l) = g(R(E_i, E_j)E_k, E_l) as a function of the
+    indices, read from t's table (zero where it names none), since the frame
+    is orthonormal."""
+    zero = Scalar.zero(t.params)
+    return lambda *index: t.table.get(index, zero)
+
+
 def xi_contraction(x: Instance, xi_at: tuple[int, ...], terms):
     """The sum of c T(X, Y, Z) over the terms (T, c), with xi in the argument
     slots ``xi_at`` and E_i, E_j, ... in the others, as a function of those
@@ -134,7 +142,7 @@ def _phi_tables(x: Instance):
 
 
 def pair_interchange(x: Instance):
-    m, low, one = x.m, x.pkg.curv.lowered, x.m.one_scalar()
+    m, low, one = x.m, lowered(x.pkg.curv), x.m.one_scalar()
     two_phi, minus_two_phi, phi_h = _phi_tables(x)
     h_phi = [[m.inner(h, phi) for phi in x.s.phi.columns] for h in x.h.columns]
 
@@ -181,12 +189,12 @@ def cyclic_sum(x: Instance):
 
 
 def first_pair_antisymmetry(x: Instance):
-    low = x.pkg.curv.lowered
+    low = lowered(x.pkg.curv)
     return lambda i, j, k, l: low(i, j, k, l) + low(j, i, k, l)
 
 
 def last_pair_antisymmetry(x: Instance):
-    low = x.pkg.curv.lowered
+    low = lowered(x.pkg.curv)
     return lambda i, j, k, l: low(i, j, k, l) + low(i, j, l, k)
 
 

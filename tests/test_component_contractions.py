@@ -44,8 +44,8 @@ from contactframe.curvature import torsion_table
 from contactframe.report import VerificationReport, first_witness
 from contactframe.tables import sum_table
 from contactframe.suite import CATALOGUE
-from contactframe.tanaka_webster import closed_form_slabs
-from vector_reference import apply, bracket
+from contactframe.tanaka_webster import closed_form_table
+from vector_reference import apply, bracket, derivative
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -199,7 +199,7 @@ def test_derivative_endo_matches_the_column_formula(x):
         for i in range(m.dim):
             got = conn.derivative_endo(i, a)
             for j in range(m.dim):
-                want = conn.derivative(i, a.column(j)) - a.apply(conn.derivative_basis(i, j))
+                want = derivative(conn, i, a.column(j)) - a.apply(conn.derivative_basis(i, j))
                 assert got.column(j) == want, (name, i, j)
 
 
@@ -222,20 +222,19 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
         assert got == tuple(c if c.terms else None for c in want.components), (i, j)
         assert x.h_phi[i][j] == m.inner(x.h.column(i), phi.column(j)), (i, j)
         assert x.xh_phi[i][j] == m.inner(xh[i], phi.column(j)), (i, j)
-    for i in range(m.dim):
-        table = x.kept(closed_form_slabs, i)
-        for j, k in product(range(m.dim), repeat=2):
-            bracket = v[j].components[i] - v[i].components[j]
-            want = (
-                x.pkg.curv.vector(i, j, k)
-                - x.r.vector(i, j, k)
-                - r3.vector(i, j, k).scale(kappa)
-                - v[j].scale(m.inner(xh[i], phi.column(k)))
-                + v[i].scale(m.inner(xh[j], phi.column(k)))
-                - phi.column(k).scale(bracket)
-            )
-            got = tuple(table.get((i, j, k, p)) for p in range(m.dim))
-            assert got == tuple(c if c.terms else None for c in want.components), (i, j, k)
+    table = x.kept(closed_form_table)
+    for i, j, k in product(range(m.dim), repeat=3):
+        bracket = v[j].components[i] - v[i].components[j]
+        want = (
+            x.pkg.curv.vector(i, j, k)
+            - x.r.vector(i, j, k)
+            - r3.vector(i, j, k).scale(kappa)
+            - v[j].scale(m.inner(xh[i], phi.column(k)))
+            + v[i].scale(m.inner(xh[j], phi.column(k)))
+            - phi.column(k).scale(bracket)
+        )
+        got = tuple(table.get((i, j, k, p)) for p in range(m.dim))
+        assert got == tuple(c if c.terms else None for c in want.components), (i, j, k)
 
 
 # -- the vector rows over pairs of frame vectors ---------------------------------
@@ -299,10 +298,10 @@ def _dense_vector_residuals(x: Instance) -> dict:
 
     return {
         "nkappa.xi_covariant_derivative": (
-            1, lambda i: x.lc.derivative(i, xi) + phi.column(i) + phi_h.column(i)
+            1, lambda i: derivative(x.lc, i, xi) + phi.column(i) + phi_h.column(i)
         ),
         "nkappa.xi_covariant_derivative_reference_form": (
-            1, lambda i: x.lc.derivative(i, xi) + phi.column(i) + h.column(i)
+            1, lambda i: derivative(x.lc, i, xi) + phi.column(i) + h.column(i)
         ),
         "nkappa.phi_covariant_derivative": (
             2, lambda i, j: x.dphi_lc[i].column(j) - r1_xi(i, j)
@@ -313,7 +312,7 @@ def _dense_vector_residuals(x: Instance) -> dict:
             + xi.scale(kappa_minus_1 * g(e[i], phi.column(j)) - g(h.column(i), phi.column(j)))
             - h.apply(v[i]).scale(eta[j]),
         ),
-        "gtw.xi_parallel": (1, lambda i: conn.derivative(i, xi)),
+        "gtw.xi_parallel": (1, lambda i: derivative(conn, i, xi)),
         "gtw.phi_derivative_relation": (
             2, lambda i, j: x.dphi_gtw[i].column(j) - x.dphi_lc[i].column(j) + r1_xi(i, j)
         ),

@@ -11,7 +11,7 @@ from contactframe import (
     load_manifest_file,
     verify_concircular_suite,
 )
-from contactframe.concircular import ricci_action_slabs, self_action_slabs
+from contactframe.concircular import ricci_action_table, self_action_slabs
 from vector_reference import apply, tensor_dot_form, tensor_dot_tensor
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -131,18 +131,22 @@ def _manifest_instance(name: str) -> Instance:
 @pytest.mark.parametrize("name", ["lambda_symbolic", "heisenberg5.json", "t1e4.json"])
 def test_action_contractions_match_the_vector_operators(fam, name):
     """The component contractions the obstructions scan equal the vector-level
-    operators on every basis tuple: slab (i, j) of ``self_action_slabs`` holds
-    the nonzero components of (Z(xi, E_i).Z)(E_j, E_k)E_l, slab i of
-    ``ricci_action_slabs`` the nonzero values of (Z(xi, E_i).ricci)(E_j, E_k)."""
+    operators on every basis tuple: the tables of ``self_action_slabs`` hold
+    the nonzero components of (Z(xi, E_i).Z)(E_j, E_k)E_l, each (i, j) in one
+    table and in row-major order, and ``ricci_action_table`` the nonzero
+    values of (Z(xi, E_i).ricci)(E_j, E_k)."""
     x = fam if name == "lambda_symbolic" else _manifest_instance(name)
     m, z, xi, ric = x.m, x.z, x.s.xi, x.pkg.ricci
     e = [m.basis(i) for i in range(m.dim)]
-    self_action, ricci_action = self_action_slabs(x), ricci_action_slabs(x)
+    tables, ricci_table = [t for t in self_action_slabs(x) if t], ricci_action_table(x)
+    leads = [{index[:2] for index in table} for table in tables]
+    assert all(len(lead) == 1 for lead in leads)
+    firsts = [min(lead) for lead in leads]
+    assert firsts == sorted(set(firsts))
+    self_table = {index: c for table in tables for index, c in table.items()}
     nonzero = 0
     for i in range(m.dim):
-        ricci_table = ricci_action(i)
         for j in range(m.dim):
-            self_table = self_action(i, j)
             for k in range(m.dim):
                 want = tensor_dot_form(m, z, ric, xi, e[i], e[j], e[k])
                 assert ricci_table.get((i, j, k)) == (want if want.terms else None), (i, j, k)

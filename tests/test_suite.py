@@ -303,15 +303,28 @@ def test_heisenberg_run_work_counts():
     assert counts["json_bytes"] <= 15929
 
 
-def test_heisenberg_sum_counts_are_exact():
+@pytest.mark.parametrize(
+    ("manifest", "sums", "zero_sums"),
+    [
+        ("heisenberg5.json", 850, 529),
+        ("lambda_family.json", 350, 178),
+        ("t1e4.json", 1992, 1211),
+    ],
+)
+def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     """The counter reaches every module that binds ``sum_table`` by name: a
     run on H^5 reads exactly 850 sums of products, 529 of them zero.  They
     are the 845 and 529 of the kernel that ran one ``Scalar.sum_of_products``
     per index, plus the 5 nonzero entries of the Levi-Civita Ricci form, now
     one ``sum_table`` (the torsionful curvature of H^5 is zero and names no
-    entry), so a binding the counter missed would lower them."""
-    counts = _work_counts("heisenberg5.json")
-    assert (counts["sum_of_products"], counts["zero_sums"]) == (850, 529)
+    entry), so a binding the counter missed would lower them; building the
+    eta-contraction and phi-flatness tables whole raises them to 936.  The
+    symbolic lambda family (350 and 178) and T1E4 (1,992 and 1,211) hold the
+    self action's early exit: its tables, one per (i, j), stop at the first
+    that holds an entry, where one table per i makes 360 and 182, and 2,046
+    and 1,239."""
+    counts = _work_counts(manifest)
+    assert (counts["sum_of_products"], counts["zero_sums"]) == (sums, zero_sums)
 
 
 def test_heisenberg9_report_size():

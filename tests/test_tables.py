@@ -1,16 +1,21 @@
 """The table kernel ``tables.sum_table`` against ``Scalar.sum_of_products``
 per index, and the one-term paths of the Scalar ring, over no parameters,
-one and two."""
+one and two; and the witness rule of a table of nonzero residuals
+(``Instance.table_scan``, ``tables.first_nonempty``) against the row-major
+scan of every basis tuple."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactframe import FrameVector, Instance, make_heisenberg, make_lambda_family
+from contactframe.report import first_witness
 from contactframe.scalars import ParameterMismatchError, Scalar
-from contactframe.tables import sum_table
+from contactframe.tables import first_nonempty, sum_table
 from test_scalars import assert_canonical
 
 PARAM_TUPLES = ((), ("t",), ("t", "x"))
@@ -125,3 +130,57 @@ def test_one_term_paths(case):
     if a.terms:
         (m, c), = a.terms
         assert a - Scalar.from_terms(params, {m: c}) is zero
+
+
+# dimensions 3 and 5, over no parameters and over one
+INSTANCES = [
+    Instance(e.manifold, e.structure)
+    for e in (make_heisenberg(1), make_heisenberg(2), make_lambda_family(None))
+]
+
+
+@st.composite
+def residual_tables(draw):
+    """An instance, whether the residual is a vector, and a sparse table of
+    nonzero Scalars over the instance's parameters, keyed (i, j, p) with p
+    the component of a vector residual, else (i, j, k)."""
+    x = draw(st.sampled_from(INSTANCES))
+    index = st.tuples(*[st.integers(0, x.m.dim - 1)] * 3)
+    nonzero = scalars(x.m.params).filter(lambda c: bool(c.terms))
+    return x, draw(st.booleans()), draw(st.dictionaries(index, nonzero, max_size=12))
+
+
+@HUNDRED
+@given(residual_tables(), st.sampled_from(["residual", "value"]))
+def test_table_scan_is_the_row_major_scan(case, key):
+    """The witness of a table is the one ``first_witness`` gives over every
+    basis tuple of the dense residual: (i, j) with the frame vector there, or
+    (i, j, k) with the value there; None when the table is empty."""
+    x, vector, table = case
+    dim, zero = x.m.dim, Scalar.zero(x.m.params)
+    if vector:
+        arity = 2
+        dense = lambda i, j: FrameVector(tuple(table.get((i, j, p), zero) for p in range(dim)))
+    else:
+        arity = 3
+        dense = lambda i, j, k: table.get((i, j, k), zero)
+    want = first_witness(product(range(dim), repeat=arity), dense, key)
+    assert x.table_scan(table, vector, key) == want
+
+
+@HUNDRED
+@given(residual_tables(), st.integers(1, 2))
+def test_first_nonempty_slab_has_the_whole_tables_witness(case, depth):
+    """Split by its first ``depth`` indices, in order, a table's first nonempty
+    slab has the whole table's witness, and no later slab is built."""
+    x, vector, table = case
+    built = []
+
+    def slabs():
+        for lead in product(range(x.m.dim), repeat=depth):
+            built.append(lead)
+            yield {index: c for index, c in table.items() if index[:depth] == lead}
+
+    assert x.table_scan(first_nonempty(slabs()), vector) == x.table_scan(table, vector)
+    last = min(table)[:depth] if table else (x.m.dim - 1,) * depth
+    assert built[-1] == last

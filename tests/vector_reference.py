@@ -1,5 +1,5 @@
-"""Vector-level reference operators: the bracket, the trilinear extension of
-a curvature-type tensor and the tensor actions on arbitrary constant vectors,
+"""Vector-level reference operators: the bracket, the covariant derivative of
+a constant vector, the trilinear extension of a curvature-type tensor and the tensor actions on arbitrary constant vectors,
 through the structure constants and the tensor's components; and the dense
 connection coefficients of the Koszul formula and of the generalized
 Tanaka-Webster displacement, every coefficient with plain Scalar ``+`` and
@@ -13,6 +13,7 @@ from fractions import Fraction
 from contactframe import (
     AlmostContactData,
     BilinearForm,
+    Connection,
     Curvature4Tensor,
     Endomorphism,
     FrameManifold,
@@ -36,6 +37,15 @@ def bracket(m: FrameManifold, x: FrameVector, y: FrameVector) -> FrameVector:
             for k in range(m.dim)
         )
     )
+
+
+def derivative(conn: Connection, i: int, x: FrameVector) -> FrameVector:
+    """nabla_{E_i} X = sum_j x_j Gamma_ij^k E_k for a constant-coefficient X."""
+    components = [Scalar.zero(x.params)] * conn.dim
+    for j, xj in enumerate(x.components):
+        for k, g in conn.entries(i, j):
+            components[k] = components[k] + xj * g
+    return FrameVector(tuple(components))
 
 
 def apply(t: Curvature4Tensor, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:

@@ -28,7 +28,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .curvature import scalar_curvature
 from .manifest import (
@@ -41,7 +41,7 @@ from .manifest import (
 from .report import emit
 from .suite import SUITES, Instance, run_suite
 from .zoo import ZooDomainError, boeckx_invariant, dhomothetic_invariants, zoo_entry
-from .frames import FrameVector, render_vector, vectors
+from .frames import FrameVector, render_vector
 
 _FORMATS = ("json", "text")
 
@@ -144,9 +144,11 @@ def _cmd_verify(args, fmt: str) -> int:
     return 1 if report.has_failures else 0
 
 
-def _nonzero(labelled: Iterable[tuple[tuple[int, ...], FrameVector]]) -> list:
-    """The (1-based indices, vector) pairs whose vector is nonzero, in order."""
-    return [(tuple(i + 1 for i in at), v) for at, v in labelled if not v.is_zero()]
+def _nonzero(
+    vector: Callable[[tuple[int, ...]], FrameVector], indices: Iterable[tuple[int, ...]]
+) -> list:
+    """The (1-based indices, vector(indices)) pairs whose vector is nonzero, in order."""
+    return [(tuple(i + 1 for i in at), v) for at in indices if not (v := vector(at)).is_zero()]
 
 
 def _cmd_curvature(args, fmt: str) -> int:
@@ -165,18 +167,15 @@ def _cmd_curvature(args, fmt: str) -> int:
                 f"the torsionful connection needs a valid contact metric structure: {bad[0]}"
             )
         conn, curv, ricci_form, tau = x.pkg.conn, x.pkg.curv, x.pkg.ricci, x.pkg.tau
-        nonzero = vectors(x.pkg.torsion, m.dim, m.params)
-        torsion = _nonzero((at, nonzero[at]) for at in combinations(idx, 2) if at in nonzero)
+        torsion = _nonzero(x.vector_at(x.pkg.torsion), combinations(idx, 2))
     else:
         conn, curv, ricci_form = x.lc, x.r, x.ricci
         tau = scalar_curvature(m, ricci_form)
         torsion = None
     kappa = x.kappa
-    derivatives = _nonzero(
-        ((i, j), conn.derivative_basis(i, j)) for i, j in product(idx, repeat=2)
-    )
+    derivatives = _nonzero(x.vector_at(conn.table), product(idx, repeat=2))
     curvature = _nonzero(
-        ((i, j, k), curv.vector(i, j, k)) for (i, j), k in product(combinations(idx, 2), idx)
+        x.vector_at(curv.table), ((i, j, k) for (i, j), k in product(combinations(idx, 2), idx))
     )
 
     if fmt == "json":
@@ -253,7 +252,7 @@ def _cmd_zoo(args, fmt: str) -> int:
         f"expected kappa: {entry.expected_kappa}",
         "brackets (i<j, nonzero):",
     ]
-    brackets = _nonzero(((i, j), m.bracket_basis(i, j)) for i, j in combinations(range(m.dim), 2))
+    brackets = _nonzero(lambda ij: m.bracket_basis(*ij), combinations(range(m.dim), 2))
     lines += [
         f"  [E{i},E{j}] = {render_vector(v.components)}" for (i, j), v in brackets
     ] or ["  (all zero)"]

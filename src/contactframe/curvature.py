@@ -58,8 +58,8 @@ class ConnectionConsistencyError(Exception):
 class Connection:
     """The coefficients of nabla_{E_i} E_j = Gamma_ij^k E_k, held as the table
     of the nonzero ones keyed (i, j, k); every coefficient the table does not
-    name is zero.  There is no dense view: ``derivative_basis`` is the one
-    dense read, and only the ``curvature`` command's tables take it."""
+    name is zero.  There is no dense view: every reader takes the table, the
+    ``curvature`` command's listing included (``suite.Instance.vector_at``)."""
 
     dim: int
     params: tuple[str, ...]
@@ -78,13 +78,6 @@ class Connection:
         """The nonzero components (k, Gamma_ij^k) of nabla_{E_i} E_j, in k order."""
         return self._by_pair.get((i, j), ())
 
-    def derivative_basis(self, i: int, j: int) -> FrameVector:
-        """nabla_{E_i} E_j as a frame vector."""
-        components = [Scalar.zero(self.params)] * self.dim
-        for k, g in self.entries(i, j):
-            components[k] = g
-        return FrameVector(tuple(components))
-
     @cached_property
     def operators(self) -> tuple[Endomorphism, ...]:
         """G_i, the endomorphism E_q -> nabla_{E_i} E_q, for every frame index:
@@ -101,13 +94,6 @@ class Connection:
             (nabla_i A)^p_j = sum_q Gamma_iq^p A^q_j - A^p_q Gamma_ij^q .
         """
         return self.operators[i].commutator(a)
-
-    def derivative_covector(self, i: int, eta: FrameVector, j: int) -> Scalar:
-        """(nabla_{E_i} eta)(E_j) = -eta(nabla_{E_i} E_j) for constant eta."""
-        eta_k = eta.components
-        return -Scalar.sum_of_products(
-            self.params, ((eta_k[k], g) for k, g in self.entries(i, j))
-        )
 
     @cached_property
     def metric_residual(self) -> Table:
@@ -185,18 +171,13 @@ class Curvature4Tensor:
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]:
-        """The dense view R[i][j][k][l], built on first read; only ``vector``
-        (the ``curvature`` command's tables) and the benchmark's trace counter
-        read it."""
+        """The dense view R[i][j][k][l], built on first read; no run reads it,
+        only the benchmark's trace counter and the tests' references."""
         get, zero, idx = self.table.get, Scalar.zero(self.params), range(self.dim)
         return tuple(
             tuple(tuple(tuple(get((i, j, k, l), zero) for l in idx) for k in idx) for j in idx)
             for i in idx
         )
-
-    def vector(self, i: int, j: int, k: int) -> FrameVector:
-        """R(E_i, E_j)E_k as a frame vector."""
-        return FrameVector(self.components[i][j][k])
 
     @cached_property
     def _by_slot(self) -> tuple[dict[int, list[tuple[int, int, int, int, Scalar]]], ...]:
@@ -312,18 +293,6 @@ class BilinearForm:
 
     components: tuple[tuple[Scalar, ...], ...]
 
-    def apply(self, x: FrameVector, y: FrameVector) -> Scalar:
-        return Scalar.sum_of_products(
-            x.params,
-            (
-                (xi * yj, self.components[i][j])
-                for i, xi in enumerate(x.components)
-                if xi.terms
-                for j, yj in enumerate(y.components)
-                if yj.terms
-            ),
-        )
-
 
 def ricci(m: FrameManifold, r: Curvature4Tensor) -> BilinearForm:
     """S(E_j, E_l) = sum_i R(E_j, E_i, E_i, E_l): one ``sum_table`` over the
@@ -341,7 +310,8 @@ def scalar_curvature(m: FrameManifold, s: BilinearForm) -> Scalar:
 
 # ---------------------------------------------------------------------------
 # N(kappa) identity suite: one row per check of the Levi-Civita curvature,
-# graded on every basis tuple from the instance x (``suite.Instance``).
+# graded from the instance x (``suite.Instance``), each from one table of its
+# nonzero residuals except h^2, which is scanned column by column.
 # Reference variants that disagree with the computed tensors are reported as
 # informational entries rather than failures.
 # ---------------------------------------------------------------------------
@@ -354,7 +324,7 @@ def _nullity_constant(report, name, x):
 def _xi_covariant_derivative(report, name, x):
     report.graded(
         name,
-        x.vector_scan(x.xi_derivative(x.lc, x.s.phi, x.phi_h)),
+        x.scan(x.xi_derivative(x.lc, x.s.phi, x.phi_h)),
         notes=(
             "asserted form: nabla_X xi = -phi X - phi h X; the variant with a bare "
             "h-term is checked separately as a reference form",
@@ -365,7 +335,7 @@ def _xi_covariant_derivative(report, name, x):
 def _xi_covariant_derivative_reference(report, name, x):
     report.reference(
         name,
-        x.vector_scan(x.xi_derivative(x.lc, x.s.phi, x.h)),
+        x.scan(x.xi_derivative(x.lc, x.s.phi, x.h)),
         "reference variant -phi X - h X disagrees with the computed "
         "derivative; recorded as data",
     )
@@ -374,7 +344,7 @@ def _xi_covariant_derivative_reference(report, name, x):
 # (nabla_X phi)Y = g(X + hX, Y) xi - eta(Y)(X + hX) = R1(xi, X + hX)Y
 def _phi_covariant_derivative(report, name, x):
     one = x.m.one_scalar()
-    report.graded(name, x.vector_scan(x.derivatives(x.dphi_lc, one), x.r1_xi(-one)))
+    report.graded(name, x.scan(x.derivatives(x.dphi_lc, one), x.r1_xi(-one)))
 
 
 # h^2 = (kappa - 1) phi^2, scanned column by column
@@ -405,7 +375,7 @@ def _h_covariant_derivative(report, name, x):
     # g(X, h phi Y) = g(hX, phi Y): h is symmetric on every input the gate admits
     report.graded(
         name,
-        x.vector_scan(
+        x.scan(
             x.derivatives(dh, one),
             x.along_xi(x.s.phi.matrix, x.kappa - one),
             x.along_xi(x.h_phi, -one),
@@ -416,9 +386,9 @@ def _h_covariant_derivative(report, name, x):
 
 # (nabla_X eta)Y = g(X + hX, phi Y)
 def _eta_covariant_derivative(report, name, x):
+    minus_one = -x.m.one_scalar()
     report.graded(
-        name,
-        x.scan(2, lambda i, j: x.lc.derivative_covector(i, x.s.eta, j) - x.xh_phi[i][j]),
+        name, x.scan(x.eta_derivative(x.lc), x.form(x.xh_phi, minus_one), vector=False)
     )
 
 
@@ -437,30 +407,23 @@ def _curvature_xi_argument(report, name, x):
 
 # S = 2(n-1) g + 2(n-1) g(h., .) + [2n kappa - 2(n-1)] eta (x) eta
 def _ricci_closed_form(report, name, x):
-    m, eta = x.m, x.s.eta.components
+    m = x.m
     two_n_minus_2 = m.constant(2 * (m.n - 1))
     eta_coeff = m.constant(2 * m.n) * x.kappa - two_n_minus_2
     report.graded(
         name,
         x.scan(
-            2,
-            lambda i, j: x.ricci.components[i][j]
-            - two_n_minus_2 * m.inner_basis(i, j)
-            - two_n_minus_2 * x.h.matrix[j][i]
-            - eta_coeff * eta[i] * eta[j],
+            x.form(x.ricci.components, m.one_scalar()),
+            x.form(x.h.matrix, -two_n_minus_2, transpose=True),
+            x.metric_eta(-two_n_minus_2, -eta_coeff),
+            vector=False,
         ),
     )
 
 
 # S(X, xi) = 2 n kappa eta(X); S(xi, xi) = 2 n kappa
 def _ricci_xi_values(report, name, x):
-    m, xi, eta, s_form = x.m, x.s.xi, x.s.eta.components, x.ricci
-    two_n_kappa = m.constant(2 * m.n) * x.kappa
-    report.graded(
-        name,
-        x.scan(1, lambda i: s_form.apply(m.basis(i), xi) - two_n_kappa * eta[i])
-        or first_witness([()], lambda: s_form.apply(xi, xi) - two_n_kappa),
-    )
+    report.graded(name, x.xi_values(x.ricci.components, x.m.constant(2 * x.m.n) * x.kappa))
 
 
 # tau = 2n(2n - 2 + kappa)

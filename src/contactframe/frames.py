@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .report import VerificationReport, first_witness
 from .scalars import RationalLike, Scalar
-from .tables import Table, sum_table
+from .tables import sum_table
 
 
 class FrameError(Exception):
@@ -198,19 +198,6 @@ def _matrix_products(a_cols, b_cols) -> Iterator[tuple[tuple[int, int], Scalar, 
     """The products ((p, j), A^p_q, B^q_j) of the matrix product A B, from the
     nonzero entries (row, value) of each column of A and of B."""
     return (((p, j), a, b) for j, col in enumerate(b_cols) for q, b in col for p, a in a_cols[q])
-
-
-def vectors(table: Table, dim: int, params: tuple[str, ...]) -> dict[tuple[int, ...], FrameVector]:
-    """The vector residual of a table whose last index is the component: each
-    index tuple with a nonzero component maps to its frame vector."""
-    zero = Scalar.zero(params)
-    grouped: dict[tuple[int, ...], list[Scalar]] = {}
-    for index, value in table.items():
-        components = grouped.get(index[:-1])
-        if components is None:
-            components = grouped[index[:-1]] = [zero] * dim
-        components[index[-1]] = value
-    return {index: FrameVector(tuple(c)) for index, c in grouped.items()}
 
 
 @dataclass(frozen=True)

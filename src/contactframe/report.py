@@ -12,9 +12,11 @@ A report is an ordered list of checks.  Each check has one of three statuses:
 Witnesses are plain JSON-ready dictionaries: indices are 1-based frame
 indices, scalar values are rendered through the canonical expression
 grammar, vectors through the frame-vector rendering ("-2/3*E2").  Every
-scan for a witness goes through ``first_witness``: the first index tuple,
-in the caller's order, whose residual is nonzero.  A residual stated as a
-table of its nonzero values (``tables``) is scanned through it too.  A
+witness is built by ``first_witness``: the first index tuple, in the
+caller's order, whose residual is nonzero.  The structural layer and
+``nkappa.h_square`` hand it every basis tuple and a per-tuple residual;
+every other derived row hands it the least index of a table of its nonzero
+residuals (``tables``, read by ``suite.Instance.table_scan``).  A
 crosscheck reads only the keys of such a table and the value at the first
 one: its witness counts the tuples that agree and lists the few that
 differ, so a tuple absent from the table agrees without being evaluated or

@@ -39,23 +39,25 @@ A derived row reads its residual from a table of the nonzero values, summed
 from products of the nonzero entries of its operands (``tables.sum_table``).
 Every entry is nonzero, so the first witness a row-major scan of every basis
 tuple would give is the table's least index, with the value there
-(``Instance.table_scan``).  The vector residuals of one or two frame vectors
-(nabla xi, nabla phi, nabla h, the torsion and its closed forms, and the
-classification's Sasakian test) are one table each, keyed (i, j, p) and
-built from the products that the instance states (``Instance.vector_scan``).
-Every table is built whole, except three whose witness often comes early
-on a dense input (the eta contraction, the phi-flatness test and the
-self-action obstruction): those are generators of tables split by their
-leading indices, built up to the first that holds an entry
-(``tables.first_nonempty``).  Only the scalar residuals of one or two frame
-vectors (the Ricci forms and values, nabla eta, the Ricci symmetry) are
-evaluated per basis tuple (``Instance.scan``), as the structural layer's
-are.  The tables that two rows read (the curvature closed form, the ricci
-action) are kept on the instance, one per builder (``Instance.kept``).  A
-tensor with xi in some argument slots is read from one table per tensor and
-slots, kept on the tensor (``Curvature4Tensor.xi_table``) and scanned whole:
-``detect_kappa``, ``Instance.r1_scan``, ``Instance.z_xi`` and the xi-slot
-rows share them.
+(``Instance.table_scan``).  The residuals of one or two frame vectors are
+one table each, summed from the products that the instance states
+(``Instance.scan``): keyed (i, j, p) for a vector residual (nabla xi,
+nabla phi, nabla h, the torsion and its closed forms, and the
+classification's Sasakian test) and (i, j) for a scalar one (nabla eta, the
+Ricci closed forms, the Ricci symmetry); the xi values read S(E_i, xi)
+keyed (i,) and, when that table is empty, S(xi, xi) keyed ().  Every table
+is built whole, except three whose witness often comes early on a dense
+input (the eta contraction, the phi-flatness test and the self-action
+obstruction): those are generators of tables split by their leading
+indices, built up to the first that holds an entry
+(``tables.first_nonempty``).  Only ``nkappa.h_square`` and the structural
+layer are evaluated per basis tuple.  The tables that two rows read (the
+curvature closed form, the ricci action) are kept on the instance, one per
+builder, beside the witness of each ``Instance.r1_scan`` comparison
+(``Instance.kept``).  A tensor with xi in some argument slots is read from
+one table per tensor and slots, kept on the tensor
+(``Curvature4Tensor.xi_table``) and scanned whole: ``detect_kappa``,
+``Instance.r1_scan``, ``Instance.z_xi`` and the xi-slot rows share them.
 
 run_suite never raises on mathematical grounds: every outcome, including a
 broken input structure, is a report entry.
@@ -66,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .concircular import (
@@ -128,19 +130,20 @@ class Instance:
 
     m: FrameManifold
     s: AlmostContactData
-    _r1_witnesses: dict = field(default_factory=dict, init=False, repr=False)
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
-    def scan(self, arity: int, residual: Callable) -> dict | None:
-        """``first_witness`` over every basis index tuple of ``arity``, row-major."""
-        return first_witness(product(range(self.m.dim), repeat=arity), residual)
+    def scan(self, *products: Iterable[Product], vector: bool = True) -> dict | None:
+        """The witness of the residual that the products sum to: one table,
+        read whole (``table_scan``); a vector residual puts its component
+        last in each key."""
+        return self.table_scan(sum_table(self.m.params, chain(*products)), vector)
 
     def table_scan(self, table: Table, vector: bool = True, key: str = "residual") -> dict | None:
-        """The witness ``scan`` would give, read from a table of nonzero
-        residuals: its least index, with the value there, or None when the
-        table is empty.  A vector residual puts its component last in the
-        index, and its witness is the least leading indices, with the frame
-        vector there (``vector_at``)."""
+        """The witness a row-major scan of every basis tuple would give, read
+        from a table of nonzero residuals: its least index, with the value
+        there, or None when the table is empty.  A vector residual puts its
+        component last in the index, and its witness is the least leading
+        indices, with the frame vector there (``vector_at``)."""
         if not table:
             return None
         least = min(table)
@@ -159,26 +162,21 @@ class Instance:
     def r1_scan(self, t: Curvature4Tensor, c: Scalar, xi_at: tuple[int, ...]) -> dict | None:
         """The witness of T - c R1 with xi in the argument slots ``xi_at``:
         ``t.xi_table`` against R1's table at the same slots, scanned whole.
-        Each distinct comparison runs once; rows that grade the same comparison
-        share its witness."""
+        Each distinct comparison runs once, kept beside the ``kept`` tables;
+        rows that grade the same comparison share its witness."""
         key = (id(t), c, xi_at)
-        if key not in self._r1_witnesses:
+        if key not in self._kept:
             xi, one, minus_c = self.s.xi, self.m.one_scalar(), -c
-            products = chain(
+            self._kept[key] = self.scan(
                 ((index, v, one) for index, v in t.xi_table(xi, xi_at).items()),
                 ((index, v, minus_c) for index, v in self.templates[0].xi_table(xi, xi_at).items()),
             )
-            self._r1_witnesses[key] = self.table_scan(sum_table(self.m.params, products))
-        return self._r1_witnesses[key]
+        return self._kept[key]
 
-    # -- the vector residuals of the frame vectors E_i, E_j ------------------
-    # Each is stated as products keyed (i, j, p), p the component of the
-    # residual at (E_i, E_j), over the nonzero entries of its operands.
-
-    def vector_scan(self, *products: Iterable[Product]) -> dict | None:
-        """The witness ``scan`` would give of the vector residual that the
-        products sum to, the component last in each key: one table, read whole."""
-        return self.table_scan(sum_table(self.m.params, chain(*products)))
+    # -- the residuals of the frame vectors E_i, E_j ---------------------------
+    # Each is stated as products keyed (i, j), or (i, j, p) for a vector
+    # residual, p the component of the residual at (E_i, E_j), over the
+    # nonzero entries of its operands.
 
     def vector_at(self, table: Table) -> Callable[[tuple[int, ...]], FrameVector]:
         """index -> the frame vector at index of a vector residual table, the
@@ -214,15 +212,12 @@ class Instance:
         self, rows: Sequence[Sequence[Scalar]], c: Scalar, transpose: bool = False
     ) -> Iterator[Product]:
         """a_ij c xi over the nonzero a_ij = rows[i][j] (rows[j][i] when
-        ``transpose``) and the nonzero c xi^p."""
+        ``transpose``, as ``form`` reads them) and the nonzero c xi^p."""
         xi = self.s.xi.components
         c_xi = [(p, w) for p, v in enumerate(xi) if v.terms and (w := c * v).terms]
-        for a, row in enumerate(rows):
-            for b, a_ab in enumerate(row):
-                if a_ab.terms:
-                    i, j = (b, a) if transpose else (a, b)
-                    for p, w in c_xi:
-                        yield (i, j, p), a_ab, w
+        for (i, j), a_ij, _ in self.form(rows, c, transpose):
+            for p, w in c_xi:
+                yield (i, j, p), a_ij, w
 
     @staticmethod
     def along(
@@ -245,6 +240,49 @@ class Instance:
         return chain(
             self.along_xi([w.components for w in v], c),
             self.along(self.s.xi.components, v, -c, 1),
+        )
+
+    @staticmethod
+    def form(
+        rows: Sequence[Sequence[Scalar]], c: Scalar, transpose: bool = False
+    ) -> Iterator[Product]:
+        """c a_ij keyed (i, j) over the nonzero a_ij = rows[i][j] (rows[j][i]
+        when ``transpose``); none when c is zero."""
+        if c.terms:
+            for a, row in enumerate(rows):
+                for b, a_ab in enumerate(row):
+                    if a_ab.terms:
+                        yield ((b, a) if transpose else (a, b)), a_ab, c
+
+    def metric_eta(self, g: Scalar, e: Scalar) -> Iterator[Product]:
+        """g delta_ij + e eta_i eta_j keyed (i, j), over the nonzero e eta_i
+        and eta_j; no delta term when g is zero."""
+        one, eta = self.m.one_scalar(), self.s.eta.components
+        e_eta = [(i, w) for i, v in enumerate(eta) if v.terms and (w := e * v).terms]
+        live = [(j, v) for j, v in enumerate(eta) if v.terms]
+        return chain(
+            (((i, i), g, one) for i in range(self.m.dim) if g.terms),
+            (((i, j), w, v) for i, w in e_eta for j, v in live),
+        )
+
+    def eta_derivative(self, conn: Connection) -> Iterator[Product]:
+        """(nabla_{E_i} eta)(E_j) = -eta(nabla_{E_i} E_j) = -eta_k Gamma_ij^k
+        keyed (i, j), over the nonzero entries."""
+        minus_eta = {k: -v for k, v in enumerate(self.s.eta.components) if v.terms}
+        return (((i, j), minus_eta[k], g) for (i, j, k), g in conn.table.items() if k in minus_eta)
+
+    def xi_values(self, rows: Sequence[Sequence[Scalar]], c: Scalar) -> dict | None:
+        """The witness of S(E_i, xi) - c eta_i keyed (i,), S(E_i, E_j) being
+        rows[i][j]; when that vanishes, of S(xi, xi) - c keyed (), a witness
+        with no indices."""
+        xi, eta, minus_c = self.s.xi.components, self.s.eta.components, -c
+        live = [(j, v) for j, v in enumerate(xi) if v.terms]
+        s_xi = [(i, a, v) for i, row in enumerate(rows) for j, v in live if (a := row[j]).terms]
+        c_eta = [((i,), minus_c, v) for i, v in enumerate(eta) if v.terms] if c.terms else []
+        return self.scan((((i,), a, v) for i, a, v in s_xi), c_eta, vector=False) or self.scan(
+            (((), xi[i] * a, v) for i, a, v in s_xi if xi[i].terms),
+            [((), minus_c, self.m.one_scalar())] if c.terms else [],
+            vector=False,
         )
 
     # -- structural layer ----------------------------------------------------
@@ -371,7 +409,7 @@ class Instance:
             # Sasakian: (nabla_X phi)Y = g(X, Y) xi - eta(Y) X
             one, e = self.m.one_scalar(), [self.m.basis(i) for i in range(self.m.dim)]
             sasakian = (
-                self.vector_scan(
+                self.scan(
                     self.derivatives(self.dphi_lc, one),
                     self.along_xi([v.components for v in e], -one),
                     self.along(self.s.eta.components, e, one, 1),

@@ -12,7 +12,7 @@ from itertools import product
 
 from contactframe import Endomorphism, FrameVector, Instance, Scalar
 from contactframe.scalars import exact_div
-from vector_reference import apply, endomorphism
+from vector_reference import apply, endomorphism, form
 
 
 def sparse_vectors(t) -> list:
@@ -201,8 +201,13 @@ def last_pair_antisymmetry(x: Instance):
 def eta_contraction(x: Instance, model):
     """eta(Z(E_i, E_j)E_k) - K eta(R1 at the slots model(i, j, k))."""
     m, z, r1, eta = x.m, x.z, x.templates[0], x.s.eta
-    return lambda i, j, k: m.inner(eta, z.vector(i, j, k)) - z.K * m.inner(
-        eta, r1.vector(*model(i, j, k))
+
+    def vector(t, i: int, j: int, k: int) -> FrameVector:
+        """T(E_i, E_j)E_k, read from the dense view ``components``."""
+        return FrameVector(t.components[i][j][k])
+
+    return lambda i, j, k: m.inner(eta, vector(z, i, j, k)) - z.K * m.inner(
+        eta, vector(r1, *model(i, j, k))
     )
 
 
@@ -272,3 +277,88 @@ def detect_kappa(m, s, r) -> Scalar | None:
     if num is None or den is None:
         return None
     return exact_div(num, den)
+
+
+# -- the scalar residuals of one or two frame vectors ------------------------------
+
+
+def _eta_derivative(conn, eta: FrameVector):
+    """(nabla_{E_i} eta)(E_j) = -eta(nabla_{E_i} E_j), one sum of products."""
+    eta_k = eta.components
+    return lambda i, j: -Scalar.sum_of_products(
+        conn.params, ((eta_k[k], g) for k, g in conn.entries(i, j))
+    )
+
+
+def eta_covariant_derivative(x: Instance):
+    """(nabla_X eta)Y - g(X + hX, phi Y) of the Levi-Civita connection."""
+    d = _eta_derivative(x.lc, x.s.eta)
+    return lambda i, j: d(i, j) - x.xh_phi[i][j]
+
+
+def eta_parallel(x: Instance):
+    """(nabla_X eta)Y of the torsionful connection."""
+    return _eta_derivative(x.pkg.conn, x.s.eta)
+
+
+def ricci_closed_form(x: Instance):
+    """S - 2(n-1) g - 2(n-1) g(h., .) - [2n kappa - 2(n-1)] eta (x) eta."""
+    m, eta = x.m, x.s.eta.components
+    two_n_minus_2 = m.constant(2 * (m.n - 1))
+    eta_coeff = m.constant(2 * m.n) * x.kappa - two_n_minus_2
+    return lambda i, j: (
+        x.ricci.components[i][j]
+        - two_n_minus_2 * m.inner_basis(i, j)
+        - two_n_minus_2 * x.h.matrix[j][i]
+        - eta_coeff * eta[i] * eta[j]
+    )
+
+
+def xi_values(x: Instance, omega, c: Scalar):
+    """S(E_i, xi) - c eta_i at the index (i,) and S(xi, xi) - c at (), S
+    being the form omega."""
+    m, xi, eta = x.m, x.s.xi, x.s.eta.components
+
+    def residual(*index: int) -> Scalar:
+        if index:
+            (i,) = index
+            return form(omega, m.basis(i), xi) - c * eta[i]
+        return form(omega, xi, xi) - c
+
+    return residual
+
+
+def ricci_xi_values(x: Instance):
+    return xi_values(x, x.ricci, x.m.constant(2 * x.m.n) * x.kappa)
+
+
+def ricci_xi_degenerate(x: Instance):
+    return xi_values(x, x.pkg.ricci, x.m.zero_scalar())
+
+
+def gtw_ricci_closed_form(x: Instance):
+    """ric - S - 2 g + (2n kappa + 2) eta (x) eta, ric the torsionful Ricci form."""
+    m, eta, ric = x.m, x.s.eta.components, x.pkg.ricci.components
+    two_nk_plus_2 = x.kappa.scale(2 * m.n) + m.constant(2)
+    return lambda i, j: (
+        ric[i][j]
+        - x.ricci.components[i][j]
+        - m.inner_basis(i, j).scale(2)
+        + two_nk_plus_2 * eta[i] * eta[j]
+    )
+
+
+def ricci_alternative_form(x: Instance):
+    """ric - 2n g - 2(n-1) g(h., .) + 2n eta (x) eta."""
+    m, eta, ric, n = x.m, x.s.eta.components, x.pkg.ricci.components, x.m.n
+    return lambda i, j: (
+        ric[i][j]
+        - m.inner_basis(i, j).scale(2 * n)
+        - x.h.matrix[j][i].scale(2 * (n - 1))
+        + (eta[i] * eta[j]).scale(2 * n)
+    )
+
+
+def ricci_symmetry(x: Instance):
+    ric = x.pkg.ricci.components
+    return lambda i, j: ric[i][j] - ric[j][i]

@@ -47,10 +47,11 @@ def test_criterion_1_golden_torsionful_tables(fam):
     e = m.basis
     two = Scalar.constant(m.params, 2)
     ok = True
+    conn, curv = fam.vector_at(fam.pkg.conn.table), fam.vector_at(fam.pkg.curv.table)
     # connection table: exactly two nonzero derivatives, parameter-free
     for i in range(3):
         for j in range(3):
-            got = fam.pkg.conn.derivative_basis(i, j)
+            got = conn((i, j))
             if (i, j) == (0, 1):
                 ok = ok and (got - e(2)).is_zero()
             elif (i, j) == (0, 2):
@@ -61,7 +62,7 @@ def test_criterion_1_golden_torsionful_tables(fam):
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                got = fam.pkg.curv.vector(i, j, k)
+                got = curv((i, j, k))
                 want = {
                     (1, 2, 1): -e(2).scale(two),
                     (2, 1, 1): e(2).scale(two),
@@ -85,7 +86,7 @@ def test_criterion_1_golden_torsionful_tables(fam):
 
 
 def test_criterion_2_levi_civita_and_nullity_constant(fam):
-    m = fam.m
+    m, lc = fam.m, fam.vector_at(fam.lc.table)
     lam = _lam(m)
     one = Scalar.one(m.params)
     e = m.basis
@@ -98,7 +99,7 @@ def test_criterion_2_levi_civita_and_nullity_constant(fam):
     ok = True
     for i in range(3):
         for j in range(3):
-            got = fam.lc.derivative_basis(i, j)
+            got = lc((i, j))
             want = expected.get((i, j))
             ok = ok and (got.is_zero() if want is None else (got - want).is_zero())
     h = fam.h
@@ -168,17 +169,18 @@ def test_criterion_4_space_form_coefficients_all_one(fam0):
     checked by substitution into the template on all basis triples, so the
     verdict does not rest on the linear solver.
     """
-    m, curv = fam0.m, fam0.pkg.curv
+    m, curv = fam0.m, fam0.vector_at(fam0.pkg.curv.table)  # (i, j, k) -> R(E_i, E_j)E_k
     n, e, c = m.n, m.basis, m.constant
+    templates = [fam0.vector_at(t.table) for t in fam0.templates]
 
     def template(coeffs, i, j, k):
-        t1, t2, t3 = (t.vector(i, j, k) for t in fam0.templates)
+        t1, t2, t3 = (t((i, j, k)) for t in templates)
         return t1.scale(coeffs[0]) + t2.scale(coeffs[1]) + t3.scale(coeffs[2])
 
     def residuals(coeffs):
         out = {}
         for i, j, k in itertools.product(range(m.dim), repeat=3):
-            r = curv.vector(i, j, k) - template(coeffs, i, j, k)
+            r = curv((i, j, k)) - template(coeffs, i, j, k)
             if not r.is_zero():
                 out[(i, j, k)] = r
         return out
@@ -216,7 +218,7 @@ def test_criterion_4_space_form_coefficients_all_one(fam0):
     ok = ok and template_tau(all_ones) == closed_tau(all_ones) == c(8)
     ok = ok and template_tau(all_ones) != fam0.pkg.tau
 
-    coeffs = gssf_decompose(fam0.templates, curv)
+    coeffs = gssf_decompose(fam0.templates, fam0.pkg.curv)
     ok = ok and coeffs is not None
     ok = ok and (coeffs.F1, coeffs.F2, coeffs.F3) == line[0]
     ok = ok and coeffs.free == ("F3",)

@@ -199,7 +199,7 @@ def test_derivative_endo_matches_the_column_formula(x):
         for i in range(m.dim):
             got = conn.derivative_endo(i, a)
             for j in range(m.dim):
-                want = derivative(conn, i, a.column(j)) - a.apply(conn.derivative_basis(i, j))
+                want = derivative(conn, i, a.column(j)) - a.apply(derivative(conn, i, m.basis(j)))
                 assert got.column(j) == want, (name, i, j)
 
 
@@ -223,12 +223,13 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
         assert x.h_phi[i][j] == m.inner(x.h.column(i), phi.column(j)), (i, j)
         assert x.xh_phi[i][j] == m.inner(xh[i], phi.column(j)), (i, j)
     table = x.kept(closed_form_table)
+    curv, r, r3 = (x.vector_at(t.table) for t in (x.pkg.curv, x.r, r3))
     for i, j, k in product(range(m.dim), repeat=3):
         bracket = v[j].components[i] - v[i].components[j]
         want = (
-            x.pkg.curv.vector(i, j, k)
-            - x.r.vector(i, j, k)
-            - r3.vector(i, j, k).scale(kappa)
+            curv((i, j, k))
+            - r((i, j, k))
+            - r3((i, j, k)).scale(kappa)
             - v[j].scale(m.inner(xh[i], phi.column(k)))
             + v[i].scale(m.inner(xh[j], phi.column(k)))
             - phi.column(k).scale(bracket)
@@ -286,7 +287,7 @@ def _dense_vector_residuals(x: Instance) -> dict:
         return apply(x.templates[0], xi, xh[i], e[j])
 
     def torsion(i: int, j: int) -> FrameVector:
-        return conn.derivative_basis(i, j) - conn.derivative_basis(j, i) - m.bracket_basis(i, j)
+        return derivative(conn, i, e[j]) - derivative(conn, j, e[i]) - m.bracket_basis(i, j)
 
     def torsion_closed_form(w: list[FrameVector]):
         return lambda i, j: (

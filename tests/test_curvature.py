@@ -30,7 +30,7 @@ def _lam(m):
 
 def test_connection_table_symbolic(fam):
     """The full covariant-derivative table of the frame family."""
-    m, lc = fam.m, fam.lc
+    m, at = fam.m, fam.vector_at(fam.lc.table)
     lam = _lam(m)
     one = Scalar.one(m.params)
     e = m.basis
@@ -42,7 +42,7 @@ def test_connection_table_symbolic(fam):
     }
     for i in range(3):
         for j in range(3):
-            got = lc.derivative_basis(i, j)
+            got = at((i, j))
             want = expected.get((i, j))
             if want is None:
                 assert got.is_zero(), (i, j, got)
@@ -55,7 +55,7 @@ def test_metric_is_parallel(fam):
 
 
 def test_riemann_golden_values(fam):
-    m, r = fam.m, fam.r
+    m, at = fam.m, fam.vector_at(fam.r.table)
     lam = _lam(m)
     one = Scalar.one(m.params)
     e = m.basis
@@ -71,7 +71,7 @@ def test_riemann_golden_values(fam):
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                got = r.vector(i, j, k)
+                got = at((i, j, k))
                 want = cases.get((i, j, k))
                 if want is None and (j, i, k) in cases:
                     want = -cases[(j, i, k)]
@@ -150,8 +150,9 @@ def test_every_tensor_a_run_builds_is_the_table_of_its_nonzero_components(monkey
     built (R, the torsionful curvature, R1-R3 and Z) and every connection
     (Levi-Civita, torsionful) holds no zero in its table.  A curvature-type
     tensor's dense view agrees with its table entry by entry; a connection
-    has no dense view, and its one dense read, ``derivative_basis``, agrees
-    with its table entry by entry."""
+    has no dense view, and its nonzero coefficients per pair (i, j)
+    (``entries``, which the Riemann kernel reads) agree with its table entry
+    by entry."""
     built = []
     for cls in (Curvature4Tensor, ConcircularTensor, Connection):
 
@@ -173,7 +174,7 @@ def test_every_tensor_a_run_builds_is_the_table_of_its_nonzero_components(monkey
         zero = Scalar.zero(t.params)
         if isinstance(t, Connection):
             for i, j, k in product(range(t.dim), repeat=3):
-                got = t.derivative_basis(i, j).components[k]
+                got = dict(t.entries(i, j)).get(k, zero)
                 assert got == t.table.get((i, j, k), zero), (i, j, k)
             continue
         for i, j, k, l in product(range(t.dim), repeat=4):
@@ -184,13 +185,12 @@ def test_every_tensor_a_run_builds_is_the_table_of_its_nonzero_components(monkey
     "entry", [make_heisenberg(2), make_lambda_family(None)], ids=["H5", "lambda_symbolic"]
 )
 def test_a_verify_run_never_builds_the_dense_view(monkeypatch, entry):
-    """Neither a curvature-type tensor's dense view nor a connection's dense
-    read (``derivative_basis``, one dense vector per pair) is built by a
-    verify run; only the ``curvature`` command's tables read them."""
+    """A verify run never builds a curvature-type tensor's dense view
+    (``components``); a connection has none."""
 
     def dense(self, *args):
         raise AssertionError("the dense view was built")
 
     monkeypatch.setattr(Curvature4Tensor, "components", property(dense))
-    monkeypatch.setattr(Connection, "derivative_basis", dense)
+    assert not hasattr(Connection, "derivative_basis")
     emit(run_suite(entry.manifold, entry.structure, "all"))

@@ -38,8 +38,9 @@ def test_engine_matches_sympy_oracle(fam):
     d = oracle.build_all()
     idx = range(fam.m.dim)
     pairs = []
+    lc_at, gtw_at = fam.vector_at(fam.lc.table), fam.vector_at(fam.pkg.conn.table)
     for i, j, k in product(idx, repeat=3):
-        lc, gtw = fam.lc.derivative_basis(i, j), fam.pkg.conn.derivative_basis(i, j)
+        lc, gtw = lc_at((i, j)), gtw_at((i, j))
         pairs.append((f"lc_gamma{i, j, k}", lc.components[k], d["gamma"][i][j][k]))
         pairs.append((f"gtw_gamma{i, j, k}", gtw.components[k], d["gt"][i][j][k]))
     for i, j in product(idx, repeat=2):

@@ -7,9 +7,13 @@ row's witness (or crosscheck table) must be the one the per-tuple scan gives.
 The instances are the component-contraction ones (the symbolic lambda family,
 H^5, T1E4 and a lambda member turned in the E1-E2 plane) and kmu3, H^5 and
 T1E4 turned by a dense Cayley rotation (seed 3), on which every table is full.
-One entry of Z and one entry of the torsionful curvature are then perturbed
-on H^5 and on the lambda family, and both paths must find the same new
-witnesses."""
+A row that scans its products inside the row (``Instance.scan``) is held
+through the tables it hands to ``Instance.table_scan``.  One entry of Z and
+one entry of the torsionful curvature are then perturbed on H^5 and on the
+lambda family, and both paths must find the same new witnesses; so are one
+off-diagonal entry of each Ricci form and one coefficient of each connection
+that eta reads, and every row that reads it must then fail with the
+per-tuple scan's witness."""
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from itertools import product
 import pytest
 
 import residual_reference as ref
-from contactframe import Curvature4Tensor, Instance, Scalar
+from contactframe import BilinearForm, Connection, Curvature4Tensor, Instance, Scalar
 from contactframe.concircular import (
     ConcircularTensor,
     eta_contraction_slabs,
@@ -27,7 +31,6 @@ from contactframe.concircular import (
     ricci_action_table,
     self_action_slabs,
 )
-from contactframe.frames import vectors
 from contactframe.report import VerificationReport, first_witness
 from contactframe.suite import CATALOGUE
 from contactframe.tanaka_webster import (
@@ -52,19 +55,49 @@ def _merged(tables) -> dict:
     return {k: v for table in tables for k, v in table.items()}
 
 
-def _nonzero(residual, dim: int, arity: int) -> dict:
-    """The per-tuple residual on every basis tuple, zeros left out."""
-    values = ((t, residual(*t)) for t in product(range(dim), repeat=arity))
-    return {t: v for t, v in values if not v.is_zero()}
+def _stages(arity) -> tuple[int, ...]:
+    """The arities a row scans in turn, the next only when the last is clean:
+    (1, 0) for the xi-value rows, which read S(E_i, xi) and then S(xi, xi)."""
+    return arity if isinstance(arity, tuple) else (arity,)
+
+
+def _nonzero(residual, dim: int, arity) -> dict:
+    """The per-tuple residual on every basis tuple, zeros left out, of the
+    first stage that holds a nonzero one."""
+    for stage in _stages(arity):
+        values = ((t, residual(*t)) for t in product(range(dim), repeat=stage))
+        nonzero = {t: v for t, v in values if not v.is_zero()}
+        if nonzero:
+            return nonzero
+    return {}
+
+
+def _tables_read(x: Instance, name: str) -> dict:
+    """The entries of every table the row ``name`` hands to
+    ``Instance.table_scan``, merged."""
+    read, scan = [], x.table_scan
+
+    def recording(table, *args):
+        read.append(table)
+        return scan(table, *args)
+
+    vars(x)["table_scan"] = recording
+    try:
+        ROWS[name](VerificationReport(), name, x)
+    finally:
+        del vars(x)["table_scan"]
+    return _merged(read)
 
 
 # (row, arity, per-tuple residual, engine table or None, how the row reports it);
 # an engine table of a vector residual is keyed with the component last
 def _cases(x: Instance) -> list:
-    dim, params = x.m.dim, x.m.params
-
     def vec(table: dict) -> dict:
-        return vectors(table, dim, params)
+        at = x.vector_at(table)
+        return {lead: at(lead) for lead in {index[:-1] for index in table}}
+
+    def read(name: str, arity, residual) -> tuple:
+        return name, arity, residual, _tables_read(x, name), "graded"
 
     cases = [
         ("gtw.curvature_first_pair_antisymmetry", 4, ref.first_pair_antisymmetry(x),
@@ -88,13 +121,21 @@ def _cases(x: Instance) -> list:
          vec(_merged(self_action_slabs(x))), "obstruction"),
         ("conc.phi_flatness", 4, ref.phi_flatness(x), _merged(phi_flatness_slabs(x)),
          "hypothesis"),
+        read("nkappa.eta_covariant_derivative", 2, ref.eta_covariant_derivative(x)),
+        read("gtw.eta_parallel", 2, ref.eta_parallel(x)),
+        read("gtw.ricci_alternative_form", 2, ref.ricci_alternative_form(x)),
+        read("gtw.ricci_xi_degenerate", (1, 0), ref.ricci_xi_degenerate(x)),
+        read("gtw.ricci_symmetry", 2, ref.ricci_symmetry(x)),
     ]
-    if x.kappa is not None:  # the closed form reads the nullity constant
+    if x.kappa is not None:  # these rows read the nullity constant
         cases += [
             ("gtw.curvature_closed_form", 3, ref.closed_form(x, -1),
              vec(x.kept(closed_form_table)), "graded"),
             ("gtw.curvature_closed_form_crosscheck", 3, ref.closed_form(x, +1), None,
              "crosscheck"),
+            read("nkappa.ricci_closed_form", 2, ref.ricci_closed_form(x)),
+            read("nkappa.ricci_xi_values", (1, 0), ref.ricci_xi_values(x)),
+            read("gtw.ricci_closed_form", 2, ref.gtw_ricci_closed_form(x)),
         ]
     return cases
 
@@ -105,12 +146,16 @@ def _crosscheck_witness(dim: int, arity: int, residual) -> dict:
     return VerificationReport().crosscheck("c", dim**arity, nonzero, nonzero.get, ()).witness
 
 
-def _expected_witness(x: Instance, arity: int, residual, kind: str) -> dict | None:
+def _expected_witness(x: Instance, arity, residual, kind: str) -> dict | None:
     dim = x.m.dim
     if kind == "crosscheck":
         return _crosscheck_witness(dim, arity, residual)
     key = "value" if kind == "obstruction" else "residual"
-    return first_witness(product(range(dim), repeat=arity), residual, key)
+    for stage in _stages(arity):
+        witness = first_witness(product(range(dim), repeat=stage), residual, key)
+        if witness is not None:
+            return witness
+    return None
 
 
 def _row_witness(x: Instance, name: str, kind: str) -> dict | None:
@@ -169,9 +214,9 @@ def test_xi_scans_match_the_per_tuple_scans(x, xi_at):
         assert x.r1_scan(t, c, xi_at) == first_witness(tuples, at)
 
 
-def _bumped(t: Curvature4Tensor, index: tuple[int, int, int, int]) -> dict:
-    """A copy of t's table with 1 added at ``index``; an entry that becomes
-    zero is dropped."""
+def _bumped(t, index: tuple[int, ...]) -> dict:
+    """A copy of the table of t (a tensor or a connection) with 1 added at
+    ``index``; an entry that becomes zero is dropped."""
     table = dict(t.table)
     value = t.table.get(index, Scalar.zero(t.params)) + Scalar.constant(t.params, 1)
     if value.terms:
@@ -181,16 +226,48 @@ def _bumped(t: Curvature4Tensor, index: tuple[int, int, int, int]) -> dict:
     return table
 
 
-def _perturbed(x: Instance, tensor: str, index: tuple[int, int, int, int]) -> Instance:
-    """A fresh instance of x's input whose torsionful curvature (and so Z) or
-    whose Z alone carries one perturbed entry."""
-    y = Instance(x.m, x.s)
-    if tensor == "curv":
-        curv = Curvature4Tensor(x.m.dim, x.m.params, _bumped(x.pkg.curv, index))
+def _bumped_form(form: BilinearForm, index: tuple[int, int]) -> BilinearForm:
+    """A copy of the form with 1 added at ``index``."""
+    rows = [list(row) for row in form.components]
+    i, j = index
+    rows[i][j] = rows[i][j] + Scalar.constant(rows[i][j].params, 1)
+    return BilinearForm(tuple(map(tuple, rows)))
+
+
+def _perturbed(x: Instance, operand: str, index: tuple[int, ...]) -> Instance:
+    """A fresh instance of x's input with one perturbed entry in its torsionful
+    curvature (and so Z), in Z alone, in a Ricci form (``ricci``, ``gtw_ricci``)
+    or in a connection (``lc``, ``gtw_conn``); a perturbed Levi-Civita
+    connection leaves x's curvature and torsionful package in place."""
+    y, m = Instance(x.m, x.s), x.m
+    if operand == "curv":
+        curv = Curvature4Tensor(m.dim, m.params, _bumped(x.pkg.curv, index))
         vars(y)["pkg"] = replace(x.pkg, curv=curv)
+    elif operand == "z":
+        vars(y)["z"] = ConcircularTensor(m.dim, m.params, _bumped(x.z, index), K=x.z.K)
+    elif operand == "ricci":
+        vars(y)["ricci"] = _bumped_form(x.ricci, index)
+    elif operand == "gtw_ricci":
+        vars(y)["pkg"] = replace(x.pkg, ricci=_bumped_form(x.pkg.ricci, index))
+    elif operand == "lc":
+        lc = Connection(m.dim, m.params, _bumped(x.lc, index))
+        vars(y).update(lc=lc, r=x.r, pkg=x.pkg)
     else:
-        vars(y)["z"] = ConcircularTensor(x.m.dim, x.m.params, _bumped(x.z, index), K=x.z.K)
+        conn = Connection(m.dim, m.params, _bumped(x.pkg.conn, index))
+        vars(y)["pkg"] = replace(x.pkg, conn=conn)
     return y
+
+
+def _witnesses_on_both_paths(y: Instance) -> dict:
+    """Each case's row witness on y, held to the per-tuple scan's, and each
+    engine table to the nonzero per-tuple residuals."""
+    witnesses = {}
+    for row, arity, residual, table, kind in _cases(y):
+        witnesses[row] = _row_witness(y, row, kind)
+        assert witnesses[row] == _expected_witness(y, arity, residual, kind), row
+        if table is not None:
+            assert table == _nonzero(residual, y.m.dim, arity), row
+    return witnesses
 
 
 # each perturbation, and the rows whose witness it must move
@@ -211,14 +288,32 @@ PERTURBATIONS = [
 def test_a_perturbed_entry_moves_the_same_witnesses(name, tensor, index, moved):
     x = _build(name)
     index = tuple(min(i, x.m.dim - 1) for i in index)
-    y = _perturbed(x, tensor, index)
     before = {row: _row_witness(x, row, kind) for row, _, _, _, kind in _cases(x)}
-    seen = set()
-    for row, arity, residual, table, kind in _cases(y):
-        got = _row_witness(y, row, kind)
-        assert got == _expected_witness(y, arity, residual, kind), row
-        if table is not None:
-            assert table == _nonzero(residual, y.m.dim, arity), row
-        if got != before[row]:
-            seen.add(row)
-    assert moved <= seen
+    after = _witnesses_on_both_paths(_perturbed(x, tensor, index))
+    assert moved <= {row for row in after if after[row] != before[row]}
+
+
+# each perturbed operand of the rows of one or two frame vectors, and the rows
+# that must then fail: xi and eta are E_1 on both inputs, so the Ricci entry
+# (E_2, E_1) moves S(E_2, xi), and the coefficient Gamma_23^1 moves
+# (nabla_{E_2} eta)(E_3)
+OPERANDS = [
+    ("ricci", (1, 0), {
+        "nkappa.ricci_closed_form", "nkappa.ricci_xi_values", "gtw.ricci_closed_form",
+    }),
+    ("gtw_ricci", (1, 0), {
+        "gtw.ricci_closed_form", "gtw.ricci_alternative_form", "gtw.ricci_xi_degenerate",
+        "gtw.ricci_symmetry",
+    }),
+    ("lc", (1, 2, 0), {"nkappa.eta_covariant_derivative"}),
+    ("gtw_conn", (1, 2, 0), {"gtw.eta_parallel"}),
+]
+
+
+@pytest.mark.parametrize("name", ["heisenberg5.json", "lambda_symbolic"])
+@pytest.mark.parametrize(("operand", "index", "failing"), OPERANDS)
+def test_a_perturbed_operand_fails_with_the_same_witness(name, operand, index, failing):
+    x = _build(name)
+    assert x.s.xi.components[0].terms and x.s.eta.components[0].terms
+    after = _witnesses_on_both_paths(_perturbed(x, operand, index))
+    assert all(after[row] is not None for row in failing)

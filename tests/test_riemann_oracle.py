@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 import contactframe
 from contactframe import FrameManifold, Instance, levi_civita, load_manifest_file, riemann
 from contactframe.scalars import Scalar
+from vector_reference import derivative
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = ROOT / "manifests"
@@ -40,7 +41,7 @@ def definitional_riemann(m: FrameManifold, conn) -> list:
     dim = m.dim
     zero = Scalar.zero(m.params)
     # gamma[i][j][k] = Gamma_ij^k, every coefficient
-    gamma = [[conn.derivative_basis(i, j).components for j in range(dim)] for i in range(dim)]
+    gamma = [[derivative(conn, i, m.basis(j)).components for j in range(dim)] for i in range(dim)]
 
     def nabla(i: int, x: list) -> list:
         out = [zero] * dim

@@ -306,23 +306,27 @@ def test_heisenberg_run_work_counts():
 @pytest.mark.parametrize(
     ("manifest", "sums", "zero_sums"),
     [
-        ("heisenberg5.json", 850, 529),
-        ("lambda_family.json", 350, 178),
-        ("t1e4.json", 1992, 1211),
+        ("heisenberg5.json", 809, 486),
+        ("lambda_family.json", 337, 169),
+        ("t1e4.json", 1908, 1130),
     ],
 )
 def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     """The counter reaches every module that binds ``sum_table`` by name: a
-    run on H^5 reads exactly 850 sums of products, 529 of them zero.  They
-    are the 845 and 529 of the kernel that ran one ``Scalar.sum_of_products``
-    per index, plus the 5 nonzero entries of the Levi-Civita Ricci form, now
-    one ``sum_table`` (the torsionful curvature of H^5 is zero and names no
-    entry), so a binding the counter missed would lower them; building the
-    eta-contraction and phi-flatness tables whole raises them to 936.  The
-    symbolic lambda family (350 and 178) and T1E4 (1,992 and 1,211) hold the
-    self action's early exit: its tables, one per (i, j), stop at the first
-    that holds an entry, where one table per i makes 360 and 182, and 2,046
-    and 1,239."""
+    run on H^5 reads exactly 809 sums of products, 486 of them zero, so a
+    binding the counter missed would lower them.  They fell from 850 and 529
+    when the eight rows of one or two frame vectors (nabla eta of both
+    connections, the Ricci closed forms, the xi values and the Ricci
+    symmetry) became residual tables: per basis tuple, the two nabla eta rows
+    ran one ``Scalar.sum_of_products`` per pair (50 sums, 46 zero) and the two
+    xi-value rows one per S(E_i, xi) and one for S(xi, xi) (12 sums, 10
+    zero), where the eight tables name only the 21 indices some product of
+    nonzero entries names (13 zero).  Building the eta-contraction and
+    phi-flatness tables whole adds 86.  The symbolic lambda family (337 and
+    169; 350 and 178 per tuple) and T1E4 (1,908 and 1,130; 1,992 and 1,211
+    per tuple) hold the self action's early exit: its tables, one per
+    (i, j), stop at the first that holds an entry, where one table per i adds
+    10 and 4, and 54 and 28."""
     counts = _work_counts(manifest)
     assert (counts["sum_of_products"], counts["zero_sums"]) == (sums, zero_sums)
 

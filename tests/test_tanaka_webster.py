@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from contactframe import (
-    FrameVector,
     GssfCoefficients,
     Instance,
     eta_einstein_fit,
@@ -14,7 +13,6 @@ from contactframe import (
     load_manifest_file,
     verify_gtw_suite,
 )
-from contactframe.frames import vectors
 from contactframe.scalars import Scalar
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -26,11 +24,11 @@ def _lam(m):
 
 def test_connection_table(fam):
     """Only two covariant derivatives survive, and they are parameter-free."""
-    m, conn = fam.m, fam.pkg.conn
+    m, at = fam.m, fam.vector_at(fam.pkg.conn.table)
     e = m.basis
     for i in range(3):
         for j in range(3):
-            got = conn.derivative_basis(i, j)
+            got = at((i, j))
             if (i, j) == (0, 1):
                 assert (got - e(2)).is_zero()
             elif (i, j) == (0, 2):
@@ -48,8 +46,7 @@ def test_torsion_table(fam):
     lam = _lam(m)
     two = Scalar.constant(m.params, 2)
     e = m.basis
-    torsion = vectors(fam.pkg.torsion, m.dim, m.params)
-    zero = FrameVector((m.zero_scalar(),) * m.dim)
+    at = fam.vector_at(fam.pkg.torsion)
     expected = {
         (0, 1): -e(2).scale(lam),
         (0, 2): -e(1).scale(lam),
@@ -57,7 +54,7 @@ def test_torsion_table(fam):
     }
     for i in range(3):
         for j in range(3):
-            got = torsion.get((i, j), zero)
+            got = at((i, j))
             if i == j:
                 assert got.is_zero()
                 continue
@@ -71,13 +68,13 @@ def test_curvature_table(fam):
     """R(E2,E3)E2 = -2 E3 and R(E2,E3)E3 = 2 E2 are the only nonzero values
 
     up to antisymmetry in the first pair, independent of the parameter."""
-    m, curv = fam.m, fam.pkg.curv
+    m, at = fam.m, fam.vector_at(fam.pkg.curv.table)
     two = Scalar.constant(m.params, 2)
     e = m.basis
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                got = curv.vector(i, j, k)
+                got = at((i, j, k))
                 if (i, j, k) == (1, 2, 1):
                     assert (got + e(2).scale(two)).is_zero()
                 elif (i, j, k) == (2, 1, 1):
@@ -224,15 +221,16 @@ def test_all_ones_is_not_a_solution(fam):
 
     nonzero residual against the computed curvature, so the solver's
     (1, 1/3, 1) answer is not an artifact of the free column."""
-    m, curv = fam.m, fam.pkg.curv
+    m, curv = fam.m, fam.vector_at(fam.pkg.curv.table)
+    templates = [fam.vector_at(t.table) for t in fam.templates]
     one = m.one_scalar()
     bad = None
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                t1, t2, t3 = (t.vector(i, j, k) for t in fam.templates)
+                t1, t2, t3 = (t((i, j, k)) for t in templates)
                 combo = t1.scale(one) + t2.scale(one) + t3.scale(one)
-                residual = curv.vector(i, j, k) - combo
+                residual = curv((i, j, k)) - combo
                 if not residual.is_zero():
                     bad = (i, j, k, residual)
                     break

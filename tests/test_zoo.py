@@ -100,11 +100,11 @@ def _deformed(m: FrameManifold, s: AlmostContactData, r: Fraction):
 
 def _nullity_fails(x: Instance, kappa: Scalar, mu: Scalar) -> list[int]:
     """The horizontal p where R(E_p, xi)xi != kappa E_p + mu hE_p."""
-    m = x.m
+    m, r = x.m, x.vector_at(x.r.table)
     return [
         p
         for p in range(1, m.dim)
-        if x.r.vector(p, 0, 0) != m.basis(p).scale(kappa) + x.h.column(p).scale(mu)
+        if r((p, 0, 0)) != m.basis(p).scale(kappa) + x.h.column(p).scale(mu)
     ]
 
 

@@ -1,6 +1,7 @@
 """Vector-level reference operators: the bracket, the covariant derivative of
-a constant vector, the trilinear extension of a curvature-type tensor and the tensor actions on arbitrary constant vectors,
-through the structure constants and the tensor's components; and the dense
+a constant vector, the bilinear extension of a form, the trilinear extension
+of a curvature-type tensor and the tensor actions on arbitrary constant
+vectors, through the structure constants and the tensor's components; and the dense
 connection coefficients of the Koszul formula and of the generalized
 Tanaka-Webster displacement, every coefficient with plain Scalar ``+`` and
 ``*``.  The tests hold the engine's component contractions and connection
@@ -84,9 +85,19 @@ def tensor_dot_tensor(m, t1, t2, x1, x2, x3, x4, x5) -> FrameVector:
     )
 
 
+def form(omega: BilinearForm, x: FrameVector, y: FrameVector) -> Scalar:
+    """w(X, Y) = sum_ij x_i y_j w(E_i, E_j): the bilinear extension of w's
+    components to constant vectors."""
+    w = omega.components
+    return sum(
+        (a * b * w[i][j] for i, a in enumerate(x.components) for j, b in enumerate(y.components)),
+        Scalar.zero(x.params),
+    )
+
+
 def tensor_dot_form(m, t1, omega: BilinearForm, x1, x2, x3, x4) -> Scalar:
     """(T1(X1,X2).w)(X3,X4) with both insertions positive, as quoted."""
-    return omega.apply(apply(t1, x1, x2, x3), x4) + omega.apply(x3, apply(t1, x1, x2, x4))
+    return form(omega, apply(t1, x1, x2, x3), x4) + form(omega, x3, apply(t1, x1, x2, x4))
 
 
 def koszul(m: FrameManifold) -> list:

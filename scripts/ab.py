@@ -39,7 +39,9 @@ before the timer starts, as ``run_suite`` builds them before the section.
 
 For each case it prints both trees' counts, and per layer the minimum
 microseconds of each tree, the median over rounds of the paired ratio
-change / parent, and the number of rounds the change was faster.  ``--out``
+change / parent, the interquartile range of those ratios (``iqr``, the
+spread a median near 1 must clear to mean anything), and the number of
+rounds the change was faster.  ``--out``
 writes the same figures as one JSON document.  It exits 1 if the two trees'
 reports differ in any byte, unless every difference lies inside the witness
 of a check named by ``--allow-diff`` (repeatable): such a case prints one
@@ -298,6 +300,15 @@ def compare(parent: Tree, change: Tree, texts: list[str], rounds: int) -> tuple[
     return samples, outputs
 
 
+def interquartile_range(ratios: list[float]) -> float:
+    """Q3 - Q1 of the paired ratios (inclusive quartiles, so both lie within
+    the observed range); 0 for a single round."""
+    if len(ratios) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return q3 - q1
+
+
 def witness_diff(
     parent: tuple[str, ...], change: tuple[str, ...], allowed: set[str]
 ) -> list[str] | None:
@@ -347,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown case(s) {sorted(unknown)}; known: {list(all_cases)}")
         results, differ = {}, []
         print(f"{'case':40} {'layer or count':24} {'parent':>10} {'change':>10} "
-              f"{'ratio':>7} {'wins':>7}   (layers in min us)")
+              f"{'ratio':>7} {'iqr':>6} {'wins':>7}   (layers in min us)")
         for name, texts in all_cases.items():
             if args.only and name not in args.only:
                 continue
@@ -365,14 +376,17 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name}: only the witnesses of {', '.join(witnesses)} differ", flush=True)
             layers = {}
             for layer, pairs in samples.items():
+                ratios = [c / p for p, c in pairs]
                 layers[layer] = row = {
                     "parent_us": round(min(p for p, _ in pairs) * 1e6, 1),
                     "change_us": round(min(c for _, c in pairs) * 1e6, 1),
-                    "ratio": round(statistics.median(c / p for p, c in pairs), 4),
+                    "ratio": round(statistics.median(ratios), 4),
+                    "iqr": round(interquartile_range(ratios), 4),
                     "wins": sum(c < p for p, c in pairs),
                 }
                 print(f"{name:40} {layer:24} {row['parent_us']:10.0f} {row['change_us']:10.0f} "
-                      f"{row['ratio']:7.3f} {row['wins']:3d}/{len(pairs):<3d}", flush=True)
+                      f"{row['ratio']:7.3f} {row['iqr']:6.3f} {row['wins']:3d}/{len(pairs):<3d}",
+                      flush=True)
             results[name] = {"counts": counts, "layers": layers}
             if witnesses:
                 results[name]["witness_diff"] = witnesses

@@ -65,51 +65,79 @@ _PHI_SQUARE_NOTE = (
 def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     """Check the almost-contact axioms and the contact condition exactly.
 
-    On the orthonormal frame phi E_i, eta(E_i) and g(E_i, E_j) = delta_ij are read
-    as components: phi's column i, eta's component i and ``inner_basis``."""
+    Every residual is evaluated per basis tuple, in scan order, up to the first
+    that is nonzero, from the nonzero entries of its operands only: phi's
+    table and columns, eta's and xi's nonzero components, and the nonzero
+    structure constants of [E_i, E_j]; g(E_i, E_j) is delta_ij."""
     report = VerificationReport()
-    phi, xi, eta = s.phi, s.xi, s.eta.components
-    idx = range(m.dim)
-    phi_e = phi.columns
+    params, idx, zero, one = m.params, range(m.dim), m.zero_scalar(), m.one_scalar()
+    phi, cols, xi, eta = s.phi.table, s.phi.sparse_columns, s.xi, s.eta.components
+    live_eta = [(k, e) for k, e in enumerate(eta) if e.terms]
 
-    vec = phi.apply(xi)
+    vec = s.phi.apply(xi)
     report.graded("acm.phi_kills_xi", None if vec.is_zero() else {"residual": str(vec)})
 
-    value = m.inner(s.eta, xi) - m.one_scalar()
+    value = Scalar.sum_of_products(params, ((e, xi.components[k]) for k, e in live_eta)) - one
     report.graded("acm.eta_of_xi", None if value.is_zero() else {"residual": str(value)})
 
     report.graded(
         "acm.eta_after_phi",
-        first_witness(product(idx, repeat=1), lambda i: m.inner(s.eta, phi_e[i])),
+        first_witness(
+            product(idx, repeat=1),
+            lambda i: Scalar.sum_of_products(params, ((eta[p], a) for p, a in cols[i])),
+        ),
     )
+
+    square = s.phi.square.sparse_columns
+    live_xi = [(p, x) for p, x in enumerate(xi.components) if x.terms]
+
+    def phi_square(j: int) -> FrameVector:
+        """Column j of phi^2 + I - xi (x) eta."""
+        column = [zero] * m.dim
+        for p, a in square[j]:
+            column[p] = a
+        column[j] = column[j] + one
+        if eta[j].terms:
+            for p, x in live_xi:
+                column[p] = column[p] - eta[j] * x
+        return FrameVector(tuple(column))
 
     report.graded(
         "acm.phi_square",
-        first_witness(
-            product(idx, repeat=1),
-            lambda j: phi.square.column(j) + m.basis(j) - xi.scale(eta[j]),
-        ),
+        first_witness(product(idx, repeat=1), phi_square),
         notes=(_PHI_SQUARE_NOTE,),
     )
+
+    column_maps = [dict(col) for col in cols]
+
+    def phi_metric(i: int, j: int) -> Scalar:
+        """g(phi E_i, phi E_j) - delta_ij + eta_i eta_j."""
+        col_j = column_maps[j]
+        inner = Scalar.sum_of_products(params, ((a, col_j[p]) for p, a in cols[i] if p in col_j))
+        return inner - (one if i == j else zero) + eta[i] * eta[j]
 
     report.graded(
         "acm.phi_metric_compatibility",
-        first_witness(
-            product(idx, repeat=2),
-            lambda i, j: m.inner(phi_e[i], phi_e[j]) - m.inner_basis(i, j) + eta[i] * eta[j],
-        ),
+        first_witness(product(idx, repeat=2), phi_metric),
         notes=(_PHI_SQUARE_NOTE,),
     )
 
-    # d eta(E_i, E_j) = -1/2 eta([E_i, E_j]) on constant frames (half-convention)
-    half = Fraction(1, 2)
+    # d eta(E_i, E_j) = -1/2 eta([E_i, E_j]) on constant frames (half-convention),
+    # each value computed once and read by both slot assignments of phi
+    minus_half_eta = [(k, e.scale(Fraction(-1, 2))) for k, e in live_eta]
+    d_eta: dict[tuple[int, int], Scalar] = {}
 
-    def d_eta(i: int, j: int) -> Scalar:
-        return (-m.inner(s.eta, m.bracket_basis(i, j))).scale(half)
+    def residual(i: int, j: int, phi_at: tuple[int, int]) -> Scalar:
+        if (i, j) not in d_eta:
+            c_ij = dict(m.sparse_c[i][j])
+            d_eta[i, j] = Scalar.sum_of_products(
+                params, ((e, c_ij[k]) for k, e in minus_half_eta if k in c_ij)
+            )
+        return d_eta[i, j] - phi.get(phi_at, zero)
 
     report.graded(
         "acm.contact_condition",
-        first_witness(product(idx, repeat=2), lambda i, j: d_eta(i, j) - phi.matrix[i][j]),
+        first_witness(product(idx, repeat=2), lambda i, j: residual(i, j, (i, j))),
         notes=(
             "adopted convention: d eta(X, Y) = 1/2 (X eta(Y) - Y eta(X) - eta([X, Y])) "
             "and contact condition d eta(X, Y) = g(X, phi Y)",
@@ -119,7 +147,7 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     # reference variant with phi in the first slot: d eta(X, Y) = g(phi X, Y)
     report.reference(
         "acm.contact_condition_reference_form",
-        first_witness(product(idx, repeat=2), lambda i, j: d_eta(i, j) - phi.matrix[j][i]),
+        first_witness(product(idx, repeat=2), lambda i, j: residual(i, j, (j, i))),
         "reference variant d eta(X, Y) = g(phi X, Y) disagrees with the "
         "computed exterior derivative; recorded as data",
     )
@@ -130,26 +158,27 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
 def h_property_checks(
     m: FrameManifold, s: AlmostContactData, h: Endomorphism
 ) -> VerificationReport:
-    """The classical properties of h as report entries."""
+    """The classical properties of h as report entries, read from the nonzero
+    entries of h and phi; the matrix laws scan column by column."""
     report = VerificationReport()
-    # matrix witnesses scan column by column
+    zero, h_at, phi_at = m.zero_scalar(), h.table.get, s.phi.table.get
     columns = [(i, j) for j in range(m.dim) for i in range(m.dim)]
 
     report.graded(
         "acm.h_symmetric",
-        first_witness(columns, lambda i, j: h.matrix[i][j] - h.matrix[j][i]),
+        first_witness(columns, lambda i, j: h_at((i, j), zero) - h_at((j, i), zero)),
     )
 
     # (h phi + phi h)_ij, one sum of products over the nonzero entries of
     # column j of phi and of h, so a failing frame stops at its first witness
-    phi, phi_cols, h_cols = s.phi.matrix, s.phi.sparse_columns, h.sparse_columns
+    phi_cols, h_cols = s.phi.sparse_columns, h.sparse_columns
 
     def anticommutator(i: int, j: int) -> Scalar:
         return Scalar.sum_of_products(
             m.params,
             chain(
-                ((h.matrix[i][k], c) for k, c in phi_cols[j]),
-                ((phi[i][k], c) for k, c in h_cols[j]),
+                ((h_at((i, k), zero), c) for k, c in phi_cols[j]),
+                ((phi_at((i, k), zero), c) for k, c in h_cols[j]),
             ),
         )
 

@@ -44,7 +44,7 @@ from itertools import chain, product
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .frames import Endomorphism, FrameManifold, FrameVector
+from .frames import Endomorphism, FrameManifold, FrameVector, endomorphisms
 from .report import first_witness
 from .scalars import Scalar
 from .tables import Table, sum_table
@@ -82,11 +82,7 @@ class Connection:
     def operators(self) -> tuple[Endomorphism, ...]:
         """G_i, the endomorphism E_q -> nabla_{E_i} E_q, for every frame index:
         (G_i)^p_q = Gamma_iq^p."""
-        idx, zero = range(self.dim), Scalar.zero(self.params)
-        matrices = [[[zero] * self.dim for _ in idx] for _ in idx]
-        for (i, q, p), g in self.table.items():
-            matrices[i][p][q] = g
-        return tuple(Endomorphism(tuple(map(tuple, rows))) for rows in matrices)
+        return endomorphisms(self.dim, self.params, self.table)
 
     def derivative_endo(self, i: int, a: Endomorphism) -> Endomorphism:
         """nabla_{E_i} A = [G_i, A] with G_i = ``operators[i]``:
@@ -349,11 +345,11 @@ def _phi_covariant_derivative(report, name, x):
 
 # h^2 = (kappa - 1) phi^2, scanned column by column
 def _h_square(report, name, x):
-    idx = range(x.m.dim)
-    diff = x.h.square - x.s.phi.square.scale(x.kappa - x.m.one_scalar())
+    idx, zero = range(x.m.dim), x.m.zero_scalar()
+    diff = (x.h.square - x.s.phi.square.scale(x.kappa - x.m.one_scalar())).table
     report.graded(
         name,
-        first_witness(((i, j) for j in idx for i in idx), lambda i, j: diff.matrix[i][j]),
+        first_witness(((i, j) for j in idx for i in idx), lambda i, j: diff.get((i, j), zero)),
     )
 
 

@@ -12,13 +12,17 @@ identity is pointwise multilinear.  Vector fields are therefore restricted
 to constant frame coefficients, and the metric is the identity on the frame.
 Brackets are read by frame index (``bracket_basis``, ``sparse_c``); the
 bilinear bracket of arbitrary vectors lives in the tests, as a reference.
-The structure is read the same way: g(E_i, E_j) is delta_ij
-(``inner_basis``), a 1-form's value on E_i is its component i, and the image
-A E_j of an endomorphism is column j of its matrix (``Endomorphism.columns``,
-built once per endomorphism).  ``compose`` and ``commutator`` pair the
-nonzero entries of both operands and run one sum of products per entry some
-pair names (``tables.sum_table``); covariant and Lie derivatives of an
-endomorphism are such commutators.
+The structure is read the same way: g(E_i, E_j) is delta_ij, and a 1-form's
+value on E_i is its component i.  An endomorphism (``Endomorphism``) is held
+as the table of its nonzero entries keyed (p, j), like a connection's
+coefficients: A^p_j is component p of A E_j.  ``compose`` and
+``commutator`` pair the nonzero entries of both operands and run one sum of
+products per entry some pair names (``tables.sum_table``), with no dense
+intermediate; a covariant derivative of an endomorphism is such a
+commutator, and the Lie derivative pairs each nonzero structure constant
+with the nonzero entries of the operand directly.  The dense views
+(``matrix``, ``columns``) are built on first read, for the readers that
+take a form's dense rows or frame vectors.
 
 Indices are 0-based throughout the code; reports and manifests use 1-based
 indices at the boundary.
@@ -29,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .report import VerificationReport, first_witness
 from .scalars import RationalLike, Scalar
-from .tables import sum_table
+from .tables import Table, sum_table
 
 
 class FrameError(Exception):
@@ -100,65 +105,85 @@ def render_vector(components: Sequence[Scalar]) -> str:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Endomorphism:
-    """A (1,1)-tensor as a frame matrix; column j holds the image of E_j."""
+    """A (1,1)-tensor on the frame, held as the table of its nonzero entries
+    keyed (p, j): A^p_j, component p of A(E_j).  Every entry the table does
+    not name is zero.  ``Endomorphism(matrix)`` keeps the nonzero entries of a
+    dense matrix, matrix[p][j] = A^p_j; ``from_table`` takes a table of
+    nonzero entries as it is."""
 
-    matrix: tuple[tuple[Scalar, ...], ...]  # matrix[i][j] = component i of A(E_j)
+    dim: int
+    params: tuple[str, ...]
+    table: Table
 
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    def __init__(self, matrix: Sequence[Sequence[Scalar]]) -> None:
+        table = {(p, j): a for p, row in enumerate(matrix) for j, a in enumerate(row) if a.terms}
+        vars(self).update(dim=len(matrix), params=matrix[0][0].params, table=table)
 
-    @property
-    def params(self) -> tuple[str, ...]:
-        return self.matrix[0][0].params
+    @staticmethod
+    def from_table(dim: int, params: tuple[str, ...], table: Table) -> "Endomorphism":
+        """The endomorphism whose nonzero entries are those of ``table``."""
+        a = object.__new__(Endomorphism)
+        vars(a).update(dim=dim, params=params, table=table)
+        return a
 
     @staticmethod
     def from_products(dim: int, params: tuple[str, ...], products: Iterable) -> "Endomorphism":
         """The endomorphism whose entry (p, j) is the sum of a * b over the
         products ((p, j), a, b); one sum of products per entry named."""
-        sums, zero, idx = sum_table(params, products), Scalar.zero(params), range(dim)
-        return Endomorphism(tuple(tuple(sums.get((p, j), zero) for j in idx) for p in idx))
-
-    def apply(self, x: FrameVector) -> FrameVector:
-        live = [(j, xj) for j, xj in enumerate(x.components) if xj.terms]
-        return FrameVector(
-            tuple(
-                Scalar.sum_of_products(x.params, ((row[j], xj) for j, xj in live))
-                for row in self.matrix
-            )
-        )
-
-    @cached_property
-    def columns(self) -> tuple[FrameVector, ...]:
-        """A(E_j) for every frame index, built once."""
-        return tuple(FrameVector(col) for col in zip(*self.matrix))
-
-    def column(self, j: int) -> FrameVector:
-        return self.columns[j]
+        return Endomorphism.from_table(dim, params, sum_table(params, products))
 
     @cached_property
     def sparse_columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
         """The nonzero entries of each column: ``sparse_columns[j]`` holds the
-        pairs (i, component i of A(E_j)) whose component is nonzero."""
-        return tuple(
-            tuple((i, row[j]) for i, row in enumerate(self.matrix) if row[j].terms)
-            for j in range(self.dim)
+        pairs (p, A^p_j), in p order."""
+        cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.dim)]
+        for (p, j), a in sorted(self.table.items(), key=itemgetter(0)):
+            cols[j].append((p, a))
+        return tuple(map(tuple, cols))
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense view matrix[p][j] = A^p_j, built on first read, for the
+        readers that take a form's dense rows."""
+        rows = [[Scalar.zero(self.params)] * self.dim for _ in range(self.dim)]
+        for (p, j), a in self.table.items():
+            rows[p][j] = a
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def columns(self) -> tuple[FrameVector, ...]:
+        """The dense view A(E_j) for every frame index, built on first read,
+        for the readers that take frame vectors."""
+        cols = [[Scalar.zero(self.params)] * self.dim for _ in range(self.dim)]
+        for (p, j), a in self.table.items():
+            cols[j][p] = a
+        return tuple(FrameVector(tuple(col)) for col in cols)
+
+    def apply(self, x: FrameVector) -> FrameVector:
+        """A X, one sum of products per component over the nonzero A^p_j x^j."""
+        xs, zero = x.components, Scalar.zero(self.params)
+        sums = sum_table(
+            self.params, ((p, a, xs[j]) for (p, j), a in self.table.items() if xs[j].terms)
         )
+        return FrameVector(tuple(sums.get(p, zero) for p in range(self.dim)))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """Matrix product self @ other, i.e. X -> self(other(X)), over the
         nonzero entries of both."""
-        products = _matrix_products(self.sparse_columns, other.sparse_columns)
+        products = _matrix_products(self.sparse_columns, other.table)
         return Endomorphism.from_products(self.dim, self.params, products)
 
     def commutator(self, other: "Endomorphism") -> "Endomorphism":
         """[A, B] = A B - B A for A = self, B = other, as A B + B (-A) over the
-        nonzero entries of both."""
-        a, b = self.sparse_columns, other.sparse_columns
-        minus_a = [[(p, -c) for p, c in col] for col in a]
-        products = chain(_matrix_products(a, b), _matrix_products(b, minus_a))
+        nonzero entries of both; an entry of A is negated only when some
+        entry of B meets it."""
+        b_cols = other.sparse_columns
+        minus_a = {(q, j): -a for (q, j), a in self.table.items() if b_cols[q]}
+        products = chain(
+            _matrix_products(self.sparse_columns, other.table), _matrix_products(b_cols, minus_a)
+        )
         return Endomorphism.from_products(self.dim, self.params, products)
 
     @cached_property
@@ -167,37 +192,47 @@ class Endomorphism:
         return self.compose(self)
 
     def __add__(self, other: "Endomorphism") -> "Endomorphism":
-        return Endomorphism(
-            tuple(
-                tuple(a + b for a, b in zip(row_a, row_b))
-                for row_a, row_b in zip(self.matrix, other.matrix)
-            )
-        )
+        return self._combine(other, Scalar.__add__)
 
     def __sub__(self, other: "Endomorphism") -> "Endomorphism":
-        return Endomorphism(
-            tuple(
-                tuple(a - b for a, b in zip(row_a, row_b))
-                for row_a, row_b in zip(self.matrix, other.matrix)
-            )
-        )
+        return self._combine(other, Scalar.__sub__)
+
+    def _combine(self, other: "Endomorphism", op: Callable[[Scalar, Scalar], Scalar]):
+        """The entries op(A^p_j, B^p_j) that are nonzero, over the entries
+        either table names."""
+        a, b, zero = self.table, other.table, Scalar.zero(self.params)
+        values = ((k, op(a.get(k, zero), b.get(k, zero))) for k in dict.fromkeys(chain(a, b)))
+        return Endomorphism.from_table(self.dim, self.params, {k: v for k, v in values if v.terms})
 
     def scale(self, factor: Scalar | RationalLike) -> "Endomorphism":
         if isinstance(factor, Scalar):
-            return Endomorphism(tuple(tuple(factor * a for a in row) for row in self.matrix))
-        return Endomorphism(tuple(tuple(a.scale(factor) for a in row) for row in self.matrix))
+            values = ((k, factor * a) for k, a in self.table.items())
+        else:
+            values = ((k, a.scale(factor)) for k, a in self.table.items())
+        return Endomorphism.from_table(self.dim, self.params, {k: v for k, v in values if v.terms})
 
     def trace(self) -> Scalar:
-        return sum((self.matrix[i][i] for i in range(self.dim)), Scalar.zero(self.params))
+        zero = Scalar.zero(self.params)
+        return sum((self.table.get((i, i), zero) for i in range(self.dim)), zero)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.matrix for a in row)
+        return not self.table
 
 
-def _matrix_products(a_cols, b_cols) -> Iterator[tuple[tuple[int, int], Scalar, Scalar]]:
+def endomorphisms(dim: int, params: tuple[str, ...], table: Table) -> tuple[Endomorphism, ...]:
+    """A_i for every frame index i, from the table of a vector-valued form
+    keyed (i, q, p), the component last: (A_i)^p_q is the value at (i, q, p),
+    so A_i E_q is the form's vector at (E_i, E_q)."""
+    tables: list[Table] = [{} for _ in range(dim)]
+    for (i, q, p), v in table.items():
+        tables[i][p, q] = v
+    return tuple(Endomorphism.from_table(dim, params, t) for t in tables)
+
+
+def _matrix_products(a_cols, b_table: Table) -> Iterator[tuple[tuple[int, int], Scalar, Scalar]]:
     """The products ((p, j), A^p_q, B^q_j) of the matrix product A B, from the
-    nonzero entries (row, value) of each column of A and of B."""
-    return (((p, j), a, b) for j, col in enumerate(b_cols) for q, b in col for p, a in a_cols[q])
+    nonzero entries of B and of each column of A."""
+    return (((p, j), a, b) for (q, j), b in b_table.items() for p, a in a_cols[q])
 
 
 @dataclass(frozen=True)
@@ -298,24 +333,33 @@ class FrameManifold:
             ),
         )
 
-    def inner(self, x: FrameVector, y: FrameVector) -> Scalar:
-        """The orthonormal-frame metric: g(X, Y) = sum_i x_i y_i."""
-        return Scalar.sum_of_products(self.params, zip(x.components, y.components))
-
-    def inner_basis(self, i: int, j: int) -> Scalar:
-        """g(E_i, E_j) = delta_ij on the orthonormal frame."""
-        return self.one_scalar() if i == j else self.zero_scalar()
-
     def lie_derive_endo(self, xi: FrameVector, a: Endomorphism) -> Endomorphism:
-        """L_xi A = [D, A] with D = ad_xi, X -> [xi, X]:
+        """L_xi A = [ad_xi, A], with ad_xi E_q = [xi, E_q] = sum_r xi^r c_rq^p E_p
+        and c_rj^q = -c_jr^q:
 
-            (L_xi A)^p_j = sum_q D^p_q A^q_j - A^p_q D^q_j ,   D^p_q = sum_r xi^r c_rq^p ,
+            (L_xi A)^p_j = sum_{r,q} c_rq^p (xi^r A^q_j) + (xi^r A^p_q) c_jr^q ,
 
-        D built from the nonzero entries of xi and of the brackets.
+        one product per nonzero structure constant and nonzero entry of
+        xi^r A; ad_xi itself is never built.  Reading -c_rj^q as c_jr^q needs
+        antisymmetric structure constants, which ``from_pairs`` builds: the
+        precondition ``curvature.riemann`` states too.
         """
-        live = [(xr, self.sparse_c[r]) for r, xr in enumerate(xi.components) if xr.terms]
-        products = (((p, q), x, c) for x, c_r in live for q, col in enumerate(c_r) for p, c in col)
-        return Endomorphism.from_products(self.dim, self.params, products).commutator(a)
+        c, idx = self.sparse_c, range(self.dim)
+
+        def products() -> Iterator[tuple[tuple[int, int], Scalar, Scalar]]:
+            for r, x in enumerate(xi.components):
+                if not x.terms:
+                    continue
+                xa = a.scale(x)
+                for (q, j), v in xa.table.items():
+                    for p, c_rq in c[r][q]:
+                        yield (p, j), c_rq, v
+                for j in idx:
+                    for q, c_jr in c[j][r]:
+                        for p, v in xa.sparse_columns[q]:
+                            yield (p, j), v, c_jr
+
+        return Endomorphism.from_products(self.dim, self.params, products())
 
     # -- well-posedness --------------------------------------------------------
 

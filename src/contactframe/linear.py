@@ -36,9 +36,14 @@ def solve_linear(
 ) -> LinearSolution | None:
     """Solve ``rows @ x = rhs`` exactly over the scalar ring.
 
-    Returns None when the system is inconsistent, or when solving it would
-    require leaving the polynomial ring (non-exact division).  Free unknowns
-    receive the constant 1.
+    The equations are taken one at a time: each is reduced against the pivot
+    rows found so far, in the order of their leading columns, and becomes a
+    pivot row on its first nonzero column, or is dropped as 0 = 0.  The
+    leading columns are then the rank profile of the coefficient matrix,
+    whatever the equation order.  Returns None at the first equation that
+    reduces to 0 = nonzero, or when solving would require leaving the
+    polynomial ring (non-exact division).  Free unknowns receive the
+    constant 1, and the pivots follow by back-substitution.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -46,58 +51,34 @@ def solve_linear(
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged coefficient matrix")
-    work = [(list(row), r) for row, r in zip(rows, rhs)]
-    pivot_rows: dict[int, int] = {}  # column -> row index
-    used: set[int] = set()
+    pivots: dict[int, tuple[list[Scalar], Scalar]] = {}  # leading column -> row, rhs
 
-    for col in range(ncols):
-        candidates = [
-            idx
-            for idx, (coeffs, _) in enumerate(work)
-            if idx not in used and not coeffs[col].is_zero()
-        ]
-        if not candidates:
-            continue
-        # prefer the structurally simplest pivot to limit degree growth
-        pivot = min(
-            candidates,
-            key=lambda idx: (
-                work[idx][0][col].total_degree(),
-                len(work[idx][0][col].terms),
-            ),
-        )
-        used.add(pivot)
-        pivot_rows[col] = pivot
-        p_coeffs, p_rhs = work[pivot]
-        p_entry = p_coeffs[col]
-        for idx, (coeffs, r) in enumerate(work):
-            if idx == pivot or coeffs[col].is_zero():
-                continue
+    for row, r in zip(rows, rhs):
+        coeffs = list(row)
+        for col in sorted(pivots):
             factor = coeffs[col]
-            new_coeffs = [p_entry * c - factor * p for c, p in zip(coeffs, p_coeffs)]
-            new_rhs = p_entry * r - factor * p_rhs
-            work[idx] = (new_coeffs, new_rhs)
-
-    # rows that eliminated to 0 = nonzero are contradictions
-    for idx, (coeffs, r) in enumerate(work):
-        if idx in used:
+            if factor.is_zero():
+                continue
+            p_coeffs, p_rhs = pivots[col]
+            p_entry = p_coeffs[col]
+            coeffs = [p_entry * c - factor * p for c, p in zip(coeffs, p_coeffs)]
+            r = p_entry * r - factor * p_rhs
+        lead = next((col for col, c in enumerate(coeffs) if not c.is_zero()), None)
+        if lead is None:
+            if not r.is_zero():
+                return None
             continue
-        if all(c.is_zero() for c in coeffs) and not r.is_zero():
-            return None
+        pivots[lead] = (coeffs, r)
 
-    free_columns = tuple(c for c in range(ncols) if c not in pivot_rows)
+    free_columns = tuple(c for c in range(ncols) if c not in pivots)
     values: list[Scalar] = [Scalar.zero(params)] * ncols
     for col in free_columns:
         values[col] = Scalar.one(params)
-
-    for col, idx in pivot_rows.items():
-        coeffs, r = work[idx]
-        residual = r
-        for other in range(ncols):
-            if other == col or coeffs[other].is_zero():
-                continue
-            # after full elimination only free columns can remain populated
-            residual = residual - coeffs[other] * values[other]
+    for col in sorted(pivots, reverse=True):
+        coeffs, residual = pivots[col]
+        for other in range(col + 1, ncols):
+            if not coeffs[other].is_zero():
+                residual = residual - coeffs[other] * values[other]
         quotient = exact_div(residual, coeffs[col])
         if quotient is None:
             return None
@@ -122,11 +103,15 @@ def exact_fit(
     solution or its free columns."""
     zero = Scalar.zero(params)
     indices = sorted(set(target).union(*templates))
-    pairs = ((tuple(t.get(i, zero) for t in templates), target.get(i, zero)) for i in indices)
-    equations = list(dict.fromkeys(pairs))
+    # twins are keyed on the terms, since every Scalar here has the same params
+    twins: dict = {}
+    for i in indices:
+        row, b = tuple(t.get(i, zero) for t in templates), target.get(i, zero)
+        twins.setdefault((tuple(c.terms for c in row), b.terms), (row, b))
+    equations = list(twins.values())
     if not equations:
         return None
-    solution = solve_linear([list(row) for row, _ in equations], [b for _, b in equations], params)
+    solution = solve_linear([row for row, _ in equations], [b for _, b in equations], params)
     if solution is None or any(
         not (Scalar.sum_of_products(params, zip(row, solution.values)) - b).is_zero()
         for row, b in equations

@@ -285,7 +285,7 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
                 ManifestIssue("contact.phi", f"expected a {dim}x{dim} expression matrix")
             )
         else:
-            rows = []
+            table = {}
             ok = True
             for r, raw_row in enumerate(raw_phi):
                 if not isinstance(raw_row, list) or len(raw_row) != dim:
@@ -296,7 +296,6 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
                     )
                     ok = False
                     continue
-                row = []
                 for c, cell in enumerate(raw_row):
                     if not isinstance(cell, str):
                         issues.append(
@@ -307,13 +306,15 @@ def load_manifest(document: Any) -> tuple[FrameManifold, AlmostContactData]:
                         ok = False
                         continue
                     try:
-                        row.append(parse(cell))
+                        value = parse(cell)
                     except ScalarError as exc:
                         issues.append(ManifestIssue(f"contact.phi[{r}][{c}]", str(exc)))
                         ok = False
-                rows.append(tuple(row))
+                        continue
+                    if value.terms:
+                        table[r, c] = value
             if ok:
-                phi = Endomorphism(tuple(rows))
+                phi = Endomorphism.from_table(dim, params, table)
 
     if issues:
         raise ManifestError(issues)
@@ -347,6 +348,7 @@ def dump_manifest(m: FrameManifold, s: AlmostContactData) -> dict:
     """The canonical document for these objects (component-list xi, sorted keys).
     Each distinct Scalar object is rendered once."""
     rendered: dict[int, str] = {}
+    get, zero, idx = s.phi.table.get, m.zero_scalar(), range(m.dim)
 
     def text(value: Scalar) -> str:
         out = rendered.get(id(value))
@@ -367,7 +369,7 @@ def dump_manifest(m: FrameManifold, s: AlmostContactData) -> dict:
         "contact": {
             "xi": [text(c) for c in s.xi.components],
             "eta": [text(c) for c in s.eta.components],
-            "phi": [[text(value) for value in row] for row in s.phi.matrix],
+            "phi": [[text(get((r, c), zero)) for c in idx] for r in idx],
         },
     }
 

@@ -51,7 +51,14 @@ input (the eta contraction, the phi-flatness test and the self-action
 obstruction): those are generators of tables split by their leading
 indices, built up to the first that holds an entry
 (``tables.first_nonempty``).  Only ``nkappa.h_square`` and the structural
-layer are evaluated per basis tuple.  The tables that two rows read (the
+layer are evaluated per basis tuple; the structural layer reads only the
+nonzero entries of eta, xi, phi, h and the brackets at each tuple, and stops
+at the first witness, which a dense failing input reaches early.  Every
+endomorphism a run derives (h, phi h, phi^2, nabla phi and nabla h of both
+connections, Z(xi, E_i)) is the table of its nonzero entries
+(``frames.Endomorphism``), built from products of tables; the rows' products
+read those tables, and only a row that takes a form's dense rows or frame
+vectors builds a dense view of phi, h or phi h.  The tables that two rows read (the
 curvature closed form, the ricci action) are kept on the instance, one per
 builder, beside the witness of each ``Instance.r1_scan`` comparison
 (``Instance.kept``).  A tensor with xi in some argument slots is read from
@@ -91,7 +98,7 @@ from .curvature import (
     _sasakian_orientation, _scalar_curvature_value, _xi_covariant_derivative,
     _xi_covariant_derivative_reference, levi_civita, ricci, riemann,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector
+from .frames import Endomorphism, FrameManifold, FrameVector, endomorphisms
 from .report import FAILS, NOT_APPLICABLE, Check, Row, VerificationReport, first_witness, grade_rows
 from .scalars import Scalar
 from .tables import Product, Table, sum_table
@@ -293,10 +300,10 @@ class Instance:
 
     @cached_property
     def h(self) -> Endomorphism:
-        """h = 1/2 L_xi phi, built as L_xi (1/2 phi): the halving touches phi's
-        few nonzero entries, not every entry of L_xi phi;
-        ``structural_report`` grades its laws."""
-        return self.m.lie_derive_endo(self.s.xi, self.s.phi.scale(Fraction(1, 2)))
+        """h = 1/2 L_xi phi: the halving touches the nonzero entries of L_xi phi
+        only, none on a K-contact input; ``structural_report`` grades its
+        laws."""
+        return self.m.lie_derive_endo(self.s.xi, self.s.phi).scale(Fraction(1, 2))
 
     @cached_property
     def structural_report(self) -> VerificationReport:
@@ -458,12 +465,7 @@ class Instance:
         """Z(xi, E_i) for every frame index: the endomorphisms whose actions on
         the ricci form and on Z the concircular obstructions grade; column k of
         Z(xi, E_i) is Z(xi, E_i)E_k, read from ``z.xi_table(xi, (0,))``."""
-        idx, zero = range(self.m.dim), self.m.zero_scalar()
-        table = self.z.xi_table(self.s.xi, (0,))
-        return tuple(
-            Endomorphism(tuple(tuple(table.get((i, k, p), zero) for k in idx) for p in idx))
-            for i in idx
-        )
+        return endomorphisms(self.m.dim, self.m.params, self.z.xi_table(self.s.xi, (0,)))
 
 
 def classify(

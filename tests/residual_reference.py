@@ -12,7 +12,7 @@ from itertools import product
 
 from contactframe import Endomorphism, FrameVector, Instance, Scalar
 from contactframe.scalars import exact_div
-from vector_reference import apply, endomorphism, form
+from vector_reference import apply, endomorphism, form, inner, inner_basis
 
 
 def sparse_vectors(t) -> list:
@@ -103,7 +103,7 @@ def curvature_defect(x: Instance):
     one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -x.kappa
     curv, r, r3 = (sparse_vectors(t) for t in (x.pkg.curv, x.r, x.templates[2]))
     v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in x.phi_x_plus_hx]
-    xh_phi = [[m.inner(xh, phi) for phi in x.s.phi.columns] for xh in x.x_plus_hx]
+    xh_phi = [[inner(m, xh, phi) for phi in x.s.phi.columns] for xh in x.x_plus_hx]
 
     def defect(i: int, j: int, k: int) -> FrameVector:
         pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(m.dim)]
@@ -144,7 +144,7 @@ def _phi_tables(x: Instance):
 def pair_interchange(x: Instance):
     m, low, one = x.m, lowered(x.pkg.curv), x.m.one_scalar()
     two_phi, minus_two_phi, phi_h = _phi_tables(x)
-    h_phi = [[m.inner(h, phi) for phi in x.s.phi.columns] for h in x.h.columns]
+    h_phi = [[inner(m, h, phi) for phi in x.s.phi.columns] for h in x.h.columns]
 
     def residual(i: int, j: int, k: int, l: int) -> Scalar:
         return Scalar.sum_of_products(
@@ -206,7 +206,7 @@ def eta_contraction(x: Instance, model):
         """T(E_i, E_j)E_k, read from the dense view ``components``."""
         return FrameVector(t.components[i][j][k])
 
-    return lambda i, j, k: m.inner(eta, vector(z, i, j, k)) - z.K * m.inner(
+    return lambda i, j, k: inner(m, eta, vector(z, i, j, k)) - z.K * inner(m, 
         eta, vector(r1, *model(i, j, k))
     )
 
@@ -215,7 +215,7 @@ def phi_square_variant(x: Instance):
     """Z(E_i, xi)xi - K phi^2 E_i."""
     z, phi2 = x.z, x.s.phi.square
     z_xi_xi = xi_contraction(x, (1, 2), ((z, x.m.one_scalar()),))
-    return lambda i: z_xi_xi(i) - phi2.column(i).scale(z.K)
+    return lambda i: z_xi_xi(i) - phi2.columns[i].scale(z.K)
 
 
 def phi_flatness(x: Instance):
@@ -226,7 +226,7 @@ def phi_flatness(x: Instance):
     def residual(i: int, j: int, k: int, l: int) -> Scalar:
         if (i, j, k) not in applied:
             applied[i, j, k] = apply(z, phi_e[i], phi_e[j], phi_e[k])
-        return m.inner(applied[i, j, k], phi_e[l])
+        return inner(m, applied[i, j, k], phi_e[l])
 
     return residual
 
@@ -308,7 +308,7 @@ def ricci_closed_form(x: Instance):
     eta_coeff = m.constant(2 * m.n) * x.kappa - two_n_minus_2
     return lambda i, j: (
         x.ricci.components[i][j]
-        - two_n_minus_2 * m.inner_basis(i, j)
+        - two_n_minus_2 * inner_basis(m, i, j)
         - two_n_minus_2 * x.h.matrix[j][i]
         - eta_coeff * eta[i] * eta[j]
     )
@@ -343,7 +343,7 @@ def gtw_ricci_closed_form(x: Instance):
     return lambda i, j: (
         ric[i][j]
         - x.ricci.components[i][j]
-        - m.inner_basis(i, j).scale(2)
+        - inner_basis(m, i, j).scale(2)
         + two_nk_plus_2 * eta[i] * eta[j]
     )
 
@@ -353,7 +353,7 @@ def ricci_alternative_form(x: Instance):
     m, eta, ric, n = x.m, x.s.eta.components, x.pkg.ricci.components, x.m.n
     return lambda i, j: (
         ric[i][j]
-        - m.inner_basis(i, j).scale(2 * n)
+        - inner_basis(m, i, j).scale(2 * n)
         - x.h.matrix[j][i].scale(2 * (n - 1))
         + (eta[i] * eta[j]).scale(2 * n)
     )

@@ -5,6 +5,7 @@ a copy of it."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -82,6 +83,13 @@ STATUS = CHANGE.format(
 )
 
 
+def _load_ab():
+    spec = importlib.util.spec_from_file_location("ab_harness_ab", ROOT / "scripts" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _copy(tmp_path: Path, *edits: tuple[str, str]) -> Path:
     """A copy of ``src`` with each ``(module, suffix)`` appended to its module."""
     src = tmp_path / "src"
@@ -105,12 +113,19 @@ def _ab(change: Path, rounds: int, *options: str) -> subprocess.CompletedProcess
 def _rows(stdout: str, case: str = "H3") -> dict[str, tuple]:
     """layer -> (median paired ratio, wins), and count -> (parent, change),
     of the printed rows of ``case``."""
+    return {layer: row[:1] + row[2:] if len(row) == 3 else row
+            for layer, row in _rows_with_iqr(stdout, case).items()}
+
+
+def _rows_with_iqr(stdout: str, case: str = "H3") -> dict[str, tuple]:
+    """layer -> (median paired ratio, interquartile range, wins), and count
+    -> (parent, change), of the printed rows of ``case``."""
     rows = {}
     for line in stdout.splitlines():
         fields = line.split()
         if fields and fields[0] == case:
-            if len(fields) == 6:
-                rows[fields[1]] = (float(fields[4]), fields[5])
+            if len(fields) == 7:
+                rows[fields[1]] = (float(fields[4]), float(fields[5]), fields[6])
             else:
                 rows[fields[1]] = (int(fields[2]), int(fields[3]))
     return rows
@@ -132,6 +147,29 @@ def test_ab_detects_a_slower_layer(tmp_path):
     assert ratio > 5 and wins == "0/5"
     ratio, wins = rows["request"]
     assert ratio > 1.2 and wins == "0/5"
+
+
+def test_ab_prints_the_interquartile_range_of_the_paired_ratios(tmp_path):
+    """Each layer row carries the spread of its paired ratios beside the
+    median, the same figure ``--out`` records; on identical trees the median
+    sits inside a spread of its own."""
+    out = tmp_path / "ab.json"
+    run = _ab(SRC, 4, "--only", "H3", "--out", str(out))
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[0].split()[-7:-4] == ["ratio", "iqr", "wins"]
+    layers = json.loads(out.read_text())["cases"]["H3"]["layers"]
+    rows = _rows_with_iqr(run.stdout)
+    for layer, row in layers.items():
+        ratio, iqr, wins = rows[layer]
+        assert 0 <= row["iqr"] and iqr == round(row["iqr"], 3)
+        assert ratio == round(row["ratio"], 3) and wins == f"{row['wins']}/4"
+
+
+def test_interquartile_range_reads_the_inclusive_quartiles():
+    ab = _load_ab()
+    assert ab.interquartile_range([0.9, 1.0, 1.1, 1.2, 1.3]) == pytest.approx(0.2)
+    assert ab.interquartile_range([1.0, 1.0]) == 0
+    assert ab.interquartile_range([0.95]) == 0
 
 
 def test_ab_refuses_a_changed_output(tmp_path):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 from random import Random
@@ -45,7 +46,7 @@ from contactframe.report import VerificationReport, first_witness
 from contactframe.tables import sum_table
 from contactframe.suite import CATALOGUE
 from contactframe.tanaka_webster import closed_form_table
-from vector_reference import apply, bracket, derivative
+from vector_reference import apply, bracket, derivative, inner, inner_basis
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -199,8 +200,8 @@ def test_derivative_endo_matches_the_column_formula(x):
         for i in range(m.dim):
             got = conn.derivative_endo(i, a)
             for j in range(m.dim):
-                want = derivative(conn, i, a.column(j)) - a.apply(derivative(conn, i, m.basis(j)))
-                assert got.column(j) == want, (name, i, j)
+                want = derivative(conn, i, a.columns[j]) - a.apply(derivative(conn, i, m.basis(j)))
+                assert got.columns[j] == want, (name, i, j)
 
 
 def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
@@ -220,8 +221,8 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
         want = apply(r1, x.s.xi, xh[i], m.basis(j)).scale(3)
         got = tuple(r1_xi.get((i, j, p)) for p in range(m.dim))
         assert got == tuple(c if c.terms else None for c in want.components), (i, j)
-        assert x.h_phi[i][j] == m.inner(x.h.column(i), phi.column(j)), (i, j)
-        assert x.xh_phi[i][j] == m.inner(xh[i], phi.column(j)), (i, j)
+        assert x.h_phi[i][j] == inner(m, x.h.columns[i], phi.columns[j]), (i, j)
+        assert x.xh_phi[i][j] == inner(m, xh[i], phi.columns[j]), (i, j)
     table = x.kept(closed_form_table)
     curv, r, r3 = (x.vector_at(t.table) for t in (x.pkg.curv, x.r, r3))
     for i, j, k in product(range(m.dim), repeat=3):
@@ -230,9 +231,9 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
             curv((i, j, k))
             - r((i, j, k))
             - r3((i, j, k)).scale(kappa)
-            - v[j].scale(m.inner(xh[i], phi.column(k)))
-            + v[i].scale(m.inner(xh[j], phi.column(k)))
-            - phi.column(k).scale(bracket)
+            - v[j].scale(inner(m, xh[i], phi.columns[k]))
+            + v[i].scale(inner(m, xh[j], phi.columns[k]))
+            - phi.columns[k].scale(bracket)
         )
         got = tuple(table.get((i, j, k, p)) for p in range(m.dim))
         assert got == tuple(c if c.terms else None for c in want.components), (i, j, k)
@@ -275,10 +276,10 @@ def _dense_vector_residuals(x: Instance) -> dict:
     rows computed it before they became tables.  The torsion is
     nabla_{E_i} E_j - nabla_{E_j} E_i - [E_i, E_j] of ``x.pkg.conn``."""
     m, h, phi, phi_h, xi = x.m, x.h, x.s.phi, x.phi_h, x.s.xi
-    idx, g, eta = range(m.dim), m.inner, x.s.eta.components
+    idx, g, eta = range(m.dim), partial(inner, m), x.s.eta.components
     e = [m.basis(i) for i in idx]
-    xh = [e[i] + h.column(i) for i in idx]
-    v = [phi.column(i) + phi_h.column(i) for i in idx]
+    xh = [e[i] + h.columns[i] for i in idx]
+    v = [phi.columns[i] + phi_h.columns[i] for i in idx]
     kappa_minus_1 = x.kappa - m.one_scalar()
     dh = [x.lc.derivative_endo(i, h) for i in idx]
     conn = x.pkg.conn
@@ -292,43 +293,43 @@ def _dense_vector_residuals(x: Instance) -> dict:
     def torsion_closed_form(w: list[FrameVector]):
         return lambda i, j: (
             torsion(i, j)
-            - xi.scale(g(xh[i], phi.column(j)) - g(xh[j], phi.column(i)))
+            - xi.scale(g(xh[i], phi.columns[j]) - g(xh[j], phi.columns[i]))
             - w[i].scale(eta[j])
             + w[j].scale(eta[i])
         )
 
     return {
         "nkappa.xi_covariant_derivative": (
-            1, lambda i: derivative(x.lc, i, xi) + phi.column(i) + phi_h.column(i)
+            1, lambda i: derivative(x.lc, i, xi) + phi.columns[i] + phi_h.columns[i]
         ),
         "nkappa.xi_covariant_derivative_reference_form": (
-            1, lambda i: derivative(x.lc, i, xi) + phi.column(i) + h.column(i)
+            1, lambda i: derivative(x.lc, i, xi) + phi.columns[i] + h.columns[i]
         ),
         "nkappa.phi_covariant_derivative": (
-            2, lambda i, j: x.dphi_lc[i].column(j) - r1_xi(i, j)
+            2, lambda i, j: x.dphi_lc[i].columns[j] - r1_xi(i, j)
         ),
         "nkappa.h_covariant_derivative": (
             2,
-            lambda i, j: dh[i].column(j)
-            + xi.scale(kappa_minus_1 * g(e[i], phi.column(j)) - g(h.column(i), phi.column(j)))
+            lambda i, j: dh[i].columns[j]
+            + xi.scale(kappa_minus_1 * g(e[i], phi.columns[j]) - g(h.columns[i], phi.columns[j]))
             - h.apply(v[i]).scale(eta[j]),
         ),
         "gtw.xi_parallel": (1, lambda i: derivative(conn, i, xi)),
         "gtw.phi_derivative_relation": (
-            2, lambda i, j: x.dphi_gtw[i].column(j) - x.dphi_lc[i].column(j) + r1_xi(i, j)
+            2, lambda i, j: x.dphi_gtw[i].columns[j] - x.dphi_lc[i].columns[j] + r1_xi(i, j)
         ),
-        "gtw.phi_parallel": (2, lambda i, j: x.dphi_gtw[i].column(j)),
+        "gtw.phi_parallel": (2, lambda i, j: x.dphi_gtw[i].columns[j]),
         "gtw.h_derivative_relation": (
-            2, lambda i, j: x.dh_gtw[i].column(j) - phi_h.column(j).scale(eta[i]).scale(2)
+            2, lambda i, j: x.dh_gtw[i].columns[j] - phi_h.columns[j].scale(eta[i]).scale(2)
         ),
         "gtw.h_derivative_relation_reference_form": (
             2,
-            lambda i, j: x.dh_gtw[i].column(j)
-            - xi.scale(kappa_minus_1 * g(phi.column(i), e[j]) + g(h.column(i), phi.column(j)))
+            lambda i, j: x.dh_gtw[i].columns[j]
+            - xi.scale(kappa_minus_1 * g(phi.columns[i], e[j]) + g(h.columns[i], phi.columns[j]))
             - v[j].scale(eta[i]),
         ),
         "gtw.torsion_nonzero": (2, torsion),
-        "gtw.torsion_closed_form": (2, torsion_closed_form([phi_h.column(i) for i in idx])),
+        "gtw.torsion_closed_form": (2, torsion_closed_form([phi_h.columns[i] for i in idx])),
         "gtw.torsion_closed_form_reference_form": (2, torsion_closed_form(v)),
     }
 
@@ -341,8 +342,8 @@ def _dense_is_sasakian(x: Instance) -> bool:
     return (
         first_witness(
             product(range(m.dim), repeat=2),
-            lambda i, j: x.dphi_lc[i].column(j)
-            - x.s.xi.scale(m.inner_basis(i, j))
+            lambda i, j: x.dphi_lc[i].columns[j]
+            - x.s.xi.scale(inner_basis(m, i, j))
             + m.basis(i).scale(eta[j]),
         )
         is None
@@ -443,8 +444,8 @@ def test_lie_derive_endo_matches_the_bracket_form(structural):
     for xi, a in product((e[0], two_components), (structural.s.phi, structural.h)):
         got = m.lie_derive_endo(xi, a)
         for j in range(m.dim):
-            want = bracket(m, xi, a.column(j)) - a.apply(bracket(m, xi, e[j]))
-            assert got.column(j) == want, (xi, j)
+            want = bracket(m, xi, a.columns[j]) - a.apply(bracket(m, xi, e[j]))
+            assert got.columns[j] == want, (xi, j)
 
 
 def test_jacobiator_matches_the_six_brackets(structural):

@@ -12,7 +12,7 @@ from contactframe import (
     verify_concircular_suite,
 )
 from contactframe.concircular import ricci_action_table, self_action_slabs
-from vector_reference import apply, tensor_dot_form, tensor_dot_tensor
+from vector_reference import apply, inner, tensor_dot_form, tensor_dot_tensor
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -32,7 +32,7 @@ def test_xi_nonflatness_witness(fam):
     for i in range(3):
         for j in range(3):
             expected = (
-                e(i).scale(m.inner(s.eta, e(j))) - e(j).scale(m.inner(s.eta, e(i)))
+                e(i).scale(inner(m, s.eta, e(j))) - e(j).scale(inner(m, s.eta, e(i)))
             ).scale(z.K)
             assert (apply(z, e(i), e(j), s.xi) - expected).is_zero()
 
@@ -41,7 +41,7 @@ def test_phi_sandwich_component(fam):
     """g(Z(phi E2, phi E3) phi E2, phi E3) = -4/3: phi-flatness fails."""
     m, z, phi = fam.m, fam.z, fam.s.phi
     e = m.basis
-    val = m.inner(
+    val = inner(m, 
         apply(z, phi.apply(e(1)), phi.apply(e(2)), phi.apply(e(1))),
         phi.apply(e(2)),
     )

@@ -133,14 +133,6 @@ def test_from_pairs_fills_the_antisymmetric_half():
         assert m.c[i][j][k].terms or m.c[i][j][k] is zero
 
 
-def test_inner_is_the_orthonormal_metric():
-    m = heisenberg3()
-    for i in range(3):
-        for j in range(3):
-            value = m.inner(m.basis(i), m.basis(j))
-            assert value == (m.one_scalar() if i == j else m.zero_scalar())
-
-
 def test_lie_derive_endo_of_identity_vanishes():
     from contactframe.frames import Endomorphism
 

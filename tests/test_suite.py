@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -306,14 +307,14 @@ def test_heisenberg_run_work_counts():
 @pytest.mark.parametrize(
     ("manifest", "sums", "zero_sums"),
     [
-        ("heisenberg5.json", 809, 486),
-        ("lambda_family.json", 337, 169),
-        ("t1e4.json", 1908, 1130),
+        ("heisenberg5.json", 790, 468),
+        ("lambda_family.json", 323, 158),
+        ("t1e4.json", 1879, 1105),
     ],
 )
 def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     """The counter reaches every module that binds ``sum_table`` by name: a
-    run on H^5 reads exactly 809 sums of products, 486 of them zero, so a
+    run on H^5 reads exactly 790 sums of products, 468 of them zero, so a
     binding the counter missed would lower them.  They fell from 850 and 529
     when the eight rows of one or two frame vectors (nabla eta of both
     connections, the Ricci closed forms, the xi values and the Ricci
@@ -322,13 +323,69 @@ def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     xi-value rows one per S(E_i, xi) and one for S(xi, xi) (12 sums, 10
     zero), where the eight tables name only the 21 indices some product of
     nonzero entries names (13 zero).  Building the eta-contraction and
-    phi-flatness tables whole adds 86.  The symbolic lambda family (337 and
-    169; 350 and 178 per tuple) and T1E4 (1,908 and 1,130; 1,992 and 1,211
-    per tuple) hold the self action's early exit: its tables, one per
-    (i, j), stop at the first that holds an entry, where one table per i adds
-    10 and 4, and 54 and 28."""
+    phi-flatness tables whole adds 86.  They fell again, from 809 and 486,
+    when the structural layer read only nonzero entries: d eta(E_i, E_j) is
+    summed once for both slot assignments of phi, and phi xi and h xi name
+    only the components some nonzero product reaches.  The symbolic lambda
+    family (323 and 158; 337 and 169 before that, 350 and 178 per tuple) and
+    T1E4 (1,879 and 1,105; 1,908 and 1,130 before, 1,992 and 1,211 per
+    tuple) hold the self action's early exit: its tables, one per (i, j),
+    stop at the first that holds an entry, where one table per i adds 10 and
+    4, and 54 and 28."""
     counts = _work_counts(manifest)
     assert (counts["sum_of_products"], counts["zero_sums"]) == (sums, zero_sums)
+
+
+def test_kmu3_fit_stops_at_the_first_contradiction():
+    """kmu3 has no single nullity constant: R(X, Y)xi is not of the nullity
+    shape.  ``solve_linear`` reduces each distinct equation of the fit
+    against the pivot rows found so far and returns at the first that
+    reduces to 0 = nonzero, so a run constructs exactly 53 Scalars (a full
+    elimination of every equation before the contradiction is read made 56,
+    and keying the fit's twin equations on Scalars rather than on their
+    terms changes no count)."""
+    assert _work_counts("kmu3.json")["scalars"] == 53
+
+
+def test_runs_build_dense_endomorphism_views_only_for_dense_readers(monkeypatch):
+    """An endomorphism is the table of its nonzero entries, and its dense
+    ``matrix`` view is built on first read only.  One H^5 run builds two, phi's
+    and h's, for the rows that take a form's dense rows; ``compose``,
+    ``commutator`` and ``derivative_endo`` build none.  A gated run builds
+    no dense view of an endomorphism at all, ``columns`` included."""
+    built: list[tuple[str, tuple[str, ...]]] = []
+    inside: list[str] = []
+    for view_name in ("matrix", "columns"):
+        view = Endomorphism.__dict__[view_name]
+
+        def counting(a, view=view, view_name=view_name):
+            built.append((view_name, tuple(inside)))
+            return view.func(a)
+
+        patched = cached_property(counting)
+        patched.__set_name__(Endomorphism, view_name)
+        monkeypatch.setattr(Endomorphism, view_name, patched)
+    for cls, name in (
+        (Endomorphism, "compose"),
+        (Endomorphism, "commutator"),
+        (Connection, "derivative_endo"),
+    ):
+        original = getattr(cls, name)
+
+        def tracked(*args, original=original, name=name):
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cls, name, tracked)
+    run_suite(*load_manifest_file(str(MANIFESTS / "heisenberg5.json")), "all")
+    assert [stack for _, stack in built if stack] == []
+    assert [view for view, _ in built].count("matrix") == 2
+    built.clear()
+    run_suite(*load_manifest_file(str(MANIFESTS / "random5.json")), "all")
+    assert built == []
 
 
 def test_heisenberg9_report_size():

@@ -104,7 +104,7 @@ def _nullity_fails(x: Instance, kappa: Scalar, mu: Scalar) -> list[int]:
     return [
         p
         for p in range(1, m.dim)
-        if r((p, 0, 0)) != m.basis(p).scale(kappa) + x.h.column(p).scale(mu)
+        if r((p, 0, 0)) != m.basis(p).scale(kappa) + x.h.columns[p].scale(mu)
     ]
 
 

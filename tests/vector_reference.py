@@ -40,6 +40,16 @@ def bracket(m: FrameManifold, x: FrameVector, y: FrameVector) -> FrameVector:
     )
 
 
+def inner(m: FrameManifold, x: FrameVector, y: FrameVector) -> Scalar:
+    """The orthonormal-frame metric: g(X, Y) = sum_i x_i y_i."""
+    return Scalar.sum_of_products(m.params, zip(x.components, y.components))
+
+
+def inner_basis(m: FrameManifold, i: int, j: int) -> Scalar:
+    """g(E_i, E_j) = delta_ij on the orthonormal frame."""
+    return m.one_scalar() if i == j else m.zero_scalar()
+
+
 def derivative(conn: Connection, i: int, x: FrameVector) -> FrameVector:
     """nabla_{E_i} X = sum_j x_j Gamma_ij^k E_k for a constant-coefficient X."""
     components = [Scalar.zero(x.params)] * conn.dim
@@ -110,21 +120,35 @@ def koszul(m: FrameManifold) -> list:
     ]
 
 
+def matmul(a, b) -> list:
+    """The dense product (AB)[p][j] = sum_q A[p][q] B[q][j] of two square
+    matrices of Scalars."""
+    idx, zero = range(len(a)), Scalar.zero(a[0][0].params)
+    return [[sum((a[p][q] * b[q][j] for q in idx), zero) for j in idx] for p in idx]
+
+
+def commutator(a, b) -> list:
+    """The dense [A, B] = AB - BA."""
+    ab, ba = matmul(a, b), matmul(b, a)
+    return [[x - y for x, y in zip(row_ab, row_ba)] for row_ab, row_ba in zip(ab, ba)]
+
+
+def lie_derivative(m: FrameManifold, xi: FrameVector, a) -> list:
+    """The dense L_xi A = [ad_xi, A] with (ad_xi)^p_q = sum_r xi^r c_rq^p."""
+    idx, zero, x = range(m.dim), Scalar.zero(m.params), xi.components
+    ad = [[sum((x[r] * m.c[r][q][p] for r in idx), zero) for q in idx] for p in idx]
+    return commutator(ad, a)
+
+
+def covariant_derivative(gamma: list, i: int, a) -> list:
+    """The dense nabla_{E_i} A = [G_i, A] with (G_i)^p_q = gamma[i][q][p]."""
+    idx = range(len(a))
+    return commutator([[gamma[i][q][p] for q in idx] for p in idx], a)
+
+
 def contact_h(m: FrameManifold, s: AlmostContactData) -> list:
-    """h[p][q] = component p of hE_q, h = 1/2 L_xi phi = 1/2 [ad_xi, phi] with
-    (ad_xi)^p_q = sum_r xi^r c_rq^p."""
-    idx, zero = range(m.dim), Scalar.zero(m.params)
-    xi, phi = s.xi.components, s.phi.matrix
-    ad = [[sum((xi[r] * m.c[r][q][p] for r in idx), zero) for q in idx] for p in idx]
-    return [
-        [
-            sum((ad[p][r] * phi[r][q] - phi[p][r] * ad[r][q] for r in idx), zero).scale(
-                Fraction(1, 2)
-            )
-            for q in idx
-        ]
-        for p in idx
-    ]
+    """h[p][q] = component p of hE_q, h = 1/2 L_xi phi."""
+    return [[v.scale(Fraction(1, 2)) for v in row] for row in lie_derivative(m, s.xi, s.phi.matrix)]
 
 
 def gtw_gamma(m: FrameManifold, s: AlmostContactData, gamma: list) -> list:
@@ -135,7 +159,7 @@ def gtw_gamma(m: FrameManifold, s: AlmostContactData, gamma: list) -> list:
     xi, eta, phi = s.xi.components, s.eta.components, s.phi.matrix
     h = contact_h(m, s)
     # x_plus_hx[i][p] = component p of E_i + hE_i
-    x_plus_hx = [[h[p][i] + m.inner_basis(i, p) for p in idx] for i in idx]
+    x_plus_hx = [[h[p][i] + inner_basis(m, i, p) for p in idx] for i in idx]
     phi_x_plus_hx = [
         [sum((phi[p][q] * x_plus_hx[i][q] for q in idx), zero) for p in idx] for i in idx
     ]

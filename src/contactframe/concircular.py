@@ -285,7 +285,7 @@ def phi_flatness_slabs(x) -> Iterator[Table]:
     leading index against its row of phi, the new index moving last.  An
     index whose phi E vanishes (xi's, say) never appears."""
     z, phi, params = x.z, x.s.phi, x.m.params
-    rows = [[(j, c) for j, c in enumerate(row) if c.terms] for row in phi.matrix]
+    rows = phi.sparse_rows
 
     for i, col in enumerate(phi.sparse_columns):
         table = sum_table(

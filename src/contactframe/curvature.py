@@ -373,8 +373,8 @@ def _h_covariant_derivative(report, name, x):
         name,
         x.scan(
             x.derivatives(dh, one),
-            x.along_xi(x.s.phi.matrix, x.kappa - one),
-            x.along_xi(x.h_phi, -one),
+            x.along_xi(x.s.phi.table.items(), x.kappa - one),
+            x.along_xi(x.h_phi.items(), -one),
             tails,
         ),
     )
@@ -384,7 +384,7 @@ def _h_covariant_derivative(report, name, x):
 def _eta_covariant_derivative(report, name, x):
     minus_one = -x.m.one_scalar()
     report.graded(
-        name, x.scan(x.eta_derivative(x.lc), x.form(x.xh_phi, minus_one), vector=False)
+        name, x.scan(x.eta_derivative(x.lc), x.form(x.entries(x.xh_phi), minus_one), vector=False)
     )
 
 
@@ -409,8 +409,8 @@ def _ricci_closed_form(report, name, x):
     report.graded(
         name,
         x.scan(
-            x.form(x.ricci.components, m.one_scalar()),
-            x.form(x.h.matrix, -two_n_minus_2, transpose=True),
+            x.form(x.entries(x.ricci.components), m.one_scalar()),
+            x.form(x.h.table.items(), -two_n_minus_2, transpose=True),
             x.metric_eta(-two_n_minus_2, -eta_coeff),
             vector=False,
         ),

@@ -20,9 +20,11 @@ coefficients: A^p_j is component p of A E_j.  ``compose`` and
 products per entry some pair names (``tables.sum_table``), with no dense
 intermediate; a covariant derivative of an endomorphism is such a
 commutator, and the Lie derivative pairs each nonzero structure constant
-with the nonzero entries of the operand directly.  The dense views
-(``matrix``, ``columns``) are built on first read, for the readers that
-take a form's dense rows or frame vectors.
+with the nonzero entries of the operand directly.  The readers of a form
+take the table's entries, or its nonzero rows and columns
+(``sparse_rows``, ``sparse_columns``).  The dense views are built on first
+read: ``columns`` for the readers that take frame vectors, and ``matrix``
+for a caller that wants the dense matrix; the engine reads no ``matrix``.
 
 Indices are 0-based throughout the code; reports and manifests use 1-based
 indices at the boundary.
@@ -121,6 +123,9 @@ class Endomorphism:
         table = {(p, j): a for p, row in enumerate(matrix) for j, a in enumerate(row) if a.terms}
         vars(self).update(dim=len(matrix), params=matrix[0][0].params, table=table)
 
+    def __hash__(self) -> int:
+        return hash((self.dim, self.params, frozenset(self.table.items())))
+
     @staticmethod
     def from_table(dim: int, params: tuple[str, ...], table: Table) -> "Endomorphism":
         """The endomorphism whose nonzero entries are those of ``table``."""
@@ -144,9 +149,18 @@ class Endomorphism:
         return tuple(map(tuple, cols))
 
     @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """The nonzero entries of each row: ``sparse_rows[p]`` holds the pairs
+        (j, A^p_j), in j order."""
+        rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.dim)]
+        for (p, j), a in sorted(self.table.items(), key=itemgetter(0)):
+            rows[p].append((j, a))
+        return tuple(map(tuple, rows))
+
+    @cached_property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The dense view matrix[p][j] = A^p_j, built on first read, for the
-        readers that take a form's dense rows."""
+        """The dense view matrix[p][j] = A^p_j, built on first read; no
+        reader in the engine takes it."""
         rows = [[Scalar.zero(self.params)] * self.dim for _ in range(self.dim)]
         for (p, j), a in self.table.items():
             rows[p][j] = a
@@ -265,9 +279,10 @@ class FrameManifold:
     ) -> "FrameManifold":
         """Build from sparse (i, j, k) -> coefficient with i < j (0-based);
         the i > j half is filled in by antisymmetry, with one negation per
-        distinct coefficient object."""
-        zero = Scalar.zero(params)
-        table = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        distinct coefficient object.  ``minus_sparse_c`` is the transposed
+        ``sparse_c``, since -[E_i, E_j] = [E_j, E_i] holds by construction."""
+        zero, idx = Scalar.zero(params), range(dim)
+        table = [[[zero for _ in idx] for _ in idx] for _ in idx]
         negated: dict[int, Scalar] = {}
         for (i, j, k), coeff in pairs.items():
             if not (0 <= i < j < dim and 0 <= k < dim):
@@ -279,7 +294,10 @@ class FrameManifold:
                     minus = negated[id(coeff)] = -coeff
                 table[i][j][k], table[j][i][k] = coeff, minus
         frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
-        return FrameManifold(dim=dim, params=params, c=frozen)
+        m = FrameManifold(dim=dim, params=params, c=frozen)
+        live = m.sparse_c
+        vars(m)["minus_sparse_c"] = tuple(tuple(live[j][i] for j in idx) for i in idx)
+        return m
 
     # -- primitives -----------------------------------------------------------
 
@@ -317,6 +335,16 @@ class FrameManifold:
             for plane in self.c
         )
 
+    @cached_property
+    def minus_sparse_c(self) -> tuple[tuple[tuple[tuple[int, Scalar], ...], ...], ...]:
+        """The nonzero entries of each -[E_i, E_j]: ``minus_sparse_c[i][j]``
+        holds the pairs (k, -c[i][j][k]), one negation each.  ``from_pairs``
+        builds the i > j half as the negation of the i < j half, so it sets
+        this to the transposed ``sparse_c`` and no Scalar is built."""
+        return tuple(
+            tuple(tuple((k, -v) for k, v in c_ij) for c_ij in plane) for plane in self.sparse_c
+        )
+
     def jacobiator(self, i: int, j: int, k: int, l: int) -> Scalar:
         """Component l of [[E_i,E_j],E_k] + [[E_j,E_k],E_i] + [[E_k,E_i],E_j],
         one sum of products:
@@ -334,17 +362,15 @@ class FrameManifold:
         )
 
     def lie_derive_endo(self, xi: FrameVector, a: Endomorphism) -> Endomorphism:
-        """L_xi A = [ad_xi, A], with ad_xi E_q = [xi, E_q] = sum_r xi^r c_rq^p E_p
-        and c_rj^q = -c_jr^q:
+        """L_xi A = [ad_xi, A], with ad_xi E_q = [xi, E_q] = sum_r xi^r c_rq^p E_p:
 
-            (L_xi A)^p_j = sum_{r,q} c_rq^p (xi^r A^q_j) + (xi^r A^p_q) c_jr^q ,
+            (L_xi A)^p_j = sum_{r,q} c_rq^p (xi^r A^q_j) + (xi^r A^p_q) (-c_rj^q) ,
 
         one product per nonzero structure constant and nonzero entry of
-        xi^r A; ad_xi itself is never built.  Reading -c_rj^q as c_jr^q needs
-        antisymmetric structure constants, which ``from_pairs`` builds: the
-        precondition ``curvature.riemann`` states too.
+        xi^r A, the -c_rj^q read from ``minus_sparse_c``; ad_xi itself is
+        never built.
         """
-        c, idx = self.sparse_c, range(self.dim)
+        c, minus_c = self.sparse_c, self.minus_sparse_c
 
         def products() -> Iterator[tuple[tuple[int, int], Scalar, Scalar]]:
             for r, x in enumerate(xi.components):
@@ -354,10 +380,10 @@ class FrameManifold:
                 for (q, j), v in xa.table.items():
                     for p, c_rq in c[r][q]:
                         yield (p, j), c_rq, v
-                for j in idx:
-                    for q, c_jr in c[j][r]:
+                for j, minus_c_rj in enumerate(minus_c[r]):
+                    for q, minus_c_rjq in minus_c_rj:
                         for p, v in xa.sparse_columns[q]:
-                            yield (p, j), v, c_jr
+                            yield (p, j), v, minus_c_rjq
 
         return Endomorphism.from_products(self.dim, self.params, products())
 

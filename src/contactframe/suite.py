@@ -57,8 +57,9 @@ at the first witness, which a dense failing input reaches early.  Every
 endomorphism a run derives (h, phi h, phi^2, nabla phi and nabla h of both
 connections, Z(xi, E_i)) is the table of its nonzero entries
 (``frames.Endomorphism``), built from products of tables; the rows' products
-read those tables, and only a row that takes a form's dense rows or frame
-vectors builds a dense view of phi, h or phi h.  The tables that two rows read (the
+read those tables (``Instance.form`` and ``along_xi`` take a table's
+entries), and only a row that takes frame vectors builds a dense view, the
+``columns`` of phi, h or phi h.  The tables that two rows read (the
 curvature closed form, the ricci action) are kept on the instance, one per
 builder, beside the witness of each ``Instance.r1_scan`` comparison
 (``Instance.kept``).  A tensor with xi in some argument slots is read from
@@ -125,6 +126,9 @@ _KAPPA_GATE = (
     "instance, so the nullity-based identities have no hypothesis to test"
 )
 _CONNECTION_NOTE = ("the torsionful connection could not be built",)
+
+# the entries ((i, j), a_ij) of a form, each nonzero
+Entries = Iterable[tuple[tuple[int, int], Scalar]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +219,12 @@ class Instance:
             for p, a in col
         )
 
-    def along_xi(
-        self, rows: Sequence[Sequence[Scalar]], c: Scalar, transpose: bool = False
-    ) -> Iterator[Product]:
-        """a_ij c xi over the nonzero a_ij = rows[i][j] (rows[j][i] when
-        ``transpose``, as ``form`` reads them) and the nonzero c xi^p."""
+    def along_xi(self, entries: Entries, c: Scalar, transpose: bool = False) -> Iterator[Product]:
+        """a_ij c xi over the entries ((i, j), a_ij) of a form (keyed (j, i)
+        when ``transpose``, as ``form`` reads them) and the nonzero c xi^p."""
         xi = self.s.xi.components
         c_xi = [(p, w) for p, v in enumerate(xi) if v.terms and (w := c * v).terms]
-        for (i, j), a_ij, _ in self.form(rows, c, transpose):
+        for (i, j), a_ij, _ in self.form(entries, c, transpose):
             for p, w in c_xi:
                 yield (i, j, p), a_ij, w
 
@@ -245,21 +247,24 @@ class Instance:
         the term of both phi-derivative forms."""
         v = self.x_plus_hx
         return chain(
-            self.along_xi([w.components for w in v], c),
+            self.along_xi(self.entries(w.components for w in v), c),
             self.along(self.s.xi.components, v, -c, 1),
         )
 
     @staticmethod
-    def form(
-        rows: Sequence[Sequence[Scalar]], c: Scalar, transpose: bool = False
-    ) -> Iterator[Product]:
-        """c a_ij keyed (i, j) over the nonzero a_ij = rows[i][j] (rows[j][i]
-        when ``transpose``); none when c is zero."""
+    def form(entries: Entries, c: Scalar, transpose: bool = False) -> Iterator[Product]:
+        """c a_ij keyed (i, j) over the entries ((i, j), a_ij) of a form, each
+        nonzero (keyed (j, i) when ``transpose``); none when c is zero.  An
+        endomorphism's entries are its ``table.items()``, A^p_j keyed (p, j)."""
         if c.terms:
-            for a, row in enumerate(rows):
-                for b, a_ab in enumerate(row):
-                    if a_ab.terms:
-                        yield ((b, a) if transpose else (a, b)), a_ab, c
+            for (a, b), a_ab in entries:
+                yield ((b, a) if transpose else (a, b)), a_ab, c
+
+    @staticmethod
+    def entries(rows: Iterable[Sequence[Scalar]]) -> Iterator[tuple[tuple[int, int], Scalar]]:
+        """The nonzero entries ((i, j), rows[i][j]) of a form held as dense
+        rows (a Ricci form, g(E_i + hE_i, phi E_j))."""
+        return (((i, j), a) for i, row in enumerate(rows) for j, a in enumerate(row) if a.terms)
 
     def metric_eta(self, g: Scalar, e: Scalar) -> Iterator[Product]:
         """g delta_ij + e eta_i eta_j keyed (i, j), over the nonzero e eta_i
@@ -355,30 +360,30 @@ class Instance:
         return self.s.phi.compose(self.h)
 
     @cached_property
-    def h_phi(self) -> tuple[tuple[Scalar, ...], ...]:
-        """g(hE_i, phi E_j) for every pair of frame indices: sum_q h^q_i phi^q_j,
-        one sum of products per nonzero entry over the nonzero entries of h."""
-        idx, zero, phi = range(self.m.dim), self.m.zero_scalar(), self.s.phi.matrix
-        table = sum_table(
+    def h_phi(self) -> Table:
+        """g(hE_i, phi E_j) = sum_q h^q_i phi^q_j keyed (i, j): one sum of
+        products per entry some pair of nonzero entries of h and phi names."""
+        phi_rows = self.s.phi.sparse_rows
+        return sum_table(
             self.m.params,
             (
                 ((i, j), h_qi, phi_qj)
                 for i, col in enumerate(self.h.sparse_columns)
                 for q, h_qi in col
-                for j, phi_qj in enumerate(phi[q])
-                if phi_qj.terms
+                for j, phi_qj in phi_rows[q]
             ),
         )
-        return tuple(tuple(table.get((i, j), zero) for j in idx) for i in idx)
 
     @cached_property
     def xh_phi(self) -> tuple[tuple[Scalar, ...], ...]:
         """g(E_i + hE_i, phi E_j) = phi^i_j + g(hE_i, phi E_j) for every pair of
-        frame indices."""
-        phi = self.s.phi.matrix
-        return tuple(
-            tuple(phi[i][j] + c for j, c in enumerate(row)) for i, row in enumerate(self.h_phi)
-        )
+        frame indices, as the dense rows the torsionful connection reads; a
+        sum is built only where both entries are nonzero."""
+        idx = range(self.m.dim)
+        rows = [[self.m.zero_scalar()] * self.m.dim for _ in idx]
+        for (i, j), a in chain(self.s.phi.table.items(), self.h_phi.items()):
+            rows[i][j] = rows[i][j] + a
+        return tuple(map(tuple, rows))
 
     @cached_property
     def phi_x_plus_hx(self) -> tuple[FrameVector, ...]:
@@ -418,7 +423,7 @@ class Instance:
             sasakian = (
                 self.scan(
                     self.derivatives(self.dphi_lc, one),
-                    self.along_xi([v.components for v in e], -one),
+                    self.along_xi((((i, i), one) for i in range(self.m.dim)), -one),
                     self.along(self.s.eta.components, e, one, 1),
                 )
                 is None

@@ -219,8 +219,8 @@ def _h_derivative_relation_reference(report, name, x):
         name,
         x.scan(
             x.derivatives(x.dh_gtw, one),
-            x.along_xi(x.s.phi.matrix, one - x.kappa, transpose=True),
-            x.along_xi(x.h_phi, -one),
+            x.along_xi(x.s.phi.table.items(), one - x.kappa, transpose=True),
+            x.along_xi(x.h_phi.items(), -one),
             x.along(x.s.eta.components, x.phi_x_plus_hx, -one, 0),
         ),
         "reference variant [(kappa-1)g(phi X, Y) + g(hX, phi Y)] xi "
@@ -237,11 +237,11 @@ def _torsion_nonzero(report, name, x):
 
 # T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
 def _torsion_witness(x, v: tuple[FrameVector, ...]) -> dict | None:
-    one, eta = x.m.one_scalar(), x.s.eta.components
+    one, eta, xh_phi = x.m.one_scalar(), x.s.eta.components, list(x.entries(x.xh_phi))
     return x.scan(
         ((index, t, one) for index, t in x.pkg.torsion.items()),
-        x.along_xi(x.xh_phi, -one),
-        x.along_xi(x.xh_phi, one, transpose=True),
+        x.along_xi(xh_phi, -one),
+        x.along_xi(xh_phi, one, transpose=True),
         x.along(eta, v, -one, 1),
         x.along(eta, v, one, 0),
     )
@@ -395,7 +395,7 @@ def pair_interchange_table(x) -> Table:
     nonzero components of R and the nonzero entries of phi, phi h and h_phi."""
     one = x.m.one_scalar()
     two_phi, minus_two_phi, phi_h = _phi_entries(x)
-    h_phi = [(a, b, c) for a, row in enumerate(x.h_phi) for b, c in enumerate(row) if c.terms]
+    h_phi = [(a, b, c) for (a, b), c in x.h_phi.items()]
     curv = x.pkg.curv.table.items()
     return sum_table(
         x.m.params,
@@ -458,8 +458,8 @@ def _gtw_ricci_closed_form(report, name, x):
     report.graded(
         name,
         x.scan(
-            x.form(x.pkg.ricci.components, one),
-            x.form(x.ricci.components, -one),
+            x.form(x.entries(x.pkg.ricci.components), one),
+            x.form(x.entries(x.ricci.components), -one),
             x.metric_eta(m.constant(-2), two_nk_plus_2),
             vector=False,
         ),
@@ -471,8 +471,8 @@ def _ricci_alternative_form(report, name, x):
     report.graded(
         name,
         x.scan(
-            x.form(x.pkg.ricci.components, m.one_scalar()),
-            x.form(x.h.matrix, m.constant(-2 * (n - 1)), transpose=True),
+            x.form(x.entries(x.pkg.ricci.components), m.one_scalar()),
+            x.form(x.h.table.items(), m.constant(-2 * (n - 1)), transpose=True),
             x.metric_eta(m.constant(-2 * n), m.constant(2 * n)),
             vector=False,
         ),
@@ -484,7 +484,7 @@ def _ricci_xi_degenerate(report, name, x):
 
 
 def _ricci_symmetry(report, name, x):
-    ric, one = x.pkg.ricci.components, x.m.one_scalar()
+    ric, one = list(x.entries(x.pkg.ricci.components)), x.m.one_scalar()
     report.graded(
         name,
         x.scan(x.form(ric, one), x.form(ric, -one, transpose=True), vector=False),
@@ -564,7 +564,7 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
     # the nonzero entries: g_aa = 1 on the orthonormal frame, phi_ab = g(phi E_a, E_b),
     # eta_a = eta(E_a) and xi^a
     g = [(a, a, one) for a in idx]
-    phi = [(a, b, c) for b, row in enumerate(s.phi.matrix) for a, c in enumerate(row) if c.terms]
+    phi = [(a, b, c) for b, row in enumerate(s.phi.sparse_rows) for a, c in row]
     eta = [(a, c) for a, c in enumerate(s.eta.components) if c.terms]
     xi = [(a, c) for a, c in enumerate(s.xi.components) if c.terms]
 

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from contactframe import Connection, Endomorphism, FrameManifold, FrameVector, Scalar
+from contactframe import (
+    Connection, Endomorphism, FrameManifold, FrameVector, Scalar, make_heisenberg,
+)
 from vector_reference import commutator, covariant_derivative, lie_derivative, matmul
 
 P = ("t",)
@@ -84,6 +86,19 @@ def test_derivatives_match_the_dense_commutators(gamma, a_rows, brackets, xi):
         assert_table_equals(conn.derivative_endo(i, a), covariant_derivative(gamma, i, a_rows))
     m = manifold(brackets)
     assert_table_equals(m.lie_derive_endo(xi, a), lie_derivative(m, xi, a_rows))
+    # from_pairs hands over the transposed brackets as -c; the same
+    # manifold built by its constructor negates every entry instead
+    assert FrameManifold(DIM, P, m.c).minus_sparse_c == m.minus_sparse_c
+
+
+@PROPERTY
+@given(st.lists(MATRICES, min_size=DIM, max_size=DIM), MATRICES, VECTORS)
+def test_lie_derivative_needs_no_antisymmetric_brackets(planes, a_rows, xi):
+    """L_xi A = [ad_xi, A] on structure constants c[i][j][k] drawn whole, so
+    that c_ij^k and c_ji^k are unrelated: a frame that fails
+    ``frame.bracket_antisymmetry`` still gets the h the formula defines."""
+    m = FrameManifold(DIM, P, tuple(tuple(map(tuple, plane)) for plane in planes))
+    assert_table_equals(m.lie_derive_endo(xi, endo(a_rows)), lie_derivative(m, xi, a_rows))
 
 
 @PROPERTY
@@ -98,5 +113,15 @@ def test_the_matrix_form_is_the_table_form_and_survives_copy_and_pickle(a_rows):
     for operand in (endo(a_rows), a):
         twins = copy.copy(operand), copy.deepcopy(operand), pickle.loads(pickle.dumps(operand))
         for twin in twins:
-            assert twin == a and twin.table == table
+            assert twin == a and twin.table == table and hash(twin) == hash(a)
             assert twin.square == a.square
+
+
+def test_an_almost_contact_structure_hashes_by_its_entries():
+    """Equal endomorphisms hash alike, whatever views either has built, so an
+    ``AlmostContactData`` is hashable like the frozen record it is."""
+    s = make_heisenberg(2).structure
+    twin = pickle.loads(pickle.dumps(s))
+    s.phi.matrix, s.phi.columns, s.phi.sparse_columns
+    assert hash(twin) == hash(s) and {s, twin} == {s}
+    assert hash(s.phi) == hash(Endomorphism(s.phi.matrix))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from contactframe.frames import FrameError, FrameManifold, FrameVector
 from contactframe.report import first_witness
 from contactframe.scalars import ParameterMismatchError, Scalar, parse_scalar
-from vector_reference import bracket
+from vector_reference import bracket, inner, inner_basis
 
 P = ()
 
@@ -131,6 +131,15 @@ def test_from_pairs_fills_the_antisymmetric_half():
     # every zero, the listed one included, is the shared zero
     for i, j, k in product(range(3), repeat=3):
         assert m.c[i][j][k].terms or m.c[i][j][k] is zero
+
+
+def test_inner_is_the_orthonormal_metric():
+    m = heisenberg3()
+    for i in range(3):
+        for j in range(3):
+            value = inner(m, m.basis(i), m.basis(j))
+            assert value == (m.one_scalar() if i == j else m.zero_scalar())
+            assert inner_basis(m, i, j) == value
 
 
 def test_lie_derive_endo_of_identity_vanishes():

@@ -349,10 +349,11 @@ def test_kmu3_fit_stops_at_the_first_contradiction():
 
 def test_runs_build_dense_endomorphism_views_only_for_dense_readers(monkeypatch):
     """An endomorphism is the table of its nonzero entries, and its dense
-    ``matrix`` view is built on first read only.  One H^5 run builds two, phi's
-    and h's, for the rows that take a form's dense rows; ``compose``,
-    ``commutator`` and ``derivative_endo`` build none.  A gated run builds
-    no dense view of an endomorphism at all, ``columns`` included."""
+    views are built on first read only.  One H^5 run builds no ``matrix``
+    view: every form reader takes the table's entries.  Only the
+    frame-vector readers build ``columns``, and ``compose``, ``commutator``
+    and ``derivative_endo`` build neither view.  A gated run builds no dense
+    view of an endomorphism at all."""
     built: list[tuple[str, tuple[str, ...]]] = []
     inside: list[str] = []
     for view_name in ("matrix", "columns"):
@@ -382,7 +383,7 @@ def test_runs_build_dense_endomorphism_views_only_for_dense_readers(monkeypatch)
         monkeypatch.setattr(cls, name, tracked)
     run_suite(*load_manifest_file(str(MANIFESTS / "heisenberg5.json")), "all")
     assert [stack for _, stack in built if stack] == []
-    assert [view for view, _ in built].count("matrix") == 2
+    assert [view for view, _ in built].count("matrix") == 0
     built.clear()
     run_suite(*load_manifest_file(str(MANIFESTS / "random5.json")), "all")
     assert built == []

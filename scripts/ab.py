@@ -36,6 +36,10 @@ three derived sections (``verify_nkappa_suite``, ``verify_gtw_suite``,
 structural layer, classification, Levi-Civita connection and curvature,
 kappa and torsionful package (and, for the concircular section, Z) are built
 before the timer starts, as ``run_suite`` builds them before the section.
+The layers run after one garbage collection, with the collector off, so no
+collection of garbage that an earlier step left falls inside one tree's
+timer; the collector's prior state is restored afterwards.  The request
+runs with the collector as perfbench runs it.
 
 For each case it prints both trees' counts, and per layer the minimum
 microseconds of each tree, the median over rounds of the paired ratio
@@ -57,6 +61,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import json
@@ -211,6 +216,20 @@ def work_counts(cf, m, s) -> dict:
     return counts
 
 
+@contextmanager
+def collector_off():
+    """One garbage collection, then the collector off while the block runs;
+    its prior state is restored afterwards."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Tree:
     """One imported tree and the calls the rounds time."""
 
@@ -244,38 +263,40 @@ class Tree:
     def layers(self, text: str) -> dict:
         """Seconds of each layer on a freshly loaded input (each section on
         its own, with the layers it reads built first), or {} when a request
-        on it builds none of them."""
+        on it builds none of them; timed after one collection with the
+        garbage collector off, whose prior state is then restored."""
         m, s = self.cf.load_manifest(json.loads(text))
         x = self.suite.Instance(m, s)
         if x.gate_note:
             return {}
-        suite, seconds = self.suite, {}
-        start = time.perf_counter()
-        lc = suite.levi_civita(m)
-        seconds["levi_civita"] = time.perf_counter() - start
-        start = time.perf_counter()
-        r = suite.riemann(m, lc)
-        seconds["riemann"] = time.perf_counter() - start
-        start = time.perf_counter()
-        suite.detect_kappa(m, s, r)
-        seconds["detect_kappa"] = time.perf_counter() - start
-        xh_phi, phi_h, r1 = x.xh_phi, x.phi_h, x.templates[0]
-        start = time.perf_counter()
-        pkg = suite.build_gtw_package(m, s, lc, xh_phi, phi_h)
-        seconds["build_gtw_package"] = time.perf_counter() - start
-        start = time.perf_counter()
-        suite.concircular(m, pkg.curv, r1)
-        seconds["concircular"] = time.perf_counter() - start
-        for name in SUITE_LAYERS:
-            x = suite.Instance(*self.cf.load_manifest(json.loads(text)))
-            x.classification, x.gate_note, x.pkg
-            if name == "verify_concircular_suite":
-                x.z
-            section = getattr(suite, name)
+        with collector_off():
+            suite, seconds = self.suite, {}
             start = time.perf_counter()
-            section(x)
-            seconds[name] = time.perf_counter() - start
-        return seconds
+            lc = suite.levi_civita(m)
+            seconds["levi_civita"] = time.perf_counter() - start
+            start = time.perf_counter()
+            r = suite.riemann(m, lc)
+            seconds["riemann"] = time.perf_counter() - start
+            start = time.perf_counter()
+            suite.detect_kappa(m, s, r)
+            seconds["detect_kappa"] = time.perf_counter() - start
+            xh_phi, phi_h, r1 = x.xh_phi, x.phi_h, x.templates[0]
+            start = time.perf_counter()
+            pkg = suite.build_gtw_package(m, s, lc, xh_phi, phi_h)
+            seconds["build_gtw_package"] = time.perf_counter() - start
+            start = time.perf_counter()
+            suite.concircular(m, pkg.curv, r1)
+            seconds["concircular"] = time.perf_counter() - start
+            for name in SUITE_LAYERS:
+                x = suite.Instance(*self.cf.load_manifest(json.loads(text)))
+                x.classification, x.gate_note, x.pkg
+                if name == "verify_concircular_suite":
+                    x.z
+                section = getattr(suite, name)
+                start = time.perf_counter()
+                section(x)
+                seconds[name] = time.perf_counter() - start
+            return seconds
 
     def measure(self, texts: list[str]) -> tuple[tuple[str, ...], dict]:
         out, seconds = self.request(texts)

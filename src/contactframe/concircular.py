@@ -7,7 +7,9 @@ concircular tensor collapses to
 
 R1 being the space-form model tensor of ``tanaka_webster.space_form_templates``,
 and every xi-contraction of Z is K R1 at the same slots, with the constant
-K = -2n/(2n+1).  This module builds Z, the two tensor-action operators
+K = -2n/(2n+1).  This module builds Z, its defect D = Z - K R1
+(``defect``, summed once per run from the nonzero components of Z and R1,
+and empty wherever the curvature vanishes), the two tensor-action operators
 
     (T1(X1,X2).T2)(X3,X4)X5 = T1(X1,X2) T2(X3,X4)X5 - T2(T1(X1,X2)X3, X4)X5
                               - T2(X3, T1(X1,X2)X4)X5 - T2(X3,X4) T1(X1,X2)X5
@@ -29,18 +31,26 @@ standard derivation convention negates both terms), and grades:
 - the phi-flatness hypothesis test (runs the eta-Einstein fit when the
   hypothesis holds; otherwise records the first nonzero residual).
 
-The action obstructions, the ricci-action slice and the eta-contraction pair
-are graded from tables of nonzero residuals (``tables.sum_table``), never
-evaluated on every basis tuple.  With A = Z(xi, E_i) built once per i
+Every row that compares Z with K R1 at the same slots reads D instead: the
+three xi-slot identities and the agreement half of the xi-flatness
+obstruction scan D's xi tables, and the eta contraction reads
+eta(D(E_i, E_j)E_k); its reference slot order reads Z and R1.  The action
+obstructions, the ricci-action slice and the eta-contraction pair are graded
+from tables of nonzero residuals (``tables.sum_table``), never evaluated on
+every basis tuple.  With A = Z(xi, E_i) built once per i
 (``Instance.z_xi``),
 
-    (A.Z)_jkl^p = sum_q A^p_q Z_jkl^q - A^q_j Z_qkl^p - A^q_k Z_jql^p - A^q_l Z_jkq^p
+    (A.Z)_jkl^p = (A.D)_jkl^p + K (s_jl delta_k^p - s_kl delta_j^p),  s_ab = A^b_a + A^a_b
+    (A.D)_jkl^p = sum_q A^p_q D_jkl^q - A^q_j D_qkl^p - A^q_k D_jql^p - A^q_l D_jkq^p
     (A.w)_jk    = sum_q A^q_j w_qk + A^q_k w_jq
 
-are stated as products of the nonzero entries of A with the nonzero
-components of Z or w (``self_action_slabs``, ``ricci_action_table``), so on a
-Sasakian input, where almost every A vanishes, almost no sum runs.  The ricci
-action is one table, which the obstruction and the slice both read.  A row's
+the R1 half being the closed form of the action on R1 (``r1_action``).  A.D
+and A.w are stated as products of the nonzero entries of A with the nonzero
+components of D or w (``self_action_slabs``, ``ricci_action_table``).  A is
+skew wherever the torsionful connection builds (that connection is metric,
+and R1(X, Y) is skew), so s is empty and the R1 half names no product; on
+the Heisenberg ladder D is empty too, and the self action sums nothing.  The
+ricci action is one table, which the obstruction and the slice both read.  A row's
 witness is its table's least index (``suite.Instance.table_scan``), and three
 residuals whose witness often comes early on a dense input are built lazily,
 as generators of tables in increasing order of their leading indices, up to
@@ -58,12 +68,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 from .curvature import Curvature4Tensor
-from .frames import FrameManifold
+from .frames import Endomorphism, FrameManifold
 from .scalars import Scalar
-from .tables import Table, first_nonempty, sum_table
+from .tables import Product, Table, first_nonempty, sum_table
 from .tanaka_webster import eta_einstein_fit
 
 
@@ -79,54 +90,88 @@ def concircular(
 ) -> ConcircularTensor:
     """Z = R - (2n/(2n+1)) R1 from the curvature and the model tensor R1; K is
     computed from the instance's n."""
-    coeff = Fraction(2 * m.n, 2 * m.n + 1)
-    one, minus_coeff = m.one_scalar(), m.constant(-coeff)
-    table = sum_table(
+    k = m.constant(-Fraction(2 * m.n, 2 * m.n + 1))
+    return ConcircularTensor(m.dim, m.params, _plus_r1(m, curv, r1, k), K=k)
+
+
+def defect(m: FrameManifold, z: ConcircularTensor, r1: Curvature4Tensor) -> Curvature4Tensor:
+    """The concircular defect D = Z - K R1, summed from the nonzero components
+    of Z and of R1: the part of Z that its comparisons with K R1 read.  It is
+    empty wherever the curvature vanishes (the Heisenberg ladder)."""
+    return Curvature4Tensor(m.dim, m.params, _plus_r1(m, z, r1, -z.K))
+
+
+def _plus_r1(m: FrameManifold, t: Curvature4Tensor, r1: Curvature4Tensor, c: Scalar) -> Table:
+    """T + c R1, one sum of products per component that T or R1 names."""
+    one = m.one_scalar()
+    return sum_table(
         m.params,
         chain(
-            ((index, c, one) for index, c in curv.table.items()),
-            ((index, c, minus_coeff) for index, c in r1.table.items()),
+            ((index, v, one) for index, v in t.table.items()),
+            ((index, v, c) for index, v in r1.table.items()),
         ),
     )
-    return ConcircularTensor(m.dim, m.params, table, K=minus_coeff)
+
+
+def symmetrised(a: Endomorphism) -> Table:
+    """s_pj = A^p_j + A^j_p keyed (p, j): the nonzero entries of A + A^T,
+    none when A is skew."""
+    t, zero = a.table, Scalar.zero(a.params)
+    values = ((key, v + t.get(key[::-1], zero)) for key, v in t.items())
+    s = {key: v for key, v in values if v.terms}
+    return s | {key[::-1]: v for key, v in s.items()}
+
+
+def r1_action(s: Table, c: Scalar, i: int, j: int, dim: int) -> Iterator[Product]:
+    """c (A.R1)(E_j, E_k)E_l keyed (i, j, k, l, p), for s = ``symmetrised(A)``:
+
+        (A.R1)_jkl^p = s_jl delta_k^p - s_kl delta_j^p,
+
+    the closed form of the action of any A on R1(X, Y)Z = g(Y, Z)X - g(X, Z)Y,
+    one product per nonzero s_ab and free index; none when A is skew."""
+    for (a, l), v in s.items():
+        for k in range(dim) if a == j else ():
+            yield (i, j, k, l, k), c, v
+        yield (i, j, a, l, j), c, -v
 
 
 def self_action_slabs(x) -> Iterator[Table]:
     """(A.Z)(E_j, E_k)E_l with A = Z(xi, E_i), as one table per (i, j) keyed
-    (i, j, k, l, p), in row-major order:
+    (i, j, k, l, p), in row-major order.  Z = D + K R1 (``defect``), so
+    A.Z = A.D + K (A.R1), where
 
-        sum_q A^p_q Z_jkl^q - A^q_j Z_qkl^p - A^q_k Z_jql^p - A^q_l Z_jkq^p,
+        (A.D)_jkl^p = sum_q A^p_q D_jkl^q - A^q_j D_qkl^p - A^q_k D_jql^p - A^q_l D_jkq^p
 
-    whose products pair the nonzero components of Z with the nonzero entries
-    of A in the matching column or row: the first, third and fourth terms read
-    the components Z_j..., the second those Z_q... with A^q_j nonzero.  An i
-    whose A vanishes yields no table."""
-    z, idx, params = x.z, range(x.m.dim), x.m.params
+    pairs the nonzero components of D with the nonzero entries of A in the
+    matching column or row (the first, third and fourth terms read the
+    components D_j..., the second those D_q... with A^q_j nonzero), and
+    K (A.R1) is its closed form (``r1_action``), which names no product when
+    A is skew, as every Z(xi, E_i) of a graded input is.  An i whose A
+    vanishes yields no table."""
+    d, k_const, dim, params = x.d, x.z.K, x.m.dim, x.m.params
 
-    def products(i: int, j: int, cols, minus) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
-        for _, k, l, q, c in z.entries(j):
-            for p, a in cols[q]:
-                yield (i, j, k, l, p), a, c
-            for b, a in minus[k]:
-                yield (i, j, b, l, q), a, c
-            for b, a in minus[l]:
-                yield (i, j, k, b, q), a, c
-        for q, a in cols[j]:
-            minus_a = -a
-            for _, k, l, p, c in z.entries(q):
-                yield (i, j, k, l, p), minus_a, c
+    def products(
+        i: int, j: int, a: Endomorphism, minus: Endomorphism, s: Table
+    ) -> Iterator[Product]:
+        cols, rows = a.sparse_columns, minus.sparse_rows
+        for _, k, l, q, c in d.entries(j):
+            for p, v in cols[q]:
+                yield (i, j, k, l, p), v, c
+            for b, v in rows[k]:
+                yield (i, j, b, l, q), v, c
+            for b, v in rows[l]:
+                yield (i, j, k, b, q), v, c
+        for q, v in minus.sparse_columns[j]:
+            for _, k, l, p, c in d.entries(q):
+                yield (i, j, k, l, p), v, c
+        yield from r1_action(s, k_const, i, j, dim)
 
     for i, a in enumerate(x.z_xi):
-        cols = a.sparse_columns
-        if not any(cols):
+        if a.is_zero():
             continue
-        # minus[q] holds (j, -A^q_j) for the nonzero entries of row q of A
-        minus: list[list[tuple[int, Scalar]]] = [[] for _ in idx]
-        for j, col in enumerate(cols):
-            for q, v in col:
-                minus[q].append((j, -v))
-        for j in idx:
-            yield sum_table(params, products(i, j, cols, minus))
+        minus, s = a.scale(-1), symmetrised(a)
+        for j in range(dim):
+            yield sum_table(params, products(i, j, a, minus, s))
 
 
 def ricci_action_table(x) -> Table:
@@ -160,14 +205,21 @@ _ABSENT = ("the stated obstruction is absent on this instance",)
 
 # -- the concircular suite ------------------------------------------------------
 # One row per check, graded from the instance x (``suite.Instance``), whose Z
-# is ``x.z`` and whose ricci form is the torsionful connection's.
+# is ``x.z``, whose defect Z - K R1 is ``x.d`` and whose ricci form is the
+# torsionful connection's.
+
+
+def _defect_scan(x, xi_at: tuple[int, ...]) -> dict | None:
+    """The witness of Z - K R1 with xi in the argument slots ``xi_at``: D's
+    xi table at those slots, scanned whole."""
+    return x.table_scan(x.d.xi_table(x.s.xi, xi_at))
 
 
 # Z(X, xi)xi = K R1(X, xi)xi: definitional expansion
 def _xi_double_contraction(report, name, x):
     report.graded(
         name,
-        x.r1_scan(x.z, x.z.K, xi_at=(1, 2)),
+        _defect_scan(x, (1, 2)),
         notes=(
             "asserted definitional expansion: Z(X, xi)xi = K(X - eta(X) xi) "
             "= -K phi^2 X under phi^2 = -I + eta (x) xi",
@@ -195,30 +247,34 @@ def _xi_double_contraction_phi_square(report, name, x):
 
 # Z(X1, X2)xi = K R1(X1, X2)xi
 def _xi_pair(report, name, x):
-    report.graded(name, x.r1_scan(x.z, x.z.K, xi_at=(2,)))
+    report.graded(name, _defect_scan(x, (2,)))
 
 
 # Z(X1, xi)X2 = K R1(X1, xi)X2
 def _xi_argument(report, name, x):
-    report.graded(name, x.r1_scan(x.z, x.z.K, xi_at=(1,)))
+    report.graded(name, _defect_scan(x, (1,)))
 
 
 def eta_contraction_slabs(x, order: tuple[int, int, int]) -> Iterator[Table]:
     """eta(Z(E_i, E_j)E_k) - K eta(R1(E_a, E_b)E_c), the R1 slots (a, b, c)
     being placed so that (i, j, k) = (a, b, c) read in ``order``: (0, 1, 2)
-    compares R1(E_i, E_j)E_k, (1, 2, 0) compares R1(E_k, E_i)E_j.  One table
-    per i, in order, keyed (i, j, k); its products are the nonzero components
-    of Z and R1 whose component index p has eta_p nonzero."""
-    z, r1, eta = x.z, x.templates[0], x.s.eta.components
-    minus_k_eta = [-(z.K * e) for e in eta]
+    compares R1(E_i, E_j)E_k, and so reads eta(D(E_i, E_j)E_k) from the
+    defect D = Z - K R1; (1, 2, 0) compares R1(E_k, E_i)E_j, reading Z and
+    R1.  One table per i, in order, keyed (i, j, k); its products are the
+    nonzero components whose component index p has eta_p nonzero."""
+    eta = x.s.eta.components
+    if order == (0, 1, 2):
+        terms = [(x.d, eta, order)]
+    else:
+        minus_k_eta = [-(x.z.K * e) for e in eta]
+        terms = [(x.z, eta, (0, 1, 2)), (x.templates[0], minus_k_eta, order)]
 
-    def products(i: int) -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
-        for _, j, k, p, c in z.entries(i):
-            if eta[p].terms:
-                yield (i, j, k), eta[p], c
-        for *abc, p, c in r1.entries(i, slot=order[0]):
-            if eta[p].terms:
-                yield tuple(abc[s] for s in order), minus_k_eta[p], c
+    def products(i: int) -> Iterator[Product]:
+        for t, weight, slots in terms:
+            key = itemgetter(*slots)
+            for *abc, p, c in t.entries(i, slot=slots[0]):
+                if eta[p].terms:
+                    yield key(abc), weight[p], c
 
     return (sum_table(x.m.params, products(i)) for i in range(x.m.dim))
 
@@ -254,9 +310,8 @@ def _xi_flatness_obstruction(report, name, x):
     AND every component agrees with the K-closed form, so the non-flatness
     is structural, not accidental.
     """
-    z = x.z
-    first_nonzero = x.table_scan(z.xi_table(x.s.xi, (2,)), key="value")
-    bad = x.r1_scan(z, z.K, xi_at=(2,))
+    first_nonzero = x.table_scan(x.z.xi_table(x.s.xi, (2,)), key="value")
+    bad = _defect_scan(x, (2,))
     if first_nonzero is not None and bad is not None:
         report.fails(
             name, witness=bad, notes=("a component disagrees with the K-closed form",)

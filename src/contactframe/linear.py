@@ -93,28 +93,33 @@ def exact_fit(
     templates: Sequence[Mapping[Hashable, Scalar]],
 ) -> LinearSolution | None:
     """Solve target = sum_c x_c templates[c] exactly for the x_c, each
-    mapping an index to a nonzero Scalar: one equation per index named, in
-    sorted order, exact duplicates dropped, and the ``solve_linear`` solution
-    substituted back (a free unknown's default must satisfy every equation).
-    None when inconsistent, not polynomial, or without any equation.
+    mapping an index to a nonzero Scalar: one equation per index named,
+    assembled in one pass over the tables and taken in sorted index order,
+    exact duplicates dropped.  None when inconsistent, not polynomial, or
+    without any equation.
 
     ``solve_linear`` pivots on the rank profile's columns, which neither the
     equation order nor a 0 = 0 row nor a twin changes, so none changes the
-    solution or its free columns."""
-    zero = Scalar.zero(params)
-    indices = sorted(set(target).union(*templates))
+    solution or its free columns.  Its solution satisfies every equation, so
+    none is substituted back: each equation reduces to a pivot row or to
+    0 = 0, the reduced form being a nonzero multiple of the equation (the
+    product of the pivot entries it was reduced by) minus a combination of
+    pivot rows; back-substitution solves every pivot row exactly
+    (``exact_div``), free columns at 1 included, and the polynomial ring
+    has no zero divisors."""
+    zero, width = Scalar.zero(params), len(templates) + 1
+    # index -> the templates' coefficients, then the target's value
+    rows: dict = {}
+    for c, table in enumerate((*templates, target)):
+        for i, v in table.items():
+            if i not in rows:
+                rows[i] = [zero] * width
+            rows[i][c] = v
     # twins are keyed on the terms, since every Scalar here has the same params
     twins: dict = {}
-    for i in indices:
-        row, b = tuple(t.get(i, zero) for t in templates), target.get(i, zero)
-        twins.setdefault((tuple(c.terms for c in row), b.terms), (row, b))
-    equations = list(twins.values())
-    if not equations:
+    for i in sorted(rows):
+        *row, b = rows[i]
+        twins.setdefault(tuple(v.terms for v in rows[i]), (row, b))
+    if not twins:
         return None
-    solution = solve_linear([row for row, _ in equations], [b for _, b in equations], params)
-    if solution is None or any(
-        not (Scalar.sum_of_products(params, zip(row, solution.values)) - b).is_zero()
-        for row, b in equations
-    ):
-        return None
-    return solution
+    return solve_linear([row for row, _ in twins.values()], [b for _, b in twins.values()], params)

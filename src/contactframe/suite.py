@@ -66,6 +66,10 @@ builder, beside the witness of each ``Instance.r1_scan`` comparison
 one table per tensor and slots, kept on the tensor
 (``Curvature4Tensor.xi_table``) and scanned whole: ``detect_kappa``,
 ``Instance.r1_scan``, ``Instance.z_xi`` and the xi-slot rows share them.
+The concircular rows that compare Z with K R1 at the same slots read the
+defect Z - K R1 (``Instance.d``, a layer like ``pkg`` and ``z``), summed
+once per run, and the self action pairs Z(xi, E_i) only with the defect's
+nonzero components; on the Heisenberg ladder the defect is empty.
 
 run_suite never raises on mathematical grounds: every outcome, including a
 broken input structure, is a report entry.
@@ -83,7 +87,7 @@ from .concircular import (
     ConcircularTensor, _eta_contraction, _eta_contraction_reference, _phi_flatness,
     _ricci_action_obstruction, _ricci_action_slice, _self_action_obstruction, _xi_argument,
     _xi_double_contraction, _xi_double_contraction_phi_square, _xi_flatness_obstruction, _xi_pair,
-    concircular,
+    concircular, defect,
 )
 from .contact import (
     AlmostContactData,
@@ -464,6 +468,13 @@ class Instance:
     @cached_property
     def z(self) -> ConcircularTensor:
         return concircular(self.m, self.pkg.curv, self.templates[0])
+
+    @cached_property
+    def d(self) -> Curvature4Tensor:
+        """The concircular defect Z - K R1 (``concircular.defect``), read by
+        every row that compares Z with K R1 at the same slots and by the self
+        action; it reads ``z``, so a changed Z moves those rows."""
+        return defect(self.m, self.z, self.templates[0])
 
     @cached_property
     def z_xi(self) -> tuple[Endomorphism, ...]:

@@ -5,6 +5,7 @@ a copy of it."""
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import json
 import shutil
@@ -239,3 +240,34 @@ def test_ab_counts_agree_on_identical_trees():
         rows = _rows(run.stdout, case)
         assert all(rows[key][0] == rows[key][1] for key in COUNTS)
         assert rows["sum_of_products"][0] > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_layers_run_with_the_collector_off_and_restore_it(monkeypatch, enabled):
+    """``Tree.layers`` times each layer with the garbage collector off and
+    then restores the collector's prior state; ``Tree.request`` runs with the
+    collector as it finds it."""
+    ab = _load_ab()
+    tree = ab.Tree(ab.load_tree("cf_collector_probe", SRC))
+    seen = []
+    # both are called inside the timed layers, and neither by their gate check
+    for name in ("concircular", "verify_concircular_suite"):
+        layer = getattr(tree.suite, name)
+
+        def recording(*args, layer=layer):
+            seen.append(gc.isenabled())
+            return layer(*args)
+
+        monkeypatch.setattr(tree.suite, name, recording)
+    entry = tree.cf.make_heisenberg(1)
+    text = json.dumps(tree.cf.dump_manifest(entry.manifold, entry.structure))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        tree.layers(text)
+        assert (set(seen), len(seen), gc.isenabled()) == ({False}, 3, enabled)
+        seen.clear()
+        tree.request([text])
+        assert (set(seen), len(seen), gc.isenabled()) == ({enabled}, 2, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()

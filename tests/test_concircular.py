@@ -1,17 +1,28 @@
 """Concircular tensor: closed form, flatness obstructions, tensor actions."""
 
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactframe import (
+    Endomorphism,
     Instance,
+    Scalar,
     concircular,
     load_manifest_file,
+    make_heisenberg,
     verify_concircular_suite,
 )
-from contactframe.concircular import ricci_action_table, self_action_slabs
+from contactframe.concircular import (
+    r1_action,
+    ricci_action_table,
+    self_action_slabs,
+    symmetrised,
+)
+from contactframe.tables import sum_table
 from vector_reference import apply, inner, tensor_dot_form, tensor_dot_tensor
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -159,3 +170,69 @@ def test_action_contractions_match_the_vector_operators(fam, name):
                     nonzero += not want.is_zero()
     # every tuple vanishes on the Sasakian H^5, so there the test compares zeros
     assert (nonzero == 0) == (name == "heisenberg5.json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2]).flatmap(
+        lambda n: st.lists(
+            st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]),
+            min_size=(2 * n + 1) ** 2,
+            max_size=(2 * n + 1) ** 2,
+        )
+    ),
+    st.sampled_from([Fraction(-2, 3), Fraction(-4, 5), 3]),
+)
+def test_the_r1_action_closed_form_is_the_action_on_the_template(entries, c):
+    """For any A, skew or not, c (A.R1)(E_j, E_k)E_l = c (s_jl E_k - s_kl E_j)
+    with s_ab = A^b_a + A^a_b (``r1_action``) is the action
+    A T(E_j, E_k)E_l - T(AE_j, E_k)E_l - T(E_j, AE_k)E_l - T(E_j, E_k)AE_l on
+    T = c R1, R1 read from the space-form template table, at every basis
+    tuple in dimensions 3 and 5."""
+    dim = round(len(entries) ** 0.5)
+    e = make_heisenberg((dim - 1) // 2)
+    r1 = Instance(e.manifold, e.structure).templates[0].table
+    idx = range(dim)
+    a = {(p, j): v for (p, j), v in zip(product(idx, repeat=2), entries) if v}
+
+    def t(j, k, l, p):  # component p of c R1(E_j, E_k)E_l, R1's entries being constants
+        return c * r1[j, k, l, p].terms[0][1] if (j, k, l, p) in r1 else 0
+
+    expected = {}
+    for j, k, l, p in product(idx, repeat=4):
+        value = sum(
+            a.get((p, q), 0) * t(j, k, l, q)
+            - a.get((q, j), 0) * t(q, k, l, p)
+            - a.get((q, k), 0) * t(j, q, l, p)
+            - a.get((q, l), 0) * t(j, k, q, p)
+            for q in idx
+        )
+        if value:
+            expected[0, j, k, l, p] = Scalar.constant((), value)
+    matrix = [[Scalar.constant((), a.get((p, j), 0)) for j in idx] for p in idx]
+    s = symmetrised(Endomorphism(matrix))
+    got = {}
+    for j in idx:
+        got.update(sum_table((), r1_action(s, Scalar.constant((), c), 0, j, dim)))
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(p.name for p in MANIFESTS.glob("*.json")), "H3", "H5", "H7", "H9"]
+)
+def test_z_xi_is_skew_so_the_r1_half_of_the_self_action_is_empty(name):
+    """Z(xi, E_i) is skew wherever the torsionful connection builds, since
+    that connection is metric and R1(X, Y) is skew: so s = A + A^T is empty
+    and the R1 half of the self action streams no product, on every committed
+    manifest (gated ones included) and on H^3 to H^9."""
+    if name.startswith("H"):
+        e = make_heisenberg((int(name[1:]) - 1) // 2)
+        x = Instance(e.manifold, e.structure)
+    else:
+        x = _manifest_instance(name)
+    assert not x.connection_error
+    live = [a for a in x.z_xi if not a.is_zero()]
+    assert live
+    for i, a in enumerate(x.z_xi):
+        assert symmetrised(a) == {}
+        assert list(r1_action(symmetrised(a), x.z.K, i, 0, x.m.dim)) == []

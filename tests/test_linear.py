@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactframe.linear import exact_fit, solve_linear
 from contactframe.scalars import Scalar
@@ -159,3 +160,37 @@ def test_exact_fit_without_an_equation_is_none():
     assert exact_fit(P, {}, ({}, {})) is None
     # an index named only by the target: 0 * x = 1
     assert exact_fit(P, {(0, 1): c(1)}, ({},)) is None
+
+
+ENTRIES = [Scalar.zero(T)] * 3 + [one, -one, two, t, t + one, -t, t * t]
+
+
+@st.composite
+def systems(draw):
+    """rows @ x = rhs over the polynomials in t with at most five equations
+    in at most four unknowns; rhs is rows @ x0 for a drawn x0, plus, at
+    random, a drawn offset that may make the system inconsistent."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entry = st.sampled_from(ENTRIES)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    x0 = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    offsets = draw(st.lists(st.sampled_from(ENTRIES[:4] + [one]), min_size=nrows, max_size=nrows))
+    rhs = [Scalar.sum_of_products(T, zip(row, x0)) + d for row, d in zip(rows, offsets)]
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_every_solution_satisfies_every_equation(system):
+    """Whatever ``solve_linear`` returns satisfies every input equation
+    exactly, its free unknowns at 1 included; so ``exact_fit`` needs no
+    substitution of the solution back into its equations."""
+    rows, rhs = system
+    solution = solve_linear(rows, rhs, T)
+    if solution is None:
+        return
+    for col in solution.free_columns:
+        assert solution.values[col] == one
+    for row, b in zip(rows, rhs):
+        assert Scalar.sum_of_products(T, zip(row, solution.values)) == b

@@ -189,15 +189,20 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "space_form_templates": 1,
         # the xi-contractions (Curvature4Tensor.xi_table), each built once: R and
         # R1 at (1, 2), (2,) and (1,), the torsionful curvature at (2,), (0,) and
-        # (1, 2), and Z at (1, 2), (2,), (1,) and (0,)
-        "_contract_xi": 13,
+        # (1, 2), Z at (1, 2), (2,) and (0,), and the defect D = Z - K R1 at
+        # (1, 2), (2,) and (1,); the three conc rows that compared Z with K R1
+        # (13 tables, Z's (1,) among them) read D's tables instead
+        "_contract_xi": 15,
     }
 
 
 def test_heisenberg_run_builds_each_xi_table_once(monkeypatch):
-    """The sections of one H^5 run read 13 xi tables and build each once;
+    """The sections of one H^5 run read 15 xi tables and build each once;
     ``detect_kappa`` builds R's (2,) table, and the nullity rows read that
-    same table."""
+    same table.  The conc rows that compare Z with K R1 read the defect
+    D = Z - K R1 at (1, 2), (2,) and (1,); Z keeps (1, 2) for the phi^2
+    variant, (2,) for the flatness obstruction's nonvanishing half and (0,)
+    for Z(xi, E_i), and no longer builds (1,) (13 tables before)."""
     m, s = load_manifest_file(str(MANIFESTS / "heisenberg5.json"))
     built = []
     contract = Curvature4Tensor._contract_xi
@@ -214,11 +219,14 @@ def test_heisenberg_run_builds_each_xi_table_once(monkeypatch):
     for grader in (verify_nkappa_suite, verify_gtw_suite, verify_concircular_suite):
         grader(x)
     assert x.r.xi_table(s.xi, (2,)) is r_pair
-    names = {id(x.r): "R", id(x.templates[0]): "R1", id(x.pkg.curv): "curv", id(x.z): "Z"}
+    names = {
+        id(x.r): "R", id(x.templates[0]): "R1", id(x.pkg.curv): "curv", id(x.z): "Z", id(x.d): "D",
+    }
     assert sorted((names[id(t)], xi_at) for t, xi_at in built) == sorted(
         [(t, xi_at) for t in ("R", "R1") for xi_at in ((1, 2), (2,), (1,))]
         + [("curv", xi_at) for xi_at in ((2,), (0,), (1, 2))]
-        + [("Z", xi_at) for xi_at in ((1, 2), (2,), (1,), (0,))]
+        + [("Z", xi_at) for xi_at in ((1, 2), (2,), (0,))]
+        + [("D", xi_at) for xi_at in ((1, 2), (2,), (1,))]
     )
 
 
@@ -307,15 +315,27 @@ def test_heisenberg_run_work_counts():
 @pytest.mark.parametrize(
     ("manifest", "sums", "zero_sums"),
     [
-        ("heisenberg5.json", 790, 468),
-        ("lambda_family.json", 323, 158),
-        ("t1e4.json", 1879, 1105),
+        ("heisenberg5.json", 602, 290),
+        ("lambda_family.json", 302, 142),
+        ("t1e4.json", 1770, 948),
     ],
 )
 def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     """The counter reaches every module that binds ``sum_table`` by name: a
-    run on H^5 reads exactly 790 sums of products, 468 of them zero, so a
-    binding the counter missed would lower them.  They fell from 850 and 529
+    run on H^5 reads exactly 602 sums of products, 290 of them zero, so a
+    binding the counter missed would lower them.  They fell from 790 and 468
+    when the products that the structure fixes at zero stopped being summed:
+    the self action pairs each Z(xi, E_i) with the components of the defect
+    D = Z - K R1, empty on H^5, where it paired it with every component of
+    Z (128 sums, all zero), and its R1 half is a closed form that names no
+    product when Z(xi, E_i) is skew; the eta contraction and the three
+    xi-slot comparisons of Z with K R1 read D's tables (36 sums, 28 zero,
+    Z's (1,) xi table among them); the Jacobi scan skips the triples that
+    compose no two live brackets (50 sums, all zero); and ``exact_fit`` no
+    longer substitutes its solution back (14 sums, 12 zero).  Summing D
+    costs 40, one per component of Z and R1, all zero on H^5.  The lambda family
+    (323 and 158 before) and T1E4 (1,879 and 1,105 before) fell to 302 and
+    142, and 1,770 and 948.  Before that, they fell from 850 and 529
     when the eight rows of one or two frame vectors (nabla eta of both
     connections, the Ricci closed forms, the xi values and the Ricci
     symmetry) became residual tables: per basis tuple, the two nabla eta rows
@@ -327,9 +347,9 @@ def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     when the structural layer read only nonzero entries: d eta(E_i, E_j) is
     summed once for both slot assignments of phi, and phi xi and h xi name
     only the components some nonzero product reaches.  The symbolic lambda
-    family (323 and 158; 337 and 169 before that, 350 and 178 per tuple) and
-    T1E4 (1,879 and 1,105; 1,908 and 1,130 before, 1,992 and 1,211 per
-    tuple) hold the self action's early exit: its tables, one per (i, j),
+    family (337 and 169 before that, 350 and 178 per tuple) and T1E4 (1,908
+    and 1,130 before, 1,992 and 1,211 per tuple) hold the self action's
+    early exit: its tables, one per (i, j),
     stop at the first that holds an entry, where one table per i adds 10 and
     4, and 54 and 28."""
     counts = _work_counts(manifest)

@@ -5,7 +5,10 @@ constants: curvature of the Levi-Civita and of the torsionful (generalized
 Tanaka-Webster) connection, the concircular tensor, and graded check suites
 for the identities these objects satisfy on nullity-type instances.  All
 arithmetic is exact (rational coefficients, sparse polynomials); no floats
-enter any verdict.
+enter any verdict.  Every derived tensor, connection, operator and form is
+held as the table of its nonzero entries (``Curvature4Tensor``,
+``Connection``, ``Endomorphism``, ``BilinearForm``); a ``BilinearForm`` is
+built as ``BilinearForm(dim, params, table)``, its table keyed (i, j).
 """
 
 from .concircular import ConcircularTensor, concircular

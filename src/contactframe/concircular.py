@@ -179,9 +179,11 @@ def ricci_action_table(x) -> Table:
     w the ricci form, both terms positive as quoted, as one table keyed
     (i, j, k): sum_q A^q_j w_qk + w_jq A^q_k over the nonzero entries of A and
     of w."""
-    idx, w = range(x.m.dim), x.pkg.ricci.components
-    w_rows = [[(k, c) for k, c in enumerate(w[q]) if c.terms] for q in idx]
-    w_cols = [[(j, w[j][q]) for j in idx if w[j][q].terms] for q in idx]
+    w_rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(x.m.dim)]
+    w_cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(x.m.dim)]
+    for (j, k), c in x.pkg.ricci.table.items():
+        w_rows[j].append((k, c))
+        w_cols[k].append((j, c))
 
     def products() -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
         for i, a in enumerate(x.z_xi):
@@ -411,7 +413,7 @@ def _ricci_action_obstruction(report, name, x):
 # slice reduction: (Z(xi, X1).ricci)(X2, xi) = -K ricci(X1, X2); the
 # opposite sign is tried before declaring failure
 def _ricci_action_slice(report, name, x):
-    ric, xi, params = x.pkg.ricci.components, x.s.xi.components, x.m.params
+    ric, xi, params = x.pkg.ricci.table, x.s.xi.components, x.m.params
 
     # (Z(xi, E_i).ricci)(E_j, xi) + sign K ricci(E_i, E_j), the first term being
     # sum_r xi^r (Z(xi, E_i).ricci)(E_j, E_r) over the action's table
@@ -421,7 +423,7 @@ def _ricci_action_slice(report, name, x):
             params,
             chain(
                 (((i, j), xi[r], c) for (i, j, r), c in action if xi[r].terms),
-                (((i, j), k, c) for i, row in enumerate(ric) for j, c in enumerate(row) if c.terms),
+                (((i, j), k, c) for (i, j), c in ric.items()),
             ),
         )
         return x.table_scan(table, False)

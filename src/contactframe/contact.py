@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 from .curvature import Curvature4Tensor
 from .frames import Endomorphism, FrameManifold, FrameVector
@@ -169,18 +169,15 @@ def h_property_checks(
         first_witness(columns, lambda i, j: h_at((i, j), zero) - h_at((j, i), zero)),
     )
 
-    # (h phi + phi h)_ij, one sum of products over the nonzero entries of
-    # column j of phi and of h, so a failing frame stops at its first witness
+    # (h phi + phi h)_ij, one sum of products over the live pairs (h_ik, phi^k_j)
+    # and (phi_ik, h^k_j), and the shared zero with no sum when there are none,
+    # so a failing frame stops at its first witness
     phi_cols, h_cols = s.phi.sparse_columns, h.sparse_columns
 
     def anticommutator(i: int, j: int) -> Scalar:
-        return Scalar.sum_of_products(
-            m.params,
-            chain(
-                ((h_at((i, k), zero), c) for k, c in phi_cols[j]),
-                ((phi_at((i, k), zero), c) for k, c in h_cols[j]),
-            ),
-        )
+        pairs = [(a, c) for k, c in phi_cols[j] if (a := h_at((i, k))) is not None]
+        pairs += [(a, c) for k, c in h_cols[j] if (a := phi_at((i, k))) is not None]
+        return Scalar.sum_of_products(m.params, pairs) if pairs else zero
 
     report.graded("acm.h_phi_anticommute", first_witness(columns, anticommutator))
 

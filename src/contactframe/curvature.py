@@ -29,7 +29,8 @@ surfaces as report data instead of contaminating downstream tensors.
 Ricci is the contraction S(X, Y) = sum_i R(X, E_i, E_i, Y) with lowered
 components R(X, Y, Z, W) = g(R(X, Y)Z, W), which on the orthonormal frame
 are the table's components: one ``sum_table`` over the components
-(j, i, i, l).  The scalar curvature is its trace.  This module also houses
+(j, i, i, l), kept as it is, the table of the form's nonzero values
+(``BilinearForm``).  The scalar curvature is its trace.  This module also houses
 the N(kappa) identity suite: the nullity closed forms for curvature against
 the characteristic direction, the h- and phi-derivative identities, and the
 Ricci/scalar closed forms.
@@ -285,23 +286,37 @@ def riemann(m: FrameManifold, conn: Connection) -> Curvature4Tensor:
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """A rank-2 form by frame components S[i][j] = S(E_i, E_j)."""
+    """A rank-2 form S(E_i, E_j), held as the table of its nonzero values
+    keyed (i, j); every value the table does not name is zero."""
 
-    components: tuple[tuple[Scalar, ...], ...]
+    dim: int
+    params: tuple[str, ...]
+    table: Table
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.params, frozenset(self.table.items())))
+
+    @cached_property
+    def components(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense view S[i][j], built on first read; no run reads it, only
+        the ``curvature`` command's listing and the tests."""
+        get, zero, idx = self.table.get, Scalar.zero(self.params), range(self.dim)
+        return tuple(tuple(get((i, j), zero) for j in idx) for i in idx)
 
 
 def ricci(m: FrameManifold, r: Curvature4Tensor) -> BilinearForm:
     """S(E_j, E_l) = sum_i R(E_j, E_i, E_i, E_l): one ``sum_table`` over the
     nonzero components (j, i, i, l)."""
-    idx, zero, one = range(m.dim), m.zero_scalar(), m.one_scalar()
+    one = m.one_scalar()
     sums = sum_table(
         m.params, (((j, l), c, one) for (j, i, k, l), c in r.table.items() if i == k)
     )
-    return BilinearForm(tuple(tuple(sums.get((j, l), zero) for l in idx) for j in idx))
+    return BilinearForm(m.dim, m.params, sums)
 
 
 def scalar_curvature(m: FrameManifold, s: BilinearForm) -> Scalar:
-    return sum((s.components[i][i] for i in range(m.dim)), m.zero_scalar())
+    zero = m.zero_scalar()
+    return sum((s.table.get((i, i), zero) for i in range(m.dim)), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +376,9 @@ def _h_covariant_derivative(report, name, x):
     # -eta_j h(phi + phi h)E_i: the products -eta_j (phi + phi h)^q_i h^p_q
     tails = (
         ((i, j, p), -(eta_j * v_q), h_pq)
-        for i, v in enumerate(x.phi_x_plus_hx)
-        for q, v_q in enumerate(v.components)
-        if v_q.terms and h_cols[q]
+        for i, col in enumerate(x.phi_x_plus_hx.sparse_columns)
+        for q, v_q in col
+        if h_cols[q]
         for j, eta_j in enumerate(eta)
         if eta_j.terms
         for p, h_pq in h_cols[q]
@@ -384,7 +399,7 @@ def _h_covariant_derivative(report, name, x):
 def _eta_covariant_derivative(report, name, x):
     minus_one = -x.m.one_scalar()
     report.graded(
-        name, x.scan(x.eta_derivative(x.lc), x.form(x.entries(x.xh_phi), minus_one), vector=False)
+        name, x.scan(x.eta_derivative(x.lc), x.form(x.xh_phi.items(), minus_one), vector=False)
     )
 
 
@@ -409,7 +424,7 @@ def _ricci_closed_form(report, name, x):
     report.graded(
         name,
         x.scan(
-            x.form(x.entries(x.ricci.components), m.one_scalar()),
+            x.form(x.ricci.table.items(), m.one_scalar()),
             x.form(x.h.table.items(), -two_n_minus_2, transpose=True),
             x.metric_eta(-two_n_minus_2, -eta_coeff),
             vector=False,
@@ -419,7 +434,7 @@ def _ricci_closed_form(report, name, x):
 
 # S(X, xi) = 2 n kappa eta(X); S(xi, xi) = 2 n kappa
 def _ricci_xi_values(report, name, x):
-    report.graded(name, x.xi_values(x.ricci.components, x.m.constant(2 * x.m.n) * x.kappa))
+    report.graded(name, x.xi_values(x.ricci.table, x.m.constant(2 * x.m.n) * x.kappa))
 
 
 # tau = 2n(2n - 2 + kappa)

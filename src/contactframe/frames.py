@@ -20,11 +20,12 @@ coefficients: A^p_j is component p of A E_j.  ``compose`` and
 products per entry some pair names (``tables.sum_table``), with no dense
 intermediate; a covariant derivative of an endomorphism is such a
 commutator, and the Lie derivative pairs each nonzero structure constant
-with the nonzero entries of the operand directly.  The readers of a form
-take the table's entries, or its nonzero rows and columns
-(``sparse_rows``, ``sparse_columns``).  The dense views are built on first
-read: ``columns`` for the readers that take frame vectors, and ``matrix``
-for a caller that wants the dense matrix; the engine reads no ``matrix``.
+with the nonzero entries of the operand directly.  Sums and differences
+(``+``, ``-``) name only the entries either operand names.  Every reader
+takes the table's entries, or its nonzero rows and columns (``sparse_rows``,
+``sparse_columns``); even the vectors A E_j are read as columns of nonzero
+entries.  The one dense view, ``matrix``, is built on first read for a
+caller outside the engine; the engine reads none.
 
 The Jacobi scan of ``validate_frame`` reads only the triples one of whose
 cyclic terms composes two live brackets; every other triple's components are
@@ -163,21 +164,12 @@ class Endomorphism:
 
     @cached_property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The dense view matrix[p][j] = A^p_j, built on first read; no
+        """The one dense view matrix[p][j] = A^p_j, built on first read; no
         reader in the engine takes it."""
         rows = [[Scalar.zero(self.params)] * self.dim for _ in range(self.dim)]
         for (p, j), a in self.table.items():
             rows[p][j] = a
         return tuple(map(tuple, rows))
-
-    @cached_property
-    def columns(self) -> tuple[FrameVector, ...]:
-        """The dense view A(E_j) for every frame index, built on first read,
-        for the readers that take frame vectors."""
-        cols = [[Scalar.zero(self.params)] * self.dim for _ in range(self.dim)]
-        for (p, j), a in self.table.items():
-            cols[j][p] = a
-        return tuple(FrameVector(tuple(col)) for col in cols)
 
     def apply(self, x: FrameVector) -> FrameVector:
         """A X, one sum of products per component over the nonzero A^p_j x^j."""

@@ -292,11 +292,6 @@ class Scalar:
             raise ScalarError(f"not a constant: {self}")
         return Fraction(self.terms[0][1]) if self.terms else Fraction(0)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(mono) for mono, _ in self.terms)
-
     def appearing_parameters(self) -> tuple[str, ...]:
         seen = [False] * len(self.params)
         for mono, _ in self.terms:

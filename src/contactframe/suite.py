@@ -54,12 +54,14 @@ indices, built up to the first that holds an entry
 layer are evaluated per basis tuple; the structural layer reads only the
 nonzero entries of eta, xi, phi, h and the brackets at each tuple, and stops
 at the first witness, which a dense failing input reaches early.  Every
-endomorphism a run derives (h, phi h, phi^2, nabla phi and nabla h of both
-connections, Z(xi, E_i)) is the table of its nonzero entries
-(``frames.Endomorphism``), built from products of tables; the rows' products
-read those tables (``Instance.form`` and ``along_xi`` take a table's
-entries), and only a row that takes frame vectors builds a dense view, the
-``columns`` of phi, h or phi h.  The tables that two rows read (the
+endomorphism a run derives (h, phi h, phi^2, I + h, phi + phi h, nabla phi
+and nabla h of both connections, Z(xi, E_i)) is the table of its nonzero
+entries (``frames.Endomorphism``), built from products and sums of tables,
+and so is every form (g(hE_i, phi E_j), g(E_i + hE_i, phi E_j) and both
+Ricci forms, ``curvature.BilinearForm``); the rows' products read those
+tables (``Instance.form`` and ``along_xi`` take a table's entries, and
+``along`` an endomorphism's nonzero columns), so no run builds a dense
+view.  The tables that two rows read (the
 curvature closed form, the ricci action) are kept on the instance, one per
 builder, beside the witness of each ``Instance.r1_scan`` comparison
 (``Instance.kept``).  A tensor with xi in some argument slots is read from
@@ -233,15 +235,12 @@ class Instance:
                 yield (i, j, p), a_ij, w
 
     @staticmethod
-    def along(
-        u: Sequence[Scalar], w: Sequence[FrameVector], c: Scalar, u_at: int
-    ) -> Iterator[Product]:
-        """c u_i w_j (``u_at`` 0) or c u_j w_i (``u_at`` 1) over the nonzero
-        c u_a and the nonzero components w_b^p of the vectors w_b = w[b]."""
+    def along(u: Sequence[Scalar], w: Endomorphism, c: Scalar, u_at: int) -> Iterator[Product]:
+        """c u_i w E_j (``u_at`` 0) or c u_j w E_i (``u_at`` 1) over the nonzero
+        c u_a and the nonzero entries w^p_b of each column w E_b."""
         c_u = [(a, cu) for a, v in enumerate(u) if v.terms and (cu := c * v).terms]
-        live = [[(p, v) for p, v in enumerate(wb.components) if v.terms] for wb in w]
         for a, cu in c_u:
-            for b, col in enumerate(live):
+            for b, col in enumerate(w.sparse_columns):
                 i, j = (b, a) if u_at else (a, b)
                 for p, v in col:
                     yield (i, j, p), cu, v
@@ -251,7 +250,7 @@ class Instance:
         the term of both phi-derivative forms."""
         v = self.x_plus_hx
         return chain(
-            self.along_xi(self.entries(w.components for w in v), c),
+            self.along_xi(v.table.items(), c, transpose=True),
             self.along(self.s.xi.components, v, -c, 1),
         )
 
@@ -263,12 +262,6 @@ class Instance:
         if c.terms:
             for (a, b), a_ab in entries:
                 yield ((b, a) if transpose else (a, b)), a_ab, c
-
-    @staticmethod
-    def entries(rows: Iterable[Sequence[Scalar]]) -> Iterator[tuple[tuple[int, int], Scalar]]:
-        """The nonzero entries ((i, j), rows[i][j]) of a form held as dense
-        rows (a Ricci form, g(E_i + hE_i, phi E_j))."""
-        return (((i, j), a) for i, row in enumerate(rows) for j, a in enumerate(row) if a.terms)
 
     def metric_eta(self, g: Scalar, e: Scalar) -> Iterator[Product]:
         """g delta_ij + e eta_i eta_j keyed (i, j), over the nonzero e eta_i
@@ -287,13 +280,12 @@ class Instance:
         minus_eta = {k: -v for k, v in enumerate(self.s.eta.components) if v.terms}
         return (((i, j), minus_eta[k], g) for (i, j, k), g in conn.table.items() if k in minus_eta)
 
-    def xi_values(self, rows: Sequence[Sequence[Scalar]], c: Scalar) -> dict | None:
-        """The witness of S(E_i, xi) - c eta_i keyed (i,), S(E_i, E_j) being
-        rows[i][j]; when that vanishes, of S(xi, xi) - c keyed (), a witness
-        with no indices."""
+    def xi_values(self, form: Table, c: Scalar) -> dict | None:
+        """The witness of S(E_i, xi) - c eta_i keyed (i,), ``form`` being the
+        table of the nonzero S(E_i, E_j); when that vanishes, of
+        S(xi, xi) - c keyed (), a witness with no indices."""
         xi, eta, minus_c = self.s.xi.components, self.s.eta.components, -c
-        live = [(j, v) for j, v in enumerate(xi) if v.terms]
-        s_xi = [(i, a, v) for i, row in enumerate(rows) for j, v in live if (a := row[j]).terms]
+        s_xi = [(i, a, xi[j]) for (i, j), a in form.items() if xi[j].terms]
         c_eta = [((i,), minus_c, v) for i, v in enumerate(eta) if v.terms] if c.terms else []
         return self.scan((((i,), a, v) for i, a, v in s_xi), c_eta, vector=False) or self.scan(
             (((), xi[i] * a, v) for i, a, v in s_xi if xi[i].terms),
@@ -353,9 +345,17 @@ class Instance:
         return space_form_templates(self.m, self.s)
 
     @cached_property
-    def x_plus_hx(self) -> tuple[FrameVector, ...]:
-        """E_i + hE_i for every frame index."""
-        return tuple(self.m.basis(i) + he for i, he in enumerate(self.h.columns))
+    def identity(self) -> Endomorphism:
+        """The identity, each diagonal entry the manifold's one shared 1."""
+        one = self.m.one_scalar()
+        return Endomorphism.from_table(
+            self.m.dim, self.m.params, {(i, i): one for i in range(self.m.dim)}
+        )
+
+    @cached_property
+    def x_plus_hx(self) -> Endomorphism:
+        """I + h, whose column i is E_i + hE_i."""
+        return self.identity + self.h
 
     @cached_property
     def phi_h(self) -> Endomorphism:
@@ -379,20 +379,17 @@ class Instance:
         )
 
     @cached_property
-    def xh_phi(self) -> tuple[tuple[Scalar, ...], ...]:
-        """g(E_i + hE_i, phi E_j) = phi^i_j + g(hE_i, phi E_j) for every pair of
-        frame indices, as the dense rows the torsionful connection reads; a
-        sum is built only where both entries are nonzero."""
-        idx = range(self.m.dim)
-        rows = [[self.m.zero_scalar()] * self.m.dim for _ in idx]
-        for (i, j), a in chain(self.s.phi.table.items(), self.h_phi.items()):
-            rows[i][j] = rows[i][j] + a
-        return tuple(map(tuple, rows))
+    def xh_phi(self) -> Table:
+        """g(E_i + hE_i, phi E_j) = phi^i_j + g(hE_i, phi E_j) keyed (i, j): the
+        nonzero entries of phi's table plus ``h_phi``, a sum built only where
+        both name the index."""
+        h_phi = Endomorphism.from_table(self.m.dim, self.m.params, self.h_phi)
+        return (self.s.phi + h_phi).table
 
     @cached_property
-    def phi_x_plus_hx(self) -> tuple[FrameVector, ...]:
-        """phi E_i + phi h E_i for every frame index."""
-        return tuple(p + ph for p, ph in zip(self.s.phi.columns, self.phi_h.columns))
+    def phi_x_plus_hx(self) -> Endomorphism:
+        """phi + phi h, whose column i is phi E_i + phi h E_i."""
+        return self.s.phi + self.phi_h
 
     # -- the connection lc -----------------------------------------------------
 
@@ -423,11 +420,11 @@ class Instance:
         acm_ok = sasakian = not self.acm_report.has_failures
         if acm_ok:
             # Sasakian: (nabla_X phi)Y = g(X, Y) xi - eta(Y) X
-            one, e = self.m.one_scalar(), [self.m.basis(i) for i in range(self.m.dim)]
+            one, e = self.m.one_scalar(), self.identity
             sasakian = (
                 self.scan(
                     self.derivatives(self.dphi_lc, one),
-                    self.along_xi((((i, i), one) for i in range(self.m.dim)), -one),
+                    self.along_xi(e.table.items(), -one),
                     self.along(self.s.eta.components, e, one, 1),
                 )
                 is None

@@ -41,7 +41,7 @@ variant is still evaluated and reported):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Iterator
 
 from .contact import AlmostContactData
@@ -55,7 +55,7 @@ from .curvature import (
     scalar_curvature,
     torsion_table,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector
+from .frames import Endomorphism, FrameManifold
 from .linear import exact_fit
 from .scalars import Scalar
 from .tables import Table, sum_table
@@ -90,16 +90,16 @@ def gtw_connection(
     m: FrameManifold,
     s: AlmostContactData,
     lc: Connection,
-    xh_phi: tuple[tuple[Scalar, ...], ...],
+    xh_phi: Table,
     phi_h: Endomorphism,
 ) -> Connection:
     """The Levi-Civita connection displaced by
     A(X, Y) = g(X+hX, phi Y) xi + eta(X) phi Y + eta(Y) phi(hX + X), with
-    xh_phi[i][j] = g(E_i + hE_i, phi E_j) and phi_h = phi h; on the frame
-    eta(E_i) is eta's component i.  One sum of products per coefficient that
-    a nonzero entry of lc or of A names:
+    xh_phi the table of the nonzero g(E_i + hE_i, phi E_j) keyed (i, j) and
+    phi_h = phi h; on the frame eta(E_i) is eta's component i.  One sum of
+    products per coefficient that a nonzero entry of lc or of A names:
 
-        Gamma_ij^k + xh_phi[i][j] xi^k + eta_i phi^k_j + eta_j (phi h + phi)^k_i .
+        Gamma_ij^k + xh_phi[i, j] xi^k + eta_i phi^k_j + eta_j (phi h + phi)^k_i .
 
     Verifies metric parallelism on construction."""
     idx, one = range(m.dim), m.one_scalar()
@@ -110,13 +110,7 @@ def gtw_connection(
         m.params,
         chain(
             ((index, g, one) for index, g in lc.table.items()),
-            (
-                ((i, j, k), a, xi_k)
-                for i, row in enumerate(xh_phi)
-                for j, a in enumerate(row)
-                if a.terms
-                for k, xi_k in xi
-            ),
+            (((i, j, k), a, xi_k) for (i, j), a in xh_phi.items() for k, xi_k in xi),
             (((i, j, k), eta_i, p) for i, eta_i in eta for j in idx for k, p in phi[j]),
             (
                 ((i, j, k), eta_j, p)
@@ -141,7 +135,7 @@ def build_gtw_package(
     m: FrameManifold,
     s: AlmostContactData,
     lc: Connection,
-    xh_phi: tuple[tuple[Scalar, ...], ...],
+    xh_phi: Table,
     phi_h: Endomorphism,
 ) -> GtwPackage:
     conn = gtw_connection(m, s, lc, xh_phi, phi_h)
@@ -203,7 +197,7 @@ def _h_derivative_relation(report, name, x):
         name,
         x.scan(
             x.derivatives(x.dh_gtw, x.m.one_scalar()),
-            x.along(x.s.eta.components, x.phi_h.columns, x.m.constant(-2), 0),
+            x.along(x.s.eta.components, x.phi_h, x.m.constant(-2), 0),
         ),
         notes=(
             "asserted form: (del_X h)Y = 2 eta(X) phi h Y; "
@@ -235,9 +229,9 @@ def _torsion_nonzero(report, name, x):
     report.nonvanishing(name, first_nonzero, "torsion", notes, notes)
 
 
-# T(E_i, E_j) minus the closed form whose eta-terms use the vectors v
-def _torsion_witness(x, v: tuple[FrameVector, ...]) -> dict | None:
-    one, eta, xh_phi = x.m.one_scalar(), x.s.eta.components, list(x.entries(x.xh_phi))
+# T(E_i, E_j) minus the closed form whose eta-terms use the vectors v E_i
+def _torsion_witness(x, v: Endomorphism) -> dict | None:
+    one, eta, xh_phi = x.m.one_scalar(), x.s.eta.components, x.xh_phi.items()
     return x.scan(
         ((index, t, one) for index, t in x.pkg.torsion.items()),
         x.along_xi(xh_phi, -one),
@@ -250,7 +244,7 @@ def _torsion_witness(x, v: tuple[FrameVector, ...]) -> dict | None:
 def _torsion_closed_form(report, name, x):
     report.graded(
         name,
-        _torsion_witness(x, x.phi_h.columns),
+        _torsion_witness(x, x.phi_h),
         notes=(
             "asserted form: T(X, Y) = [g(X+hX, phi Y) - g(Y+hY, phi X)] xi "
             "+ eta(Y) phi h X - eta(X) phi h Y",
@@ -305,29 +299,30 @@ def closed_form_table(x) -> Table:
         - [v_j^i - v_i^j] phi_k^p,
 
     v_a = phi E_a + phi h E_a and R the Levi-Civita curvature; the products
-    are the nonzero entries of each term.  The closed form's row and the
-    reference variant's crosscheck share the table (``Instance.kept``)."""
+    are the nonzero entries of each term, v_j^i - v_i^j being formed only
+    where one of them is nonzero.  The closed form's row and the reference
+    variant's crosscheck share the table (``Instance.kept``)."""
     m, idx = x.m, range(x.m.dim)
     one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -x.kappa
     tensors = ((x.pkg.curv, one), (x.r, minus_one), (x.templates[2], minus_kappa))
-    v = [w.components for w in x.phi_x_plus_hx]
-    v_nz = [[(p, c) for p, c in enumerate(w) if c.terms] for w in v]
-    minus_v_nz = [[(p, -c) for p, c in w] for w in v_nz]
-    xh_phi, phi_cols = x.xh_phi, x.s.phi.sparse_columns
+    v, zero = x.phi_x_plus_hx.table, m.zero_scalar()
+    v_nz = x.phi_x_plus_hx.sparse_columns
+    minus_v_nz = [[(p, -c) for p, c in col] for col in v_nz]
+    phi_cols = x.s.phi.sparse_columns
 
     def products() -> Iterator[tuple[tuple[int, ...], Scalar, Scalar]]:
         for t, c in tensors:
             for index, value in t.table.items():
                 yield index, c, value
-        for i, j in product(idx, repeat=2):
-            for k in idx:
-                if xh_phi[i][k].terms:
-                    for p, c in minus_v_nz[j]:
-                        yield (i, j, k, p), xh_phi[i][k], c
-                if xh_phi[j][k].terms:
-                    for p, c in v_nz[i]:
-                        yield (i, j, k, p), xh_phi[j][k], c
-            minus_bracket = v[i][j] - v[j][i]
+        for (a, k), g in x.xh_phi.items():
+            for b in idx:
+                for p, c in minus_v_nz[b]:
+                    yield (a, b, k, p), g, c
+                for p, c in v_nz[b]:
+                    yield (b, a, k, p), g, c
+        # the pairs (i, j) whose v_j^i or v_i^j is nonzero
+        for i, j in dict.fromkeys(chain.from_iterable((key, key[::-1]) for key in v)):
+            minus_bracket = v.get((j, i), zero) - v.get((i, j), zero)
             if minus_bracket.terms:
                 for k in idx:
                     for p, c in phi_cols[k]:
@@ -353,12 +348,7 @@ def _curvature_closed_form(report, name, x):
 def _curvature_closed_form_crosscheck(report, name, x):
     m, idx = x.m, range(x.m.dim)
     one, phi_cols = m.one_scalar(), x.s.phi.sparse_columns
-    minus_two_v = [
-        (i, j, c.scale(-2))
-        for i, w in enumerate(x.phi_x_plus_hx)
-        for j, c in enumerate(w.components)
-        if c.terms
-    ]
+    minus_two_v = [(i, j, c.scale(-2)) for (j, i), c in x.phi_x_plus_hx.table.items()]
     table = sum_table(
         m.params,
         chain(
@@ -458,8 +448,8 @@ def _gtw_ricci_closed_form(report, name, x):
     report.graded(
         name,
         x.scan(
-            x.form(x.entries(x.pkg.ricci.components), one),
-            x.form(x.entries(x.ricci.components), -one),
+            x.form(x.pkg.ricci.table.items(), one),
+            x.form(x.ricci.table.items(), -one),
             x.metric_eta(m.constant(-2), two_nk_plus_2),
             vector=False,
         ),
@@ -471,7 +461,7 @@ def _ricci_alternative_form(report, name, x):
     report.graded(
         name,
         x.scan(
-            x.form(x.entries(x.pkg.ricci.components), m.one_scalar()),
+            x.form(x.pkg.ricci.table.items(), m.one_scalar()),
             x.form(x.h.table.items(), m.constant(-2 * (n - 1)), transpose=True),
             x.metric_eta(m.constant(-2 * n), m.constant(2 * n)),
             vector=False,
@@ -480,11 +470,11 @@ def _ricci_alternative_form(report, name, x):
 
 
 def _ricci_xi_degenerate(report, name, x):
-    report.graded(name, x.xi_values(x.pkg.ricci.components, x.m.zero_scalar()))
+    report.graded(name, x.xi_values(x.pkg.ricci.table, x.m.zero_scalar()))
 
 
 def _ricci_symmetry(report, name, x):
-    ric, one = list(x.entries(x.pkg.ricci.components)), x.m.one_scalar()
+    ric, one = x.pkg.ricci.table.items(), x.m.one_scalar()
     report.graded(
         name,
         x.scan(x.form(ric, one), x.form(ric, -one, transpose=True), vector=False),
@@ -608,13 +598,9 @@ def eta_einstein_fit(
     """Solve form = A g + B eta (x) eta exactly; None when inconsistent.
 
     On the orthonormal frame g(E_i, E_j) = delta_ij and eta(E_i) = eta_i, so
-    one ``exact_fit`` reads the nonzero entries of g, eta (x) eta and the form
-    from components."""
+    one ``exact_fit`` reads the nonzero entries of g, eta (x) eta and the form."""
     eta = [(i, c) for i, c in enumerate(s.eta.components) if c.terms]
     g = dict.fromkeys(((i, i) for i in range(m.dim)), m.one_scalar())
     eta_eta = {(i, j): a * b for i, a in eta for j, b in eta}
-    target = {
-        (i, j): c for i, row in enumerate(form.components) for j, c in enumerate(row) if c.terms
-    }
-    solution = exact_fit(m.params, target, (g, eta_eta))
+    solution = exact_fit(m.params, form.table, (g, eta_eta))
     return None if solution is None else solution.values

@@ -12,7 +12,7 @@ from itertools import product
 
 from contactframe import Endomorphism, FrameVector, Instance, Scalar
 from contactframe.scalars import exact_div
-from vector_reference import apply, endomorphism, form, inner, inner_basis
+from vector_reference import apply, column, columns, endomorphism, form, inner, inner_basis
 
 
 def sparse_vectors(t) -> list:
@@ -96,14 +96,30 @@ def form_action(a: Endomorphism, w, j: int, k: int) -> Scalar:
     )
 
 
+def x_plus_hx(x: Instance) -> list[FrameVector]:
+    """E_i + hE_i for every frame index, from the dense view of h."""
+    return [x.m.basis(i) + hv for i, hv in enumerate(columns(x.h))]
+
+
+def phi_x_plus_hx(x: Instance) -> list[FrameVector]:
+    """phi E_i + phi h E_i for every frame index, from the dense views."""
+    return [p + ph for p, ph in zip(columns(x.s.phi), columns(x.phi_h))]
+
+
+def dense_xh_phi(x: Instance) -> list[list[Scalar]]:
+    """g(E_i + hE_i, phi E_j) as dense rows of inner products."""
+    phi = columns(x.s.phi)
+    return [[inner(x.m, xh, phi_j) for phi_j in phi] for xh in x_plus_hx(x)]
+
+
 def curvature_defect(x: Instance):
     """R(E_i, E_j)E_k of the torsionful connection minus every term of its
     closed form but the final bracket, as a function of (i, j, k)."""
     m = x.m
     one, minus_one, minus_kappa = m.one_scalar(), -m.one_scalar(), -x.kappa
     curv, r, r3 = (sparse_vectors(t) for t in (x.pkg.curv, x.r, x.templates[2]))
-    v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in x.phi_x_plus_hx]
-    xh_phi = [[inner(m, xh, phi) for phi in x.s.phi.columns] for xh in x.x_plus_hx]
+    v = [[(p, c) for p, c in enumerate(w.components) if c.terms] for w in phi_x_plus_hx(x)]
+    xh_phi = dense_xh_phi(x)
 
     def defect(i: int, j: int, k: int) -> FrameVector:
         pairs: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(m.dim)]
@@ -125,7 +141,7 @@ def curvature_defect(x: Instance):
 def closed_form(x: Instance, last_sign: int):
     """R(X1, X2)X3 minus the closed form whose final bracket is
     g(X1, phi X2 + phi h X2) + last_sign g(X2, phi X1 + phi h X1)."""
-    v, phi, defect = x.phi_x_plus_hx, x.s.phi.columns, curvature_defect(x)
+    v, phi, defect = phi_x_plus_hx(x), columns(x.s.phi), curvature_defect(x)
 
     def residual(i: int, j: int, k: int) -> FrameVector:
         bracket = v[j].components[i] + v[i].components[j].scale(last_sign)
@@ -135,16 +151,16 @@ def closed_form(x: Instance, last_sign: int):
 
 
 def _phi_tables(x: Instance):
-    phi = [v.components for v in x.s.phi.columns]
+    phi = [v.components for v in columns(x.s.phi)]
     two_phi = [[c.scale(2) for c in row] for row in phi]
     minus_two_phi = [[c.scale(-2) for c in row] for row in phi]
-    return two_phi, minus_two_phi, [v.components for v in x.phi_h.columns]
+    return two_phi, minus_two_phi, [v.components for v in columns(x.phi_h)]
 
 
 def pair_interchange(x: Instance):
     m, low, one = x.m, lowered(x.pkg.curv), x.m.one_scalar()
     two_phi, minus_two_phi, phi_h = _phi_tables(x)
-    h_phi = [[inner(m, h, phi) for phi in x.s.phi.columns] for h in x.h.columns]
+    h_phi = [[inner(m, h, phi) for phi in columns(x.s.phi)] for h in columns(x.h)]
 
     def residual(i: int, j: int, k: int, l: int) -> Scalar:
         return Scalar.sum_of_products(
@@ -215,12 +231,12 @@ def phi_square_variant(x: Instance):
     """Z(E_i, xi)xi - K phi^2 E_i."""
     z, phi2 = x.z, x.s.phi.square
     z_xi_xi = xi_contraction(x, (1, 2), ((z, x.m.one_scalar()),))
-    return lambda i: z_xi_xi(i) - phi2.columns[i].scale(z.K)
+    return lambda i: z_xi_xi(i) - column(phi2, i).scale(z.K)
 
 
 def phi_flatness(x: Instance):
     """g(Z(phi E_i, phi E_j)phi E_k, phi E_l), through the trilinear apply."""
-    m, z, phi_e = x.m, x.z, x.s.phi.columns
+    m, z, phi_e = x.m, x.z, columns(x.s.phi)
     applied: dict[tuple[int, int, int], FrameVector] = {}
 
     def residual(i: int, j: int, k: int, l: int) -> Scalar:
@@ -292,8 +308,8 @@ def _eta_derivative(conn, eta: FrameVector):
 
 def eta_covariant_derivative(x: Instance):
     """(nabla_X eta)Y - g(X + hX, phi Y) of the Levi-Civita connection."""
-    d = _eta_derivative(x.lc, x.s.eta)
-    return lambda i, j: d(i, j) - x.xh_phi[i][j]
+    d, xh_phi = _eta_derivative(x.lc, x.s.eta), dense_xh_phi(x)
+    return lambda i, j: d(i, j) - xh_phi[i][j]
 
 
 def eta_parallel(x: Instance):

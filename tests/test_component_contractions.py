@@ -7,7 +7,11 @@ table, the R1(xi, X + hX)Y table and the g(hE_i, phi E_j) table against
 scale-and-subtract and inner products on frame vectors.  The
 structural layer's two kernels, the Lie derivative of an endomorphism and the
 Jacobi cyclic sum, are held to their forms through the vector-level ``bracket``,
-also on the dense random frame ``manifests/random5_t.json``.
+also on the dense random frame ``manifests/random5_t.json``.  Every table of
+an operator or form that an instance derives (h, phi h, I + h, phi + phi h,
+g(hE_i, phi E_j), g(E_i + hE_i, phi E_j) and both Ricci forms) is held to the
+nonzero entries of its dense reference, on every committed manifest and on
+the Heisenberg ladder H^3 to H^9.
 
 Besides the instances with xi = E1, one lambda member is written in a frame
 turned by the rational rotation (3/5, 4/5) in the E1-E2 plane, so that xi has
@@ -46,7 +50,10 @@ from contactframe.report import VerificationReport, first_witness
 from contactframe.tables import sum_table
 from contactframe.suite import CATALOGUE
 from contactframe.tanaka_webster import closed_form_table
-from vector_reference import apply, bracket, derivative, inner, inner_basis
+from vector_reference import (
+    apply, bracket, column, contact_operators, dense_ricci, derivative, gtw_gamma, inner,
+    inner_basis, koszul, nonzero,
+)
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -200,8 +207,8 @@ def test_derivative_endo_matches_the_column_formula(x):
         for i in range(m.dim):
             got = conn.derivative_endo(i, a)
             for j in range(m.dim):
-                want = derivative(conn, i, a.columns[j]) - a.apply(derivative(conn, i, m.basis(j)))
-                assert got.columns[j] == want, (name, i, j)
+                want = derivative(conn, i, column(a, j)) - a.apply(derivative(conn, i, m.basis(j)))
+                assert column(got, j) == want, (name, i, j)
 
 
 def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
@@ -214,15 +221,17 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
     g(E_i + hE_i, phi E_j) are the inner products."""
     m, phi, kappa = x.m, x.s.phi, x.kappa
     r1, r3 = x.templates[0], x.templates[2]
-    v, xh = x.phi_x_plus_hx, x.x_plus_hx
+    idx = range(m.dim)
+    xh = [m.basis(i) + column(x.h, i) for i in idx]
+    v = [column(phi, i) + column(x.phi_h, i) for i in idx]
     three = m.constant(3)
     r1_xi = sum_table(m.params, x.r1_xi(three))
     for i, j in product(range(m.dim), repeat=2):
         want = apply(r1, x.s.xi, xh[i], m.basis(j)).scale(3)
         got = tuple(r1_xi.get((i, j, p)) for p in range(m.dim))
         assert got == tuple(c if c.terms else None for c in want.components), (i, j)
-        assert x.h_phi.get((i, j), m.zero_scalar()) == inner(m, x.h.columns[i], phi.columns[j])
-        assert x.xh_phi[i][j] == inner(m, xh[i], phi.columns[j]), (i, j)
+        assert x.h_phi.get((i, j), m.zero_scalar()) == inner(m, column(x.h, i), column(phi, j))
+        assert x.xh_phi.get((i, j), m.zero_scalar()) == inner(m, xh[i], column(phi, j)), (i, j)
     table = x.kept(closed_form_table)
     curv, r, r3 = (x.vector_at(t.table) for t in (x.pkg.curv, x.r, r3))
     for i, j, k in product(range(m.dim), repeat=3):
@@ -231,12 +240,44 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
             curv((i, j, k))
             - r((i, j, k))
             - r3((i, j, k)).scale(kappa)
-            - v[j].scale(inner(m, xh[i], phi.columns[k]))
-            + v[i].scale(inner(m, xh[j], phi.columns[k]))
-            - phi.columns[k].scale(bracket)
+            - v[j].scale(inner(m, xh[i], column(phi, k)))
+            + v[i].scale(inner(m, xh[j], column(phi, k)))
+            - column(phi, k).scale(bracket)
         )
         got = tuple(table.get((i, j, k, p)) for p in range(m.dim))
         assert got == tuple(c if c.terms else None for c in want.components), (i, j, k)
+
+
+# every committed manifest, the Heisenberg ladder and the symbolic lambda family
+TABLE_INPUTS = [
+    "abelian3.json", "heisenberg5.json", "kmu3.json", "lambda_family.json", "random5.json",
+    "random5_t.json", "t1e4.json", "H3", "H5", "H7", "H9", "lambda_symbolic",
+]
+
+
+@pytest.mark.parametrize("name", TABLE_INPUTS)
+def test_instance_tables_hold_only_nonzero_entries(name):
+    """No table an instance exposes holds a zero value: ``table_scan`` reads a
+    table's least index as its witness, so a stored zero would be a false
+    witness.  Each table is exactly the nonzero entries of its dense
+    reference: h, phi h, I + h and phi + phi h, g(hE_i, phi E_j) and
+    g(E_i + hE_i, phi E_j), and the Ricci forms of both connections (the
+    torsionful one builds on each of these inputs, gated or not)."""
+    x = _build(name)
+    m, ref, gamma = x.m, contact_operators(x.m, x.s), koszul(x.m)
+    tables = {
+        "h": (x.h.table, ref["h"]),
+        "phi_h": (x.phi_h.table, ref["phi_h"]),
+        "x_plus_hx": (x.x_plus_hx.table, ref["x_plus_hx"]),
+        "phi_x_plus_hx": (x.phi_x_plus_hx.table, ref["phi_x_plus_hx"]),
+        "h_phi": (x.h_phi, ref["h_phi"]),
+        "xh_phi": (x.xh_phi, ref["xh_phi"]),
+        "ricci": (x.ricci.table, dense_ricci(m, gamma)),
+        "pkg.ricci": (x.pkg.ricci.table, dense_ricci(m, gtw_gamma(m, x.s, gamma))),
+    }
+    for label, (table, rows) in tables.items():
+        assert all(v.terms for v in table.values()), (label, "holds a zero")
+        assert table == nonzero(rows), label
 
 
 # -- the vector rows over pairs of frame vectors ---------------------------------
@@ -278,8 +319,8 @@ def _dense_vector_residuals(x: Instance) -> dict:
     m, h, phi, phi_h, xi = x.m, x.h, x.s.phi, x.phi_h, x.s.xi
     idx, g, eta = range(m.dim), partial(inner, m), x.s.eta.components
     e = [m.basis(i) for i in idx]
-    xh = [e[i] + h.columns[i] for i in idx]
-    v = [phi.columns[i] + phi_h.columns[i] for i in idx]
+    xh = [e[i] + column(h, i) for i in idx]
+    v = [column(phi, i) + column(phi_h, i) for i in idx]
     kappa_minus_1 = x.kappa - m.one_scalar()
     dh = [x.lc.derivative_endo(i, h) for i in idx]
     conn = x.pkg.conn
@@ -293,43 +334,43 @@ def _dense_vector_residuals(x: Instance) -> dict:
     def torsion_closed_form(w: list[FrameVector]):
         return lambda i, j: (
             torsion(i, j)
-            - xi.scale(g(xh[i], phi.columns[j]) - g(xh[j], phi.columns[i]))
+            - xi.scale(g(xh[i], column(phi, j)) - g(xh[j], column(phi, i)))
             - w[i].scale(eta[j])
             + w[j].scale(eta[i])
         )
 
     return {
         "nkappa.xi_covariant_derivative": (
-            1, lambda i: derivative(x.lc, i, xi) + phi.columns[i] + phi_h.columns[i]
+            1, lambda i: derivative(x.lc, i, xi) + column(phi, i) + column(phi_h, i)
         ),
         "nkappa.xi_covariant_derivative_reference_form": (
-            1, lambda i: derivative(x.lc, i, xi) + phi.columns[i] + h.columns[i]
+            1, lambda i: derivative(x.lc, i, xi) + column(phi, i) + column(h, i)
         ),
         "nkappa.phi_covariant_derivative": (
-            2, lambda i, j: x.dphi_lc[i].columns[j] - r1_xi(i, j)
+            2, lambda i, j: column(x.dphi_lc[i], j) - r1_xi(i, j)
         ),
         "nkappa.h_covariant_derivative": (
             2,
-            lambda i, j: dh[i].columns[j]
-            + xi.scale(kappa_minus_1 * g(e[i], phi.columns[j]) - g(h.columns[i], phi.columns[j]))
+            lambda i, j: column(dh[i], j)
+            + xi.scale(kappa_minus_1 * g(e[i], column(phi, j)) - g(column(h, i), column(phi, j)))
             - h.apply(v[i]).scale(eta[j]),
         ),
         "gtw.xi_parallel": (1, lambda i: derivative(conn, i, xi)),
         "gtw.phi_derivative_relation": (
-            2, lambda i, j: x.dphi_gtw[i].columns[j] - x.dphi_lc[i].columns[j] + r1_xi(i, j)
+            2, lambda i, j: column(x.dphi_gtw[i], j) - column(x.dphi_lc[i], j) + r1_xi(i, j)
         ),
-        "gtw.phi_parallel": (2, lambda i, j: x.dphi_gtw[i].columns[j]),
+        "gtw.phi_parallel": (2, lambda i, j: column(x.dphi_gtw[i], j)),
         "gtw.h_derivative_relation": (
-            2, lambda i, j: x.dh_gtw[i].columns[j] - phi_h.columns[j].scale(eta[i]).scale(2)
+            2, lambda i, j: column(x.dh_gtw[i], j) - column(phi_h, j).scale(eta[i]).scale(2)
         ),
         "gtw.h_derivative_relation_reference_form": (
             2,
-            lambda i, j: x.dh_gtw[i].columns[j]
-            - xi.scale(kappa_minus_1 * g(phi.columns[i], e[j]) + g(h.columns[i], phi.columns[j]))
+            lambda i, j: column(x.dh_gtw[i], j)
+            - xi.scale(kappa_minus_1 * g(column(phi, i), e[j]) + g(column(h, i), column(phi, j)))
             - v[j].scale(eta[i]),
         ),
         "gtw.torsion_nonzero": (2, torsion),
-        "gtw.torsion_closed_form": (2, torsion_closed_form([phi_h.columns[i] for i in idx])),
+        "gtw.torsion_closed_form": (2, torsion_closed_form([column(phi_h, i) for i in idx])),
         "gtw.torsion_closed_form_reference_form": (2, torsion_closed_form(v)),
     }
 
@@ -342,7 +383,7 @@ def _dense_is_sasakian(x: Instance) -> bool:
     return (
         first_witness(
             product(range(m.dim), repeat=2),
-            lambda i, j: x.dphi_lc[i].columns[j]
+            lambda i, j: column(x.dphi_lc[i], j)
             - x.s.xi.scale(inner_basis(m, i, j))
             + m.basis(i).scale(eta[j]),
         )
@@ -444,8 +485,8 @@ def test_lie_derive_endo_matches_the_bracket_form(structural):
     for xi, a in product((e[0], two_components), (structural.s.phi, structural.h)):
         got = m.lie_derive_endo(xi, a)
         for j in range(m.dim):
-            want = bracket(m, xi, a.columns[j]) - a.apply(bracket(m, xi, e[j]))
-            assert got.columns[j] == want, (xi, j)
+            want = bracket(m, xi, column(a, j)) - a.apply(bracket(m, xi, e[j]))
+            assert column(got, j) == want, (xi, j)
 
 
 def test_jacobiator_matches_the_six_brackets(structural):

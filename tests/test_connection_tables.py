@@ -166,10 +166,16 @@ def test_levi_civita_finds_the_first_violation_of_a_dense_scan(m):
 
 
 def _perturbed_gtw_error(x: Instance, i: int, j: int, delta: Scalar) -> str | None:
-    xh_phi = [list(row) for row in x.xh_phi]
-    xh_phi[i][j] = xh_phi[i][j] + delta
+    """The displaced connection's error with the table entry xh_phi[i, j]
+    displaced by ``delta``; an entry that sums to zero is dropped."""
+    xh_phi = dict(x.xh_phi)
+    value = x.xh_phi.get((i, j), x.m.zero_scalar()) + delta
+    if value.terms:
+        xh_phi[i, j] = value
+    else:
+        del xh_phi[i, j]
     try:
-        gtw_connection(x.m, x.s, x.lc, tuple(map(tuple, xh_phi)), x.phi_h)
+        gtw_connection(x.m, x.s, x.lc, xh_phi, x.phi_h)
     except ConnectionConsistencyError as exc:
         return str(exc)
     return None

@@ -1,5 +1,6 @@
 """Levi-Civita connection, curvature, Ricci data, and the nullity suite."""
 
+import pickle
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -15,6 +16,7 @@ from contactframe import (
     load_manifest_file,
     make_heisenberg,
     make_lambda_family,
+    ricci,
     run_suite,
     scalar_curvature,
     verify_nkappa_suite,
@@ -95,6 +97,16 @@ def test_ricci_and_scalar_symbolic(fam):
                 assert val.is_zero(), (i, j, val)
     tau = scalar_curvature(m, fam.ricci)
     assert tau == expect_00
+
+
+def test_a_ricci_form_hashes_by_its_entries(fam):
+    """A Ricci form is the table of its nonzero values; equal forms hash
+    alike, with or without the dense view built, and survive pickling."""
+    twin = ricci(fam.m, fam.r)
+    assert twin == fam.ricci and twin is not fam.ricci
+    twin.components
+    assert hash(twin) == hash(fam.ricci) and {twin, fam.ricci} == {twin}
+    assert pickle.loads(pickle.dumps(twin)) == twin
 
 
 @pytest.mark.parametrize("lam_value", [Fraction(0), Fraction(1, 2), Fraction(2)])

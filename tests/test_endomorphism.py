@@ -108,7 +108,9 @@ def test_the_matrix_form_is_the_table_form_and_survives_copy_and_pickle(a_rows):
     table = {(p, j): v for p, row in enumerate(a_rows) for j, v in enumerate(row) if v.terms}
     assert a == Endomorphism.from_table(DIM, P, table)
     assert a.matrix == tuple(map(tuple, a_rows))
-    assert a.columns == tuple(FrameVector(tuple(row[j] for row in a_rows)) for j in IDX)
+    assert a.sparse_columns == tuple(
+        tuple((p, row[j]) for p, row in enumerate(a_rows) if row[j].terms) for j in IDX
+    )
     # with and without the views built
     for operand in (endo(a_rows), a):
         twins = copy.copy(operand), copy.deepcopy(operand), pickle.loads(pickle.dumps(operand))
@@ -122,6 +124,6 @@ def test_an_almost_contact_structure_hashes_by_its_entries():
     ``AlmostContactData`` is hashable like the frozen record it is."""
     s = make_heisenberg(2).structure
     twin = pickle.loads(pickle.dumps(s))
-    s.phi.matrix, s.phi.columns, s.phi.sparse_columns
+    s.phi.matrix, s.phi.sparse_rows, s.phi.sparse_columns
     assert hash(twin) == hash(s) and {s, twin} == {s}
     assert hash(s.phi) == hash(Endomorphism(s.phi.matrix))

@@ -227,11 +227,9 @@ def _bumped(t, index: tuple[int, ...]) -> dict:
 
 
 def _bumped_form(form: BilinearForm, index: tuple[int, int]) -> BilinearForm:
-    """A copy of the form with 1 added at ``index``."""
-    rows = [list(row) for row in form.components]
-    i, j = index
-    rows[i][j] = rows[i][j] + Scalar.constant(rows[i][j].params, 1)
-    return BilinearForm(tuple(map(tuple, rows)))
+    """A copy of the form with 1 added at ``index``; an entry that becomes
+    zero is dropped."""
+    return BilinearForm(form.dim, form.params, _bumped(form, index))
 
 
 def _perturbed(x: Instance, operand: str, index: tuple[int, ...]) -> Instance:

@@ -18,6 +18,7 @@ import contactframe.frames
 import contactframe.suite as suite_mod
 import contactframe.tanaka_webster
 from contactframe import (
+    BilinearForm,
     Connection,
     ConnectionConsistencyError,
     Curvature4Tensor,
@@ -315,15 +316,21 @@ def test_heisenberg_run_work_counts():
 @pytest.mark.parametrize(
     ("manifest", "sums", "zero_sums"),
     [
-        ("heisenberg5.json", 602, 290),
-        ("lambda_family.json", 302, 142),
-        ("t1e4.json", 1770, 948),
+        ("heisenberg5.json", 577, 265),
+        ("lambda_family.json", 295, 135),
+        ("t1e4.json", 1727, 905),
     ],
 )
 def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     """The counter reaches every module that binds ``sum_table`` by name: a
-    run on H^5 reads exactly 602 sums of products, 290 of them zero, so a
-    binding the counter missed would lower them.  They fell from 790 and 468
+    run on H^5 reads exactly 577 sums of products, 265 of them zero, so a
+    binding the counter missed would lower them.  They fell from 602 and 290
+    when ``acm.h_phi_anticommute`` stopped summing an entry of h phi + phi h
+    that no live pair (h_ik, phi^k_j) or (phi_ik, h^k_j) names: h is empty on
+    H^5, so each of its 25 entries was a sum with a zero factor in every
+    product.  The lambda family (302 and 142 before) and T1E4 (1,770 and
+    948 before) fell to 295 and 135, and 1,727 and 905, every sum dropped
+    being zero.  They fell from 790 and 468
     when the products that the structure fixes at zero stopped being summed:
     the self action pairs each Z(xi, E_i) with the components of the defect
     D = Z - K R1, empty on H^5, where it paired it with every component of
@@ -368,44 +375,36 @@ def test_kmu3_fit_stops_at_the_first_contradiction():
 
 
 def test_runs_build_dense_endomorphism_views_only_for_dense_readers(monkeypatch):
-    """An endomorphism is the table of its nonzero entries, and its dense
-    views are built on first read only.  One H^5 run builds no ``matrix``
-    view: every form reader takes the table's entries.  Only the
-    frame-vector readers build ``columns``, and ``compose``, ``commutator``
-    and ``derivative_endo`` build neither view.  A gated run builds no dense
-    view of an endomorphism at all."""
-    built: list[tuple[str, tuple[str, ...]]] = []
-    inside: list[str] = []
-    for view_name in ("matrix", "columns"):
-        view = Endomorphism.__dict__[view_name]
+    """Every derived operator and form is the table of its nonzero entries,
+    and its one dense view is built on first read only, for a caller outside
+    the engine (the ``curvature`` command's listing, the tests).  A graded
+    run on H^5, T1E4 and the symbolic lambda family builds no
+    ``Endomorphism.matrix`` and no ``BilinearForm.components`` view: every
+    reader takes the table's entries or its nonzero rows and columns, and
+    E_i + hE_i and phi E_i + phi h E_i are the columns of I + h and
+    phi + phi h.  A gated run builds none either.  The frame-vector view
+    ``columns`` is gone."""
+    built: list[str] = []
+    for cls, view_name in ((Endomorphism, "matrix"), (BilinearForm, "components")):
+        view = cls.__dict__[view_name]
 
-        def counting(a, view=view, view_name=view_name):
-            built.append((view_name, tuple(inside)))
+        def counting(a, view=view, label=f"{cls.__name__}.{view_name}"):
+            built.append(label)
             return view.func(a)
 
         patched = cached_property(counting)
-        patched.__set_name__(Endomorphism, view_name)
-        monkeypatch.setattr(Endomorphism, view_name, patched)
-    for cls, name in (
-        (Endomorphism, "compose"),
-        (Endomorphism, "commutator"),
-        (Connection, "derivative_endo"),
-    ):
-        original = getattr(cls, name)
-
-        def tracked(*args, original=original, name=name):
-            inside.append(name)
-            try:
-                return original(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(cls, name, tracked)
-    run_suite(*load_manifest_file(str(MANIFESTS / "heisenberg5.json")), "all")
-    assert [stack for _, stack in built if stack] == []
-    assert [view for view, _ in built].count("matrix") == 0
-    built.clear()
-    run_suite(*load_manifest_file(str(MANIFESTS / "random5.json")), "all")
+        patched.__set_name__(cls, view_name)
+        monkeypatch.setattr(cls, view_name, patched)
+    assert not hasattr(Endomorphism, "columns")
+    lam = make_lambda_family(None)
+    graded = [load_manifest_file(str(MANIFESTS / f)) for f in ("heisenberg5.json", "t1e4.json")]
+    for m, s in [*graded, (lam.manifold, lam.structure)]:
+        assert not Instance(m, s).gate_note
+        run_suite(m, s, "all")
+    assert built == []
+    m, s = load_manifest_file(str(MANIFESTS / "random5.json"))
+    assert Instance(m, s).gate_note
+    run_suite(m, s, "all")
     assert built == []
 
 
@@ -419,20 +418,23 @@ def test_heisenberg9_report_size():
 
 def test_gated_run_work_counts():
     """On the gated dense frame no derived section runs and neither the
-    connection nor its curvature is built: one run makes 96 sums of products,
-    all in the structural layer, under the bound 100 (the measured count plus
-    5%; a dense Lie-derivative kernel for h takes 127, building both tensors
+    connection nor its curvature is built: one run makes 59 sums of products,
+    all in the structural layer, under the bound 62 (the measured count plus
+    5%; 64 when ``acm.h_phi_anticommute`` summed entries that no live pair
+    names, 96 before the structural layer read only nonzero entries, under
+    the bound 100; a dense Lie-derivative kernel for h takes 127, building both tensors
     up front 410, a second set of frame images in ``validate_acm`` 231, one
     set of frame images that nothing reads 201, and composing h phi and
-    phi h in full before the h laws scan 171).  It constructs 54 Scalars,
-    under the bound 56 (the measured count plus 5%; one
+    phi h in full before the h laws scan 171).  It constructs 45 Scalars,
+    under the bound 47 (the measured count plus 5%; 54 before the structural
+    layer read only nonzero entries, under the bound 56; one
     ``Scalar.sum_of_products`` per table index, with no one-term paths in the
     Scalar ring, made 79, under the bound 83; halving every entry of L_xi phi rather than phi's
     nonzero entries, and a fresh 1 per ``one_scalar()`` call, make 103; a
     new zero per zero result 390)."""
     counts = _work_counts("random5.json")
-    assert counts["sum_of_products"] <= 100
-    assert counts["scalars"] <= 56
+    assert counts["sum_of_products"] <= 62
+    assert counts["scalars"] <= 47
 
 
 def test_gated_run_computes_each_layer_once(monkeypatch):

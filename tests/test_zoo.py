@@ -27,6 +27,7 @@ from contactframe import (
 )
 from contactframe.scalars import Scalar
 from contactframe.zoo import ZOO_LABELS
+from vector_reference import column
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -104,7 +105,7 @@ def _nullity_fails(x: Instance, kappa: Scalar, mu: Scalar) -> list[int]:
     return [
         p
         for p in range(1, m.dim)
-        if r((p, 0, 0)) != m.basis(p).scale(kappa) + x.h.columns[p].scale(mu)
+        if r((p, 0, 0)) != m.basis(p).scale(kappa) + column(x.h, p).scale(mu)
     ]
 
 

@@ -1,11 +1,12 @@
 """Vector-level reference operators: the bracket, the covariant derivative of
 a constant vector, the bilinear extension of a form, the trilinear extension
 of a curvature-type tensor and the tensor actions on arbitrary constant
-vectors, through the structure constants and the tensor's components; and the dense
+vectors, through the structure constants and the tensor's components; the dense
 connection coefficients of the Koszul formula and of the generalized
-Tanaka-Webster displacement, every coefficient with plain Scalar ``+`` and
-``*``.  The tests hold the engine's component contractions and connection
-tables to them on every basis tuple."""
+Tanaka-Webster displacement, the operators and forms built from h, and the
+Ricci form of dense coefficients, every entry with plain Scalar ``+`` and
+``*``.  The tests hold the engine's component contractions, connection
+tables and derived tables to them on every basis tuple."""
 
 from __future__ import annotations
 
@@ -76,6 +77,16 @@ def apply(t: Curvature4Tensor, x: FrameVector, y: FrameVector, z: FrameVector) -
             for l in range(t.dim)
         )
     )
+
+
+def column(a: Endomorphism, j: int) -> FrameVector:
+    """A E_j, read from the dense view ``matrix``."""
+    return FrameVector(tuple(row[j] for row in a.matrix))
+
+
+def columns(a: Endomorphism) -> list[FrameVector]:
+    """A E_j for every frame index, read from the dense view ``matrix``."""
+    return [column(a, j) for j in range(a.dim)]
 
 
 def endomorphism(columns: list[FrameVector]) -> Endomorphism:
@@ -151,29 +162,76 @@ def contact_h(m: FrameManifold, s: AlmostContactData) -> list:
     return [[v.scale(Fraction(1, 2)) for v in row] for row in lie_derivative(m, s.xi, s.phi.matrix)]
 
 
+def contact_operators(m: FrameManifold, s: AlmostContactData) -> dict[str, list]:
+    """The dense operators and forms built from h = ``contact_h``: h, phi h,
+    I + h and phi + phi h as matrices [p][j] (component p of the image of
+    E_j), and g(hE_i, phi E_j) and g(E_i + hE_i, phi E_j) as rows [i][j],
+    each entry with plain Scalar ``+`` and ``*``."""
+    idx, zero = range(m.dim), Scalar.zero(m.params)
+    phi, h = s.phi.matrix, contact_h(m, s)
+    phi_h = matmul(phi, h)
+    x_plus_hx = [[h[p][j] + inner_basis(m, p, j) for j in idx] for p in idx]
+
+    def g_phi(a: list) -> list:
+        """g(A E_i, phi E_j) = sum_q A[q][i] phi[q][j] as rows [i][j]."""
+        return [[sum((a[q][i] * phi[q][j] for q in idx), zero) for j in idx] for i in idx]
+
+    return {
+        "h": h,
+        "phi_h": phi_h,
+        "x_plus_hx": x_plus_hx,
+        "phi_x_plus_hx": [[a + b for a, b in zip(*rows)] for rows in zip(phi, phi_h)],
+        "h_phi": g_phi(h),
+        "xh_phi": g_phi(x_plus_hx),
+    }
+
+
 def gtw_gamma(m: FrameManifold, s: AlmostContactData, gamma: list) -> list:
     """The Levi-Civita coefficients ``gamma`` displaced by
     A(E_i, E_j) = g(E_i + hE_i, phi E_j) xi + eta(E_i) phi E_j
     + eta(E_j) phi(hE_i + E_i), with h from ``contact_h``."""
-    idx, zero = range(m.dim), Scalar.zero(m.params)
+    idx = range(m.dim)
     xi, eta, phi = s.xi.components, s.eta.components, s.phi.matrix
-    h = contact_h(m, s)
-    # x_plus_hx[i][p] = component p of E_i + hE_i
-    x_plus_hx = [[h[p][i] + inner_basis(m, i, p) for p in idx] for i in idx]
-    phi_x_plus_hx = [
-        [sum((phi[p][q] * x_plus_hx[i][q] for q in idx), zero) for p in idx] for i in idx
-    ]
-    xh_phi = [[sum((x_plus_hx[i][p] * phi[p][j] for p in idx), zero) for j in idx] for i in idx]
+    ops = contact_operators(m, s)
+    xh_phi, phi_x_plus_hx = ops["xh_phi"], ops["phi_x_plus_hx"]
     return [
         [
             [
                 gamma[i][j][k]
                 + xh_phi[i][j] * xi[k]
                 + eta[i] * phi[k][j]
-                + eta[j] * phi_x_plus_hx[i][k]
+                + eta[j] * phi_x_plus_hx[k][i]
                 for k in idx
             ]
             for j in idx
         ]
         for i in idx
     ]
+
+
+def dense_ricci(m: FrameManifold, gamma: list) -> list:
+    """S[j][l] = sum_i R(E_j, E_i)E_i component l, with the curvature of the
+    dense coefficients ``gamma``:
+    R_jii^l = sum_q gamma_ii^q gamma_jq^l - gamma_ji^q gamma_iq^l - c_ji^q gamma_qi^l."""
+    idx, zero, c = range(m.dim), Scalar.zero(m.params), m.c
+    return [
+        [
+            sum(
+                (
+                    gamma[i][i][q] * gamma[j][q][l]
+                    - gamma[j][i][q] * gamma[i][q][l]
+                    - c[j][i][q] * gamma[q][i][l]
+                    for i in idx
+                    for q in idx
+                ),
+                zero,
+            )
+            for l in idx
+        ]
+        for j in idx
+    ]
+
+
+def nonzero(rows: list) -> dict:
+    """The nonzero entries ((a, b), rows[a][b]) of dense rows."""
+    return {(a, b): v for a, row in enumerate(rows) for b, v in enumerate(row) if v.terms}

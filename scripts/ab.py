@@ -26,8 +26,11 @@ between the trees are data, not an error.
 Each round runs, on every case and on both trees in alternating order, a
 full request (load -> hash -> ``run_suite("all")`` -> emit), timing within
 it the ``load`` (``load_manifest`` on the decoded document) and the ``emit``
-of the finished report.  Where the request builds them, it also times on a
-freshly loaded input the layers ``levi_civita``, ``riemann``,
+of the finished report.  On every input it also times the structural layer,
+each on a freshly loaded input: ``validate_frame``, ``validate_acm`` and
+``h_property_checks`` (h built before the timer starts), so a gated input
+that builds nothing else still gets layer rows.  Where the request builds
+them, it times on a freshly loaded input the layers ``levi_civita``, ``riemann``,
 ``detect_kappa`` (kappa from that curvature), ``build_gtw_package`` and
 ``concircular`` (Z from that package's curvature and R1), each on inputs
 built before its timer starts and read by no earlier layer; and each of the
@@ -80,8 +83,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MANIFESTS = ROOT / "manifests"
 SUITE_LAYERS = ("verify_nkappa_suite", "verify_gtw_suite", "verify_concircular_suite")
-LAYERS = ("request", "load", "emit", "levi_civita", "riemann", "detect_kappa",
-          "build_gtw_package", "concircular", *SUITE_LAYERS)
+STRUCTURAL_LAYERS = ("validate_frame", "validate_acm", "h_property_checks")
+LAYERS = ("request", "load", "emit", *STRUCTURAL_LAYERS, "levi_civita", "riemann",
+          "detect_kappa", "build_gtw_package", "concircular", *SUITE_LAYERS)
 # the seed perfbench runs its workloads with
 SEED = 1
 
@@ -262,15 +266,27 @@ class Tree:
 
     def layers(self, text: str) -> dict:
         """Seconds of each layer on a freshly loaded input (each section on
-        its own, with the layers it reads built first), or {} when a request
-        on it builds none of them; timed after one collection with the
-        garbage collector off, whose prior state is then restored."""
+        its own, with the layers it reads built first): the structural layer
+        on every input, the derived layers only where a request builds them;
+        timed after one collection with the garbage collector off, whose
+        prior state is then restored."""
+        suite, seconds = self.suite, {}
+        with collector_off():
+            for name in STRUCTURAL_LAYERS:
+                m, s = self.cf.load_manifest(json.loads(text))
+                layer, args = {
+                    "validate_frame": (m.validate_frame, ()),
+                    "validate_acm": (suite.validate_acm, (m, s)),
+                    "h_property_checks": (suite.h_property_checks, (m, s, suite.Instance(m, s).h)),
+                }[name]
+                start = time.perf_counter()
+                layer(*args)
+                seconds[name] = time.perf_counter() - start
         m, s = self.cf.load_manifest(json.loads(text))
         x = self.suite.Instance(m, s)
         if x.gate_note:
-            return {}
+            return seconds
         with collector_off():
-            suite, seconds = self.suite, {}
             start = time.perf_counter()
             lc = suite.levi_civita(m)
             seconds["levi_civita"] = time.perf_counter() - start

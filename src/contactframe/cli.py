@@ -167,15 +167,15 @@ def _cmd_curvature(args, fmt: str) -> int:
                 f"the torsionful connection needs a valid contact metric structure: {bad[0]}"
             )
         conn, curv, ricci_form, tau = x.pkg.conn, x.pkg.curv, x.pkg.ricci, x.pkg.tau
-        torsion = _nonzero(x.vector_at(x.pkg.torsion), combinations(idx, 2))
+        torsion = _nonzero(x.m.vector_at(x.pkg.torsion), combinations(idx, 2))
     else:
         conn, curv, ricci_form = x.lc, x.r, x.ricci
         tau = scalar_curvature(m, ricci_form)
         torsion = None
     kappa = x.kappa
-    derivatives = _nonzero(x.vector_at(conn.table), product(idx, repeat=2))
+    derivatives = _nonzero(x.m.vector_at(conn.table), product(idx, repeat=2))
     curvature = _nonzero(
-        x.vector_at(curv.table), ((i, j, k) for (i, j), k in product(combinations(idx, 2), idx))
+        x.m.vector_at(curv.table), ((i, j, k) for (i, j), k in product(combinations(idx, 2), idx))
     )
 
     if fmt == "json":

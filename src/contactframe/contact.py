@@ -30,13 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain
+from typing import Iterator
 
 from .curvature import Curvature4Tensor
 from .frames import Endomorphism, FrameManifold, FrameVector
 from .report import VerificationReport, first_witness
 from .linear import exact_fit
 from .scalars import Scalar
+from .tables import sum_table
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,22 @@ _PHI_SQUARE_NOTE = (
 def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     """Check the almost-contact axioms and the contact condition exactly.
 
-    Every residual is evaluated per basis tuple, in scan order, up to the first
-    that is nonzero, from the nonzero entries of its operands only: phi's
-    table and columns, eta's and xi's nonzero components, and the nonzero
-    structure constants of [E_i, E_j]; g(E_i, E_j) is delta_ij."""
+    The axioms eta o phi = 0, phi^2 = -I + eta (x) xi and the metric relation
+    are tables of their nonzero residuals, summed from the nonzero entries of
+    phi, eta and xi, with delta for the identity terms; each witness is the
+    table's least index, the least column for phi^2, as a row-major scan
+    finds it (``FrameManifold.table_witness``).  The contact condition and its
+    reference form are evaluated per pair (i, j) in scan order, up to the
+    first that is nonzero, skipping the pairs whose residual no nonzero entry
+    names: [E_i, E_j] has no component where eta is nonzero, and phi has no
+    entry at (i, j) or (j, i)."""
     report = VerificationReport()
     params, idx, zero, one = m.params, range(m.dim), m.zero_scalar(), m.one_scalar()
-    phi, cols, xi, eta = s.phi.table, s.phi.sparse_columns, s.xi, s.eta.components
+    minus_one = -one
+    phi, rows, cols = s.phi.table, s.phi.sparse_rows, s.phi.sparse_columns
+    xi, eta = s.xi, s.eta.components
     live_eta = [(k, e) for k, e in enumerate(eta) if e.terms]
+    live_xi = [(p, x) for p, x in enumerate(xi.components) if x.terms]
 
     vec = s.phi.apply(xi)
     report.graded("acm.phi_kills_xi", None if vec.is_zero() else {"residual": str(vec)})
@@ -80,64 +90,61 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     value = Scalar.sum_of_products(params, ((e, xi.components[k]) for k, e in live_eta)) - one
     report.graded("acm.eta_of_xi", None if value.is_zero() else {"residual": str(value)})
 
-    report.graded(
-        "acm.eta_after_phi",
-        first_witness(
-            product(idx, repeat=1),
-            lambda i: Scalar.sum_of_products(params, ((eta[p], a) for p, a in cols[i])),
+    # eta(phi E_i) = sum_p eta_p phi^p_i, keyed (i,)
+    eta_phi = sum_table(params, (((i,), e, a) for p, e in live_eta for i, a in rows[p]))
+    report.graded("acm.eta_after_phi", m.table_witness(eta_phi, vector=False))
+
+    # column j of phi^2 + I - xi (x) eta, component p last:
+    # sum_q phi^p_q phi^q_j + delta_pj - eta_j xi^p
+    minus_eta = [(j, -e) for j, e in live_eta]
+    square = sum_table(
+        params,
+        chain(
+            (((j, p), a, b) for (q, j), b in phi.items() for p, a in cols[q]),
+            (((j, j), one, one) for j in idx),
+            (((j, p), e, x) for j, e in minus_eta for p, x in live_xi),
         ),
     )
+    report.graded("acm.phi_square", m.table_witness(square), notes=(_PHI_SQUARE_NOTE,))
 
-    square = s.phi.square.sparse_columns
-    live_xi = [(p, x) for p, x in enumerate(xi.components) if x.terms]
-
-    def phi_square(j: int) -> FrameVector:
-        """Column j of phi^2 + I - xi (x) eta."""
-        column = [zero] * m.dim
-        for p, a in square[j]:
-            column[p] = a
-        column[j] = column[j] + one
-        if eta[j].terms:
-            for p, x in live_xi:
-                column[p] = column[p] - eta[j] * x
-        return FrameVector(tuple(column))
-
-    report.graded(
-        "acm.phi_square",
-        first_witness(product(idx, repeat=1), phi_square),
-        notes=(_PHI_SQUARE_NOTE,),
+    # g(phi E_i, phi E_j) - delta_ij + eta_i eta_j = sum_p phi^p_i phi^p_j - ...
+    metric = sum_table(
+        params,
+        chain(
+            (((i, j), a, b) for row in rows for i, a in row for j, b in row),
+            (((i, i), minus_one, one) for i in idx),
+            (((i, j), e, f) for i, e in live_eta for j, f in live_eta),
+        ),
     )
-
-    column_maps = [dict(col) for col in cols]
-
-    def phi_metric(i: int, j: int) -> Scalar:
-        """g(phi E_i, phi E_j) - delta_ij + eta_i eta_j."""
-        col_j = column_maps[j]
-        inner = Scalar.sum_of_products(params, ((a, col_j[p]) for p, a in cols[i] if p in col_j))
-        return inner - (one if i == j else zero) + eta[i] * eta[j]
-
     report.graded(
         "acm.phi_metric_compatibility",
-        first_witness(product(idx, repeat=2), phi_metric),
+        m.table_witness(metric, vector=False),
         notes=(_PHI_SQUARE_NOTE,),
     )
 
     # d eta(E_i, E_j) = -1/2 eta([E_i, E_j]) on constant frames (half-convention),
     # each value computed once and read by both slot assignments of phi
-    minus_half_eta = [(k, e.scale(Fraction(-1, 2))) for k, e in live_eta]
+    minus_half_eta = {k: e.scale(Fraction(-1, 2)) for k, e in live_eta}
     d_eta: dict[tuple[int, int], Scalar] = {}
+
+    def named() -> Iterator[tuple[int, int]]:
+        """The pairs (i, j) in row-major order whose residual some nonzero
+        entry names."""
+        for i, plane in enumerate(m.sparse_c):
+            for j, c_ij in enumerate(plane):
+                if (i, j) in phi or (j, i) in phi or any(k in minus_half_eta for k, _ in c_ij):
+                    yield i, j
 
     def residual(i: int, j: int, phi_at: tuple[int, int]) -> Scalar:
         if (i, j) not in d_eta:
-            c_ij = dict(m.sparse_c[i][j])
-            d_eta[i, j] = Scalar.sum_of_products(
-                params, ((e, c_ij[k]) for k, e in minus_half_eta if k in c_ij)
-            )
+            c_ij = m.sparse_c[i][j]
+            pairs = [(e, c) for k, c in c_ij if (e := minus_half_eta.get(k)) is not None]
+            d_eta[i, j] = Scalar.sum_of_products(params, pairs) if pairs else zero
         return d_eta[i, j] - phi.get(phi_at, zero)
 
     report.graded(
         "acm.contact_condition",
-        first_witness(product(idx, repeat=2), lambda i, j: residual(i, j, (i, j))),
+        first_witness(named(), lambda i, j: residual(i, j, (i, j))),
         notes=(
             "adopted convention: d eta(X, Y) = 1/2 (X eta(Y) - Y eta(X) - eta([X, Y])) "
             "and contact condition d eta(X, Y) = g(X, phi Y)",
@@ -147,7 +154,7 @@ def validate_acm(m: FrameManifold, s: AlmostContactData) -> VerificationReport:
     # reference variant with phi in the first slot: d eta(X, Y) = g(phi X, Y)
     report.reference(
         "acm.contact_condition_reference_form",
-        first_witness(product(idx, repeat=2), lambda i, j: residual(i, j, (j, i))),
+        first_witness(named(), lambda i, j: residual(i, j, (j, i))),
         "reference variant d eta(X, Y) = g(phi X, Y) disagrees with the "
         "computed exterior derivative; recorded as data",
     )
@@ -159,27 +166,42 @@ def h_property_checks(
     m: FrameManifold, s: AlmostContactData, h: Endomorphism
 ) -> VerificationReport:
     """The classical properties of h as report entries, read from the nonzero
-    entries of h and phi; the matrix laws scan column by column."""
+    entries of h and phi; the matrix laws scan column by column, up to the
+    first witness, and skip the pairs (i, j) that no live pair names."""
     report = VerificationReport()
-    zero, h_at, phi_at = m.zero_scalar(), h.table.get, s.phi.table.get
-    columns = [(i, j) for j in range(m.dim) for i in range(m.dim)]
+    idx, zero, h_at, phi_at = range(m.dim), m.zero_scalar(), h.table.get, s.phi.table.get
 
     report.graded(
         "acm.h_symmetric",
-        first_witness(columns, lambda i, j: h_at((i, j), zero) - h_at((j, i), zero)),
+        first_witness(
+            ((i, j) for j in idx for i in idx if (i, j) in h.table or (j, i) in h.table),
+            lambda i, j: h_at((i, j), zero) - h_at((j, i), zero),
+        ),
     )
 
     # (h phi + phi h)_ij, one sum of products over the live pairs (h_ik, phi^k_j)
-    # and (phi_ik, h^k_j), and the shared zero with no sum when there are none,
-    # so a failing frame stops at its first witness
+    # and (phi_ik, h^k_j), at the pairs where a nonzero row i of h meets a
+    # nonzero column j of phi, or a nonzero row i of phi one of h
     phi_cols, h_cols = s.phi.sparse_columns, h.sparse_columns
+    phi_rows, h_rows = {p for p, _ in s.phi.table}, {p for p, _ in h.table}
 
     def anticommutator(i: int, j: int) -> Scalar:
         pairs = [(a, c) for k, c in phi_cols[j] if (a := h_at((i, k))) is not None]
         pairs += [(a, c) for k, c in h_cols[j] if (a := phi_at((i, k))) is not None]
         return Scalar.sum_of_products(m.params, pairs) if pairs else zero
 
-    report.graded("acm.h_phi_anticommute", first_witness(columns, anticommutator))
+    report.graded(
+        "acm.h_phi_anticommute",
+        first_witness(
+            (
+                (i, j)
+                for j in idx
+                for i in idx
+                if (i in h_rows and phi_cols[j]) or (i in phi_rows and h_cols[j])
+            ),
+            anticommutator,
+        ),
+    )
 
     trace = h.trace()
     report.graded("acm.h_trace_free", None if trace.is_zero() else {"residual": str(trace)})

@@ -45,8 +45,7 @@ from itertools import chain, product
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .frames import Endomorphism, FrameManifold, FrameVector, endomorphisms
-from .report import first_witness
+from .frames import Endomorphism, FrameManifold, FrameVector
 from .scalars import Scalar
 from .tables import Table, sum_table
 
@@ -60,7 +59,7 @@ class Connection:
     """The coefficients of nabla_{E_i} E_j = Gamma_ij^k E_k, held as the table
     of the nonzero ones keyed (i, j, k); every coefficient the table does not
     name is zero.  There is no dense view: every reader takes the table, the
-    ``curvature`` command's listing included (``suite.Instance.vector_at``)."""
+    ``curvature`` command's listing included (``FrameManifold.vector_at``)."""
 
     dim: int
     params: tuple[str, ...]
@@ -79,18 +78,23 @@ class Connection:
         """The nonzero components (k, Gamma_ij^k) of nabla_{E_i} E_j, in k order."""
         return self._by_pair.get((i, j), ())
 
-    @cached_property
-    def operators(self) -> tuple[Endomorphism, ...]:
-        """G_i, the endomorphism E_q -> nabla_{E_i} E_q, for every frame index:
-        (G_i)^p_q = Gamma_iq^p."""
-        return endomorphisms(self.dim, self.params, self.table)
+    def derivative_table(self, a: Endomorphism) -> Table:
+        """nabla A for every frame index, as the table of its nonzero entries
+        keyed (i, j, p):
 
-    def derivative_endo(self, i: int, a: Endomorphism) -> Endomorphism:
-        """nabla_{E_i} A = [G_i, A] with G_i = ``operators[i]``:
+            (nabla_{E_i} A)^p_j = sum_q Gamma_iq^p A^q_j - A^p_q Gamma_ij^q ,
 
-            (nabla_i A)^p_j = sum_q Gamma_iq^p A^q_j - A^p_q Gamma_ij^q .
-        """
-        return self.operators[i].commutator(a)
+        one ``sum_table`` over each coefficient and the nonzero entries of the
+        row (first term) or the column (second term) of A it meets."""
+        gamma, rows = self.table.items(), a.sparse_rows
+        minus_cols = [[(p, -v) for p, v in col] for col in a.sparse_columns]
+        return sum_table(
+            self.params,
+            chain(
+                (((i, j, p), g, v) for (i, q, p), g in gamma for j, v in rows[q]),
+                (((i, j, p), v, g) for (i, j, q), g in gamma for p, v in minus_cols[q]),
+            ),
+        )
 
     @cached_property
     def metric_residual(self) -> Table:
@@ -358,20 +362,23 @@ def _phi_covariant_derivative(report, name, x):
     report.graded(name, x.scan(x.derivatives(x.dphi_lc, one), x.r1_xi(-one)))
 
 
-# h^2 = (kappa - 1) phi^2, scanned column by column
+# h^2 = (kappa - 1) phi^2: one table of h^p_q h^q_j + (1 - kappa)(phi^2)^p_j
+# keyed (p, j), its witness the least in column-major order
 def _h_square(report, name, x):
-    idx, zero = range(x.m.dim), x.m.zero_scalar()
-    diff = (x.h.square - x.s.phi.square.scale(x.kappa - x.m.one_scalar())).table
-    report.graded(
-        name,
-        first_witness(((i, j) for j in idx for i in idx), lambda i, j: diff.get((i, j), zero)),
+    h, h_cols = x.h.table, x.h.sparse_columns
+    diff = sum_table(
+        x.m.params,
+        chain(
+            (((p, j), a, b) for (q, j), b in h.items() for p, a in h_cols[q]),
+            x.form(x.s.phi.square.table.items(), x.m.one_scalar() - x.kappa),
+        ),
     )
+    report.graded(name, x.table_scan(diff, vector=False, order=itemgetter(1, 0)))
 
 
 # (nabla_X h)Y = [(1-kappa) g(X, phi Y) + g(X, h phi Y)] xi + eta(Y) h(phi X + phi h X)
 def _h_covariant_derivative(report, name, x):
     h, one = x.h, x.m.one_scalar()
-    dh = [x.lc.derivative_endo(i, h) for i in range(x.m.dim)]
     h_cols, eta = h.sparse_columns, x.s.eta.components
     # -eta_j h(phi + phi h)E_i: the products -eta_j (phi + phi h)^q_i h^p_q
     tails = (
@@ -387,7 +394,7 @@ def _h_covariant_derivative(report, name, x):
     report.graded(
         name,
         x.scan(
-            x.derivatives(dh, one),
+            x.derivatives(x.lc.derivative_table(h), one),
             x.along_xi(x.s.phi.table.items(), x.kappa - one),
             x.along_xi(x.h_phi.items(), -one),
             tails,

@@ -15,16 +15,16 @@ bilinear bracket of arbitrary vectors lives in the tests, as a reference.
 The structure is read the same way: g(E_i, E_j) is delta_ij, and a 1-form's
 value on E_i is its component i.  An endomorphism (``Endomorphism``) is held
 as the table of its nonzero entries keyed (p, j), like a connection's
-coefficients: A^p_j is component p of A E_j.  ``compose`` and
-``commutator`` pair the nonzero entries of both operands and run one sum of
-products per entry some pair names (``tables.sum_table``), with no dense
-intermediate; a covariant derivative of an endomorphism is such a
-commutator, and the Lie derivative pairs each nonzero structure constant
-with the nonzero entries of the operand directly.  Sums and differences
-(``+``, ``-``) name only the entries either operand names.  Every reader
-takes the table's entries, or its nonzero rows and columns (``sparse_rows``,
-``sparse_columns``); even the vectors A E_j are read as columns of nonzero
-entries.  The one dense view, ``matrix``, is built on first read for a
+coefficients: A^p_j is component p of A E_j.  ``compose`` pairs the
+nonzero entries of both operands and runs one sum of products per entry
+some pair names (``tables.sum_table``), with no dense intermediate; the
+Lie derivative pairs each nonzero structure constant with the nonzero
+entries of the operand directly, as a covariant derivative pairs each
+connection coefficient with them (``curvature.Connection.derivative_table``).
+Sums and differences (``+``, ``-``) name only the entries either operand
+names.  Every reader takes the table's entries, or its nonzero rows and
+columns (``sparse_rows``, ``sparse_columns``); even the vectors A E_j are
+read as columns of nonzero entries.  The one dense view, ``matrix``, is built on first read for a
 caller outside the engine; the engine reads none.
 
 The Jacobi scan of ``validate_frame`` reads only the triples one of whose
@@ -185,17 +185,6 @@ class Endomorphism:
         products = _matrix_products(self.sparse_columns, other.table)
         return Endomorphism.from_products(self.dim, self.params, products)
 
-    def commutator(self, other: "Endomorphism") -> "Endomorphism":
-        """[A, B] = A B - B A for A = self, B = other, as A B + B (-A) over the
-        nonzero entries of both; an entry of A is negated only when some
-        entry of B meets it."""
-        b_cols = other.sparse_columns
-        minus_a = {(q, j): -a for (q, j), a in self.table.items() if b_cols[q]}
-        products = chain(
-            _matrix_products(self.sparse_columns, other.table), _matrix_products(b_cols, minus_a)
-        )
-        return Endomorphism.from_products(self.dim, self.params, products)
-
     @cached_property
     def square(self) -> "Endomorphism":
         """self @ self, built once."""
@@ -319,6 +308,33 @@ class FrameManifold:
             )
         )
 
+    def vector_at(self, table: Table) -> Callable[[tuple[int, ...]], FrameVector]:
+        """index -> the frame vector at index of a vector residual table, the
+        component last in each key."""
+        zero, idx = self.zero_scalar(), range(self.dim)
+        return lambda index: FrameVector(tuple(table.get((*index, p), zero) for p in idx))
+
+    def table_witness(
+        self,
+        table: Table,
+        vector: bool = True,
+        key: str = "residual",
+        order: Callable | None = None,
+    ) -> dict | None:
+        """The witness a row-major scan of every basis tuple would give, read
+        from a table of nonzero residuals: its least index, with the value
+        there, or None when the table is empty.  A vector residual puts its
+        component last in the index, and its witness is the least leading
+        indices, with the frame vector there (``vector_at``).  ``order`` is
+        the sort key of another scan order (column-major, say)."""
+        if not table:
+            return None
+        least = min(table, key=order)
+        if vector:
+            at = self.vector_at(table)
+            return first_witness([least[:-1]], lambda *lead: at(lead), key)
+        return first_witness([least], lambda *index: table[index], key)
+
     def bracket_basis(self, i: int, j: int) -> FrameVector:
         return FrameVector(tuple(self.c[i][j][k] for k in range(self.dim)))
 
@@ -389,7 +405,9 @@ class FrameManifold:
         """Check antisymmetry of the structure constants and the Jacobi identity.
 
         The antisymmetry residual is symmetric in (i, j), so scanning i <= j
-        finds the same first witness as the full row-major scan.  The Jacobi
+        finds the same first witness as the full row-major scan, and it
+        visits only the triples (i, j, k) that [E_i, E_j] or [E_j, E_i]
+        names; every other residual is 0 + 0.  The Jacobi
         scan skips a triple (i, j, k) none of whose cyclic terms composes two
         live brackets, there being no q with c_ab^q and [E_q, E_c] both
         nonzero: each of its components is a sum of products with a zero
@@ -404,7 +422,14 @@ class FrameManifold:
         report.graded(
             "frame.bracket_antisymmetry",
             first_witness(
-                ((i, j, k) for i in idx for j in range(i, self.dim) for k in idx),
+                (
+                    (i, j, k)
+                    for i in idx
+                    for j in range(i, self.dim)
+                    if live[i][j] or live[j][i]
+                    for k in idx
+                    if c[i][j][k].terms or c[j][i][k].terms
+                ),
                 lambda i, j, k: c[i][j][k] + c[j][i][k],
             ),
         )

@@ -16,6 +16,7 @@ exact combination of sparse templates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Mapping, Sequence
 
 from .scalars import Scalar, exact_div
@@ -107,7 +108,7 @@ def exact_fit(
     pivot rows; back-substitution solves every pivot row exactly
     (``exact_div``), free columns at 1 included, and the polynomial ring
     has no zero divisors."""
-    zero, width = Scalar.zero(params), len(templates) + 1
+    zero, width, terms = Scalar.zero(params), len(templates) + 1, attrgetter("terms")
     # index -> the templates' coefficients, then the target's value
     rows: dict = {}
     for c, table in enumerate((*templates, target)):
@@ -118,8 +119,8 @@ def exact_fit(
     # twins are keyed on the terms, since every Scalar here has the same params
     twins: dict = {}
     for i in sorted(rows):
-        *row, b = rows[i]
-        twins.setdefault(tuple(v.terms for v in rows[i]), (row, b))
+        row = rows[i]
+        twins.setdefault(tuple(map(terms, row)), (row[:-1], row[-1]))
     if not twins:
         return None
     return solve_linear([row for row, _ in twins.values()], [b for _, b in twins.values()], params)

@@ -50,12 +50,15 @@ is built whole, except three whose witness often comes early on a dense
 input (the eta contraction, the phi-flatness test and the self-action
 obstruction): those are generators of tables split by their leading
 indices, built up to the first that holds an entry
-(``tables.first_nonempty``).  Only ``nkappa.h_square`` and the structural
-layer are evaluated per basis tuple; the structural layer reads only the
-nonzero entries of eta, xi, phi, h and the brackets at each tuple, and stops
-at the first witness, which a dense failing input reaches early.  Every
-endomorphism a run derives (h, phi h, phi^2, I + h, phi + phi h, nabla phi
-and nabla h of both connections, Z(xi, E_i)) is the table of its nonzero
+(``tables.first_nonempty``).  ``nkappa.h_square`` reads its table in
+column-major order.  The structural layer's phi, eta and xi axioms are
+residual tables too; its other checks are evaluated per basis tuple, in
+scan order, over the tuples some nonzero entry of eta, phi, h or the
+brackets names, and stop at the first witness, which a dense failing input
+reaches early.  nabla phi and nabla h of both connections are one table
+each, keyed (i, j, p) (``Connection.derivative_table``), read by
+``Instance.derivatives``.  Every other endomorphism a run derives (h,
+phi h, phi^2, I + h, phi + phi h, Z(xi, E_i)) is the table of its nonzero
 entries (``frames.Endomorphism``), built from products and sums of tables,
 and so is every form (g(hE_i, phi E_j), g(E_i + hE_i, phi E_j) and both
 Ricci forms, ``curvature.BilinearForm``); the rows' products read those
@@ -105,8 +108,8 @@ from .curvature import (
     _sasakian_orientation, _scalar_curvature_value, _xi_covariant_derivative,
     _xi_covariant_derivative_reference, levi_civita, ricci, riemann,
 )
-from .frames import Endomorphism, FrameManifold, FrameVector, endomorphisms
-from .report import FAILS, NOT_APPLICABLE, Check, Row, VerificationReport, first_witness, grade_rows
+from .frames import Endomorphism, FrameManifold, endomorphisms
+from .report import FAILS, NOT_APPLICABLE, Check, Row, VerificationReport, grade_rows
 from .scalars import Scalar
 from .tables import Product, Table, sum_table
 from .tanaka_webster import (
@@ -155,19 +158,17 @@ class Instance:
         last in each key."""
         return self.table_scan(sum_table(self.m.params, chain(*products)), vector)
 
-    def table_scan(self, table: Table, vector: bool = True, key: str = "residual") -> dict | None:
-        """The witness a row-major scan of every basis tuple would give, read
-        from a table of nonzero residuals: its least index, with the value
-        there, or None when the table is empty.  A vector residual puts its
-        component last in the index, and its witness is the least leading
-        indices, with the frame vector there (``vector_at``)."""
-        if not table:
-            return None
-        least = min(table)
-        if vector:
-            at = self.vector_at(table)
-            return first_witness([least[:-1]], lambda *lead: at(lead), key)
-        return first_witness([least], lambda *index: table[index], key)
+    def table_scan(
+        self,
+        table: Table,
+        vector: bool = True,
+        key: str = "residual",
+        order: Callable | None = None,
+    ) -> dict | None:
+        """The witness of a table of nonzero residuals
+        (``FrameManifold.table_witness``): the one place a row hands over its
+        table."""
+        return self.m.table_witness(table, vector, key, order)
 
     def kept(self, build: Callable[["Instance"], Table]) -> Table:
         """The table ``build(self)``, built once: for a table that two rows
@@ -195,12 +196,6 @@ class Instance:
     # residual, p the component of the residual at (E_i, E_j), over the
     # nonzero entries of its operands.
 
-    def vector_at(self, table: Table) -> Callable[[tuple[int, ...]], FrameVector]:
-        """index -> the frame vector at index of a vector residual table, the
-        component last in each key."""
-        zero, idx = Scalar.zero(self.m.params), range(self.m.dim)
-        return lambda index: FrameVector(tuple(table.get((*index, p), zero) for p in idx))
-
     def xi_derivative(self, conn: Connection, *plus: Endomorphism) -> Iterator[Product]:
         """nabla_{E_i} xi plus A E_i for each A in ``plus``, keyed (i, p): the
         products xi^j Gamma_ij^p and A^p_i over the nonzero entries."""
@@ -216,14 +211,10 @@ class Instance:
         )
 
     @staticmethod
-    def derivatives(endos: Sequence[Endomorphism], c: Scalar) -> Iterator[Product]:
-        """c A_i E_j over the nonzero entries A_i^p_j of each A_i = endos[i]."""
-        return (
-            ((i, j, p), a, c)
-            for i, e in enumerate(endos)
-            for j, col in enumerate(e.sparse_columns)
-            for p, a in col
-        )
+    def derivatives(table: Table, c: Scalar) -> Iterator[Product]:
+        """c (nabla_{E_i} A)E_j over the nonzero entries of a derivative table
+        keyed (i, j, p) (``Connection.derivative_table``)."""
+        return ((index, v, c) for index, v in table.items())
 
     def along_xi(self, entries: Entries, c: Scalar, transpose: bool = False) -> Iterator[Product]:
         """a_ij c xi over the entries ((i, j), a_ij) of a form (keyed (j, i)
@@ -410,9 +401,9 @@ class Instance:
         return detect_kappa(self.m, self.s, self.r)
 
     @cached_property
-    def dphi_lc(self) -> tuple[Endomorphism, ...]:
-        """nabla_{E_i} phi for every frame index."""
-        return tuple(self.lc.derivative_endo(i, self.s.phi) for i in range(self.m.dim))
+    def dphi_lc(self) -> Table:
+        """nabla phi, keyed (i, j, p) (``Connection.derivative_table``)."""
+        return self.lc.derivative_table(self.s.phi)
 
     @cached_property
     def classification(self) -> StructureClass:
@@ -453,14 +444,12 @@ class Instance:
         return ""
 
     @cached_property
-    def dphi_gtw(self) -> tuple[Endomorphism, ...]:
-        conn = self.pkg.conn
-        return tuple(conn.derivative_endo(i, self.s.phi) for i in range(self.m.dim))
+    def dphi_gtw(self) -> Table:
+        return self.pkg.conn.derivative_table(self.s.phi)
 
     @cached_property
-    def dh_gtw(self) -> tuple[Endomorphism, ...]:
-        conn = self.pkg.conn
-        return tuple(conn.derivative_endo(i, self.h) for i in range(self.m.dim))
+    def dh_gtw(self) -> Table:
+        return self.pkg.conn.derivative_table(self.h)
 
     @cached_property
     def z(self) -> ConcircularTensor:

@@ -16,7 +16,7 @@ matrix products with ``sum_table`` too.
 
 Every entry of such a table is nonzero, so the witness a row-major scan of
 every basis tuple would give is the table's least index, with the value
-there (``suite.Instance.table_scan``); a vector residual's witness is its
+there (``FrameManifold.table_witness``); a vector residual's witness is its
 least leading indices, with the frame vector there.  A residual whose
 witness often comes early on a dense input is built lazily instead, as a
 generator of tables split by their leading indices, in increasing order:

@@ -365,7 +365,7 @@ def _curvature_closed_form_crosscheck(report, name, x):
         "reference variant with a sum in the final bracket, re-evaluated per "
         "basis triple; the verdict is data, not a pass condition",
     )
-    report.crosscheck(name, m.dim**3, {t[:-1] for t in table}, x.vector_at(table), notes)
+    report.crosscheck(name, m.dim**3, {t[:-1] for t in table}, m.vector_at(table), notes)
 
 
 # the nonzero entries (a, b, value) of 2 phi_ab and -2 phi_ab, with phi_ab =
@@ -438,7 +438,7 @@ def _cyclic_sum_crosscheck(report, name, x):
         "cyclic sum of the curvature against the quoted h-expression; on this "
         "family both sides may vanish identically even though xi is not Killing",
     )
-    report.crosscheck(name, x.m.dim**3, {t[:-1] for t in table}, x.vector_at(table), notes)
+    report.crosscheck(name, x.m.dim**3, {t[:-1] for t in table}, x.m.vector_at(table), notes)
 
 
 # -- Ricci and scalar curvature ---------------------------------------------------
@@ -558,11 +558,9 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
     eta = [(a, c) for a, c in enumerate(s.eta.components) if c.terms]
     xi = [(a, c) for a, c in enumerate(s.xi.components) if c.terms]
 
-    # R1_ijk^l = g_jk delta_il - g_ik delta_jl
-    r1 = chain(
-        (((i, j, k, i), g_jk, one) for j, k, g_jk in g for i in idx),
-        (((i, j, k, j), -g_ik, one) for i, k, g_ik in g for j in idx),
-    )
+    # R1_ijk^l = g_jk delta_il - g_ik delta_jl: R1_ijj^i = 1, R1_iji^j = -1, i != j
+    r1 = dict.fromkeys(((i, j, j, i) for j in idx for i in idx if i != j), one)
+    r1.update(dict.fromkeys(((i, j, i, j) for i in idx for j in idx if i != j), -one))
     # R2_ijk^l = phi_ki phi_jl - phi_kj phi_il + 2 phi_ji phi_kl
     r2 = chain(
         (((i, j, k, l), p_ki, p_jl) for k, i, p_ki in phi for j, l, p_jl in phi),
@@ -576,7 +574,8 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
         (((i, j, k, l), g_ik * e_j, x_l) for i, k, g_ik in g for j, e_j in eta for l, x_l in xi),
         (((i, j, k, l), -(g_jk * e_i), x_l) for j, k, g_jk in g for i, e_i in eta for l, x_l in xi),
     )
-    return tuple(Curvature4Tensor(m.dim, m.params, sum_table(m.params, t)) for t in (r1, r2, r3))
+    tables = (r1, sum_table(m.params, r2), sum_table(m.params, r3))
+    return tuple(Curvature4Tensor(m.dim, m.params, t) for t in tables)
 
 
 def gssf_decompose(

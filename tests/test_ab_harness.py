@@ -138,7 +138,8 @@ def test_ab_detects_a_slower_layer(tmp_path):
     assert run.returncode == 0, run.stdout + run.stderr
     rows = _rows(run.stdout)
     assert set(rows) - set(COUNTS) == {
-        "request", "load", "emit", "levi_civita", "riemann", "detect_kappa",
+        "request", "load", "emit", "validate_frame", "validate_acm", "h_property_checks",
+        "levi_civita", "riemann", "detect_kappa",
         "build_gtw_package", "concircular",
         "verify_nkappa_suite", "verify_gtw_suite", "verify_concircular_suite",
     }
@@ -271,3 +272,18 @@ def test_layers_run_with_the_collector_off_and_restore_it(monkeypatch, enabled):
         assert (set(seen), len(seen), gc.isenabled()) == ({enabled}, 2, enabled)
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(("case", "gated"), [("random5", True), ("H5", False)])
+def test_layers_time_the_structural_layer_on_every_input(case, gated):
+    """``Tree.layers`` times ``validate_frame``, ``validate_acm`` and
+    ``h_property_checks`` on the gated random5 as on H^5, and the derived
+    layers only on H^5."""
+    ab = _load_ab()
+    tree = ab.Tree(ab.load_tree("cf_structural_probe", SRC))
+    (text,) = ab.cases(tree.cf)[case]
+    seconds = tree.layers(text)
+    assert set(ab.STRUCTURAL_LAYERS) == {"validate_frame", "validate_acm", "h_property_checks"}
+    assert all(seconds[name] > 0 for name in ab.STRUCTURAL_LAYERS)
+    assert (set(seconds) == set(ab.STRUCTURAL_LAYERS)) == gated
+    assert set(seconds) <= set(ab.LAYERS)

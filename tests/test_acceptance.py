@@ -47,7 +47,7 @@ def test_criterion_1_golden_torsionful_tables(fam):
     e = m.basis
     two = Scalar.constant(m.params, 2)
     ok = True
-    conn, curv = fam.vector_at(fam.pkg.conn.table), fam.vector_at(fam.pkg.curv.table)
+    conn, curv = fam.m.vector_at(fam.pkg.conn.table), fam.m.vector_at(fam.pkg.curv.table)
     # connection table: exactly two nonzero derivatives, parameter-free
     for i in range(3):
         for j in range(3):
@@ -86,7 +86,7 @@ def test_criterion_1_golden_torsionful_tables(fam):
 
 
 def test_criterion_2_levi_civita_and_nullity_constant(fam):
-    m, lc = fam.m, fam.vector_at(fam.lc.table)
+    m, lc = fam.m, fam.m.vector_at(fam.lc.table)
     lam = _lam(m)
     one = Scalar.one(m.params)
     e = m.basis
@@ -169,9 +169,9 @@ def test_criterion_4_space_form_coefficients_all_one(fam0):
     checked by substitution into the template on all basis triples, so the
     verdict does not rest on the linear solver.
     """
-    m, curv = fam0.m, fam0.vector_at(fam0.pkg.curv.table)  # (i, j, k) -> R(E_i, E_j)E_k
+    m, curv = fam0.m, fam0.m.vector_at(fam0.pkg.curv.table)  # (i, j, k) -> R(E_i, E_j)E_k
     n, e, c = m.n, m.basis, m.constant
-    templates = [fam0.vector_at(t.table) for t in fam0.templates]
+    templates = [fam0.m.vector_at(t.table) for t in fam0.templates]
 
     def template(coeffs, i, j, k):
         t1, t2, t3 = (t((i, j, k)) for t in templates)

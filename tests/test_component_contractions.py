@@ -201,14 +201,14 @@ def test_xi_contraction_matches_the_trilinear_apply(x, xi_at):
         assert table == want, xi_at
 
 
-def test_derivative_endo_matches_the_column_formula(x):
+def test_derivative_table_matches_the_column_formula(x):
     m = x.m
     for (name, conn), a in product((("lc", x.lc), ("gtw", x.pkg.conn)), (x.s.phi, x.h)):
+        got = m.vector_at(conn.derivative_table(a))
         for i in range(m.dim):
-            got = conn.derivative_endo(i, a)
             for j in range(m.dim):
                 want = derivative(conn, i, column(a, j)) - a.apply(derivative(conn, i, m.basis(j)))
-                assert column(got, j) == want, (name, i, j)
+                assert got((i, j)) == want, (name, i, j)
 
 
 def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
@@ -233,7 +233,7 @@ def test_closed_form_table_and_r1_xi_match_the_vector_forms(x):
         assert x.h_phi.get((i, j), m.zero_scalar()) == inner(m, column(x.h, i), column(phi, j))
         assert x.xh_phi.get((i, j), m.zero_scalar()) == inner(m, xh[i], column(phi, j)), (i, j)
     table = x.kept(closed_form_table)
-    curv, r, r3 = (x.vector_at(t.table) for t in (x.pkg.curv, x.r, r3))
+    curv, r, r3 = (x.m.vector_at(t.table) for t in (x.pkg.curv, x.r, r3))
     for i, j, k in product(range(m.dim), repeat=3):
         bracket = v[j].components[i] - v[i].components[j]
         want = (
@@ -322,7 +322,8 @@ def _dense_vector_residuals(x: Instance) -> dict:
     xh = [e[i] + column(h, i) for i in idx]
     v = [column(phi, i) + column(phi_h, i) for i in idx]
     kappa_minus_1 = x.kappa - m.one_scalar()
-    dh = [x.lc.derivative_endo(i, h) for i in idx]
+    dh = m.vector_at(x.lc.derivative_table(h))
+    dphi_lc, dphi_gtw, dh_gtw = (m.vector_at(t) for t in (x.dphi_lc, x.dphi_gtw, x.dh_gtw))
     conn = x.pkg.conn
 
     def r1_xi(i: int, j: int) -> FrameVector:
@@ -347,25 +348,25 @@ def _dense_vector_residuals(x: Instance) -> dict:
             1, lambda i: derivative(x.lc, i, xi) + column(phi, i) + column(h, i)
         ),
         "nkappa.phi_covariant_derivative": (
-            2, lambda i, j: column(x.dphi_lc[i], j) - r1_xi(i, j)
+            2, lambda i, j: dphi_lc((i, j)) - r1_xi(i, j)
         ),
         "nkappa.h_covariant_derivative": (
             2,
-            lambda i, j: column(dh[i], j)
+            lambda i, j: dh((i, j))
             + xi.scale(kappa_minus_1 * g(e[i], column(phi, j)) - g(column(h, i), column(phi, j)))
             - h.apply(v[i]).scale(eta[j]),
         ),
         "gtw.xi_parallel": (1, lambda i: derivative(conn, i, xi)),
         "gtw.phi_derivative_relation": (
-            2, lambda i, j: column(x.dphi_gtw[i], j) - column(x.dphi_lc[i], j) + r1_xi(i, j)
+            2, lambda i, j: dphi_gtw((i, j)) - dphi_lc((i, j)) + r1_xi(i, j)
         ),
-        "gtw.phi_parallel": (2, lambda i, j: column(x.dphi_gtw[i], j)),
+        "gtw.phi_parallel": (2, lambda i, j: dphi_gtw((i, j))),
         "gtw.h_derivative_relation": (
-            2, lambda i, j: column(x.dh_gtw[i], j) - column(phi_h, j).scale(eta[i]).scale(2)
+            2, lambda i, j: dh_gtw((i, j)) - column(phi_h, j).scale(eta[i]).scale(2)
         ),
         "gtw.h_derivative_relation_reference_form": (
             2,
-            lambda i, j: column(x.dh_gtw[i], j)
+            lambda i, j: dh_gtw((i, j))
             - xi.scale(kappa_minus_1 * g(column(phi, i), e[j]) + g(column(h, i), column(phi, j)))
             - v[j].scale(eta[i]),
         ),
@@ -383,7 +384,7 @@ def _dense_is_sasakian(x: Instance) -> bool:
     return (
         first_witness(
             product(range(m.dim), repeat=2),
-            lambda i, j: column(x.dphi_lc[i], j)
+            lambda i, j: m.vector_at(x.dphi_lc)((i, j))
             - x.s.xi.scale(inner_basis(m, i, j))
             + m.basis(i).scale(eta[j]),
         )
@@ -430,11 +431,14 @@ def test_sasakian_test_on_gated_inputs(name):
     assert x.classification.is_Sasakian == _dense_is_sasakian(x)
 
 
-def _bumped(endos: tuple[Endomorphism, ...], i: int, p: int, j: int) -> tuple:
-    """A copy of the endomorphisms with 1 added to entry (p, j) of endos[i]."""
-    a = [list(row) for row in endos[i].matrix]
-    a[p][j] = a[p][j] + Scalar.one(a[p][j].params)
-    return endos[:i] + (Endomorphism(tuple(map(tuple, a))),) + endos[i + 1 :]
+def _bumped(x: Instance, table: dict, index: tuple[int, int, int]) -> dict:
+    """A copy of a derivative table with 1 added to its entry at index
+    (i, j, p), the entry dropped when the sum is zero."""
+    value = table.get(index, x.m.zero_scalar()) + x.m.one_scalar()
+    bumped = {k: v for k, v in table.items() if k != index}
+    if value.terms:
+        bumped[index] = value
+    return bumped
 
 
 def _overridden(name: str, prop: str) -> Instance:
@@ -448,9 +452,9 @@ def _overridden(name: str, prop: str) -> Instance:
     x = _build(name)
     x.kappa, x.pkg
     if prop == "dphi_lc":
-        x.__dict__["dphi_lc"] = _bumped(x.dphi_lc, 1, 0, 2)
+        x.__dict__["dphi_lc"] = _bumped(x, x.dphi_lc, (1, 2, 0))
     elif prop == "dh_gtw":
-        x.__dict__["dh_gtw"] = _bumped(x.dh_gtw, 2, 1, 0)
+        x.__dict__["dh_gtw"] = _bumped(x, x.dh_gtw, (2, 0, 1))
     elif prop == "kappa":
         x.__dict__["kappa"] = x.kappa + x.m.one_scalar()
     elif prop == "lc":

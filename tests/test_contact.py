@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import residual_reference as ref
+import vector_reference as vr
 from contactframe import (
     AlmostContactData,
     Instance,
@@ -222,3 +223,62 @@ def test_detect_kappa_matches_the_cross_multiplication_on_drawn_frames(ms):
     m, s = ms
     r = Instance(m, s).r
     assert detect_kappa(m, s, r) == ref.detect_kappa(m, s, r)
+
+
+BUMPS = st.sampled_from((-1, 1, 2, Fraction(1, 2), -3))
+# zero weighs most, so a drawn frame is dense but not full
+ENTRY = st.sampled_from((0, 0, 0, -1, 1, 2, Fraction(1, 2)))
+
+
+@st.composite
+def perturbed_heisenberg(draw):
+    """H^3 or H^5 with a few entries of phi, xi and eta moved by a constant."""
+    entry = make_heisenberg(draw(st.sampled_from([1, 2])))
+    m, s = entry.manifold, entry.structure
+    at = st.sampled_from(range(m.dim))
+    phi = [list(row) for row in s.phi.matrix]
+    for p, j, v in draw(st.lists(st.tuples(at, at, BUMPS), max_size=3)):
+        phi[p][j] = phi[p][j] + m.constant(v)
+    vectors = []
+    for vector in (s.xi, s.eta):
+        components = list(vector.components)
+        for k, v in draw(st.lists(st.tuples(at, BUMPS), max_size=2)):
+            components[k] = components[k] + m.constant(v)
+        vectors.append(FrameVector(tuple(components)))
+    return m, AlmostContactData(Endomorphism(tuple(map(tuple, phi))), *vectors)
+
+
+@st.composite
+def dense_structures(draw):
+    """Dense drawn brackets in dimension 3 or 5, antisymmetric through
+    ``from_pairs`` or drawn whole, with dense drawn phi, xi and eta."""
+    dim, params = draw(st.sampled_from([3, 5])), ()
+    idx = range(dim)
+
+    def entry() -> Scalar:
+        return Scalar.constant(params, draw(ENTRY))
+
+    if draw(st.booleans()):
+        m = FrameManifold.from_pairs(
+            dim, params, {(i, j, k): entry() for i in idx for j in idx if i < j for k in idx}
+        )
+    else:
+        planes = tuple(tuple(tuple(entry() for _ in idx) for _ in idx) for _ in idx)
+        m = FrameManifold(dim, params, planes)
+    phi = Endomorphism(tuple(tuple(entry() for _ in idx) for _ in idx))
+    xi, eta = (FrameVector(tuple(entry() for _ in idx)) for _ in range(2))
+    return m, AlmostContactData(phi, xi, eta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(perturbed_heisenberg(), dense_structures()))
+def test_structural_witnesses_are_the_dense_scans(ms):
+    """The bracket antisymmetry, every acm.* matrix law and both h laws give
+    the witness of a dense scan of every basis tuple in scan order
+    (``vector_reference.structural_witnesses``), although the engine reads
+    residual tables or visits only the tuples some nonzero entry names."""
+    m, s = ms
+    x = Instance(m, s)
+    report = x.structural_report
+    for name, want in vr.structural_witnesses(m, s, x.h).items():
+        assert report.by_name(name).witness == want, name

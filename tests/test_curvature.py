@@ -32,7 +32,7 @@ def _lam(m):
 
 def test_connection_table_symbolic(fam):
     """The full covariant-derivative table of the frame family."""
-    m, at = fam.m, fam.vector_at(fam.lc.table)
+    m, at = fam.m, fam.m.vector_at(fam.lc.table)
     lam = _lam(m)
     one = Scalar.one(m.params)
     e = m.basis
@@ -57,7 +57,7 @@ def test_metric_is_parallel(fam):
 
 
 def test_riemann_golden_values(fam):
-    m, at = fam.m, fam.vector_at(fam.r.table)
+    m, at = fam.m, fam.m.vector_at(fam.r.table)
     lam = _lam(m)
     one = Scalar.one(m.params)
     e = m.basis

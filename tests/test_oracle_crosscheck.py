@@ -38,7 +38,7 @@ def test_engine_matches_sympy_oracle(fam):
     d = oracle.build_all()
     idx = range(fam.m.dim)
     pairs = []
-    lc_at, gtw_at = fam.vector_at(fam.lc.table), fam.vector_at(fam.pkg.conn.table)
+    lc_at, gtw_at = fam.m.vector_at(fam.lc.table), fam.m.vector_at(fam.pkg.conn.table)
     for i, j, k in product(idx, repeat=3):
         lc, gtw = lc_at((i, j)), gtw_at((i, j))
         pairs.append((f"lc_gamma{i, j, k}", lc.components[k], d["gamma"][i][j][k]))

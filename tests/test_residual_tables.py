@@ -93,7 +93,7 @@ def _tables_read(x: Instance, name: str) -> dict:
 # an engine table of a vector residual is keyed with the component last
 def _cases(x: Instance) -> list:
     def vec(table: dict) -> dict:
-        at = x.vector_at(table)
+        at = x.m.vector_at(table)
         return {lead: at(lead) for lead in {index[:-1] for index in table}}
 
     def read(name: str, arity, residual) -> tuple:

@@ -160,7 +160,7 @@ def _count_calls(monkeypatch) -> dict[str, int]:
     for cls, name in (
         (FrameManifold, "lie_derive_endo"),
         (Endomorphism, "compose"),
-        (Connection, "derivative_endo"),
+        (Connection, "derivative_table"),
         (Curvature4Tensor, "_contract_xi"),
     ):
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
@@ -180,12 +180,16 @@ def test_heisenberg_run_computes_each_layer_once(monkeypatch):
         "riemann": 2,
         # the Levi-Civita and the torsionful Ricci forms
         "ricci": 2,
-        # phi^2 and h^2 (each built once, ``Endomorphism.square``) and the
-        # instance's phi h; the h laws read h phi + phi h entry by entry
-        "compose": 3,
+        # phi^2 (built once, ``Endomorphism.square``, for the concircular phi^2
+        # variant) and the instance's phi h; the phi axioms, the h laws and
+        # h^2 = (kappa - 1) phi^2 sum their residual tables from the nonzero
+        # entries, so neither validate_acm nor the h^2 row composes (3 when
+        # both phi^2 and h^2 were products)
+        "compose": 2,
         # nabla phi (Levi-Civita), nabla h (Levi-Civita), nabla phi and
-        # nabla h (torsionful), one per frame index each
-        "derivative_endo": 4 * m.dim,
+        # nabla h (torsionful), one table over every frame index each (4 dim
+        # commutators, one per index, before)
+        "derivative_table": 4,
         # R1, R2, R3, shared by the nullity, torsionful and concircular sections
         "space_form_templates": 1,
         # the xi-contractions (Curvature4Tensor.xi_table), each built once: R and
@@ -280,8 +284,8 @@ def test_heisenberg_run_work_counts():
     (nabla xi, nabla phi, nabla h, the torsion forms and the Sasakian test),
     are tables built from the nonzero entries of their operands, each
     xi-contraction is built once per tensor and slot pattern (``Curvature4Tensor.xi_table``), the
-    endomorphism products (nabla A and L_xi A) are commutators
-    (``Endomorphism.commutator``), and kappa, the space-form and the
+    endomorphism derivatives (nabla A and L_xi A) pair each coefficient with
+    the nonzero entries of A (``Connection.derivative_table``), and kappa, the space-form and the
     eta-Einstein coefficients are one exact fit (``linear.exact_fit``), so a
     sum of products runs only for an index some product names: the run makes
     850 sums of products, 529 of them zero, under the bounds 887 and 555 (the
@@ -316,15 +320,26 @@ def test_heisenberg_run_work_counts():
 @pytest.mark.parametrize(
     ("manifest", "sums", "zero_sums"),
     [
-        ("heisenberg5.json", 577, 265),
-        ("lambda_family.json", 295, 135),
-        ("t1e4.json", 1727, 905),
+        ("heisenberg5.json", 491, 223),
+        ("lambda_family.json", 267, 123),
+        ("t1e4.json", 1551, 825),
     ],
 )
 def test_heisenberg_sum_counts_are_exact(manifest, sums, zero_sums):
     """The counter reaches every module that binds ``sum_table`` by name: a
-    run on H^5 reads exactly 577 sums of products, 265 of them zero, so a
-    binding the counter missed would lower them.  They fell from 602 and 290
+    run on H^5 reads exactly 491 sums of products, 223 of them zero, so a
+    binding the counter missed would lower them.  They fell from 577 and 265
+    when R1 became its closed form (45 sums, 5 zero: R1_ijj^i = 1 and
+    R1_iji^j = -1 for i != j are written, not summed) and the structural
+    layer summed only the tuples its nonzero entries name (41 sums, 37 zero):
+    the phi axioms are three residual tables (eta o phi per column and
+    g(phi E_i, phi E_j) per pair made 30 sums, 26 zero; the tables name 10,
+    all zero), and the contact condition sums d eta only where [E_i, E_j]
+    has a live eta-component (4, none zero, where every pair made 25, 21
+    zero).  The lambda family (295 and 135 before) and T1E4 (1,727 and 905
+    before) fell to 267 and 123, and 1,551 and 825; the covariant
+    derivatives, one table per connection and operand, sum what the dim
+    commutators summed.  They fell from 602 and 290
     when ``acm.h_phi_anticommute`` stopped summing an entry of h phi + phi h
     that no live pair (h_ik, phi^k_j) or (phi_ik, h^k_j) names: h is empty on
     H^5, so each of its 25 entries was a sum with a zero factor in every
@@ -367,11 +382,13 @@ def test_kmu3_fit_stops_at_the_first_contradiction():
     """kmu3 has no single nullity constant: R(X, Y)xi is not of the nullity
     shape.  ``solve_linear`` reduces each distinct equation of the fit
     against the pivot rows found so far and returns at the first that
-    reduces to 0 = nonzero, so a run constructs exactly 53 Scalars (a full
+    reduces to 0 = nonzero, so a run constructs exactly 51 Scalars (53 before
+    R1 was written in closed form with one shared -1 and the phi axioms
+    became residual tables; a full
     elimination of every equation before the contradiction is read made 56,
     and keying the fit's twin equations on Scalars rather than on their
     terms changes no count)."""
-    assert _work_counts("kmu3.json")["scalars"] == 53
+    assert _work_counts("kmu3.json")["scalars"] == 51
 
 
 def test_runs_build_dense_endomorphism_views_only_for_dense_readers(monkeypatch):
@@ -418,22 +435,24 @@ def test_heisenberg9_report_size():
 
 def test_gated_run_work_counts():
     """On the gated dense frame no derived section runs and neither the
-    connection nor its curvature is built: one run makes 59 sums of products,
-    all in the structural layer, under the bound 62 (the measured count plus
-    5%; 64 when ``acm.h_phi_anticommute`` summed entries that no live pair
+    connection nor its curvature is built: one run makes 34 sums of products,
+    all in the structural layer, under the bound 36 (the measured count plus
+    5%; 59 while the phi axioms, the contact condition and the bracket
+    antisymmetry visited every tuple, under the bound 62; 64 when
+    ``acm.h_phi_anticommute`` summed entries that no live pair
     names, 96 before the structural layer read only nonzero entries, under
     the bound 100; a dense Lie-derivative kernel for h takes 127, building both tensors
     up front 410, a second set of frame images in ``validate_acm`` 231, one
     set of frame images that nothing reads 201, and composing h phi and
-    phi h in full before the h laws scan 171).  It constructs 45 Scalars,
-    under the bound 47 (the measured count plus 5%; 54 before the structural
+    phi h in full before the h laws scan 171).  It constructs 44 Scalars,
+    under the bound 47 (45 before the phi axioms became tables; 54 before the structural
     layer read only nonzero entries, under the bound 56; one
     ``Scalar.sum_of_products`` per table index, with no one-term paths in the
     Scalar ring, made 79, under the bound 83; halving every entry of L_xi phi rather than phi's
     nonzero entries, and a fresh 1 per ``one_scalar()`` call, make 103; a
     new zero per zero result 390)."""
     counts = _work_counts("random5.json")
-    assert counts["sum_of_products"] <= 62
+    assert counts["sum_of_products"] <= 36
     assert counts["scalars"] <= 47
 
 
@@ -443,10 +462,11 @@ def test_gated_run_computes_each_layer_once(monkeypatch):
     run_suite(m, s, "all")
     assert counts["validate_acm"] == 1
     assert counts["lie_derive_endo"] == 1
-    # phi^2 in validate_acm only: the h laws compose nothing, and there is no
-    # instance phi h
-    assert counts["compose"] == 1
-    assert "ricci" not in counts and "derivative_endo" not in counts
+    # validate_acm sums its phi^2 residual from phi's entries and the h laws
+    # compose nothing, and there is no instance phi h (phi^2 was composed
+    # once before)
+    assert "compose" not in counts
+    assert "ricci" not in counts and "derivative_table" not in counts
     # every derived section is gated and acm fails, so neither the connection
     # nor kappa is read, and the model tensors are never built
     assert "levi_civita" not in counts and "riemann" not in counts

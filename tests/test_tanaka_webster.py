@@ -24,7 +24,7 @@ def _lam(m):
 
 def test_connection_table(fam):
     """Only two covariant derivatives survive, and they are parameter-free."""
-    m, at = fam.m, fam.vector_at(fam.pkg.conn.table)
+    m, at = fam.m, fam.m.vector_at(fam.pkg.conn.table)
     e = m.basis
     for i in range(3):
         for j in range(3):
@@ -46,7 +46,7 @@ def test_torsion_table(fam):
     lam = _lam(m)
     two = Scalar.constant(m.params, 2)
     e = m.basis
-    at = fam.vector_at(fam.pkg.torsion)
+    at = fam.m.vector_at(fam.pkg.torsion)
     expected = {
         (0, 1): -e(2).scale(lam),
         (0, 2): -e(1).scale(lam),
@@ -68,7 +68,7 @@ def test_curvature_table(fam):
     """R(E2,E3)E2 = -2 E3 and R(E2,E3)E3 = 2 E2 are the only nonzero values
 
     up to antisymmetry in the first pair, independent of the parameter."""
-    m, at = fam.m, fam.vector_at(fam.pkg.curv.table)
+    m, at = fam.m, fam.m.vector_at(fam.pkg.curv.table)
     two = Scalar.constant(m.params, 2)
     e = m.basis
     for i in range(3):
@@ -221,8 +221,8 @@ def test_all_ones_is_not_a_solution(fam):
 
     nonzero residual against the computed curvature, so the solver's
     (1, 1/3, 1) answer is not an artifact of the free column."""
-    m, curv = fam.m, fam.vector_at(fam.pkg.curv.table)
-    templates = [fam.vector_at(t.table) for t in fam.templates]
+    m, curv = fam.m, fam.m.vector_at(fam.pkg.curv.table)
+    templates = [fam.m.vector_at(t.table) for t in fam.templates]
     one = m.one_scalar()
     bad = None
     for i in range(3):

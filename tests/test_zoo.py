@@ -101,7 +101,7 @@ def _deformed(m: FrameManifold, s: AlmostContactData, r: Fraction):
 
 def _nullity_fails(x: Instance, kappa: Scalar, mu: Scalar) -> list[int]:
     """The horizontal p where R(E_p, xi)xi != kappa E_p + mu hE_p."""
-    m, r = x.m, x.vector_at(x.r.table)
+    m, r = x.m, x.m.vector_at(x.r.table)
     return [
         p
         for p in range(1, m.dim)

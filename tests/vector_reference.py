@@ -11,6 +11,7 @@ tables and derived tables to them on every basis tuple."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from contactframe import (
     AlmostContactData,
@@ -22,6 +23,7 @@ from contactframe import (
     FrameVector,
     Scalar,
 )
+from contactframe.report import first_witness
 
 
 def bracket(m: FrameManifold, x: FrameVector, y: FrameVector) -> FrameVector:
@@ -235,3 +237,47 @@ def dense_ricci(m: FrameManifold, gamma: list) -> list:
 def nonzero(rows: list) -> dict:
     """The nonzero entries ((a, b), rows[a][b]) of dense rows."""
     return {(a, b): v for a, row in enumerate(rows) for b, v in enumerate(row) if v.terms}
+
+
+def structural_witnesses(m: FrameManifold, s: AlmostContactData, h: Endomorphism) -> dict:
+    """Check name -> the witness of a dense scan of every basis tuple, for
+    the structural layer's per-tuple checks: the bracket antisymmetry and the
+    phi, eta and contact laws row-major, the h laws column-major (``first_witness``
+    in the engine's scan order), each residual with frame-vector arithmetic,
+    ``inner`` and the dense ``matrix`` views; d eta(E_i, E_j) is
+    -1/2 eta([E_i, E_j])."""
+    idx, eta = range(m.dim), s.eta.components
+    e, phi_e = [m.basis(i) for i in idx], columns(s.phi)
+    h_rows, phi_rows = h.matrix, s.phi.matrix
+    anticommutator = [
+        [x + y for x, y in zip(a, b)]
+        for a, b in zip(matmul(h_rows, phi_rows), matmul(phi_rows, h_rows))
+    ]
+    pairs, by_column = list(product(idx, repeat=2)), [(i, j) for j in idx for i in idx]
+
+    def d_eta(i: int, j: int) -> Scalar:
+        return inner(m, s.eta, bracket(m, e[i], e[j])).scale(Fraction(-1, 2))
+
+    return {
+        "frame.bracket_antisymmetry": first_witness(
+            product(idx, repeat=3), lambda i, j, k: m.c[i][j][k] + m.c[j][i][k]
+        ),
+        "acm.eta_after_phi": first_witness(
+            product(idx, repeat=1), lambda i: inner(m, s.eta, phi_e[i])
+        ),
+        "acm.phi_square": first_witness(
+            product(idx, repeat=1), lambda j: s.phi.apply(phi_e[j]) + e[j] - s.xi.scale(eta[j])
+        ),
+        "acm.phi_metric_compatibility": first_witness(
+            pairs,
+            lambda i, j: inner(m, phi_e[i], phi_e[j]) - inner_basis(m, i, j) + eta[i] * eta[j],
+        ),
+        "acm.contact_condition": first_witness(
+            pairs, lambda i, j: d_eta(i, j) - inner(m, e[i], phi_e[j])
+        ),
+        "acm.contact_condition_reference_form": first_witness(
+            pairs, lambda i, j: d_eta(i, j) - inner(m, phi_e[i], e[j])
+        ),
+        "acm.h_symmetric": first_witness(by_column, lambda i, j: h_rows[i][j] - h_rows[j][i]),
+        "acm.h_phi_anticommute": first_witness(by_column, lambda i, j: anticommutator[i][j]),
+    }

@@ -14,7 +14,8 @@ byte-identical to a perfbench one (lambda symbolic) runs once, under the
 perfbench name.  ``random_frame_triage`` is its six seeded frames in
 sequence, and every figure of it is summed over the six; each frame is also
 a case of its own, ``random_frame_triage/<label>``, since perfbench gates
-the median request and the sum is dominated by the dimension-7 frames.
+the median request and the sum is dominated by the dimension-7 frames;
+``--only random_frame_triage`` runs the sum and each of the six frames.
 
 Before the timed rounds each tree counts, once per case, the work of one
 ``run_suite("all")`` plus emit on a freshly loaded input (``work_counts``):
@@ -365,13 +366,20 @@ def witness_diff(
     return sorted(names) or None
 
 
+def selected(case: str, only: list[str]) -> bool:
+    """Whether ``--only`` names ``case``: its own name, or the name before its
+    ``/``, so ``random_frame_triage`` also runs each ``random_frame_triage/<label>``."""
+    return case in only or case.partition("/")[0] in only
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="parent revision, or a directory holding contactframe/")
     parser.add_argument("--change", type=Path, default=ROOT / "src",
                         help="directory holding the change's contactframe/ (default: src)")
     parser.add_argument("--rounds", type=int, default=40, help="alternating rounds per case")
-    parser.add_argument("--only", action="append", help="run only this case (repeatable)")
+    parser.add_argument("--only", action="append",
+                        help="run only this case and the cases NAME/... (repeatable)")
     parser.add_argument("--out", type=Path, help="write the figures to this JSON file")
     parser.add_argument("--allow-diff", action="append", default=[], metavar="NAME",
                         help="allow the witness of this check to differ (repeatable)")
@@ -390,14 +398,15 @@ def main(argv: list[str] | None = None) -> int:
             load_tree("cf_change", args.change)
         )
         all_cases = cases(change.cf)
-        unknown = set(args.only or ()) - set(all_cases)
+        known = set(all_cases) | {c.partition("/")[0] for c in all_cases}
+        unknown = set(args.only or ()) - known
         if unknown:
             parser.error(f"unknown case(s) {sorted(unknown)}; known: {list(all_cases)}")
         results, differ = {}, []
         print(f"{'case':40} {'layer or count':24} {'parent':>10} {'change':>10} "
               f"{'ratio':>7} {'iqr':>6} {'wins':>7}   (layers in min us)")
         for name, texts in all_cases.items():
-            if args.only and name not in args.only:
+            if args.only and not selected(name, args.only):
                 continue
             counts = {"parent": parent.counts(texts), "change": change.counts(texts)}
             for key, value in counts["parent"].items():

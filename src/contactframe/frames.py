@@ -407,7 +407,11 @@ class FrameManifold:
         The antisymmetry residual is symmetric in (i, j), so scanning i <= j
         finds the same first witness as the full row-major scan, and it
         visits only the triples (i, j, k) that [E_i, E_j] or [E_j, E_i]
-        names; every other residual is 0 + 0.  The Jacobi
+        names; every other residual is 0 + 0.  A frame holds few distinct
+        coefficient objects, so each residual c_ij^k + c_ji^k is summed once
+        per distinct pair of objects and read back for every later tuple
+        that pairs the same two; the tuples and their order are unchanged,
+        and so is the first witness.  The Jacobi
         scan skips a triple (i, j, k) none of whose cyclic terms composes two
         live brackets, there being no q with c_ab^q and [E_q, E_c] both
         nonzero: each of its components is a sum of products with a zero
@@ -418,6 +422,18 @@ class FrameManifold:
 
         def composes(a: int, b: int, k: int) -> bool:
             return any(live[q][k] for q, _ in live[a][b])
+
+        # one sum per distinct pair of coefficient objects: every object stays
+        # alive in ``c`` for the whole scan, so its id names it
+        sums: dict[tuple[int, int], Scalar] = {}
+
+        def antisymmetry(i: int, j: int, k: int) -> Scalar:
+            a, b = c[i][j][k], c[j][i][k]
+            key = id(a), id(b)
+            value = sums.get(key)
+            if value is None:
+                value = sums[key] = a + b
+            return value
 
         report.graded(
             "frame.bracket_antisymmetry",
@@ -430,7 +446,7 @@ class FrameManifold:
                     for k in idx
                     if c[i][j][k].terms or c[j][i][k].terms
                 ),
-                lambda i, j, k: c[i][j][k] + c[j][i][k],
+                antisymmetry,
             ),
         )
 

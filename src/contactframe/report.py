@@ -251,7 +251,8 @@ def _json(value: Any, pad: str) -> str:
 def _emit_json(report: VerificationReport) -> str:
     """The report as ``json.dumps(..., sort_keys=True, indent=2)`` renders its
     document, written in one pass: a check's four keys are written in their
-    sorted order, and the document holds no floats."""
+    sorted order, its name and status quoted directly (both are str), and
+    the document holds no floats."""
     pad = "      "
     # a gated section gives every row the same notes: each distinct tuple is
     # rendered once
@@ -259,9 +260,9 @@ def _emit_json(report: VerificationReport) -> str:
     checks = [
         "{\n"
         f'{pad}"convention_notes": {notes[c.convention_notes]},\n'
-        f'{pad}"name": {_json(c.name, pad)},\n'
-        f'{pad}"status": {_json(c.status, pad)},\n'
-        f'{pad}"witness": {_json(c.witness, pad)}\n'
+        f'{pad}"name": {_quote(c.name)},\n'
+        f'{pad}"status": {_quote(c.status)},\n'
+        f'{pad}"witness": {"null" if c.witness is None else _json(c.witness, pad)}\n'
         "    }"
         for c in report.checks
     ]

@@ -537,6 +537,13 @@ def _power_terms_bound(base: Terms, exponent: int) -> int:
     return min(comb(n + exponent - 1, exponent), comb(exponent * degree + k, k))
 
 
+@lru_cache(maxsize=64)
+def _variable_monomial(params: tuple[str, ...], name: str) -> Monomial:
+    """The exponent vector of the parameter ``name``; bounded, like
+    ``Scalar.zero``'s cache."""
+    return tuple(int(p == name) for p in params)
+
+
 class _Parser:
     """Recursive descent that evaluates into ``Terms`` dicts, not Scalars.
 
@@ -545,6 +552,10 @@ class _Parser:
     from the final dict.  A dict's length is its Scalar's term count, so the
     budgets are checked where, and read as, they would be on Scalars.
     ``peek`` calls ``skip_ws`` only when the next character is whitespace.
+    A product whose left factor is one constant term (``2*t``, ``-3*t^2``)
+    scales the right factor's terms, the products ``_multiply`` would form,
+    in the same order; a parameter's exponent vector comes from a bounded
+    cache.
     """
 
     def __init__(self, text: str, params: tuple[str, ...]):
@@ -606,7 +617,12 @@ class _Parser:
         value = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            value = self.bounded(_multiply(value, self.factor()))
+            right = self.factor()
+            if len(value) == 1 and self.unit in value:  # a constant scales each term
+                c = value[self.unit]
+                value = self.bounded({mono: c * coeff for mono, coeff in right.items()})
+            else:
+                value = self.bounded(_multiply(value, right))
         return value
 
     def factor(self) -> Terms:
@@ -670,7 +686,7 @@ class _Parser:
                 )
             if self.peek() == "/":
                 raise self.error("division is only defined between integer literals")
-            return {tuple(int(p == name) for p in self.params): 1}
+            return {_variable_monomial(self.params, name): 1}
         raise self.error("expected a number, parameter name, '(' or '-'")
 
     # _integer and _name start where peek() stopped, after any whitespace

@@ -292,10 +292,12 @@ class Instance:
 
     @cached_property
     def h(self) -> Endomorphism:
-        """h = 1/2 L_xi phi: the halving touches the nonzero entries of L_xi phi
-        only, none on a K-contact input; ``structural_report`` grades its
-        laws."""
-        return self.m.lie_derive_endo(self.s.xi, self.s.phi).scale(Fraction(1, 2))
+        """h = L_xi (1/2 phi), which is 1/2 L_xi phi since L_xi is linear: the
+        halving touches phi's nonzero entries (2n units on an adapted frame),
+        not the many-term entries of L_xi phi on a dense frame; the products
+        come in the same order, so the table's keys do too.
+        ``structural_report`` grades its laws."""
+        return self.m.lie_derive_endo(self.s.xi, self.s.phi.scale(Fraction(1, 2)))
 
     @cached_property
     def structural_report(self) -> VerificationReport:

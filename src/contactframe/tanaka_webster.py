@@ -551,9 +551,8 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
         R3(X, Y)Z = eta(X)eta(Z)Y - eta(Y)eta(Z)X + g(X, Z)eta(Y)xi - g(Y, Z)eta(X)xi
     """
     idx, one = range(m.dim), m.one_scalar()
-    # the nonzero entries: g_aa = 1 on the orthonormal frame, phi_ab = g(phi E_a, E_b),
-    # eta_a = eta(E_a) and xi^a
-    g = [(a, a, one) for a in idx]
+    # the nonzero entries: g_ab = delta_ab on the orthonormal frame,
+    # phi_ab = g(phi E_a, E_b), eta_a = eta(E_a) and xi^a
     phi = [(a, b, c) for b, row in enumerate(s.phi.sparse_rows) for a, c in row]
     eta = [(a, c) for a, c in enumerate(s.eta.components) if c.terms]
     xi = [(a, c) for a, c in enumerate(s.xi.components) if c.terms]
@@ -561,18 +560,24 @@ def space_form_templates(m: FrameManifold, s: AlmostContactData) -> tuple[Curvat
     # R1_ijk^l = g_jk delta_il - g_ik delta_jl: R1_ijj^i = 1, R1_iji^j = -1, i != j
     r1 = dict.fromkeys(((i, j, j, i) for j in idx for i in idx if i != j), one)
     r1.update(dict.fromkeys(((i, j, i, j) for i in idx for j in idx if i != j), -one))
+    # each scaling is made once per entry of phi or eta, not once per product
+    minus_phi = [(a, b, -c) for a, b, c in phi]
+    two_phi = [(a, b, c.scale(2)) for a, b, c in phi]
+    minus_eta = [(a, -c) for a, c in eta]
+
     # R2_ijk^l = phi_ki phi_jl - phi_kj phi_il + 2 phi_ji phi_kl
     r2 = chain(
         (((i, j, k, l), p_ki, p_jl) for k, i, p_ki in phi for j, l, p_jl in phi),
-        (((i, j, k, l), -p_kj, p_il) for k, j, p_kj in phi for i, l, p_il in phi),
-        (((i, j, k, l), p_ji.scale(2), p_kl) for j, i, p_ji in phi for k, l, p_kl in phi),
+        (((i, j, k, l), m_kj, p_il) for k, j, m_kj in minus_phi for i, l, p_il in phi),
+        (((i, j, k, l), t_ji, p_kl) for j, i, t_ji in two_phi for k, l, p_kl in phi),
     )
-    # R3_ijk^l = eta_i eta_k delta_jl - eta_j eta_k delta_il + (g_ik eta_j - g_jk eta_i) xi^l
+    # R3_ijk^l = eta_i eta_k delta_jl - eta_j eta_k delta_il + (g_ik eta_j - g_jk eta_i) xi^l,
+    # with g_ik = delta_ik
     r3 = chain(
         (((i, j, k, j), e_i, e_k) for i, e_i in eta for k, e_k in eta for j in idx),
-        (((i, j, k, i), -e_j, e_k) for j, e_j in eta for k, e_k in eta for i in idx),
-        (((i, j, k, l), g_ik * e_j, x_l) for i, k, g_ik in g for j, e_j in eta for l, x_l in xi),
-        (((i, j, k, l), -(g_jk * e_i), x_l) for j, k, g_jk in g for i, e_i in eta for l, x_l in xi),
+        (((i, j, k, i), m_j, e_k) for j, m_j in minus_eta for k, e_k in eta for i in idx),
+        (((i, j, i, l), e_j, x_l) for i in idx for j, e_j in eta for l, x_l in xi),
+        (((i, j, j, l), m_i, x_l) for j in idx for i, m_i in minus_eta for l, x_l in xi),
     )
     tables = (r1, sum_table(m.params, r2), sum_table(m.params, r3))
     return tuple(Curvature4Tensor(m.dim, m.params, t) for t in tables)

@@ -18,6 +18,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 COUNTS = ("sum_of_products", "zero_sums", "scalars", "json_bytes")
+# the per-frame cases of random_frame_triage, in the order ab.py prints them
+TRIAGE_FRAMES = tuple(
+    f"random_frame_triage/random_d{d}_{kind}_{i}"
+    for d, kind, count in ((5, "rational", 2), (5, "linear_t", 2), (7, "rational", 1),
+                           (7, "linear_t", 1))
+    for i in range(count)
+)
 
 # appended to the copy's curvature.py: every riemann call sleeps 2 ms first;
 # the modules that import riemann from it pick up the wrapper
@@ -225,22 +232,46 @@ def test_ab_counts_an_extra_sum_of_products(tmp_path):
     assert counts["parent"]["json_bytes"] == counts["change"]["json_bytes"]
 
 
+def _cases(stdout: str) -> list[str]:
+    """The printed cases, in order."""
+    return list(dict.fromkeys(line.split()[0] for line in stdout.splitlines()[1:]))
+
+
 def test_ab_counts_agree_on_identical_trees():
     run = _ab(SRC, 1)
     assert run.returncode == 0, run.stdout + run.stderr
-    cases = list(dict.fromkeys(line.split()[0] for line in run.stdout.splitlines()[1:]))
+    cases = _cases(run.stdout)
     assert cases == [
         "lambda_1/2", "H3", "H5", "H7", "H9", "T1E4", "random5", "random5_t",
-        "lambda_symbolic_verify", "heisenberg_verify", "random_frame_triage",
-        *(f"random_frame_triage/random_d{d}_{kind}_{i}"
-          for d, kind, count in ((5, "rational", 2), (5, "linear_t", 2),
-                                 (7, "rational", 1), (7, "linear_t", 1))
-          for i in range(count)),
+        "lambda_symbolic_verify", "heisenberg_verify", "random_frame_triage", *TRIAGE_FRAMES,
     ]
     for case in cases:
         rows = _rows(run.stdout, case)
         assert all(rows[key][0] == rows[key][1] for key in COUNTS)
         assert rows["sum_of_products"][0] > 0
+
+
+@pytest.mark.parametrize(
+    ("only", "cases"),
+    [
+        # a summed case also runs each of its frames
+        (["random_frame_triage"], ["random_frame_triage", *TRIAGE_FRAMES]),
+        # a frame's own name runs that frame alone
+        ([TRIAGE_FRAMES[4]], [TRIAGE_FRAMES[4]]),
+        (["H3", TRIAGE_FRAMES[0]], ["H3", TRIAGE_FRAMES[0]]),
+    ],
+)
+def test_only_runs_the_named_cases_and_their_frames(only, cases):
+    run = _ab(SRC, 1, *(arg for name in only for arg in ("--only", name)))
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert _cases(run.stdout) == cases
+
+
+@pytest.mark.parametrize("name", ["random_frame", "random_d5_rational_0", "nosuch"])
+def test_only_refuses_an_unknown_case(name):
+    run = _ab(SRC, 1, "--only", name)
+    assert run.returncode == 2
+    assert f"unknown case(s) [{name!r}]" in run.stderr
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -282,3 +282,41 @@ def test_structural_witnesses_are_the_dense_scans(ms):
     report = x.structural_report
     for name, want in vr.structural_witnesses(m, s, x.h).items():
         assert report.by_name(name).witness == want, name
+
+
+@st.composite
+def dense_frames_over_t(draw):
+    """Dense drawn brackets in dimension 5 or 7 through ``from_pairs``, with
+    dense drawn phi, xi and eta, each entry a constant or, over the parameter
+    t, linear in t."""
+    dim, params = draw(st.sampled_from([5, 7])), draw(st.sampled_from([(), ("t",)]))
+    idx = range(dim)
+    t = Scalar.variable(params, "t") if params else Scalar.zero(params)
+
+    def entry() -> Scalar:
+        return Scalar.constant(params, draw(ENTRY)) + t.scale(draw(ENTRY))
+
+    m = FrameManifold.from_pairs(
+        dim, params, {(i, j, k): entry() for i in idx for j in idx if i < j for k in idx}
+    )
+    phi = Endomorphism(tuple(tuple(entry() for _ in idx) for _ in idx))
+    xi, eta = (FrameVector(tuple(entry() for _ in idx)) for _ in range(2))
+    return m, AlmostContactData(phi, xi, eta)
+
+
+def _lambda_symbolic():
+    entry = make_lambda_family(None)
+    return entry.manifold, entry.structure
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(perturbed_heisenberg(), dense_frames_over_t(), st.builds(_lambda_symbolic)))
+def test_h_is_half_the_lie_derivative_of_phi(ms):
+    """``Instance.h``, built as L_xi(1/2 phi), has the entries of the dense
+    1/2 L_xi phi (``vector_reference.contact_h``), in the key order of
+    L_xi phi halved after the derivative."""
+    m, s = ms
+    h = Instance(m, s).h
+    halved_after = m.lie_derive_endo(s.xi, s.phi).scale(Fraction(1, 2))
+    assert list(h.table.items()) == list(halved_after.table.items())
+    assert h.table == vr.nonzero(vr.contact_h(m, s))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from contactframe.frames import FrameError, FrameManifold, FrameVector
 from contactframe.report import first_witness
 from contactframe.scalars import ParameterMismatchError, Scalar, parse_scalar
-from vector_reference import bracket, inner, inner_basis
+from vector_reference import antisymmetry_witness, bracket, inner, inner_basis
 
 P = ()
 
@@ -83,10 +83,8 @@ def _table(dim: int, entries) -> FrameManifold:
 
 def _antisymmetry_witnesses(m: FrameManifold):
     """The graded witness and that of the full dim^3 row-major scan."""
-    full = first_witness(
-        product(range(m.dim), repeat=3), lambda i, j, k: m.c[i][j][k] + m.c[j][i][k]
-    )
-    return m.validate_frame().by_name("frame.bracket_antisymmetry").witness, full
+    graded = m.validate_frame().by_name("frame.bracket_antisymmetry").witness
+    return graded, antisymmetry_witness(m)
 
 
 def test_antisymmetry_scan_keeps_the_full_scan_witness():
@@ -99,6 +97,53 @@ def test_antisymmetry_scan_keeps_the_full_scan_witness():
 @given(st.lists(st.sampled_from([-1, 0, 0, 0, 1]), min_size=27, max_size=27))
 def test_antisymmetry_witness_matches_the_full_scan_on_random_tables(values):
     m = _table(3, dict(zip(product(range(3), repeat=3), values)))
+    graded, full = _antisymmetry_witnesses(m)
+    assert graded == full
+
+
+# a few coefficient objects, each placed at many triples: the scan sums each
+# distinct pair of objects once, so a residual must depend on both objects
+SHARED = tuple(parse_scalar(text, ("t",)) for text in ("0", "1", "-1", "2", "-2", "1+t", "-1-t"))
+NEGATED = (0, 2, 1, 4, 3, 6, 5)  # SHARED[NEGATED[v]] == -SHARED[v]
+
+
+def _shared_table(dim: int, picks) -> FrameManifold:
+    """c[i][j][k] = SHARED[picks[(i, j, k)]], the same objects at many triples;
+    no antisymmetry imposed."""
+    idx = range(dim)
+    c = (tuple(tuple(SHARED[picks[i, j, k]] for k in idx) for j in idx) for i in idx)
+    return FrameManifold(dim, ("t",), tuple(c))
+
+
+def test_antisymmetry_witness_reads_both_objects_of_a_shared_pair():
+    """1+t pairs with its negation at (1, 2, 1), with 2 at (1, 3, 1): the
+    first residual is zero, the second is the witness."""
+    picks = dict.fromkeys(product(range(3), repeat=3), 0)
+    picks.update({(0, 1, 0): 5, (1, 0, 0): 6, (0, 2, 0): 5, (2, 0, 0): 3})
+    graded, full = _antisymmetry_witnesses(_shared_table(3, picks))
+    assert graded == full == {"indices": [1, 3, 1], "residual": "t+3"}
+
+
+@st.composite
+def shared_tables(draw) -> FrameManifold:
+    """An antisymmetric table of shared objects, each c_ji^k the object
+    negating c_ij^k, with up to three entries then replaced by any object, so
+    one object meets both its negation and other partners."""
+    dim = draw(st.sampled_from([3, 5]))
+    idx, value = range(dim), st.integers(0, len(SHARED) - 1)
+    picks = dict.fromkeys(product(idx, repeat=3), 0)
+    for i, j in combinations(idx, 2):
+        for k in idx:
+            v = draw(value)
+            picks[i, j, k], picks[j, i, k] = v, NEGATED[v]
+    triples = st.tuples(*[st.sampled_from(idx)] * 3)
+    picks.update(draw(st.dictionaries(triples, value, max_size=3)))
+    return _shared_table(dim, picks)
+
+
+@HUNDRED
+@given(shared_tables())
+def test_antisymmetry_witness_matches_the_full_scan_on_shared_objects(m):
     graded, full = _antisymmetry_witnesses(m)
     assert graded == full
 

@@ -6,7 +6,8 @@ and ``position``.  The strings are seeded: random strings over the
 characters ``0-9 +-*/^() t x _`` and whitespace, random expressions of the
 grammar (some with one character inserted, deleted or replaced), and the
 strings at and just past ``MAX_DEPTH``, ``MAX_TERMS`` and ``MAX_EXPONENT``,
-each under the parameters ``()``, ``("t",)`` and ``("t", "x")``.
+and products with a constant factor on either side, each under the
+parameters ``()``, ``("t",)`` and ``("t", "x")``.
 
 Regenerate with ``PYTHONPATH=src python tests/test_parse_corpus.py`` only for
 a deliberate change of the parser's output or errors.
@@ -82,6 +83,10 @@ def _limits() -> list[str]:
     # (1+t+x)^k has (k+1)(k+2)/2 terms: 253 at k = 21, 276 at k = 22
     out += ["(1+t+x)^21", "(1+t+x)^22", "(1+t+x)^20*(1+t)", "(t+x)^255",
             "(1+t)^64*(1+x)^3", "(1+t)^64*(1+x)^4", "(1+t^2)^64"]
+    # a constant left factor scales the right one; the last product crosses
+    # MAX_TERMS after a scaled factor, at the end of its right factor
+    out += ["2*t", "t*2", "2*3*t", "-3*t^2*u", "-3*t^2*x", "1/2*t*2", "(1+t)*2",
+            "2*" + row_t17 + "*" + row_x]
     out += ["1" * 4300, "1" * 4301, "²", "١+t", "t + 1", "1/0", "t/2",
             "(t)/2", "3/ 4", "3 /4", "-3/-4", "x1", "_t", "t_", "()", "", " ", "+1"]
     return out

@@ -239,6 +239,14 @@ def nonzero(rows: list) -> dict:
     return {(a, b): v for a, row in enumerate(rows) for b, v in enumerate(row) if v.terms}
 
 
+def antisymmetry_witness(m: FrameManifold) -> dict | None:
+    """The witness of ``frame.bracket_antisymmetry`` by a dense row-major scan
+    of every triple, one fresh c_ij^k + c_ji^k each."""
+    return first_witness(
+        product(range(m.dim), repeat=3), lambda i, j, k: m.c[i][j][k] + m.c[j][i][k]
+    )
+
+
 def structural_witnesses(m: FrameManifold, s: AlmostContactData, h: Endomorphism) -> dict:
     """Check name -> the witness of a dense scan of every basis tuple, for
     the structural layer's per-tuple checks: the bracket antisymmetry and the
@@ -259,9 +267,7 @@ def structural_witnesses(m: FrameManifold, s: AlmostContactData, h: Endomorphism
         return inner(m, s.eta, bracket(m, e[i], e[j])).scale(Fraction(-1, 2))
 
     return {
-        "frame.bracket_antisymmetry": first_witness(
-            product(idx, repeat=3), lambda i, j, k: m.c[i][j][k] + m.c[j][i][k]
-        ),
+        "frame.bracket_antisymmetry": antisymmetry_witness(m),
         "acm.eta_after_phi": first_witness(
             product(idx, repeat=1), lambda i: inner(m, s.eta, phi_e[i])
         ),

@@ -49,7 +49,9 @@ descending term tuples, so it never sorts.
 Sums of products are the contraction kernel ``tables.sum_table``, and
 ``Scalar.sum_of_products`` for one sum: one live product is a * b, and two
 or more are added with ``_accumulate`` into unreduced sums of ints, reduced
-once by ``_reduced``.
+once by ``_reduced``.  A one-term constant factor is read once and each term
+of its partner adds at the partner's own monomial; the reduce builds the
+surviving terms in one pass and sorts them only when two or more survive.
 
 ``parse_scalar`` evaluates a coefficient string into one monomial ->
 coefficient dict and builds a single Scalar from it.
@@ -370,7 +372,9 @@ def _new_sum(params: tuple[str, ...]) -> Sum:
 
 
 def _accumulate(acc: Sum, a: Scalar, b: Scalar) -> None:
-    """Add a * b of two nonzero Scalars to the sum ``acc``."""
+    """Add a * b of two nonzero Scalars to the sum ``acc``: each pair of terms
+    at the sum of their monomials, or, with a one-term constant factor (read
+    once, as ``b``), each term of the other factor at its own monomial."""
     if acc.__class__ is list:
         c1, c2 = a.terms[0][1], b.terms[0][1]
         n2, d2 = c1.numerator * c2.numerator, c1.denominator * c2.denominator
@@ -381,31 +385,50 @@ def _accumulate(acc: Sum, a: Scalar, b: Scalar) -> None:
             acc[0], acc[1] = n * d2 + n2 * d, d * d2
         return
     get = acc.get
-    for m1, c1 in a.terms:
-        n1, d1 = c1.numerator, c1.denominator
-        for m2, c2 in b.terms:
-            mono = tuple(map(add, m1, m2))
-            n, d = n1 * c2.numerator, d1 * c2.denominator
-            prev = get(mono)
-            if prev is None:
-                acc[mono] = (n, d)
-            elif prev[1] == d:
-                acc[mono] = (prev[0] + n, d)
-            else:
-                acc[mono] = (prev[0] * d + n * prev[1], prev[1] * d)
+    if len(b.terms) != 1 or any(b.terms[0][0]):
+        if len(a.terms) != 1 or any(a.terms[0][0]):
+            for m1, c1 in a.terms:
+                n1, d1 = c1.numerator, c1.denominator
+                for m2, c2 in b.terms:
+                    mono = tuple(map(add, m1, m2))
+                    n, d = n1 * c2.numerator, d1 * c2.denominator
+                    prev = get(mono)
+                    if prev is None:
+                        acc[mono] = (n, d)
+                    elif prev[1] == d:
+                        acc[mono] = (prev[0] + n, d)
+                    else:
+                        acc[mono] = (prev[0] * d + n * prev[1], prev[1] * d)
+            return
+        a, b = b, a
+    c2 = b.terms[0][1]
+    n2, d2 = c2.numerator, c2.denominator
+    for mono, c1 in a.terms:
+        n, d = c1.numerator * n2, c1.denominator * d2
+        prev = get(mono)
+        if prev is None:
+            acc[mono] = (n, d)
+        elif prev[1] == d:
+            acc[mono] = (prev[0] + n, d)
+        else:
+            acc[mono] = (prev[0] * d + n * prev[1], prev[1] * d)
 
 
 def _reduced(params: tuple[str, ...], acc: Sum) -> Scalar:
-    """The canonical Scalar of an ``_accumulate`` sum: each surviving
-    coefficient reduced once, to an int when the denominator divides it."""
+    """The canonical Scalar of an ``_accumulate`` sum, built in one pass: each
+    surviving coefficient reduced once, to an int when the denominator divides
+    it, and the terms sorted only when two or more survive."""
     if acc.__class__ is list:
         n, d = acc
         if not n:
             return Scalar.zero(params)
         return Scalar(params, (((), n // d if n % d == 0 else Fraction(n, d)),))
-    return Scalar.from_terms(
-        params, {m: n // d if n % d == 0 else Fraction(n, d) for m, (n, d) in acc.items() if n}
-    )
+    terms = [(m, n // d if n % d == 0 else Fraction(n, d)) for m, (n, d) in acc.items() if n]
+    if not terms:
+        return Scalar.zero(params)
+    if len(terms) > 1:
+        terms.sort(reverse=True)  # distinct monomials: no coefficient is compared
+    return Scalar(params, tuple(terms))
 
 
 def _binomial(

@@ -8,7 +8,9 @@ over the products into one dict keyed by index: an index named by one live
 product (both factors nonzero) is that product, a * b, so a unit factor
 returns the other operand's object; an index named by two or more is one
 unreduced sum of ints (``scalars._accumulate``, the step
-``Scalar.sum_of_products`` takes too), reduced once at the end.  Only the
+``Scalar.sum_of_products`` takes too, which reads a one-term constant factor
+once and adds each term of its partner at the partner's own monomial),
+reduced once at the end, in one pass (``scalars._reduced``).  Only the
 nonzero values are kept, so an index that no product names, or whose
 products cancel, is zero by construction and costs nothing.  A vector
 residual puts its component p last in the index, and ``frames`` builds its

@@ -1,10 +1,13 @@
 """The engine names the benchmark harness in ``perfbench/`` imports or patches
-still exist.  The harness's modules are read with ``ast``, so their imports
-do not run; ``spans.py``, whose layer table names engine objects, is loaded."""
+still exist, and a traced request records a fixed number of spans.  The
+harness's modules are read with ``ast``, so their imports do not run;
+``spans.py``, whose layer table names engine objects, and ``workloads.py``,
+which imports no engine name, are loaded."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,10 +17,14 @@ import pytest
 from contactframe import (
     Instance,
     classify,
+    dump_manifest,
+    emit,
     h_property_checks,
     levi_civita,
+    load_manifest,
     make_heisenberg,
     make_lambda_family,
+    manifest_hash,
     riemann,
     run_suite,
     validate_acm,
@@ -43,13 +50,17 @@ def test_every_imported_engine_name_exists(file, module, name):
     assert hasattr(importlib.import_module(module), name), f"{file}: {module}.{name}"
 
 
-@pytest.fixture
-def spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+def _load_harness_module(monkeypatch, name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    return _load_harness_module(monkeypatch, "spans")
 
 
 def test_every_traced_layer_resolves(spans):
@@ -76,6 +87,38 @@ def test_a_traced_run_records_every_layer_outside_the_sections(spans):
             while parent is not None:
                 assert not by_id[parent].name.endswith(".suite"), sp.name
                 parent = by_id[parent].parent
+
+
+# perfbench's seed of record (``scripts/ab.py``'s ``SEED``); every triage frame
+# is gated whatever the seed
+SEED = 1
+
+
+@pytest.mark.parametrize(
+    ("workload", "expected"),
+    [("heisenberg_verify", 18), ("lambda_symbolic_verify", 18), ("random_frame_triage", 12)],
+)
+def test_a_traced_request_records_the_same_spans(monkeypatch, spans, workload, expected):
+    """Each instance of the workload, served once as ``perfbench/bench.py``'s
+    ``serve`` serves a traced request, records exactly this many spans.
+    perfbench's traced post-processing scans every span once per traced
+    request, so one more traced call per request lengthens every traced run;
+    this count shows it first."""
+    workloads = _load_harness_module(monkeypatch, "workloads")
+    counts = {}
+    for inst in workloads.make_instances(workload, SEED):
+        tracer = spans.Tracer()
+        with tracer.request(0), tracer.layers_patched():
+            with tracer.span("manifest.load"):
+                m, s = load_manifest(json.loads(json.dumps(inst.document)))
+            with tracer.span("manifest.hash"):
+                digest = manifest_hash(dump_manifest(m, s))
+            with tracer.span("suite.run"):
+                report = run_suite(m, s, suite="all", manifest_hash=digest)
+            with tracer.span("report.emit"):
+                emit(report, "json")
+        counts[inst.label] = len(tracer.spans)
+    assert counts and counts == dict.fromkeys(counts, expected)
 
 
 @pytest.mark.parametrize(

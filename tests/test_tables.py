@@ -1,6 +1,8 @@
 """The table kernel ``tables.sum_table`` against ``Scalar.sum_of_products``
 per index, and the one-term paths of the Scalar ring, over no parameters,
-one and two; and the witness rule of a table of nonzero residuals
+one and two; the polynomial kernel (``sum_table``, ``sum_of_products`` and a
+product of many-term Scalars) against a reference over dicts of Fractions;
+and the witness rule of a table of nonzero residuals
 (``Instance.table_scan``, ``tables.first_nonempty``) against the row-major
 scan of every basis tuple."""
 
@@ -130,6 +132,97 @@ def test_one_term_paths(case):
     if a.terms:
         (m, c), = a.terms
         assert a - Scalar.from_terms(params, {m: c}) is zero
+
+
+# -- the polynomial kernel against a reference with no engine arithmetic ------------
+#
+# A reference polynomial is a dict monomial -> nonzero Fraction, multiplied and
+# added with Python's Fraction arithmetic; a Scalar is built from it by hand,
+# so neither side of the comparison runs ``_accumulate`` or ``_reduced``.
+
+
+def canonical_scalar(params: tuple[str, ...], poly: dict) -> Scalar:
+    """The canonical Scalar of a reference polynomial: its nonzero terms by
+    descending monomial, an integral coefficient as an int."""
+    terms = sorted(
+        ((m, c.numerator if c.denominator == 1 else c) for m, c in poly.items() if c),
+        reverse=True,
+    )
+    return Scalar(params, tuple(terms)) if terms else Scalar.zero(params)
+
+
+def reference_product(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return out
+
+
+def reference_sum(polys) -> dict:
+    out: dict = {}
+    for poly in polys:
+        for m, c in poly.items():
+            out[m] = out.get(m, Fraction(0)) + c
+    return out
+
+
+@st.composite
+def reference_polys(draw, params: tuple[str, ...]) -> dict:
+    """A nonzero polynomial; half the draws are one constant term."""
+    nonzero = coeffs.filter(bool).map(Fraction)
+    if draw(st.booleans()):
+        return {(0,) * len(params): draw(nonzero)}
+    monomials = st.tuples(*(st.integers(0, 2) for _ in params))
+    return draw(st.dictionaries(monomials, nonzero, min_size=1, max_size=3))
+
+
+@st.composite
+def reference_streams(draw):
+    """Products (index, p, q) over one or two parameters; with a coin's
+    heads, the last index named also meets the negation of each of its
+    products, so its sum cancels."""
+    params = draw(st.sampled_from(PARAM_TUPLES[1:]))
+    factor = reference_polys(params)
+    stream = draw(
+        st.lists(st.tuples(st.sampled_from(INDICES[:3]), factor, factor), min_size=1, max_size=10)
+    )
+    if draw(st.booleans()):
+        last = stream[-1][0]
+        stream += [(i, {m: -c for m, c in p.items()}, q) for i, p, q in stream if i == last]
+    return params, stream
+
+
+@HUNDRED
+@given(reference_streams())
+def test_polynomial_kernel_matches_a_fraction_dict_reference(case):
+    """``sum_table``, ``Scalar.sum_of_products`` per index and each product
+    ``a * b`` are the reference sums and products, and canonical."""
+    params, stream = case
+    pairs: dict = {}
+    for index, p, q in stream:
+        pairs.setdefault(index, []).append((p, q))
+    expected = {
+        index: canonical_scalar(params, reference_sum(reference_product(p, q) for p, q in pq))
+        for index, pq in pairs.items()
+    }
+    table = sum_table(
+        params,
+        [(i, canonical_scalar(params, p), canonical_scalar(params, q)) for i, p, q in stream],
+    )
+    assert table == {index: value for index, value in expected.items() if value.terms}
+    for value in table.values():
+        assert_canonical(value)
+    for index, pq in pairs.items():
+        scalars_pq = [(canonical_scalar(params, p), canonical_scalar(params, q)) for p, q in pq]
+        total = Scalar.sum_of_products(params, scalars_pq)
+        assert total == expected[index]
+        assert_canonical(total)
+        for (p, q), (a, b) in zip(pq, scalars_pq):
+            value = a * b
+            assert value == canonical_scalar(params, reference_product(p, q))
+            assert_canonical(value)
 
 
 # dimensions 3 and 5, over no parameters and over one

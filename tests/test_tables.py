@@ -200,26 +200,25 @@ def test_polynomial_kernel_matches_a_fraction_dict_reference(case):
     """``sum_table``, ``Scalar.sum_of_products`` per index and each product
     ``a * b`` are the reference sums and products, and canonical."""
     params, stream = case
+    scalar_stream = [
+        (i, canonical_scalar(params, p), canonical_scalar(params, q)) for i, p, q in stream
+    ]
     pairs: dict = {}
-    for index, p, q in stream:
-        pairs.setdefault(index, []).append((p, q))
+    for (index, p, q), (_, a, b) in zip(stream, scalar_stream):
+        pairs.setdefault(index, []).append((p, q, a, b))
     expected = {
-        index: canonical_scalar(params, reference_sum(reference_product(p, q) for p, q in pq))
+        index: canonical_scalar(params, reference_sum(reference_product(p, q) for p, q, _, _ in pq))
         for index, pq in pairs.items()
     }
-    table = sum_table(
-        params,
-        [(i, canonical_scalar(params, p), canonical_scalar(params, q)) for i, p, q in stream],
-    )
+    table = sum_table(params, scalar_stream)
     assert table == {index: value for index, value in expected.items() if value.terms}
     for value in table.values():
         assert_canonical(value)
     for index, pq in pairs.items():
-        scalars_pq = [(canonical_scalar(params, p), canonical_scalar(params, q)) for p, q in pq]
-        total = Scalar.sum_of_products(params, scalars_pq)
+        total = Scalar.sum_of_products(params, [(a, b) for _, _, a, b in pq])
         assert total == expected[index]
         assert_canonical(total)
-        for (p, q), (a, b) in zip(pq, scalars_pq):
+        for p, q, a, b in pq:
             value = a * b
             assert value == canonical_scalar(params, reference_product(p, q))
             assert_canonical(value)
